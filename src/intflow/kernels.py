@@ -35,9 +35,16 @@ def _kernel(kind: KernelKind, scale_arith: bool):
     return deco
 
 
-def _check_product(a_max: int, b_max: int, terms: int = 1) -> None:
-    if a_max and b_max and a_max * b_max * terms >= LANE_MAX:
+# Every integer of magnitude up to 2^53 is exactly a float64.
+FLOAT64_EXACT = 2**53
+
+
+def _check_product(a_max: int, b_max: int, terms: int = 1) -> int:
+    """Bound terms * a_max * b_max on |sum of products|; raise at the lane."""
+    bound = a_max * b_max * terms
+    if bound >= LANE_MAX:
         raise LaneOverflowError("product exceeds accumulator lane")
+    return bound
 
 
 def _broadcast_pair(a: ScaledTensor, b: ScaledTensor) -> tuple[ScaledTensor, ScaledTensor]:
@@ -90,8 +97,16 @@ def matmul(a: ScaledTensor, b_t: ScaledTensor) -> ScaledTensor:
         )
     am = scale_match_dim(a, -1)
     bm = scale_match_dim(b_t, -1)
-    _check_product(am.data.max_magnitude, bm.data.max_magnitude, a.shape[-1])
-    x = am.data.values @ bm.data.values.T
+    bound = _check_product(am.data.max_magnitude, bm.data.max_magnitude, a.shape[-1])
+    if bound < FLOAT64_EXACT:
+        # Each product and partial sum, in any summation order, is an integer
+        # no larger than bound, so BLAS returns the int64 result bit for bit
+        # (the accumulator-width argument of gemmlowp and I-BERT).
+        af = am.data.values.astype(np.float64)
+        bf = bm.data.values.astype(np.float64)
+        x = (af @ bf.T).astype(np.int64)
+    else:
+        x = am.data.values @ bm.data.values.T
     s = am.scale.values @ bm.scale.values.T  # (m,1) x (1,n)
     return ScaledTensor(IntTensor(x, a.precision), ScaleTensor(s))
 

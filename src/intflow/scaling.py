@@ -126,6 +126,10 @@ def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
     out = []
     unified = ScaleTensor(np.ascontiguousarray(s_bar))
     for t, s in zip(ts, scales):
+        if np.array_equal(s, s_bar):
+            # Already at the minimum: the payload moves by nothing, exactly.
+            out.append(ScaledTensor(t.data, unified))
+            continue
         x = _match_payload(
             t.data.values,
             np.broadcast_to(s, shape),
@@ -145,6 +149,8 @@ def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
     if s.shape[d] == 1:
         return t
     s_bar = np.min(s, axis=d, keepdims=True)
+    if np.all(s == s_bar):
+        return ScaledTensor(t.data, ScaleTensor(s_bar))
     x = _match_payload(
         t.data.values,
         np.broadcast_to(s, t.shape),

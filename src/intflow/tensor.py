@@ -6,7 +6,7 @@ collapsed dimensions as size 1 and broadcast against their payload.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -55,18 +55,23 @@ class IntTensor:
 
     values: np.ndarray
     precision: int = DEFAULT_PRECISION
+    # max|x|, scanned once here; payloads are read-only, so it stays valid.
+    _max_abs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = np.asarray(self.values)
         if raw.dtype.kind not in "iu":
             raise TypeError(f"payload must be integer-typed, got {raw.dtype}")
         arr = raw.astype(LANE_DTYPE)
-        if arr.size and np.max(np.abs(arr)) >= LANE_MAX:
+        # Python ints: np.abs would wrap -2^63 back to itself.
+        m = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+        if m >= LANE_MAX:
             raise LaneOverflowError("payload exceeds accumulator lane")
         if not 2 <= self.precision <= 15:
             raise ValueError(f"precision {self.precision} outside [2, 15]")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_max_abs", m)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -74,7 +79,7 @@ class IntTensor:
 
     @property
     def max_magnitude(self) -> int:
-        return int(np.max(np.abs(self.values))) if self.values.size else 0
+        return self._max_abs
 
     def in_range(self) -> bool:
         """True when every payload fits the logical precision."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from intflow import kernels as K
 from intflow.errors import LaneOverflowError, ShapeError
-from intflow.scaling import dequantize
+from intflow.scaling import dequantize, scale_match_dim
 from intflow.tensor import IntTensor, ScaledTensor, ScaleTensor
 
 
@@ -117,6 +117,43 @@ class TestMatMul:
                 + 4 * (ea @ eb.T)
             )
             assert np.all(np.abs(dequantize(out).values - want) <= bound)
+
+
+@st.composite
+def gemm_operands(draw):
+    """(a, b_t) with payload widths putting k * max|a| * max|b| on either
+    side of 2^53; a width of 0 bits gives an all-zero operand."""
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+
+    def operand(rows):
+        bits = draw(st.one_of(st.integers(0, 12), st.integers(24, 29)))
+        hi = 2**bits - 1
+        xs = draw(st.lists(st.integers(-hi, hi), min_size=rows * k, max_size=rows * k))
+        cols = draw(st.sampled_from([1, k]))
+        ss = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0, 40.0]),
+                           min_size=rows * cols, max_size=rows * cols))
+        return scaled(np.reshape(xs, (rows, k)), np.reshape(ss, (rows, cols)))
+
+    return operand(m), operand(n)
+
+
+class TestMatMulExactness:
+    @given(gemm_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_int64_oracle(self, ops):
+        a, b_t = ops
+        am, bm = scale_match_dim(a, -1), scale_match_dim(b_t, -1)
+        out = K.matmul(a, b_t)
+        assert out.data.values.dtype == np.int64
+        assert np.array_equal(out.data.values, am.data.values @ bm.data.values.T)
+        assert np.array_equal(out.scale.values, am.scale.values @ bm.scale.values.T)
+
+    def test_bound_at_float_mantissa_takes_int64_path(self):
+        x = 2**27 + 1
+        a = scaled([[x]], [[1.0]])
+        assert float(x) * float(x) != x * x  # 2^54 + 2^28 + 1 rounds in float64
+        out = K.matmul(a, a)
+        assert out.data.values.tolist() == [[x * x]]
 
 
 class TestPowAbsRelu:

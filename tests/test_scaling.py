@@ -150,6 +150,15 @@ class TestScaleMatch:
         assert ma.data.values.tolist() == [11, -13]
         assert mb.data.values.tolist() == [5, 6]
 
+    def test_equal_scales_are_identity_above_float_mantissa(self):
+        # Payloads at or above 2^53 cannot survive a float multiply-and-floor.
+        a = scaled([[2**60 + 1, -(2**55 + 3)]], [[2.0]])
+        b = scaled([[1, 2]], [[2.0]])
+        ma, mb = scale_match([a, b])
+        assert ma.data.values.tolist() == [[2**60 + 1, -(2**55 + 3)]]
+        assert mb.data.values.tolist() == [[1, 2]]
+        assert ma.scale.values.tolist() == [[2.0]]
+
     def test_outputs_share_identical_scale(self):
         rng = np.random.default_rng(3)
         ts = [
@@ -194,6 +203,12 @@ class TestScaleMatchDim:
         t = scaled([[5, 6]], [[2.0]])
         out = scale_match_dim(t, 1)
         assert np.array_equal(out.data.values, t.data.values)
+
+    def test_equal_slices_are_identity_above_float_mantissa(self):
+        t = scaled([[2**60 + 1, -(2**55 + 3)]], [[2.0, 2.0]])
+        out = scale_match_dim(t, 1)
+        assert out.data.values.tolist() == [[2**60 + 1, -(2**55 + 3)]]
+        assert out.scale.values.tolist() == [[2.0]]
 
     def test_two_slices(self):
         t = scaled([[100, 50]], [[100.0, 50.0]])

@@ -1,8 +1,10 @@
 """Tensor containers and the shape-preserving transformations."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from intflow.errors import ShapeError
+from intflow.errors import LaneOverflowError, ShapeError
 from intflow.scaling import dequantize
 from intflow.tensor import (
     IntTensor,
@@ -23,6 +25,19 @@ def scaled(data, scale, precision=7):
 
 
 class TestContainers:
+    def test_max_magnitude_stored_outside_identity(self):
+        a = IntTensor(np.array([[3, -2**40], [0, 7]]), 7)
+        assert a.max_magnitude == 2**40
+        assert not a.in_range()
+        assert IntTensor(np.array([], dtype=np.int64)).max_magnitude == 0
+        stored = {f.name: f for f in dataclasses.fields(IntTensor)}["_max_abs"]
+        assert not stored.compare and not stored.repr and not stored.init
+
+    def test_lane_check_sees_int64_min(self):
+        # |-2^63| does not fit int64; the check must not wrap it negative.
+        with pytest.raises(LaneOverflowError):
+            IntTensor(np.array([5, -2**63]), 7)
+
     def test_int_tensor_rejects_float_payloads(self):
         with pytest.raises(TypeError):
             IntTensor(np.array([1.5]), 7)

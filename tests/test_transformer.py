@@ -1,4 +1,5 @@
 """Transformer blocks: integer modules vs their FP32 twins, hybrid engine."""
+import hashlib
 import math
 
 import numpy as np
@@ -291,3 +292,29 @@ class TestModelRoundTrips:
         assert out.shape == (4, cfg.vocab)
         poly_out = reference_forward(ref, tokens=np.arange(4))
         assert not np.array_equal(out.values, poly_out.values)
+
+
+def _digest(t) -> str:
+    """sha256 over the dtypes, shapes and bytes of a payload and its scales."""
+    h = hashlib.sha256()
+    for arr in (t.data.values, t.scale.values):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenLogits:
+    """Pinned integer logits: a speed change must leave payloads and scales
+    bit-identical."""
+
+    @pytest.mark.parametrize("precision, want", [
+        (7, "5436c98b7cc2e948f21d48f3c4b01e9227af4429a1e516fea01cb54dcbf82e64"),
+        (12, "2d44ce25760b044e831c0677e6b9fa38591b3e8998d4ccd94015ecc2f2667a65"),
+    ])
+    def test_forward_digest(self, precision, want):
+        cfg = ModelConfig(precision=precision)
+        model = quantize_model(random_reference_model(cfg, seed=0))
+        session = Session(Precision(cfg.precision))
+        logits = forward(model, session, tokens=np.arange(12) % cfg.vocab)
+        assert _digest(logits) == want
