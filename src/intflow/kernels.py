@@ -12,7 +12,7 @@ import enum
 import numpy as np
 
 from .errors import LaneOverflowError, ShapeError
-from .scaling import scale_match, scale_match_dim, trunc_div
+from .scaling import FLOAT64_EXACT, scale_match, scale_match_dim, trunc_div
 from .tensor import LANE_MAX, IntTensor, ScaledTensor, ScaleTensor
 
 
@@ -35,10 +35,6 @@ def _kernel(kind: KernelKind, scale_arith: bool):
     return deco
 
 
-# Every integer of magnitude up to 2^53 is exactly a float64.
-FLOAT64_EXACT = 2**53
-
-
 def _check_product(a_max: int, b_max: int, terms: int = 1) -> int:
     """Bound terms * a_max * b_max on |sum of products|; raise at the lane."""
     bound = a_max * b_max * terms
@@ -57,7 +53,7 @@ def _broadcast_pair(a: ScaledTensor, b: ScaledTensor) -> tuple[ScaledTensor, Sca
         srank = len(t.scale.shape)
         pad = (1,) * (len(shape) - srank)
         sv = t.scale.values.reshape(pad + t.scale.shape)
-        return ScaledTensor(IntTensor(data, t.precision), ScaleTensor(sv))
+        return ScaledTensor(IntTensor.adopt(data, t.precision), ScaleTensor(sv))
     return expand(a), expand(b)
 
 
@@ -68,7 +64,7 @@ def ew_mul(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
     _check_product(a.data.max_magnitude, b.data.max_magnitude)
     x = a.data.values * b.data.values
     s = a.scale.values * b.scale.values
-    return ScaledTensor(IntTensor(x, a.precision), ScaleTensor(s))
+    return ScaledTensor(IntTensor.adopt(x, a.precision), ScaleTensor(s))
 
 
 @_kernel(KernelKind.ADD, scale_arith=True)
@@ -78,7 +74,7 @@ def add(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     ma, mb = scale_match([a, b])
     return ScaledTensor(
-        IntTensor(ma.data.values + mb.data.values, a.precision), ma.scale
+        IntTensor.adopt(ma.data.values + mb.data.values, a.precision), ma.scale
     )
 
 
@@ -108,7 +104,7 @@ def matmul(a: ScaledTensor, b_t: ScaledTensor) -> ScaledTensor:
     else:
         x = am.data.values @ bm.data.values.T
     s = am.scale.values @ bm.scale.values.T  # (m,1) x (1,n)
-    return ScaledTensor(IntTensor(x, a.precision), ScaleTensor(s))
+    return ScaledTensor(IntTensor.adopt(x, a.precision), ScaleTensor(s))
 
 
 @_kernel(KernelKind.POW_N, scale_arith=True)
@@ -119,8 +115,14 @@ def pow_n(t: ScaledTensor, n: int) -> ScaledTensor:
     m = t.data.max_magnitude
     if m > 1 and n * np.log2(m) >= 62:
         raise LaneOverflowError("power exceeds accumulator lane")
+    # Repeated int64 multiplies: exact, and much faster than integer **.
+    # Scales keep **: in float, s*s*s can round differently from s**n.
+    x = t.data.values
+    xn = x.copy() if n == 1 else x * x
+    for _ in range(n - 2):
+        xn *= x
     return ScaledTensor(
-        IntTensor(t.data.values ** n, t.precision),
+        IntTensor.adopt(xn, t.precision),
         ScaleTensor(t.scale.values ** n),
     )
 
@@ -128,14 +130,14 @@ def pow_n(t: ScaledTensor, n: int) -> ScaledTensor:
 @_kernel(KernelKind.ABS, scale_arith=False)
 def abs_(t: ScaledTensor) -> ScaledTensor:
     """{|x|, s}: exact since s > 0."""
-    return ScaledTensor(IntTensor(np.abs(t.data.values), t.precision), t.scale)
+    return ScaledTensor(IntTensor.adopt(np.abs(t.data.values), t.precision), t.scale)
 
 
 @_kernel(KernelKind.RELU, scale_arith=False)
 def relu(t: ScaledTensor) -> ScaledTensor:
     """{max(0, x), s}: exact since s > 0."""
     return ScaledTensor(
-        IntTensor(np.maximum(t.data.values, 0), t.precision), t.scale
+        IntTensor.adopt(np.maximum(t.data.values, 0), t.precision), t.scale
     )
 
 
@@ -154,7 +156,7 @@ def sum_reduce(t: ScaledTensor, axis: int, keepdims: bool = True) -> ScaledTenso
     s = t.scale.values
     if not keepdims:
         s = np.squeeze(s, axis=axis)
-    return ScaledTensor(IntTensor(x, t.precision), ScaleTensor(s))
+    return ScaledTensor(IntTensor.adopt(x, t.precision), ScaleTensor(s))
 
 
 @_kernel(KernelKind.INT_DIV, scale_arith=True)
@@ -165,7 +167,7 @@ def int_div(num: ScaledTensor, den: ScaledTensor) -> ScaledTensor:
         raise ValueError("int_div denominator payloads must be strictly positive")
     x = trunc_div(num.data.values, den.data.values)
     s = num.scale.values / den.scale.values
-    return ScaledTensor(IntTensor(x, num.precision), ScaleTensor(s))
+    return ScaledTensor(IntTensor.adopt(x, num.precision), ScaleTensor(s))
 
 
 # Shape ops from the tensor core, tagged so they can run through the protocol.

@@ -105,7 +105,7 @@ def _record_size(name: str, dtype: int, arr: np.ndarray) -> int:
     return 2 + len(name.encode("utf-8")) + 2 + 4 * arr.ndim + arr.size * item
 
 
-def _iter_named_params(layers_poly: bool = True):
+def _iter_named_params():
     """Name templates shared by the int and FP32 serializers."""
     return (
         ("w_q", "w_k", "w_v", "w_o", "w1", "b1", "w2", "b2"),

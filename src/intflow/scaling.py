@@ -20,6 +20,7 @@ from .tensor import (
     RationalTensor,
     ScaledTensor,
     ScaleTensor,
+    max_abs,
 )
 
 
@@ -58,12 +59,32 @@ def _round_to_f32(values: np.ndarray) -> np.ndarray:
     return values.astype(np.float32).astype(np.float64)
 
 
+# Every integer of magnitude up to 2^53 is exactly a float64.
+FLOAT64_EXACT = 2**53
+
+
 def trunc_div(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Integer division truncating toward zero; divisor strictly positive."""
+    """Integer division truncating toward zero; divisor strictly positive.
+
+    Below 2^53 this is trunc(float64(x) / k), which is exact: for
+    |x| < 2^53 and 0 < k <= 2^53, fl(x/k) is off from x/k by less than
+    |x/k| * 2^-53 < 1/k, while x/k lies at least 1/k from every integer it
+    is not equal to, so the rounded quotient never reaches the next integer.
+    From 2^53 up the quotient is taken in int64.
+    """
+    x = np.asarray(x)
     k = np.asarray(k, dtype=np.int64)
-    if np.any(k <= 0):
+    if k.size and k.min() <= 0:
         raise ValueError("divisor must be strictly positive")
+    if max_abs(x) < FLOAT64_EXACT and (not k.size or k.max() <= FLOAT64_EXACT):
+        # Written straight to int64: the cast truncates toward zero.
+        out = np.empty(np.broadcast_shapes(x.shape, k.shape), np.int64)
+        return np.true_divide(x, k, out=out, casting="unsafe")
     return np.sign(x) * (np.abs(x) // k)
+
+
+# Largest finite float32: the ceiling of every scale init_scale returns.
+SCALE_MAX = float(np.finfo(np.float32).max)
 
 
 def init_scale(
@@ -71,22 +92,27 @@ def init_scale(
     g: ScaleGranularity = ScaleGranularity.PER_ROW,
     prec: Precision = Precision(),
 ) -> ScaleTensor:
-    """Per-group scale (2^p - 1) / max(|r|); degenerate all-zero groups get 1."""
+    """Per-group scale (2^p - 1) / max(|r|); degenerate all-zero groups get 1.
+
+    Groups so small that the scale would overflow float32 (max|r| below
+    (2^p - 1) / SCALE_MAX, about 3.7e-37 at p=7) get SCALE_MAX instead; their
+    payloads then quantize to 0.  Every scale below SCALE_MAX is unchanged.
+    """
     axes = g.reduce_axes(len(r.shape))
     m = np.max(np.abs(r.values), axis=axes, keepdims=True) if r.values.size else np.abs(r.values)
     limit = float(prec.max_magnitude)
     with np.errstate(divide="ignore", over="ignore"):
         s = np.where(m > 0, limit / np.maximum(m, np.finfo(np.float64).tiny), 1.0)
-    return ScaleTensor(_round_to_f32(s))
+    return ScaleTensor(_round_to_f32(np.minimum(s, SCALE_MAX)))
 
 
 def quantize(r: RationalTensor, s: ScaleTensor, precision: int = DEFAULT_PRECISION) -> ScaledTensor:
     """x = round(s * r), half to even; the result carries s."""
-    prod = r.values * np.broadcast_to(s.values, r.shape)
-    x = np.rint(prod)
-    if x.size and np.max(np.abs(x)) >= LANE_MAX:
+    x = np.multiply(r.values, np.broadcast_to(s.values, r.shape), out=np.empty(r.shape))
+    np.rint(x, out=x)
+    if x.size and max(x.max(), -x.min()) >= LANE_MAX:
         raise LaneOverflowError("quantized payload exceeds accumulator lane")
-    return ScaledTensor(IntTensor(x.astype(np.int64), precision), s)
+    return ScaledTensor(IntTensor.adopt(x.astype(np.int64), precision), s)
 
 
 def dequantize(t: ScaledTensor) -> RationalTensor:
@@ -100,9 +126,15 @@ def _match_payload(x: np.ndarray, s: np.ndarray, s_bar: np.ndarray) -> np.ndarra
     |x'| <= |x| always holds, so matching cannot overflow; the de-quantized
     value moves by less than 1/s_bar per element.
     """
-    q = np.abs(x) * (s_bar / s)
+    # |x| * (s_bar / s), formed as |(s_bar / s) * x|: float rounding is
+    # symmetric in sign, so the bits are the same, with one buffer.
+    q = np.divide(s_bar, s, out=np.empty(x.shape))
+    q *= x
+    np.abs(q, out=q)
     # Guard against float noise flipping an exactly-integer quotient downward.
-    return np.sign(x) * np.floor(q + 1e-9).astype(np.int64)
+    q += 1e-9
+    np.floor(q, out=q)
+    return np.copysign(q, x, out=np.empty(x.shape, np.int64), casting="unsafe")
 
 
 def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
@@ -118,6 +150,9 @@ def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
     for t in ts:
         if t.shape != shape:
             raise ShapeError("scale_match inputs must share shape")
+    if all(t.scale is ts[0].scale for t in ts):
+        # One shared scale is its own minimum: no payload moves.
+        return list(ts)
     common = np.broadcast_shapes(*(t.scale.shape for t in ts))
     scales = [np.broadcast_to(t.scale.values, common) for t in ts]
     s_bar = scales[0]
@@ -130,12 +165,8 @@ def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
             # Already at the minimum: the payload moves by nothing, exactly.
             out.append(ScaledTensor(t.data, unified))
             continue
-        x = _match_payload(
-            t.data.values,
-            np.broadcast_to(s, shape),
-            np.broadcast_to(s_bar, shape),
-        )
-        out.append(ScaledTensor(IntTensor(x, prec), unified))
+        x = _match_payload(t.data.values, s, s_bar)
+        out.append(ScaledTensor(IntTensor.adopt(x, prec), unified))
     return out
 
 
@@ -149,14 +180,11 @@ def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
     if s.shape[d] == 1:
         return t
     s_bar = np.min(s, axis=d, keepdims=True)
-    if np.all(s == s_bar):
+    # Every slice already equals the minimum when the maximum does.
+    if np.array_equal(np.max(s, axis=d, keepdims=True), s_bar):
         return ScaledTensor(t.data, ScaleTensor(s_bar))
-    x = _match_payload(
-        t.data.values,
-        np.broadcast_to(s, t.shape),
-        np.broadcast_to(s_bar, t.shape),
-    )
-    return ScaledTensor(IntTensor(x, t.precision), ScaleTensor(s_bar))
+    x = _match_payload(t.data.values, s, s_bar)
+    return ScaledTensor(IntTensor.adopt(x, t.precision), ScaleTensor(s_bar))
 
 
 def rescale(x: IntTensor, s: ScaleTensor, prec: Precision) -> ScaledTensor:
@@ -167,17 +195,30 @@ def rescale(x: IntTensor, s: ScaleTensor, prec: Precision) -> ScaledTensor:
     )
     if x.values.size == 0:
         return ScaledTensor(IntTensor(x.values, prec.p), s)
-    m = np.max(np.abs(x.values), axis=group_axes, keepdims=True)
-    s_hat = np.maximum(-(-m // prec.max_magnitude), 1)
-    x2 = trunc_div(x.values, np.broadcast_to(s_hat, x.shape))
-    s2 = s.values / _shrink_to(s_hat, s.shape)
-    return ScaledTensor(IntTensor(x2, prec.p), ScaleTensor(s2))
-
-
-def _shrink_to(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce broadcast dims of `arr` down to `shape` (they are constant there)."""
-    slices = tuple(slice(0, 1) if n == 1 else slice(None) for n in shape)
-    return arr[slices]
+    # The group max, and so the divisor, has the scale's shape.
+    if x.max_magnitude >= FLOAT64_EXACT:
+        m = np.max(np.abs(x.values), axis=group_axes, keepdims=True)
+        s_hat = np.maximum(-(-m // prec.max_magnitude), 1)
+        x2 = trunc_div(x.values, s_hat)
+        return ScaledTensor(IntTensor.adopt(x2, prec.p), ScaleTensor(s.values / s_hat))
+    # Below 2^53 every step is exact in float64 (see trunc_div; the ceiling
+    # holds by the same argument), and one float buffer carries the group
+    # max, the divisor and then the new scale.
+    v = x.values
+    if group_axes:
+        m = np.maximum(
+            v.max(axis=group_axes, keepdims=True), -v.min(axis=group_axes, keepdims=True)
+        ).astype(np.float64)
+    else:
+        # One scale per element: the group max is |x| itself.
+        m = np.abs(v, out=np.empty(x.shape))
+    m /= prec.max_magnitude
+    np.ceil(m, out=m)
+    np.maximum(m, 1.0, out=m)
+    # Written straight to int64: the cast truncates toward zero.
+    x2 = np.divide(v, m, out=np.empty(x.shape, np.int64), casting="unsafe")
+    s2 = np.divide(s.values, m, out=m)
+    return ScaledTensor(IntTensor.adopt(x2, prec.p), ScaleTensor(s2))
 
 
 def protocol_apply(

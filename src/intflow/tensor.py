@@ -25,6 +25,12 @@ def _as_float_array(values) -> np.ndarray:
     return arr
 
 
+def max_abs(arr: np.ndarray) -> int:
+    """max|x| of an integer array as a Python int (0 when empty)."""
+    # Python ints: np.abs would wrap -2^63 back to itself.
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
 def _broadcast_compatible(scale_shape: tuple[int, ...], data_shape: tuple[int, ...]) -> bool:
     if len(scale_shape) != len(data_shape):
         return False
@@ -62,9 +68,26 @@ class IntTensor:
         raw = np.asarray(self.values)
         if raw.dtype.kind not in "iu":
             raise TypeError(f"payload must be integer-typed, got {raw.dtype}")
-        arr = raw.astype(LANE_DTYPE)
-        # Python ints: np.abs would wrap -2^63 back to itself.
-        m = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+        # A defensive copy: the caller may still write to its array.
+        self._seal(raw.astype(LANE_DTYPE))
+
+    @classmethod
+    def adopt(cls, arr: np.ndarray, precision: int = DEFAULT_PRECISION) -> IntTensor:
+        """Wrap an int64 array that a kernel has just allocated, without a copy.
+
+        Only for arrays nothing else refers to: the array is frozen in place.
+        A view, or an array of another dtype, goes through the copying
+        constructor instead.
+        """
+        if not isinstance(arr, np.ndarray) or arr.dtype != LANE_DTYPE or arr.base is not None:
+            return cls(arr, precision)
+        t = cls.__new__(cls)
+        object.__setattr__(t, "precision", precision)
+        t._seal(arr)
+        return t
+
+    def _seal(self, arr: np.ndarray) -> None:
+        m = max_abs(arr)
         if m >= LANE_MAX:
             raise LaneOverflowError("payload exceeds accumulator lane")
         if not 2 <= self.precision <= 15:
@@ -94,9 +117,11 @@ class ScaleTensor:
 
     def __post_init__(self):
         arr = _as_float_array(self.values)
-        if arr.size and not np.all(arr > 0):
+        # Two scans with no temporaries: a NaN fails the first test, and once
+        # every value is positive only +inf can fail the second.
+        if arr.size and not arr.min() > 0:
             raise ValueError("scale values must be strictly positive")
-        if not np.all(np.isfinite(arr)):
+        if arr.size and not np.isfinite(arr.max()):
             raise ValueError("scale values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

@@ -323,11 +323,11 @@ def _quantize_const(
     value: float, like: ScaledTensor, session: Session, module: str, min_payload: int = 0
 ) -> ScaledTensor:
     """Quantize a scalar constant into an existing scale regime."""
-    r = RationalTensor(np.full(like.shape, value))
+    r = RationalTensor(np.broadcast_to(np.float64(value), like.shape))
     t = session.quantize(r, like.scale, module)
-    if min_payload:
+    if min_payload and np.any(t.data.values < min_payload):
         x = np.maximum(t.data.values, min_payload)
-        t = ScaledTensor(IntTensor(x, t.precision), t.scale)
+        t = ScaledTensor(IntTensor.adopt(x, t.precision), t.scale)
     return t
 
 
@@ -365,6 +365,9 @@ def poly_attention(
     scores = session.apply(K.matmul, [q, k], module)
     scores = _fold_scale(scores, math.sqrt(d_m), session, module)
     weights = poly(scores, pp, session, module)
+    # Match the T x T weights once; matmul and sum_reduce then find a scale
+    # already collapsed along the contraction axis.
+    weights = scale_match_dim(weights, -1)
     v_t = K.transpose(v, (1, 0))
     num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False)
     den = session.apply(

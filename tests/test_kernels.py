@@ -172,6 +172,24 @@ class TestPowAbsRelu:
         with pytest.raises(LaneOverflowError):
             K.pow_n(t, 5)
 
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=200)
+    def test_pow_matches_python_ints_near_lane(self, n, data):
+        # The largest magnitude the lane guard admits for this exponent.
+        m = int(2 ** (62 / n))
+        while m > 1 and n * np.log2(m) >= 62:
+            m -= 1
+        xs = data.draw(st.lists(
+            st.one_of(st.sampled_from([m, -m, m - 1, 0, 1, -1]), st.integers(-m, m)),
+            min_size=1, max_size=5,
+        ))
+        t = scaled(xs, [1.5] * len(xs), precision=15)
+        out = K.pow_n(t, n)
+        assert out.data.values.tolist() == [x**n for x in xs]
+        assert out.scale.values.tolist() == [1.5**n] * len(xs)
+        with pytest.raises(LaneOverflowError):
+            K.pow_n(scaled([m + 1], [1.0]), n)
+
     def test_abs_exact(self):
         t = scaled([-5, 3, 0], [2.0])
         out = K.abs_(t)

@@ -64,6 +64,65 @@ class TestTruncDiv:
         assert out == int(Fraction(x, k)) if x >= 0 else out == -int(Fraction(-x, k))
 
 
+# Magnitudes on both sides of the float64-exact switch at 2^53, up to the lane.
+BOUNDARY = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**62 - 1]
+DIVISORS = [1, 2, 3, 127, 4095, 2**53 - 1, 2**53, 2**53 + 1, 2**62 - 1]
+lane_ints = st.one_of(
+    st.sampled_from(BOUNDARY + [-b for b in BOUNDARY]),
+    st.integers(-(2**62 - 1), 2**62 - 1),
+)
+divisors = st.one_of(st.sampled_from(DIVISORS), st.integers(1, 2**62 - 1))
+
+
+def int_trunc_div(x: int, k: int) -> int:
+    q = abs(x) // k
+    return q if x >= 0 else -q
+
+
+class TestFloat64Boundary:
+    """trunc_div and rescale against Python ints across the 2^53 switch."""
+
+    @given(st.data(), st.integers(1, 6))
+    @settings(max_examples=300)
+    def test_trunc_div_matches_python_ints(self, data, n):
+        xs = data.draw(st.lists(lane_ints, min_size=n, max_size=n))
+        ks = data.draw(st.lists(divisors, min_size=n, max_size=n))
+        out = trunc_div(np.array(xs, dtype=np.int64), np.array(ks, dtype=np.int64))
+        assert out.dtype == np.int64
+        assert out.tolist() == [int_trunc_div(x, k) for x, k in zip(xs, ks)]
+
+    @pytest.mark.parametrize("x", BOUNDARY)
+    @pytest.mark.parametrize("k", DIVISORS)
+    def test_trunc_div_boundary_grid(self, x, k):
+        for v in (x, -x):
+            assert trunc_div(np.array([v]), np.array([k])).tolist() == [int_trunc_div(v, k)]
+
+    @given(
+        st.lists(lane_ints, min_size=6, max_size=6),
+        st.sampled_from([2, 7, 12, 15]),
+        st.booleans(),
+        st.lists(st.floats(0.5, 1000.0), min_size=6, max_size=6),
+    )
+    @settings(max_examples=300)
+    def test_rescale_matches_python_ints(self, xs, p, per_element, svals):
+        x = np.array(xs, dtype=np.int64).reshape(2, 3)
+        s = np.array(svals).reshape(2, 3) if per_element else np.array(svals[:2]).reshape(2, 1)
+        out = rescale(IntTensor(x), ScaleTensor(s), Precision(p))
+        limit = (1 << p) - 1
+        if per_element:
+            groups = [[(i, j)] for i in range(2) for j in range(3)]
+        else:
+            groups = [[(i, j) for j in range(3)] for i in range(2)]
+        for g in groups:
+            peak = max(abs(xs[3 * i + j]) for i, j in g)
+            s_hat = max(-(-peak // limit), 1)
+            for i, j in g:
+                assert out.data.values[i, j] == int_trunc_div(xs[3 * i + j], s_hat)
+            si, sj = g[0] if per_element else (g[0][0], 0)
+            assert out.scale.values[si, sj] == s[si, sj] / s_hat
+        assert out.data.in_range()
+
+
 class TestInitScale:
     def test_worked_example(self):
         s = init_scale(RationalTensor(np.array([1.0, -2.0, 0.5])))
@@ -82,6 +141,17 @@ class TestInitScale:
         r = RationalTensor(np.ones((2, 3, 4)))
         assert init_scale(r, ScaleGranularity.PER_BATCH).shape == (2, 1, 1)
         assert init_scale(r, ScaleGranularity.PER_BATCH_TIME).shape == (2, 3, 1)
+
+    def test_tiny_group_clamps_to_largest_float32(self):
+        r = RationalTensor(np.array([[1e-300, -1e-300], [1.0, 0.5]]))
+        s = init_scale(r)
+        assert s.values.tolist() == [[float(np.finfo(np.float32).max)], [127.0]]
+
+    @pytest.mark.parametrize("shrink", [1.5, 1.0 + 1e-9])
+    def test_finite_scales_are_untouched_by_the_clamp(self, shrink):
+        m = 127.0 / (float(np.finfo(np.float32).max) / shrink)
+        s = init_scale(RationalTensor(np.array([m])))
+        assert s.values.tolist() == [float(np.float32(127.0 / m))]
 
     def test_scales_are_float32_representable(self):
         rng = np.random.default_rng(0)

@@ -38,6 +38,36 @@ class TestContainers:
         with pytest.raises(LaneOverflowError):
             IntTensor(np.array([5, -2**63]), 7)
 
+    def test_caller_array_is_copied(self):
+        arr = np.array([[3, -5], [7, 1]], dtype=np.int64)
+        t = IntTensor(arr, 7)
+        arr[0, 0] = 10**9  # the caller's array stays writeable
+        assert t.values.tolist() == [[3, -5], [7, 1]]
+        assert t.max_magnitude == 7
+
+    def test_adopt_copies_views_and_other_dtypes(self):
+        base = np.array([[3, -5], [7, 1]], dtype=np.int64)
+        view = base.T
+        t = IntTensor.adopt(view, 7)
+        base[0, 0] = 10**9
+        assert t.values.tolist() == [[3, 7], [-5, 1]]
+        assert t.max_magnitude == 7
+        small = np.array([1, -2], dtype=np.int32)
+        u = IntTensor.adopt(small, 7)
+        small[0] = 100
+        assert u.values.dtype == np.int64 and u.values.tolist() == [1, -2]
+
+    def test_adopt_freezes_a_fresh_array(self):
+        t = IntTensor.adopt(np.arange(4, dtype=np.int64) - 2, 7)
+        assert t.max_magnitude == 2
+        assert not t.values.flags.writeable
+
+    def test_scale_rejects_nan_and_inf(self):
+        with pytest.raises(ValueError, match="positive"):
+            ScaleTensor(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="finite"):
+            ScaleTensor(np.array([1.0, np.inf]))
+
     def test_int_tensor_rejects_float_payloads(self):
         with pytest.raises(TypeError):
             IntTensor(np.array([1.5]), 7)

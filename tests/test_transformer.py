@@ -246,6 +246,15 @@ class TestHybridEngine:
         out = forward(model, sess, hidden=h)
         assert out.shape == (5, cfg.d_m)
 
+    def test_tiny_hidden_row_runs(self, toy):
+        # (2^p - 1) / 1e-300 overflows float32; the scale is clamped instead.
+        cfg, ref, model = toy
+        x = np.random.default_rng(3).normal(size=(4, cfg.d_m))
+        x[1] = 1e-300
+        out = forward(model, Session(Precision(P)), hidden=RationalTensor(x))
+        assert out.shape == (4, cfg.d_m)
+        assert np.all(np.isfinite(out.scale.values))
+
     def test_unknown_module_tag(self, toy):
         cfg, ref, model = toy
         with pytest.raises(ValidationError):
@@ -318,3 +327,14 @@ class TestGoldenLogits:
         session = Session(Precision(cfg.precision))
         logits = forward(model, session, tokens=np.arange(12) % cfg.vocab)
         assert _digest(logits) == want
+
+    def test_longctx_shaped_digest(self):
+        # p=12, eight heads and T=64: every attention weight carries its own
+        # scale, so this pins the per-element scale calculus on T x T tensors.
+        cfg = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12)
+        model = quantize_model(random_reference_model(cfg, seed=0))
+        session = Session(Precision(cfg.precision))
+        logits = forward(model, session, tokens=np.arange(64))
+        assert _digest(logits) == (
+            "4e388b3b621508b3e42852e9ca10bb9334397ef0ae015c7e6f278fb21418ad33"
+        )
