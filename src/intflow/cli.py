@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -133,22 +134,12 @@ def cmd_quantize(args) -> int:
     ref = load_model(args.model)
     if not isinstance(ref, FP32ReferenceModel):
         raise ValidationError("quantize needs an FP32 model file")
-    from dataclasses import replace
-
     cfg = replace(
         ref.config,
         precision=args.precision,
         granularity=_GRANULARITIES[args.granularity],
     )
-    ref = FP32ReferenceModel(
-        config=cfg,
-        embedding=ref.embedding,
-        layers=ref.layers,
-        final_ln=ref.final_ln,
-        proj=ref.proj,
-        attention_flavor=ref.attention_flavor,
-    )
-    model = quantize_model(ref)
+    model = quantize_model(replace(ref, config=cfg))
     save_model(args.out, model)
     for line in storage_report(model).lines():
         print(line)

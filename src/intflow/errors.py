@@ -13,6 +13,11 @@ class LaneOverflowError(IntflowError, ArithmeticError):
     """An integer payload would exceed the wide accumulator lane."""
 
 
+class ScaleRangeError(IntflowError, ValueError):
+    """A scale is not a finite positive float, e.g. a product of scales
+    overflowed to inf or underflowed to 0."""
+
+
 class PrecisionError(IntflowError, ValueError):
     """A payload violates the logical bit-precision contract."""
 

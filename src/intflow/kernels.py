@@ -14,6 +14,11 @@ import numpy as np
 from .errors import LaneOverflowError, ShapeError
 from .scaling import FLOAT64_EXACT, scale_match, scale_match_dim, trunc_div
 from .tensor import LANE_MAX, IntTensor, ScaledTensor, ScaleTensor
+from .tensor import concat as tensor_concat, transpose as tensor_transpose
+
+# Products and quotients of scales can overflow to inf (or underflow to 0);
+# ScaleTensor rejects either with a ScaleRangeError, so numpy need not warn.
+_quiet_overflow = np.errstate(over="ignore")
 
 
 class KernelKind(enum.Enum):
@@ -25,6 +30,8 @@ class KernelKind(enum.Enum):
     RELU = "relu"
     SUM_REDUCE = "sum_reduce"
     INT_DIV = "int_div"
+    TRANSPOSE = "transpose"
+    CONCAT = "concat"
 
 
 def _kernel(kind: KernelKind, scale_arith: bool):
@@ -43,24 +50,10 @@ def _check_product(a_max: int, b_max: int, terms: int = 1) -> int:
     return bound
 
 
-def _broadcast_pair(a: ScaledTensor, b: ScaledTensor) -> tuple[ScaledTensor, ScaledTensor]:
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    if a.shape == b.shape:
-        return a, b
-    def expand(t: ScaledTensor) -> ScaledTensor:
-        data = np.ascontiguousarray(np.broadcast_to(t.data.values, shape))
-        # Scale dims stay collapsed where they were 1; only the rank changes.
-        srank = len(t.scale.shape)
-        pad = (1,) * (len(shape) - srank)
-        sv = t.scale.values.reshape(pad + t.scale.shape)
-        return ScaledTensor(IntTensor.adopt(data, t.precision), ScaleTensor(sv))
-    return expand(a), expand(b)
-
-
 @_kernel(KernelKind.EW_MUL, scale_arith=True)
+@_quiet_overflow
 def ew_mul(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
-    """{x1*x2, s1*s2}: exact on the de-quantized view."""
-    a, b = _broadcast_pair(a, b)
+    """{x1*x2, s1*s2}: exact on the de-quantized view; operands broadcast."""
     _check_product(a.data.max_magnitude, b.data.max_magnitude)
     x = a.data.values * b.data.values
     s = a.scale.values * b.scale.values
@@ -79,6 +72,7 @@ def add(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
 
 
 @_kernel(KernelKind.MATMUL, scale_arith=True)
+@_quiet_overflow
 def matmul(a: ScaledTensor, b_t: ScaledTensor) -> ScaledTensor:
     """Contract the last dims of a (m x d) and b_t (n x d).
 
@@ -108,6 +102,7 @@ def matmul(a: ScaledTensor, b_t: ScaledTensor) -> ScaledTensor:
 
 
 @_kernel(KernelKind.POW_N, scale_arith=True)
+@_quiet_overflow
 def pow_n(t: ScaledTensor, n: int) -> ScaledTensor:
     """{x^n, s^n}: exact on the de-quantized view."""
     if n < 1:
@@ -153,16 +148,15 @@ def sum_reduce(t: ScaledTensor, axis: int, keepdims: bool = True) -> ScaledTenso
     axis = axis % rank
     t = scale_match_dim(t, axis)
     x = np.sum(t.data.values, axis=axis, keepdims=keepdims)
-    s = t.scale.values
-    if not keepdims:
-        s = np.squeeze(s, axis=axis)
-    return ScaledTensor(IntTensor.adopt(x, t.precision), ScaleTensor(s))
+    # With keepdims the matched scale is already the result's: share it.
+    s = t.scale if keepdims else ScaleTensor(np.squeeze(t.scale.values, axis=axis))
+    return ScaledTensor(IntTensor.adopt(x, t.precision), s)
 
 
 @_kernel(KernelKind.INT_DIV, scale_arith=True)
+@_quiet_overflow
 def int_div(num: ScaledTensor, den: ScaledTensor) -> ScaledTensor:
-    """Payload division truncating toward zero; scale s_num / s_den."""
-    num, den = _broadcast_pair(num, den)
+    """Payload division truncating toward zero; scale s_num / s_den; operands broadcast."""
     if np.any(den.data.values <= 0):
         raise ValueError("int_div denominator payloads must be strictly positive")
     x = trunc_div(num.data.values, den.data.values)
@@ -171,20 +165,10 @@ def int_div(num: ScaledTensor, den: ScaledTensor) -> ScaledTensor:
 
 
 # Shape ops from the tensor core, tagged so they can run through the protocol.
-from .tensor import concat as _concat_raw, transpose as _transpose_raw  # noqa: E402
+transpose = _kernel(KernelKind.TRANSPOSE, scale_arith=False)(tensor_transpose)
 
 
-def transpose(t: ScaledTensor, axes) -> ScaledTensor:
-    return _transpose_raw(t, axes)
-
-
-transpose.kind = "transpose"
-transpose.scale_arith = False
-
-
+@_kernel(KernelKind.CONCAT, scale_arith=False)
 def concat(*ts: ScaledTensor, axis: int) -> ScaledTensor:
-    return _concat_raw(list(ts), axis)
-
-
-concat.kind = "concat"
-concat.scale_arith = False
+    """tensor.concat with the operands passed one by one, as the protocol does."""
+    return tensor_concat(ts, axis)

@@ -108,16 +108,18 @@ def init_scale(
 
 def quantize(r: RationalTensor, s: ScaleTensor, precision: int = DEFAULT_PRECISION) -> ScaledTensor:
     """x = round(s * r), half to even; the result carries s."""
-    x = np.multiply(r.values, np.broadcast_to(s.values, r.shape), out=np.empty(r.shape))
+    x = np.multiply(r.values, s.values, out=np.empty(r.shape))
     np.rint(x, out=x)
-    if x.size and max(x.max(), -x.min()) >= LANE_MAX:
+    # Every x is now a float64 integer, so this one scan is the payload's exact max|x|.
+    m = int(max(x.max(), -x.min())) if x.size else 0
+    if m >= LANE_MAX:
         raise LaneOverflowError("quantized payload exceeds accumulator lane")
-    return ScaledTensor(IntTensor.adopt(x.astype(np.int64), precision), s)
+    return ScaledTensor(IntTensor.adopt(x.astype(np.int64), precision, known_max=m), s)
 
 
 def dequantize(t: ScaledTensor) -> RationalTensor:
     """r' = x / s elementwise."""
-    return RationalTensor(t.data.values / np.broadcast_to(t.scale.values, t.shape))
+    return RationalTensor(t.data.values / t.scale.values)
 
 
 def _match_payload(x: np.ndarray, s: np.ndarray, s_bar: np.ndarray) -> np.ndarray:
@@ -153,15 +155,16 @@ def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
     if all(t.scale is ts[0].scale for t in ts):
         # One shared scale is its own minimum: no payload moves.
         return list(ts)
-    common = np.broadcast_shapes(*(t.scale.shape for t in ts))
-    scales = [np.broadcast_to(t.scale.values, common) for t in ts]
-    s_bar = scales[0]
-    for s in scales[1:]:
+    # Scales broadcast against each other, and np.minimum allocates the
+    # minimum in their common shape.
+    scales = [t.scale.values for t in ts]
+    s_bar = np.minimum(scales[0], scales[1])
+    for s in scales[2:]:
         s_bar = np.minimum(s_bar, s)
     out = []
-    unified = ScaleTensor(np.ascontiguousarray(s_bar))
+    unified = ScaleTensor(s_bar)
     for t, s in zip(ts, scales):
-        if np.array_equal(s, s_bar):
+        if (s == s_bar).all():
             # Already at the minimum: the payload moves by nothing, exactly.
             out.append(ScaledTensor(t.data, unified))
             continue

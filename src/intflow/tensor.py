@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LaneOverflowError, ShapeError
+from .errors import LaneOverflowError, ScaleRangeError, ShapeError
 
 LANE_DTYPE = np.int64
 # Headroom below int64 so products can be guarded before they wrap.
@@ -72,22 +72,38 @@ class IntTensor:
         self._seal(raw.astype(LANE_DTYPE))
 
     @classmethod
-    def adopt(cls, arr: np.ndarray, precision: int = DEFAULT_PRECISION) -> IntTensor:
+    def adopt(
+        cls, arr: np.ndarray, precision: int = DEFAULT_PRECISION, known_max: int | None = None
+    ) -> IntTensor:
         """Wrap an int64 array that a kernel has just allocated, without a copy.
 
         Only for arrays nothing else refers to: the array is frozen in place.
         A view, or an array of another dtype, goes through the copying
-        constructor instead.
+        constructor instead.  `known_max`, when the caller has already
+        scanned max|x| exactly, spares the second scan.
         """
         if not isinstance(arr, np.ndarray) or arr.dtype != LANE_DTYPE or arr.base is not None:
             return cls(arr, precision)
         t = cls.__new__(cls)
         object.__setattr__(t, "precision", precision)
-        t._seal(arr)
+        t._seal(arr, known_max)
         return t
 
-    def _seal(self, arr: np.ndarray) -> None:
-        m = max_abs(arr)
+    def view(self, arr: np.ndarray, same_max: bool = False) -> IntTensor:
+        """Wrap `arr`, a view of this payload, without a copy: the payload is
+        sealed, so nothing writes through the view.
+
+        A view holding every element (a transpose, a broadcast) passes
+        `same_max` and keeps the stored max|x|; a slice is scanned.
+        """
+        t = IntTensor.__new__(IntTensor)
+        object.__setattr__(t, "precision", self.precision)
+        t._seal(arr, (self._max_abs if arr.size else 0) if same_max else None)
+        return t
+
+    def _seal(self, arr: np.ndarray, m: int | None = None) -> None:
+        if m is None:
+            m = max_abs(arr)
         if m >= LANE_MAX:
             raise LaneOverflowError("payload exceeds accumulator lane")
         if not 2 <= self.precision <= 15:
@@ -120,9 +136,9 @@ class ScaleTensor:
         # Two scans with no temporaries: a NaN fails the first test, and once
         # every value is positive only +inf can fail the second.
         if arr.size and not arr.min() > 0:
-            raise ValueError("scale values must be strictly positive")
+            raise ScaleRangeError("scale values must be strictly positive")
         if arr.size and not np.isfinite(arr.max()):
-            raise ValueError("scale values must be finite")
+            raise ScaleRangeError("scale values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -160,7 +176,7 @@ def transpose(t: ScaledTensor, axes: Sequence[int]) -> ScaledTensor:
     if sorted(axes) != list(range(rank)):
         raise ShapeError(f"axes {axes} is not a permutation of rank {rank}")
     return ScaledTensor(
-        IntTensor(np.transpose(t.data.values, axes), t.precision),
+        t.data.view(np.transpose(t.data.values, axes), same_max=True),
         ScaleTensor(np.transpose(t.scale.values, axes)),
     )
 

@@ -286,11 +286,12 @@ def reference_twin(model: IntegerTransformerModel, attention_flavor: str = POLY)
 
 
 def _broadcast_to(t: ScaledTensor, shape: tuple[int, ...]) -> ScaledTensor:
-    """Materialize a payload broadcast; scale dims keep their collapsed form."""
-    data = np.ascontiguousarray(np.broadcast_to(t.data.values, shape))
+    """Broadcast a payload as a read-only view; scale dims keep their
+    collapsed form, and a scale of full rank is shared as it is."""
+    data = t.data.view(np.broadcast_to(t.data.values, shape), same_max=True)
     pad = (1,) * (len(shape) - len(t.scale.shape))
-    sv = t.scale.values.reshape(pad + t.scale.shape)
-    return ScaledTensor(IntTensor(data, t.precision), ScaleTensor(sv))
+    scale = ScaleTensor(t.scale.values.reshape(pad + t.scale.shape)) if pad else t.scale
+    return ScaledTensor(data, scale)
 
 
 def _fold_scale(t: ScaledTensor, factor: float, session: Session, module: str) -> ScaledTensor:
@@ -307,16 +308,15 @@ def _boost(t: ScaledTensor, session: Session, module: str) -> ScaledTensor:
         return t
     session.note("boost", PAYLOAD, t.data.values.size, module)
     return ScaledTensor(
-        IntTensor(t.data.values * lam, t.precision),
+        IntTensor.adopt(t.data.values * lam, t.precision),
         ScaleTensor(t.scale.values * lam),
     )
 
 
 def _slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
-    data = t.data.values[:, sl]
-    s = t.scale.values
-    s = s[:, sl] if s.shape[1] != 1 else s
-    return ScaledTensor(IntTensor(data, t.precision), ScaleTensor(s))
+    data = t.data.view(t.data.values[:, sl])
+    s = t.scale
+    return ScaledTensor(data, ScaleTensor(s.values[:, sl]) if s.shape[1] != 1 else s)
 
 
 def _quantize_const(
@@ -395,11 +395,13 @@ def l1_layer_norm(
     xm = scale_match_dim(x, -1)
     total = session.apply(K.sum_reduce, [xm], module, axis=-1, keepdims=True, allow_rescale=False)
     n = lp.n_h
-    # Integer mean, rounded half away from zero.
+    # Integer mean, rounded half away from zero, negated.  total shares xm's
+    # scale object, so the add below skips matching.
     t = total.data.values
-    mu = np.sign(t) * ((2 * np.abs(t) + n) // (2 * n))
-    mu_t = _broadcast_to(ScaledTensor(IntTensor(mu, x.precision), total.scale), xm.shape)
-    neg_mu = ScaledTensor(IntTensor(-mu_t.data.values, x.precision), mu_t.scale)
+    neg_mu = -np.sign(t) * ((2 * np.abs(t) + n) // (2 * n))
+    neg_mu = _broadcast_to(
+        ScaledTensor(IntTensor.adopt(neg_mu, x.precision), total.scale), xm.shape
+    )
     centered = session.apply(K.add, [xm, neg_mu], module, allow_rescale=False)
     l1 = session.apply(
         K.sum_reduce,
@@ -409,19 +411,16 @@ def l1_layer_norm(
         keepdims=True,
         allow_rescale=False,
     )
-    den_payload = l1.data.values
-    degenerate = den_payload == 0
-    den_scale = np.broadcast_to(l1.scale.values, den_payload.shape) * (n / L1_NORM_CONST)
+    degenerate = l1.data.values == 0
     den = ScaledTensor(
-        IntTensor(np.where(degenerate, 1, den_payload), x.precision),
-        ScaleTensor(np.where(degenerate, 1.0, den_scale)),
+        IntTensor.adopt(np.where(degenerate, 1, l1.data.values), x.precision),
+        ScaleTensor(np.where(degenerate, 1.0, l1.scale.values * (n / L1_NORM_CONST))),
     )
     session.note("scale_fold", SCALE, den.scale.values.size, module)
     num = _boost(centered, session, module)
     y = session.apply(K.int_div, [num, den], module)
     y = session.apply(K.ew_mul, [y, g_q], module)
-    b_full = _broadcast_to(b_q, y.shape)
-    return session.apply(K.add, [y, b_full], module)
+    return session.apply(K.add, [y, _broadcast_to(b_q, y.shape)], module)
 
 
 def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, session: Session) -> ScaledTensor:
@@ -478,7 +477,7 @@ def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session
     emb = model.embedding
     session.note("gather", PAYLOAD, tokens.size * model.config.d_m, EMB)
     return ScaledTensor(
-        IntTensor(emb.data.values[tokens], emb.precision),
+        IntTensor.adopt(emb.data.values[tokens], emb.precision),
         ScaleTensor(emb.scale.values[tokens]),
     )
 

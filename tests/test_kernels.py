@@ -1,4 +1,5 @@
 """Integer kernels checked against exact-fraction and FP64 oracles."""
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intflow import kernels as K
-from intflow.errors import LaneOverflowError, ShapeError
+from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError, ShapeError
 from intflow.scaling import dequantize, scale_match_dim
 from intflow.tensor import IntTensor, ScaledTensor, ScaleTensor
 
@@ -214,6 +215,80 @@ class TestPowAbsRelu:
         assert frac_view(K.pow_n(t, n)) == [v**n for v in vals]
         assert frac_view(K.abs_(t)) == [abs(v) for v in vals]
         assert frac_view(K.relu(t)) == [max(v, 0) for v in vals]
+
+
+def materialized(t: ScaledTensor, shape) -> ScaledTensor:
+    """t with its payload copied out to `shape`; scale dims stay collapsed,
+    only the rank is padded."""
+    pad = (1,) * (len(shape) - len(t.scale.shape))
+    return ScaledTensor(
+        IntTensor(np.broadcast_to(t.data.values, shape).copy(), t.precision),
+        ScaleTensor(t.scale.values.reshape(pad + t.scale.shape)),
+    )
+
+
+@st.composite
+def broadcast_operands(draw):
+    """A (T, d) operand and a rank-1 (d,) or a (T, 1) operand that broadcasts
+    against it; every scale shape a quantizer can produce."""
+    T, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    scales = st.floats(0.25, 64.0)
+
+    def operand(shape, scale_shape, lo):
+        x = draw(st.lists(st.integers(lo, 127), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+        s = draw(st.lists(scales, min_size=int(np.prod(scale_shape)),
+                          max_size=int(np.prod(scale_shape))))
+        return scaled(np.reshape(x, shape), np.reshape(s, scale_shape))
+
+    lo = draw(st.sampled_from([-127, 1]))  # 1: usable as a denominator
+    full = operand((T, d), draw(st.sampled_from([(T, 1), (1, d), (T, d), (1, 1)])), lo)
+    if draw(st.booleans()):
+        small = operand((d,), draw(st.sampled_from([(1,), (d,)])), lo)
+    else:
+        small = operand((T, 1), draw(st.sampled_from([(T, 1), (1, 1)])), lo)
+    return full, small
+
+
+class TestNativeBroadcast:
+    """ew_mul and int_div broadcast their operands: the result equals the one
+    from operands materialized to the common shape, payload and scale."""
+
+    @staticmethod
+    def same(got: ScaledTensor, want: ScaledTensor) -> None:
+        assert got.data.values.tolist() == want.data.values.tolist()
+        assert got.scale.shape == want.scale.shape
+        assert np.array_equal(got.scale.values, want.scale.values)
+
+    @given(broadcast_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_ew_mul_and_int_div_match_materialized(self, ops):
+        full, small = ops
+        shape = full.shape
+        for a, b in ((full, small), (small, full)):
+            self.same(K.ew_mul(a, b), K.ew_mul(materialized(a, shape), materialized(b, shape)))
+            if b.data.values.min() > 0:
+                self.same(K.int_div(a, b),
+                          K.int_div(materialized(a, shape), materialized(b, shape)))
+
+
+class TestScaleRange:
+    """A scale product that leaves the float range raises a typed error
+    (still a ValueError) instead of a numpy warning and a bare ValueError."""
+
+    @pytest.mark.parametrize("scale, op, match", [
+        (1e200, lambda t: K.pow_n(t, 2), "finite"),
+        (1e200, lambda t: K.ew_mul(t, t), "finite"),
+        (1e-200, lambda t: K.ew_mul(t, t), "positive"),
+    ], ids=["pow_n-overflow", "ew_mul-overflow", "ew_mul-underflow"])
+    def test_overflow_and_underflow_raise_scale_range_error(self, scale, op, match):
+        t = scaled([3, -5], [scale])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScaleRangeError, match=match) as info:
+                op(t)
+        assert isinstance(info.value, IntflowError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestSumReduce:

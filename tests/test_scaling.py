@@ -188,6 +188,13 @@ class TestQuantize:
         assert np.array_equal(t1.data.values, t2.data.values)
         assert np.array_equal(s.values, s2.values)
 
+    def test_payload_keeps_the_exact_max_magnitude(self):
+        # quantize hands its own scan to the payload; a negative extreme and
+        # a value near 2^53 must both come through exactly.
+        for values in ([1.0, -300.0, 2.0], [2.0**53 + 2, -3.0], [0.0, 0.0]):
+            t = quantize(RationalTensor(np.array(values)), ScaleTensor(np.array([1.0])))
+            assert t.data.max_magnitude == max(abs(int(v)) for v in t.data.values)
+
     @given(st.integers(0, 2**32))
     @settings(max_examples=200)
     def test_quantization_bound_exact(self, seed):

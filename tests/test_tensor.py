@@ -57,6 +57,19 @@ class TestContainers:
         small[0] = 100
         assert u.values.dtype == np.int64 and u.values.tolist() == [1, -2]
 
+    def test_view_wraps_without_copy(self):
+        t = IntTensor(np.array([[3, -9], [7, 1]]), 7)
+        cols = t.view(t.values[:, 1:])
+        assert np.shares_memory(cols.values, t.values)
+        assert cols.max_magnitude == 9 and not cols.values.flags.writeable
+        right = t.view(t.values[:, :1])
+        assert right.max_magnitude == 7  # a slice is scanned
+        wide = t.view(np.broadcast_to(t.values, (3, 2, 2)), same_max=True)
+        assert wide.max_magnitude == 9 and wide.shape == (3, 2, 2)
+        flat = t.view(np.broadcast_to(t.values[:1], (0, 2)), same_max=True)
+        assert flat.max_magnitude == 0  # an empty view holds no element
+        assert t.view(t.values.T, same_max=True).values.tolist() == [[3, 7], [-9, 1]]
+
     def test_adopt_freezes_a_fresh_array(self):
         t = IntTensor.adopt(np.arange(4, dtype=np.int64) - 2, 7)
         assert t.max_magnitude == 2

@@ -9,6 +9,7 @@ from intflow.errors import ShapeError, ValidationError
 from intflow.scaling import Precision, Session, dequantize, init_scale, quantize
 from intflow.tensor import RationalTensor
 from intflow.transformer import (
+    LN,
     MODULES,
     RES,
     SOFTMAX,
@@ -338,3 +339,40 @@ class TestGoldenLogits:
         assert _digest(logits) == (
             "4e388b3b621508b3e42852e9ca10bb9334397ef0ae015c7e6f278fb21418ad33"
         )
+
+
+class TestGoldenAuditAndHybrid:
+    """Pinned audit log and LN+Res hybrid output: removing per-op overhead
+    must leave every audited op and every hybrid logit bit-identical."""
+
+    @staticmethod
+    def _model(precision):
+        cfg = ModelConfig(precision=precision)
+        return cfg, quantize_model(random_reference_model(cfg, seed=0))
+
+    @pytest.mark.parametrize("precision", [7, 12])
+    def test_audit_log_digest(self, precision):
+        cfg, model = self._model(precision)
+        session = Session(Precision(cfg.precision))
+        forward(model, session, tokens=np.arange(12) % cfg.vocab)
+        records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
+                   for r in session.log.records]
+        assert len(records) == 240
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+            "bb92f8271db558fcabbb04f084bb817c8021eed833e9dae3423897d0518ccdac"
+        )
+
+    @pytest.mark.parametrize("precision, want", [
+        (7, "ab973543a79440df4a0aa62acbeb6fe6e29635a3df27d7f1b77d1a4ace6e8601"),
+        (12, "38eb432b965799963c00e992d67af880dfb902e90fcbf412771db5aa8c35775c"),
+    ])
+    def test_hybrid_ln_res_digest(self, precision, want):
+        cfg, model = self._model(precision)
+        session = Session(Precision(cfg.precision))
+        out = forward(model, session, tokens=np.arange(12) % cfg.vocab,
+                      int_modules=frozenset({LN, RES}))
+        logits = np.ascontiguousarray(out.values)
+        h = hashlib.sha256()
+        h.update(f"{logits.dtype.str}{logits.shape}".encode())
+        h.update(logits.tobytes())
+        assert h.hexdigest() == want
