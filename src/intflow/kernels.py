@@ -12,13 +12,18 @@ import enum
 import numpy as np
 
 from .errors import LaneOverflowError, ShapeError
-from .scaling import FLOAT64_EXACT, scale_match, scale_match_dim, trunc_div
-from .tensor import LANE_MAX, IntTensor, ScaledTensor, ScaleTensor
+from .scaling import FLOAT64_EXACT, Lane, scale_match, scale_match_dim, trunc_div
+from .tensor import (
+    LANE_MAX,
+    IntTensor,
+    ScaledTensor,
+    ScaleTensor,
+    check_lane,
+    check_scale,
+    max_abs,
+    quiet_overflow,
+)
 from .tensor import concat as tensor_concat, transpose as tensor_transpose
-
-# Products and quotients of scales can overflow to inf (or underflow to 0);
-# ScaleTensor rejects either with a ScaleRangeError, so numpy need not warn.
-_quiet_overflow = np.errstate(over="ignore")
 
 
 class KernelKind(enum.Enum):
@@ -51,7 +56,7 @@ def _check_product(a_max: int, b_max: int, terms: int = 1) -> int:
 
 
 @_kernel(KernelKind.EW_MUL, scale_arith=True)
-@_quiet_overflow
+@quiet_overflow
 def ew_mul(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
     """{x1*x2, s1*s2}: exact on the de-quantized view; operands broadcast."""
     _check_product(a.data.max_magnitude, b.data.max_magnitude)
@@ -71,13 +76,12 @@ def add(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
     )
 
 
-@_kernel(KernelKind.MATMUL, scale_arith=True)
-@_quiet_overflow
-def matmul(a: ScaledTensor, b_t: ScaledTensor) -> ScaledTensor:
-    """Contract the last dims of a (m x d) and b_t (n x d).
+@quiet_overflow
+def product(a: ScaledTensor, b_t: ScaledTensor) -> tuple[np.ndarray, np.ndarray]:
+    """matmul's arithmetic: the payload product and the scale outer product.
 
-    Scales are first matched along the contraction dim, then multiplied as
-    the outer product of the per-row scales.
+    The payload product is float64 when it is exact there (every value then
+    an integer below 2^53), int64 otherwise.
     """
     if len(a.shape) != 2 or len(b_t.shape) != 2:
         raise ShapeError("matmul expects rank-2 operands")
@@ -94,28 +98,50 @@ def matmul(a: ScaledTensor, b_t: ScaledTensor) -> ScaledTensor:
         # (the accumulator-width argument of gemmlowp and I-BERT).
         af = am.data.values.astype(np.float64)
         bf = bm.data.values.astype(np.float64)
-        x = (af @ bf.T).astype(np.int64)
+        x = af @ bf.T
     else:
         x = am.data.values @ bm.data.values.T
-    s = am.scale.values @ bm.scale.values.T  # (m,1) x (1,n)
-    return ScaledTensor(IntTensor.adopt(x, a.precision), ScaleTensor(s))
+    return x, am.scale.values @ bm.scale.values.T  # (m,1) x (1,n)
+
+
+@_kernel(KernelKind.MATMUL, scale_arith=True)
+def matmul(a: ScaledTensor, b_t: ScaledTensor) -> ScaledTensor:
+    """Contract the last dims of a (m x d) and b_t (n x d).
+
+    Scales are first matched along the contraction dim, then multiplied as
+    the outer product of the per-row scales.
+    """
+    x, s = product(a, b_t)
+    return ScaledTensor(
+        IntTensor.adopt(x.astype(np.int64, copy=False), a.precision), ScaleTensor(s)
+    )
+
+
+def power(x: np.ndarray, n: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x^n by repeated multiplies, given m = max|x|, into `out` (fresh when
+    None, never x itself).
+
+    Exact on int64, and on float64 holding integers while m^n is below 2^53;
+    much faster than integer **.
+    """
+    if n < 1:
+        raise ValueError("exponent must be >= 1")
+    if m > 1 and n * np.log2(m) >= 62:
+        raise LaneOverflowError("power exceeds accumulator lane")
+    if n == 1:
+        return np.positive(x, out=out)  # a copy
+    xn = np.multiply(x, x, out=out)
+    for _ in range(n - 2):
+        xn *= x
+    return xn
 
 
 @_kernel(KernelKind.POW_N, scale_arith=True)
-@_quiet_overflow
+@quiet_overflow
 def pow_n(t: ScaledTensor, n: int) -> ScaledTensor:
     """{x^n, s^n}: exact on the de-quantized view."""
-    if n < 1:
-        raise ValueError("exponent must be >= 1")
-    m = t.data.max_magnitude
-    if m > 1 and n * np.log2(m) >= 62:
-        raise LaneOverflowError("power exceeds accumulator lane")
-    # Repeated int64 multiplies: exact, and much faster than integer **.
+    xn = power(t.data.values, n, t.data.max_magnitude)
     # Scales keep **: in float, s*s*s can round differently from s**n.
-    x = t.data.values
-    xn = x.copy() if n == 1 else x * x
-    for _ in range(n - 2):
-        xn *= x
     return ScaledTensor(
         IntTensor.adopt(xn, t.precision),
         ScaleTensor(t.scale.values ** n),
@@ -154,12 +180,13 @@ def sum_reduce(t: ScaledTensor, axis: int, keepdims: bool = True) -> ScaledTenso
 
 
 @_kernel(KernelKind.INT_DIV, scale_arith=True)
-@_quiet_overflow
+@quiet_overflow
 def int_div(num: ScaledTensor, den: ScaledTensor) -> ScaledTensor:
-    """Payload division truncating toward zero; scale s_num / s_den; operands broadcast."""
-    if np.any(den.data.values <= 0):
-        raise ValueError("int_div denominator payloads must be strictly positive")
-    x = trunc_div(num.data.values, den.data.values)
+    """Payload division truncating toward zero; scale s_num / s_den; operands broadcast.
+
+    Denominator payloads must be strictly positive (trunc_div checks them).
+    """
+    x = trunc_div(num.data.values, den.data.values, x_max=num.data.max_magnitude)
     s = num.scale.values / den.scale.values
     return ScaledTensor(IntTensor.adopt(x, num.precision), ScaleTensor(s))
 
@@ -172,3 +199,56 @@ transpose = _kernel(KernelKind.TRANSPOSE, scale_arith=False)(tensor_transpose)
 def concat(*ts: ScaledTensor, axis: int) -> ScaledTensor:
     """tensor.concat with the operands passed one by one, as the protocol does."""
     return tensor_concat(ts, axis)
+
+
+# In-place kernels: each works on a scaling.Lane and returns it, with the
+# payload and scale arithmetic of the kernel of the same kind.  They run
+# through protocol_apply like the kernels above.
+
+
+@_kernel(KernelKind.MATMUL, scale_arith=True)
+def lane_matmul(a: ScaledTensor, b_t: ScaledTensor) -> Lane:
+    """matmul, with the product left in BLAS's float64 result when exact there."""
+    x, s = product(a, b_t)
+    lane = Lane(x, s, a.precision)
+    check_scale(s)
+    return lane
+
+
+@_kernel(KernelKind.ADD, scale_arith=True)
+def lane_add(t: Lane, c: np.ndarray, c_max: int) -> Lane:
+    """add(t, c) in place, for a payload c already at t's own scale, so
+    matching moves nothing; c, float64 holding integers with max|c| = c_max,
+    has the scale's shape and is broadcast."""
+    t.hold(t.m + c_max)
+    t.x += c if t.x.dtype == np.float64 else c.astype(np.int64)
+    t.m = max_abs(t.x)
+    check_lane(t.m)
+    return t
+
+
+@_kernel(KernelKind.RELU, scale_arith=False)
+def lane_relu(t: Lane) -> Lane:
+    """relu in place; t.m stays a bound."""
+    np.maximum(t.x, 0, out=t.x)
+    return t
+
+
+@_kernel(KernelKind.POW_N, scale_arith=True)
+@quiet_overflow
+def lane_pow_n(t: Lane, n: int) -> Lane:
+    """pow_n in place: the float64 power goes to the scratch buffer, which
+    then swaps roles with the payload."""
+    m = max_abs(t.x)
+    mn = m**n
+    t.hold(mn)
+    x = t.x
+    in_float = x.dtype == np.float64
+    t.x = power(x, n, m, out=t.work if in_float else None)
+    check_lane(mn)
+    if in_float:
+        t.work = x
+    t.m = mn
+    t.s **= n
+    check_scale(t.s)
+    return t

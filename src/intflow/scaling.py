@@ -20,6 +20,8 @@ from .tensor import (
     RationalTensor,
     ScaledTensor,
     ScaleTensor,
+    check_lane,
+    check_scale,
     max_abs,
 )
 
@@ -63,7 +65,7 @@ def _round_to_f32(values: np.ndarray) -> np.ndarray:
 FLOAT64_EXACT = 2**53
 
 
-def trunc_div(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+def trunc_div(x: np.ndarray, k: np.ndarray, *, x_max: int | None = None) -> np.ndarray:
     """Integer division truncating toward zero; divisor strictly positive.
 
     Below 2^53 this is trunc(float64(x) / k), which is exact: for
@@ -71,12 +73,18 @@ def trunc_div(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     |x/k| * 2^-53 < 1/k, while x/k lies at least 1/k from every integer it
     is not equal to, so the rounded quotient never reaches the next integer.
     From 2^53 up the quotient is taken in int64.
+
+    A caller that knows max|x| passes it as `x_max`, which spares a scan of
+    the numerator.
     """
     x = np.asarray(x)
     k = np.asarray(k, dtype=np.int64)
     if k.size and k.min() <= 0:
         raise ValueError("divisor must be strictly positive")
-    if max_abs(x) < FLOAT64_EXACT and (not k.size or k.max() <= FLOAT64_EXACT):
+    k_max = int(k.max()) if k.size else 0
+    if x_max is None:
+        x_max = max_abs(x)
+    if x_max < FLOAT64_EXACT and k_max <= FLOAT64_EXACT:
         # Written straight to int64: the cast truncates toward zero.
         out = np.empty(np.broadcast_shapes(x.shape, k.shape), np.int64)
         return np.true_divide(x, k, out=out, casting="unsafe")
@@ -106,14 +114,21 @@ def init_scale(
     return ScaleTensor(_round_to_f32(np.minimum(s, SCALE_MAX)))
 
 
-def quantize(r: RationalTensor, s: ScaleTensor, precision: int = DEFAULT_PRECISION) -> ScaledTensor:
-    """x = round(s * r), half to even; the result carries s."""
-    x = np.multiply(r.values, s.values, out=np.empty(r.shape))
-    np.rint(x, out=x)
+def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
+    """round(s * r), half to even, into the float64 array `out`; returns max|x|."""
+    np.multiply(r, s, out=out)
+    np.rint(out, out=out)
     # Every x is now a float64 integer, so this one scan is the payload's exact max|x|.
-    m = int(max(x.max(), -x.min())) if x.size else 0
+    m = int(max(out.max(), -out.min())) if out.size else 0
     if m >= LANE_MAX:
         raise LaneOverflowError("quantized payload exceeds accumulator lane")
+    return m
+
+
+def quantize(r: RationalTensor, s: ScaleTensor, precision: int = DEFAULT_PRECISION) -> ScaledTensor:
+    """x = round(s * r), half to even; the result carries s."""
+    x = np.empty(r.shape)
+    m = quantize_into(r.values, s.values, x)
     return ScaledTensor(IntTensor.adopt(x.astype(np.int64), precision, known_max=m), s)
 
 
@@ -122,15 +137,19 @@ def dequantize(t: ScaledTensor) -> RationalTensor:
     return RationalTensor(t.data.values / t.scale.values)
 
 
-def _match_payload(x: np.ndarray, s: np.ndarray, s_bar: np.ndarray) -> np.ndarray:
+def _match_payload(
+    x: np.ndarray, s: np.ndarray, s_bar: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
     """Move payload x from scale s down to s_bar <= s, truncating toward zero.
 
     |x'| <= |x| always holds, so matching cannot overflow; the de-quantized
-    value moves by less than 1/s_bar per element.
+    value moves by less than 1/s_bar per element.  x is int64, or float64
+    holding integers; the result is a fresh int64 array.  `work`, a float64
+    array of x's shape, takes the ratio instead of a fresh buffer.
     """
     # |x| * (s_bar / s), formed as |(s_bar / s) * x|: float rounding is
     # symmetric in sign, so the bits are the same, with one buffer.
-    q = np.divide(s_bar, s, out=np.empty(x.shape))
+    q = np.divide(s_bar, s, out=np.empty(x.shape) if work is None else work)
     q *= x
     np.abs(q, out=q)
     # Guard against float noise flipping an exactly-integer quotient downward.
@@ -173,85 +192,181 @@ def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
     return out
 
 
+def match_axis(
+    x: np.ndarray, s: np.ndarray, d: int, work: np.ndarray | None = None
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """scale_match_dim's arithmetic: the payload matched to the minimum scale
+    along axis d (None when no payload moves), and that minimum."""
+    s_bar = np.min(s, axis=d, keepdims=True)
+    # Every slice already equals the minimum when the maximum does.
+    if np.array_equal(np.max(s, axis=d, keepdims=True), s_bar):
+        return None, s_bar
+    return _match_payload(x, s, s_bar, work), s_bar
+
+
 def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
     """Collapse the scale to 1 along axis d by matching slices to the min scale."""
     rank = len(t.shape)
     if not -rank <= d < rank:
         raise ShapeError(f"axis {d} out of range for rank {rank}")
     d = d % rank
-    s = t.scale.values
-    if s.shape[d] == 1:
+    if t.scale.shape[d] == 1:
         return t
-    s_bar = np.min(s, axis=d, keepdims=True)
-    # Every slice already equals the minimum when the maximum does.
-    if np.array_equal(np.max(s, axis=d, keepdims=True), s_bar):
-        return ScaledTensor(t.data, ScaleTensor(s_bar))
-    x = _match_payload(t.data.values, s, s_bar)
-    return ScaledTensor(IntTensor.adopt(x, t.precision), ScaleTensor(s_bar))
+    x, s_bar = match_axis(t.data.values, t.scale.values, d)
+    data = t.data if x is None else IntTensor.adopt(x, t.precision)
+    return ScaledTensor(data, ScaleTensor(s_bar))
+
+
+def shrink(
+    x: np.ndarray,
+    s: np.ndarray,
+    limit: int,
+    x_max: int,
+    *,
+    out: np.ndarray | None = None,
+    scale_out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """rescale's arithmetic: divide payload x and scale s by
+    ceil(max|x| / limit), at least 1, per scale group.
+
+    x holds integers, with max|x| <= `x_max`: int64, or float64 when
+    `x_max` < 2^53.  Below 2^53 every step is exact in float64 (see
+    trunc_div; the ceiling holds by the same argument).  The quotient goes
+    to `out`, which may be x itself (a float64 quotient is truncated in
+    place), else to a fresh int64 array; the new scale goes to `scale_out`,
+    which may be s itself, else to the divisor's buffer.  `work`, float64 of
+    x's shape, holds the divisor when every element has its own scale.  From
+    2^53 up the quotient is a fresh int64 array from trunc_div.
+    """
+    # The groups are the axes the scale collapses, so the divisor has the
+    # scale's shape.
+    group_axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
+    if x_max >= FLOAT64_EXACT:
+        m = np.max(np.abs(x), axis=group_axes, keepdims=True)
+        s_hat = np.maximum(-(-m // limit), 1)
+        return trunc_div(x, s_hat), np.divide(s, s_hat, out=scale_out)
+    if group_axes:
+        m = np.maximum(
+            x.max(axis=group_axes, keepdims=True), -x.min(axis=group_axes, keepdims=True)
+        ).astype(np.float64, copy=False)
+    else:
+        # One scale per element: the group max is |x| itself.
+        m = np.abs(x, out=np.empty(x.shape) if work is None else work)
+    m /= limit
+    np.ceil(m, out=m)
+    np.maximum(m, 1.0, out=m)
+    # An int64 quotient is written straight to int64: the cast truncates
+    # toward zero.
+    q = np.divide(x, m, out=np.empty(x.shape, np.int64) if out is None else out, casting="unsafe")
+    if q.dtype != np.int64:
+        np.trunc(q, out=q)
+    return q, np.divide(s, m, out=m if scale_out is None else scale_out)
 
 
 def rescale(x: IntTensor, s: ScaleTensor, prec: Precision) -> ScaledTensor:
     """Shrink payload back to p bits: divide payload and scale by
     ceil(max(|x|) / (2^p - 1)), computed per scale group."""
-    group_axes = tuple(
-        a for a in range(len(x.shape)) if s.shape[a] == 1 and x.shape[a] > 1
-    )
     if x.values.size == 0:
         return ScaledTensor(IntTensor(x.values, prec.p), s)
-    # The group max, and so the divisor, has the scale's shape.
-    if x.max_magnitude >= FLOAT64_EXACT:
-        m = np.max(np.abs(x.values), axis=group_axes, keepdims=True)
-        s_hat = np.maximum(-(-m // prec.max_magnitude), 1)
-        x2 = trunc_div(x.values, s_hat)
-        return ScaledTensor(IntTensor.adopt(x2, prec.p), ScaleTensor(s.values / s_hat))
-    # Below 2^53 every step is exact in float64 (see trunc_div; the ceiling
-    # holds by the same argument), and one float buffer carries the group
-    # max, the divisor and then the new scale.
-    v = x.values
-    if group_axes:
-        m = np.maximum(
-            v.max(axis=group_axes, keepdims=True), -v.min(axis=group_axes, keepdims=True)
-        ).astype(np.float64)
-    else:
-        # One scale per element: the group max is |x| itself.
-        m = np.abs(v, out=np.empty(x.shape))
-    m /= prec.max_magnitude
-    np.ceil(m, out=m)
-    np.maximum(m, 1.0, out=m)
-    # Written straight to int64: the cast truncates toward zero.
-    x2 = np.divide(v, m, out=np.empty(x.shape, np.int64), casting="unsafe")
-    s2 = np.divide(s.values, m, out=m)
+    x2, s2 = shrink(x.values, s.values, prec.max_magnitude, x.max_magnitude)
     return ScaledTensor(IntTensor.adopt(x2, prec.p), ScaleTensor(s2))
+
+
+class Lane:
+    """A kernel result worked in place: one payload buffer and one scale buffer.
+
+    An in-place kernel takes a Lane and returns it; `protocol_apply` shrinks
+    and audits it as it does a fresh ScaledTensor.  The payload x holds exact
+    integers: float64 while a step's bound on max|x| is below 2^53, int64
+    from 2^53 up, the rule of `matmul`, `trunc_div` and `rescale`.  `m`
+    bounds max|x|, exactly after any step that scans it.  Each step checks
+    the scales it makes as ScaleTensor checks them, and `seal` casts the
+    result to an int64 ScaledTensor.
+    """
+
+    def __init__(self, x: np.ndarray, s: np.ndarray, precision: int, m: int | None = None):
+        self.x, self.s, self.p = x, s, precision
+        self.m = max_abs(x) if m is None else m
+        check_lane(self.m)
+        self.work = np.empty(x.shape)  # float64 scratch of the payload's shape
+
+    @classmethod
+    def of(cls, t: ScaledTensor) -> Lane:
+        """A private copy of t's payload and scale."""
+        m = t.data.max_magnitude
+        x = t.data.values.astype(np.float64 if m < FLOAT64_EXACT else np.int64)
+        return cls(x, t.scale.values.copy(), t.precision, m)
+
+    def hold(self, bound: int) -> None:
+        """Hold x in float64 while `bound` is below 2^53, in int64 from there up."""
+        want = np.float64 if bound < FLOAT64_EXACT else np.int64
+        if self.x.dtype != want:
+            self.x = self.x.astype(want)
+
+    def shrink(self, prec: Precision) -> None:
+        """rescale in place: payload and scale divided by the same per-group factor."""
+        self.hold(self.m)
+        x, s = shrink(
+            self.x, self.s, prec.max_magnitude, self.m,
+            out=self.x if self.x.dtype == np.float64 else None,
+            scale_out=self.s, work=self.work,
+        )
+        check_scale(s)
+        self.x = x.astype(np.float64, copy=False)
+        self.m = max_abs(self.x)
+        self.p = prec.p
+
+    def seal(self, match_last: bool = False) -> ScaledTensor:
+        """The result as a ScaledTensor; `match_last` first collapses the
+        scale along the last axis, as scale_match_dim(t, -1) does."""
+        x, s = None, self.s
+        if match_last and s.shape[-1] != 1:
+            x, s = match_axis(self.x, s, s.ndim - 1, self.work)
+        if x is None:
+            x = self.x.astype(np.int64)
+        return ScaledTensor(IntTensor.adopt(x, self.p), ScaleTensor(s))
 
 
 def protocol_apply(
     kernel,
-    ins: list[ScaledTensor],
+    ins: list[ScaledTensor | Lane],
     prec: Precision,
     *,
     log: OpAuditLog | None = None,
     module: str = "",
     allow_rescale: bool = True,
     **kwargs,
-) -> ScaledTensor:
-    """Run an integer kernel in the wide lane, re-scale on overflow, audit it."""
+) -> ScaledTensor | Lane:
+    """Run an integer kernel in the wide lane, re-scale on overflow, audit it.
+
+    The kernel returns a fresh ScaledTensor, or the Lane it worked in place;
+    both are shrunk by the same rule and audited with the same records.
+    """
     out = kernel(*ins, **kwargs)
-    rescaled = False
-    if allow_rescale and out.data.max_magnitude > prec.max_magnitude:
-        out = rescale(out.data, out.scale, prec)
-        rescaled = True
-        if out.data.max_magnitude > prec.max_magnitude:
+    lane = out if isinstance(out, Lane) else None
+    m = out.data.max_magnitude if lane is None else lane.m
+    rescaled = allow_rescale and m > prec.max_magnitude
+    if rescaled:
+        if lane is None:
+            out = rescale(out.data, out.scale, prec)
+            m = out.data.max_magnitude
+        else:
+            lane.shrink(prec)
+            m = lane.m
+        if m > prec.max_magnitude:
             raise PrecisionError("payload exceeds logical precision after re-scaling")
     if log is not None:
         kind = kernel.kind
-        elements = out.data.values.size
+        x, s = (out.data.values, out.scale.values) if lane is None else (lane.x, lane.s)
+        elements = x.size
         if kind == "matmul" and ins:
             elements *= ins[0].shape[-1]  # multiply-add count, not output count
         log.append(AuditRecord(kind, PAYLOAD, elements, rescaled, module))
         if getattr(kernel, "scale_arith", False):
-            log.append(AuditRecord(kind, SCALE, out.scale.values.size, rescaled, module))
+            log.append(AuditRecord(kind, SCALE, s.size, rescaled, module))
         if rescaled:
-            log.append(AuditRecord("rescale", SCALE, out.scale.values.size, True, module))
+            log.append(AuditRecord("rescale", SCALE, s.size, True, module))
     return out
 
 

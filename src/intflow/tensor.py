@@ -31,6 +31,28 @@ def max_abs(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
+# Products and quotients of scales can overflow to inf (or underflow to 0);
+# check_scale rejects either with a ScaleRangeError, so numpy need not warn.
+# Use it as a decorator: one errstate object cannot be entered twice at once.
+quiet_overflow = np.errstate(over="ignore")
+
+
+def check_lane(m: int) -> None:
+    """Raise LaneOverflowError unless a payload with max|x| = m fits the lane."""
+    if m >= LANE_MAX:
+        raise LaneOverflowError("payload exceeds accumulator lane")
+
+
+def check_scale(arr: np.ndarray) -> None:
+    """Raise ScaleRangeError unless every scale value is finite and strictly positive."""
+    # Two scans with no temporaries: a NaN fails the first test, and once
+    # every value is positive only +inf can fail the second.
+    if arr.size and not arr.min() > 0:
+        raise ScaleRangeError("scale values must be strictly positive")
+    if arr.size and not np.isfinite(arr.max()):
+        raise ScaleRangeError("scale values must be finite")
+
+
 def _broadcast_compatible(scale_shape: tuple[int, ...], data_shape: tuple[int, ...]) -> bool:
     if len(scale_shape) != len(data_shape):
         return False
@@ -104,8 +126,7 @@ class IntTensor:
     def _seal(self, arr: np.ndarray, m: int | None = None) -> None:
         if m is None:
             m = max_abs(arr)
-        if m >= LANE_MAX:
-            raise LaneOverflowError("payload exceeds accumulator lane")
+        check_lane(m)
         if not 2 <= self.precision <= 15:
             raise ValueError(f"precision {self.precision} outside [2, 15]")
         arr.flags.writeable = False
@@ -133,12 +154,7 @@ class ScaleTensor:
 
     def __post_init__(self):
         arr = _as_float_array(self.values)
-        # Two scans with no temporaries: a NaN fails the first test, and once
-        # every value is positive only +inf can fail the second.
-        if arr.size and not arr.min() > 0:
-            raise ScaleRangeError("scale values must be strictly positive")
-        if arr.size and not np.isfinite(arr.max()):
-            raise ScaleRangeError("scale values must be finite")
+        check_scale(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

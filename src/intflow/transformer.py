@@ -18,15 +18,25 @@ from . import kernels as K
 from .audit import PAYLOAD, SCALE
 from .errors import ShapeError, ValidationError
 from .scaling import (
+    Lane,
     Precision,
     ScaleGranularity,
     Session,
     dequantize,
     init_scale,
     quantize,
+    quantize_into,
     scale_match_dim,
 )
-from .tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
+from .tensor import (
+    IntTensor,
+    RationalTensor,
+    ScaledTensor,
+    ScaleTensor,
+    check_scale,
+    max_abs,
+    quiet_overflow,
+)
 
 EMB = "Emb"
 ATTN = "Attn"
@@ -294,10 +304,10 @@ def _broadcast_to(t: ScaledTensor, shape: tuple[int, ...]) -> ScaledTensor:
     return ScaledTensor(data, scale)
 
 
-def _fold_scale(t: ScaledTensor, factor: float, session: Session, module: str) -> ScaledTensor:
-    """Divide the de-quantized view by `factor` by growing the scale."""
-    session.note("scale_fold", SCALE, t.scale.values.size, module)
-    return ScaledTensor(t.data, ScaleTensor(t.scale.values * factor))
+@quiet_overflow
+def _grow(s: np.ndarray, factor: float, out: np.ndarray | None = None) -> np.ndarray:
+    """s * factor, with float overflow left to the scale check."""
+    return np.multiply(s, factor, out=out)
 
 
 def _boost(t: ScaledTensor, session: Session, module: str) -> ScaledTensor:
@@ -309,7 +319,7 @@ def _boost(t: ScaledTensor, session: Session, module: str) -> ScaledTensor:
     session.note("boost", PAYLOAD, t.data.values.size, module)
     return ScaledTensor(
         IntTensor.adopt(t.data.values * lam, t.precision),
-        ScaleTensor(t.scale.values * lam),
+        ScaleTensor(_grow(t.scale.values, lam)),
     )
 
 
@@ -319,16 +329,37 @@ def _slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
     return ScaledTensor(data, ScaleTensor(s.values[:, sl]) if s.shape[1] != 1 else s)
 
 
-def _quantize_const(
-    value: float, like: ScaledTensor, session: Session, module: str, min_payload: int = 0
-) -> ScaledTensor:
-    """Quantize a scalar constant into an existing scale regime."""
-    r = RationalTensor(np.broadcast_to(np.float64(value), like.shape))
-    t = session.quantize(r, like.scale, module)
-    if min_payload and np.any(t.data.values < min_payload):
-        x = np.maximum(t.data.values, min_payload)
-        t = ScaledTensor(IntTensor.adopt(x, t.precision), t.scale)
-    return t
+def _fold_scale(lane: Lane, factor: float, session: Session, module: str) -> None:
+    """Divide the de-quantized view by `factor` by growing the scale in place."""
+    session.note("scale_fold", SCALE, lane.s.size, module)
+    check_scale(_grow(lane.s, factor, out=lane.s))
+
+
+def _add_const(
+    lane: Lane, value: float, session: Session, module: str, min_payload: int = 0
+) -> Lane:
+    """Add a constant quantized into the lane's own scale, so no payload is
+    matched; the constant is held in the scale's shape and broadcast."""
+    RationalTensor(np.float64(value))  # rejects a non-finite constant
+    c = lane.work if lane.s.shape == lane.x.shape else np.empty(lane.s.shape)
+    c_max = quantize_into(np.float64(value), lane.s, c)
+    session.note("quantize", SCALE, lane.x.size, module)
+    if min_payload and c.min() < min_payload:
+        np.maximum(c, min_payload, out=c)
+        c_max = max_abs(c)
+    return session.apply(K.lane_add, [lane], module, c=c, c_max=c_max)
+
+
+def _poly_lane(lane: Lane, pp: PolyParams, session: Session, module: str) -> Lane:
+    """[ReLU(x + bias)]^degree + |offset|, in place."""
+    lane = _add_const(lane, pp.bias, session, module)
+    lane = session.apply(K.lane_relu, [lane], module)
+    lane = session.apply(K.lane_pow_n, [lane], module, n=pp.degree)
+    # A zero offset payload would break the degenerate all-below-threshold
+    # case, so a nonzero offset always contributes at least one level.
+    return _add_const(
+        lane, abs(pp.offset), session, module, min_payload=1 if pp.offset != 0.0 else 0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +368,7 @@ def _quantize_const(
 
 def poly(scores: ScaledTensor, pp: PolyParams, session: Session, module: str = ATTN) -> ScaledTensor:
     """[ReLU(x + bias)]^degree + |offset| on the integer lane."""
-    b_q = _quantize_const(pp.bias, scores, session, module)
-    x = session.apply(K.add, [scores, b_q], module)
-    x = session.apply(K.relu, [x], module)
-    x = session.apply(K.pow_n, [x], module, n=pp.degree)
-    # A zero offset payload would break the degenerate all-below-threshold
-    # case, so a nonzero offset always contributes at least one level.
-    min_payload = 1 if pp.offset != 0.0 else 0
-    d_q = _quantize_const(abs(pp.offset), x, session, module, min_payload=min_payload)
-    return session.apply(K.add, [x, d_q], module)
+    return _poly_lane(Lane.of(scores), pp, session, module).seal()
 
 
 def poly_attention(
@@ -359,15 +382,15 @@ def poly_attention(
 ) -> ScaledTensor:
     """Normalized polynomial attention for one head.
 
-    The weighted value sum and the weight sum stay in the wide lane; only
-    their quotient is projected back to the logical precision.
+    The T x T weights are built in place on one Lane, from Q.K^T through the
+    polynomial.  The weighted value sum and the weight sum stay in the wide
+    lane; only their quotient is projected back to the logical precision.
     """
-    scores = session.apply(K.matmul, [q, k], module)
-    scores = _fold_scale(scores, math.sqrt(d_m), session, module)
-    weights = poly(scores, pp, session, module)
+    lane = session.apply(K.lane_matmul, [q, k], module)
+    _fold_scale(lane, math.sqrt(d_m), session, module)
     # Match the T x T weights once; matmul and sum_reduce then find a scale
     # already collapsed along the contraction axis.
-    weights = scale_match_dim(weights, -1)
+    weights = _poly_lane(lane, pp, session, module).seal(match_last=True)
     v_t = K.transpose(v, (1, 0))
     num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False)
     den = session.apply(
@@ -414,7 +437,7 @@ def l1_layer_norm(
     degenerate = l1.data.values == 0
     den = ScaledTensor(
         IntTensor.adopt(np.where(degenerate, 1, l1.data.values), x.precision),
-        ScaleTensor(np.where(degenerate, 1.0, l1.scale.values * (n / L1_NORM_CONST))),
+        ScaleTensor(np.where(degenerate, 1.0, _grow(l1.scale.values, n / L1_NORM_CONST))),
     )
     session.note("scale_fold", SCALE, den.scale.values.size, module)
     num = _boost(centered, session, module)

@@ -1,0 +1,256 @@
+"""The attention weight stage against the kernel-by-kernel composition.
+
+`poly` and `poly_attention` work their T x T weights in place on one buffer.
+The oracle here builds the same stage from the public kernels, one
+`session.apply` per op, and every payload, scale, audit record and error
+type must agree with it, on both sides of the float64-exact switch at 2^53.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intflow import kernels as K
+from intflow import scaling
+from intflow.audit import PAYLOAD, SCALE
+from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError
+from intflow.scaling import Precision, Session, scale_match_dim
+from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
+from intflow.transformer import (
+    ModelConfig,
+    PolyParams,
+    forward,
+    poly,
+    poly_attention,
+    quantize_model,
+    random_reference_model,
+)
+
+
+def scaled(data, scale, precision):
+    return ScaledTensor(
+        IntTensor(np.asarray(data, dtype=np.int64), precision),
+        ScaleTensor(np.asarray(scale, dtype=np.float64)),
+    )
+
+
+# -- the oracle: one kernel call per op --------------------------------------
+
+
+def quantize_const(value, like, session, module, min_payload=0):
+    r = RationalTensor(np.broadcast_to(np.float64(value), like.shape))
+    t = session.quantize(r, like.scale, module)
+    if min_payload and np.any(t.data.values < min_payload):
+        t = ScaledTensor(IntTensor(np.maximum(t.data.values, min_payload), t.precision), t.scale)
+    return t
+
+
+def oracle_poly(scores, pp, session, module="Attn"):
+    x = session.apply(K.add, [scores, quantize_const(pp.bias, scores, session, module)], module)
+    x = session.apply(K.relu, [x], module)
+    x = session.apply(K.pow_n, [x], module, n=pp.degree)
+    min_payload = 1 if pp.offset != 0.0 else 0
+    d_q = quantize_const(abs(pp.offset), x, session, module, min_payload)
+    return session.apply(K.add, [x, d_q], module)
+
+
+def oracle_poly_attention(q, k, v, pp, d_m, session, module="Attn"):
+    scores = session.apply(K.matmul, [q, k], module)
+    session.note("scale_fold", SCALE, scores.scale.values.size, module)
+    with np.errstate(over="ignore"):
+        folded = scores.scale.values * math.sqrt(d_m)
+    scores = ScaledTensor(scores.data, ScaleTensor(folded))
+    weights = scale_match_dim(oracle_poly(scores, pp, session, module), -1)
+    num = session.apply(K.matmul, [weights, K.transpose(v, (1, 0))], module, allow_rescale=False)
+    den = session.apply(K.sum_reduce, [weights], module, axis=1, keepdims=True, allow_rescale=False)
+    lam = max(1, (1 << 60) // (max(num.data.max_magnitude, 1) + 1))
+    if lam > 1:
+        session.note("boost", PAYLOAD, num.data.values.size, module)
+        with np.errstate(over="ignore"):
+            boosted = num.scale.values * lam
+        num = ScaledTensor(IntTensor(num.data.values * lam, num.precision), ScaleTensor(boosted))
+    return session.apply(K.int_div, [num, den], module)
+
+
+def outcome(fn, p):
+    """Everything observable about one run: the result or the error type,
+    and the audit log up to that point."""
+    session = Session(Precision(p))
+    try:
+        out = fn(session)
+    except (IntflowError, ValueError) as e:
+        return type(e).__name__, repr(session.log.records)
+    return (
+        out.data.values.dtype.str, out.data.values.tolist(), out.precision,
+        out.scale.values.shape, out.scale.values.tobytes(), repr(session.log.records),
+    )
+
+
+# -- inputs ------------------------------------------------------------------
+
+PRECISIONS = [5, 7, 12]
+DEGREES = [1, 2, 3]
+
+
+@st.composite
+def operand(draw, shape, p, per_element, big):
+    """A payload in the logical range, or (big) one that forces the int64
+    route or the lane guard; a per-row or per-element scale."""
+    limit = (1 << p) - 1
+    if big:
+        ints = st.integers(-limit, limit) | st.integers(2**24, 2**30) | st.integers(-(2**30), -(2**24))
+    else:
+        ints = st.integers(-limit, limit)
+    n = shape[0] * shape[1]
+    x = np.reshape(draw(st.lists(ints, min_size=n, max_size=n)), shape)
+    scale_shape = shape if per_element else (shape[0], 1)
+    # Mostly ordinary scales; else ones so large that a quantized constant
+    # passes 2^53 (int64 route), 2^62 (lane guard) or the float range.
+    ordinary = st.floats(2.0**-8, 2.0**12)
+    scales = draw(st.sampled_from(
+        [ordinary] * 4 + [st.floats(1e15, 1e20), st.floats(1e100, 1e160)]
+    ))
+    m = int(np.prod(scale_shape))
+    s = np.reshape(draw(st.lists(scales, min_size=m, max_size=m)), scale_shape)
+    return scaled(x, s, p)
+
+
+poly_params = st.builds(
+    PolyParams,
+    bias=st.floats(-2.0, 2.0, width=32),
+    degree=st.sampled_from(DEGREES),
+    offset=st.sampled_from([0.0, 0.1, -0.2]) | st.floats(-0.5, 0.5, width=32),
+)
+
+
+class TestLaneMatchesKernels:
+    # The operands' precision is drawn apart from the session's: a shrink
+    # moves a payload to the session's precision.
+    @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans(), poly_params)
+    @settings(max_examples=300, deadline=None)
+    def test_poly(self, data, p, per_element, big, pp):
+        T, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        p_in = data.draw(st.sampled_from(PRECISIONS))
+        scores = data.draw(operand((T, n), p_in, per_element, big))
+        got = outcome(lambda sess: poly(scores, pp, sess), p)
+        assert got == outcome(lambda sess: oracle_poly(scores, pp, sess), p)
+
+    @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans(), poly_params)
+    @settings(max_examples=300, deadline=None)
+    def test_poly_attention(self, data, p, per_element, big, pp):
+        T, d_h = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        p_in = data.draw(st.sampled_from(PRECISIONS))
+        q, k = (data.draw(operand((T, d_h), p_in, per_element, big)) for _ in range(2))
+        v = data.draw(operand((T, d_h), p_in, per_element, False))
+        d_m = d_h * data.draw(st.sampled_from([1, 2, 8]))
+        got = outcome(lambda sess: poly_attention(q, k, v, pp, d_m, sess), p)
+        assert got == outcome(lambda sess: oracle_poly_attention(q, k, v, pp, d_m, sess), p)
+
+
+class TestLaneRoutes:
+    """Pinned cases: each route and each error the property test draws."""
+
+    @staticmethod
+    def same(fn, oracle, p):
+        got = outcome(fn, p)
+        assert got == outcome(oracle, p)
+        return got
+
+    def test_per_element_weights_take_the_float_lane(self):
+        rng = np.random.default_rng(0)
+        q, k, v = (scaled(rng.integers(-4095, 4096, (8, 4)), rng.uniform(1, 9, (8, 4)), 12)
+                   for _ in range(3))
+        pp = PolyParams(bias=0.5, degree=3, offset=0.1)
+        got = self.same(lambda s: poly_attention(q, k, v, pp, 16, s),
+                        lambda s: oracle_poly_attention(q, k, v, pp, 16, s), 12)
+        assert got[0] == "<i8"
+        assert "'rescale'" in got[-1]
+
+    def test_product_above_2_53_takes_int64(self):
+        # 2^27 * 2^27 * 2 = 2^55: Q.K^T leaves the float64-exact range.
+        q = scaled([[2**27, 2**27]], [[1.0]], 12)
+        k = scaled([[2**27, -(2**27) + 1], [5, 7]], [[1.0], [1.0]], 12)
+        v = scaled([[3], [4]], [[1.0], [1.0]], 12)
+        pp = PolyParams(bias=0.5, degree=2, offset=0.1)
+        self.same(lambda s: poly_attention(q, k, v, pp, 4, s),
+                  lambda s: oracle_poly_attention(q, k, v, pp, 4, s), 12)
+
+    def test_constant_above_2_53_takes_int64(self):
+        # bias * s = 1e17 > 2^53: the first add runs in int64.
+        scores = scaled([[100, -7], [3, 0]], [[1e17], [2e17]], 7)
+        pp = PolyParams(bias=1.0, degree=3, offset=0.25)
+        self.same(lambda s: poly(scores, pp, s), lambda s: oracle_poly(scores, pp, s), 7)
+
+    def test_constant_sum_above_2_53_is_exact(self):
+        # -1 + 2^56 = 127 * j shrinks to exactly 127 at p=7; float64 would
+        # round the sum up to 2^56 and shrink it to 126.
+        scores = scaled([[-1]], [[2.0**56]], 7)
+        pp = PolyParams(bias=1.0, degree=1, offset=0.0)
+        got = self.same(lambda s: poly(scores, pp, s), lambda s: oracle_poly(scores, pp, s), 7)
+        assert got[1] == [[127]]
+
+    def test_power_above_2_53_takes_int64(self):
+        # 32767^4 > 2^53, and float64 would round it: x^4 runs in int64.
+        scores = scaled([[32767, -32767, 32766], [12345, 0, -1]], [[1.0], [0.5]], 15)
+        pp = PolyParams(bias=0.0, degree=4, offset=0.1)
+        self.same(lambda s: poly(scores, pp, s), lambda s: oracle_poly(scores, pp, s), 15)
+
+    def test_scores_above_2_53_take_int64(self):
+        scores = scaled([[2**60, -(2**55) - 3], [2**53 + 1, 1]], [[1.0, 2.0], [3.0, 4.0]], 12)
+        pp = PolyParams(bias=0.5, degree=1, offset=0.0)
+        self.same(lambda s: poly(scores, pp, s), lambda s: oracle_poly(scores, pp, s), 12)
+
+    def test_constant_sum_overflow_raises(self):
+        # 2^61 + 1.0 * 2^61 = 2^62 leaves the accumulator lane.
+        scores = scaled([[2**61]], [[2.0**61]], 7)
+        pp = PolyParams(bias=1.0)
+        got = self.same(lambda s: poly(scores, pp, s), lambda s: oracle_poly(scores, pp, s), 7)
+        assert got[0] == LaneOverflowError.__name__
+
+    def test_shrink_underflow_raises(self):
+        # The smallest subnormal scale, divided by ceil(4095 / 127) = 33, is 0.
+        scores = scaled([[4095]], [[5e-324]], 12)
+        got = self.same(lambda s: poly(scores, PolyParams(), s),
+                        lambda s: oracle_poly(scores, PolyParams(), s), 7)
+        assert got[0] == ScaleRangeError.__name__
+
+    @pytest.mark.parametrize("case, error", [
+        ("product", LaneOverflowError),
+        ("constant", LaneOverflowError),
+        ("power", ScaleRangeError),
+        ("fold", ScaleRangeError),
+    ])
+    def test_errors_match(self, case, error):
+        pp = PolyParams(bias=0.0 if case == "power" else 1.0, degree=3, offset=0.1)
+        if case == "product":  # 2^31 * 2^31 * 2 = 2^63
+            q = k = scaled([[2**31, 2**31]], [[1.0]], 7)
+        elif case == "constant":  # bias * s = 1e19 > 2^62
+            q = k = scaled([[1, 1]], [[3.2e9]], 7)
+        elif case == "power":  # (1e60 * 1e60)^3 overflows
+            q = k = scaled([[1, 1]], [[1e60]], 7)
+        else:  # 1e154 * 1e154 * sqrt(16) overflows
+            q = k = scaled([[1]], [[1e154]], 7)
+        v = scaled([[1] * q.shape[1]], [[1.0]], 7)
+        got = self.same(lambda s: poly_attention(q, k, v, pp, 16, s),
+                        lambda s: oracle_poly_attention(q, k, v, pp, 16, s), 7)
+        assert got[0] == error.__name__
+
+
+def test_every_audited_kernel_runs_through_protocol_apply(monkeypatch):
+    # One protocol_apply call per payload record of a forward (gather and
+    # boost are notes): the lane's in-place steps go through it too.
+    calls = []
+    apply = scaling.protocol_apply
+
+    def counting(kernel, *args, **kwargs):
+        calls.append(kernel.kind)
+        return apply(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(scaling, "protocol_apply", counting)
+    cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=1, vocab=50, precision=7)
+    session = Session(Precision(cfg.precision))
+    forward(quantize_model(random_reference_model(cfg, seed=0)), session, tokens=np.arange(9))
+    kinds = [r.kind for r in session.log.payload_records() if r.kind not in ("gather", "boost")]
+    assert calls == kinds

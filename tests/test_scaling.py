@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intflow import kernels as K
+from intflow import scaling
 from intflow.audit import PAYLOAD, SCALE, OpAuditLog
 from intflow.errors import ShapeError
 from intflow.scaling import (
@@ -96,6 +97,30 @@ class TestFloat64Boundary:
     def test_trunc_div_boundary_grid(self, x, k):
         for v in (x, -x):
             assert trunc_div(np.array([v]), np.array([k])).tolist() == [int_trunc_div(v, k)]
+
+    @given(st.data(), st.integers(1, 6))
+    @settings(max_examples=300)
+    def test_int_div_matches_python_ints(self, data, n):
+        xs = data.draw(st.lists(lane_ints, min_size=n, max_size=n))
+        ks = data.draw(st.lists(divisors, min_size=n, max_size=n))
+        out = K.int_div(scaled(xs, [3.0]), scaled(ks, [0.5]))
+        assert out.data.values.tolist() == [int_trunc_div(x, k) for x, k in zip(xs, ks)]
+        assert out.scale.values.tolist() == [6.0]
+
+    @pytest.mark.parametrize("x", BOUNDARY)
+    @pytest.mark.parametrize("k", DIVISORS)
+    def test_int_div_boundary_grid(self, x, k):
+        out = K.int_div(scaled([x, -x], [1.0]), scaled([k], [1.0]))
+        assert out.data.values.tolist() == [int_trunc_div(x, k), int_trunc_div(-x, k)]
+
+    def test_int_div_reuses_the_stored_max(self, monkeypatch):
+        # The numerator carries max|x|, so trunc_div does not scan it again.
+        def no_scan(arr):
+            raise AssertionError("max|x| scanned again")
+
+        monkeypatch.setattr(scaling, "max_abs", no_scan)
+        out = K.int_div(scaled([2**53 + 1, -(2**60)], [1.0]), scaled([3, 2**53], [1.0]))
+        assert out.data.values.tolist() == [int_trunc_div(2**53 + 1, 3), -(2**7)]
 
     @given(
         st.lists(lane_ints, min_size=6, max_size=6),

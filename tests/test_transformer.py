@@ -1,14 +1,16 @@
 """Transformer blocks: integer modules vs their FP32 twins, hybrid engine."""
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from intflow.errors import ShapeError, ValidationError
+from intflow.errors import ScaleRangeError, ShapeError, ValidationError
 from intflow.scaling import Precision, Session, dequantize, init_scale, quantize
-from intflow.tensor import RationalTensor
+from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import (
+    _boost,
     LN,
     MODULES,
     RES,
@@ -133,6 +135,44 @@ class TestPolyAttention:
         want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
         bound = 2.0 / np.min(out.scale.values)
         assert np.max(np.abs(got - want)) <= bound
+
+
+class TestScaleOverflowOutsideKernels:
+    """Scales grown outside the kernels (the 1/sqrt(d_m) fold, the boost
+    before a division, the L1 norm constant) raise ScaleRangeError on
+    overflow, with no numpy warning first."""
+
+    @staticmethod
+    def raises_quietly(fn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScaleRangeError, match="finite"):
+                fn()
+
+    @staticmethod
+    def at(scale, data=((1,),)):
+        return ScaledTensor(
+            IntTensor(np.asarray(data, dtype=np.int64), P),
+            ScaleTensor(np.full((len(data), 1), scale)),
+        )
+
+    def test_fold_overflow(self):
+        # 1e154 * 1e154 is finite; the fold by sqrt(16) is not.
+        t = self.at(1e154)
+        self.raises_quietly(
+            lambda: poly_attention(t, t, t, PolyParams(), 16, Session(Precision(P)))
+        )
+
+    def test_boost_overflow(self):
+        self.raises_quietly(lambda: _boost(self.at(1e300), Session(Precision(P)), "Attn"))
+
+    def test_layer_norm_constant_overflow(self):
+        n = 4
+        lp = L1LNParams(np.ones(n), np.zeros(n), n)
+        x = self.at(1e308, [[1, -2, 3, 5]])
+        self.raises_quietly(
+            lambda: l1_layer_norm(x, lp, q(lp.gain), q(lp.bias), Session(Precision(P)))
+        )
 
 
 class TestL1LayerNorm:
@@ -360,6 +400,20 @@ class TestGoldenAuditAndHybrid:
         assert len(records) == 240
         assert hashlib.sha256(repr(records).encode()).hexdigest() == (
             "bb92f8271db558fcabbb04f084bb817c8021eed833e9dae3423897d0518ccdac"
+        )
+
+    def test_longctx_shaped_audit_digest(self):
+        # The config of TestGoldenLogits.test_longctx_shaped_digest: pins the
+        # record order across the per-head attention loop.
+        cfg = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12)
+        model = quantize_model(random_reference_model(cfg, seed=0))
+        session = Session(Precision(cfg.precision))
+        forward(model, session, tokens=np.arange(64))
+        records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
+                   for r in session.log.records]
+        assert len(records) == 516
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+            "370ff20fe7b308e85c7ca7183473d64450e1d2a717e18ae47161f8687f318442"
         )
 
     @pytest.mark.parametrize("precision, want", [
