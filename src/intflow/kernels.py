@@ -12,7 +12,15 @@ import enum
 import numpy as np
 
 from .errors import LaneOverflowError, ShapeError
-from .scaling import FLOAT64_EXACT, Lane, scale_match, scale_match_dim, trunc_div
+from .scaling import (
+    FLOAT64_EXACT,
+    Lane,
+    Workspace,
+    _match_payload,
+    scale_match,
+    scale_match_dim,
+    trunc_div,
+)
 from .tensor import (
     LANE_MAX,
     IntTensor,
@@ -77,11 +85,16 @@ def add(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
 
 
 @quiet_overflow
-def product(a: ScaledTensor, b_t: ScaledTensor) -> tuple[np.ndarray, np.ndarray]:
-    """matmul's arithmetic: the payload product and the scale outer product.
+def product(
+    a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """matmul's arithmetic: the payload product and the scale outer product,
+    in arrays taken from `ws`, else in fresh ones.
 
     The payload product is float64 when it is exact there (every value then
-    an integer below 2^53), int64 otherwise.
+    an integer below 2^53), int64 otherwise.  `a` may be a Lane whose scale
+    is already collapsed along the last axis (Lane.match_last); its payload
+    is read where it lies.
     """
     if len(a.shape) != 2 or len(b_t.shape) != 2:
         raise ShapeError("matmul expects rank-2 operands")
@@ -89,19 +102,25 @@ def product(a: ScaledTensor, b_t: ScaledTensor) -> tuple[np.ndarray, np.ndarray]
         raise ShapeError(
             f"contraction dims disagree: {a.shape[-1]} vs {b_t.shape[-1]}"
         )
-    am = scale_match_dim(a, -1)
-    bm = scale_match_dim(b_t, -1)
-    bound = _check_product(am.data.max_magnitude, bm.data.max_magnitude, a.shape[-1])
-    if bound < FLOAT64_EXACT:
-        # Each product and partial sum, in any summation order, is an integer
-        # no larger than bound, so BLAS returns the int64 result bit for bit
-        # (the accumulator-width argument of gemmlowp and I-BERT).
-        af = am.data.values.astype(np.float64)
-        bf = bm.data.values.astype(np.float64)
-        x = af @ bf.T
+    if isinstance(a, Lane):
+        ax, a_max, sa = a.x, a.m, a.s
     else:
-        x = am.data.values @ bm.data.values.T
-    return x, am.scale.values @ bm.scale.values.T  # (m,1) x (1,n)
+        am = scale_match_dim(a, -1)
+        ax, a_max, sa = am.data.values, am.data.max_magnitude, am.scale.values
+    bm = scale_match_dim(b_t, -1)
+    bx, sb = bm.data.values, bm.scale.values
+    bound = _check_product(a_max, bm.data.max_magnitude, a.shape[-1])
+    # Below 2^53 each product and partial sum, in any summation order, is an
+    # integer no larger than bound, so BLAS returns the int64 result bit for
+    # bit (the accumulator-width argument of gemmlowp and I-BERT).
+    dtype = np.float64 if bound < FLOAT64_EXACT else np.int64
+    x_out = s_out = None
+    if ws is not None:
+        x_out = ws.take((ax.shape[0], bx.shape[0]), dtype)
+        s_out = ws.take((sa.shape[0], sb.shape[0]))
+    x = np.matmul(ax.astype(dtype, copy=False), bx.astype(dtype, copy=False).T, out=x_out)
+    # (m,1) x (1,n); a scale uniform over its rows stays collapsed there.
+    return x, np.matmul(sa, sb.T, out=s_out)
 
 
 @_kernel(KernelKind.MATMUL, scale_arith=True)
@@ -207,12 +226,30 @@ def concat(*ts: ScaledTensor, axis: int) -> ScaledTensor:
 
 
 @_kernel(KernelKind.MATMUL, scale_arith=True)
-def lane_matmul(a: ScaledTensor, b_t: ScaledTensor) -> Lane:
-    """matmul, with the product left in BLAS's float64 result when exact there."""
-    x, s = product(a, b_t)
-    lane = Lane(x, s, a.precision)
+def lane_matmul(a: ScaledTensor, b_t: ScaledTensor, ws: Workspace) -> Lane:
+    """matmul, with the product left in BLAS's float64 result when exact
+    there; the lane's arrays come from `ws`."""
+    x, s = product(a, b_t, ws)
+    lane = Lane(x, s, a.precision, ws)
     check_scale(s)
     return lane
+
+
+@_kernel(KernelKind.MATMUL, scale_arith=True)
+def lane_contract(t: Lane, b_t: ScaledTensor) -> ScaledTensor:
+    """matmul(t, b_t) for a lane matched along its last axis
+    (Lane.match_last): its payload goes to BLAS where it lies."""
+    x, s = product(t, b_t)
+    return ScaledTensor(IntTensor.adopt(x.astype(np.int64, copy=False), t.p), ScaleTensor(s))
+
+
+@_kernel(KernelKind.SUM_REDUCE, scale_arith=False)
+def lane_sum(t: Lane) -> ScaledTensor:
+    """sum_reduce(t, axis=-1, keepdims=True) for a lane matched along its
+    last axis (Lane.match_last); the sum shares the lane's collapsed scale."""
+    x = t.x if t.m * t.shape[-1] < FLOAT64_EXACT else t.x.astype(np.int64)
+    total = np.sum(x, axis=-1, keepdims=True).astype(np.int64, copy=False)
+    return ScaledTensor(IntTensor.adopt(total, t.p), ScaleTensor(t.s))
 
 
 @_kernel(KernelKind.ADD, scale_arith=True)
@@ -222,6 +259,35 @@ def lane_add(t: Lane, c: np.ndarray, c_max: int) -> Lane:
     has the scale's shape and is broadcast."""
     t.hold(t.m + c_max)
     t.x += c if t.x.dtype == np.float64 else c.astype(np.int64)
+    t.m = max_abs(t.x)
+    check_lane(t.m)
+    return t
+
+
+@_kernel(KernelKind.ADD, scale_arith=True)
+def lane_add_matched(t: Lane, b: ScaledTensor) -> Lane:
+    """add(t, b) in place: both payloads matched to the elementwise minimum
+    scale, then added.  b has t's shape, and its scale broadcasts to the
+    lane's scale shape (a bias, say)."""
+    if b.shape != t.shape:
+        raise ShapeError(f"add shapes differ: {t.shape} vs {b.shape}")
+    ws, sb = t.ws, b.scale.values
+    # The scratch buffer goes back to serve the minimum or a ratio; b is
+    # matched into a buffer taken afterwards.
+    ws.give(t.work)
+    s_bar = np.minimum(t.s, sb, out=ws.take(t.s.shape))
+    if not np.array_equal(t.s, s_bar):
+        _match_payload(t.x, t.s, s_bar, t.m, ws, out=t.x)
+    ws.give(t.s)
+    t.s = s_bar
+    t.work = ws.take(t.x.shape)
+    c, c_max = b.data.values, b.data.max_magnitude
+    if not (sb == s_bar).all():
+        # Matching never grows a magnitude, so c_max stays a bound.
+        out = t.work if c_max < FLOAT64_EXACT else None
+        c = _match_payload(c, sb, s_bar, c_max, ws, out)
+    t.hold(t.m + c_max)
+    t.x += c if t.x.dtype == np.float64 else c.astype(np.int64, copy=False)
     t.m = max_abs(t.x)
     check_lane(t.m)
     return t

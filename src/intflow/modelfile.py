@@ -78,14 +78,23 @@ def _write_record(buf: io.BytesIO, name: str, dtype: int, arr: np.ndarray) -> No
     buf.write(np.ascontiguousarray(out).tobytes())
 
 
+def _read_exact(buf: io.BytesIO, n: int, what: str) -> bytes:
+    data = buf.read(n)
+    if len(data) != n:
+        raise ValidationError(f"file truncated in {what}")
+    return data
+
+
 def _read_record(buf: io.BytesIO) -> tuple[str, int, np.ndarray] | None:
     head = buf.read(2)
     if not head:
         return None
+    if len(head) != 2:
+        raise ValidationError("file truncated in a record header")
     (name_len,) = struct.unpack("<H", head)
-    name = buf.read(name_len).decode("utf-8")
-    dtype, rank = struct.unpack("<BB", buf.read(2))
-    dims = struct.unpack(f"<{rank}I", buf.read(4 * rank))
+    name = _read_exact(buf, name_len, "a tensor name").decode("utf-8")
+    dtype, rank = struct.unpack("<BB", _read_exact(buf, 2, f"the header of {name!r}"))
+    dims = struct.unpack(f"<{rank}I", _read_exact(buf, 4 * rank, f"the dims of {name!r}"))
     if dtype == DTYPE_I8:
         np_dtype, item = np.int8, 1
     elif dtype == DTYPE_F32:
@@ -93,9 +102,7 @@ def _read_record(buf: io.BytesIO) -> tuple[str, int, np.ndarray] | None:
     else:
         raise ValidationError(f"unknown dtype tag {dtype} for {name!r}")
     count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    raw = buf.read(count * item)
-    if len(raw) != count * item:
-        raise ValidationError(f"truncated data for tensor {name!r}")
+    raw = _read_exact(buf, count * item, f"the data of {name!r}")
     arr = np.frombuffer(raw, dtype=np_dtype).reshape(dims)
     return name, dtype, arr
 

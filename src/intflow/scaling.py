@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -137,25 +138,91 @@ def dequantize(t: ScaledTensor) -> RationalTensor:
     return RationalTensor(t.data.values / t.scale.values)
 
 
+class Workspace:
+    """Scratch arrays of one Session, handed out by shape and dtype and taken back.
+
+    Only for arrays that never leave a call: a Lane's payload, scale and
+    scratch buffers, and the ratio buffers of the matches it makes.
+    Payloads and scales that leave in an IntTensor or a ScaleTensor are
+    always fresh.  The heads, FFNs and output projection of a forward share
+    one set of large buffers: otherwise the allocator trims the heap and
+    grows it again around each such temporary, at a page fault per 4 KiB.
+    The arrays die with the workspace, and so with its Session.
+    """
+
+    def __init__(self):
+        self._free: dict[tuple, list[np.ndarray]] = {}
+
+    def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A writable array of that shape and dtype (np.float64 or
+        np.int64), its contents undefined."""
+        stack = self._free.get((shape, dtype))
+        return stack.pop() if stack else np.empty(shape, dtype)
+
+    def copy(self, a: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """A taken array holding a, cast to dtype."""
+        out = self.take(a.shape, dtype)
+        np.copyto(out, a, casting="unsafe")
+        return out
+
+    def give(self, *arrays: np.ndarray) -> None:
+        """Take arrays back; the caller keeps no reference to them."""
+        for a in arrays:
+            self._free.setdefault((a.shape, a.dtype.type), []).append(a)
+
+
+# While max|x| is below 2^22, |x| * fl(s_bar / s) rounded to float64 is off
+# from the exact quotient by less than 2^22 * 2^-52 < 1e-9, so adding 1e-9
+# before the floor recovers every exact integer; from 2^22 up matching runs
+# in exact rational arithmetic.
+MATCH_FLOAT_MAX = 2**22
+
+# x * s_bar / s truncated toward zero, exactly: x is a Python int (or a float
+# holding one) and each float scale an exact binary fraction.
+_match_exact = np.frompyfunc(
+    lambda x, s, s_bar: int(int(x) * Fraction(s_bar) / Fraction(s)), 3, 1
+)
+
+
 def _match_payload(
-    x: np.ndarray, s: np.ndarray, s_bar: np.ndarray, work: np.ndarray | None = None
+    x: np.ndarray,
+    s: np.ndarray,
+    s_bar: np.ndarray,
+    x_max: int,
+    ws: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Move payload x from scale s down to s_bar <= s, truncating toward zero.
+    """Move payload x, with max|x| = `x_max`, from scale s down to
+    s_bar <= s, truncating toward zero.
 
     |x'| <= |x| always holds, so matching cannot overflow; the de-quantized
-    value moves by less than 1/s_bar per element.  x is int64, or float64
-    holding integers; the result is a fresh int64 array.  `work`, a float64
-    array of x's shape, takes the ratio instead of a fresh buffer.
+    value moves by less than 1/s_bar per element.  Below MATCH_FLOAT_MAX the
+    result is the exact quotient, except that one within about 2e-9 below an
+    integer is rounded up to it; from there up it is exact.  x is int64, or
+    float64 holding integers; the result goes to `out`, which may be x
+    itself, else to a fresh int64 array.  The ratio buffer comes from `ws`
+    when given.
     """
+    if x_max >= MATCH_FLOAT_MAX:
+        q = _match_exact(x, s, s_bar).astype(np.int64)
+        if out is None:
+            return q
+        np.copyto(out, q)
+        return out
     # |x| * (s_bar / s), formed as |(s_bar / s) * x|: float rounding is
     # symmetric in sign, so the bits are the same, with one buffer.
-    q = np.divide(s_bar, s, out=np.empty(x.shape) if work is None else work)
+    q = np.divide(s_bar, s, out=np.empty(x.shape) if ws is None else ws.take(x.shape))
     q *= x
     np.abs(q, out=q)
     # Guard against float noise flipping an exactly-integer quotient downward.
     q += 1e-9
     np.floor(q, out=q)
-    return np.copysign(q, x, out=np.empty(x.shape, np.int64), casting="unsafe")
+    if out is None:
+        out = np.empty(x.shape, np.int64)
+    np.copysign(q, x, out=out, casting="unsafe")
+    if ws is not None:
+        ws.give(q)
+    return out
 
 
 def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
@@ -187,21 +254,28 @@ def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
             # Already at the minimum: the payload moves by nothing, exactly.
             out.append(ScaledTensor(t.data, unified))
             continue
-        x = _match_payload(t.data.values, s, s_bar)
+        x = _match_payload(t.data.values, s, s_bar, t.data.max_magnitude)
         out.append(ScaledTensor(IntTensor.adopt(x, prec), unified))
     return out
 
 
 def match_axis(
-    x: np.ndarray, s: np.ndarray, d: int, work: np.ndarray | None = None
+    x: np.ndarray,
+    s: np.ndarray,
+    d: int,
+    x_max: int,
+    ws: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """scale_match_dim's arithmetic: the payload matched to the minimum scale
-    along axis d (None when no payload moves), and that minimum."""
+    along axis d (None when no payload moves), and that minimum, a fresh
+    array.  max|x| is `x_max`; the matched payload goes to `out` as
+    _match_payload says."""
     s_bar = np.min(s, axis=d, keepdims=True)
     # Every slice already equals the minimum when the maximum does.
     if np.array_equal(np.max(s, axis=d, keepdims=True), s_bar):
         return None, s_bar
-    return _match_payload(x, s, s_bar, work), s_bar
+    return _match_payload(x, s, s_bar, x_max, ws, out), s_bar
 
 
 def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
@@ -212,7 +286,7 @@ def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
     d = d % rank
     if t.scale.shape[d] == 1:
         return t
-    x, s_bar = match_axis(t.data.values, t.scale.values, d)
+    x, s_bar = match_axis(t.data.values, t.scale.values, d, t.data.max_magnitude)
     data = t.data if x is None else IntTensor.adopt(x, t.precision)
     return ScaledTensor(data, ScaleTensor(s_bar))
 
@@ -281,51 +355,83 @@ class Lane:
     integers: float64 while a step's bound on max|x| is below 2^53, int64
     from 2^53 up, the rule of `matmul`, `trunc_div` and `rescale`.  `m`
     bounds max|x|, exactly after any step that scans it.  Each step checks
-    the scales it makes as ScaleTensor checks them, and `seal` casts the
-    result to an int64 ScaledTensor.
+    the scales it makes as ScaleTensor checks them.
+
+    Its payload, scale and scratch arrays come from the workspace `ws`, and
+    go back to it when the lane is sealed or released.
     """
 
-    def __init__(self, x: np.ndarray, s: np.ndarray, precision: int, m: int | None = None):
-        self.x, self.s, self.p = x, s, precision
+    def __init__(
+        self, x: np.ndarray, s: np.ndarray, precision: int, ws: Workspace, m: int | None = None
+    ):
+        self.x, self.s, self.p, self.ws = x, s, precision, ws
         self.m = max_abs(x) if m is None else m
         check_lane(self.m)
-        self.work = np.empty(x.shape)  # float64 scratch of the payload's shape
+        self.work = ws.take(x.shape)  # float64 scratch of the payload's shape
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.x.shape
 
     @classmethod
-    def of(cls, t: ScaledTensor) -> Lane:
+    def of(cls, t: ScaledTensor, ws: Workspace) -> Lane:
         """A private copy of t's payload and scale."""
         m = t.data.max_magnitude
-        x = t.data.values.astype(np.float64 if m < FLOAT64_EXACT else np.int64)
-        return cls(x, t.scale.values.copy(), t.precision, m)
+        x = ws.copy(t.data.values, np.float64 if m < FLOAT64_EXACT else np.int64)
+        return cls(x, ws.copy(t.scale.values), t.precision, ws, m)
 
     def hold(self, bound: int) -> None:
         """Hold x in float64 while `bound` is below 2^53, in int64 from there up."""
         want = np.float64 if bound < FLOAT64_EXACT else np.int64
         if self.x.dtype != want:
-            self.x = self.x.astype(want)
+            x = self.x
+            self.x = self.ws.copy(x, want)
+            self.ws.give(x)
 
     def shrink(self, prec: Precision) -> None:
         """rescale in place: payload and scale divided by the same per-group factor."""
         self.hold(self.m)
-        x, s = shrink(
-            self.x, self.s, prec.max_magnitude, self.m,
-            out=self.x if self.x.dtype == np.float64 else None,
+        x = self.x
+        q, s = shrink(
+            x, self.s, prec.max_magnitude, self.m,
+            out=x if x.dtype == np.float64 else None,
             scale_out=self.s, work=self.work,
         )
         check_scale(s)
-        self.x = x.astype(np.float64, copy=False)
+        if q is not x:  # from 2^53 up the quotient is a fresh int64 array
+            self.x = self.ws.copy(q)
+            self.ws.give(x)
         self.m = max_abs(self.x)
         self.p = prec.p
 
-    def seal(self, match_last: bool = False) -> ScaledTensor:
-        """The result as a ScaledTensor; `match_last` first collapses the
-        scale along the last axis, as scale_match_dim(t, -1) does."""
-        x, s = None, self.s
-        if match_last and s.shape[-1] != 1:
-            x, s = match_axis(self.x, s, s.ndim - 1, self.work)
-        if x is None:
-            x = self.x.astype(np.int64)
-        return ScaledTensor(IntTensor.adopt(x, self.p), ScaleTensor(s))
+    def match_last(self) -> None:
+        """Collapse the scale along the last axis, as scale_match_dim(t, -1)
+        does, with the payload matched in place.
+
+        The payload is then held by its exact max|x|, and the collapsed
+        scale is a fresh array, which results computed from the lane share.
+        The scratch buffer goes back first, to serve as the match's ratio.
+        """
+        self.ws.give(self.work)
+        self.work = None
+        x, s_bar = match_axis(self.x, self.s, self.x.ndim - 1, self.m, self.ws, out=self.x)
+        self.ws.give(self.s)
+        self.s = s_bar
+        self.m = max_abs(self.x)
+        self.hold(self.m)
+
+    def release(self) -> None:
+        """Give the payload back after match_last; the lane is not used again."""
+        self.ws.give(self.x)
+
+    def seal(self) -> ScaledTensor:
+        """The result as a fresh int64 ScaledTensor; every buffer goes back
+        and the lane is not used again."""
+        out = ScaledTensor(
+            IntTensor.adopt(self.x.astype(np.int64), self.p), ScaleTensor(self.s.copy())
+        )
+        self.ws.give(self.x, self.s, self.work)
+        return out
 
 
 def protocol_apply(
@@ -372,10 +478,19 @@ def protocol_apply(
 
 @dataclass
 class Session:
-    """One inference run: a precision and its single-writer audit log."""
+    """One inference run: a precision, its single-writer audit log and the
+    workspace its lanes take scratch arrays from."""
 
     precision: Precision = field(default_factory=Precision)
     log: OpAuditLog = field(default_factory=OpAuditLog)
+    _workspace: Workspace | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def workspace(self) -> Workspace:
+        """Made on first use, so a run with no integer kernel makes none."""
+        if self._workspace is None:
+            self._workspace = Workspace()
+        return self._workspace
 
     def apply(self, kernel, ins, module: str = "", **kwargs) -> ScaledTensor:
         return protocol_apply(

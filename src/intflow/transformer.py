@@ -98,8 +98,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_m % self.heads:
             raise ValidationError("model width must divide evenly across heads")
-        if self.degree * self.precision > 60:
-            raise ValidationError("degree x precision would overflow the wide lane")
+        # The polynomial raises a bias-shifted payload of up to p + 1 bits to
+        # the degree, which must stay inside the 62-bit lane.
+        if self.degree * (self.precision + 1) > 62:
+            raise ValidationError("degree x (precision + 1) would overflow the wide lane")
 
 
 @dataclass(frozen=True)
@@ -368,7 +370,7 @@ def _poly_lane(lane: Lane, pp: PolyParams, session: Session, module: str) -> Lan
 
 def poly(scores: ScaledTensor, pp: PolyParams, session: Session, module: str = ATTN) -> ScaledTensor:
     """[ReLU(x + bias)]^degree + |offset| on the integer lane."""
-    return _poly_lane(Lane.of(scores), pp, session, module).seal()
+    return _poly_lane(Lane.of(scores, session.workspace), pp, session, module).seal()
 
 
 def poly_attention(
@@ -383,19 +385,20 @@ def poly_attention(
     """Normalized polynomial attention for one head.
 
     The T x T weights are built in place on one Lane, from Q.K^T through the
-    polynomial.  The weighted value sum and the weight sum stay in the wide
-    lane; only their quotient is projected back to the logical precision.
+    polynomial, and matched along the key axis there.  The weighted value sum
+    and the weight sum read them in float64 where they lie and stay in the
+    wide lane; only their quotient is projected back to the logical precision.
     """
-    lane = session.apply(K.lane_matmul, [q, k], module)
+    lane = session.apply(K.lane_matmul, [q, k], module, ws=session.workspace)
     _fold_scale(lane, math.sqrt(d_m), session, module)
-    # Match the T x T weights once; matmul and sum_reduce then find a scale
-    # already collapsed along the contraction axis.
-    weights = _poly_lane(lane, pp, session, module).seal(match_last=True)
+    weights = _poly_lane(lane, pp, session, module)
+    # Match the T x T weights once; the value product and the weight sum then
+    # find a scale already collapsed along the contraction axis.
+    weights.match_last()
     v_t = K.transpose(v, (1, 0))
-    num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False)
-    den = session.apply(
-        K.sum_reduce, [weights], module, axis=1, keepdims=True, allow_rescale=False
-    )
+    num = session.apply(K.lane_contract, [weights, v_t], module, allow_rescale=False)
+    den = session.apply(K.lane_sum, [weights], module, allow_rescale=False)
+    weights.release()
     num = _boost(num, session, module)
     return session.apply(K.int_div, [num, den], module)
 
@@ -466,12 +469,18 @@ def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, ses
 
 
 def ffn_core(y: ScaledTensor, lp: TransformerLayerParams, session: Session) -> ScaledTensor:
-    """ReLU(y W1 + b1) W2 + b2 on the integer lane."""
-    h = session.apply(K.matmul, [y, lp.w1], FFN)
-    h = session.apply(K.add, [h, _broadcast_to(lp.b1, h.shape)], FFN)
-    h = session.apply(K.relu, [h], FFN)
-    h = session.apply(K.matmul, [h, lp.w2], FFN)
-    return session.apply(K.add, [h, _broadcast_to(lp.b2, h.shape)], FFN)
+    """ReLU(y W1 + b1) W2 + b2 on the integer lane.
+
+    The hidden activations are worked in place on one Lane, from y W1 to the
+    match along the contraction axis of W2.
+    """
+    h = session.apply(K.lane_matmul, [y, lp.w1], FFN, ws=session.workspace)
+    h = session.apply(K.lane_add_matched, [h, _broadcast_to(lp.b1, h.shape)], FFN)
+    h = session.apply(K.lane_relu, [h], FFN)
+    h.match_last()
+    out = session.apply(K.lane_contract, [h, lp.w2], FFN)
+    h.release()
+    return session.apply(K.add, [out, _broadcast_to(lp.b2, out.shape)], FFN)
 
 
 def residual_add(a: ScaledTensor, b: ScaledTensor, session: Session) -> ScaledTensor:
@@ -657,7 +666,10 @@ def forward(
 
     if tokens is not None:
         if PROJ in int_modules:
-            state = session.apply(K.matmul, [to_int(state, PROJ), model.proj], PROJ)
+            # The T x vocab logits are shrunk in workspace buffers; only the sealed result is fresh.
+            state = session.apply(
+                K.lane_matmul, [to_int(state, PROJ), model.proj], PROJ, ws=session.workspace
+            ).seal()
         else:
             state = RationalTensor(to_fp(state, PROJ) @ ref.proj.T)
         emit(PROJ, n_layers, state)

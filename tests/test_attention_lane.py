@@ -1,11 +1,15 @@
-"""The attention weight stage against the kernel-by-kernel composition.
+"""The lanes against the kernel-by-kernel composition, and their workspace.
 
-`poly` and `poly_attention` work their T x T weights in place on one buffer.
-The oracle here builds the same stage from the public kernels, one
+`poly` and `poly_attention` work their T x T weights in place on one buffer,
+`ffn_core` its hidden activations, and the output projection its logits.
+The oracles here build the same stages from the public kernels, one
 `session.apply` per op, and every payload, scale, audit record and error
-type must agree with it, on both sides of the float64-exact switch at 2^53.
+type must agree with them, on both sides of the float64-exact switch at
+2^53.  The buffers come from the session's workspace, which must never hand
+out an array that a result still holds.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,13 +23,19 @@ from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError
 from intflow.scaling import Precision, Session, scale_match_dim
 from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import (
+    FFN,
+    PROJ,
     ModelConfig,
     PolyParams,
+    _broadcast_to,
+    ffn_core,
     forward,
     poly,
     poly_attention,
     quantize_model,
     random_reference_model,
+    reference_forward,
+    reference_twin,
 )
 
 
@@ -74,17 +84,26 @@ def oracle_poly_attention(q, k, v, pp, d_m, session, module="Attn"):
     return session.apply(K.int_div, [num, den], module)
 
 
-def outcome(fn, p):
+def oracle_ffn(y, lp, session):
+    h = session.apply(K.matmul, [y, lp.w1], FFN)
+    h = session.apply(K.add, [h, _broadcast_to(lp.b1, h.shape)], FFN)
+    h = session.apply(K.relu, [h], FFN)
+    h = session.apply(K.matmul, [h, lp.w2], FFN)
+    return session.apply(K.add, [h, _broadcast_to(lp.b2, h.shape)], FFN)
+
+
+def outcome(fn, p, session=None):
     """Everything observable about one run: the result or the error type,
-    and the audit log up to that point."""
-    session = Session(Precision(p))
+    and the audit records it appended."""
+    session = Session(Precision(p)) if session is None else session
+    start = len(session.log.records)
     try:
         out = fn(session)
     except (IntflowError, ValueError) as e:
-        return type(e).__name__, repr(session.log.records)
+        return type(e).__name__, repr(session.log.records[start:])
     return (
         out.data.values.dtype.str, out.data.values.tolist(), out.precision,
-        out.scale.values.shape, out.scale.values.tobytes(), repr(session.log.records),
+        out.scale.values.shape, out.scale.values.tobytes(), repr(session.log.records[start:]),
     )
 
 
@@ -117,6 +136,16 @@ def operand(draw, shape, p, per_element, big):
     return scaled(x, s, p)
 
 
+@st.composite
+def bias(draw, n, p, big):
+    """A rank-1 payload with one scale, as the model's biases are stored."""
+    limit = (1 << p) - 1
+    ints = st.integers(-limit, limit) | st.integers(2**24, 2**30) if big else st.integers(-limit, limit)
+    x = draw(st.lists(ints, min_size=n, max_size=n))
+    scale = draw(draw(st.sampled_from([st.floats(2.0**-8, 2.0**12)] * 4 + [st.floats(1e15, 1e20)])))
+    return scaled(x, [scale], p)
+
+
 poly_params = st.builds(
     PolyParams,
     bias=st.floats(-2.0, 2.0, width=32),
@@ -147,6 +176,33 @@ class TestLaneMatchesKernels:
         d_m = d_h * data.draw(st.sampled_from([1, 2, 8]))
         got = outcome(lambda sess: poly_attention(q, k, v, pp, d_m, sess), p)
         assert got == outcome(lambda sess: oracle_poly_attention(q, k, v, pp, d_m, sess), p)
+
+
+    @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_ffn_core(self, data, p, per_element, big):
+        T, d, f = (data.draw(st.integers(1, 5)) for _ in range(3))
+        p_in = data.draw(st.sampled_from(PRECISIONS))
+        y = data.draw(operand((T, d), p_in, per_element, big))
+        lp = SimpleNamespace(
+            w1=data.draw(operand((f, d), p_in, data.draw(st.booleans()), big)),
+            b1=data.draw(bias(f, p_in, big)),
+            w2=data.draw(operand((d, f), p_in, data.draw(st.booleans()), False)),
+            b2=data.draw(bias(d, p_in, False)),
+        )
+        got = outcome(lambda sess: ffn_core(y, lp, sess), p)
+        assert got == outcome(lambda sess: oracle_ffn(y, lp, sess), p)
+
+    @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_sealed_projection(self, data, p, per_element, big):
+        # The output projection: a lane shrunk in place and sealed, as matmul.
+        T, d, n = (data.draw(st.integers(1, 5)) for _ in range(3))
+        p_in = data.draw(st.sampled_from(PRECISIONS))
+        a = data.draw(operand((T, d), p_in, per_element, big))
+        w = data.draw(operand((n, d), p_in, False, big))
+        got = outcome(lambda s: s.apply(K.lane_matmul, [a, w], PROJ, ws=s.workspace).seal(), p)
+        assert got == outcome(lambda s: s.apply(K.matmul, [a, w], PROJ), p)
 
 
 class TestLaneRoutes:
@@ -254,3 +310,111 @@ def test_every_audited_kernel_runs_through_protocol_apply(monkeypatch):
     forward(quantize_model(random_reference_model(cfg, seed=0)), session, tokens=np.arange(9))
     kinds = [r.kind for r in session.log.payload_records() if r.kind not in ("gather", "boost")]
     assert calls == kinds
+
+
+class TestWorkspace:
+    """The session's scratch arrays: reused, never shared with a result."""
+
+    @staticmethod
+    def held(session):
+        return [a for stack in session.workspace._free.values() for a in stack]
+
+    @pytest.mark.parametrize("cfg, seq_len", [
+        (ModelConfig(), 16),
+        (ModelConfig(precision=12), 16),
+        (ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12), 256),
+    ])
+    def test_no_result_shares_a_held_buffer(self, monkeypatch, cfg, seq_len):
+        results = []
+        apply = scaling.protocol_apply
+
+        def collecting(*args, **kwargs):
+            out = apply(*args, **kwargs)
+            if isinstance(out, ScaledTensor):
+                results.append(out)
+            return out
+
+        monkeypatch.setattr(scaling, "protocol_apply", collecting)
+        model = quantize_model(random_reference_model(cfg, seed=1))
+        session = Session(Precision(cfg.precision))
+        tokens = np.random.default_rng(2).integers(0, cfg.vocab, seq_len)
+        for _ in range(2):
+            results.append(forward(model, session, tokens=tokens))
+        scores = results[0]
+        results.append(poly(scores, model.layers[0].poly, session))
+        held = self.held(session)
+        assert held
+        for t in results:
+            for arr in (t.data.values, t.scale.values):
+                assert not any(np.shares_memory(arr, buf) for buf in held)
+
+    def test_held_buffers_stay_fixed_across_forwards(self):
+        cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=2, vocab=50, precision=12)
+        model = quantize_model(random_reference_model(cfg, seed=0))
+        session = Session(Precision(cfg.precision))
+        tokens = np.arange(12)
+
+        def census():
+            return sorted((str(k), len(v)) for k, v in session.workspace._free.items())
+
+        forward(model, session, tokens=tokens)
+        first = census()
+        for _ in range(3):
+            forward(model, session, tokens=tokens)
+        assert census() == first
+
+    @given(st.data(), st.sampled_from(PRECISIONS))
+    @settings(max_examples=100, deadline=None)
+    def test_heads_back_to_back_match_fresh_sessions(self, data, p):
+        # One session's workspace carries buffers from head to head, also
+        # past a head that raised; each head must see what a fresh one sees.
+        heads = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            T, d_h = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+            p_in = data.draw(st.sampled_from(PRECISIONS))
+            per_element, big = data.draw(st.booleans()), data.draw(st.booleans())
+            q, k = (data.draw(operand((T, d_h), p_in, per_element, big)) for _ in range(2))
+            v = data.draw(operand((T, d_h), p_in, per_element, False))
+            heads.append((q, k, v, data.draw(poly_params), d_h * data.draw(st.sampled_from([1, 2, 8]))))
+        shared = Session(Precision(p))
+        for q, k, v, pp, d_m in heads:
+            fn = lambda s: poly_attention(q, k, v, pp, d_m, s)  # noqa: E731
+            assert outcome(fn, p, shared) == outcome(fn, p)
+
+    def test_pinned_heads_back_to_back(self):
+        # Every route and error of TestLaneRoutes, in turn on one session.
+        rng = np.random.default_rng(0)
+        big = scaled([[2**31, 2**31]], [[1.0]], 7)
+        cases = [
+            tuple(scaled(rng.integers(-127, 128, (8, 4)), rng.uniform(1, 9, (8, 4)), 7)
+                  for _ in range(3)),
+            (big, big, scaled([[1, 1]], [[1.0]], 7)),
+            (scaled([[2**27, 2**27]], [[1.0]], 7), scaled([[2**27, -(2**27) + 1], [5, 7]], [[1.0], [1.0]], 7),
+             scaled([[3], [4]], [[1.0], [1.0]], 7)),
+            (scaled([[1]], [[1e154]], 7), scaled([[1]], [[1e154]], 7), scaled([[1]], [[1.0]], 7)),
+            tuple(scaled(rng.integers(-127, 128, (8, 4)), rng.uniform(1, 9, (8, 1)), 7)
+                  for _ in range(3)),
+        ]
+        pp = PolyParams(bias=0.5, degree=2, offset=0.1)
+        shared = Session(Precision(7))
+        kinds = []
+        for q, k, v in cases:
+            fn = lambda s: poly_attention(q, k, v, pp, 16, s)  # noqa: E731
+            got = outcome(fn, 7, shared)
+            assert got == outcome(fn, 7)
+            kinds.append(got[0])
+        assert LaneOverflowError.__name__ in kinds and ScaleRangeError.__name__ in kinds
+
+    def test_fp32_paths_make_no_workspace(self, monkeypatch):
+        cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=1, vocab=50)
+        model = quantize_model(random_reference_model(cfg, seed=0))
+        twin = reference_twin(model)
+
+        def refuse(self):
+            raise AssertionError("a workspace was made")
+
+        monkeypatch.setattr(scaling.Workspace, "__init__", refuse)
+        tokens = np.arange(9)
+        reference_forward(twin, tokens=tokens)
+        forward(model, Session(Precision(cfg.precision)), tokens=tokens,
+                int_modules=frozenset(), ref=twin)

@@ -132,3 +132,20 @@ class TestReport:
     def test_report_needs_quantized_model(self, workspace):
         tmp, fp32, int8 = workspace
         assert main(["report", str(fp32)]) == EXIT_VALIDATION
+
+
+class TestTruncatedModelFile:
+    def test_every_cut_exits_with_a_code(self, tmp_path):
+        # A saved default model cut at every offset below 200 and every 97
+        # bytes after: each run exits 2 or 3, never with an exception.
+        fp32, int8 = tmp_path / "m.fp32", tmp_path / "m.int8"
+        assert main(["init", str(fp32)]) == EXIT_OK
+        assert main(["quantize", str(fp32), str(int8)]) == EXIT_OK
+        blob = int8.read_bytes()
+        tokens = tmp_path / "t.npy"
+        np.save(tokens, np.random.default_rng(0).integers(0, 64, 8))
+        cut = tmp_path / "cut.int8"
+        for n in [*range(200), *range(200, len(blob), 97)]:
+            cut.write_bytes(blob[:n])
+            rc = main(["infer", str(cut), str(tokens), "--tokens", "--out", str(tmp_path / "o.npy")])
+            assert rc in (EXIT_VALIDATION, EXIT_IO), n

@@ -80,8 +80,31 @@ def int_trunc_div(x: int, k: int) -> int:
     return q if x >= 0 else -q
 
 
+def exact_match(x: int, s: float, s_bar: float) -> int:
+    """x moved from scale s to s_bar, truncated toward zero, in rationals."""
+    return int(x * Fraction(s_bar) / Fraction(s))
+
+
+def assert_matched(got: int, x: int, s: float, s_bar: float) -> None:
+    want = exact_match(x, s, s_bar)
+    if got != want and abs(x) < scaling.MATCH_FLOAT_MAX:
+        # The float route's guard: a quotient less than 2e-9 below an
+        # integer is rounded up to it, away from zero.
+        exact = abs(x) * Fraction(s_bar) / Fraction(s)
+        assert abs(got) == abs(want) + 1 and abs(got) - exact < Fraction(2, 10**9)
+    else:
+        assert got == want
+
+
+MATCH_BOUNDARY = BOUNDARY + [2**22 - 1, 2**22, 2**45 + 3, 2**52 + 1]
+# Float32 scales; full 24-bit mantissas make most ratios inexact in float64.
+match_scales = st.floats(2.0**-30, 2.0**30, width=32) | st.integers(2**23, 2**24).map(
+    lambda m: m * 2.0**-12
+)
+
+
 class TestFloat64Boundary:
-    """trunc_div and rescale against Python ints across the 2^53 switch."""
+    """trunc_div, rescale and matching against Python ints across the 2^53 switch."""
 
     @given(st.data(), st.integers(1, 6))
     @settings(max_examples=300)
@@ -146,6 +169,39 @@ class TestFloat64Boundary:
             si, sj = g[0] if per_element else (g[0][0], 0)
             assert out.scale.values[si, sj] == s[si, sj] / s_hat
         assert out.data.in_range()
+
+
+    @given(st.data(), st.integers(1, 6), st.booleans())
+    @settings(max_examples=300)
+    def test_scale_match_matches_fractions(self, data, n, big):
+        # Either side of the float route's limit and of 2^53, up to the lane.
+        wide = st.sampled_from(MATCH_BOUNDARY) | st.integers(2**40, 2**53) | lane_ints
+        ints = wide if big else st.integers(-(2**21), 2**21)
+        xs = data.draw(st.lists(ints, min_size=n, max_size=n))
+        sa = data.draw(st.lists(match_scales, min_size=n, max_size=n))
+        sb = data.draw(st.lists(match_scales, min_size=n, max_size=n))
+        ma, _ = scale_match([scaled(xs, sa), scaled([0] * n, sb)])
+        for got, x, s, s_bar in zip(ma.data.values.tolist(), xs, sa, ma.scale.values.tolist()):
+            assert_matched(got, x, s, s_bar)
+
+    @pytest.mark.parametrize("x", MATCH_BOUNDARY)
+    @pytest.mark.parametrize("s, s_bar", [(3.0, 1.0), (7.0, 2.0), (2.0**20, 1.0), (1.0000001, 1.0)])
+    def test_scale_match_dim_boundary_grid(self, x, s, s_bar):
+        out = scale_match_dim(scaled([[x, -x]], [[s, s_bar]]), 1)
+        assert out.data.values.tolist() == [[exact_match(x, s, s_bar), -x]]
+
+    def test_lane_match_is_exact_above_2_53(self):
+        # The lane matches its payload in place on the same routes.
+        ws = scaling.Workspace()
+        x = np.array([[2**60 + 5, -(2**53 + 1)], [2**40 - 1, 3]], dtype=np.int64)
+        s = np.array([[3.0, 7.0], [2.0**40, 5.0]])
+        lane = scaling.Lane(x.copy(), s.copy(), 12, ws)
+        lane.match_last()
+        s_bar = s.min(axis=1)
+        want = [[exact_match(int(v), float(si), float(s_bar[i])) for v, si in zip(row, srow)]
+                for i, (row, srow) in enumerate(zip(x.tolist(), s.tolist()))]
+        assert lane.x.astype(np.int64).tolist() == want
+        assert lane.s.ravel().tolist() == s_bar.tolist()
 
 
 class TestInitScale:

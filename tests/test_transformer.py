@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from intflow.errors import ScaleRangeError, ShapeError, ValidationError
 from intflow.scaling import Precision, Session, dequantize, init_scale, quantize
@@ -64,6 +66,20 @@ class TestConfig:
     def test_degree_precision_product_guard(self):
         with pytest.raises(ValidationError):
             ModelConfig(degree=5, precision=15)
+
+    @given(st.integers(2, 15), st.integers(1, 8), st.integers(0, 2**16), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_every_admitted_config_runs(self, p, degree, seed, seq_len):
+        # The check admits a (precision, degree) pair only if a token forward
+        # fits the lane: x^degree of a bias-shifted payload of p + 1 bits.
+        try:
+            cfg = ModelConfig(d_m=4, heads=1, d_ff=8, n_layers=1, vocab=8, precision=p, degree=degree)
+        except ValidationError:
+            assume(False)
+        model = quantize_model(random_reference_model(cfg, seed))
+        tokens = np.random.default_rng(seed).integers(0, cfg.vocab, seq_len)
+        out = forward(model, Session(Precision(p)), tokens=tokens)
+        assert out.data.in_range()
 
     def test_poly_degree_positive(self):
         with pytest.raises(ValidationError):
