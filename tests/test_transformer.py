@@ -13,8 +13,12 @@ from intflow.scaling import Precision, Session, dequantize, init_scale, quantize
 from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import (
     _boost,
+    ATTN,
+    EMB,
+    FFN,
     LN,
     MODULES,
+    PROJ,
     RES,
     SOFTMAX,
     FP32ReferenceModel,
@@ -446,3 +450,75 @@ class TestGoldenAuditAndHybrid:
         h.update(f"{logits.dtype.str}{logits.shape}".encode())
         h.update(logits.tobytes())
         assert h.hexdigest() == want
+
+
+class TestPinnedHybridBehaviour:
+    """The FP32 oracle, every single-module hybrid and the tap sequence, pinned
+    so that a refactor of the hybrid engine keeps each of them bit for bit."""
+
+    TOKENS = np.arange(12) % ModelConfig().vocab
+
+    @staticmethod
+    def _models():
+        cfg = ModelConfig(precision=7)
+        ref = random_reference_model(cfg, seed=0)
+        return cfg, ref, quantize_model(ref)
+
+    @staticmethod
+    def _array_digest(h, arr) -> None:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+
+    def test_reference_forward_digest(self):
+        _, ref, _ = self._models()
+        h = hashlib.sha256()
+        self._array_digest(h, reference_forward(ref, tokens=self.TOKENS).values)
+        assert h.hexdigest() == (
+            "764c524e30ebe2ed93bef0bc7a4ce9196b207f722004e58303518fe77abb8e77"
+        )
+
+    @pytest.mark.parametrize("modules, want", [
+        ((EMB,),
+         "e022e6c6b15d1b1c242ab08184a45f70ca9f3b060a9b9c8dbc49c2dc76afaaa0"),
+        ((ATTN,),
+         "904ce03707224102b20a64c0fcc2be42f9ed901df01a7ddf8826b28fc33ddf40"),
+        ((FFN,),
+         "4ef629ef9b2ea4adec82efa0b45d93bf3cdba5ff320e8e29f836d6dd860f797c"),
+        ((LN,),
+         "fe847fef968202c258f7c862a6f0295ebdb2d28fcb505b4800d5e274296f4e52"),
+        ((RES,),
+         "25982f55fa6eb64807246a8f225d7f23e73ce405426c058ac2a7ae4350f31b10"),
+        ((PROJ,),
+         "b02a957ac04c6cc3cb316f22924020d329a63eeaf805c65e669b3e0b0cd8fd39"),
+        ((LN, RES),
+         "0693403f269a7b3510225f0ffed13a732f44bb31fa1c9c6257a4e45317b32691"),
+    ])
+    def test_hybrid_audit_and_output_digest(self, modules, want):
+        cfg, _, model = self._models()
+        session = Session(Precision(cfg.precision))
+        out = forward(model, session, tokens=self.TOKENS, int_modules=frozenset(modules))
+        records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
+                   for r in session.log.records]
+        h = hashlib.sha256(repr(records).encode())
+        if isinstance(out, ScaledTensor):
+            self._array_digest(h, out.data.values)
+            self._array_digest(h, out.scale.values)
+        else:
+            self._array_digest(h, out.values)
+        assert h.hexdigest() == want
+
+    @pytest.mark.parametrize("modules", [MODULES, (), (LN, RES)])
+    def test_tap_sequence(self, modules):
+        cfg, ref, model = self._models()
+        seen = []
+        forward(model, Session(Precision(cfg.precision)), tokens=self.TOKENS,
+                int_modules=frozenset(modules), ref=ref,
+                tap=lambda tag, layer, state: seen.append((tag, layer, type(state).__name__)))
+        order = [(EMB, 0)]
+        for li in range(cfg.n_layers):
+            order += [(LN, li), (ATTN, li), (RES, li), (LN, li), (FFN, li), (RES, li)]
+        order += [(LN, cfg.n_layers), (PROJ, cfg.n_layers)]
+        want = [(tag, layer, "ScaledTensor" if tag in modules else "RationalTensor")
+                for tag, layer in order]
+        assert seen == want
