@@ -249,9 +249,7 @@ def canonical_ffn_forward(
     from .transformer import FFN, L1LNParams, ref_l1ln
 
     prec = session.precision
-    ln = L1LNParams(
-        dequantize(lp.ln2_g).values, dequantize(lp.ln2_b).values, lp.ln2.n_h
-    )
+    ln = L1LNParams(dequantize(lp.ln2_g).values, dequantize(lp.ln2_b).values)
 
     def requantize(values: np.ndarray) -> ScaledTensor:
         t = RationalTensor(values)

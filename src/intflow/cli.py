@@ -54,7 +54,7 @@ def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
         "--granularity",
         choices=sorted(_GRANULARITIES),
         default="row",
-        help="scale grouping for activations: row, bt (batch x time), or b (batch)",
+        help="scale grouping for activations: row (one scale per token) or b (one per sequence)",
     )
 
 

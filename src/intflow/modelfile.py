@@ -5,7 +5,8 @@ Layout (all integers little-endian):
     magic   4 bytes  b"SPQ1"
     u16     format version (currently 1)
     u8      precision p
-    u8      granularity code (0=row, 1=bt, 2=b)
+    u8      granularity code (0=row, 2=b; 1, the retired "bt", which
+            acted as row, is read as row and never written)
     u8      attention polynomial degree
     u8      flags (bit 0: payloads are quantized int8)
     u32 x6  n_layers, d_m, heads, d_ff, vocab, n_tensors
@@ -29,7 +30,7 @@ import struct
 import numpy as np
 
 from .errors import ValidationError
-from .scaling import ScaleGranularity, dequantize
+from .scaling import ScaleGranularity
 from .tensor import IntTensor, ScaledTensor, ScaleTensor
 from .transformer import (
     FP32LayerParams,
@@ -53,10 +54,10 @@ FLAG_QUANTIZED = 1
 
 _GRAN_CODES = {
     ScaleGranularity.PER_ROW: 0,
-    ScaleGranularity.PER_BATCH_TIME: 1,
     ScaleGranularity.PER_BATCH: 2,
 }
-_GRAN_FROM_CODE = {v: k for k, v in _GRAN_CODES.items()}
+# Code 1 was "bt", which grouped scales exactly as row does.
+_GRAN_FROM_CODE = {v: k for k, v in _GRAN_CODES.items()} | {1: ScaleGranularity.PER_ROW}
 
 SCALE_SUFFIX = ".scale"
 
@@ -287,21 +288,11 @@ def deserialize_int_model(blob: bytes) -> IntegerTransformerModel:
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
         fields = {m: _take_scaled(tensors, pre + m, p) for m in mats}
-        ln_params = {}
         for ln in lns:
-            g = _take_scaled(tensors, pre + ln + ".g", p)
-            b = _take_scaled(tensors, pre + ln + ".b", p)
-            fields[ln + "_g"] = g
-            fields[ln + "_b"] = b
-            ln_params[ln] = L1LNParams(
-                dequantize(g).values, dequantize(b).values, cfg.d_m
-            )
+            fields[ln + "_g"] = _take_scaled(tensors, pre + ln + ".g", p)
+            fields[ln + "_b"] = _take_scaled(tensors, pre + ln + ".b", p)
         poly = _poly_from_array(_take(tensors, pre + "poly", DTYPE_F32).astype(np.float64))
-        layers.append(
-            TransformerLayerParams(
-                poly=poly, ln1=ln_params["ln1"], ln2=ln_params["ln2"], **fields
-            )
-        )
+        layers.append(TransformerLayerParams(poly=poly, **fields))
     fg = _take_scaled(tensors, "final_ln.g", p)
     fb = _take_scaled(tensors, "final_ln.b", p)
     proj = _take_scaled(tensors, "proj", p)
@@ -311,7 +302,6 @@ def deserialize_int_model(blob: bytes) -> IntegerTransformerModel:
         config=cfg,
         embedding=emb,
         layers=tuple(layers),
-        final_ln=L1LNParams(dequantize(fg).values, dequantize(fb).values, cfg.d_m),
         final_ln_g=fg,
         final_ln_b=fb,
         proj=proj,
@@ -333,7 +323,7 @@ def deserialize_reference_model(blob: bytes) -> FP32ReferenceModel:
         pre = f"layers.{i}."
         fields = {m: take(pre + m) for m in mats}
         ln_params = {
-            ln: L1LNParams(take(pre + ln + ".g"), take(pre + ln + ".b"), cfg.d_m)
+            ln: L1LNParams(take(pre + ln + ".g"), take(pre + ln + ".b"))
             for ln in lns
         }
         poly = _poly_from_array(take(pre + "poly"))
@@ -342,7 +332,7 @@ def deserialize_reference_model(blob: bytes) -> FP32ReferenceModel:
                 poly=poly, ln1=ln_params["ln1"], ln2=ln_params["ln2"], **fields
             )
         )
-    final_ln = L1LNParams(take("final_ln.g"), take("final_ln.b"), cfg.d_m)
+    final_ln = L1LNParams(take("final_ln.g"), take("final_ln.b"))
     proj = take("proj")
     if tensors:
         raise ValidationError(f"unexpected tensors: {sorted(tensors)}")

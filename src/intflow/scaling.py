@@ -45,9 +45,8 @@ class Precision:
 class ScaleGranularity(enum.Enum):
     """Which trailing dims a scale collapses when initialized from data."""
 
-    PER_ROW = "row"       # collapse the hidden dim only
-    PER_BATCH_TIME = "bt"  # one scale per (batch, time): collapse hidden dim
-    PER_BATCH = "b"        # one scale per batch element: collapse time x hidden
+    PER_ROW = "row"  # one scale per row: collapse the hidden dim only
+    PER_BATCH = "b"  # one scale per batch element: collapse time x hidden
 
     def reduce_axes(self, rank: int) -> tuple[int, ...]:
         if rank == 0:

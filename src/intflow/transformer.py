@@ -73,13 +73,12 @@ class L1LNParams:
 
     gain: np.ndarray
     bias: np.ndarray
-    n_h: int
 
     def __post_init__(self):
         g = np.asarray(self.gain, dtype=np.float64)
         b = np.asarray(self.bias, dtype=np.float64)
-        if g.shape != (self.n_h,) or b.shape != (self.n_h,):
-            raise ShapeError("L1LN gain/bias must match the hidden width")
+        if g.ndim != 1 or b.shape != g.shape:
+            raise ShapeError("L1LN gain and bias must be 1-D and of equal length")
         object.__setattr__(self, "gain", g)
         object.__setattr__(self, "bias", b)
 
@@ -148,8 +147,6 @@ class TransformerLayerParams:
     ln2_g: ScaledTensor
     ln2_b: ScaledTensor
     poly: PolyParams
-    ln1: L1LNParams
-    ln2: L1LNParams
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,6 @@ class IntegerTransformerModel:
     config: ModelConfig
     embedding: ScaledTensor
     layers: tuple[TransformerLayerParams, ...]
-    final_ln: L1LNParams
     final_ln_g: ScaledTensor
     final_ln_b: ScaledTensor
     proj: ScaledTensor
@@ -185,7 +181,6 @@ def random_reference_model(
         return L1LNParams(
             gain=_f32(rng.uniform(0.8, 1.2, n_h)),
             bias=_f32(rng.normal(0.0, 0.05, n_h)),
-            n_h=n_h,
         )
 
     layers = []
@@ -250,15 +245,12 @@ def quantize_model(
                 ln1_g=q(lp.ln1.gain, LN), ln1_b=q(lp.ln1.bias, LN),
                 ln2_g=q(lp.ln2.gain, LN), ln2_b=q(lp.ln2.bias, LN),
                 poly=lp.poly,
-                ln1=lp.ln1,
-                ln2=lp.ln2,
             )
         )
     return IntegerTransformerModel(
         config=cfg,
         embedding=q(ref.embedding, EMB),
         layers=tuple(layers),
-        final_ln=ref.final_ln,
         final_ln_g=q(ref.final_ln.gain, LN),
         final_ln_b=q(ref.final_ln.bias, LN),
         proj=q(ref.proj, PROJ),
@@ -277,17 +269,15 @@ def reference_twin(model: IntegerTransformerModel, attention_flavor: str = POLY)
                 w_q=d(lp.w_q), w_k=d(lp.w_k), w_v=d(lp.w_v), w_o=d(lp.w_o),
                 w1=d(lp.w1), b1=d(lp.b1), w2=d(lp.w2), b2=d(lp.b2),
                 poly=lp.poly,
-                ln1=L1LNParams(d(lp.ln1_g), d(lp.ln1_b), lp.ln1.n_h),
-                ln2=L1LNParams(d(lp.ln2_g), d(lp.ln2_b), lp.ln2.n_h),
+                ln1=L1LNParams(d(lp.ln1_g), d(lp.ln1_b)),
+                ln2=L1LNParams(d(lp.ln2_g), d(lp.ln2_b)),
             )
         )
     return FP32ReferenceModel(
         config=model.config,
         embedding=d(model.embedding),
         layers=tuple(layers),
-        final_ln=L1LNParams(
-            d(model.final_ln_g), d(model.final_ln_b), model.final_ln.n_h
-        ),
+        final_ln=L1LNParams(d(model.final_ln_g), d(model.final_ln_b)),
         proj=d(model.proj),
         attention_flavor=attention_flavor,
     )
@@ -405,7 +395,6 @@ def poly_attention(
 
 def l1_layer_norm(
     x: ScaledTensor,
-    lp: L1LNParams,
     g_q: ScaledTensor,
     b_q: ScaledTensor,
     session: Session,
@@ -413,14 +402,15 @@ def l1_layer_norm(
 ) -> ScaledTensor:
     """Center, divide by the scaled L1 mean, then apply gain and bias.
 
-    The norm constant and 1/n_h are folded into the denominator scale; the
-    numerator is boosted exactly before the integer division.
+    The norm width n_h is the gain's length.  The norm constant and 1/n_h are
+    folded into the denominator scale; the numerator is boosted exactly
+    before the integer division.
     """
-    if x.shape[-1] != lp.n_h:
+    n = g_q.shape[-1]
+    if x.shape[-1] != n:
         raise ShapeError("hidden dim does not match the layer norm width")
     xm = scale_match_dim(x, -1)
     total = session.apply(K.sum_reduce, [xm], module, axis=-1, keepdims=True, allow_rescale=False)
-    n = lp.n_h
     # Integer mean, rounded half away from zero, negated.  total shares xm's
     # scale object, so the add below skips matching.
     t = total.data.values
@@ -489,23 +479,20 @@ def residual_add(a: ScaledTensor, b: ScaledTensor, session: Session) -> ScaledTe
 
 def ffn_forward(x: ScaledTensor, lp: TransformerLayerParams, session: Session) -> ScaledTensor:
     """Pre-norm FFN sublayer: x + FFN(L1LN(x)); integer path end to end."""
-    y = l1_layer_norm(x, lp.ln2, lp.ln2_g, lp.ln2_b, session)
+    y = l1_layer_norm(x, lp.ln2_g, lp.ln2_b, session)
     y = ffn_core(y, lp, session)
     return residual_add(y, x, session)
 
 
-def layer_forward(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, session: Session) -> ScaledTensor:
-    """One encoder layer: attention sublayer then FFN sublayer, pre-norm."""
-    y = l1_layer_norm(x, lp.ln1, lp.ln1_g, lp.ln1_b, session)
-    y = attn_core(y, lp, cfg, session)
-    x = residual_add(y, x, session)
-    return ffn_forward(x, lp, session)
+def _token_ids(tokens, vocab: int) -> np.ndarray:
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 1 or np.any(tokens < 0) or np.any(tokens >= vocab):
+        raise ValidationError("token ids out of range")
+    return tokens
 
 
 def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session: Session) -> ScaledTensor:
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or np.any(tokens < 0) or np.any(tokens >= model.config.vocab):
-        raise ValidationError("token ids out of range")
+    tokens = _token_ids(tokens, model.config.vocab)
     emb = model.embedding
     session.note("gather", PAYLOAD, tokens.size * model.config.d_m, EMB)
     return ScaledTensor(
@@ -602,77 +589,59 @@ def forward(
             return session.dequantize(state, module).values
         return state.values if isinstance(state, RationalTensor) else state
 
-    def emit(tag, layer, state):
+    def run(tag, layer, int_fn, fp_fn, *inputs):
+        """One step on its chosen lane: the only place where states cross
+        between lanes and where the tap sees them.  Inputs convert in order."""
+        if tag in int_modules:
+            state = int_fn(*[to_int(x, tag) for x in inputs])
+        else:
+            state = RationalTensor(fp_fn(*[to_fp(x, tag) for x in inputs]))
         if tap is not None:
             tap(tag, layer, state)
+        return state
 
+    # The steps name the module functions inside closures, so each call finds
+    # the binding the module holds when it runs (tracers wrap them there).
     if tokens is not None:
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if EMB in int_modules:
-            state = gather_embedding(model, tokens, session)
-        else:
-            if np.any(tokens < 0) or np.any(tokens >= cfg.vocab):
-                raise ValidationError("token ids out of range")
-            state = RationalTensor(ref.embedding[tokens])
-        emit(EMB, 0, state)
+        state = run(EMB, 0, lambda: gather_embedding(model, tokens, session),
+                    lambda: ref.embedding[_token_ids(tokens, cfg.vocab)])
     elif hidden is not None:
         state = hidden
     else:
         raise ValidationError("either tokens or hidden input is required")
 
-    n_layers = cfg.n_layers
-    for li in range(n_layers):
-        lp = model.layers[li] if model is not None else None
-        rp = ref.layers[li] if ref is not None else None
-        for sub in ("attn", "ffn"):
-            resid = state
-            if LN in int_modules:
-                if sub == "attn":
-                    state = l1_layer_norm(to_int(state, LN), lp.ln1, lp.ln1_g, lp.ln1_b, session)
-                else:
-                    state = l1_layer_norm(to_int(state, LN), lp.ln2, lp.ln2_g, lp.ln2_b, session)
-            else:
-                state = RationalTensor(
-                    ref_l1ln(to_fp(state, LN), rp.ln1 if sub == "attn" else rp.ln2)
-                )
-            emit(LN, li, state)
-            if sub == "attn":
-                if ATTN in int_modules:
-                    state = attn_core(to_int(state, ATTN), lp, cfg, session)
-                else:
-                    state = RationalTensor(
-                        ref_attn_core(to_fp(state, ATTN), rp, cfg, ref.attention_flavor)
-                    )
-                emit(ATTN, li, state)
-            else:
-                if FFN in int_modules:
-                    state = ffn_core(to_int(state, FFN), lp, session)
-                else:
-                    state = RationalTensor(ref_ffn_core(to_fp(state, FFN), rp))
-                emit(FFN, li, state)
-            if RES in int_modules:
-                state = residual_add(to_int(state, RES), to_int(resid, RES), session)
-            else:
-                state = RationalTensor(to_fp(state, RES) + to_fp(resid, RES))
-            emit(RES, li, state)
-
-    if LN in int_modules:
-        state = l1_layer_norm(
-            to_int(state, LN), model.final_ln, model.final_ln_g, model.final_ln_b, session
+    n = cfg.n_layers
+    int_layers = model.layers if model is not None else (None,) * n
+    fp_layers = ref.layers if ref is not None else (None,) * n
+    for li, (lp, rp) in enumerate(zip(int_layers, fp_layers)):
+        # Each pre-norm sublayer: LN, its core, then Res onto the LN's input.
+        sublayers = (
+            (lambda x: l1_layer_norm(x, lp.ln1_g, lp.ln1_b, session),
+             lambda x: ref_l1ln(x, rp.ln1),
+             ATTN,
+             lambda x: attn_core(x, lp, cfg, session),
+             lambda x: ref_attn_core(x, rp, cfg, ref.attention_flavor)),
+            (lambda x: l1_layer_norm(x, lp.ln2_g, lp.ln2_b, session),
+             lambda x: ref_l1ln(x, rp.ln2),
+             FFN,
+             lambda x: ffn_core(x, lp, session),
+             lambda x: ref_ffn_core(x, rp)),
         )
-    else:
-        state = RationalTensor(ref_l1ln(to_fp(state, LN), ref.final_ln))
-    emit(LN, n_layers, state)
+        for ln_int, ln_fp, tag, core_int, core_fp in sublayers:
+            resid = state
+            state = run(LN, li, ln_int, ln_fp, state)
+            state = run(tag, li, core_int, core_fp, state)
+            state = run(RES, li, lambda a, b: residual_add(a, b, session), np.add, state, resid)
 
+    state = run(LN, n, lambda x: l1_layer_norm(x, model.final_ln_g, model.final_ln_b, session),
+                lambda x: ref_l1ln(x, ref.final_ln), state)
     if tokens is not None:
-        if PROJ in int_modules:
-            # The T x vocab logits are shrunk in workspace buffers; only the sealed result is fresh.
-            state = session.apply(
-                K.lane_matmul, [to_int(state, PROJ), model.proj], PROJ, ws=session.workspace
-            ).seal()
-        else:
-            state = RationalTensor(to_fp(state, PROJ) @ ref.proj.T)
-        emit(PROJ, n_layers, state)
+        # The T x vocab logits are shrunk in workspace buffers; only the sealed result is fresh.
+        state = run(PROJ, n,
+                    lambda x: session.apply(
+                        K.lane_matmul, [x, model.proj], PROJ, ws=session.workspace
+                    ).seal(),
+                    lambda x: x @ ref.proj.T, state)
     return state
 
 
@@ -684,7 +653,6 @@ def reference_forward(
     tap=None,
 ) -> RationalTensor:
     """Pure FP32 forward pass; the oracle for all precision measurements."""
-    out = forward(
+    return forward(
         None, None, tokens=tokens, hidden=hidden, int_modules=frozenset(), ref=ref, tap=tap
     )
-    return out if isinstance(out, RationalTensor) else RationalTensor(out)

@@ -31,7 +31,7 @@ class TestInitAndQuantize:
         tmp, fp32, int8 = workspace
         out = tmp / "p5.int8"
         assert main(["quantize", str(fp32), str(out),
-                     "--precision", "5", "--granularity", "bt"]) == EXIT_OK
+                     "--precision", "5", "--granularity", "b"]) == EXIT_OK
 
 
 class TestInfer:

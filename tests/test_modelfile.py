@@ -14,7 +14,7 @@ from intflow.modelfile import (
     serialize_int_model,
     serialize_reference_model,
 )
-from intflow.scaling import Precision, Session
+from intflow.scaling import Precision, ScaleGranularity, Session
 from intflow.transformer import (
     FP32ReferenceModel,
     IntegerTransformerModel,
@@ -99,6 +99,43 @@ class TestValidation:
         blob[6] = 2
         with pytest.raises(ValidationError):
             deserialize_int_model(bytes(blob))
+
+
+class TestGranularityCode:
+    """Header byte 7 holds the granularity: 0 = row, 2 = b.  Code 1 was the
+    retired "bt", which acted as row; v1 files carrying it load as row."""
+
+    GRAN_BYTE = 7
+
+    def with_code(self, blob: bytes, code: int) -> bytes:
+        patched = bytearray(blob)
+        assert patched[self.GRAN_BYTE] == 0
+        patched[self.GRAN_BYTE] = code
+        return bytes(patched)
+
+    @pytest.mark.parametrize("flavor", ["int", "fp32"])
+    def test_retired_code_loads_as_row_and_resaves_as_zero(self, pair, flavor):
+        ref, model = pair
+        serialize, deserialize = {
+            "int": (serialize_int_model, deserialize_int_model),
+            "fp32": (serialize_reference_model, deserialize_reference_model),
+        }[flavor]
+        blob = serialize(model if flavor == "int" else ref)
+        loaded = deserialize(self.with_code(blob, 1))
+        assert loaded.config.granularity is ScaleGranularity.PER_ROW
+        assert serialize(loaded) == blob
+
+    def test_per_batch_code_round_trips(self, pair):
+        ref, _ = pair
+        blob = serialize_reference_model(ref)
+        loaded = deserialize_reference_model(self.with_code(blob, 2))
+        assert loaded.config.granularity is ScaleGranularity.PER_BATCH
+        assert serialize_reference_model(loaded)[self.GRAN_BYTE] == 2
+
+    def test_unknown_code_is_rejected(self, pair):
+        ref, model = pair
+        with pytest.raises(ValidationError):
+            deserialize_int_model(self.with_code(serialize_int_model(model), 3))
 
 
 class TestByteAccounting:

@@ -221,7 +221,6 @@ class TestInitScale:
     def test_per_batch_collapses_two_dims(self):
         r = RationalTensor(np.ones((2, 3, 4)))
         assert init_scale(r, ScaleGranularity.PER_BATCH).shape == (2, 1, 1)
-        assert init_scale(r, ScaleGranularity.PER_BATCH_TIME).shape == (2, 3, 1)
 
     def test_tiny_group_clamps_to_largest_float32(self):
         r = RationalTensor(np.array([[1e-300, -1e-300], [1.0, 0.5]]))
