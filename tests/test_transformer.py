@@ -338,7 +338,6 @@ class TestHybridEngine:
         assert tags == set(MODULES)
         assert (RES, cfg.n_layers - 1) in seen
 
-
     def test_steps_are_looked_up_when_they_run(self, toy, monkeypatch):
         # Tracers wrap the module functions from outside; forward must call
         # whatever the module holds at call time.
