@@ -276,6 +276,16 @@ def _take_scaled(tensors: dict, name: str, precision: int) -> ScaledTensor:
     return ScaledTensor(IntTensor(payload, precision), ScaleTensor(scale))
 
 
+def _take_ln(take, prefix: str, d_m: int) -> tuple:
+    """A layer norm's gain and bias, each with one entry per hidden unit."""
+    pair = take(prefix + ".g"), take(prefix + ".b")
+    for suffix, value in zip((".g", ".b"), pair):
+        if value.shape != (d_m,):
+            name = prefix + suffix
+            raise ValidationError(f"tensor {name!r} has shape {value.shape}, not ({d_m},)")
+    return pair
+
+
 def deserialize_int_model(blob: bytes) -> IntegerTransformerModel:
     cfg, quantized, tensors = _parse(blob)
     if not quantized:
@@ -283,19 +293,20 @@ def deserialize_int_model(blob: bytes) -> IntegerTransformerModel:
     mats, lns = _iter_named_params()
     p = cfg.precision
 
-    emb = _take_scaled(tensors, "emb", p)
+    def take(name):
+        return _take_scaled(tensors, name, p)
+
+    emb = take("emb")
     layers = []
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
-        fields = {m: _take_scaled(tensors, pre + m, p) for m in mats}
+        fields = {m: take(pre + m) for m in mats}
         for ln in lns:
-            fields[ln + "_g"] = _take_scaled(tensors, pre + ln + ".g", p)
-            fields[ln + "_b"] = _take_scaled(tensors, pre + ln + ".b", p)
+            fields[ln + "_g"], fields[ln + "_b"] = _take_ln(take, pre + ln, cfg.d_m)
         poly = _poly_from_array(_take(tensors, pre + "poly", DTYPE_F32).astype(np.float64))
         layers.append(TransformerLayerParams(poly=poly, **fields))
-    fg = _take_scaled(tensors, "final_ln.g", p)
-    fb = _take_scaled(tensors, "final_ln.b", p)
-    proj = _take_scaled(tensors, "proj", p)
+    fg, fb = _take_ln(take, "final_ln", cfg.d_m)
+    proj = take("proj")
     if tensors:
         raise ValidationError(f"unexpected tensors: {sorted(tensors)}")
     return IntegerTransformerModel(
@@ -322,17 +333,14 @@ def deserialize_reference_model(blob: bytes) -> FP32ReferenceModel:
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
         fields = {m: take(pre + m) for m in mats}
-        ln_params = {
-            ln: L1LNParams(take(pre + ln + ".g"), take(pre + ln + ".b"))
-            for ln in lns
-        }
+        ln_params = {ln: L1LNParams(*_take_ln(take, pre + ln, cfg.d_m)) for ln in lns}
         poly = _poly_from_array(take(pre + "poly"))
         layers.append(
             FP32LayerParams(
                 poly=poly, ln1=ln_params["ln1"], ln2=ln_params["ln2"], **fields
             )
         )
-    final_ln = L1LNParams(take("final_ln.g"), take("final_ln.b"))
+    final_ln = L1LNParams(*_take_ln(take, "final_ln", cfg.d_m))
     proj = take("proj")
     if tensors:
         raise ValidationError(f"unexpected tensors: {sorted(tensors)}")

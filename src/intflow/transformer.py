@@ -402,13 +402,13 @@ def l1_layer_norm(
 ) -> ScaledTensor:
     """Center, divide by the scaled L1 mean, then apply gain and bias.
 
-    The norm width n_h is the gain's length.  The norm constant and 1/n_h are
-    folded into the denominator scale; the numerator is boosted exactly
-    before the integer division.
+    The norm width n_h is the hidden width, which gain and bias must match.
+    The norm constant and 1/n_h are folded into the denominator scale; the
+    numerator is boosted exactly before the integer division.
     """
-    n = g_q.shape[-1]
-    if x.shape[-1] != n:
-        raise ShapeError("hidden dim does not match the layer norm width")
+    n = x.shape[-1]
+    if g_q.shape != (n,) or b_q.shape != (n,):
+        raise ShapeError("layer norm gain and bias must match the hidden width")
     xm = scale_match_dim(x, -1)
     total = session.apply(K.sum_reduce, [xm], module, axis=-1, keepdims=True, allow_rescale=False)
     # Integer mean, rounded half away from zero, negated.  total shares xm's
@@ -506,6 +506,8 @@ def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session
 
 
 def ref_l1ln(x: np.ndarray, lp: L1LNParams) -> np.ndarray:
+    if lp.gain.shape != x.shape[-1:]:
+        raise ShapeError("layer norm gain and bias must match the hidden width")
     mu = np.mean(x, axis=-1, keepdims=True)
     c = x - mu
     den = L1_NORM_CONST * np.mean(np.abs(c), axis=-1, keepdims=True)
@@ -610,23 +612,24 @@ def forward(
     else:
         raise ValidationError("either tokens or hidden input is required")
 
+    # Each pre-norm sublayer: LN, its core, then Res onto the LN's input.  The
+    # closures read lp and rp, which the layer loop below rebinds.
+    sublayers = (
+        (lambda x: l1_layer_norm(x, lp.ln1_g, lp.ln1_b, session),
+         lambda x: ref_l1ln(x, rp.ln1),
+         ATTN,
+         lambda x: attn_core(x, lp, cfg, session),
+         lambda x: ref_attn_core(x, rp, cfg, ref.attention_flavor)),
+        (lambda x: l1_layer_norm(x, lp.ln2_g, lp.ln2_b, session),
+         lambda x: ref_l1ln(x, rp.ln2),
+         FFN,
+         lambda x: ffn_core(x, lp, session),
+         lambda x: ref_ffn_core(x, rp)),
+    )
     n = cfg.n_layers
     int_layers = model.layers if model is not None else (None,) * n
     fp_layers = ref.layers if ref is not None else (None,) * n
-    for li, (lp, rp) in enumerate(zip(int_layers, fp_layers)):
-        # Each pre-norm sublayer: LN, its core, then Res onto the LN's input.
-        sublayers = (
-            (lambda x: l1_layer_norm(x, lp.ln1_g, lp.ln1_b, session),
-             lambda x: ref_l1ln(x, rp.ln1),
-             ATTN,
-             lambda x: attn_core(x, lp, cfg, session),
-             lambda x: ref_attn_core(x, rp, cfg, ref.attention_flavor)),
-            (lambda x: l1_layer_norm(x, lp.ln2_g, lp.ln2_b, session),
-             lambda x: ref_l1ln(x, rp.ln2),
-             FFN,
-             lambda x: ffn_core(x, lp, session),
-             lambda x: ref_ffn_core(x, rp)),
-        )
+    for li, (lp, rp) in enumerate(zip(int_layers, fp_layers, strict=True)):
         for ln_int, ln_fp, tag, core_int, core_fp in sublayers:
             resid = state
             state = run(LN, li, ln_int, ln_fp, state)

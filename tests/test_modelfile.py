@@ -1,11 +1,16 @@
 """Binary model container: round trips, validation, byte accounting."""
+import io
+
 import numpy as np
 import pytest
 
+from intflow.cli import EXIT_VALIDATION, main
 from intflow.errors import ValidationError
 from intflow.modelfile import (
     HEADER_SIZE,
     MAGIC,
+    _read_record,
+    _write_record,
     deserialize_int_model,
     deserialize_reference_model,
     load_model,
@@ -99,6 +104,62 @@ class TestValidation:
         blob[6] = 2
         with pytest.raises(ValidationError):
             deserialize_int_model(bytes(blob))
+
+
+def rewrite_records(blob: bytes, cut, *names: str) -> bytes:
+    """The container with cut(array) stored in place of each named record."""
+    src, out = io.BytesIO(blob[HEADER_SIZE:]), io.BytesIO()
+    out.write(blob[:HEADER_SIZE])
+    while (rec := _read_record(src)) is not None:
+        name, dtype, arr = rec
+        _write_record(out, name, dtype, cut(arr) if name in names else arr)
+    return out.getvalue()
+
+
+class TestLayerNormWidth:
+    """Every LN gain and bias record holds d_m entries; a file where one does
+    not is corrupt and is rejected at load, never broadcast at run time."""
+
+    def width_one(self, arr):
+        return arr[..., :1]
+
+    def rank_zero(self, arr):
+        return arr[..., 0]
+
+    @pytest.mark.parametrize("names, cut", [
+        (("layers.0.ln1.b", "layers.0.ln1.b.scale"), "width_one"),
+        (("final_ln.b", "final_ln.b.scale"), "width_one"),
+        (("layers.1.ln2.g", "layers.1.ln2.g.scale"), "rank_zero"),
+    ])
+    def test_int_file(self, pair, names, cut):
+        _, model = pair
+        blob = serialize_int_model(model)
+        assert rewrite_records(blob, lambda a: a, *names) == blob
+        with pytest.raises(ValidationError, match="has shape"):
+            deserialize_int_model(rewrite_records(blob, getattr(self, cut), *names))
+
+    @pytest.mark.parametrize("names, cut", [
+        (("layers.0.ln1.b",), "width_one"),
+        (("layers.1.ln2.g", "layers.1.ln2.b"), "width_one"),
+        (("final_ln.g",), "rank_zero"),
+    ])
+    def test_fp32_file(self, pair, names, cut):
+        ref, _ = pair
+        blob = serialize_reference_model(ref)
+        with pytest.raises(ValidationError, match="has shape"):
+            deserialize_reference_model(rewrite_records(blob, getattr(self, cut), *names))
+
+    def test_cli_exits_with_validation_error(self, pair, tmp_path):
+        ref, model = pair
+        int8, fp32 = tmp_path / "bad.int8", tmp_path / "bad.fp32"
+        names = ("layers.0.ln1.b", "layers.0.ln1.b.scale")
+        int8.write_bytes(rewrite_records(serialize_int_model(model), self.width_one, *names))
+        fp32.write_bytes(rewrite_records(serialize_reference_model(ref), self.width_one, names[0]))
+        tokens = tmp_path / "t.npy"
+        np.save(tokens, np.arange(6))
+        out = str(tmp_path / "o.npy")
+        assert main(["infer", str(int8), str(tokens), "--tokens", "--out", out]) == EXIT_VALIDATION
+        assert main(["quantize", str(fp32), str(tmp_path / "q.int8")]) == EXIT_VALIDATION
 
 
 class TestGranularityCode:

@@ -1,4 +1,5 @@
 """Transformer blocks: integer modules vs their FP32 twins, hybrid engine."""
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -224,6 +225,11 @@ class TestL1LayerNorm:
         sess = Session(Precision(P))
         with pytest.raises(ShapeError):
             l1_layer_norm(q(np.ones((2, 6))), q(lp.gain), q(lp.bias), sess)
+        # A bias of the wrong width would broadcast silently; it is refused.
+        with pytest.raises(ShapeError):
+            l1_layer_norm(q(np.ones((2, 4))), q(lp.gain), q(np.zeros(1)), sess)
+        with pytest.raises(ShapeError):
+            ref_l1ln(np.ones((2, 6)), lp)
 
     def test_stays_on_integer_lane(self):
         rng = np.random.default_rng(5)
@@ -323,6 +329,14 @@ class TestHybridEngine:
         with pytest.raises(ValidationError):
             forward(model, Session(Precision(P)), tokens=np.array([0]),
                     int_modules=frozenset({"Bogus"}))
+
+    @pytest.mark.parametrize("int_modules", [frozenset(), frozenset({LN, RES})])
+    def test_reference_must_cover_every_layer(self, toy, int_modules):
+        cfg, ref, model = toy
+        short = dataclasses.replace(ref, layers=ref.layers[:-1])
+        with pytest.raises(ValueError):
+            forward(model, Session(Precision(P)), tokens=np.arange(4),
+                    int_modules=int_modules, ref=short)
 
     def test_requires_some_input(self, toy):
         cfg, ref, model = toy
