@@ -1,4 +1,5 @@
 """Binary model container: round trips, validation, byte accounting."""
+import hashlib
 import io
 
 import numpy as np
@@ -212,3 +213,39 @@ class TestByteAccounting:
         ref, model = pair
         ratio = len(serialize_reference_model(ref)) / len(serialize_int_model(model))
         assert 2.5 < ratio < 4.0
+
+
+class TestPinnedSchema:
+    """File bytes of both flavours and the order of the Q() records, pinned so
+    that a change to the parameter schema keeps each of them bit for bit."""
+
+    @staticmethod
+    def _models():
+        ref = random_reference_model(ModelConfig(), seed=0)
+        session = Session(Precision(7))
+        return ref, quantize_model(ref, session=session), session
+
+    @staticmethod
+    def _sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    def test_int_model_bytes(self):
+        _, model, _ = self._models()
+        assert self._sha(serialize_int_model(model)) == (
+            "040e8f45794ce485b2bbec86065c5db7d6be89494976e9168554352e1f8e781e"
+        )
+
+    def test_reference_model_bytes(self):
+        ref, _, _ = self._models()
+        assert self._sha(serialize_reference_model(ref)) == (
+            "612b74a5378db75ce661a149270a93ff509c6a7172060ab5ce6b8d264d1b11dd"
+        )
+
+    def test_quantize_record_order(self):
+        _, _, session = self._models()
+        records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
+                   for r in session.log.records]
+        assert len(records) == 28
+        assert self._sha(repr(records).encode()) == (
+            "59875c7d12dce15d6385f6e464790ed0de910a920041989ad022d4cbdb50e8b2"
+        )
