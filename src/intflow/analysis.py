@@ -246,16 +246,16 @@ def canonical_ffn_forward(
     before the next integer GEMM; this is the comparator the integer
     pipeline eliminates.
     """
-    from .transformer import FFN, L1LNParams, ref_l1ln
+    from .transformer import FFN, ref_l1ln
 
     prec = session.precision
-    ln = L1LNParams(dequantize(lp.ln2_g).values, dequantize(lp.ln2_b).values)
+    g, b = dequantize(lp.ln2_g).values, dequantize(lp.ln2_b).values
 
     def requantize(values: np.ndarray) -> ScaledTensor:
         t = RationalTensor(values)
         return session.quantize(t, init_scale(t, prec=prec), FFN)
 
-    r = ref_l1ln(session.dequantize(x, FFN).values, ln)
+    r = ref_l1ln(session.dequantize(x, FFN).values, g, b)
     h = session.apply(K.matmul, [requantize(r), lp.w1], FFN)
     r = session.dequantize(h, FFN).values + dequantize(lp.b1).values
     h = session.apply(K.matmul, [requantize(np.maximum(r, 0.0)), lp.w2], FFN)

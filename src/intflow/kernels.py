@@ -124,11 +124,13 @@ def product(
 
 
 @_kernel(KernelKind.MATMUL, scale_arith=True)
-def matmul(a: ScaledTensor, b_t: ScaledTensor) -> ScaledTensor:
+def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor) -> ScaledTensor:
     """Contract the last dims of a (m x d) and b_t (n x d).
 
     Scales are first matched along the contraction dim, then multiplied as
-    the outer product of the per-row scales.
+    the outer product of the per-row scales.  `a` may be a Lane matched
+    along its last axis (Lane.match_last): its payload goes to BLAS where
+    it lies.
     """
     x, s = product(a, b_t)
     return ScaledTensor(
@@ -235,21 +237,13 @@ def lane_matmul(a: ScaledTensor, b_t: ScaledTensor, ws: Workspace) -> Lane:
     return lane
 
 
-@_kernel(KernelKind.MATMUL, scale_arith=True)
-def lane_contract(t: Lane, b_t: ScaledTensor) -> ScaledTensor:
-    """matmul(t, b_t) for a lane matched along its last axis
-    (Lane.match_last): its payload goes to BLAS where it lies."""
-    x, s = product(t, b_t)
-    return ScaledTensor(IntTensor.adopt(x.astype(np.int64, copy=False), t.p), ScaleTensor(s))
-
-
 @_kernel(KernelKind.SUM_REDUCE, scale_arith=False)
 def lane_sum(t: Lane) -> ScaledTensor:
     """sum_reduce(t, axis=-1, keepdims=True) for a lane matched along its
     last axis (Lane.match_last); the sum shares the lane's collapsed scale."""
     x = t.x if t.m * t.shape[-1] < FLOAT64_EXACT else t.x.astype(np.int64)
     total = np.sum(x, axis=-1, keepdims=True).astype(np.int64, copy=False)
-    return ScaledTensor(IntTensor.adopt(total, t.p), ScaleTensor(t.s))
+    return ScaledTensor(IntTensor.adopt(total, t.precision), ScaleTensor(t.s))
 
 
 @_kernel(KernelKind.ADD, scale_arith=True)

@@ -18,8 +18,11 @@ followed by `n_tensors` records:
     u8      rank, then rank x u32 dims
     raw     row-major data bytes
 
-Every int8 payload record named NAME is immediately followed by a float32
-record NAME + ".scale" holding its quantization scales.  Weights quantized
+Records hold the tensors of transformer.LAYER_TENSORS and MODEL_TENSORS,
+named after their fields (`emb`, `layers.0.w_q`, `layers.0.ln1.g`, ...),
+plus one `layers.i.poly` record per layer.  Every int8 payload record named
+NAME is immediately followed by a float32 record NAME + ".scale" holding its
+quantization scales.  Weights quantized
 at p > 7 do not fit an int8 payload and are rejected.
 """
 from __future__ import annotations
@@ -33,10 +36,11 @@ from .errors import ValidationError
 from .scaling import ScaleGranularity
 from .tensor import IntTensor, ScaledTensor, ScaleTensor
 from .transformer import (
-    FP32LayerParams,
+    LAYER_TENSORS,
+    LN,
+    MODEL_TENSORS,
     FP32ReferenceModel,
     IntegerTransformerModel,
-    L1LNParams,
     ModelConfig,
     PolyParams,
     TransformerLayerParams,
@@ -113,12 +117,19 @@ def _record_size(name: str, dtype: int, arr: np.ndarray) -> int:
     return 2 + len(name.encode("utf-8")) + 2 + 4 * arr.ndim + arr.size * item
 
 
-def _iter_named_params():
-    """Name templates shared by the int and FP32 serializers."""
-    return (
-        ("w_q", "w_k", "w_v", "w_o", "w1", "b1", "w2", "b2"),
-        ("ln1", "ln2"),
-    )
+_TAGS = LAYER_TENSORS | MODEL_TENSORS
+_MODEL_CLASS = {True: IntegerTransformerModel, False: FP32ReferenceModel}  # by `quantized`
+
+
+def _record_name(field: str) -> str:
+    """The record name of a schema field: `embedding` is `emb`, and a layer
+    norm's `ln1_g` is `ln1.g`."""
+    if field == "embedding":
+        return "emb"
+    if _TAGS[field] == LN:
+        stem, _, leaf = field.rpartition("_")
+        return f"{stem}.{leaf}"
+    return field
 
 
 def _header_bytes(cfg: ModelConfig, n_tensors: int, quantized: bool) -> bytes:
@@ -150,58 +161,49 @@ def _poly_from_array(arr: np.ndarray) -> PolyParams:
     )
 
 
-def serialize_int_model(model: IntegerTransformerModel) -> bytes:
-    """Int8 payloads with sibling `.scale` records; requires p <= 7."""
-    if model.config.precision > 7:
+def _serialize(model, quantized: bool) -> bytes:
+    """Every tensor of the schema, in file order: as int8 payload records with
+    sibling `.scale` records when `quantized` (requires p <= 7), else as
+    plain float32 records."""
+    flavour = _MODEL_CLASS[quantized]
+    if not isinstance(model, flavour):
+        raise ValidationError(f"cannot serialize {type(model).__name__} as {flavour.__name__}")
+    if quantized and model.config.precision > 7:
         raise ValidationError("int8 container requires precision <= 7")
-    mats, lns = _iter_named_params()
     records: list[tuple[str, int, np.ndarray]] = []
 
-    def scaled(name: str, t: ScaledTensor) -> None:
-        records.append((name, DTYPE_I8, t.data.values))
-        records.append((name + SCALE_SUFFIX, DTYPE_F32, t.scale.values))
+    def put(name: str, value) -> None:
+        if quantized:
+            records.append((name, DTYPE_I8, value.data.values))
+            records.append((name + SCALE_SUFFIX, DTYPE_F32, value.scale.values))
+        else:
+            records.append((name, DTYPE_F32, value))
 
-    scaled("emb", model.embedding)
+    embedding, *rest = MODEL_TENSORS
+    put(_record_name(embedding), model.embedding)
     for i, lp in enumerate(model.layers):
         pre = f"layers.{i}."
-        for m in mats:
-            scaled(pre + m, getattr(lp, m))
-        for ln in lns:
-            scaled(pre + ln + ".g", getattr(lp, ln + "_g"))
-            scaled(pre + ln + ".b", getattr(lp, ln + "_b"))
+        for field in LAYER_TENSORS:
+            put(pre + _record_name(field), getattr(lp, field))
         records.append((pre + "poly", DTYPE_F32, _poly_array(lp.poly)))
-    scaled("final_ln.g", model.final_ln_g)
-    scaled("final_ln.b", model.final_ln_b)
-    scaled("proj", model.proj)
+    for field in rest:
+        put(_record_name(field), getattr(model, field))
 
     buf = io.BytesIO()
-    buf.write(_header_bytes(model.config, len(records), quantized=True))
+    buf.write(_header_bytes(model.config, len(records), quantized))
     for name, dtype, arr in records:
         _write_record(buf, name, dtype, arr)
     return buf.getvalue()
 
 
+def serialize_int_model(model: IntegerTransformerModel) -> bytes:
+    """Int8 payloads with sibling `.scale` records; requires p <= 7."""
+    return _serialize(model, quantized=True)
+
+
 def serialize_reference_model(ref: FP32ReferenceModel) -> bytes:
     """Plain float32 records, one per parameter tensor."""
-    mats, lns = _iter_named_params()
-    records: list[tuple[str, np.ndarray]] = [("emb", ref.embedding)]
-    for i, lp in enumerate(ref.layers):
-        pre = f"layers.{i}."
-        for m in mats:
-            records.append((pre + m, getattr(lp, m)))
-        for ln in lns:
-            records.append((pre + ln + ".g", getattr(lp, ln).gain))
-            records.append((pre + ln + ".b", getattr(lp, ln).bias))
-        records.append((pre + "poly", _poly_array(lp.poly)))
-    records.append(("final_ln.g", ref.final_ln.gain))
-    records.append(("final_ln.b", ref.final_ln.bias))
-    records.append(("proj", ref.proj))
-
-    buf = io.BytesIO()
-    buf.write(_header_bytes(ref.config, len(records), quantized=False))
-    for name, arr in records:
-        _write_record(buf, name, DTYPE_F32, arr)
-    return buf.getvalue()
+    return _serialize(ref, quantized=False)
 
 
 def _parse(blob: bytes):
@@ -276,94 +278,51 @@ def _take_scaled(tensors: dict, name: str, precision: int) -> ScaledTensor:
     return ScaledTensor(IntTensor(payload, precision), ScaleTensor(scale))
 
 
-def _take_ln(take, prefix: str, d_m: int) -> tuple:
-    """A layer norm's gain and bias, each with one entry per hidden unit."""
-    pair = take(prefix + ".g"), take(prefix + ".b")
-    for suffix, value in zip((".g", ".b"), pair):
-        if value.shape != (d_m,):
-            name = prefix + suffix
-            raise ValidationError(f"tensor {name!r} has shape {value.shape}, not ({d_m},)")
-    return pair
+def _deserialize(blob: bytes, want: bool | None = None):
+    """The model a container holds, quantized or FP32 as its flags say; a
+    file of the other flavour than `want`, when given, is refused."""
+    cfg, quantized, tensors = _parse(blob)
+    if want is not None and quantized != want:
+        held, wanted = ("a quantized", "an FP32") if quantized else ("an FP32", "a quantized")
+        raise ValidationError(f"file holds {held} model, not {wanted} one")
+
+    def take(field: str, prefix: str = ""):
+        name = prefix + _record_name(field)
+        if quantized:
+            value = _take_scaled(tensors, name, cfg.precision)
+        else:
+            value = _take(tensors, name, DTYPE_F32).astype(np.float64)
+        # A layer norm's gain and bias have one entry per hidden unit.
+        if _TAGS[field] == LN and value.shape != (cfg.d_m,):
+            raise ValidationError(f"tensor {name!r} has shape {value.shape}, not ({cfg.d_m},)")
+        return value
+
+    layers = []
+    for i in range(cfg.n_layers):
+        pre = f"layers.{i}."
+        fields = {field: take(field, pre) for field in LAYER_TENSORS}
+        poly = _poly_from_array(_take(tensors, pre + "poly", DTYPE_F32).astype(np.float64))
+        layers.append(TransformerLayerParams(poly=poly, **fields))
+    fields = {field: take(field) for field in MODEL_TENSORS}
+    if tensors:
+        raise ValidationError(f"unexpected tensors: {sorted(tensors)}")
+    return _MODEL_CLASS[quantized](config=cfg, layers=tuple(layers), **fields)
 
 
 def deserialize_int_model(blob: bytes) -> IntegerTransformerModel:
-    cfg, quantized, tensors = _parse(blob)
-    if not quantized:
-        raise ValidationError("file holds an FP32 model, not a quantized one")
-    mats, lns = _iter_named_params()
-    p = cfg.precision
-
-    def take(name):
-        return _take_scaled(tensors, name, p)
-
-    emb = take("emb")
-    layers = []
-    for i in range(cfg.n_layers):
-        pre = f"layers.{i}."
-        fields = {m: take(pre + m) for m in mats}
-        for ln in lns:
-            fields[ln + "_g"], fields[ln + "_b"] = _take_ln(take, pre + ln, cfg.d_m)
-        poly = _poly_from_array(_take(tensors, pre + "poly", DTYPE_F32).astype(np.float64))
-        layers.append(TransformerLayerParams(poly=poly, **fields))
-    fg, fb = _take_ln(take, "final_ln", cfg.d_m)
-    proj = take("proj")
-    if tensors:
-        raise ValidationError(f"unexpected tensors: {sorted(tensors)}")
-    return IntegerTransformerModel(
-        config=cfg,
-        embedding=emb,
-        layers=tuple(layers),
-        final_ln_g=fg,
-        final_ln_b=fb,
-        proj=proj,
-    )
+    return _deserialize(blob, want=True)
 
 
 def deserialize_reference_model(blob: bytes) -> FP32ReferenceModel:
-    cfg, quantized, tensors = _parse(blob)
-    if quantized:
-        raise ValidationError("file holds a quantized model, not an FP32 one")
-    mats, lns = _iter_named_params()
-
-    def take(name):
-        return _take(tensors, name, DTYPE_F32).astype(np.float64)
-
-    emb = take("emb")
-    layers = []
-    for i in range(cfg.n_layers):
-        pre = f"layers.{i}."
-        fields = {m: take(pre + m) for m in mats}
-        ln_params = {ln: L1LNParams(*_take_ln(take, pre + ln, cfg.d_m)) for ln in lns}
-        poly = _poly_from_array(take(pre + "poly"))
-        layers.append(
-            FP32LayerParams(
-                poly=poly, ln1=ln_params["ln1"], ln2=ln_params["ln2"], **fields
-            )
-        )
-    final_ln = L1LNParams(*_take_ln(take, "final_ln", cfg.d_m))
-    proj = take("proj")
-    if tensors:
-        raise ValidationError(f"unexpected tensors: {sorted(tensors)}")
-    return FP32ReferenceModel(
-        config=cfg, embedding=emb, layers=tuple(layers), final_ln=final_ln, proj=proj
-    )
+    return _deserialize(blob, want=False)
 
 
 def save_model(path: str, model) -> None:
-    if isinstance(model, IntegerTransformerModel):
-        blob = serialize_int_model(model)
-    elif isinstance(model, FP32ReferenceModel):
-        blob = serialize_reference_model(model)
-    else:
-        raise ValidationError(f"cannot serialize {type(model).__name__}")
+    blob = _serialize(model, quantized=isinstance(model, IntegerTransformerModel))
     with open(path, "wb") as fh:
         fh.write(blob)
 
 
 def load_model(path: str):
     with open(path, "rb") as fh:
-        blob = fh.read()
-    _, quantized, _ = _parse(blob)
-    if quantized:
-        return deserialize_int_model(blob)
-    return deserialize_reference_model(blob)
+        return _deserialize(fh.read())

@@ -100,17 +100,19 @@ def init_scale(
     g: ScaleGranularity = ScaleGranularity.PER_ROW,
     prec: Precision = Precision(),
 ) -> ScaleTensor:
-    """Per-group scale (2^p - 1) / max(|r|); degenerate all-zero groups get 1.
+    """Per-group scale (2^p - 1) / max(|r|), at most SCALE_MAX.
 
     Groups so small that the scale would overflow float32 (max|r| below
-    (2^p - 1) / SCALE_MAX, about 3.7e-37 at p=7) get SCALE_MAX instead; their
-    payloads then quantize to 0.  Every scale below SCALE_MAX is unchanged.
+    (2^p - 1) / SCALE_MAX, about 3.7e-37 at p=7) get SCALE_MAX, and so do
+    all-zero groups: their payloads are 0, and the largest scale means that
+    matching never lowers a partner's scale to theirs.  Every scale below
+    SCALE_MAX is unchanged.
     """
     axes = g.reduce_axes(len(r.shape))
     m = np.max(np.abs(r.values), axis=axes, keepdims=True) if r.values.size else np.abs(r.values)
     limit = float(prec.max_magnitude)
-    with np.errstate(divide="ignore", over="ignore"):
-        s = np.where(m > 0, limit / np.maximum(m, np.finfo(np.float64).tiny), 1.0)
+    with np.errstate(over="ignore"):
+        s = limit / np.maximum(m, np.finfo(np.float64).tiny)
     return ScaleTensor(_round_to_f32(np.minimum(s, SCALE_MAX)))
 
 
@@ -363,7 +365,7 @@ class Lane:
     def __init__(
         self, x: np.ndarray, s: np.ndarray, precision: int, ws: Workspace, m: int | None = None
     ):
-        self.x, self.s, self.p, self.ws = x, s, precision, ws
+        self.x, self.s, self.precision, self.ws = x, s, precision, ws
         self.m = max_abs(x) if m is None else m
         check_lane(self.m)
         self.work = ws.take(x.shape)  # float64 scratch of the payload's shape
@@ -401,7 +403,7 @@ class Lane:
             self.x = self.ws.copy(q)
             self.ws.give(x)
         self.m = max_abs(self.x)
-        self.p = prec.p
+        self.precision = prec.p
 
     def match_last(self) -> None:
         """Collapse the scale along the last axis, as scale_match_dim(t, -1)
@@ -427,7 +429,7 @@ class Lane:
         """The result as a fresh int64 ScaledTensor; every buffer goes back
         and the lane is not used again."""
         out = ScaledTensor(
-            IntTensor.adopt(self.x.astype(np.int64), self.p), ScaleTensor(self.s.copy())
+            IntTensor.adopt(self.x.astype(np.int64), self.precision), ScaleTensor(self.s.copy())
         )
         self.ws.give(self.x, self.s, self.work)
         return out

@@ -197,14 +197,6 @@ def transpose(t: ScaledTensor, axes: Sequence[int]) -> ScaledTensor:
     )
 
 
-def broadcast_scale(s: ScaleTensor, target_shape: Sequence[int]) -> ScaleTensor:
-    """Materialize a collapsed scale to an explicit shape."""
-    target_shape = tuple(target_shape)
-    if not _broadcast_compatible(s.shape, target_shape):
-        raise ShapeError(f"cannot broadcast scale {s.shape} to {target_shape}")
-    return ScaleTensor(np.ascontiguousarray(np.broadcast_to(s.values, target_shape)))
-
-
 def concat(ts: Sequence[ScaledTensor], axis: int) -> ScaledTensor:
     """Concatenate payloads and scales along `axis`.
 

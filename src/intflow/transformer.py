@@ -68,22 +68,6 @@ class PolyParams:
 
 
 @dataclass(frozen=True)
-class L1LNParams:
-    """Layer norm replacing the standard deviation by the scaled L1 mean."""
-
-    gain: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gain, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if g.ndim != 1 or b.shape != g.shape:
-            raise ShapeError("L1LN gain and bias must be 1-D and of equal length")
-        object.__setattr__(self, "gain", g)
-        object.__setattr__(self, "bias", b)
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     d_m: int = 32
     heads: int = 2
@@ -103,19 +87,39 @@ class ModelConfig:
             raise ValidationError("degree x (precision + 1) would overflow the wide lane")
 
 
+# The parameter set of both models: each tensor field, in file order, with
+# the module its Q() event is tagged with.  A layer norm is its gain `*_g`
+# and bias `*_b`.  Only the leaf type differs between the models: a float64
+# array in the FP32 twin, a ScaledTensor in the integer model.
+LAYER_TENSORS = {
+    "w_q": ATTN, "w_k": ATTN, "w_v": ATTN, "w_o": ATTN,
+    "w1": FFN, "b1": FFN, "w2": FFN, "b2": FFN,
+    "ln1_g": LN, "ln1_b": LN, "ln2_g": LN, "ln2_b": LN,
+}
+# The layers sit between the embedding and the final layer norm.
+MODEL_TENSORS = {"embedding": EMB, "final_ln_g": LN, "final_ln_b": LN, "proj": PROJ}
+
+Leaf = ScaledTensor | np.ndarray
+
+
 @dataclass(frozen=True)
-class FP32LayerParams:
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+class TransformerLayerParams:
+    """The LAYER_TENSORS of one layer and its polynomial; all matrices are
+    stored (out_dim, in_dim)."""
+
+    w_q: Leaf
+    w_k: Leaf
+    w_v: Leaf
+    w_o: Leaf
+    w1: Leaf
+    b1: Leaf
+    w2: Leaf
+    b2: Leaf
+    ln1_g: Leaf
+    ln1_b: Leaf
+    ln2_g: Leaf
+    ln2_b: Leaf
     poly: PolyParams
-    ln1: L1LNParams
-    ln2: L1LNParams
 
 
 @dataclass(frozen=True)
@@ -124,29 +128,11 @@ class FP32ReferenceModel:
 
     config: ModelConfig
     embedding: np.ndarray
-    layers: tuple[FP32LayerParams, ...]
-    final_ln: L1LNParams
+    layers: tuple[TransformerLayerParams, ...]
+    final_ln_g: np.ndarray
+    final_ln_b: np.ndarray
     proj: np.ndarray
     attention_flavor: str = POLY  # POLY matches the integer architecture
-
-
-@dataclass(frozen=True)
-class TransformerLayerParams:
-    """Quantized weights; all matrices are stored (out_dim, in_dim)."""
-
-    w_q: ScaledTensor
-    w_k: ScaledTensor
-    w_v: ScaledTensor
-    w_o: ScaledTensor
-    w1: ScaledTensor
-    b1: ScaledTensor
-    w2: ScaledTensor
-    b2: ScaledTensor
-    ln1_g: ScaledTensor
-    ln1_b: ScaledTensor
-    ln2_g: ScaledTensor
-    ln2_b: ScaledTensor
-    poly: PolyParams
 
 
 @dataclass(frozen=True)
@@ -177,36 +163,48 @@ def random_reference_model(
     def mat(out_dim, in_dim):
         return _f32(rng.normal(0.0, 1.0 / math.sqrt(in_dim), (out_dim, in_dim)))
 
-    def ln(n_h):
-        return L1LNParams(
-            gain=_f32(rng.uniform(0.8, 1.2, n_h)),
-            bias=_f32(rng.normal(0.0, 0.05, n_h)),
-        )
+    def gain(n):
+        return _f32(rng.uniform(0.8, 1.2, n))
+
+    def bias(n):
+        return _f32(rng.normal(0.0, 0.05, n))
 
     layers = []
     for _ in range(config.n_layers):
         layers.append(
-            FP32LayerParams(
+            TransformerLayerParams(
                 w_q=mat(d, d), w_k=mat(d, d), w_v=mat(d, d), w_o=mat(d, d),
-                w1=mat(f, d), b1=_f32(rng.normal(0.0, 0.05, f)),
-                w2=mat(d, f), b2=_f32(rng.normal(0.0, 0.05, d)),
+                w1=mat(f, d), b1=bias(f), w2=mat(d, f), b2=bias(d),
                 poly=PolyParams(
                     bias=float(np.float32(rng.uniform(0.2, 1.0))),
                     degree=config.degree,
                     offset=float(np.float32(rng.uniform(0.05, 0.2))),
                 ),
-                ln1=ln(d),
-                ln2=ln(d),
+                ln1_g=gain(d), ln1_b=bias(d), ln2_g=gain(d), ln2_b=bias(d),
             )
         )
     return FP32ReferenceModel(
         config=config,
         embedding=_f32(rng.normal(0.0, 1.0, (v, d))),
         layers=tuple(layers),
-        final_ln=ln(d),
+        final_ln_g=gain(d),
+        final_ln_b=bias(d),
         proj=mat(v, d),
         attention_flavor=attention_flavor,
     )
+
+
+def _convert(model, fn, model_cls, **fields):
+    """A `model_cls` holding fn(tensor, module tag) for every schema tensor of
+    `model`, each layer's first, then the model's; `fields` gives the rest."""
+
+    def convert(owner, schema):
+        return {name: fn(getattr(owner, name), tag) for name, tag in schema.items()}
+
+    layers = tuple(
+        TransformerLayerParams(poly=lp.poly, **convert(lp, LAYER_TENSORS)) for lp in model.layers
+    )
+    return model_cls(layers=layers, **convert(model, MODEL_TENSORS), **fields)
 
 
 def _quantize_param(
@@ -230,56 +228,17 @@ def quantize_model(
     if precision is not None and precision != cfg.precision:
         cfg = replace(cfg, precision=precision)
     prec = Precision(cfg.precision)
-
-    def q(values, module):
-        return _quantize_param(values, prec, session, module)
-
-    layers = []
-    for lp in ref.layers:
-        layers.append(
-            TransformerLayerParams(
-                w_q=q(lp.w_q, ATTN), w_k=q(lp.w_k, ATTN),
-                w_v=q(lp.w_v, ATTN), w_o=q(lp.w_o, ATTN),
-                w1=q(lp.w1, FFN), b1=q(lp.b1, FFN),
-                w2=q(lp.w2, FFN), b2=q(lp.b2, FFN),
-                ln1_g=q(lp.ln1.gain, LN), ln1_b=q(lp.ln1.bias, LN),
-                ln2_g=q(lp.ln2.gain, LN), ln2_b=q(lp.ln2.bias, LN),
-                poly=lp.poly,
-            )
-        )
-    return IntegerTransformerModel(
-        config=cfg,
-        embedding=q(ref.embedding, EMB),
-        layers=tuple(layers),
-        final_ln_g=q(ref.final_ln.gain, LN),
-        final_ln_b=q(ref.final_ln.bias, LN),
-        proj=q(ref.proj, PROJ),
+    return _convert(
+        ref, lambda values, module: _quantize_param(values, prec, session, module),
+        IntegerTransformerModel, config=cfg,
     )
 
 
 def reference_twin(model: IntegerTransformerModel, attention_flavor: str = POLY) -> FP32ReferenceModel:
     """FP32 model whose parameters equal the de-quantized integer ones."""
-    def d(t: ScaledTensor) -> np.ndarray:
-        return dequantize(t).values
-
-    layers = []
-    for lp in model.layers:
-        layers.append(
-            FP32LayerParams(
-                w_q=d(lp.w_q), w_k=d(lp.w_k), w_v=d(lp.w_v), w_o=d(lp.w_o),
-                w1=d(lp.w1), b1=d(lp.b1), w2=d(lp.w2), b2=d(lp.b2),
-                poly=lp.poly,
-                ln1=L1LNParams(d(lp.ln1_g), d(lp.ln1_b)),
-                ln2=L1LNParams(d(lp.ln2_g), d(lp.ln2_b)),
-            )
-        )
-    return FP32ReferenceModel(
-        config=model.config,
-        embedding=d(model.embedding),
-        layers=tuple(layers),
-        final_ln=L1LNParams(d(model.final_ln_g), d(model.final_ln_b)),
-        proj=d(model.proj),
-        attention_flavor=attention_flavor,
+    return _convert(
+        model, lambda t, _: dequantize(t).values,
+        FP32ReferenceModel, config=model.config, attention_flavor=attention_flavor,
     )
 
 
@@ -386,7 +345,7 @@ def poly_attention(
     # find a scale already collapsed along the contraction axis.
     weights.match_last()
     v_t = K.transpose(v, (1, 0))
-    num = session.apply(K.lane_contract, [weights, v_t], module, allow_rescale=False)
+    num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False)
     den = session.apply(K.lane_sum, [weights], module, allow_rescale=False)
     weights.release()
     num = _boost(num, session, module)
@@ -468,7 +427,7 @@ def ffn_core(y: ScaledTensor, lp: TransformerLayerParams, session: Session) -> S
     h = session.apply(K.lane_add_matched, [h, _broadcast_to(lp.b1, h.shape)], FFN)
     h = session.apply(K.lane_relu, [h], FFN)
     h.match_last()
-    out = session.apply(K.lane_contract, [h, lp.w2], FFN)
+    out = session.apply(K.matmul, [h, lp.w2], FFN)
     h.release()
     return session.apply(K.add, [out, _broadcast_to(lp.b2, out.shape)], FFN)
 
@@ -505,14 +464,15 @@ def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session
 # FP32 twin modules
 
 
-def ref_l1ln(x: np.ndarray, lp: L1LNParams) -> np.ndarray:
-    if lp.gain.shape != x.shape[-1:]:
+def ref_l1ln(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n = x.shape[-1:]
+    if g.shape != n or b.shape != n:
         raise ShapeError("layer norm gain and bias must match the hidden width")
     mu = np.mean(x, axis=-1, keepdims=True)
     c = x - mu
     den = L1_NORM_CONST * np.mean(np.abs(c), axis=-1, keepdims=True)
     norm = np.where(den > 0, c / np.where(den > 0, den, 1.0), 0.0)
-    return lp.gain * norm + lp.bias
+    return g * norm + b
 
 
 def ref_softmax(x: np.ndarray) -> np.ndarray:
@@ -524,7 +484,7 @@ def ref_poly(x: np.ndarray, pp: PolyParams) -> np.ndarray:
     return np.maximum(x + pp.bias, 0.0) ** pp.degree + abs(pp.offset)
 
 
-def ref_attn_core(x: np.ndarray, lp: FP32LayerParams, cfg: ModelConfig, flavor: str) -> np.ndarray:
+def ref_attn_core(x: np.ndarray, lp: TransformerLayerParams, cfg: ModelConfig, flavor: str) -> np.ndarray:
     d_h = cfg.d_m // cfg.heads
     q = x @ lp.w_q.T
     k = x @ lp.w_k.T
@@ -542,7 +502,7 @@ def ref_attn_core(x: np.ndarray, lp: FP32LayerParams, cfg: ModelConfig, flavor: 
     return np.concatenate(outs, axis=1) @ lp.w_o.T
 
 
-def ref_ffn_core(y: np.ndarray, lp: FP32LayerParams) -> np.ndarray:
+def ref_ffn_core(y: np.ndarray, lp: TransformerLayerParams) -> np.ndarray:
     return np.maximum(y @ lp.w1.T + lp.b1, 0.0) @ lp.w2.T + lp.b2
 
 
@@ -616,12 +576,12 @@ def forward(
     # closures read lp and rp, which the layer loop below rebinds.
     sublayers = (
         (lambda x: l1_layer_norm(x, lp.ln1_g, lp.ln1_b, session),
-         lambda x: ref_l1ln(x, rp.ln1),
+         lambda x: ref_l1ln(x, rp.ln1_g, rp.ln1_b),
          ATTN,
          lambda x: attn_core(x, lp, cfg, session),
          lambda x: ref_attn_core(x, rp, cfg, ref.attention_flavor)),
         (lambda x: l1_layer_norm(x, lp.ln2_g, lp.ln2_b, session),
-         lambda x: ref_l1ln(x, rp.ln2),
+         lambda x: ref_l1ln(x, rp.ln2_g, rp.ln2_b),
          FFN,
          lambda x: ffn_core(x, lp, session),
          lambda x: ref_ffn_core(x, rp)),
@@ -637,7 +597,7 @@ def forward(
             state = run(RES, li, lambda a, b: residual_add(a, b, session), np.add, state, resid)
 
     state = run(LN, n, lambda x: l1_layer_norm(x, model.final_ln_g, model.final_ln_b, session),
-                lambda x: ref_l1ln(x, ref.final_ln), state)
+                lambda x: ref_l1ln(x, ref.final_ln_g, ref.final_ln_b), state)
     if tokens is not None:
         # The T x vocab logits are shrunk in workspace buffers; only the sealed result is fresh.
         state = run(PROJ, n,

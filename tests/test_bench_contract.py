@@ -1,0 +1,54 @@
+"""The library names the benchmark imports and wraps.
+
+bench/harness.py imports names from intflow, and bench/tracer.py wraps
+kernels, scaling functions and model-file functions by name.  A rename or a
+removal there would otherwise surface only when the benchmark runs.
+"""
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from intflow import kernels, modelfile
+from intflow.scaling import Precision, Session
+from intflow.transformer import ModelConfig, forward, quantize_model, random_reference_model
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import harness
+        import tracer
+    finally:
+        sys.path.remove(str(BENCH))
+    return harness, tracer
+
+
+def test_harness_imports(bench_modules):
+    harness, _ = bench_modules
+    assert set(harness.WORKLOADS) == {"toy", "wide", "longctx"}
+
+
+def test_tracer_wraps_every_named_function(bench_modules):
+    _, tracer = bench_modules
+    originals = (kernels.matmul, kernels.relu, kernels.pow_n, modelfile.load_model)
+    t = tracer.Tracer(n_layers=2)
+    with t.installed():
+        assert kernels.matmul is not originals[0]
+    assert (kernels.matmul, kernels.relu, kernels.pow_n, modelfile.load_model) == originals
+
+
+def test_traced_forward_records_modules_and_kernels(bench_modules):
+    _, tracer = bench_modules
+    cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=8)
+    model = quantize_model(random_reference_model(cfg, seed=0))
+    t = tracer.Tracer(n_layers=cfg.n_layers)
+    with t.installed(), t.window() as w:
+        forward(model, Session(Precision(cfg.precision)), tokens=np.arange(4))
+    assert w.calls["transformer.Attn"] == cfg.n_layers
+    assert w.calls["kernels.matmul"] > 0
+    assert w.counts["kernels.matmul.bytes"] > 0

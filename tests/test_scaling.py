@@ -209,9 +209,10 @@ class TestInitScale:
         s = init_scale(RationalTensor(np.array([1.0, -2.0, 0.5])))
         assert s.values.tolist() == [63.5]
 
-    def test_all_zero_group_gets_unit_scale(self):
-        s = init_scale(RationalTensor(np.zeros((2, 3))))
-        assert s.values.tolist() == [[1.0], [1.0]]
+    def test_all_zero_group_gets_largest_scale(self):
+        # The largest scale keeps matching from lowering a partner's scale.
+        s = init_scale(RationalTensor(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]])))
+        assert s.values.tolist() == [[float(np.finfo(np.float32).max)], [127.0]]
 
     def test_per_row_collapses_hidden_dim(self):
         r = RationalTensor(np.arange(12, dtype=np.float64).reshape(3, 4) + 1)

@@ -11,7 +11,6 @@ from intflow.tensor import (
     RationalTensor,
     ScaledTensor,
     ScaleTensor,
-    broadcast_scale,
     concat,
     transpose,
 )
@@ -179,16 +178,3 @@ class TestConcat:
         got = dequantize(out).values
         want = np.concatenate([dequantize(a).values, dequantize(b).values], axis=1)
         assert np.array_equal(got, want)
-
-
-class TestBroadcastScale:
-    def test_identity(self):
-        s = ScaleTensor(np.array([[1.0, 2.0]]))
-        out = broadcast_scale(s, (1, 2))
-        assert np.array_equal(out.values, s.values)
-
-    def test_random_against_numpy(self):
-        rng = np.random.default_rng(2)
-        s = ScaleTensor(rng.uniform(0.5, 4.0, (3, 1)))
-        out = broadcast_scale(s, (3, 5))
-        assert np.array_equal(out.values, np.broadcast_to(s.values, (3, 5)))
