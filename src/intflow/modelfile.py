@@ -22,8 +22,8 @@ Records hold the tensors of transformer.LAYER_TENSORS and MODEL_TENSORS,
 named after their fields (`emb`, `layers.0.w_q`, `layers.0.ln1.g`, ...),
 plus one `layers.i.poly` record per layer.  Every int8 payload record named
 NAME is immediately followed by a float32 record NAME + ".scale" holding its
-quantization scales.  Weights quantized
-at p > 7 do not fit an int8 payload and are rejected.
+quantization scales.  Weights quantized at p > 7 do not fit an int8 payload
+and are rejected.
 """
 from __future__ import annotations
 
@@ -179,8 +179,8 @@ def _serialize(model, quantized: bool) -> bytes:
         else:
             records.append((name, DTYPE_F32, value))
 
-    embedding, *rest = MODEL_TENSORS
-    put(_record_name(embedding), model.embedding)
+    first, *rest = MODEL_TENSORS  # the embedding, which precedes the layers
+    put(_record_name(first), getattr(model, first))
     for i, lp in enumerate(model.layers):
         pre = f"layers.{i}."
         for field in LAYER_TENSORS:

@@ -90,6 +90,14 @@ class TestValidation:
             deserialize_int_model(serialize_reference_model(ref))
         with pytest.raises(ValidationError):
             deserialize_reference_model(serialize_int_model(model))
+        with pytest.raises(ValidationError):
+            serialize_int_model(ref)
+        with pytest.raises(ValidationError):
+            serialize_reference_model(model)
+
+    def test_save_refuses_other_objects(self, tmp_path):
+        with pytest.raises(ValidationError):
+            save_model(str(tmp_path / "x.bin"), object())
 
     def test_high_precision_models_refuse_int8_container(self, pair):
         ref, model = pair
