@@ -224,17 +224,10 @@ def bit_sweep(
     p_range: range,
 ) -> list[tuple[int, float]]:
     """Re-quantize at each precision and record output MSE vs the reference."""
-    results = []
-    for p in p_range:
-        model = quantize_model(ref, precision=p)
-        losses = []
-        for tokens in inputs:
-            session = Session(Precision(p))
-            out = forward(model, session, tokens=tokens)
-            oracle = reference_forward(ref, tokens=tokens)
-            losses.append(_mse(_as_float(out), oracle.values))
-        results.append((p, float(np.mean(losses))))
-    return results
+    return [
+        (p, module_ablation(quantize_model(ref, precision=p), inputs, frozenset(MODULES), ref))
+        for p in p_range
+    ]
 
 
 def canonical_ffn_forward(

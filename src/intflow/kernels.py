@@ -184,7 +184,7 @@ def relu(t: ScaledTensor) -> ScaledTensor:
 
 
 @_kernel(KernelKind.SUM_REDUCE, scale_arith=False)
-def sum_reduce(t: ScaledTensor, axis: int, keepdims: bool = True) -> ScaledTensor:
+def sum_reduce(t: ScaledTensor, axis: int) -> ScaledTensor:
     """Sum payloads along `axis`; the scale must be uniform there.
 
     A scale that still varies along the axis is matched down first.
@@ -194,10 +194,9 @@ def sum_reduce(t: ScaledTensor, axis: int, keepdims: bool = True) -> ScaledTenso
         raise ShapeError(f"axis {axis} out of range for rank {rank}")
     axis = axis % rank
     t = scale_match_dim(t, axis)
-    x = np.sum(t.data.values, axis=axis, keepdims=keepdims)
-    # With keepdims the matched scale is already the result's: share it.
-    s = t.scale if keepdims else ScaleTensor(np.squeeze(t.scale.values, axis=axis))
-    return ScaledTensor(IntTensor.adopt(x, t.precision), s)
+    x = np.sum(t.data.values, axis=axis, keepdims=True)
+    # The axis stays as a unit dim, where the matched scale is the result's: share it.
+    return ScaledTensor(IntTensor.adopt(x, t.precision), t.scale)
 
 
 @_kernel(KernelKind.INT_DIV, scale_arith=True)
@@ -239,7 +238,7 @@ def lane_matmul(a: ScaledTensor, b_t: ScaledTensor, ws: Workspace) -> Lane:
 
 @_kernel(KernelKind.SUM_REDUCE, scale_arith=False)
 def lane_sum(t: Lane) -> ScaledTensor:
-    """sum_reduce(t, axis=-1, keepdims=True) for a lane matched along its
+    """sum_reduce(t, axis=-1) for a lane matched along its
     last axis (Lane.match_last); the sum shares the lane's collapsed scale."""
     x = t.x if t.m * t.shape[-1] < FLOAT64_EXACT else t.x.astype(np.int64)
     total = np.sum(x, axis=-1, keepdims=True).astype(np.int64, copy=False)

@@ -20,7 +20,8 @@ followed by `n_tensors` records:
 
 Records hold the tensors of transformer.LAYER_TENSORS and MODEL_TENSORS,
 named after their fields (`emb`, `layers.0.w_q`, `layers.0.ln1.g`, ...),
-plus one `layers.i.poly` record per layer.  Every int8 payload record named
+plus one `layers.i.poly` record per layer holding (bias, degree, offset),
+whose degree must equal the header's.  Every int8 payload record named
 NAME is immediately followed by a float32 record NAME + ".scale" holding its
 quantization scales.  Weights quantized at p > 7 do not fit an int8 payload
 and are rejected.
@@ -117,7 +118,7 @@ def _record_size(name: str, dtype: int, arr: np.ndarray) -> int:
     return 2 + len(name.encode("utf-8")) + 2 + 4 * arr.ndim + arr.size * item
 
 
-_TAGS = LAYER_TENSORS | MODEL_TENSORS
+_SCHEMA = LAYER_TENSORS | MODEL_TENSORS
 _MODEL_CLASS = {True: IntegerTransformerModel, False: FP32ReferenceModel}  # by `quantized`
 
 
@@ -126,7 +127,7 @@ def _record_name(field: str) -> str:
     norm's `ln1_g` is `ln1.g`."""
     if field == "embedding":
         return "emb"
-    if _TAGS[field] == LN:
+    if _SCHEMA[field][0] == LN:
         stem, _, leaf = field.rpartition("_")
         return f"{stem}.{leaf}"
     return field
@@ -149,16 +150,16 @@ def _header_bytes(cfg: ModelConfig, n_tensors: int, quantized: bool) -> bytes:
     )
 
 
-def _poly_array(pp: PolyParams) -> np.ndarray:
-    return np.array([pp.bias, float(pp.degree), pp.offset], dtype=np.float64)
+def _poly_array(pp: PolyParams, degree: int) -> np.ndarray:
+    return np.array([pp.bias, float(degree), pp.offset], dtype=np.float64)
 
 
-def _poly_from_array(arr: np.ndarray) -> PolyParams:
+def _poly_from_array(arr: np.ndarray, degree: int) -> PolyParams:
     if arr.shape != (3,):
         raise ValidationError("polynomial parameter record must have 3 entries")
-    return PolyParams(
-        bias=float(arr[0]), degree=int(round(float(arr[1]))), offset=float(arr[2])
-    )
+    if arr[1] != degree:
+        raise ValidationError(f"polynomial degree {arr[1]} differs from the header's {degree}")
+    return PolyParams(bias=float(arr[0]), offset=float(arr[2]))
 
 
 def _serialize(model, quantized: bool) -> bytes:
@@ -185,7 +186,7 @@ def _serialize(model, quantized: bool) -> bytes:
         pre = f"layers.{i}."
         for field in LAYER_TENSORS:
             put(pre + _record_name(field), getattr(lp, field))
-        records.append((pre + "poly", DTYPE_F32, _poly_array(lp.poly)))
+        records.append((pre + "poly", DTYPE_F32, _poly_array(lp.poly, model.config.degree)))
     for field in rest:
         put(_record_name(field), getattr(model, field))
 
@@ -292,16 +293,16 @@ def _deserialize(blob: bytes, want: bool | None = None):
             value = _take_scaled(tensors, name, cfg.precision)
         else:
             value = _take(tensors, name, DTYPE_F32).astype(np.float64)
-        # A layer norm's gain and bias have one entry per hidden unit.
-        if _TAGS[field] == LN and value.shape != (cfg.d_m,):
-            raise ValidationError(f"tensor {name!r} has shape {value.shape}, not ({cfg.d_m},)")
+        shape = tuple(getattr(cfg, dim) for dim in _SCHEMA[field][1])
+        if value.shape != shape:
+            raise ValidationError(f"tensor {name!r} has shape {value.shape}, not {shape}")
         return value
 
     layers = []
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
         fields = {field: take(field, pre) for field in LAYER_TENSORS}
-        poly = _poly_from_array(_take(tensors, pre + "poly", DTYPE_F32).astype(np.float64))
+        poly = _poly_from_array(_take(tensors, pre + "poly", DTYPE_F32), cfg.degree)
         layers.append(TransformerLayerParams(poly=poly, **fields))
     fields = {field: take(field) for field in MODEL_TENSORS}
     if tensors:

@@ -47,24 +47,17 @@ PROJ = "Proj"
 MODULES = (EMB, ATTN, FFN, LN, RES, PROJ)
 ALL_MODULES = frozenset(MODULES)
 
-SOFTMAX = "softmax"
-POLY = "poly"
-
 # E|N(0,1)| = sqrt(2/pi), so the L1 mean underestimates sigma by this factor.
 L1_NORM_CONST = math.sqrt(math.pi / 2.0)
 
 
 @dataclass(frozen=True)
 class PolyParams:
-    """Attention weight function [ReLU(x + bias)]^degree + |offset|."""
+    """One layer's constants of the attention weight function
+    [ReLU(x + bias)]^n + |offset|; the degree n is ModelConfig.degree."""
 
     bias: float = 1.0
-    degree: int = 3
     offset: float = 0.1
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValidationError("polynomial degree must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -81,6 +74,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_m % self.heads:
             raise ValidationError("model width must divide evenly across heads")
+        if self.degree < 1:
+            raise ValidationError("polynomial degree must be >= 1")
         # The polynomial raises a bias-shifted payload of up to p + 1 bits to
         # the degree, which must stay inside the 62-bit lane.
         if self.degree * (self.precision + 1) > 62:
@@ -88,16 +83,24 @@ class ModelConfig:
 
 
 # The parameter set of both models: each tensor field, in file order, with
-# the module its Q() event is tagged with.  A layer norm is its gain `*_g`
-# and bias `*_b`.  Only the leaf type differs between the models: a float64
-# array in the FP32 twin, a ScaledTensor in the integer model.
+# the module its Q() event is tagged with and its dims as ModelConfig
+# attribute names.  A layer norm is its gain `*_g` and bias `*_b`.  Only the
+# leaf type differs between the models: a float64 array in the FP32 twin, a
+# ScaledTensor in the integer model.
 LAYER_TENSORS = {
-    "w_q": ATTN, "w_k": ATTN, "w_v": ATTN, "w_o": ATTN,
-    "w1": FFN, "b1": FFN, "w2": FFN, "b2": FFN,
-    "ln1_g": LN, "ln1_b": LN, "ln2_g": LN, "ln2_b": LN,
+    "w_q": (ATTN, ("d_m", "d_m")), "w_k": (ATTN, ("d_m", "d_m")),
+    "w_v": (ATTN, ("d_m", "d_m")), "w_o": (ATTN, ("d_m", "d_m")),
+    "w1": (FFN, ("d_ff", "d_m")), "b1": (FFN, ("d_ff",)),
+    "w2": (FFN, ("d_m", "d_ff")), "b2": (FFN, ("d_m",)),
+    "ln1_g": (LN, ("d_m",)), "ln1_b": (LN, ("d_m",)),
+    "ln2_g": (LN, ("d_m",)), "ln2_b": (LN, ("d_m",)),
 }
 # The layers sit between the embedding and the final layer norm.
-MODEL_TENSORS = {"embedding": EMB, "final_ln_g": LN, "final_ln_b": LN, "proj": PROJ}
+MODEL_TENSORS = {
+    "embedding": (EMB, ("vocab", "d_m")),
+    "final_ln_g": (LN, ("d_m",)), "final_ln_b": (LN, ("d_m",)),
+    "proj": (PROJ, ("vocab", "d_m")),
+}
 
 Leaf = ScaledTensor | np.ndarray
 
@@ -132,7 +135,6 @@ class FP32ReferenceModel:
     final_ln_g: np.ndarray
     final_ln_b: np.ndarray
     proj: np.ndarray
-    attention_flavor: str = POLY  # POLY matches the integer architecture
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,7 @@ def _f32(values: np.ndarray) -> np.ndarray:
     return values.astype(np.float32).astype(np.float64)
 
 
-def random_reference_model(
-    config: ModelConfig, seed: int, attention_flavor: str = POLY
-) -> FP32ReferenceModel:
+def random_reference_model(config: ModelConfig, seed: int) -> FP32ReferenceModel:
     """Random toy model with float32-representable parameters."""
     rng = np.random.default_rng(seed)
     d, f, v = config.d_m, config.d_ff, config.vocab
@@ -177,7 +177,6 @@ def random_reference_model(
                 w1=mat(f, d), b1=bias(f), w2=mat(d, f), b2=bias(d),
                 poly=PolyParams(
                     bias=float(np.float32(rng.uniform(0.2, 1.0))),
-                    degree=config.degree,
                     offset=float(np.float32(rng.uniform(0.05, 0.2))),
                 ),
                 ln1_g=gain(d), ln1_b=bias(d), ln2_g=gain(d), ln2_b=bias(d),
@@ -190,7 +189,6 @@ def random_reference_model(
         final_ln_g=gain(d),
         final_ln_b=bias(d),
         proj=mat(v, d),
-        attention_flavor=attention_flavor,
     )
 
 
@@ -199,7 +197,7 @@ def _convert(model, fn, model_cls, **fields):
     `model`, each layer's first, then the model's; `fields` gives the rest."""
 
     def convert(owner, schema):
-        return {name: fn(getattr(owner, name), tag) for name, tag in schema.items()}
+        return {name: fn(getattr(owner, name), tag) for name, (tag, _) in schema.items()}
 
     layers = tuple(
         TransformerLayerParams(poly=lp.poly, **convert(lp, LAYER_TENSORS)) for lp in model.layers
@@ -234,11 +232,11 @@ def quantize_model(
     )
 
 
-def reference_twin(model: IntegerTransformerModel, attention_flavor: str = POLY) -> FP32ReferenceModel:
+def reference_twin(model: IntegerTransformerModel) -> FP32ReferenceModel:
     """FP32 model whose parameters equal the de-quantized integer ones."""
     return _convert(
         model, lambda t, _: dequantize(t).values,
-        FP32ReferenceModel, config=model.config, attention_flavor=attention_flavor,
+        FP32ReferenceModel, config=model.config,
     )
 
 
@@ -301,11 +299,11 @@ def _add_const(
     return session.apply(K.lane_add, [lane], module, c=c, c_max=c_max)
 
 
-def _poly_lane(lane: Lane, pp: PolyParams, session: Session, module: str) -> Lane:
+def _poly_lane(lane: Lane, pp: PolyParams, degree: int, session: Session, module: str) -> Lane:
     """[ReLU(x + bias)]^degree + |offset|, in place."""
     lane = _add_const(lane, pp.bias, session, module)
     lane = session.apply(K.lane_relu, [lane], module)
-    lane = session.apply(K.lane_pow_n, [lane], module, n=pp.degree)
+    lane = session.apply(K.lane_pow_n, [lane], module, n=degree)
     # A zero offset payload would break the degenerate all-below-threshold
     # case, so a nonzero offset always contributes at least one level.
     return _add_const(
@@ -317,9 +315,11 @@ def _poly_lane(lane: Lane, pp: PolyParams, session: Session, module: str) -> Lan
 # integer-path modules
 
 
-def poly(scores: ScaledTensor, pp: PolyParams, session: Session, module: str = ATTN) -> ScaledTensor:
+def poly(
+    scores: ScaledTensor, pp: PolyParams, degree: int, session: Session, module: str = ATTN
+) -> ScaledTensor:
     """[ReLU(x + bias)]^degree + |offset| on the integer lane."""
-    return _poly_lane(Lane.of(scores, session.workspace), pp, session, module).seal()
+    return _poly_lane(Lane.of(scores, session.workspace), pp, degree, session, module).seal()
 
 
 def poly_attention(
@@ -327,6 +327,7 @@ def poly_attention(
     k: ScaledTensor,
     v: ScaledTensor,
     pp: PolyParams,
+    degree: int,
     d_m: int,
     session: Session,
     module: str = ATTN,
@@ -340,7 +341,7 @@ def poly_attention(
     """
     lane = session.apply(K.lane_matmul, [q, k], module, ws=session.workspace)
     _fold_scale(lane, math.sqrt(d_m), session, module)
-    weights = _poly_lane(lane, pp, session, module)
+    weights = _poly_lane(lane, pp, degree, session, module)
     # Match the T x T weights once; the value product and the weight sum then
     # find a scale already collapsed along the contraction axis.
     weights.match_last()
@@ -369,7 +370,7 @@ def l1_layer_norm(
     if g_q.shape != (n,) or b_q.shape != (n,):
         raise ShapeError("layer norm gain and bias must match the hidden width")
     xm = scale_match_dim(x, -1)
-    total = session.apply(K.sum_reduce, [xm], module, axis=-1, keepdims=True, allow_rescale=False)
+    total = session.apply(K.sum_reduce, [xm], module, axis=-1, allow_rescale=False)
     # Integer mean, rounded half away from zero, negated.  total shares xm's
     # scale object, so the add below skips matching.
     t = total.data.values
@@ -383,7 +384,6 @@ def l1_layer_norm(
         [session.apply(K.abs_, [centered], module, allow_rescale=False)],
         module,
         axis=-1,
-        keepdims=True,
         allow_rescale=False,
     )
     degenerate = l1.data.values == 0
@@ -410,7 +410,7 @@ def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, ses
         heads.append(
             poly_attention(
                 _slice_cols(q, sl), _slice_cols(k, sl), _slice_cols(v, sl),
-                lp.poly, cfg.d_m, session,
+                lp.poly, cfg.degree, cfg.d_m, session,
             )
         )
     cat = session.apply(K.concat, heads, ATTN, axis=1)
@@ -434,13 +434,6 @@ def ffn_core(y: ScaledTensor, lp: TransformerLayerParams, session: Session) -> S
 
 def residual_add(a: ScaledTensor, b: ScaledTensor, session: Session) -> ScaledTensor:
     return session.apply(K.add, [a, b], RES)
-
-
-def ffn_forward(x: ScaledTensor, lp: TransformerLayerParams, session: Session) -> ScaledTensor:
-    """Pre-norm FFN sublayer: x + FFN(L1LN(x)); integer path end to end."""
-    y = l1_layer_norm(x, lp.ln2_g, lp.ln2_b, session)
-    y = ffn_core(y, lp, session)
-    return residual_add(y, x, session)
 
 
 def _token_ids(tokens, vocab: int) -> np.ndarray:
@@ -475,16 +468,11 @@ def ref_l1ln(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g * norm + b
 
 
-def ref_softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+def ref_poly(x: np.ndarray, pp: PolyParams, degree: int) -> np.ndarray:
+    return np.maximum(x + pp.bias, 0.0) ** degree + abs(pp.offset)
 
 
-def ref_poly(x: np.ndarray, pp: PolyParams) -> np.ndarray:
-    return np.maximum(x + pp.bias, 0.0) ** pp.degree + abs(pp.offset)
-
-
-def ref_attn_core(x: np.ndarray, lp: TransformerLayerParams, cfg: ModelConfig, flavor: str) -> np.ndarray:
+def ref_attn_core(x: np.ndarray, lp: TransformerLayerParams, cfg: ModelConfig) -> np.ndarray:
     d_h = cfg.d_m // cfg.heads
     q = x @ lp.w_q.T
     k = x @ lp.w_k.T
@@ -493,12 +481,8 @@ def ref_attn_core(x: np.ndarray, lp: TransformerLayerParams, cfg: ModelConfig, f
     for h in range(cfg.heads):
         sl = slice(h * d_h, (h + 1) * d_h)
         scores = (q[:, sl] @ k[:, sl].T) / math.sqrt(cfg.d_m)
-        if flavor == SOFTMAX:
-            w = ref_softmax(scores)
-            outs.append(w @ v[:, sl])
-        else:
-            w = ref_poly(scores, lp.poly)
-            outs.append((w @ v[:, sl]) / np.sum(w, axis=-1, keepdims=True))
+        w = ref_poly(scores, lp.poly, cfg.degree)
+        outs.append((w @ v[:, sl]) / np.sum(w, axis=-1, keepdims=True))
     return np.concatenate(outs, axis=1) @ lp.w_o.T
 
 
@@ -579,7 +563,7 @@ def forward(
          lambda x: ref_l1ln(x, rp.ln1_g, rp.ln1_b),
          ATTN,
          lambda x: attn_core(x, lp, cfg, session),
-         lambda x: ref_attn_core(x, rp, cfg, ref.attention_flavor)),
+         lambda x: ref_attn_core(x, rp, cfg)),
         (lambda x: l1_layer_norm(x, lp.ln2_g, lp.ln2_b, session),
          lambda x: ref_l1ln(x, rp.ln2_g, rp.ln2_b),
          FFN,

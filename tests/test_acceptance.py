@@ -225,7 +225,7 @@ def test_07_bit_sweep_trend(capsys):
 def test_08_degenerate_attention(capsys):
     """All scores below -bias: attention degrades to the plain mean of V rows."""
     p = 7
-    pp = PolyParams(bias=0.5, degree=3, offset=0.1)
+    pp = PolyParams(bias=0.5, offset=0.1)
     T, dh = 5, 4
 
     def q(vals):
@@ -239,7 +239,7 @@ def test_08_degenerate_attention(capsys):
     vv[:, 0] = 1.0  # equal row maxima -> identical per-row scales
     v_q = q(vv)
     sess = Session(Precision(p))
-    out = poly_attention(q(qv), q(kv), v_q, pp, 16, sess)
+    out = poly_attention(q(qv), q(kv), v_q, pp, 3, 16, sess)
     got = dequantize(out).values
     want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
     # One truncated integer division plus one re-scaling: two payload units.

@@ -57,24 +57,24 @@ def quantize_const(value, like, session, module, min_payload=0):
     return t
 
 
-def oracle_poly(scores, pp, session, module="Attn"):
+def oracle_poly(scores, pp, degree, session, module="Attn"):
     x = session.apply(K.add, [scores, quantize_const(pp.bias, scores, session, module)], module)
     x = session.apply(K.relu, [x], module)
-    x = session.apply(K.pow_n, [x], module, n=pp.degree)
+    x = session.apply(K.pow_n, [x], module, n=degree)
     min_payload = 1 if pp.offset != 0.0 else 0
     d_q = quantize_const(abs(pp.offset), x, session, module, min_payload)
     return session.apply(K.add, [x, d_q], module)
 
 
-def oracle_poly_attention(q, k, v, pp, d_m, session, module="Attn"):
+def oracle_poly_attention(q, k, v, pp, degree, d_m, session, module="Attn"):
     scores = session.apply(K.matmul, [q, k], module)
     session.note("scale_fold", SCALE, scores.scale.values.size, module)
     with np.errstate(over="ignore"):
         folded = scores.scale.values * math.sqrt(d_m)
     scores = ScaledTensor(scores.data, ScaleTensor(folded))
-    weights = scale_match_dim(oracle_poly(scores, pp, session, module), -1)
+    weights = scale_match_dim(oracle_poly(scores, pp, degree, session, module), -1)
     num = session.apply(K.matmul, [weights, K.transpose(v, (1, 0))], module, allow_rescale=False)
-    den = session.apply(K.sum_reduce, [weights], module, axis=1, keepdims=True, allow_rescale=False)
+    den = session.apply(K.sum_reduce, [weights], module, axis=1, allow_rescale=False)
     lam = max(1, (1 << 60) // (max(num.data.max_magnitude, 1) + 1))
     if lam > 1:
         session.note("boost", PAYLOAD, num.data.values.size, module)
@@ -149,7 +149,6 @@ def bias(draw, n, p, big):
 poly_params = st.builds(
     PolyParams,
     bias=st.floats(-2.0, 2.0, width=32),
-    degree=st.sampled_from(DEGREES),
     offset=st.sampled_from([0.0, 0.1, -0.2]) | st.floats(-0.5, 0.5, width=32),
 )
 
@@ -157,25 +156,27 @@ poly_params = st.builds(
 class TestLaneMatchesKernels:
     # The operands' precision is drawn apart from the session's: a shrink
     # moves a payload to the session's precision.
-    @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans(), poly_params)
+    @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans(), poly_params,
+           st.sampled_from(DEGREES))
     @settings(max_examples=300, deadline=None)
-    def test_poly(self, data, p, per_element, big, pp):
+    def test_poly(self, data, p, per_element, big, pp, degree):
         T, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
         p_in = data.draw(st.sampled_from(PRECISIONS))
         scores = data.draw(operand((T, n), p_in, per_element, big))
-        got = outcome(lambda sess: poly(scores, pp, sess), p)
-        assert got == outcome(lambda sess: oracle_poly(scores, pp, sess), p)
+        got = outcome(lambda sess: poly(scores, pp, degree, sess), p)
+        assert got == outcome(lambda sess: oracle_poly(scores, pp, degree, sess), p)
 
-    @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans(), poly_params)
+    @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans(), poly_params,
+           st.sampled_from(DEGREES))
     @settings(max_examples=300, deadline=None)
-    def test_poly_attention(self, data, p, per_element, big, pp):
+    def test_poly_attention(self, data, p, per_element, big, pp, degree):
         T, d_h = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
         p_in = data.draw(st.sampled_from(PRECISIONS))
         q, k = (data.draw(operand((T, d_h), p_in, per_element, big)) for _ in range(2))
         v = data.draw(operand((T, d_h), p_in, per_element, False))
         d_m = d_h * data.draw(st.sampled_from([1, 2, 8]))
-        got = outcome(lambda sess: poly_attention(q, k, v, pp, d_m, sess), p)
-        assert got == outcome(lambda sess: oracle_poly_attention(q, k, v, pp, d_m, sess), p)
+        got = outcome(lambda sess: poly_attention(q, k, v, pp, degree, d_m, sess), p)
+        assert got == outcome(lambda sess: oracle_poly_attention(q, k, v, pp, degree, d_m, sess), p)
 
 
     @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans())
@@ -218,9 +219,9 @@ class TestLaneRoutes:
         rng = np.random.default_rng(0)
         q, k, v = (scaled(rng.integers(-4095, 4096, (8, 4)), rng.uniform(1, 9, (8, 4)), 12)
                    for _ in range(3))
-        pp = PolyParams(bias=0.5, degree=3, offset=0.1)
-        got = self.same(lambda s: poly_attention(q, k, v, pp, 16, s),
-                        lambda s: oracle_poly_attention(q, k, v, pp, 16, s), 12)
+        pp = PolyParams(bias=0.5, offset=0.1)
+        got = self.same(lambda s: poly_attention(q, k, v, pp, 3, 16, s),
+                        lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s), 12)
         assert got[0] == "<i8"
         assert "'rescale'" in got[-1]
 
@@ -229,47 +230,47 @@ class TestLaneRoutes:
         q = scaled([[2**27, 2**27]], [[1.0]], 12)
         k = scaled([[2**27, -(2**27) + 1], [5, 7]], [[1.0], [1.0]], 12)
         v = scaled([[3], [4]], [[1.0], [1.0]], 12)
-        pp = PolyParams(bias=0.5, degree=2, offset=0.1)
-        self.same(lambda s: poly_attention(q, k, v, pp, 4, s),
-                  lambda s: oracle_poly_attention(q, k, v, pp, 4, s), 12)
+        pp = PolyParams(bias=0.5, offset=0.1)
+        self.same(lambda s: poly_attention(q, k, v, pp, 2, 4, s),
+                  lambda s: oracle_poly_attention(q, k, v, pp, 2, 4, s), 12)
 
     def test_constant_above_2_53_takes_int64(self):
         # bias * s = 1e17 > 2^53: the first add runs in int64.
         scores = scaled([[100, -7], [3, 0]], [[1e17], [2e17]], 7)
-        pp = PolyParams(bias=1.0, degree=3, offset=0.25)
-        self.same(lambda s: poly(scores, pp, s), lambda s: oracle_poly(scores, pp, s), 7)
+        pp = PolyParams(bias=1.0, offset=0.25)
+        self.same(lambda s: poly(scores, pp, 3, s), lambda s: oracle_poly(scores, pp, 3, s), 7)
 
     def test_constant_sum_above_2_53_is_exact(self):
         # -1 + 2^56 = 127 * j shrinks to exactly 127 at p=7; float64 would
         # round the sum up to 2^56 and shrink it to 126.
         scores = scaled([[-1]], [[2.0**56]], 7)
-        pp = PolyParams(bias=1.0, degree=1, offset=0.0)
-        got = self.same(lambda s: poly(scores, pp, s), lambda s: oracle_poly(scores, pp, s), 7)
+        pp = PolyParams(bias=1.0, offset=0.0)
+        got = self.same(lambda s: poly(scores, pp, 1, s), lambda s: oracle_poly(scores, pp, 1, s), 7)
         assert got[1] == [[127]]
 
     def test_power_above_2_53_takes_int64(self):
         # 32767^4 > 2^53, and float64 would round it: x^4 runs in int64.
         scores = scaled([[32767, -32767, 32766], [12345, 0, -1]], [[1.0], [0.5]], 15)
-        pp = PolyParams(bias=0.0, degree=4, offset=0.1)
-        self.same(lambda s: poly(scores, pp, s), lambda s: oracle_poly(scores, pp, s), 15)
+        pp = PolyParams(bias=0.0, offset=0.1)
+        self.same(lambda s: poly(scores, pp, 4, s), lambda s: oracle_poly(scores, pp, 4, s), 15)
 
     def test_scores_above_2_53_take_int64(self):
         scores = scaled([[2**60, -(2**55) - 3], [2**53 + 1, 1]], [[1.0, 2.0], [3.0, 4.0]], 12)
-        pp = PolyParams(bias=0.5, degree=1, offset=0.0)
-        self.same(lambda s: poly(scores, pp, s), lambda s: oracle_poly(scores, pp, s), 12)
+        pp = PolyParams(bias=0.5, offset=0.0)
+        self.same(lambda s: poly(scores, pp, 1, s), lambda s: oracle_poly(scores, pp, 1, s), 12)
 
     def test_constant_sum_overflow_raises(self):
         # 2^61 + 1.0 * 2^61 = 2^62 leaves the accumulator lane.
         scores = scaled([[2**61]], [[2.0**61]], 7)
         pp = PolyParams(bias=1.0)
-        got = self.same(lambda s: poly(scores, pp, s), lambda s: oracle_poly(scores, pp, s), 7)
+        got = self.same(lambda s: poly(scores, pp, 3, s), lambda s: oracle_poly(scores, pp, 3, s), 7)
         assert got[0] == LaneOverflowError.__name__
 
     def test_shrink_underflow_raises(self):
         # The smallest subnormal scale, divided by ceil(4095 / 127) = 33, is 0.
         scores = scaled([[4095]], [[5e-324]], 12)
-        got = self.same(lambda s: poly(scores, PolyParams(), s),
-                        lambda s: oracle_poly(scores, PolyParams(), s), 7)
+        got = self.same(lambda s: poly(scores, PolyParams(), 3, s),
+                        lambda s: oracle_poly(scores, PolyParams(), 3, s), 7)
         assert got[0] == ScaleRangeError.__name__
 
     @pytest.mark.parametrize("case, error", [
@@ -279,7 +280,7 @@ class TestLaneRoutes:
         ("fold", ScaleRangeError),
     ])
     def test_errors_match(self, case, error):
-        pp = PolyParams(bias=0.0 if case == "power" else 1.0, degree=3, offset=0.1)
+        pp = PolyParams(bias=0.0 if case == "power" else 1.0, offset=0.1)
         if case == "product":  # 2^31 * 2^31 * 2 = 2^63
             q = k = scaled([[2**31, 2**31]], [[1.0]], 7)
         elif case == "constant":  # bias * s = 1e19 > 2^62
@@ -289,8 +290,8 @@ class TestLaneRoutes:
         else:  # 1e154 * 1e154 * sqrt(16) overflows
             q = k = scaled([[1]], [[1e154]], 7)
         v = scaled([[1] * q.shape[1]], [[1.0]], 7)
-        got = self.same(lambda s: poly_attention(q, k, v, pp, 16, s),
-                        lambda s: oracle_poly_attention(q, k, v, pp, 16, s), 7)
+        got = self.same(lambda s: poly_attention(q, k, v, pp, 3, 16, s),
+                        lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s), 7)
         assert got[0] == error.__name__
 
 
@@ -341,7 +342,7 @@ class TestWorkspace:
         for _ in range(2):
             results.append(forward(model, session, tokens=tokens))
         scores = results[0]
-        results.append(poly(scores, model.layers[0].poly, session))
+        results.append(poly(scores, model.layers[0].poly, cfg.degree, session))
         held = self.held(session)
         assert held
         for t in results:
@@ -375,10 +376,11 @@ class TestWorkspace:
             per_element, big = data.draw(st.booleans()), data.draw(st.booleans())
             q, k = (data.draw(operand((T, d_h), p_in, per_element, big)) for _ in range(2))
             v = data.draw(operand((T, d_h), p_in, per_element, False))
-            heads.append((q, k, v, data.draw(poly_params), d_h * data.draw(st.sampled_from([1, 2, 8]))))
+            heads.append((q, k, v, data.draw(poly_params), data.draw(st.sampled_from(DEGREES)),
+                          d_h * data.draw(st.sampled_from([1, 2, 8]))))
         shared = Session(Precision(p))
-        for q, k, v, pp, d_m in heads:
-            fn = lambda s: poly_attention(q, k, v, pp, d_m, s)  # noqa: E731
+        for q, k, v, pp, degree, d_m in heads:
+            fn = lambda s: poly_attention(q, k, v, pp, degree, d_m, s)  # noqa: E731
             assert outcome(fn, p, shared) == outcome(fn, p)
 
     def test_pinned_heads_back_to_back(self):
@@ -395,11 +397,11 @@ class TestWorkspace:
             tuple(scaled(rng.integers(-127, 128, (8, 4)), rng.uniform(1, 9, (8, 1)), 7)
                   for _ in range(3)),
         ]
-        pp = PolyParams(bias=0.5, degree=2, offset=0.1)
+        pp = PolyParams(bias=0.5, offset=0.1)
         shared = Session(Precision(7))
         kinds = []
         for q, k, v in cases:
-            fn = lambda s: poly_attention(q, k, v, pp, 16, s)  # noqa: E731
+            fn = lambda s: poly_attention(q, k, v, pp, 2, 16, s)  # noqa: E731
             got = outcome(fn, 7, shared)
             assert got == outcome(fn, 7)
             kinds.append(got[0])

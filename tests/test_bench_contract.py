@@ -1,8 +1,9 @@
-"""The library names the benchmark imports and wraps.
+"""The library names the benchmark imports and wraps, and its golden gate.
 
 bench/harness.py imports names from intflow, and bench/tracer.py wraps
 kernels, scaling functions and model-file functions by name.  A rename or a
-removal there would otherwise surface only when the benchmark runs.
+removal there, or a change to the logits of a workload's golden input, would
+otherwise surface only when the benchmark runs.
 """
 import sys
 from pathlib import Path
@@ -52,3 +53,14 @@ def test_traced_forward_records_modules_and_kernels(bench_modules):
     assert w.calls["transformer.Attn"] == cfg.n_layers
     assert w.calls["kernels.matmul"] > 0
     assert w.counts["kernels.matmul.bytes"] > 0
+
+
+@pytest.mark.parametrize("name", ["toy", "wide", "longctx"])
+def test_golden_digest(bench_modules, tmp_path, name):
+    # The benchmark's own set-up and forward on its golden input: the logits
+    # must match bench/golden.json byte for byte.
+    harness, _ = bench_modules
+    wl = harness.WORKLOADS[name]
+    model, _ = harness.set_up(wl, tmp_path / "model.bin")
+    out, _, _ = harness.int_forward(model, harness.draw_inputs(wl, harness.DEFAULT_SEED)[0])
+    assert harness.digest(out) == harness.golden_digests()[name]

@@ -171,6 +171,84 @@ class TestLayerNormWidth:
         assert main(["quantize", str(fp32), str(tmp_path / "q.int8")]) == EXIT_VALIDATION
 
 
+# One corrupt record each: too few rows, or a bias of width 1.  In an int8
+# file its `.scale` sibling is cut alike, so payload and scale still agree.
+BAD_SHAPES = {
+    "emb": lambda arr: arr[:8],
+    "proj": lambda arr: arr[:8],
+    "layers.0.b1": lambda arr: arr[..., :1],
+    "layers.1.b2": lambda arr: arr[..., :1],
+}
+
+
+def with_degree(degree: float):
+    """A cut that writes `degree` into a poly record's (bias, degree, offset)."""
+
+    def cut(arr):
+        out = arr.copy()
+        out[1] = degree
+        return out
+
+    return cut
+
+
+class TestRecordShapes:
+    """Every record has the shape its schema entry names in ModelConfig dims;
+    a file where one does not is corrupt and is rejected at load, never run."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_SHAPES))
+    def test_int_file(self, pair, name):
+        _, model = pair
+        blob = rewrite_records(serialize_int_model(model), BAD_SHAPES[name], name, name + ".scale")
+        with pytest.raises(ValidationError, match="has shape"):
+            deserialize_int_model(blob)
+
+    @pytest.mark.parametrize("name", sorted(BAD_SHAPES))
+    def test_fp32_file(self, pair, name):
+        ref, _ = pair
+        blob = rewrite_records(serialize_reference_model(ref), BAD_SHAPES[name], name)
+        with pytest.raises(ValidationError, match="has shape"):
+            deserialize_reference_model(blob)
+
+
+class TestPolyDegree:
+    """A `layers.i.poly` record repeats the header's degree; one that differs
+    is rejected, not run at its own degree."""
+
+    @pytest.mark.parametrize("degree", [2.0, 2.4])
+    def test_int_file(self, pair, degree):
+        _, model = pair
+        blob = rewrite_records(serialize_int_model(model), with_degree(degree), "layers.0.poly")
+        with pytest.raises(ValidationError, match="degree"):
+            deserialize_int_model(blob)
+
+    @pytest.mark.parametrize("degree", [2.0, 2.4])
+    def test_fp32_file(self, pair, degree):
+        ref, _ = pair
+        blob = rewrite_records(serialize_reference_model(ref), with_degree(degree), "layers.1.poly")
+        with pytest.raises(ValidationError, match="degree"):
+            deserialize_reference_model(blob)
+
+
+@pytest.mark.parametrize("name", [*BAD_SHAPES, "layers.0.poly"])
+def test_cli_refuses_corrupt_records(pair, tmp_path, name):
+    _, model = pair
+    cut = BAD_SHAPES.get(name, with_degree(2.0))
+    bad = tmp_path / "bad.int8"
+    bad.write_bytes(rewrite_records(serialize_int_model(model), cut, name, name + ".scale"))
+    tokens, hidden = tmp_path / "t.npy", tmp_path / "h.npy"
+    np.save(tokens, np.arange(model.config.vocab))
+    np.save(hidden, np.ones((4, model.config.d_m)))
+    out = str(tmp_path / "o.npy")
+    for argv in (
+        ["infer", str(bad), str(tokens), "--tokens", "--out", out],
+        ["infer", str(bad), str(hidden), "--out", out],
+        ["compare", str(bad)],
+        ["report", str(bad)],
+    ):
+        assert main(argv) == EXIT_VALIDATION, argv
+
+
 class TestGranularityCode:
     """Header byte 7 holds the granularity: 0 = row, 2 = b.  Code 1 was the
     retired "bt", which acted as row; v1 files carrying it load as row."""

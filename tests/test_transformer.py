@@ -21,8 +21,6 @@ from intflow.transformer import (
     MODULES,
     PROJ,
     RES,
-    SOFTMAX,
-    FP32ReferenceModel,
     ModelConfig,
     PolyParams,
     attn_core,
@@ -38,7 +36,6 @@ from intflow.transformer import (
     ref_ffn_core,
     ref_l1ln,
     ref_poly,
-    ref_softmax,
     reference_forward,
     reference_twin,
 )
@@ -87,7 +84,7 @@ class TestConfig:
 
     def test_poly_degree_positive(self):
         with pytest.raises(ValidationError):
-            PolyParams(degree=0)
+            ModelConfig(degree=0)
 
     def test_l1ln_shape_check(self):
         with pytest.raises(ShapeError):
@@ -99,22 +96,22 @@ class TestConfig:
 class TestPoly:
     def test_matches_reference(self):
         rng = np.random.default_rng(0)
-        pp = PolyParams(bias=0.5, degree=3, offset=0.1)
+        pp = PolyParams(bias=0.5, offset=0.1)
         scores = rng.normal(size=(5, 5))
         sess = Session(Precision(P))
-        out = dequantize(poly(q(scores), pp, sess)).values
-        assert rel_err(out, ref_poly(scores, pp)) < 1e-2
+        out = dequantize(poly(q(scores), pp, 3, sess)).values
+        assert rel_err(out, ref_poly(scores, pp, 3)) < 1e-2
 
     def test_all_below_threshold_keeps_offset(self):
-        pp = PolyParams(bias=0.5, degree=3, offset=0.1)
+        pp = PolyParams(bias=0.5, offset=0.1)
         scores = np.full((4, 4), -3.0)
         sess = Session(Precision(P))
-        out = dequantize(poly(q(scores), pp, sess)).values
+        out = dequantize(poly(q(scores), pp, 3, sess)).values
         assert np.all(out > 0)
 
     def test_stays_on_integer_lane(self):
         sess = Session(Precision(P))
-        poly(q(np.ones((3, 3))), PolyParams(), sess)
+        poly(q(np.ones((3, 3))), PolyParams(), 3, sess)
         assert sess.log.integer_pure()
 
 
@@ -122,12 +119,12 @@ class TestPolyAttention:
     def test_matches_reference(self):
         rng = np.random.default_rng(1)
         T, dh, dm = 6, 8, 16
-        pp = PolyParams(bias=0.5, degree=3, offset=0.1)
+        pp = PolyParams(bias=0.5, offset=0.1)
         qv, kv, vv = (rng.normal(size=(T, dh)) for _ in range(3))
         sess = Session(Precision(P))
-        out = dequantize(poly_attention(q(qv), q(kv), q(vv), pp, dm, sess)).values
+        out = dequantize(poly_attention(q(qv), q(kv), q(vv), pp, 3, dm, sess)).values
         scores = (qv @ kv.T) / math.sqrt(dm)
-        w = ref_poly(scores, pp)
+        w = ref_poly(scores, pp, 3)
         want = (w @ vv) / np.sum(w, axis=-1, keepdims=True)
         assert rel_err(out, want) < 1e-2
 
@@ -136,14 +133,14 @@ class TestPolyAttention:
         sess = Session(Precision(P))
         out = poly_attention(
             q(rng.normal(size=(5, 4))), q(rng.normal(size=(5, 4))),
-            q(rng.normal(size=(5, 4))), PolyParams(), 16, sess,
+            q(rng.normal(size=(5, 4))), PolyParams(), 3, 16, sess,
         )
         assert out.data.in_range()
 
     def test_degenerate_scores_give_row_average(self):
         # Every score lands far below -bias, so the polynomial part dies and
         # only the uniform offset survives: the output is the mean of V rows.
-        pp = PolyParams(bias=0.5, degree=3, offset=0.1)
+        pp = PolyParams(bias=0.5, offset=0.1)
         T, dh = 4, 3
         qv = np.tile([[3.0, 0.0, 1.0]], (T, 1))
         kv = np.tile([[-3.0, 0.0, -1.0]], (T, 1))
@@ -152,7 +149,7 @@ class TestPolyAttention:
         vv[:, 0] = 1.0  # equal row maxima -> identical per-row scales
         v_q = q(vv)
         sess = Session(Precision(P))
-        out = poly_attention(q(qv), q(kv), v_q, pp, 16, sess)
+        out = poly_attention(q(qv), q(kv), v_q, pp, 3, 16, sess)
         got = dequantize(out).values
         want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
         bound = 2.0 / np.min(out.scale.values)
@@ -182,7 +179,7 @@ class TestScaleOverflowOutsideKernels:
         # 1e154 * 1e154 is finite; the fold by sqrt(16) is not.
         t = self.at(1e154)
         self.raises_quietly(
-            lambda: poly_attention(t, t, t, PolyParams(), 16, Session(Precision(P)))
+            lambda: poly_attention(t, t, t, PolyParams(), 3, 16, Session(Precision(P)))
         )
 
     def test_boost_overflow(self):
@@ -241,7 +238,7 @@ class TestCores:
         x = rng.normal(size=(6, cfg.d_m))
         sess = Session(Precision(P))
         out = dequantize(attn_core(q(x), model.layers[0], cfg, sess)).values
-        want = ref_attn_core(x, reference_twin(model).layers[0], cfg, "poly")
+        want = ref_attn_core(x, reference_twin(model).layers[0], cfg)
         assert rel_err(out, want) < 2e-2
 
     def test_ffn_core_matches_reference(self, toy):
@@ -252,11 +249,6 @@ class TestCores:
         out = dequantize(ffn_core(q(x), model.layers[0], sess)).values
         want = ref_ffn_core(x, reference_twin(model).layers[0])
         assert rel_err(out, want) < 2e-2
-
-    def test_softmax_reference_normalizes(self):
-        rng = np.random.default_rng(8)
-        w = ref_softmax(rng.normal(size=(4, 6)))
-        assert np.allclose(np.sum(w, axis=-1), 1.0)
 
 
 class TestEmbedding:
@@ -412,18 +404,6 @@ class TestModelRoundTrips:
         m5 = quantize_model(ref, precision=5)
         assert m5.config.precision == 5
         assert m5.embedding.data.max_magnitude <= 31
-
-    def test_softmax_flavor_reference_runs(self, toy):
-        cfg, ref, model = toy
-        soft = FP32ReferenceModel(
-            config=ref.config, embedding=ref.embedding, layers=ref.layers,
-            final_ln_g=ref.final_ln_g, final_ln_b=ref.final_ln_b, proj=ref.proj,
-            attention_flavor=SOFTMAX,
-        )
-        out = reference_forward(soft, tokens=np.arange(4))
-        assert out.shape == (4, cfg.vocab)
-        poly_out = reference_forward(ref, tokens=np.arange(4))
-        assert not np.array_equal(out.values, poly_out.values)
 
 
 def _hash_arrays(h, *arrays) -> None:
