@@ -16,6 +16,8 @@ from .scaling import (
 )
 from .tensor import RationalTensor, ScaledTensor
 from .transformer import (
+    LAYER_TENSORS,
+    MODEL_TENSORS,
     FP32ReferenceModel,
     IntegerTransformerModel,
     MODULES,
@@ -53,10 +55,15 @@ class PrecisionReport:
 
 @dataclass(frozen=True)
 class StorageReport:
+    """Bytes of the model pair on disk (the serialized files) and held in
+    memory (the parameter arrays of the loaded models)."""
+
     fp32_bytes: int
     int8_payload_bytes: int
     scale_bytes: int
     header_bytes: int
+    resident_int_bytes: int
+    resident_fp32_bytes: int
 
     @property
     def int8_total_bytes(self) -> int:
@@ -66,6 +73,10 @@ class StorageReport:
     def ratio(self) -> float:
         return self.fp32_bytes / self.int8_total_bytes
 
+    @property
+    def resident_ratio(self) -> float:
+        return self.resident_fp32_bytes / self.resident_int_bytes
+
     def lines(self) -> list[str]:
         return [
             f"storage\tfp32\tbytes\t{self.fp32_bytes}",
@@ -73,6 +84,9 @@ class StorageReport:
             f"storage\tscales\tbytes\t{self.scale_bytes}",
             f"storage\theader\tbytes\t{self.header_bytes}",
             f"storage\tratio\tx\t{self.ratio:.4f}",
+            f"storage\tresident_int\tbytes\t{self.resident_int_bytes}",
+            f"storage\tresident_fp32\tbytes\t{self.resident_fp32_bytes}",
+            f"storage\tresident_ratio\tx\t{self.resident_ratio:.4f}",
         ]
 
 
@@ -169,8 +183,20 @@ def module_ablation(
     return float(np.mean(losses))
 
 
+def resident_bytes(model: IntegerTransformerModel | FP32ReferenceModel) -> int:
+    """Bytes the parameters of `model` hold in memory: payload and scale of
+    each quantized tensor, or each FP32 array."""
+    leaves = [getattr(lp, f) for lp in model.layers for f in LAYER_TENSORS]
+    leaves += [getattr(model, f) for f in MODEL_TENSORS]
+    return sum(
+        t.data.values.nbytes + t.scale.values.nbytes if isinstance(t, ScaledTensor) else t.nbytes
+        for t in leaves
+    )
+
+
 def storage_report(model: IntegerTransformerModel) -> StorageReport:
-    """Byte accounting from the actual serializations of the model pair."""
+    """Byte accounting from the actual serializations of the model pair,
+    and from the arrays the model and its FP32 twin hold."""
     from .modelfile import (
         HEADER_SIZE,
         record_sizes,
@@ -178,7 +204,8 @@ def storage_report(model: IntegerTransformerModel) -> StorageReport:
         serialize_reference_model,
     )
 
-    fp32_blob = serialize_reference_model(reference_twin(model))
+    twin = reference_twin(model)
+    fp32_blob = serialize_reference_model(twin)
     int_blob = serialize_int_model(model)
     payload_bytes, scale_bytes = record_sizes(int_blob)
     report = StorageReport(
@@ -186,6 +213,8 @@ def storage_report(model: IntegerTransformerModel) -> StorageReport:
         int8_payload_bytes=payload_bytes,
         scale_bytes=scale_bytes,
         header_bytes=HEADER_SIZE,
+        resident_int_bytes=resident_bytes(model),
+        resident_fp32_bytes=resident_bytes(twin),
     )
     assert report.int8_total_bytes == len(int_blob)
     return report

@@ -3,7 +3,9 @@
 Shape-preserving and element-wise ops (transpose, concat, ew_mul, pow_n,
 abs, relu, sum over a uniform scale) are exact on the de-quantized view.
 Anything that matches scales or divides payloads (add, matmul, int_div)
-loses at most the stated truncation per element.
+loses at most the stated truncation per element.  An operand may be a
+parameter held narrow (int8 or int16); every kernel computes in int64 or
+float64 regardless, and every result is int64.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .scaling import (
     trunc_div,
 )
 from .tensor import (
+    LANE_DTYPE,
     LANE_MAX,
     IntTensor,
     ScaledTensor,
@@ -68,7 +71,7 @@ def _check_product(a_max: int, b_max: int, terms: int = 1) -> int:
 def ew_mul(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
     """{x1*x2, s1*s2}: exact on the de-quantized view; operands broadcast."""
     _check_product(a.data.max_magnitude, b.data.max_magnitude)
-    x = a.data.values * b.data.values
+    x = np.multiply(a.data.values, b.data.values, dtype=LANE_DTYPE)
     s = a.scale.values * b.scale.values
     return ScaledTensor(IntTensor.adopt(x, a.precision), ScaleTensor(s))
 
@@ -80,7 +83,8 @@ def add(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     ma, mb = scale_match([a, b])
     return ScaledTensor(
-        IntTensor.adopt(ma.data.values + mb.data.values, a.precision), ma.scale
+        IntTensor.adopt(np.add(ma.data.values, mb.data.values, dtype=LANE_DTYPE), a.precision),
+        ma.scale,
     )
 
 
@@ -161,7 +165,7 @@ def power(x: np.ndarray, n: int, m: int, out: np.ndarray | None = None) -> np.nd
 @quiet_overflow
 def pow_n(t: ScaledTensor, n: int) -> ScaledTensor:
     """{x^n, s^n}: exact on the de-quantized view."""
-    xn = power(t.data.values, n, t.data.max_magnitude)
+    xn = power(t.data.values.astype(LANE_DTYPE, copy=False), n, t.data.max_magnitude)
     # Scales keep **: in float, s*s*s can round differently from s**n.
     return ScaledTensor(
         IntTensor.adopt(xn, t.precision),
@@ -172,14 +176,16 @@ def pow_n(t: ScaledTensor, n: int) -> ScaledTensor:
 @_kernel(KernelKind.ABS, scale_arith=False)
 def abs_(t: ScaledTensor) -> ScaledTensor:
     """{|x|, s}: exact since s > 0."""
-    return ScaledTensor(IntTensor.adopt(np.abs(t.data.values), t.precision), t.scale)
+    return ScaledTensor(
+        IntTensor.adopt(np.abs(t.data.values, dtype=LANE_DTYPE), t.precision), t.scale
+    )
 
 
 @_kernel(KernelKind.RELU, scale_arith=False)
 def relu(t: ScaledTensor) -> ScaledTensor:
     """{max(0, x), s}: exact since s > 0."""
     return ScaledTensor(
-        IntTensor.adopt(np.maximum(t.data.values, 0), t.precision), t.scale
+        IntTensor.adopt(np.maximum(t.data.values, 0, dtype=LANE_DTYPE), t.precision), t.scale
     )
 
 
@@ -194,7 +200,7 @@ def sum_reduce(t: ScaledTensor, axis: int) -> ScaledTensor:
         raise ShapeError(f"axis {axis} out of range for rank {rank}")
     axis = axis % rank
     t = scale_match_dim(t, axis)
-    x = np.sum(t.data.values, axis=axis, keepdims=True)
+    x = np.sum(t.data.values, axis=axis, keepdims=True, dtype=LANE_DTYPE)
     # The axis stays as a unit dim, where the matched scale is the result's: share it.
     return ScaledTensor(IntTensor.adopt(x, t.precision), t.scale)
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .scaling import ScaleGranularity
-from .tensor import IntTensor, ScaledTensor, ScaleTensor
+from .tensor import IntTensor, ScaledTensor, ScaleTensor, max_abs
 from .transformer import (
     LAYER_TENSORS,
     LN,
@@ -229,7 +229,9 @@ def _parse(blob: bytes):
         granularity=_GRAN_FROM_CODE[gran_code],
         degree=degree,
     )
-    buf = io.BytesIO(blob[HEADER_SIZE:])
+    # BytesIO shares the bytes it is given, where a slice would copy them.
+    buf = io.BytesIO(blob)
+    buf.seek(HEADER_SIZE)
     tensors: dict[str, tuple[int, np.ndarray]] = {}
     while True:
         rec = _read_record(buf)
@@ -271,12 +273,15 @@ def _take(tensors: dict, name: str, dtype: int) -> np.ndarray:
 
 
 def _take_scaled(tensors: dict, name: str, precision: int) -> ScaledTensor:
-    payload = _take(tensors, name, DTYPE_I8).astype(np.int64)
+    """A payload record and its scale sibling; the payload keeps the
+    record's read-only int8 array when the precision's container is int8."""
+    payload = _take(tensors, name, DTYPE_I8)
     scale = _take(tensors, name + SCALE_SUFFIX, DTYPE_F32).astype(np.float64)
-    limit = (1 << precision) - 1
-    if payload.size and np.max(np.abs(payload)) > limit:
+    # max_abs works in Python ints: np.abs of int8 -128 is -128.
+    m = max_abs(payload)
+    if m > (1 << precision) - 1:
         raise ValidationError(f"tensor {name!r} exceeds the declared precision")
-    return ScaledTensor(IntTensor(payload, precision), ScaleTensor(scale))
+    return ScaledTensor(IntTensor.param(payload, precision, m), ScaleTensor(scale))
 
 
 def _deserialize(blob: bytes, want: bool | None = None):

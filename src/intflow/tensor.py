@@ -1,7 +1,10 @@
 """Dense tensor containers: integer payloads paired with positive rational scales.
 
-Payloads live in a wide int64 lane regardless of their logical bit-precision;
-the precision is metadata enforced at protocol boundaries.  Scales keep
+Activations and kernel results live in a wide int64 lane regardless of their
+logical bit-precision; the precision is metadata enforced at protocol
+boundaries.  A model's parameters are held at their container width instead,
+the narrowest signed integer type their precision admits (int8 for p <= 7,
+int16 for p <= 15), and kernels widen them before they compute.  Scales keep
 collapsed dimensions as size 1 and broadcast against their payload.
 """
 from __future__ import annotations
@@ -11,13 +14,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LaneOverflowError, ScaleRangeError, ShapeError
+from .errors import LaneOverflowError, PrecisionError, ScaleRangeError, ShapeError
 
 LANE_DTYPE = np.int64
 # Headroom below int64 so products can be guarded before they wrap.
 LANE_MAX = 2**62
 
 DEFAULT_PRECISION = 7
+
+
+def container_dtype(precision: int) -> type:
+    """The narrowest signed integer type holding every payload of `precision`
+    bits: int8 for p <= 7, int16 for p <= 15."""
+    return np.int8 if precision <= 7 else np.int16
 
 
 def _as_float_array(values) -> np.ndarray:
@@ -79,7 +88,11 @@ class RationalTensor:
 
 @dataclass(frozen=True)
 class IntTensor:
-    """Signed integer payload held in the wide lane, with a logical precision."""
+    """Signed integer payload with a logical precision.
+
+    Held in the wide int64 lane, except for a model parameter built by
+    `param`, which is held at its container width.
+    """
 
     values: np.ndarray
     precision: int = DEFAULT_PRECISION
@@ -109,6 +122,30 @@ class IntTensor:
         t = cls.__new__(cls)
         object.__setattr__(t, "precision", precision)
         t._seal(arr, known_max)
+        return t
+
+    @classmethod
+    def param(cls, arr: np.ndarray, precision: int, known_max: int | None = None) -> IntTensor:
+        """A model parameter's payload, held at container_dtype(precision),
+        not in the wide lane: a weight takes one or two bytes, not eight.
+
+        Kernels compute on such operands in int64 or float64, so no sum or
+        product wraps at the narrow width.  A read-only array already of the
+        container type (a record read from a file, say) is kept as it is;
+        anything else is copied.  `known_max` is as in `adopt`.
+        """
+        raw = np.asarray(arr)
+        if raw.dtype.kind not in "iu":
+            raise TypeError(f"payload must be integer-typed, got {raw.dtype}")
+        m = max_abs(raw) if known_max is None else known_max
+        if m > (1 << precision) - 1:
+            raise PrecisionError(f"parameter payload exceeds {precision} bits")
+        dtype = container_dtype(precision)
+        if raw.dtype != dtype or raw.flags.writeable:
+            raw = raw.astype(dtype)
+        t = cls.__new__(cls)
+        object.__setattr__(t, "precision", precision)
+        t._seal(raw, m)
         return t
 
     def view(self, arr: np.ndarray, same_max: bool = False) -> IntTensor:
@@ -191,10 +228,12 @@ def transpose(t: ScaledTensor, axes: Sequence[int]) -> ScaledTensor:
     rank = len(t.shape)
     if sorted(axes) != list(range(rank)):
         raise ShapeError(f"axes {axes} is not a permutation of rank {rank}")
-    return ScaledTensor(
-        t.data.view(np.transpose(t.data.values, axes), same_max=True),
-        ScaleTensor(np.transpose(t.scale.values, axes)),
-    )
+    x = np.transpose(t.data.values, axes)
+    if x.dtype == LANE_DTYPE:
+        data = t.data.view(x, same_max=True)
+    else:  # a parameter held narrow: the result is widened, as every kernel's is
+        data = IntTensor.adopt(x.astype(LANE_DTYPE), t.precision, t.data.max_magnitude)
+    return ScaledTensor(data, ScaleTensor(np.transpose(t.scale.values, axes)))
 
 
 def concat(ts: Sequence[ScaledTensor], axis: int) -> ScaledTensor:
@@ -237,6 +276,6 @@ def concat(ts: Sequence[ScaledTensor], axis: int) -> ScaledTensor:
         )
         scales.append(np.broadcast_to(t.scale.values, target))
     return ScaledTensor(
-        IntTensor(np.concatenate(datas, axis=axis), prec),
+        IntTensor.adopt(np.concatenate(datas, axis=axis, dtype=LANE_DTYPE), prec),
         ScaleTensor(np.concatenate(scales, axis=axis)),
     )

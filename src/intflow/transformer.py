@@ -210,10 +210,10 @@ def _quantize_param(
 ) -> ScaledTensor:
     r = RationalTensor(values)
     s = init_scale(r, ScaleGranularity.PER_ROW, prec)
-    t = quantize(r, s, prec.p)
+    t = quantize(r, s, prec.p).data
     if session is not None:
         session.note("quantize", SCALE, values.size, module)
-    return t
+    return ScaledTensor(IntTensor.param(t.values, prec.p, t.max_magnitude), s)
 
 
 def quantize_model(
@@ -221,7 +221,8 @@ def quantize_model(
     precision: int | None = None,
     session: Session | None = None,
 ) -> IntegerTransformerModel:
-    """Quantize every weight per-row; Q() events land in the session log."""
+    """Quantize every weight per-row, each payload held at its container
+    width (IntTensor.param); Q() events land in the session log."""
     cfg = ref.config
     if precision is not None and precision != cfg.precision:
         cfg = replace(cfg, precision=precision)
@@ -447,9 +448,11 @@ def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session
     tokens = _token_ids(tokens, model.config.vocab)
     emb = model.embedding
     session.note("gather", PAYLOAD, tokens.size * model.config.d_m, EMB)
+    # The scale's row axis is broadcast first: a per-tensor scale has one row.
+    s = emb.scale.values
     return ScaledTensor(
-        IntTensor.adopt(emb.data.values[tokens], emb.precision),
-        ScaleTensor(emb.scale.values[tokens]),
+        IntTensor.adopt(emb.data.values[tokens].astype(np.int64, copy=False), emb.precision),
+        ScaleTensor(np.broadcast_to(s, (model.config.vocab, s.shape[1]))[tokens]),
     )
 
 

@@ -9,6 +9,7 @@ from intflow.analysis import (
     canonical_ffn_forward,
     module_ablation,
     precision_loss,
+    resident_bytes,
     speedup_estimate,
     storage_report,
 )
@@ -93,6 +94,24 @@ class TestStorage:
         cfg = ModelConfig()  # d_m=32, 2 layers
         model = quantize_model(random_reference_model(cfg, seed=0))
         assert 3.4 <= storage_report(model).ratio < 4.0
+
+    def test_default_toy_lines(self):
+        # The on-disk lines as before; the resident ones count the arrays the
+        # model (int8 payloads, float64 scales) and its float64 twin hold.
+        model = quantize_model(random_reference_model(ModelConfig(), seed=0))
+        rep = storage_report(model)
+        assert rep.lines() == [
+            "storage\tfp32\tbytes\t117951",
+            "storage\tint8_payload\tbytes\t29981",
+            "storage\tscales\tbytes\t3643",
+            "storage\theader\tbytes\t34",
+            "storage\tratio\tx\t3.5044",
+            "storage\tresident_int\tbytes\t35056",
+            "storage\tresident_fp32\tbytes\t234496",
+            "storage\tresident_ratio\tx\t6.6892",
+        ]
+        assert rep.resident_int_bytes == resident_bytes(model)
+        assert rep.resident_fp32_bytes == resident_bytes(reference_twin(model))
 
 
 class TestSpeedup:

@@ -1,6 +1,7 @@
 """Integer kernels checked against exact-fraction and FP64 oracles."""
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intflow import kernels as K
+from intflow.audit import OpAuditLog
 from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError, ShapeError
-from intflow.scaling import dequantize, scale_match_dim
-from intflow.tensor import IntTensor, ScaledTensor, ScaleTensor
+from intflow.scaling import Lane, Precision, Workspace, dequantize, protocol_apply, scale_match_dim
+from intflow.tensor import IntTensor, ScaledTensor, ScaleTensor, container_dtype
 
 
 def scaled(data, scale, precision=7):
@@ -333,3 +335,104 @@ class TestShapeOpsThroughProtocol:
         assert K.relu.kind == "relu" and not K.relu.scale_arith
         assert K.transpose.kind == "transpose"
         assert K.concat.kind == "concat"
+
+
+# Each kernel a parameter can reach, as a call on the operands it takes:
+# `a`, `b` (T x d), `w` (n x d), `den` (T x d, payloads >= 0) and the
+# exponent `n`.  `ap` runs a kernel through protocol_apply.
+CONTAINER_CALLS = {
+    "add": (("a", "b"), lambda ap, o: ap(K.add, [o["a"], o["b"]])),
+    "ew_mul": (("a", "b"), lambda ap, o: ap(K.ew_mul, [o["a"], o["b"]])),
+    "pow_n": (("a",), lambda ap, o: ap(K.pow_n, [o["a"]], n=o["n"])),
+    "abs_": (("a",), lambda ap, o: ap(K.abs_, [o["a"]])),
+    "relu": (("a",), lambda ap, o: ap(K.relu, [o["a"]])),
+    "sum_reduce": (("a",), lambda ap, o: ap(K.sum_reduce, [o["a"]], axis=-1)),
+    "int_div": (("a", "den"), lambda ap, o: ap(K.int_div, [o["a"], o["den"]])),
+    "matmul": (("a", "w"), lambda ap, o: ap(K.matmul, [o["a"], o["w"]])),
+    "concat": (("a", "b"), lambda ap, o: ap(K.concat, [o["a"], o["b"]], axis=0)),
+    "transpose": (("a",), lambda ap, o: ap(K.transpose, [o["a"]], axes=(1, 0))),
+    "lane_add_matched": (
+        ("a", "b"),
+        lambda ap, o: ap(K.lane_add_matched, [Lane.of(o["a"], Workspace())], b=o["b"]).seal(),
+    ),
+}
+
+
+@st.composite
+def container_operands(draw):
+    """Operands at a precision p whose container is int8 or int16, with
+    payloads that include the extremes +-(2^p - 1)."""
+    p = draw(st.sampled_from([5, 7, 12, 15]))
+    top = (1 << p) - 1
+    T, d, n_rows = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    signed = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top))
+    positive = st.one_of(st.sampled_from([0, 1, top]), st.integers(1, top))
+
+    def operand(shape, values):
+        x = draw(st.lists(values, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        scale_shape = draw(st.sampled_from([(shape[0], 1), (1, 1), shape]))
+        size = scale_shape[0] * scale_shape[1]
+        s = draw(st.lists(st.floats(0.25, 64.0), min_size=size, max_size=size))
+        return np.reshape(np.array(x, dtype=np.int64), shape), np.reshape(s, scale_shape)
+
+    ops = {
+        "a": operand((T, d), signed),
+        "b": operand((T, d), signed),
+        "w": operand((n_rows, d), signed),
+        "den": operand((T, d), positive),
+    }
+    return p, ops, draw(st.integers(1, 5))
+
+
+def _outcome(p: int, call, ops: dict):
+    """What a kernel call gives: payload dtype and values, scale and audit
+    records, or the type of the error it raises."""
+    log = OpAuditLog()
+
+    def ap(kernel, ins, **kwargs):
+        return protocol_apply(kernel, ins, Precision(p), log=log, module="X", **kwargs)
+
+    try:
+        out = call(ap, ops)
+    except (IntflowError, ValueError) as exc:
+        return type(exc)
+    return out.data.values.dtype, out.data.values.tolist(), out.scale.values.tolist(), log.records
+
+
+class TestContainerWidthOperands:
+    """A parameter payload held at its container width (int8 for p <= 7,
+    int16 for p <= 15) gives every kernel the same int64 result, scale,
+    audit records and error as the same payload held in int64."""
+
+    @given(container_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_narrow_operands_match_wide_ones(self, case):
+        p, arrays, n = case
+
+        def held(narrow_names):
+            ops = {"n": n}
+            for name, (x, s) in arrays.items():
+                data = IntTensor.param(x, p) if name in narrow_names else IntTensor(x, p)
+                ops[name] = ScaledTensor(data, ScaleTensor(s))
+            return ops
+
+        for kernel, (names, call) in CONTAINER_CALLS.items():
+            want = _outcome(p, call, held(()))
+            if not isinstance(want, type):
+                assert want[0] == np.int64, kernel
+            for k in range(1, len(names) + 1):
+                for narrow in combinations(names, k):
+                    ops = held(narrow)
+                    assert all(ops[x].data.values.dtype == container_dtype(p) for x in narrow)
+                    assert _outcome(p, call, ops) == want, (kernel, narrow)
+
+    @pytest.mark.parametrize("p", [7, 15])
+    def test_extremes_do_not_wrap(self, p):
+        # At p = 7: 127 + 127, 127 * 127 and 127^3 all leave int8.
+        top = (1 << p) - 1
+        t = ScaledTensor(IntTensor.param(np.array([top, -top]), p), ScaleTensor(np.ones(1)))
+        assert t.data.values.dtype == container_dtype(p)
+        assert K.add(t, t).data.values.tolist() == [2 * top, -2 * top]
+        assert K.ew_mul(t, t).data.values.tolist() == [top * top, top * top]
+        assert K.pow_n(t, 3).data.values.tolist() == [top**3, -(top**3)]
+        assert K.sum_reduce(t, axis=0).data.values.tolist() == [0]

@@ -1,0 +1,73 @@
+"""Memory held by a model: parameter payloads at their container width."""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from intflow.analysis import resident_bytes
+from intflow.modelfile import load_model, save_model
+from intflow.tensor import container_dtype
+from intflow.transformer import (
+    LAYER_TENSORS,
+    MODEL_TENSORS,
+    ModelConfig,
+    quantize_model,
+    random_reference_model,
+    reference_twin,
+)
+
+# The benchmark's `wide` workload: 2.1 MB as an int8 file.
+WIDE = ModelConfig(d_m=256, heads=4, d_ff=1024, n_layers=2, vocab=1000)
+
+
+def payload_dtypes(model) -> set:
+    leaves = [getattr(lp, f) for lp in model.layers for f in LAYER_TENSORS]
+    leaves += [getattr(model, f) for f in MODEL_TENSORS]
+    return {t.data.values.dtype for t in leaves}
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return quantize_model(random_reference_model(WIDE, seed=0))
+
+
+@pytest.mark.parametrize("precision, dtype", [(2, np.int8), (5, np.int8), (7, np.int8),
+                                              (8, np.int16), (12, np.int16), (15, np.int16)])
+def test_container_dtype(precision, dtype):
+    assert container_dtype(precision) is dtype
+
+
+@pytest.mark.parametrize("precision", [5, 7, 12, 15])
+def test_quantized_payloads_have_their_container_dtype(precision):
+    cfg = ModelConfig(d_m=16, heads=2, d_ff=32, vocab=24)
+    model = quantize_model(random_reference_model(cfg, seed=1), precision=precision)
+    assert payload_dtypes(model) == {np.dtype(container_dtype(precision))}
+
+
+@pytest.mark.parametrize("precision", [5, 7])
+def test_loaded_payloads_have_their_container_dtype(tmp_path, precision):
+    cfg = ModelConfig(d_m=16, heads=2, d_ff=32, vocab=24)
+    path = tmp_path / "m.int8"
+    save_model(str(path), quantize_model(random_reference_model(cfg, seed=1), precision=precision))
+    assert payload_dtypes(load_model(str(path))) == {np.dtype(np.int8)}
+
+
+def test_wide_model_holds_a_sixth_of_its_fp32_twin(wide):
+    # int8 payloads and float64 scales take 2.1 MB; the twin's float64 arrays 16.7 MB.
+    assert 6 * resident_bytes(wide) <= resident_bytes(reference_twin(wide))
+
+
+def test_loading_the_wide_file_peaks_below_four_times_its_size(wide, tmp_path):
+    # The file's bytes, one bytes object per record and the float64 scales:
+    # about twice the file.  An int64 copy of each record alone would be 8x.
+    path = tmp_path / "wide.int8"
+    save_model(str(path), wide)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        model = load_model(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * size
+    assert payload_dtypes(model) == {np.dtype(np.int8)}

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from intflow.cli import EXIT_VALIDATION, main
+from intflow.cli import EXIT_OK, EXIT_VALIDATION, main
 from intflow.errors import ValidationError
 from intflow.modelfile import (
     HEADER_SIZE,
@@ -335,3 +335,60 @@ class TestPinnedSchema:
         assert self._sha(repr(records).encode()) == (
             "59875c7d12dce15d6385f6e464790ed0de910a920041989ad022d4cbdb50e8b2"
         )
+
+
+@pytest.fixture()
+def default_int8(tmp_path):
+    """The default int8 file (`init`, then `quantize`) and its token ids."""
+    fp32, int8 = tmp_path / "m.fp32", tmp_path / "m.int8"
+    assert main(["init", str(fp32)]) == EXIT_OK
+    assert main(["quantize", str(fp32), str(int8)]) == EXIT_OK
+    tokens = tmp_path / "t.npy"
+    np.save(tokens, np.random.default_rng(0).integers(0, 64, 8))
+    return int8.read_bytes(), tokens
+
+
+def test_cli_runs_a_per_tensor_embedding_scale(default_int8, tmp_path, capsys):
+    """An `emb.scale` record of shape (1, 1) is one scale for every row: all
+    three token commands run, with the logits of that scale repeated per row."""
+    blob, tokens = default_int8
+    runs = {}
+    for label, cut in (
+        ("one", lambda s: s[:1]),
+        ("repeated", lambda s: np.repeat(s[:1], len(s), axis=0)),
+    ):
+        path, out = tmp_path / f"{label}.int8", tmp_path / f"{label}.npy"
+        path.write_bytes(rewrite_records(blob, cut, "emb.scale"))
+        assert main(["infer", str(path), str(tokens), "--tokens", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["compare", str(path)]) == EXIT_OK
+        assert main(["report", str(path)]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        # The storage lines count the file's bytes, which differ.
+        runs[label] = np.load(out), [line for line in printed if not line.startswith("storage")]
+    assert deserialize_int_model((tmp_path / "one.int8").read_bytes()).embedding.scale.shape == (1, 1)
+    assert np.array_equal(runs["one"][0], runs["repeated"][0])
+    assert runs["one"][1] == runs["repeated"][1]
+
+
+@pytest.mark.parametrize("precision, value", [(7, -128), (5, -32)])
+def test_cli_refuses_a_payload_beyond_its_precision(default_int8, tmp_path, precision, value):
+    """One int8 payload entry of magnitude 2^p, one past the range of a p-bit
+    header, is refused at load (exit 2); -128 at p = 7 is its own np.abs."""
+    blob, tokens = default_int8
+    if precision != 7:
+        fp32, blob_path = tmp_path / "p.fp32", tmp_path / "p.int8"
+        assert main(["init", str(fp32)]) == EXIT_OK
+        assert main(["quantize", str(fp32), str(blob_path), "--precision", str(precision)]) == EXIT_OK
+        blob = blob_path.read_bytes()
+
+    def poke(arr):
+        out = arr.copy()
+        out.flat[0] = value
+        return out
+
+    bad = tmp_path / "bad.int8"
+    bad.write_bytes(rewrite_records(blob, poke, "layers.0.w1"))
+    assert main(["infer", str(bad), str(tokens), "--tokens", "--out", str(tmp_path / "o.npy")]) == (
+        EXIT_VALIDATION
+    )
