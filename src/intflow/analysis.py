@@ -1,6 +1,7 @@
 """Precision-loss attribution, storage accounting, and speed-up estimation."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,6 +232,8 @@ def speedup_estimate(
     accelerable: frozenset[str] = DEFAULT_ACCELERABLE,
 ) -> SpeedupEstimate:
     """Amdahl-style estimate with audited element counts as time proxies."""
+    if not 0 < factor < math.inf:
+        raise ValidationError(f"acceleration factor must be finite and positive, got {factor}")
     if not log.records:
         raise ValidationError("audit log is empty")
     totals: dict[str, int] = {}

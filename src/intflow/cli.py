@@ -40,20 +40,22 @@ _GRANULARITIES = {g.value: g for g in ScaleGranularity}
 
 
 def _add_arch_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--d-m", type=int, default=32, help="hidden width")
-    sub.add_argument("--heads", type=int, default=2, help="attention heads")
-    sub.add_argument("--d-ff", type=int, default=128, help="feed-forward width")
-    sub.add_argument("--layers", type=int, default=2, help="encoder layers")
-    sub.add_argument("--vocab", type=int, default=64, help="vocabulary size")
-    sub.add_argument("--degree", type=int, default=3, help="attention polynomial degree")
+    cfg = ModelConfig()
+    sub.add_argument("--d-m", type=int, default=cfg.d_m, help="hidden width")
+    sub.add_argument("--heads", type=int, default=cfg.heads, help="attention heads")
+    sub.add_argument("--d-ff", type=int, default=cfg.d_ff, help="feed-forward width")
+    sub.add_argument("--layers", type=int, default=cfg.n_layers, help="encoder layers")
+    sub.add_argument("--vocab", type=int, default=cfg.vocab, help="vocabulary size")
+    sub.add_argument("--degree", type=int, default=cfg.degree, help="attention polynomial degree")
 
 
 def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--precision", type=int, default=7, help="payload bits (2-15)")
+    cfg = ModelConfig()
+    sub.add_argument("--precision", type=int, default=cfg.precision, help="payload bits (2-15)")
     sub.add_argument(
         "--granularity",
         choices=sorted(_GRANULARITIES),
-        default="row",
+        default=cfg.granularity.value,
         help="scale grouping for activations: row (one scale per token) or b (one per sequence)",
     )
 
@@ -111,6 +113,8 @@ def _require_int_model(model) -> IntegerTransformerModel:
 
 
 def _random_tokens(cfg: ModelConfig, seq_len: int, seed: int) -> np.ndarray:
+    if seq_len < 1:
+        raise ValidationError(f"--seq-len must be >= 1, got {seq_len}")
     return np.random.default_rng(seed).integers(0, cfg.vocab, seq_len)
 
 
@@ -152,7 +156,7 @@ def cmd_infer(args) -> int:
     data = np.load(args.input)
     session = Session(Precision(cfg.precision))
     if args.tokens:
-        out = forward(model, session, tokens=data.astype(np.int64))
+        out = forward(model, session, tokens=data)
     else:
         if data.ndim != 2 or data.shape[1] != cfg.d_m:
             raise ValidationError(
@@ -181,9 +185,12 @@ def cmd_infer(args) -> int:
 def _parse_sweep(text: str) -> range:
     try:
         lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
+        bits = range(int(lo), int(hi) + 1)
     except ValueError as exc:
         raise ValidationError(f"bad sweep range {text!r}; expected A..B") from exc
+    if not bits:
+        raise ValidationError(f"empty sweep range {text!r}; A must not exceed B")
+    return bits
 
 
 def cmd_compare(args) -> int:

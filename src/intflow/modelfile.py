@@ -25,10 +25,15 @@ whose degree must equal the header's.  Every int8 payload record named
 NAME is immediately followed by a float32 record NAME + ".scale" holding its
 quantization scales.  Weights quantized at p > 7 do not fit an int8 payload
 and are rejected.
+
+Records are read in place: each is an array viewing the file's bytes, not a
+copy of them.  An int8 payload keeps that read-only view, so a loaded model
+holds the file's bytes and little else; a writable blob (a `bytearray`) is
+copied record by record, so later writes to it do not reach the model.
 """
 from __future__ import annotations
 
-import io
+import math
 import struct
 
 import numpy as np
@@ -51,6 +56,8 @@ MAGIC = b"SPQ1"
 VERSION = 1
 HEADER = struct.Struct("<4sHBBBB6I")
 HEADER_SIZE = HEADER.size
+# The header's u32 dims before `n_tensors`, as ModelConfig attribute names.
+HEADER_DIMS = ("n_layers", "d_m", "heads", "d_ff", "vocab")
 
 DTYPE_I8 = 0
 DTYPE_F32 = 1
@@ -67,55 +74,50 @@ _GRAN_FROM_CODE = {v: k for k, v in _GRAN_CODES.items()} | {1: ScaleGranularity.
 SCALE_SUFFIX = ".scale"
 
 
-def _write_record(buf: io.BytesIO, name: str, dtype: int, arr: np.ndarray) -> None:
+# The dtype tag of a record and the array type of its data.
+_ARRAY_DTYPE = {DTYPE_I8: np.dtype("i1"), DTYPE_F32: np.dtype("<f4")}
+
+
+def _encode(name: str, dtype: int, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """One record: its header (name length, name, dtype tag, rank, dims) and
+    its data as a contiguous array of the tag's type."""
     encoded = name.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise ValidationError(f"tensor name too long: {name!r}")
-    buf.write(struct.pack("<H", len(encoded)))
-    buf.write(encoded)
-    buf.write(struct.pack("<BB", dtype, arr.ndim))
-    buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    if dtype == DTYPE_I8:
-        out = arr.astype(np.int8)
-        if not np.array_equal(out.astype(np.int64), arr):
-            raise ValidationError("payload does not fit int8")
-    else:
-        out = arr.astype(np.float32)
-    buf.write(np.ascontiguousarray(out).tobytes())
+    data = np.asarray(arr, dtype=_ARRAY_DTYPE[dtype], order="C")
+    if dtype == DTYPE_I8 and not np.array_equal(data, arr):
+        raise ValidationError("payload does not fit int8")
+    head = struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded, dtype, arr.ndim, *arr.shape)
+    return head, data
 
 
-def _read_exact(buf: io.BytesIO, n: int, what: str) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise ValidationError(f"file truncated in {what}")
-    return data
+def _records(blob: bytes):
+    """Each record after the header of `blob`: (name, dtype tag, its data as
+    an array viewing `blob`, the bytes the record spans).  The views of a
+    `bytes` blob are read-only."""
+    mv = memoryview(blob)
+    pos = HEADER_SIZE
 
+    def skip(n: int, what: str) -> int:
+        """The offset of the next `n` bytes, which the file must hold."""
+        nonlocal pos
+        if pos + n > len(mv):
+            raise ValidationError(f"file truncated in {what}")
+        pos += n
+        return pos - n
 
-def _read_record(buf: io.BytesIO) -> tuple[str, int, np.ndarray] | None:
-    head = buf.read(2)
-    if not head:
-        return None
-    if len(head) != 2:
-        raise ValidationError("file truncated in a record header")
-    (name_len,) = struct.unpack("<H", head)
-    name = _read_exact(buf, name_len, "a tensor name").decode("utf-8")
-    dtype, rank = struct.unpack("<BB", _read_exact(buf, 2, f"the header of {name!r}"))
-    dims = struct.unpack(f"<{rank}I", _read_exact(buf, 4 * rank, f"the dims of {name!r}"))
-    if dtype == DTYPE_I8:
-        np_dtype, item = np.int8, 1
-    elif dtype == DTYPE_F32:
-        np_dtype, item = np.float32, 4
-    else:
-        raise ValidationError(f"unknown dtype tag {dtype} for {name!r}")
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    raw = _read_exact(buf, count * item, f"the data of {name!r}")
-    arr = np.frombuffer(raw, dtype=np_dtype).reshape(dims)
-    return name, dtype, arr
-
-
-def _record_size(name: str, dtype: int, arr: np.ndarray) -> int:
-    item = 1 if dtype == DTYPE_I8 else 4
-    return 2 + len(name.encode("utf-8")) + 2 + 4 * arr.ndim + arr.size * item
+    while pos < len(mv):
+        start = pos
+        (name_len,) = struct.unpack_from("<H", mv, skip(2, "a record header"))
+        at = skip(name_len, "a tensor name")
+        name = str(mv[at:at + name_len], "utf-8")
+        dtype, rank = struct.unpack_from("<BB", mv, skip(2, f"the header of {name!r}"))
+        dims = struct.unpack_from(f"<{rank}I", mv, skip(4 * rank, f"the dims of {name!r}"))
+        if dtype not in _ARRAY_DTYPE:
+            raise ValidationError(f"unknown dtype tag {dtype} for {name!r}")
+        item, count = _ARRAY_DTYPE[dtype], math.prod(dims)
+        at = skip(count * item.itemsize, f"the data of {name!r}")
+        yield name, dtype, np.frombuffer(mv, item, count, at).reshape(dims), pos - start
 
 
 _SCHEMA = LAYER_TENSORS | MODEL_TENSORS
@@ -141,11 +143,7 @@ def _header_bytes(cfg: ModelConfig, n_tensors: int, quantized: bool) -> bytes:
         _GRAN_CODES[cfg.granularity],
         cfg.degree,
         FLAG_QUANTIZED if quantized else 0,
-        cfg.n_layers,
-        cfg.d_m,
-        cfg.heads,
-        cfg.d_ff,
-        cfg.vocab,
+        *(getattr(cfg, dim) for dim in HEADER_DIMS),
         n_tensors,
     )
 
@@ -190,11 +188,10 @@ def _serialize(model, quantized: bool) -> bytes:
     for field in rest:
         put(_record_name(field), getattr(model, field))
 
-    buf = io.BytesIO()
-    buf.write(_header_bytes(model.config, len(records), quantized))
-    for name, dtype, arr in records:
-        _write_record(buf, name, dtype, arr)
-    return buf.getvalue()
+    chunks = [_header_bytes(model.config, len(records), quantized)]
+    for record in records:
+        chunks += _encode(*record)
+    return b"".join(chunks)
 
 
 def serialize_int_model(model: IntegerTransformerModel) -> bytes:
@@ -210,9 +207,7 @@ def serialize_reference_model(ref: FP32ReferenceModel) -> bytes:
 def _parse(blob: bytes):
     if len(blob) < HEADER_SIZE:
         raise ValidationError("file too short for header")
-    magic, version, p, gran_code, degree, flags, n_layers, d_m, heads, d_ff, vocab, n_tensors = HEADER.unpack(
-        blob[:HEADER_SIZE]
-    )
+    magic, version, p, gran_code, degree, flags, *dims, n_tensors = HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise ValidationError("bad magic; not a model file")
     if version != VERSION:
@@ -220,24 +215,13 @@ def _parse(blob: bytes):
     if gran_code not in _GRAN_FROM_CODE:
         raise ValidationError(f"unknown granularity code {gran_code}")
     cfg = ModelConfig(
-        d_m=d_m,
-        heads=heads,
-        d_ff=d_ff,
-        n_layers=n_layers,
-        vocab=vocab,
         precision=p,
         granularity=_GRAN_FROM_CODE[gran_code],
         degree=degree,
+        **dict(zip(HEADER_DIMS, dims)),
     )
-    # BytesIO shares the bytes it is given, where a slice would copy them.
-    buf = io.BytesIO(blob)
-    buf.seek(HEADER_SIZE)
     tensors: dict[str, tuple[int, np.ndarray]] = {}
-    while True:
-        rec = _read_record(buf)
-        if rec is None:
-            break
-        name, dtype, arr = rec
+    for name, dtype, arr, _ in _records(blob):
         if name in tensors:
             raise ValidationError(f"duplicate tensor {name!r}")
         tensors[name] = (dtype, arr)
@@ -250,13 +234,10 @@ def _parse(blob: bytes):
 
 def record_sizes(blob: bytes) -> tuple[int, int]:
     """(int8 payload record bytes, float32 scale record bytes) of a container."""
-    _, _, tensors = _parse(blob)
+    _parse(blob)  # refuses a file the loader refuses at parse
     payload = scale = 0
-    for name, (dtype, arr) in tensors.items():
-        size = _record_size(name, dtype, arr)
-        if dtype == DTYPE_I8:
-            payload += size
-        elif name.endswith(SCALE_SUFFIX):
+    for name, dtype, _, size in _records(blob):
+        if dtype == DTYPE_F32 and name.endswith(SCALE_SUFFIX):
             scale += size
         else:
             payload += size  # FP32 side-band params travel with the payloads

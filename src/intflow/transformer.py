@@ -72,6 +72,11 @@ class ModelConfig:
     degree: int = 3
 
     def __post_init__(self):
+        for dim, least in (("d_m", 1), ("heads", 1), ("d_ff", 1), ("vocab", 1), ("n_layers", 0)):
+            if getattr(self, dim) < least:
+                raise ValidationError(f"{dim} must be >= {least}, got {getattr(self, dim)}")
+        if not 2 <= self.precision <= 15:
+            raise ValidationError(f"precision {self.precision} outside [2, 15]")
         if self.d_m % self.heads:
             raise ValidationError("model width must divide evenly across heads")
         if self.degree < 1:
@@ -438,10 +443,12 @@ def residual_add(a: ScaledTensor, b: ScaledTensor, session: Session) -> ScaledTe
 
 
 def _token_ids(tokens, vocab: int) -> np.ndarray:
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
+    if tokens.dtype.kind not in "iu":
+        raise ValidationError(f"token ids must be integers, got {tokens.dtype}")
     if tokens.ndim != 1 or np.any(tokens < 0) or np.any(tokens >= vocab):
         raise ValidationError("token ids out of range")
-    return tokens
+    return tokens.astype(np.int64, copy=False)
 
 
 def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session: Session) -> ScaledTensor:

@@ -1,8 +1,12 @@
 """Command-line interface: every verb, flags, and exit codes."""
+import struct
+
 import numpy as np
 import pytest
 
-from intflow.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from intflow.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from intflow.modelfile import HEADER_DIMS, HEADER_SIZE
+from intflow.transformer import ModelConfig
 
 
 @pytest.fixture()
@@ -72,6 +76,16 @@ class TestInfer:
         assert main(["infer", str(int8), str(x), "--out",
                      str(tmp_path / "y.npy")]) == EXIT_VALIDATION
 
+    def test_float_token_ids_are_refused(self, workspace, tmp_path, capsys):
+        # Cast to int64 they would run as tokens [0, 1].
+        tmp, fp32, int8 = workspace
+        t = tmp_path / "tok.npy"
+        np.save(t, np.array([0.5, 1.7]))
+        assert main(["infer", str(int8), str(t), "--tokens",
+                     "--out", str(tmp_path / "y.npy")]) == EXIT_VALIDATION
+        assert "integers" in capsys.readouterr().err
+        assert not (tmp_path / "y.npy").exists()
+
     def test_missing_model_file(self, workspace, tmp_path):
         tmp, fp32, int8 = workspace
         x = tmp_path / "x.npy"
@@ -100,6 +114,13 @@ class TestCompare:
     def test_bad_sweep_range(self, workspace):
         tmp, fp32, int8 = workspace
         assert main(["compare", str(int8), "--sweep-bits", "six"]) == EXIT_VALIDATION
+
+    def test_empty_sweep_range(self, workspace, capsys):
+        tmp, fp32, int8 = workspace
+        capsys.readouterr()
+        assert main(["compare", str(int8), "--sweep-bits", "9..3"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and "empty sweep range" in err
 
     def test_ablate(self, workspace, capsys):
         tmp, fp32, int8 = workspace
@@ -132,6 +153,71 @@ class TestReport:
     def test_report_needs_quantized_model(self, workspace):
         tmp, fp32, int8 = workspace
         assert main(["report", str(fp32)]) == EXIT_VALIDATION
+
+
+    @pytest.mark.parametrize("factor", ["0", "-1", "inf", "nan"])
+    def test_factor_must_be_finite_and_positive(self, workspace, capsys, factor):
+        tmp, fp32, int8 = workspace
+        assert main(["report", str(int8), "--factor", factor]) == EXIT_VALIDATION
+        assert "factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize("seq_len", ["0", "-3"])
+def test_seq_len_must_be_positive(workspace, capsys, command, seq_len):
+    tmp, fp32, int8 = workspace
+    capsys.readouterr()
+    assert main([command, str(int8), "--seq-len", seq_len]) == EXIT_VALIDATION
+    assert "--seq-len" in capsys.readouterr().err
+
+
+class TestHyperParameters:
+    """Every ModelConfig field is checked where the config is built, so a bad
+    flag or a bad header exits 2 with a message, never a traceback, and no
+    file is written that later commands would refuse."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--heads", "0"], ["--d-m", "0"], ["--d-ff", "0"], ["--vocab", "0"],
+        ["--heads", "-2"], ["--layers", "-1"], ["--precision", "16"], ["--precision", "1"],
+    ])
+    def test_init_refuses(self, tmp_path, capsys, flags):
+        out = tmp_path / "m.fp32"
+        assert main(["init", str(out), *flags]) == EXIT_VALIDATION
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quantize_refuses_precision_16(self, workspace, tmp_path):
+        tmp, fp32, int8 = workspace
+        out = tmp_path / "q.int8"
+        assert main(["quantize", str(fp32), str(out), "--precision", "16"]) == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_header_with_zero_heads_is_refused(self, workspace, tmp_path, capsys):
+        tmp, fp32, int8 = workspace
+        blob = bytearray(int8.read_bytes())
+        # The u32 dims end the header, followed by n_tensors.
+        offset = HEADER_SIZE - 4 * (len(HEADER_DIMS) + 1) + 4 * HEADER_DIMS.index("heads")
+        assert struct.unpack_from("<I", blob, offset) == (2,)
+        struct.pack_into("<I", blob, offset, 0)
+        bad, t = tmp_path / "bad.int8", tmp_path / "tok.npy"
+        bad.write_bytes(bytes(blob))
+        np.save(t, np.arange(6))
+        capsys.readouterr()
+        assert main(["infer", str(bad), str(t), "--tokens",
+                     "--out", str(tmp_path / "y.npy")]) == EXIT_VALIDATION
+        assert "heads" in capsys.readouterr().err
+
+
+def test_flag_defaults_are_the_model_config_defaults():
+    cfg = ModelConfig()
+    parser = build_parser()
+    init = parser.parse_args(["init", "m.fp32"])
+    quant = parser.parse_args(["quantize", "m.fp32", "m.int8"])
+    arch = {"d_m": init.d_m, "heads": init.heads, "d_ff": init.d_ff,
+            "n_layers": init.layers, "vocab": init.vocab, "degree": init.degree}
+    assert arch == {name: getattr(cfg, name) for name in arch}
+    for args in (init, quant):
+        assert (args.precision, args.granularity) == (cfg.precision, cfg.granularity.value)
 
 
 class TestTruncatedModelFile:

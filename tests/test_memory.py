@@ -58,8 +58,7 @@ def test_wide_model_holds_a_sixth_of_its_fp32_twin(wide):
 
 
 def test_loading_the_wide_file_peaks_below_four_times_its_size(wide, tmp_path):
-    # The file's bytes, one bytes object per record and the float64 scales:
-    # about twice the file.  An int64 copy of each record alone would be 8x.
+    # An int64 copy of each record alone would be 8x the file.
     path = tmp_path / "wide.int8"
     save_model(str(path), wide)
     size = path.stat().st_size
@@ -70,4 +69,19 @@ def test_loading_the_wide_file_peaks_below_four_times_its_size(wide, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * size
+    assert payload_dtypes(model) == {np.dtype(np.int8)}
+
+
+def test_loading_the_wide_file_holds_it_once(wide, tmp_path):
+    # Records are read in place: the file's bytes, the float64 scales and
+    # the array headers.  A copy of each record while parsing would be 2x.
+    path = tmp_path / "wide.int8"
+    save_model(str(path), wide)
+    tracemalloc.start()
+    try:
+        model = load_model(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * path.stat().st_size
     assert payload_dtypes(model) == {np.dtype(np.int8)}

@@ -1,6 +1,5 @@
 """Binary model container: round trips, validation, byte accounting."""
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -10,8 +9,8 @@ from intflow.errors import ValidationError
 from intflow.modelfile import (
     HEADER_SIZE,
     MAGIC,
-    _read_record,
-    _write_record,
+    _encode,
+    _records,
     deserialize_int_model,
     deserialize_reference_model,
     load_model,
@@ -22,6 +21,8 @@ from intflow.modelfile import (
 )
 from intflow.scaling import Precision, ScaleGranularity, Session
 from intflow.transformer import (
+    LAYER_TENSORS,
+    MODEL_TENSORS,
     FP32ReferenceModel,
     IntegerTransformerModel,
     ModelConfig,
@@ -68,6 +69,37 @@ class TestRoundTrips:
         save_model(str(iq), model)
         assert isinstance(load_model(str(fp)), FP32ReferenceModel)
         assert isinstance(load_model(str(iq)), IntegerTransformerModel)
+
+
+def payloads(model):
+    leaves = [getattr(lp, f) for lp in model.layers for f in LAYER_TENSORS]
+    return [t.data.values for t in leaves] + [getattr(model, f).data.values for f in MODEL_TENSORS]
+
+
+class TestInPlaceRecords:
+    """Records are read in place: an int8 payload is a view of the file's
+    bytes, and a writable blob is copied so that later writes miss the model."""
+
+    def test_int8_payloads_share_the_blob(self, pair):
+        _, model = pair
+        blob = serialize_int_model(model)
+        raw = np.frombuffer(blob, np.uint8)
+        held = payloads(deserialize_int_model(blob))
+        assert len(held) == 4 + 12 * model.config.n_layers
+        assert all(np.shares_memory(p, raw) for p in held)
+
+    def test_writes_to_a_bytearray_after_loading_miss_the_model(self, pair):
+        _, model = pair
+        blob = bytearray(serialize_int_model(model))
+        loaded = deserialize_int_model(blob)
+        before = [p.copy() for p in payloads(loaded)]
+        tok = np.arange(6)
+        o1 = forward(loaded, Session(Precision(7)), tokens=tok)
+        blob[HEADER_SIZE:] = bytes(len(blob) - HEADER_SIZE)
+        assert all(np.array_equal(p, q) for p, q in zip(payloads(loaded), before))
+        o2 = forward(loaded, Session(Precision(7)), tokens=tok)
+        assert np.array_equal(o1.data.values, o2.data.values)
+        assert np.array_equal(o1.scale.values, o2.scale.values)
 
 
 class TestValidation:
@@ -117,12 +149,10 @@ class TestValidation:
 
 def rewrite_records(blob: bytes, cut, *names: str) -> bytes:
     """The container with cut(array) stored in place of each named record."""
-    src, out = io.BytesIO(blob[HEADER_SIZE:]), io.BytesIO()
-    out.write(blob[:HEADER_SIZE])
-    while (rec := _read_record(src)) is not None:
-        name, dtype, arr = rec
-        _write_record(out, name, dtype, cut(arr) if name in names else arr)
-    return out.getvalue()
+    chunks = [blob[:HEADER_SIZE]]
+    for name, dtype, arr, _ in _records(blob):
+        chunks += _encode(name, dtype, cut(arr) if name in names else arr)
+    return b"".join(chunks)
 
 
 class TestLayerNormWidth:

@@ -82,6 +82,14 @@ class TestConfig:
         out = forward(model, Session(Precision(p)), tokens=tokens)
         assert out.data.in_range()
 
+    @pytest.mark.parametrize("field, value", [
+        ("d_m", 0), ("heads", 0), ("heads", -2), ("d_ff", 0), ("vocab", 0),
+        ("n_layers", -1), ("precision", 1), ("precision", 16),
+    ])
+    def test_every_hyper_parameter_is_checked(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ModelConfig(**{field: value})
+
     def test_poly_degree_positive(self):
         with pytest.raises(ValidationError):
             ModelConfig(degree=0)
@@ -264,6 +272,14 @@ class TestEmbedding:
         sess = Session(Precision(P))
         with pytest.raises(ValidationError):
             gather_embedding(model, np.array([cfg.vocab]), sess)
+
+    @pytest.mark.parametrize("tokens", [np.array([0.5, 1.7]), np.array([0.0, 1.0]), np.array([True])])
+    def test_rejects_non_integer_ids(self, toy, tokens):
+        cfg, ref, model = toy
+        with pytest.raises(ValidationError, match="integers"):
+            gather_embedding(model, tokens, Session(Precision(P)))
+        with pytest.raises(ValidationError, match="integers"):
+            reference_forward(ref, tokens=tokens)
 
 
 class TestHybridEngine:
