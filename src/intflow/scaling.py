@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .audit import FP32, PAYLOAD, SCALE, AuditRecord, OpAuditLog
-from .errors import LaneOverflowError, PrecisionError, ShapeError
+from .errors import LaneOverflowError, ShapeError
 from .tensor import (
     DEFAULT_PRECISION,
     LANE_MAX,
@@ -24,6 +23,7 @@ from .tensor import (
     check_lane,
     check_scale,
     max_abs,
+    scale_bounds,
 )
 
 
@@ -74,8 +74,9 @@ def trunc_div(x: np.ndarray, k: np.ndarray, *, x_max: int | None = None) -> np.n
     is not equal to, so the rounded quotient never reaches the next integer.
     From 2^53 up the quotient is taken in int64.
 
-    A caller that knows max|x| passes it as `x_max`, which spares a scan of
-    the numerator.
+    A caller that knows a bound on max|x| passes it as `x_max`, which
+    spares a scan of the numerator: both routes are exact, so a bound
+    chooses between them as well as the exact max does.
     """
     x = np.asarray(x)
     k = np.asarray(k, dtype=np.int64)
@@ -178,11 +179,18 @@ class Workspace:
 # in exact rational arithmetic.
 MATCH_FLOAT_MAX = 2**22
 
-# x * s_bar / s truncated toward zero, exactly: x is a Python int (or a float
-# holding one) and each float scale an exact binary fraction.
-_match_exact = np.frompyfunc(
-    lambda x, s, s_bar: int(int(x) * Fraction(s_bar) / Fraction(s)), 3, 1
-)
+# Each float scale is an exact binary fraction n / d.
+_integer_ratio = np.frompyfunc(float.as_integer_ratio, 1, 2)
+
+
+def _match_exact(x: np.ndarray, s: np.ndarray, s_bar: np.ndarray) -> np.ndarray:
+    """x * s_bar / s truncated toward zero, exactly, as int64: with s = n / d
+    and s_bar = n' / d', |x| * n' * d // (d' * n) in Python ints, with the
+    sign restored.  x is int64, or float64 holding integers."""
+    n_bar, d_bar = _integer_ratio(s_bar)
+    n, d = _integer_ratio(s)
+    q = np.abs(x).astype(np.int64, copy=False).astype(object) * (n_bar * d) // (d_bar * n)
+    return np.where(x < 0, -q, q).astype(np.int64)
 
 
 def _match_payload(
@@ -194,7 +202,8 @@ def _match_payload(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Move payload x, with max|x| = `x_max`, from scale s down to
-    s_bar <= s, truncating toward zero.
+    s_bar <= s, truncating toward zero.  `x_max` may be a bound while it is
+    below MATCH_FLOAT_MAX (see match_max).
 
     |x'| <= |x| always holds, so matching cannot overflow; the de-quantized
     value moves by less than 1/s_bar per element.  Below MATCH_FLOAT_MAX the
@@ -205,7 +214,7 @@ def _match_payload(
     when given.
     """
     if x_max >= MATCH_FLOAT_MAX:
-        q = _match_exact(x, s, s_bar).astype(np.int64)
+        q = _match_exact(x, s, s_bar)
         if out is None:
             return q
         np.copyto(out, q)
@@ -224,6 +233,15 @@ def _match_payload(
     if ws is not None:
         ws.give(q)
     return out
+
+
+def match_max(t: IntTensor | Lane) -> int:
+    """max|x| as _match_payload's route switch needs it: the bound below
+    MATCH_FLOAT_MAX, where it picks the float route as the exact max does,
+    and the exact max from there up, since the routes can differ in the
+    last unit."""
+    bound = t.max_bound
+    return bound if bound < MATCH_FLOAT_MAX else t.max_magnitude
 
 
 def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
@@ -249,14 +267,17 @@ def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
     for s in scales[2:]:
         s_bar = np.minimum(s_bar, s)
     out = []
-    unified = ScaleTensor(s_bar)
+    unified = ScaleTensor.derived(
+        s_bar, min(t.scale.lo for t in ts), min(t.scale.hi for t in ts)
+    )
     for t, s in zip(ts, scales):
         if (s == s_bar).all():
             # Already at the minimum: the payload moves by nothing, exactly.
             out.append(ScaledTensor(t.data, unified))
             continue
-        x = _match_payload(t.data.values, s, s_bar, t.data.max_magnitude)
-        out.append(ScaledTensor(IntTensor.adopt(x, prec), unified))
+        x = _match_payload(t.data.values, s, s_bar, match_max(t.data))
+        # Matching never grows a magnitude, so the bound carries over.
+        out.append(ScaledTensor(IntTensor.adopt(x, prec, bound=t.data.max_bound), unified))
     return out
 
 
@@ -287,9 +308,10 @@ def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
     d = d % rank
     if t.scale.shape[d] == 1:
         return t
-    x, s_bar = match_axis(t.data.values, t.scale.values, d, t.data.max_magnitude)
-    data = t.data if x is None else IntTensor.adopt(x, t.precision)
-    return ScaledTensor(data, ScaleTensor(s_bar))
+    x, s_bar = match_axis(t.data.values, t.scale.values, d, match_max(t.data))
+    data = t.data if x is None else IntTensor.adopt(x, t.precision, bound=t.data.max_bound)
+    # Each minimum is one of the values, so the bounds carry over.
+    return ScaledTensor(data, ScaleTensor.derived(s_bar, t.scale.lo, t.scale.hi))
 
 
 def shrink(
@@ -339,13 +361,26 @@ def shrink(
     return q, np.divide(s, m, out=m if scale_out is None else scale_out)
 
 
+def _shrunk_lo(lo: float, x_max: int, limit: int) -> float:
+    """A lower bound on the scales shrink makes from scales >= lo: no group's
+    divisor exceeds ceil(x_max / limit), and float division is monotone."""
+    return lo / max(-(-x_max // limit), 1)
+
+
 def rescale(x: IntTensor, s: ScaleTensor, prec: Precision) -> ScaledTensor:
     """Shrink payload back to p bits: divide payload and scale by
-    ceil(max(|x|) / (2^p - 1)), computed per scale group."""
+    ceil(max(|x|) / (2^p - 1)), computed per scale group.
+
+    Every group then has max|x| <= 2^p - 1, which the result carries as
+    its bound; a scale divided by at least 1 keeps its upper bound."""
     if x.values.size == 0:
         return ScaledTensor(IntTensor(x.values, prec.p), s)
-    x2, s2 = shrink(x.values, s.values, prec.max_magnitude, x.max_magnitude)
-    return ScaledTensor(IntTensor.adopt(x2, prec.p), ScaleTensor(s2))
+    m, limit = x.max_magnitude, prec.max_magnitude
+    x2, s2 = shrink(x.values, s.values, limit, m)
+    return ScaledTensor(
+        IntTensor.adopt(x2, prec.p, bound=limit),
+        ScaleTensor.derived(s2, _shrunk_lo(s.lo, m, limit), s.hi),
+    )
 
 
 class Lane:
@@ -355,31 +390,65 @@ class Lane:
     and audits it as it does a fresh ScaledTensor.  The payload x holds exact
     integers: float64 while a step's bound on max|x| is below 2^53, int64
     from 2^53 up, the rule of `matmul`, `trunc_div` and `rescale`.  `m`
-    bounds max|x|, exactly after any step that scans it.  Each step checks
-    the scales it makes as ScaleTensor checks them.
+    bounds max|x|, and is max|x| itself while `exact` holds; a step that
+    needs the exact max reads `max_magnitude`, which scans once.  `lo` and
+    `hi` bound the scale's values, and each step that makes scales checks
+    them as ScaleTensor.derived does.
 
     Its payload, scale and scratch arrays come from the workspace `ws`, and
     go back to it when the lane is sealed or released.
     """
 
     def __init__(
-        self, x: np.ndarray, s: np.ndarray, precision: int, ws: Workspace, m: int | None = None
+        self,
+        x: np.ndarray,
+        s: np.ndarray,
+        precision: int,
+        ws: Workspace,
+        m: int | None = None,
+        scale_range: tuple[float, float] | None = None,
     ):
+        """`m`, when given, is a bound on max|x|, else max|x| is scanned;
+        `scale_range` likewise bounds the scale, else it is scanned."""
         self.x, self.s, self.precision, self.ws = x, s, precision, ws
+        self.exact = m is None
         self.m = max_abs(x) if m is None else m
-        check_lane(self.m)
+        self.check_fit()
+        self.lo, self.hi = check_scale(s) if scale_range is None else scale_bounds(s, *scale_range)
         self.work = ws.take(x.shape)  # float64 scratch of the payload's shape
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.x.shape
 
+    @property
+    def max_bound(self) -> int:
+        return self.m
+
+    @property
+    def max_magnitude(self) -> int:
+        """max|x|, exactly: scanned when only a bound is known."""
+        if not self.exact:
+            self.m = max_abs(self.x)
+            self.exact = True
+        return self.m
+
+    def bound(self, m: int) -> None:
+        """Record a new bound on max|x| after a step that moved the payload."""
+        self.m = m
+        self.exact = False
+
+    def check_fit(self) -> None:
+        """check_lane on the bound, deciding by the exact max when the bound trips."""
+        if self.m >= LANE_MAX:
+            check_lane(self.max_magnitude)
+
     @classmethod
     def of(cls, t: ScaledTensor, ws: Workspace) -> Lane:
         """A private copy of t's payload and scale."""
-        m = t.data.max_magnitude
+        m = t.data.max_bound
         x = ws.copy(t.data.values, np.float64 if m < FLOAT64_EXACT else np.int64)
-        return cls(x, ws.copy(t.scale.values), t.precision, ws, m)
+        return cls(x, ws.copy(t.scale.values), t.precision, ws, m, (t.scale.lo, t.scale.hi))
 
     def hold(self, bound: int) -> None:
         """Hold x in float64 while `bound` is below 2^53, in int64 from there up."""
@@ -391,34 +460,38 @@ class Lane:
 
     def shrink(self, prec: Precision) -> None:
         """rescale in place: payload and scale divided by the same per-group factor."""
-        self.hold(self.m)
+        m, limit = self.max_magnitude, prec.max_magnitude
+        self.hold(m)
         x = self.x
         q, s = shrink(
-            x, self.s, prec.max_magnitude, self.m,
+            x, self.s, limit, m,
             out=x if x.dtype == np.float64 else None,
             scale_out=self.s, work=self.work,
         )
-        check_scale(s)
+        self.lo, self.hi = scale_bounds(s, _shrunk_lo(self.lo, m, limit), self.hi)
         if q is not x:  # from 2^53 up the quotient is a fresh int64 array
             self.x = self.ws.copy(q)
             self.ws.give(x)
-        self.m = max_abs(self.x)
+        self.bound(limit)
         self.precision = prec.p
 
     def match_last(self) -> None:
         """Collapse the scale along the last axis, as scale_match_dim(t, -1)
         does, with the payload matched in place.
 
-        The payload is then held by its exact max|x|, and the collapsed
-        scale is a fresh array, which results computed from the lane share.
-        The scratch buffer goes back first, to serve as the match's ratio.
+        Matching never grows a magnitude, so the bound carries over, and the
+        payload is held by it.  The collapsed scale is a fresh array, which
+        results computed from the lane share.  The scratch buffer goes back
+        first, to serve as the match's ratio.
         """
         self.ws.give(self.work)
         self.work = None
-        x, s_bar = match_axis(self.x, self.s, self.x.ndim - 1, self.m, self.ws, out=self.x)
+        d = self.x.ndim - 1
+        x, s_bar = match_axis(self.x, self.s, d, match_max(self), self.ws, out=self.x)
         self.ws.give(self.s)
         self.s = s_bar
-        self.m = max_abs(self.x)
+        if x is not None:
+            self.bound(self.m)
         self.hold(self.m)
 
     def release(self) -> None:
@@ -429,7 +502,11 @@ class Lane:
         """The result as a fresh int64 ScaledTensor; every buffer goes back
         and the lane is not used again."""
         out = ScaledTensor(
-            IntTensor.adopt(self.x.astype(np.int64), self.precision), ScaleTensor(self.s.copy())
+            IntTensor.adopt(
+                self.x.astype(np.int64), self.precision,
+                self.m if self.exact else None, bound=self.m,
+            ),
+            ScaleTensor.derived(self.s.copy(), self.lo, self.hi),
         )
         self.ws.give(self.x, self.s, self.work)
         return out
@@ -448,21 +525,20 @@ def protocol_apply(
     """Run an integer kernel in the wide lane, re-scale on overflow, audit it.
 
     The kernel returns a fresh ScaledTensor, or the Lane it worked in place;
-    both are shrunk by the same rule and audited with the same records.
+    both are shrunk by the same rule and audited with the same records.  A
+    bound on max|x| within the precision decides "no rescale" alone; past
+    it, the exact max decides.
     """
     out = kernel(*ins, **kwargs)
     lane = out if isinstance(out, Lane) else None
-    m = out.data.max_magnitude if lane is None else lane.m
-    rescaled = allow_rescale and m > prec.max_magnitude
+    data = out.data if lane is None else lane
+    limit = prec.max_magnitude
+    rescaled = allow_rescale and data.max_bound > limit and data.max_magnitude > limit
     if rescaled:
         if lane is None:
             out = rescale(out.data, out.scale, prec)
-            m = out.data.max_magnitude
         else:
             lane.shrink(prec)
-            m = lane.m
-        if m > prec.max_magnitude:
-            raise PrecisionError("payload exceeds logical precision after re-scaling")
     if log is not None:
         kind = kernel.kind
         x, s = (out.data.values, out.scale.values) if lane is None else (lane.x, lane.s)

@@ -9,6 +9,7 @@ collapsed dimensions as size 1 and broadcast against their payload.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -52,14 +53,52 @@ def check_lane(m: int) -> None:
         raise LaneOverflowError("payload exceeds accumulator lane")
 
 
-def check_scale(arr: np.ndarray) -> None:
-    """Raise ScaleRangeError unless every scale value is finite and strictly positive."""
+def check_scale(arr: np.ndarray) -> tuple[float, float]:
+    """Raise ScaleRangeError unless every scale value is finite and strictly
+    positive; returns the scale's (min, max), or (1.0, 1.0) when it is empty."""
+    if not arr.size:
+        return 1.0, 1.0
     # Two scans with no temporaries: a NaN fails the first test, and once
     # every value is positive only +inf can fail the second.
-    if arr.size and not arr.min() > 0:
+    lo = float(arr.min())
+    if not lo > 0:
         raise ScaleRangeError("scale values must be strictly positive")
-    if arr.size and not np.isfinite(arr.max()):
+    hi = float(arr.max())
+    if not math.isfinite(hi):
         raise ScaleRangeError("scale values must be finite")
+    return lo, hi
+
+
+def scale_bounds(arr: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi), derived bounds on arr's values, when they prove every value
+    finite and strictly positive; otherwise arr's exact (min, max) from
+    check_scale, which raises as it does for any new scale.
+
+    A kernel derives the bounds from its operands' bounds: rounded multiply,
+    divide and minimum are monotone on positive floats, so fl(lo_a * lo_b)
+    <= fl(a_i * b_j) <= fl(hi_a * hi_b) for every element.  A bound that
+    under- or overflows (lo = 0, hi = inf) proves nothing, and the scan
+    decides.
+    """
+    if lo > 0 and hi < math.inf:  # a NaN fails both tests
+        return lo, hi
+    return check_scale(arr)
+
+
+# libm pow is not guaranteed to be correctly rounded; this margin covers its
+# error many times over, as long as the powers stay clear of subnormals.
+POW_MARGIN = 2.0**-40
+POW_FLOOR = 2.0**-1000
+
+
+def pow_bounds(lo: float, hi: float, n: int) -> tuple[float, float]:
+    """Bounds on s**n for every s in [lo, hi] as numpy computes it; (0, inf),
+    which makes scale_bounds scan, when a power leaves the normal range."""
+    try:
+        lo_n, hi_n = lo**n * (1 - POW_MARGIN), hi**n * (1 + POW_MARGIN)
+    except OverflowError:
+        return 0.0, math.inf
+    return (lo_n if lo_n >= POW_FLOOR else 0.0), hi_n
 
 
 def _broadcast_compatible(scale_shape: tuple[int, ...], data_shape: tuple[int, ...]) -> bool:
@@ -92,12 +131,19 @@ class IntTensor:
 
     Held in the wide int64 lane, except for a model parameter built by
     `param`, which is held at its container width.
+
+    It carries a bound on max|x| (`max_bound`): a kernel derives its
+    result's bound from its operands' bounds.  The exact max|x|
+    (`max_magnitude`) is scanned the first time it is read, unless a caller
+    supplied it; payloads are read-only, so it stays valid.
     """
 
     values: np.ndarray
     precision: int = DEFAULT_PRECISION
-    # max|x|, scanned once here; payloads are read-only, so it stays valid.
-    _max_abs: int = field(init=False, repr=False, compare=False)
+    # max|x| once known; payloads are read-only, so it stays valid.
+    _max_abs: int | None = field(init=False, repr=False, compare=False)
+    # A bound on max|x|, always below LANE_MAX; max|x| itself once known.
+    _bound: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = np.asarray(self.values)
@@ -108,20 +154,26 @@ class IntTensor:
 
     @classmethod
     def adopt(
-        cls, arr: np.ndarray, precision: int = DEFAULT_PRECISION, known_max: int | None = None
+        cls,
+        arr: np.ndarray,
+        precision: int = DEFAULT_PRECISION,
+        known_max: int | None = None,
+        *,
+        bound: int | None = None,
     ) -> IntTensor:
         """Wrap an int64 array that a kernel has just allocated, without a copy.
 
         Only for arrays nothing else refers to: the array is frozen in place.
         A view, or an array of another dtype, goes through the copying
         constructor instead.  `known_max`, when the caller has already
-        scanned max|x| exactly, spares the second scan.
+        scanned max|x| exactly, spares the scan; `bound`, a bound on max|x|
+        the caller derived, defers it until max|x| is read.
         """
         if not isinstance(arr, np.ndarray) or arr.dtype != LANE_DTYPE or arr.base is not None:
             return cls(arr, precision)
         t = cls.__new__(cls)
         object.__setattr__(t, "precision", precision)
-        t._seal(arr, known_max)
+        t._seal(arr, known_max, bound)
         return t
 
     @classmethod
@@ -152,23 +204,29 @@ class IntTensor:
         """Wrap `arr`, a view of this payload, without a copy: the payload is
         sealed, so nothing writes through the view.
 
-        A view holding every element (a transpose, a broadcast) passes
-        `same_max` and keeps the stored max|x|; a slice is scanned.
+        The view keeps this payload's bound.  A view holding every element
+        (a transpose, a broadcast) passes `same_max` and keeps the exact
+        max|x| too, when it is known; a slice scans its own when read.
         """
         t = IntTensor.__new__(IntTensor)
         object.__setattr__(t, "precision", self.precision)
-        t._seal(arr, (self._max_abs if arr.size else 0) if same_max else None)
+        t._seal(arr, (self._max_abs if same_max else None) if arr.size else 0, self._bound)
         return t
 
-    def _seal(self, arr: np.ndarray, m: int | None = None) -> None:
-        if m is None:
+    def _seal(self, arr: np.ndarray, m: int | None = None, bound: int | None = None) -> None:
+        # A bound that reaches the lane proves nothing: scan, and let the
+        # exact max decide, as it always has.
+        if m is None and (bound is None or bound >= LANE_MAX):
             m = max_abs(arr)
-        check_lane(m)
+        if m is not None:
+            check_lane(m)
+            bound = m
         if not 2 <= self.precision <= 15:
             raise ValueError(f"precision {self.precision} outside [2, 15]")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_max_abs", m)
+        object.__setattr__(self, "_bound", bound)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -176,24 +234,56 @@ class IntTensor:
 
     @property
     def max_magnitude(self) -> int:
-        return self._max_abs
+        """max|x|, exactly; scanned on the first read when only a bound is known."""
+        m = self._max_abs
+        if m is None:
+            m = max_abs(self.values)
+            object.__setattr__(self, "_max_abs", m)
+            object.__setattr__(self, "_bound", m)
+        return m
+
+    @property
+    def max_bound(self) -> int:
+        """A bound on max|x|, with no scan: max|x| itself once that is known."""
+        return self._bound
 
     def in_range(self) -> bool:
         """True when every payload fits the logical precision."""
-        return self.max_magnitude <= (1 << self.precision) - 1
+        limit = (1 << self.precision) - 1
+        return self.max_bound <= limit or self.max_magnitude <= limit
 
 
 @dataclass(frozen=True)
 class ScaleTensor:
-    """Strictly positive rational multipliers; collapsed dims have size 1."""
+    """Strictly positive rational multipliers; collapsed dims have size 1.
+
+    It carries bounds lo <= min and hi >= max of its values: scanned where
+    a scale is built from an array, derived by `derived` where a kernel
+    computes one from scales it knows the bounds of.
+    """
 
     values: np.ndarray
+    lo: float = field(init=False, repr=False, compare=False)
+    hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_float_array(self.values)
-        check_scale(arr)
+        self._seal(arr, *check_scale(arr))
+
+    @classmethod
+    def derived(cls, arr: np.ndarray, lo: float, hi: float) -> ScaleTensor:
+        """Wrap a float64 scale a kernel computed, with bounds (lo, hi) it
+        derived from its operands' bounds; the array is scanned only when
+        the bounds do not prove it valid (scale_bounds)."""
+        t = cls.__new__(cls)
+        t._seal(arr, *scale_bounds(arr, lo, hi))
+        return t
+
+    def _seal(self, arr: np.ndarray, lo: float, hi: float) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -233,7 +323,8 @@ def transpose(t: ScaledTensor, axes: Sequence[int]) -> ScaledTensor:
         data = t.data.view(x, same_max=True)
     else:  # a parameter held narrow: the result is widened, as every kernel's is
         data = IntTensor.adopt(x.astype(LANE_DTYPE), t.precision, t.data.max_magnitude)
-    return ScaledTensor(data, ScaleTensor(np.transpose(t.scale.values, axes)))
+    s = t.scale
+    return ScaledTensor(data, ScaleTensor.derived(np.transpose(s.values, axes), s.lo, s.hi))
 
 
 def concat(ts: Sequence[ScaledTensor], axis: int) -> ScaledTensor:
@@ -275,7 +366,11 @@ def concat(ts: Sequence[ScaledTensor], axis: int) -> ScaledTensor:
             t.shape[axis] if d == axis else side_sizes[d] for d in range(rank)
         )
         scales.append(np.broadcast_to(t.scale.values, target))
+    x = np.concatenate(datas, axis=axis, dtype=LANE_DTYPE)
     return ScaledTensor(
-        IntTensor.adopt(np.concatenate(datas, axis=axis, dtype=LANE_DTYPE), prec),
-        ScaleTensor(np.concatenate(scales, axis=axis)),
+        IntTensor.adopt(x, prec, bound=max(t.data.max_bound for t in ts)),
+        ScaleTensor.derived(
+            np.concatenate(scales, axis=axis),
+            min(t.scale.lo for t in ts), max(t.scale.hi for t in ts),
+        ),
     )

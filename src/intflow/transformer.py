@@ -33,9 +33,8 @@ from .tensor import (
     RationalTensor,
     ScaledTensor,
     ScaleTensor,
-    check_scale,
-    max_abs,
     quiet_overflow,
+    scale_bounds,
 )
 
 EMB = "Emb"
@@ -254,8 +253,9 @@ def _broadcast_to(t: ScaledTensor, shape: tuple[int, ...]) -> ScaledTensor:
     """Broadcast a payload as a read-only view; scale dims keep their
     collapsed form, and a scale of full rank is shared as it is."""
     data = t.data.view(np.broadcast_to(t.data.values, shape), same_max=True)
-    pad = (1,) * (len(shape) - len(t.scale.shape))
-    scale = ScaleTensor(t.scale.values.reshape(pad + t.scale.shape)) if pad else t.scale
+    s = t.scale
+    pad = (1,) * (len(shape) - len(s.shape))
+    scale = ScaleTensor.derived(s.values.reshape(pad + s.shape), s.lo, s.hi) if pad else s
     return ScaledTensor(data, scale)
 
 
@@ -266,28 +266,34 @@ def _grow(s: np.ndarray, factor: float, out: np.ndarray | None = None) -> np.nda
 
 
 def _boost(t: ScaledTensor, session: Session, module: str) -> ScaledTensor:
-    """Exact payload gain {lam*x, lam*s} to keep precision across a division."""
-    m = max(t.data.max_magnitude, 1)
-    lam = int(max(1, (1 << 60) // (m + 1)))
+    """Exact payload gain {lam*x, lam*s} to keep precision across a division.
+
+    lam is chosen by the exact max|x|, which the result's max is lam times."""
+    m = t.data.max_magnitude
+    lam = int(max(1, (1 << 60) // (max(m, 1) + 1)))
     if lam == 1:
         return t
     session.note("boost", PAYLOAD, t.data.values.size, module)
+    s = t.scale
     return ScaledTensor(
-        IntTensor.adopt(t.data.values * lam, t.precision),
-        ScaleTensor(_grow(t.scale.values, lam)),
+        IntTensor.adopt(t.data.values * lam, t.precision, m * lam),
+        ScaleTensor.derived(_grow(s.values, lam), s.lo * lam, s.hi * lam),
     )
 
 
 def _slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
     data = t.data.view(t.data.values[:, sl])
     s = t.scale
-    return ScaledTensor(data, ScaleTensor(s.values[:, sl]) if s.shape[1] != 1 else s)
+    if s.shape[1] != 1:
+        s = ScaleTensor.derived(s.values[:, sl], s.lo, s.hi)
+    return ScaledTensor(data, s)
 
 
 def _fold_scale(lane: Lane, factor: float, session: Session, module: str) -> None:
     """Divide the de-quantized view by `factor` by growing the scale in place."""
     session.note("scale_fold", SCALE, lane.s.size, module)
-    check_scale(_grow(lane.s, factor, out=lane.s))
+    s = _grow(lane.s, factor, out=lane.s)
+    lane.lo, lane.hi = scale_bounds(s, lane.lo * factor, lane.hi * factor)
 
 
 def _add_const(
@@ -299,9 +305,10 @@ def _add_const(
     c = lane.work if lane.s.shape == lane.x.shape else np.empty(lane.s.shape)
     c_max = quantize_into(np.float64(value), lane.s, c)
     session.note("quantize", SCALE, lane.x.size, module)
-    if min_payload and c.min() < min_payload:
+    if min_payload:
+        # |max(c, min_payload)| <= max(|c|, min_payload): still a bound.
         np.maximum(c, min_payload, out=c)
-        c_max = max_abs(c)
+        c_max = max(c_max, min_payload)
     return session.apply(K.lane_add, [lane], module, c=c, c_max=c_max)
 
 
@@ -381,8 +388,10 @@ def l1_layer_norm(
     # scale object, so the add below skips matching.
     t = total.data.values
     neg_mu = -np.sign(t) * ((2 * np.abs(t) + n) // (2 * n))
+    # |mu| is |total| / n rounded, so the same rounding bounds it.
+    mu_bound = (2 * total.data.max_bound + n) // (2 * n)
     neg_mu = _broadcast_to(
-        ScaledTensor(IntTensor.adopt(neg_mu, x.precision), total.scale), xm.shape
+        ScaledTensor(IntTensor.adopt(neg_mu, x.precision, bound=mu_bound), total.scale), xm.shape
     )
     centered = session.apply(K.add, [xm, neg_mu], module, allow_rescale=False)
     l1 = session.apply(
@@ -393,9 +402,15 @@ def l1_layer_norm(
         allow_rescale=False,
     )
     degenerate = l1.data.values == 0
+    fold, ls = n / L1_NORM_CONST, l1.scale
     den = ScaledTensor(
-        IntTensor.adopt(np.where(degenerate, 1, l1.data.values), x.precision),
-        ScaleTensor(np.where(degenerate, 1.0, _grow(l1.scale.values, n / L1_NORM_CONST))),
+        IntTensor.adopt(
+            np.where(degenerate, 1, l1.data.values), x.precision, bound=max(l1.data.max_bound, 1)
+        ),
+        ScaleTensor.derived(
+            np.where(degenerate, 1.0, _grow(ls.values, fold)),
+            min(ls.lo * fold, 1.0), max(ls.hi * fold, 1.0),
+        ),
     )
     session.note("scale_fold", SCALE, den.scale.values.size, module)
     num = _boost(centered, session, module)
@@ -446,9 +461,21 @@ def _token_ids(tokens, vocab: int) -> np.ndarray:
     tokens = np.asarray(tokens)
     if tokens.dtype.kind not in "iu":
         raise ValidationError(f"token ids must be integers, got {tokens.dtype}")
-    if tokens.ndim != 1 or np.any(tokens < 0) or np.any(tokens >= vocab):
+    if tokens.ndim != 1:
+        raise ValidationError(f"token ids must be a 1-D array, got shape {tokens.shape}")
+    if not tokens.size:
+        raise ValidationError("token ids are empty: a forward needs at least one token")
+    if np.any(tokens < 0) or np.any(tokens >= vocab):
         raise ValidationError("token ids out of range")
     return tokens.astype(np.int64, copy=False)
+
+
+def _check_hidden(hidden, d_m: int) -> None:
+    shape = hidden.shape
+    if len(shape) != 2 or shape[1] != d_m:
+        raise ValidationError(f"hidden input must be T x {d_m}, got {shape}")
+    if not shape[0]:
+        raise ValidationError("hidden input is empty: a forward needs at least one row")
 
 
 def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session: Session) -> ScaledTensor:
@@ -456,10 +483,14 @@ def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session
     emb = model.embedding
     session.note("gather", PAYLOAD, tokens.size * model.config.d_m, EMB)
     # The scale's row axis is broadcast first: a per-tensor scale has one row.
-    s = emb.scale.values
+    s = emb.scale
+    rows = np.broadcast_to(s.values, (model.config.vocab, s.shape[1]))[tokens]
     return ScaledTensor(
-        IntTensor.adopt(emb.data.values[tokens].astype(np.int64, copy=False), emb.precision),
-        ScaleTensor(np.broadcast_to(s, (model.config.vocab, s.shape[1]))[tokens]),
+        IntTensor.adopt(
+            emb.data.values[tokens].astype(np.int64, copy=False), emb.precision,
+            bound=emb.data.max_bound,
+        ),
+        ScaleTensor.derived(rows, s.lo, s.hi),
     )
 
 
@@ -562,6 +593,7 @@ def forward(
         state = run(EMB, 0, lambda: gather_embedding(model, tokens, session),
                     lambda: ref.embedding[_token_ids(tokens, cfg.vocab)])
     elif hidden is not None:
+        _check_hidden(hidden, cfg.d_m)
         state = hidden
     else:
         raise ValidationError("either tokens or hidden input is required")

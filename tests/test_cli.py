@@ -76,6 +76,21 @@ class TestInfer:
         assert main(["infer", str(int8), str(x), "--out",
                      str(tmp_path / "y.npy")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("data, tokens, message", [
+        (np.zeros(0, dtype=np.int64), True, "token ids are empty"),
+        (np.zeros((2, 3), dtype=np.int64), True, "token ids must be a 1-D array, got shape (2, 3)"),
+        (np.zeros((0, 16), dtype=np.float32), False, "hidden input is empty"),
+    ])
+    def test_empty_or_wrong_rank_input_is_named(self, workspace, tmp_path, capsys,
+                                                 data, tokens, message):
+        tmp, fp32, int8 = workspace
+        x = tmp_path / "in.npy"
+        np.save(x, data)
+        capsys.readouterr()
+        argv = ["infer", str(int8), str(x), "--out", str(tmp_path / "y.npy")]
+        assert main(argv + ["--tokens"] * tokens) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_float_token_ids_are_refused(self, workspace, tmp_path, capsys):
         # Cast to int64 they would run as tokens [0, 1].
         tmp, fp32, int8 = workspace

@@ -1,0 +1,320 @@
+"""Carried ranges: payload and scale bounds instead of re-scans.
+
+Every IntTensor carries a bound on max|x| and every ScaleTensor bounds
+lo <= min and hi >= max; kernels derive their results' bounds from their
+operands'.  Here every bound is checked against a scan after each kernel and
+lane step of random forwards, each fallback is shown to run, or to raise
+exactly as a scan does, and the scans left in a forward are counted.
+"""
+import contextlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intflow import kernels as K
+from intflow import modelfile, scaling, tensor, transformer
+from intflow.audit import OpAuditLog
+from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError
+from intflow.scaling import Lane, Precision, Session, Workspace, protocol_apply, scale_match_dim
+from intflow.tensor import LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor
+from intflow.transformer import ModelConfig, forward, quantize_model, random_reference_model
+
+
+def scaled(data, scale, precision=7):
+    return ScaledTensor(
+        IntTensor(np.asarray(data, dtype=np.int64), precision),
+        ScaleTensor(np.asarray(scale, dtype=np.float64)),
+    )
+
+
+def peak(x: np.ndarray) -> int:
+    """max|x| by a scan of its own, independent of the library's."""
+    return max(abs(int(v)) for v in x.ravel()) if x.size else 0
+
+
+def assert_scale_range(values: np.ndarray, lo: float, hi: float) -> None:
+    assert 0 < lo <= hi < math.inf
+    if values.size:
+        assert lo <= values.min() and values.max() <= hi
+
+
+def assert_tensor_bounds(t: ScaledTensor) -> None:
+    m = peak(t.data.values)
+    assert m <= t.data.max_bound < LANE_MAX
+    if t.data._max_abs is not None:
+        assert t.data._max_abs == m
+    assert_scale_range(t.scale.values, t.scale.lo, t.scale.hi)
+
+
+def assert_lane_bounds(lane: Lane) -> None:
+    m = peak(lane.x)
+    assert m <= lane.m
+    if lane.exact:
+        assert lane.m == m
+    assert_scale_range(lane.s, lane.lo, lane.hi)
+
+
+@contextlib.contextmanager
+def checked_bounds():
+    """Check the bounds of every ScaledTensor built, and of every Lane a
+    kernel takes or returns, for the duration of the block."""
+    seen = {"tensors": 0, "lanes": 0}
+    post, apply = ScaledTensor.__post_init__, scaling.protocol_apply
+
+    def checked_post(self):
+        post(self)
+        assert_tensor_bounds(self)
+        seen["tensors"] += 1
+
+    def checked_apply(kernel, ins, prec, **kwargs):
+        for x in ins:
+            if isinstance(x, Lane):
+                assert_lane_bounds(x)
+        out = apply(kernel, ins, prec, **kwargs)
+        if isinstance(out, Lane):
+            assert_lane_bounds(out)
+            seen["lanes"] += 1
+        return out
+
+    ScaledTensor.__post_init__, scaling.protocol_apply = checked_post, checked_apply
+    try:
+        yield seen
+    finally:
+        ScaledTensor.__post_init__, scaling.protocol_apply = post, apply
+
+
+# -- the bounds bracket what a scan finds ------------------------------------
+
+
+@given(
+    st.sampled_from([5, 7, 12, 15]),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    st.integers(1, 6),
+    st.sampled_from(["tokens", "row", "element"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_forward_bounds_bracket(p, degree, seed, t, entry):
+    cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=16, precision=p, degree=degree)
+    model = quantize_model(random_reference_model(cfg, seed))
+    rng = np.random.default_rng(seed)
+    session = Session(Precision(p))
+    with checked_bounds() as seen:
+        if entry == "tokens":
+            forward(model, session, tokens=rng.integers(0, cfg.vocab, t))
+        else:
+            # Rows, or single elements, at magnitudes far apart.
+            x = rng.normal(size=(t, cfg.d_m)) * 10.0 ** rng.uniform(-4, 4, (t, 1))
+            if entry == "element":
+                x *= 10.0 ** rng.uniform(-4, 4, x.shape)
+                s = ScaleTensor(((1 << p) - 1) / np.abs(x))
+            else:
+                s = scaling.init_scale(RationalTensor(x), prec=Precision(p))
+            forward(model, session, hidden=session.quantize(RationalTensor(x), s))
+    assert seen["tensors"] and seen["lanes"]
+
+
+@st.composite
+def operands(draw):
+    """Two T x d operands, a weight, a positive denominator and an exponent,
+    at precision p, with payloads in range or (big) far past it, up to
+    where the int64 routes take over, and per-row, per-tensor or
+    per-element scales, some at extreme magnitudes."""
+    p = draw(st.sampled_from([5, 7, 12, 15]))
+    top = (1 << p) - 1 if not draw(st.booleans()) else 2**60
+    t, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    scale_values = st.floats(2.0**-20, 2.0**20) | st.sampled_from([1e-160, 1e160, 1e-300, 1e300])
+
+    def operand(shape, values):
+        n = shape[0] * shape[1]
+        x = np.reshape(draw(st.lists(values, min_size=n, max_size=n)), shape)
+        scale_shape = draw(st.sampled_from([(shape[0], 1), (1, 1), shape]))
+        k = scale_shape[0] * scale_shape[1]
+        s = np.reshape(draw(st.lists(scale_values, min_size=k, max_size=k)), scale_shape)
+        return ScaledTensor(IntTensor(x.astype(np.int64), p), ScaleTensor(s))
+
+    signed = st.integers(-top, top) | st.sampled_from([top, -top, 0])
+    return p, {
+        "a": operand((t, d), signed),
+        "b": operand((t, d), signed),
+        "w": operand((draw(st.integers(1, 3)), d), signed),
+        "den": operand((t, d), st.integers(1, top)),
+    }, draw(st.integers(1, 3))
+
+
+# Each kernel and lane step on the drawn operands; `ap` runs protocol_apply.
+STEPS = {
+    "add": lambda ap, o, n: ap(K.add, [o["a"], o["b"]]),
+    "ew_mul": lambda ap, o, n: ap(K.ew_mul, [o["a"], o["b"]]),
+    "matmul": lambda ap, o, n: ap(K.matmul, [o["a"], o["w"]]),
+    "pow_n": lambda ap, o, n: ap(K.pow_n, [o["a"]], n=n),
+    "abs_": lambda ap, o, n: ap(K.abs_, [o["a"]]),
+    "relu": lambda ap, o, n: ap(K.relu, [o["a"]]),
+    "sum_reduce": lambda ap, o, n: ap(K.sum_reduce, [o["a"]], axis=-1),
+    "int_div": lambda ap, o, n: ap(K.int_div, [o["a"], o["den"]]),
+    "concat": lambda ap, o, n: ap(K.concat, [o["a"], o["b"]], axis=1),
+    "transpose": lambda ap, o, n: ap(K.transpose, [o["a"]], axes=(1, 0)),
+    "scale_match_dim": lambda ap, o, n: scale_match_dim(o["a"], 0),
+}
+
+
+def lane_steps(ap, o, n):
+    """Every lane step in turn, as attention and the FFN chain them."""
+    ws = Workspace()
+    lane = ap(K.lane_matmul, [o["a"], o["w"]], ws=ws)
+    lane = ap(K.lane_relu, [lane])
+    lane = ap(K.lane_pow_n, [lane], n=n)
+    lane.seal()
+    lane = ap(K.lane_add_matched, [Lane.of(o["a"], ws)], b=o["b"])
+    lane = ap(K.lane_add, [lane], c=np.ones(lane.s.shape), c_max=1)
+    lane.match_last()
+    ap(K.matmul, [lane, o["w"]], allow_rescale=False)
+    ap(K.lane_sum, [lane], allow_rescale=False)
+    lane.release()
+
+
+@given(operands())
+@settings(max_examples=150, deadline=None)
+def test_kernel_bounds_bracket(case):
+    p, ops, n = case
+
+    def ap(kernel, ins, **kwargs):
+        return scaling.protocol_apply(kernel, ins, Precision(p), **kwargs)
+
+    with checked_bounds():
+        for step in (*STEPS.values(), lane_steps):
+            try:
+                step(ap, ops, n)
+            except (IntflowError, ValueError):
+                pass  # a refusal; what was built before it was checked
+
+
+# -- fallbacks: a bound that proves nothing defers to the scan ---------------
+
+
+class TestScaleFallback:
+    def test_minima_at_different_elements_still_run(self):
+        a = scaled([[1, 1]], [[1e-200, 1.0]])
+        b = scaled([[1, 1]], [[1.0, 1e-200]])
+        assert a.scale.lo * b.scale.lo == 0.0  # the derived bound underflows
+        out = K.ew_mul(a, b)
+        assert out.scale.values.tolist() == [[1e-200, 1e-200]]
+        assert (out.scale.lo, out.scale.hi) == (1e-200, 1e-200)  # scanned
+
+    @pytest.mark.parametrize("s, message", [(1e-200, "strictly positive"), (1e200, "finite")])
+    def test_a_product_out_of_range_raises_as_before(self, s, message):
+        a = scaled([[1, 1]], [[s, 1.0]])
+        with pytest.raises(ScaleRangeError, match=f"^scale values must be {message}$"):
+            K.ew_mul(a, a)
+        with pytest.raises(ScaleRangeError, match=f"^scale values must be {message}$"):
+            K.matmul(scaled([[1]], [[s]]), scaled([[1]], [[s]]))
+
+    def test_a_quotient_out_of_range_raises_as_before(self):
+        with pytest.raises(ScaleRangeError, match="^scale values must be finite$"):
+            K.int_div(scaled([4], [1e200]), scaled([2], [1e-200]))
+
+    def test_powers_near_the_subnormals_are_scanned(self):
+        # 1e-105^3 is subnormal, where pow's error is not relative: the
+        # bound proves nothing, and the scan finds the power > 0.
+        t = scaled([[2, 3]], [[1e-105, 1.0]])
+        out = K.pow_n(t, 3)
+        assert 0 < out.scale.lo == out.scale.values.min() < 2.0**-1000
+
+
+class TestPayloadFallback:
+    def loose(self, values, bound, precision=7):
+        """A tensor that carries only a loose bound on max|x|."""
+        data = IntTensor.adopt(np.array(values, dtype=np.int64), precision, bound=bound)
+        assert data._max_abs is None
+        return ScaledTensor(data, ScaleTensor(np.ones((1,) * data.values.ndim)))
+
+    def test_lane_guards_fall_back_to_the_exact_max(self):
+        # Each call gets a fresh tensor: the first exact read is cached.
+        t = self.loose([3, -5], 2**40)
+        assert K.ew_mul(t, t).data.values.tolist() == [9, 25]
+        assert K.pow_n(self.loose([3, -5], 2**40), 3).data.values.tolist() == [27, -125]
+        w = self.loose([[3, -5]], 2**40)
+        assert K.matmul(w, w).data.values.tolist() == [[34]]
+        ws = Workspace()
+        lane = Lane(np.array([[3.0, -5.0]]), np.ones((1, 1)), 7, ws, m=2**40, scale_range=(1.0, 1.0))
+        assert K.lane_pow_n(lane, 3).x.tolist() == [[27, -125]]
+
+    def test_an_overflow_still_raises(self):
+        t = scaled([2**31, 1], [1.0])
+        with pytest.raises(LaneOverflowError, match="^product exceeds accumulator lane$"):
+            K.ew_mul(t, t)
+        with pytest.raises(LaneOverflowError, match="^power exceeds accumulator lane$"):
+            K.pow_n(t, 2)
+
+    def test_a_bound_at_the_lane_is_scanned(self):
+        data = IntTensor.adopt(np.array([3, -5], dtype=np.int64), 7, bound=LANE_MAX)
+        assert data._max_abs == data.max_bound == 5
+
+    def test_bound_past_the_limit_defers_to_the_exact_max(self):
+        log = OpAuditLog()
+        out = protocol_apply(K.abs_, [self.loose([3, -5], 1000)], Precision(7), log=log)
+        assert out.data.values.tolist() == [3, 5]
+        assert not any(r.rescaled for r in log.records)
+
+    def test_the_match_switch_reads_the_exact_max(self):
+        # Only the float route rounds 1 * (1 - 2^-53) up to 1; the exact
+        # route gives 0.  A bound past 2^22 must not change the route.
+        s = [[1.0, 1.0 - 2.0**-53]]
+        data = IntTensor.adopt(np.array([[1, 0]], dtype=np.int64), 7, bound=2**30)
+        loose = scale_match_dim(ScaledTensor(data, ScaleTensor(np.array(s))), 1)
+        assert loose.data.values.tolist() == scale_match_dim(scaled([[1, 0]], s), 1).data.values.tolist() == [[1, 0]]
+
+    def test_relu_leaves_the_lane_inexact(self):
+        ws = Workspace()
+        lane = Lane.of(scaled([[-9, 4]], [[1.0]]), ws)
+        lane = K.lane_relu(Lane(lane.x, lane.s, 7, ws))
+        assert not lane.exact and lane.m == 9
+        assert lane.max_magnitude == 4 and lane.exact
+
+
+# -- the scans left in a forward ---------------------------------------------
+
+
+@contextlib.contextmanager
+def counted_scans():
+    """Count calls of the two full scans, max|x| and the scale check, in
+    every module that binds them."""
+    counts = {"max_abs": 0, "check_scale": 0}
+    patched = []
+    for name in counts:
+        original = getattr(tensor, name)
+
+        def counting(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in (tensor, scaling, K, transformer, modelfile):
+            if getattr(module, name, None) is original:
+                patched.append((module, name, original))
+                setattr(module, name, counting)
+    try:
+        yield counts
+    finally:
+        for module, name, original in patched:
+            setattr(module, name, original)
+
+
+LONGCTX = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12)
+
+
+# Full scans per token forward; before ranges were carried they were 391 on
+# `toy` (216 max|x|, 175 scale checks) and 857 on the `longctx` shape.  The
+# count depends on the shape and the op sequence, not on the sequence length.
+@pytest.mark.parametrize("cfg, t, budget", [
+    (ModelConfig(), 16, {"max_abs": 65, "check_scale": 2}),
+    (LONGCTX, 32, {"max_abs": 137, "check_scale": 8}),
+])
+def test_scan_budget(cfg, t, budget):
+    model = quantize_model(random_reference_model(cfg, 0))
+    tokens = np.random.default_rng(1).integers(0, cfg.vocab, t)
+    with counted_scans() as counts:
+        forward(model, Session(Precision(cfg.precision)), tokens=tokens)
+    assert counts == budget

@@ -184,6 +184,18 @@ class TestFloat64Boundary:
         for got, x, s, s_bar in zip(ma.data.values.tolist(), xs, sa, ma.scale.values.tolist()):
             assert_matched(got, x, s, s_bar)
 
+    @given(st.data(), st.integers(1, 6))
+    @settings(max_examples=200)
+    def test_scale_match_dim_wide_payloads_match_fractions(self, data, n):
+        # 2^40 to 2^61 always take the exact route, in Python ints.
+        signed = st.integers(2**40, 2**61).flatmap(lambda v: st.sampled_from([v, -v]))
+        xs = data.draw(st.lists(signed, min_size=n, max_size=n))
+        ss = data.draw(st.lists(match_scales, min_size=n, max_size=n))
+        out = scale_match_dim(scaled([xs], [ss]), 1)
+        s_bar = min(ss)
+        assert out.scale.values.tolist() == [[s_bar]]
+        assert out.data.values.tolist() == [[exact_match(x, s, s_bar) for x, s in zip(xs, ss)]]
+
     @pytest.mark.parametrize("x", MATCH_BOUNDARY)
     @pytest.mark.parametrize("s, s_bar", [(3.0, 1.0), (7.0, 2.0), (2.0**20, 1.0), (1.0000001, 1.0)])
     def test_scale_match_dim_boundary_grid(self, x, s, s_bar):

@@ -345,6 +345,34 @@ class TestHybridEngine:
         with pytest.raises(ValidationError):
             forward(model, Session(Precision(P)))
 
+    @pytest.mark.parametrize("tokens, message", [
+        (np.zeros(0, dtype=np.int64), "token ids are empty"),
+        (np.zeros(0, dtype=np.uint8), "token ids are empty"),
+        (np.zeros((2, 3), dtype=np.int64), r"1-D array, got shape \(2, 3\)"),
+        (np.array(1), r"1-D array, got shape \(\)"),
+    ])
+    def test_refuses_empty_or_wrong_rank_tokens(self, toy, tokens, message):
+        cfg, ref, model = toy
+        with pytest.raises(ValidationError, match=message):
+            forward(model, Session(Precision(P)), tokens=tokens)
+        with pytest.raises(ValidationError, match=message):
+            reference_forward(ref, tokens=tokens)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((0, 16), "hidden input is empty"),
+        ((4,), r"T x 16, got \(4,\)"),
+        ((1, 4, 16), r"T x 16, got \(1, 4, 16\)"),
+        ((4, 15), r"T x 16, got \(4, 15\)"),
+    ])
+    def test_refuses_empty_or_misshapen_hidden(self, toy, shape, message):
+        cfg, ref, model = toy
+        assert cfg.d_m == 16
+        x = RationalTensor(np.ones(shape))
+        with pytest.raises(ValidationError, match=message):
+            forward(model, Session(Precision(P)), hidden=x)
+        with pytest.raises(ValidationError, match=message):
+            reference_forward(ref, hidden=x)
+
     def test_tap_visits_every_module(self, toy):
         cfg, ref, model = toy
         seen = []
