@@ -281,9 +281,11 @@ def canonical_ffn_forward(
         return session.quantize(t, init_scale(t, prec=prec), FFN)
 
     r = ref_l1ln(session.dequantize(x, FFN).values, g, b)
-    h = session.apply(K.matmul, [requantize(r), lp.w1], FFN)
+    h = session.apply(K.matmul, [requantize(r), lp.w1], FFN, ws=session.workspace).seal()
     r = session.dequantize(h, FFN).values + dequantize(lp.b1).values
-    h = session.apply(K.matmul, [requantize(np.maximum(r, 0.0)), lp.w2], FFN)
+    h = session.apply(
+        K.matmul, [requantize(np.maximum(r, 0.0)), lp.w2], FFN, ws=session.workspace
+    ).seal()
     r = session.dequantize(h, FFN).values + dequantize(lp.b2).values
     r = r + session.dequantize(x, FFN).values
     return requantize(r)

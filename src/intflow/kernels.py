@@ -1,11 +1,25 @@
 """Integer arithmetic kernels acting jointly on payloads and scales.
 
+One kernel per KernelKind, under the kind's name, except ADD (below).
 Shape-preserving and element-wise ops (transpose, concat, ew_mul, pow_n,
 abs, relu, sum over a uniform scale) are exact on the de-quantized view.
 Anything that matches scales or divides payloads (add, matmul, int_div)
-loses at most the stated truncation per element.  An operand may be a
-parameter held narrow (int8 or int16); every kernel computes in int64 or
-float64 regardless, and every result is int64.
+loses at most the stated truncation per element.
+
+Most kernels take ScaledTensors and return a fresh one.  matmul returns a
+scaling.Lane, a result worked in place in arrays from a workspace, which
+protocol_apply shrinks there and a caller that keeps it seals; relu and
+pow_n work on a Lane in place; matmul and sum_reduce also read a Lane
+matched along its last axis.  ADD has three forms: `add` on two
+ScaledTensors, `lane_add_matched` adding a ScaledTensor (a bias) into a
+Lane, and `lane_add` adding a constant already quantized at the Lane's own
+scale.  That constant cannot go through lane_add_matched: wrapping the
+Lane's scale in a ScaleTensor would seal it read-only, and later steps grow
+it in place.
+
+An operand may be a parameter held narrow (int8 or int16); every kernel
+computes in int64 or float64 regardless, and every result is int64 (a
+Lane's payload stays float64 while that is exact).
 """
 from __future__ import annotations
 
@@ -94,18 +108,26 @@ def add(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
     return ScaledTensor(IntTensor.adopt(x, a.precision, bound=bound), ma.scale)
 
 
-@quiet_overflow
-def product(
-    a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray, int, tuple[float, float]]:
-    """matmul's arithmetic: the payload product and the scale outer product,
-    in arrays taken from `ws`, else in fresh ones, with a bound on the
-    product's max|x| and bounds on the scale.
+def _operand(t: ScaledTensor | Lane) -> tuple[np.ndarray, np.ndarray, IntTensor | Lane, float, float]:
+    """(x, s, m, lo, hi) of a ScaledTensor or a Lane: payload, scale, the
+    holder of the payload's bounds (max_bound, max_magnitude) and the
+    scale's bounds."""
+    if isinstance(t, Lane):
+        return t.x, t.s, t, t.lo, t.hi
+    return t.data.values, t.scale.values, t.data, t.scale.lo, t.scale.hi
 
-    The payload product is float64 when it is exact there (every value then
-    an integer below 2^53), int64 otherwise.  `a` may be a Lane whose scale
-    is already collapsed along the last axis (Lane.match_last); its payload
-    is read where it lies.
+
+@_kernel(KernelKind.MATMUL, scale_arith=True)
+@quiet_overflow
+def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace) -> Lane:
+    """Contract the last dims of a (m x d) and b_t (n x d) into a Lane whose
+    arrays come from `ws`.
+
+    Scales are first matched along the contraction dim, then multiplied as
+    the outer product of the per-row scales.  `a` may be a Lane matched
+    along its last axis (Lane.match_last): its payload goes to BLAS where
+    it lies.  The product stays float64 when it is exact there (every value
+    then an integer below 2^53), int64 otherwise.
     """
     if len(a.shape) != 2 or len(b_t.shape) != 2:
         raise ShapeError("matmul expects rank-2 operands")
@@ -113,87 +135,67 @@ def product(
         raise ShapeError(
             f"contraction dims disagree: {a.shape[-1]} vs {b_t.shape[-1]}"
         )
-    if isinstance(a, Lane):
-        a_data, ax, sa, a_lo, a_hi = a, a.x, a.s, a.lo, a.hi
-    else:
-        am = scale_match_dim(a, -1)
-        a_data, ax, sa = am.data, am.data.values, am.scale.values
-        a_lo, a_hi = am.scale.lo, am.scale.hi
-    bm = scale_match_dim(b_t, -1)
-    bx, sb = bm.data.values, bm.scale.values
-    bound = _check_product(a_data, bm.data, a.shape[-1])
+    ax, sa, am, a_lo, a_hi = _operand(a if isinstance(a, Lane) else scale_match_dim(a, -1))
+    bx, sb, bm, b_lo, b_hi = _operand(scale_match_dim(b_t, -1))
+    bound = _check_product(am, bm, a.shape[-1])
     # Below 2^53 each product and partial sum, in any summation order, is an
     # integer no larger than bound, so BLAS returns the int64 result bit for
     # bit (the accumulator-width argument of gemmlowp and I-BERT).
     dtype = np.float64 if bound < FLOAT64_EXACT else np.int64
-    x_out = s_out = None
-    if ws is not None:
-        x_out = ws.take((ax.shape[0], bx.shape[0]), dtype)
-        s_out = ws.take((sa.shape[0], sb.shape[0]))
-    x = np.matmul(ax.astype(dtype, copy=False), bx.astype(dtype, copy=False).T, out=x_out)
+    x = np.matmul(
+        ax.astype(dtype, copy=False), bx.astype(dtype, copy=False).T,
+        out=ws.take((ax.shape[0], bx.shape[0]), dtype),
+    )
     # (m,1) x (1,n); a scale uniform over its rows stays collapsed there.
     # Each element is one rounded product, so the bounds multiply.
-    s = np.matmul(sa, sb.T, out=s_out)
-    return x, s, bound, (a_lo * bm.scale.lo, a_hi * bm.scale.hi)
-
-
-@_kernel(KernelKind.MATMUL, scale_arith=True)
-def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor) -> ScaledTensor:
-    """Contract the last dims of a (m x d) and b_t (n x d).
-
-    Scales are first matched along the contraction dim, then multiplied as
-    the outer product of the per-row scales.  `a` may be a Lane matched
-    along its last axis (Lane.match_last): its payload goes to BLAS where
-    it lies.
-    """
-    x, s, bound, s_range = product(a, b_t)
-    return ScaledTensor(
-        IntTensor.adopt(x.astype(np.int64, copy=False), a.precision, bound=bound),
-        ScaleTensor.derived(s, *s_range),
-    )
+    s = np.matmul(sa, sb.T, out=ws.take((sa.shape[0], sb.shape[0])))
+    return Lane(x, s, a.precision, ws, bound, (a_lo * b_lo, a_hi * b_hi))
 
 
 def _power_overflows(m: int, n: int) -> bool:
     return m > 1 and n * np.log2(m) >= 62
 
 
-def _power_max(t: IntTensor | Lane, n: int) -> int:
-    """max|x| as power's lane guard needs it: the bound, or the exact max
+def _power_max(t: Lane, n: int) -> int:
+    """max|x| as pow_n's lane guard needs it: the bound, or the exact max
     when the bound trips the guard, so that only the exact max raises."""
     m = t.max_bound
     return t.max_magnitude if _power_overflows(m, n) or m**n >= LANE_MAX else m
 
 
-def power(x: np.ndarray, n: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
-    """x^n by repeated multiplies, given m >= max|x| (see _power_max), into
-    `out` (fresh when None, never x itself).
+@_kernel(KernelKind.POW_N, scale_arith=True)
+@quiet_overflow
+def pow_n(t: Lane, n: int) -> Lane:
+    """{x^n, s^n} in place: exact on the de-quantized view.
 
-    Exact on int64, and on float64 holding integers while m^n is below 2^53;
-    much faster than integer **.
+    x^n is taken by repeated multiplies, exact on int64 and on float64
+    holding integers while below 2^53, and much faster than integer **.  A
+    float64 power goes to the scratch buffer, which then swaps roles with
+    the payload.
     """
     if n < 1:
         raise ValueError("exponent must be >= 1")
+    m = _power_max(t, n)
     if _power_overflows(m, n):
         raise LaneOverflowError("power exceeds accumulator lane")
-    if n == 1:
-        return np.positive(x, out=out)  # a copy
-    xn = np.multiply(x, x, out=out)
+    mn = m**n
+    t.hold(mn)
+    x = t.x
+    in_float = x.dtype == np.float64
+    out = t.work if in_float else None
+    xn = np.multiply(x, x, out=out) if n > 1 else np.positive(x, out=out)  # n = 1: a copy
     for _ in range(n - 2):
         xn *= x
-    return xn
-
-
-@_kernel(KernelKind.POW_N, scale_arith=True)
-@quiet_overflow
-def pow_n(t: ScaledTensor, n: int) -> ScaledTensor:
-    """{x^n, s^n}: exact on the de-quantized view."""
-    m = _power_max(t.data, n)
-    xn = power(t.data.values.astype(LANE_DTYPE, copy=False), n, m)
+    t.x = xn
+    if in_float:
+        t.work = x
+    # max|x^n| = max|x|^n, so an exact max stays exact.
+    t.m = mn
+    t.check_fit()
     # Scales keep **: in float, s*s*s can round differently from s**n.
-    return ScaledTensor(
-        IntTensor.adopt(xn, t.precision, bound=m**n),
-        ScaleTensor.derived(t.scale.values ** n, *pow_bounds(t.scale.lo, t.scale.hi, n)),
-    )
+    t.s **= n
+    t.lo, t.hi = scale_bounds(t.s, *pow_bounds(t.lo, t.hi, n))
+    return t
 
 
 @_kernel(KernelKind.ABS, scale_arith=False)
@@ -204,27 +206,28 @@ def abs_(t: ScaledTensor) -> ScaledTensor:
 
 
 @_kernel(KernelKind.RELU, scale_arith=False)
-def relu(t: ScaledTensor) -> ScaledTensor:
-    """{max(0, x), s}: exact since s > 0."""
-    x = np.maximum(t.data.values, 0, dtype=LANE_DTYPE)
-    return ScaledTensor(IntTensor.adopt(x, t.precision, bound=t.data.max_bound), t.scale)
+def relu(t: Lane) -> Lane:
+    """{max(0, x), s} in place: exact since s > 0; t.m stays a bound, no
+    longer exact."""
+    np.maximum(t.x, 0, out=t.x)
+    t.bound(t.m)
+    return t
 
 
 @_kernel(KernelKind.SUM_REDUCE, scale_arith=False)
-def sum_reduce(t: ScaledTensor, axis: int) -> ScaledTensor:
-    """Sum payloads along `axis`; the scale must be uniform there.
-
-    A scale that still varies along the axis is matched down first.
-    """
-    rank = len(t.shape)
-    if not -rank <= axis < rank:
-        raise ShapeError(f"axis {axis} out of range for rank {rank}")
-    axis = axis % rank
-    t = scale_match_dim(t, axis)
-    x = np.sum(t.data.values, axis=axis, keepdims=True, dtype=LANE_DTYPE)
-    bound = t.data.max_bound * t.shape[axis]
-    # The axis stays as a unit dim, where the matched scale is the result's: share it.
-    return ScaledTensor(IntTensor.adopt(x, t.precision, bound=bound), t.scale)
+def sum_reduce(t: ScaledTensor | Lane) -> ScaledTensor:
+    """Sum payloads along the last axis, where the scale is already
+    collapsed (scale_match_dim(t, -1), Lane.match_last); the sum shares that
+    scale.  A Lane's float64 payload is summed where it lies while the sum
+    stays below 2^53."""
+    x, s, m, lo, hi = _operand(t)
+    if not x.ndim or s.shape[-1] != 1:
+        raise ShapeError("sum_reduce needs a scale collapsed along the last axis")
+    bound = m.max_bound * x.shape[-1]
+    acc = np.float64 if x.dtype == np.float64 and bound < FLOAT64_EXACT else np.int64
+    total = np.sum(x, axis=-1, keepdims=True, dtype=acc).astype(np.int64, copy=False)
+    scale = ScaleTensor.derived(s, lo, hi) if isinstance(t, Lane) else t.scale
+    return ScaledTensor(IntTensor.adopt(total, t.precision, bound=bound), scale)
 
 
 @_kernel(KernelKind.INT_DIV, scale_arith=True)
@@ -254,29 +257,8 @@ def concat(*ts: ScaledTensor, axis: int) -> ScaledTensor:
     return tensor_concat(ts, axis)
 
 
-# In-place kernels: each works on a scaling.Lane and returns it, with the
-# payload and scale arithmetic of the kernel of the same kind.  They run
-# through protocol_apply like the kernels above.
-
-
-@_kernel(KernelKind.MATMUL, scale_arith=True)
-def lane_matmul(a: ScaledTensor, b_t: ScaledTensor, ws: Workspace) -> Lane:
-    """matmul, with the product left in BLAS's float64 result when exact
-    there; the lane's arrays come from `ws`."""
-    x, s, bound, s_range = product(a, b_t, ws)
-    return Lane(x, s, a.precision, ws, bound, s_range)
-
-
-@_kernel(KernelKind.SUM_REDUCE, scale_arith=False)
-def lane_sum(t: Lane) -> ScaledTensor:
-    """sum_reduce(t, axis=-1) for a lane matched along its
-    last axis (Lane.match_last); the sum shares the lane's collapsed scale."""
-    bound = t.m * t.shape[-1]
-    x = t.x if bound < FLOAT64_EXACT else t.x.astype(np.int64)
-    total = np.sum(x, axis=-1, keepdims=True).astype(np.int64, copy=False)
-    return ScaledTensor(
-        IntTensor.adopt(total, t.precision, bound=bound), ScaleTensor.derived(t.s, t.lo, t.hi)
-    )
+# The in-place forms of ADD: each works on a scaling.Lane and returns it, with
+# add's arithmetic, and runs through protocol_apply like the kernels above.
 
 
 @_kernel(KernelKind.ADD, scale_arith=True)
@@ -318,33 +300,4 @@ def lane_add_matched(t: Lane, b: ScaledTensor) -> Lane:
     t.x += c if t.x.dtype == np.float64 else c.astype(np.int64, copy=False)
     t.bound(t.m + c_max)
     t.check_fit()
-    return t
-
-
-@_kernel(KernelKind.RELU, scale_arith=False)
-def lane_relu(t: Lane) -> Lane:
-    """relu in place; t.m stays a bound, no longer exact."""
-    np.maximum(t.x, 0, out=t.x)
-    t.bound(t.m)
-    return t
-
-
-@_kernel(KernelKind.POW_N, scale_arith=True)
-@quiet_overflow
-def lane_pow_n(t: Lane, n: int) -> Lane:
-    """pow_n in place: the float64 power goes to the scratch buffer, which
-    then swaps roles with the payload."""
-    m = _power_max(t, n)
-    mn = m**n
-    t.hold(mn)
-    x = t.x
-    in_float = x.dtype == np.float64
-    t.x = power(x, n, m, out=t.work if in_float else None)
-    if in_float:
-        t.work = x
-    # max|x^n| = max|x|^n, so an exact max stays exact.
-    t.m = mn
-    t.check_fit()
-    t.s **= n
-    t.lo, t.hi = scale_bounds(t.s, *pow_bounds(t.lo, t.hi, n))
     return t

@@ -265,6 +265,9 @@ def _take_scaled(tensors: dict, name: str, precision: int) -> ScaledTensor:
     return ScaledTensor(IntTensor.param(payload, precision, m), ScaleTensor(scale))
 
 
+# A corrupt float32 record can hold a signaling NaN, whose cast to float64
+# would warn; the tensor and scale checks refuse every NaN with exit 2.
+@np.errstate(invalid="ignore")
 def _deserialize(blob: bytes, want: bool | None = None):
     """The model a container holds, quantized or FP32 as its flags say; a
     file of the other flavour than `want`, when given, is refused."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels as K
 from .audit import PAYLOAD, SCALE
-from .errors import ShapeError, ValidationError
+from .errors import LaneOverflowError, ShapeError, ValidationError
 from .scaling import (
     Lane,
     Precision,
@@ -29,10 +29,12 @@ from .scaling import (
     scale_match_dim,
 )
 from .tensor import (
+    LANE_MAX,
     IntTensor,
     RationalTensor,
     ScaledTensor,
     ScaleTensor,
+    max_abs,
     quiet_overflow,
     scale_bounds,
 )
@@ -296,6 +298,25 @@ def _fold_scale(lane: Lane, factor: float, session: Session, module: str) -> Non
     lane.lo, lane.hi = scale_bounds(s, lane.lo * factor, lane.hi * factor)
 
 
+def _refit_zero_groups(lane: Lane, value: float, c: np.ndarray, limit: int) -> int:
+    """Where round(value * s) in `c` leaves the accumulator lane, move the
+    scale group to (2^p - 1) / |value|, so the constant fits; returns max|c|.
+
+    A power leaves the scales of ReLU's zeros unshrunk, as s^degree.  A zero
+    payload is exact at any scale, so only all-zero groups move; any other
+    raises as quantize_into does.
+    """
+    over = np.abs(c) >= LANE_MAX
+    axes = tuple(a for a in range(c.ndim) if c.shape[a] == 1 and lane.x.shape[a] > 1)
+    if np.any(lane.x, axis=axes, keepdims=True)[over].any():
+        raise LaneOverflowError("quantized payload exceeds accumulator lane")
+    s = limit / abs(value)
+    lane.s[over] = s
+    lane.lo = min(lane.lo, s)  # s < every scale it replaces, so hi holds
+    c[over] = np.rint(value * s)
+    return max_abs(c)
+
+
 def _add_const(
     lane: Lane, value: float, session: Session, module: str, min_payload: int = 0
 ) -> Lane:
@@ -303,7 +324,10 @@ def _add_const(
     matched; the constant is held in the scale's shape and broadcast."""
     RationalTensor(np.float64(value))  # rejects a non-finite constant
     c = lane.work if lane.s.shape == lane.x.shape else np.empty(lane.s.shape)
-    c_max = quantize_into(np.float64(value), lane.s, c)
+    try:
+        c_max = quantize_into(np.float64(value), lane.s, c)
+    except LaneOverflowError:
+        c_max = _refit_zero_groups(lane, value, c, session.precision.max_magnitude)
     session.note("quantize", SCALE, lane.x.size, module)
     if min_payload:
         # |max(c, min_payload)| <= max(|c|, min_payload): still a bound.
@@ -312,11 +336,19 @@ def _add_const(
     return session.apply(K.lane_add, [lane], module, c=c, c_max=c_max)
 
 
+def _matmul(
+    a: ScaledTensor | Lane, b_t: ScaledTensor, session: Session, module: str, **kwargs
+) -> ScaledTensor:
+    """matmul through the protocol, sealed: only the result is fresh, the
+    product's buffers go back to the workspace."""
+    return session.apply(K.matmul, [a, b_t], module, ws=session.workspace, **kwargs).seal()
+
+
 def _poly_lane(lane: Lane, pp: PolyParams, degree: int, session: Session, module: str) -> Lane:
     """[ReLU(x + bias)]^degree + |offset|, in place."""
     lane = _add_const(lane, pp.bias, session, module)
-    lane = session.apply(K.lane_relu, [lane], module)
-    lane = session.apply(K.lane_pow_n, [lane], module, n=degree)
+    lane = session.apply(K.relu, [lane], module)
+    lane = session.apply(K.pow_n, [lane], module, n=degree)
     # A zero offset payload would break the degenerate all-below-threshold
     # case, so a nonzero offset always contributes at least one level.
     return _add_const(
@@ -352,15 +384,15 @@ def poly_attention(
     and the weight sum read them in float64 where they lie and stay in the
     wide lane; only their quotient is projected back to the logical precision.
     """
-    lane = session.apply(K.lane_matmul, [q, k], module, ws=session.workspace)
+    lane = session.apply(K.matmul, [q, k], module, ws=session.workspace)
     _fold_scale(lane, math.sqrt(d_m), session, module)
     weights = _poly_lane(lane, pp, degree, session, module)
     # Match the T x T weights once; the value product and the weight sum then
     # find a scale already collapsed along the contraction axis.
     weights.match_last()
     v_t = K.transpose(v, (1, 0))
-    num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False)
-    den = session.apply(K.lane_sum, [weights], module, allow_rescale=False)
+    num = _matmul(weights, v_t, session, module, allow_rescale=False)
+    den = session.apply(K.sum_reduce, [weights], module, allow_rescale=False)
     weights.release()
     num = _boost(num, session, module)
     return session.apply(K.int_div, [num, den], module)
@@ -383,7 +415,7 @@ def l1_layer_norm(
     if g_q.shape != (n,) or b_q.shape != (n,):
         raise ShapeError("layer norm gain and bias must match the hidden width")
     xm = scale_match_dim(x, -1)
-    total = session.apply(K.sum_reduce, [xm], module, axis=-1, allow_rescale=False)
+    total = session.apply(K.sum_reduce, [xm], module, allow_rescale=False)
     # Integer mean, rounded half away from zero, negated.  total shares xm's
     # scale object, so the add below skips matching.
     t = total.data.values
@@ -398,7 +430,6 @@ def l1_layer_norm(
         K.sum_reduce,
         [session.apply(K.abs_, [centered], module, allow_rescale=False)],
         module,
-        axis=-1,
         allow_rescale=False,
     )
     degenerate = l1.data.values == 0
@@ -422,9 +453,7 @@ def l1_layer_norm(
 def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, session: Session) -> ScaledTensor:
     """Multi-head polynomial attention with input/output projections."""
     d_h = cfg.d_m // cfg.heads
-    q = session.apply(K.matmul, [x, lp.w_q], ATTN)
-    k = session.apply(K.matmul, [x, lp.w_k], ATTN)
-    v = session.apply(K.matmul, [x, lp.w_v], ATTN)
+    q, k, v = (_matmul(x, w, session, ATTN) for w in (lp.w_q, lp.w_k, lp.w_v))
     heads = []
     for h in range(cfg.heads):
         sl = slice(h * d_h, (h + 1) * d_h)
@@ -435,7 +464,7 @@ def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, ses
             )
         )
     cat = session.apply(K.concat, heads, ATTN, axis=1)
-    return session.apply(K.matmul, [cat, lp.w_o], ATTN)
+    return _matmul(cat, lp.w_o, session, ATTN)
 
 
 def ffn_core(y: ScaledTensor, lp: TransformerLayerParams, session: Session) -> ScaledTensor:
@@ -444,11 +473,11 @@ def ffn_core(y: ScaledTensor, lp: TransformerLayerParams, session: Session) -> S
     The hidden activations are worked in place on one Lane, from y W1 to the
     match along the contraction axis of W2.
     """
-    h = session.apply(K.lane_matmul, [y, lp.w1], FFN, ws=session.workspace)
+    h = session.apply(K.matmul, [y, lp.w1], FFN, ws=session.workspace)
     h = session.apply(K.lane_add_matched, [h, _broadcast_to(lp.b1, h.shape)], FFN)
-    h = session.apply(K.lane_relu, [h], FFN)
+    h = session.apply(K.relu, [h], FFN)
     h.match_last()
-    out = session.apply(K.matmul, [h, lp.w2], FFN)
+    out = _matmul(h, lp.w2, session, FFN)
     h.release()
     return session.apply(K.add, [out, _broadcast_to(lp.b2, out.shape)], FFN)
 
@@ -627,9 +656,7 @@ def forward(
     if tokens is not None:
         # The T x vocab logits are shrunk in workspace buffers; only the sealed result is fresh.
         state = run(PROJ, n,
-                    lambda x: session.apply(
-                        K.lane_matmul, [x, model.proj], PROJ, ws=session.workspace
-                    ).seal(),
+                    lambda x: _matmul(x, model.proj, session, PROJ),
                     lambda x: x @ ref.proj.T, state)
     return state
 

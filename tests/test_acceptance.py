@@ -12,8 +12,10 @@ import pytest
 from intflow import kernels as K
 from intflow.audit import PAYLOAD, SCALE, AuditRecord, OpAuditLog
 from intflow.scaling import (
+    Lane,
     Precision,
     Session,
+    Workspace,
     dequantize,
     init_scale,
     protocol_apply,
@@ -126,7 +128,7 @@ def test_03_distribution_law(capsys):
             s = i / j
             t = scaled(xs, np.full(xs.size, s), 7)
             for n in range(1, 5):
-                out = K.pow_n(t, n)
+                out = K.pow_n(Lane.of(t, Workspace()), n).seal()
                 ok &= out.data.values.tolist() == [int(x) ** n for x in xs]
                 # The scale lane is floating point: correct to the last ulps.
                 want_s = float(Fraction(np.float64(s)) ** n)
@@ -142,7 +144,7 @@ def test_03_distribution_law(capsys):
             out = K.abs_(t)
             ok &= out.data.values.tolist() == [abs(int(x)) for x in xs]
             ok &= np.all(out.scale.values == t.scale.values)
-            out = K.relu(t)
+            out = K.relu(Lane.of(t, Workspace())).seal()
             ok &= out.data.values.tolist() == [max(int(x), 0) for x in xs]
             ok &= np.all(out.scale.values == t.scale.values)
     report(capsys, 3, "distribution-law exactness", ok)
@@ -159,7 +161,7 @@ def test_04_matmul_oracle(capsys):
     for _ in range(100):
         a = scaled(rng.integers(-127, 128, (8, 8)), rng.uniform(1, 60, (8, 8)))
         b = scaled(rng.integers(-127, 128, (8, 8)), rng.uniform(1, 60, (8, 8)))
-        out = K.matmul(a, b)
+        out = K.matmul(a, b, Workspace()).seal()
         da, db = dequantize(a).values, dequantize(b).values
         want = da @ db.T
         ea = (1.0 + 1e-9) / np.min(a.scale.values, axis=1, keepdims=True)

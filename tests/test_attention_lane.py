@@ -1,12 +1,14 @@
-"""The lanes against the kernel-by-kernel composition, and their workspace.
+"""The lanes against an exact kernel-by-kernel composition, and their workspace.
 
 `poly` and `poly_attention` work their T x T weights in place on one buffer,
 `ffn_core` its hidden activations, and the output projection its logits.
-The oracles here build the same stages from the public kernels, one
-`session.apply` per op, and every payload, scale, audit record and error
-type must agree with them, on both sides of the float64-exact switch at
-2^53.  The buffers come from the session's workspace, which must never hand
-out an array that a result still holds.
+The oracles here build the same stages one `session.apply` per op, from
+kernels that compute every payload in Python ints and every scale with the
+same float operation as the library: a product, a power, a quotient.  Every
+payload, scale, audit record and error type must agree with them, on both
+sides of the float64-exact switch at 2^53.  The buffers come from the
+session's workspace, which must never hand out an array that a result still
+holds.
 """
 import math
 from types import SimpleNamespace
@@ -21,7 +23,7 @@ from intflow import scaling
 from intflow.audit import PAYLOAD, SCALE
 from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError
 from intflow.scaling import Precision, Session, scale_match_dim
-from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
+from intflow.tensor import LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import (
     FFN,
     PROJ,
@@ -46,6 +48,79 @@ def scaled(data, scale, precision):
     )
 
 
+# -- exact kernels: Python-int payloads, tagged for protocol_apply -------------
+
+
+def exact_kernel(kind, scale_arith):
+    def deco(fn):
+        fn.kind, fn.scale_arith = kind, scale_arith
+        return fn
+    return deco
+
+
+def ints(t: ScaledTensor) -> np.ndarray:
+    """The payload as an object array of Python ints."""
+    return t.data.values.astype(object)
+
+
+def peak(x: np.ndarray) -> int:
+    return max((abs(int(v)) for v in x.ravel()), default=0)
+
+
+def sealed(x: np.ndarray, s: np.ndarray, precision: int) -> ScaledTensor:
+    """An exact payload, refused as the lane refuses it, and a scale checked
+    as every new scale is."""
+    if peak(x) >= LANE_MAX:
+        raise LaneOverflowError("payload exceeds accumulator lane")
+    return ScaledTensor(IntTensor(x.astype(np.int64), precision), ScaleTensor(s))
+
+
+@exact_kernel("matmul", True)
+def exact_matmul(a, b_t):
+    a, b_t = scale_match_dim(a, -1), scale_match_dim(b_t, -1)
+    if a.shape[-1] * peak(ints(a)) * peak(ints(b_t)) >= LANE_MAX:
+        raise LaneOverflowError("product exceeds accumulator lane")
+    with np.errstate(over="ignore"):
+        s = a.scale.values * b_t.scale.values.T  # one rounded product each
+    return sealed(ints(a) @ ints(b_t).T, s, a.precision)
+
+
+@exact_kernel("relu", False)
+def exact_relu(t):
+    x = ints(t)
+    return ScaledTensor(IntTensor(np.where(x > 0, x, 0).astype(np.int64), t.precision), t.scale)
+
+
+@exact_kernel("pow_n", True)
+def exact_pow_n(t, n):
+    # The guard tests n * log2(max|x|) in float, which also refuses powers
+    # within a few ulps below 2^62.
+    m = peak(ints(t))
+    if m**n >= LANE_MAX or (m > 1 and n * np.log2(m) >= 62):
+        raise LaneOverflowError("power exceeds accumulator lane")
+    with np.errstate(over="ignore", under="ignore"):
+        s = t.scale.values ** n
+    return sealed(ints(t) ** n, s, t.precision)
+
+
+@exact_kernel("sum_reduce", False)
+def exact_sum(t):
+    assert t.scale.shape[-1] == 1
+    x = ints(t).sum(axis=-1, keepdims=True)
+    return ScaledTensor(sealed(x, t.scale.values, t.precision).data, t.scale)
+
+
+@exact_kernel("int_div", True)
+def exact_int_div(num, den):
+    n, d = ints(num), ints(den)
+    if (d <= 0).any():
+        raise ValueError("divisor must be strictly positive")
+    q = np.where(n < 0, -(-n // d), n // d)  # truncated toward zero
+    with np.errstate(over="ignore", under="ignore"):
+        s = num.scale.values / den.scale.values
+    return sealed(q, s, num.precision)
+
+
 # -- the oracle: one kernel call per op --------------------------------------
 
 
@@ -57,38 +132,57 @@ def quantize_const(value, like, session, module, min_payload=0):
     return t
 
 
+def fit_zero_groups(t, value, limit):
+    """t with the scale of each all-zero group whose constant round(value * s)
+    would leave the lane set to limit / |value|; zeros are exact at any scale."""
+    s = t.scale.values.copy()
+    with np.errstate(over="ignore"):
+        over = np.abs(np.rint(np.float64(value) * s)) >= LANE_MAX
+    nonzero = np.zeros(s.shape, bool)
+    for idx, x in np.ndenumerate(t.data.values):
+        nonzero[tuple(i if n > 1 else 0 for i, n in zip(idx, s.shape))] |= x != 0
+    refit = over & ~nonzero
+    if not refit.any():
+        return t
+    s[refit] = limit / abs(value)
+    return ScaledTensor(t.data, ScaleTensor(s))
+
+
 def oracle_poly(scores, pp, degree, session, module="Attn"):
-    x = session.apply(K.add, [scores, quantize_const(pp.bias, scores, session, module)], module)
-    x = session.apply(K.relu, [x], module)
-    x = session.apply(K.pow_n, [x], module, n=degree)
+    limit = session.precision.max_magnitude
+    x = fit_zero_groups(scores, pp.bias, limit)
+    x = session.apply(K.add, [x, quantize_const(pp.bias, x, session, module)], module)
+    x = session.apply(exact_relu, [x], module)
+    x = session.apply(exact_pow_n, [x], module, n=degree)
+    x = fit_zero_groups(x, abs(pp.offset), limit)
     min_payload = 1 if pp.offset != 0.0 else 0
     d_q = quantize_const(abs(pp.offset), x, session, module, min_payload)
     return session.apply(K.add, [x, d_q], module)
 
 
 def oracle_poly_attention(q, k, v, pp, degree, d_m, session, module="Attn"):
-    scores = session.apply(K.matmul, [q, k], module)
+    scores = session.apply(exact_matmul, [q, k], module)
     session.note("scale_fold", SCALE, scores.scale.values.size, module)
     with np.errstate(over="ignore"):
         folded = scores.scale.values * math.sqrt(d_m)
     scores = ScaledTensor(scores.data, ScaleTensor(folded))
     weights = scale_match_dim(oracle_poly(scores, pp, degree, session, module), -1)
-    num = session.apply(K.matmul, [weights, K.transpose(v, (1, 0))], module, allow_rescale=False)
-    den = session.apply(K.sum_reduce, [weights], module, axis=1, allow_rescale=False)
+    num = session.apply(exact_matmul, [weights, K.transpose(v, (1, 0))], module, allow_rescale=False)
+    den = session.apply(exact_sum, [weights], module, allow_rescale=False)
     lam = max(1, (1 << 60) // (max(num.data.max_magnitude, 1) + 1))
     if lam > 1:
         session.note("boost", PAYLOAD, num.data.values.size, module)
         with np.errstate(over="ignore"):
             boosted = num.scale.values * lam
         num = ScaledTensor(IntTensor(num.data.values * lam, num.precision), ScaleTensor(boosted))
-    return session.apply(K.int_div, [num, den], module)
+    return session.apply(exact_int_div, [num, den], module)
 
 
 def oracle_ffn(y, lp, session):
-    h = session.apply(K.matmul, [y, lp.w1], FFN)
+    h = session.apply(exact_matmul, [y, lp.w1], FFN)
     h = session.apply(K.add, [h, _broadcast_to(lp.b1, h.shape)], FFN)
-    h = session.apply(K.relu, [h], FFN)
-    h = session.apply(K.matmul, [h, lp.w2], FFN)
+    h = session.apply(exact_relu, [h], FFN)
+    h = session.apply(exact_matmul, [h, lp.w2], FFN)
     return session.apply(K.add, [h, _broadcast_to(lp.b2, h.shape)], FFN)
 
 
@@ -202,8 +296,8 @@ class TestLaneMatchesKernels:
         p_in = data.draw(st.sampled_from(PRECISIONS))
         a = data.draw(operand((T, d), p_in, per_element, big))
         w = data.draw(operand((n, d), p_in, False, big))
-        got = outcome(lambda s: s.apply(K.lane_matmul, [a, w], PROJ, ws=s.workspace).seal(), p)
-        assert got == outcome(lambda s: s.apply(K.matmul, [a, w], PROJ), p)
+        got = outcome(lambda s: s.apply(K.matmul, [a, w], PROJ, ws=s.workspace).seal(), p)
+        assert got == outcome(lambda s: s.apply(exact_matmul, [a, w], PROJ), p)
 
 
 class TestLaneRoutes:
@@ -258,6 +352,16 @@ class TestLaneRoutes:
         scores = scaled([[2**60, -(2**55) - 3], [2**53 + 1, 1]], [[1.0, 2.0], [3.0, 4.0]], 12)
         pp = PolyParams(bias=0.5, offset=0.0)
         self.same(lambda s: poly(scores, pp, 1, s), lambda s: oracle_poly(scores, pp, 1, s), 12)
+
+    def test_constant_refits_an_all_zero_group(self):
+        # 1.0 * 1e19 leaves the lane, but only at a zero payload, whose scale
+        # drops to 127 / 1.0; a nonzero payload there would raise.
+        scores = scaled([[0, 5], [-3, 0]], [[1e19, 2.0], [3.0, 4.0]], 7)
+        pp = PolyParams(bias=1.0, offset=0.25)
+        got = self.same(lambda s: poly(scores, pp, 3, s), lambda s: oracle_poly(scores, pp, 3, s), 7)
+        assert got[0] == "<i8"
+        weights = np.frombuffer(got[4]).reshape(2, 2) ** -1 * np.array(got[1])
+        assert weights[0, 0] == pytest.approx(1.25, rel=0.02)
 
     def test_constant_sum_overflow_raises(self):
         # 2^61 + 1.0 * 2^61 = 2^62 leaves the accumulator lane.

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intflow import kernels, modelfile
+from intflow import kernels, modelfile, scaling
 from intflow.scaling import Precision, Session
 from intflow.transformer import ModelConfig, forward, quantize_model, random_reference_model
 
@@ -43,6 +43,43 @@ def test_tracer_wraps_every_named_function(bench_modules):
     assert (kernels.matmul, kernels.relu, kernels.pow_n, modelfile.load_model) == originals
 
 
+# The in-place forms of ADD, which the tracer does not wrap.
+LANE_ADDS = ("lane_add", "lane_add_matched")
+
+
+def test_tracer_kernel_names_are_the_kernels(bench_modules):
+    _, tracer = bench_modules
+    for name in tracer.KERNELS:
+        fn = getattr(kernels, name)
+        assert fn.kind == name.rstrip("_"), name
+
+
+def test_one_kernel_per_kind(bench_modules):
+    _, tracer = bench_modules
+    tagged = {fn for fn in vars(kernels).values() if hasattr(fn, "kind")}
+    assert tagged == {getattr(kernels, n) for n in (*tracer.KERNELS, *LANE_ADDS)}
+    assert {kernels.KernelKind(getattr(kernels, n).kind) for n in tracer.KERNELS} == set(kernels.KernelKind)
+
+
+def test_a_forward_runs_only_traced_kernels(bench_modules, monkeypatch):
+    # A kernel outside tracer.KERNELS does work the benchmark cannot see.
+    _, tracer = bench_modules
+    known = {getattr(kernels, n): n for n in (*tracer.KERNELS, *LANE_ADDS)}
+    seen = []
+    apply = scaling.protocol_apply
+
+    def recording(kernel, *args, **kwargs):
+        seen.append(known.get(kernel, kernel.__name__))
+        return apply(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(scaling, "protocol_apply", recording)
+    cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=8)
+    model = quantize_model(random_reference_model(cfg, seed=0))
+    forward(model, Session(Precision(cfg.precision)), tokens=np.arange(4))
+    assert set(seen) <= set(known.values())
+    assert {"matmul", "relu", "pow_n", "sum_reduce"} <= set(seen)
+
+
 def test_traced_forward_records_modules_and_kernels(bench_modules):
     _, tracer = bench_modules
     cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=8)
@@ -52,6 +89,7 @@ def test_traced_forward_records_modules_and_kernels(bench_modules):
         forward(model, Session(Precision(cfg.precision)), tokens=np.arange(4))
     assert w.calls["transformer.Attn"] == cfg.n_layers
     assert w.calls["kernels.matmul"] > 0
+    assert w.calls["kernels.relu"] > 0 and w.calls["kernels.pow_n"] > 0
     assert w.counts["kernels.matmul.bytes"] > 0
 
 

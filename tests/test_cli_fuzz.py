@@ -1,19 +1,26 @@
-"""Seeded fuzz of `intflow infer`: extreme inputs exit 0 or 2, never a traceback.
+"""Seeded fuzz of the CLI: extreme inputs and corrupted model files exit 0
+or 2, never a traceback.
 
-Each case is an input array written to .npy and run through `cli.main`:
+Each input case is an array written to .npy and run through `cli.main`:
 hidden states with extreme finite magnitudes, token ids in narrow integer
 dtypes, odd ranks and empty arrays.  A run that exits 0 must write finite
 values and, for raw payloads, payloads within the model's precision.  The
 refusals are pinned by message and count, so a change to the range
 bookkeeping that moved a fallback path onto another error shows up here.
+
+Each corrupted-file case rewrites 1-3 bytes of the int8 or the FP32 model
+file and runs `infer --tokens` or `quantize` on it; exit codes and kinds of
+refusal are pinned by count.
 """
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from intflow.cli import EXIT_OK, EXIT_VALIDATION, main
+from intflow.modelfile import HEADER_SIZE, _records, load_model
 
 D_M, VOCAB = 16, 24
 CASES = 150
@@ -171,3 +178,97 @@ def test_infer_fuzz_exits_cleanly(models, capsys):
     assert dict(refusals) == PINNED_REFUSALS
     assert ok == PINNED_EXIT_OK
     assert outputs.hexdigest() == PINNED_OUTPUTS
+
+
+CORRUPT_CASES = 400
+
+
+def _corrupted(blob: bytes, rng) -> bytes:
+    """blob with 1-3 bytes at random offsets each changed to another value."""
+    out = bytearray(blob)
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(len(out)))
+        out[k] = (out[k] + int(rng.integers(1, 256))) % 256
+    return bytes(out)
+
+
+def _kind(message: str) -> str:
+    """A refusal with its names, bytes and numbers blanked: its kind."""
+    return re.sub(r"0x[0-9a-f]+|'[^']*'|\(.*\)|-?\d+(\.\d+)?", "#", message)
+
+
+# Exit codes and refusal kinds of the corrupted-file cases, by flavour:
+# `infer --tokens` on the int8 file, `quantize` on the FP32 file.
+PINNED_CORRUPT_EXITS = {"fp32 0": 187, "fp32 2": 13, "int8 0": 129, "int8 2": 71}
+PINNED_CORRUPT_REFUSALS = {
+    "fp32: # codec can't decode byte # in position #: invalid start byte": 1,
+    "fp32: bad magic; not a model file": 1,
+    "fp32: file truncated in a tensor name": 1,
+    "fp32: file truncated in the data of #": 2,
+    "fp32: missing tensor #": 3,
+    "fp32: polynomial degree # differs from the header's #": 1,
+    "fp32: unknown dtype tag # for #": 4,
+    "int8: # codec can't decode byte # in position #: invalid continuation byte": 8,
+    "int8: # codec can't decode byte # in position #: invalid start byte": 13,
+    "int8: # codec can't decode byte # in position #: unexpected end of data": 2,
+    "int8: file truncated in a tensor name": 2,
+    "int8: file truncated in the data of #": 16,
+    "int8: header promises # tensors, file holds #": 2,
+    "int8: missing tensor #": 13,
+    "int8: scale values must be strictly positive": 6,
+    "int8: tensor # exceeds the declared precision": 1,
+    "int8: tensor # has shape #": 1,
+    "int8: unknown dtype tag # for #": 7,
+}
+
+
+def test_corrupted_model_files_exit_cleanly(models, capsys):
+    tmp, paths = models
+    blobs = {"int8": paths[7].read_bytes(), "fp32": (tmp / "m.fp32").read_bytes()}
+    tokens = tmp / "tokens.npy"
+    np.save(tokens, np.arange(8) % VOCAB)
+    rng = np.random.default_rng(SEED)
+    exits, refusals = Counter(), Counter()
+    for i in range(CORRUPT_CASES):
+        flavour = ("int8", "fp32")[i % 2]
+        src = tmp / "corrupt.bin"
+        src.write_bytes(_corrupted(blobs[flavour], rng))
+        if flavour == "int8":
+            dst = tmp / "corrupt.npy"
+            argv = ["infer", str(src), str(tokens), "--tokens", "--out", str(dst)]
+        else:
+            dst = tmp / "corrupt.int"
+            argv = ["quantize", str(src), str(dst)]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_VALIDATION), (i, rc, err)
+        assert err.startswith("error: ") if rc else not err, (i, err)
+        exits[f"{flavour} {rc}"] += 1
+        if rc == EXIT_VALIDATION:
+            refusals[f"{flavour}: {_kind(err[len('error: '):].strip())}"] += 1
+        elif flavour == "int8":
+            out = np.load(dst)
+            assert out.dtype == np.int64 and np.abs(out).max() <= 127, i
+        else:
+            assert load_model(str(dst)).config.precision == 7
+    assert dict(exits) == PINNED_CORRUPT_EXITS
+    assert dict(refusals) == PINNED_CORRUPT_REFUSALS
+
+
+def test_a_signaling_nan_record_is_refused_quietly(models, capsys):
+    # Its cast to float64 raised numpy's "invalid value" warning.
+    tmp, _ = models
+    blob = bytearray((tmp / "m.fp32").read_bytes())
+    pos = HEADER_SIZE
+    for name, _, arr, size in _records(bytes(blob)):
+        if name == "layers.0.w1":
+            at = pos + size - arr.nbytes
+            blob[at:at + 4] = np.array([0x7F800001], np.uint32).tobytes()  # a float32 sNaN
+            break
+        pos += size
+    src = tmp / "snan.fp32"
+    src.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["quantize", str(src), str(tmp / "snan.int")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: rational tensor values must be finite\n"

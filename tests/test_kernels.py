@@ -22,6 +22,16 @@ def scaled(data, scale, precision=7):
     )
 
 
+def matmul(a, b_t) -> ScaledTensor:
+    """matmul's Lane, sealed."""
+    return K.matmul(a, b_t, Workspace()).seal()
+
+
+def on_lane(kernel, t: ScaledTensor, **kwargs) -> ScaledTensor:
+    """An in-place kernel on a Lane holding a copy of t, sealed."""
+    return kernel(Lane.of(t, Workspace()), **kwargs).seal()
+
+
 def frac_view(t: ScaledTensor):
     """De-quantized view as exact fractions (scales are small rationals here)."""
     data = t.data.values
@@ -85,7 +95,7 @@ class TestMatMul:
     def test_two_by_two_against_oracle(self):
         a = scaled([[2, 1], [0, 3]], [[4.0], [4.0]])
         b = scaled([[1, 2], [3, 1]], [[2.0], [2.0]])
-        out = K.matmul(a, b)
+        out = matmul(a, b)
         # Uniform scales along the contraction dim make this exact.
         want = dequantize(a).values @ dequantize(b).values.T
         assert np.array_equal(dequantize(out).values, want)
@@ -93,23 +103,23 @@ class TestMatMul:
     def test_scale_is_outer_product(self):
         a = scaled([[1, 1]], [[5.0]])
         b = scaled([[1, 1], [2, 2]], [[3.0], [7.0]])
-        out = K.matmul(a, b)
+        out = matmul(a, b)
         assert out.scale.values.tolist() == [[15.0, 35.0]]
 
     def test_contraction_mismatch(self):
         with pytest.raises(ShapeError):
-            K.matmul(scaled([[1, 2]], [[1.0]]), scaled([[1, 2, 3]], [[1.0]]))
+            matmul(scaled([[1, 2]], [[1.0]]), scaled([[1, 2, 3]], [[1.0]]))
 
     def test_rank_check(self):
         with pytest.raises(ShapeError):
-            K.matmul(scaled([1], [1.0]), scaled([1], [1.0]))
+            matmul(scaled([1], [1.0]), scaled([1], [1.0]))
 
     def test_varying_contraction_scales_within_bound(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             a = scaled(rng.integers(-127, 128, (3, 4)), rng.uniform(1, 40, (3, 4)))
             b = scaled(rng.integers(-127, 128, (5, 4)), rng.uniform(1, 40, (5, 4)))
-            out = K.matmul(a, b)
+            out = matmul(a, b)
             da, db = dequantize(a).values, dequantize(b).values
             want = da @ db.T
             ea = (1.0 + 1e-6) / np.min(a.scale.values, axis=1, keepdims=True)
@@ -146,16 +156,28 @@ class TestMatMulExactness:
     def test_matches_int64_oracle(self, ops):
         a, b_t = ops
         am, bm = scale_match_dim(a, -1), scale_match_dim(b_t, -1)
-        out = K.matmul(a, b_t)
+        out = matmul(a, b_t)
         assert out.data.values.dtype == np.int64
         assert np.array_equal(out.data.values, am.data.values @ bm.data.values.T)
         assert np.array_equal(out.scale.values, am.scale.values @ bm.scale.values.T)
+
+    @given(gemm_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_a_matched_lane_operand_gives_the_same_product(self, ops):
+        # The value product and W2 read a Lane matched along its last axis.
+        a, b_t = ops
+        ws = Workspace()
+        lane = Lane.of(a, ws)
+        lane.match_last()
+        got, want = K.matmul(lane, b_t, ws).seal(), matmul(a, b_t)
+        assert got.data.values.tolist() == want.data.values.tolist()
+        assert np.array_equal(got.scale.values, want.scale.values)
 
     def test_bound_at_float_mantissa_takes_int64_path(self):
         x = 2**27 + 1
         a = scaled([[x]], [[1.0]])
         assert float(x) * float(x) != x * x  # 2^54 + 2^28 + 1 rounds in float64
-        out = K.matmul(a, a)
+        out = matmul(a, a)
         assert out.data.values.tolist() == [[x * x]]
 
 
@@ -163,17 +185,17 @@ class TestPowAbsRelu:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pow_distribution_law(self, n):
         t = scaled([2, -3, 0], [2.0, 4.0, 1.0])
-        out = K.pow_n(t, n)
+        out = on_lane(K.pow_n, t, n=n)
         assert frac_view(out) == [v**n for v in frac_view(t)]
 
     def test_pow_rejects_zero_exponent(self):
         with pytest.raises(ValueError):
-            K.pow_n(scaled([1], [1.0]), 0)
+            on_lane(K.pow_n, scaled([1], [1.0]), n=0)
 
     def test_pow_lane_guard(self):
         t = scaled([10**5], [1.0])
         with pytest.raises(LaneOverflowError):
-            K.pow_n(t, 5)
+            on_lane(K.pow_n, t, n=5)
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=200)
@@ -187,11 +209,11 @@ class TestPowAbsRelu:
             min_size=1, max_size=5,
         ))
         t = scaled(xs, [1.5] * len(xs), precision=15)
-        out = K.pow_n(t, n)
+        out = on_lane(K.pow_n, t, n=n)
         assert out.data.values.tolist() == [x**n for x in xs]
         assert out.scale.values.tolist() == [1.5**n] * len(xs)
         with pytest.raises(LaneOverflowError):
-            K.pow_n(scaled([m + 1], [1.0]), n)
+            on_lane(K.pow_n, scaled([m + 1], [1.0]), n=n)
 
     def test_abs_exact(self):
         t = scaled([-5, 3, 0], [2.0])
@@ -200,8 +222,15 @@ class TestPowAbsRelu:
 
     def test_relu_exact(self):
         t = scaled([-5, 3, 0], [2.0])
-        out = K.relu(t)
+        out = on_lane(K.relu, t)
         assert frac_view(out) == [max(v, 0) for v in frac_view(t)]
+
+    @given(st.lists(st.integers(-(2**20), 2**20) | st.integers(-(2**61), 2**61), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_relu_matches_python_ints(self, xs):
+        # Both lane dtypes: float64 below 2^53, int64 from there up.
+        out = on_lane(K.relu, scaled(xs, [1.0]))
+        assert out.data.values.tolist() == [max(x, 0) for x in xs]
 
     @given(
         st.lists(st.integers(-20, 20), min_size=1, max_size=6),
@@ -214,9 +243,9 @@ class TestPowAbsRelu:
         s = s_num / s_den
         t = scaled(xs, [float(s)] * len(xs))
         vals = [Fraction(x) / Fraction(s_num, s_den) for x in xs]
-        assert frac_view(K.pow_n(t, n)) == [v**n for v in vals]
+        assert frac_view(on_lane(K.pow_n, t, n=n)) == [v**n for v in vals]
         assert frac_view(K.abs_(t)) == [abs(v) for v in vals]
-        assert frac_view(K.relu(t)) == [max(v, 0) for v in vals]
+        assert frac_view(on_lane(K.relu, t)) == [max(v, 0) for v in vals]
 
 
 def materialized(t: ScaledTensor, shape) -> ScaledTensor:
@@ -279,7 +308,7 @@ class TestScaleRange:
     (still a ValueError) instead of a numpy warning and a bare ValueError."""
 
     @pytest.mark.parametrize("scale, op, match", [
-        (1e200, lambda t: K.pow_n(t, 2), "finite"),
+        (1e200, lambda t: on_lane(K.pow_n, t, n=2), "finite"),
         (1e200, lambda t: K.ew_mul(t, t), "finite"),
         (1e-200, lambda t: K.ew_mul(t, t), "positive"),
     ], ids=["pow_n-overflow", "ew_mul-overflow", "ew_mul-underflow"])
@@ -296,18 +325,30 @@ class TestScaleRange:
 class TestSumReduce:
     def test_uniform_scale_is_exact(self):
         t = scaled([[1, 2, 3]], [[2.0]])
-        out = K.sum_reduce(t, axis=1)
+        out = K.sum_reduce(t)
         assert out.data.values.tolist() == [[6]]
-        assert out.scale.values.tolist() == [[2.0]]
+        assert out.scale is t.scale
 
     def test_varying_scale_matched_first(self):
-        t = scaled([[100, 50]], [[100.0, 50.0]])
-        out = K.sum_reduce(t, axis=1)
-        assert dequantize(out).values.tolist() == [[2.0]]
+        t = scale_match_dim(scaled([[100, 50]], [[100.0, 50.0]]), -1)
+        assert dequantize(K.sum_reduce(t)).values.tolist() == [[2.0]]
 
-    def test_axis_out_of_range(self):
+    def test_scale_varying_along_the_axis_is_refused(self):
         with pytest.raises(ShapeError):
-            K.sum_reduce(scaled([1], [1.0]), axis=2)
+            K.sum_reduce(scaled([[100, 50]], [[100.0, 50.0]]))
+
+    @given(st.lists(st.lists(st.one_of(st.integers(-(2**20), 2**20), st.integers(2**50, 2**58)),
+                             min_size=3, max_size=3), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_lane_sum_matches_python_ints(self, rows):
+        # A Lane's payload is float64 below 2^53 and summed there while the
+        # sum's bound stays below 2^53; past it the sum runs in int64.
+        t = scale_match_dim(scaled(rows, np.linspace(1.0, 2.0, 3 * len(rows)).reshape(-1, 3)), -1)
+        lane = Lane.of(t, Workspace())
+        out = K.sum_reduce(lane)
+        assert out.data.values.tolist() == [[sum(r)] for r in t.data.values.tolist()]
+        assert out.data.max_bound >= max(abs(sum(r)) for r in t.data.values.tolist())
+        assert np.array_equal(out.scale.values, t.scale.values)
 
 
 class TestIntDiv:
@@ -343,12 +384,12 @@ class TestShapeOpsThroughProtocol:
 CONTAINER_CALLS = {
     "add": (("a", "b"), lambda ap, o: ap(K.add, [o["a"], o["b"]])),
     "ew_mul": (("a", "b"), lambda ap, o: ap(K.ew_mul, [o["a"], o["b"]])),
-    "pow_n": (("a",), lambda ap, o: ap(K.pow_n, [o["a"]], n=o["n"])),
+    "pow_n": (("a",), lambda ap, o: ap(K.pow_n, [Lane.of(o["a"], Workspace())], n=o["n"]).seal()),
     "abs_": (("a",), lambda ap, o: ap(K.abs_, [o["a"]])),
-    "relu": (("a",), lambda ap, o: ap(K.relu, [o["a"]])),
-    "sum_reduce": (("a",), lambda ap, o: ap(K.sum_reduce, [o["a"]], axis=-1)),
+    "relu": (("a",), lambda ap, o: ap(K.relu, [Lane.of(o["a"], Workspace())]).seal()),
+    "sum_reduce": (("a",), lambda ap, o: ap(K.sum_reduce, [scale_match_dim(o["a"], -1)])),
     "int_div": (("a", "den"), lambda ap, o: ap(K.int_div, [o["a"], o["den"]])),
-    "matmul": (("a", "w"), lambda ap, o: ap(K.matmul, [o["a"], o["w"]])),
+    "matmul": (("a", "w"), lambda ap, o: ap(K.matmul, [o["a"], o["w"]], ws=Workspace()).seal()),
     "concat": (("a", "b"), lambda ap, o: ap(K.concat, [o["a"], o["b"]], axis=0)),
     "transpose": (("a",), lambda ap, o: ap(K.transpose, [o["a"]], axes=(1, 0))),
     "lane_add_matched": (
@@ -434,5 +475,5 @@ class TestContainerWidthOperands:
         assert t.data.values.dtype == container_dtype(p)
         assert K.add(t, t).data.values.tolist() == [2 * top, -2 * top]
         assert K.ew_mul(t, t).data.values.tolist() == [top * top, top * top]
-        assert K.pow_n(t, 3).data.values.tolist() == [top**3, -(top**3)]
-        assert K.sum_reduce(t, axis=0).data.values.tolist() == [0]
+        assert on_lane(K.pow_n, t, n=3).data.values.tolist() == [top**3, -(top**3)]
+        assert K.sum_reduce(t).data.values.tolist() == [0]

@@ -149,11 +149,11 @@ def operands(draw):
 STEPS = {
     "add": lambda ap, o, n: ap(K.add, [o["a"], o["b"]]),
     "ew_mul": lambda ap, o, n: ap(K.ew_mul, [o["a"], o["b"]]),
-    "matmul": lambda ap, o, n: ap(K.matmul, [o["a"], o["w"]]),
-    "pow_n": lambda ap, o, n: ap(K.pow_n, [o["a"]], n=n),
+    "matmul": lambda ap, o, n: ap(K.matmul, [o["a"], o["w"]], ws=Workspace()).seal(),
+    "pow_n": lambda ap, o, n: ap(K.pow_n, [Lane.of(o["a"], Workspace())], n=n).seal(),
     "abs_": lambda ap, o, n: ap(K.abs_, [o["a"]]),
-    "relu": lambda ap, o, n: ap(K.relu, [o["a"]]),
-    "sum_reduce": lambda ap, o, n: ap(K.sum_reduce, [o["a"]], axis=-1),
+    "relu": lambda ap, o, n: ap(K.relu, [Lane.of(o["a"], Workspace())]).seal(),
+    "sum_reduce": lambda ap, o, n: ap(K.sum_reduce, [scale_match_dim(o["a"], -1)]),
     "int_div": lambda ap, o, n: ap(K.int_div, [o["a"], o["den"]]),
     "concat": lambda ap, o, n: ap(K.concat, [o["a"], o["b"]], axis=1),
     "transpose": lambda ap, o, n: ap(K.transpose, [o["a"]], axes=(1, 0)),
@@ -164,15 +164,15 @@ STEPS = {
 def lane_steps(ap, o, n):
     """Every lane step in turn, as attention and the FFN chain them."""
     ws = Workspace()
-    lane = ap(K.lane_matmul, [o["a"], o["w"]], ws=ws)
-    lane = ap(K.lane_relu, [lane])
-    lane = ap(K.lane_pow_n, [lane], n=n)
+    lane = ap(K.matmul, [o["a"], o["w"]], ws=ws)
+    lane = ap(K.relu, [lane])
+    lane = ap(K.pow_n, [lane], n=n)
     lane.seal()
     lane = ap(K.lane_add_matched, [Lane.of(o["a"], ws)], b=o["b"])
     lane = ap(K.lane_add, [lane], c=np.ones(lane.s.shape), c_max=1)
     lane.match_last()
-    ap(K.matmul, [lane, o["w"]], allow_rescale=False)
-    ap(K.lane_sum, [lane], allow_rescale=False)
+    ap(K.matmul, [lane, o["w"]], allow_rescale=False, ws=ws).seal()
+    ap(K.sum_reduce, [lane], allow_rescale=False)
     lane.release()
 
 
@@ -210,7 +210,7 @@ class TestScaleFallback:
         with pytest.raises(ScaleRangeError, match=f"^scale values must be {message}$"):
             K.ew_mul(a, a)
         with pytest.raises(ScaleRangeError, match=f"^scale values must be {message}$"):
-            K.matmul(scaled([[1]], [[s]]), scaled([[1]], [[s]]))
+            K.matmul(scaled([[1]], [[s]]), scaled([[1]], [[s]]), Workspace())
 
     def test_a_quotient_out_of_range_raises_as_before(self):
         with pytest.raises(ScaleRangeError, match="^scale values must be finite$"):
@@ -220,7 +220,7 @@ class TestScaleFallback:
         # 1e-105^3 is subnormal, where pow's error is not relative: the
         # bound proves nothing, and the scan finds the power > 0.
         t = scaled([[2, 3]], [[1e-105, 1.0]])
-        out = K.pow_n(t, 3)
+        out = K.pow_n(Lane.of(t, Workspace()), 3).seal()
         assert 0 < out.scale.lo == out.scale.values.min() < 2.0**-1000
 
 
@@ -235,19 +235,21 @@ class TestPayloadFallback:
         # Each call gets a fresh tensor: the first exact read is cached.
         t = self.loose([3, -5], 2**40)
         assert K.ew_mul(t, t).data.values.tolist() == [9, 25]
-        assert K.pow_n(self.loose([3, -5], 2**40), 3).data.values.tolist() == [27, -125]
-        w = self.loose([[3, -5]], 2**40)
-        assert K.matmul(w, w).data.values.tolist() == [[34]]
         ws = Workspace()
+        lane = Lane.of(self.loose([3, -5], 2**40), ws)
+        assert not lane.exact
+        assert K.pow_n(lane, 3).x.tolist() == [27, -125]
+        w = self.loose([[3, -5]], 2**40)
+        assert K.matmul(w, w, ws).seal().data.values.tolist() == [[34]]
         lane = Lane(np.array([[3.0, -5.0]]), np.ones((1, 1)), 7, ws, m=2**40, scale_range=(1.0, 1.0))
-        assert K.lane_pow_n(lane, 3).x.tolist() == [[27, -125]]
+        assert K.pow_n(lane, 3).x.tolist() == [[27, -125]]
 
     def test_an_overflow_still_raises(self):
         t = scaled([2**31, 1], [1.0])
         with pytest.raises(LaneOverflowError, match="^product exceeds accumulator lane$"):
             K.ew_mul(t, t)
         with pytest.raises(LaneOverflowError, match="^power exceeds accumulator lane$"):
-            K.pow_n(t, 2)
+            K.pow_n(Lane.of(t, Workspace()), 2)
 
     def test_a_bound_at_the_lane_is_scanned(self):
         data = IntTensor.adopt(np.array([3, -5], dtype=np.int64), 7, bound=LANE_MAX)
@@ -270,7 +272,7 @@ class TestPayloadFallback:
     def test_relu_leaves_the_lane_inexact(self):
         ws = Workspace()
         lane = Lane.of(scaled([[-9, 4]], [[1.0]]), ws)
-        lane = K.lane_relu(Lane(lane.x, lane.s, 7, ws))
+        lane = K.relu(Lane(lane.x, lane.s, 7, ws))
         assert not lane.exact and lane.m == 9
         assert lane.max_magnitude == 4 and lane.exact
 

@@ -448,7 +448,7 @@ class TestProtocolApply:
     def test_idempotent_on_in_range(self):
         a = scaled([64], [1.0])
         out = protocol_apply(K.ew_mul, [a, a], Precision(7))
-        again = protocol_apply(K.relu, [out], Precision(7))
+        again = protocol_apply(K.relu, [scaling.Lane.of(out, scaling.Workspace())], Precision(7)).seal()
         assert np.array_equal(again.data.values, out.data.values)
         assert np.array_equal(again.scale.values, out.scale.values)
 

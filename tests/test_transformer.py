@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intflow.errors import ScaleRangeError, ShapeError, ValidationError
@@ -70,6 +70,13 @@ class TestConfig:
 
     @given(st.integers(2, 15), st.integers(1, 8), st.integers(0, 2**16), st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
+    # ReLU's zeros keep the unshrunk scale s^degree through the power, where
+    # the offset constant once left the lane.
+    @example(p=9, degree=6, seed=1024, seq_len=3)
+    @example(p=9, degree=6, seed=97, seq_len=3)
+    @example(p=9, degree=6, seed=180, seq_len=4)
+    @example(p=9, degree=6, seed=190, seq_len=3)
+    @example(p=9, degree=6, seed=263, seq_len=4)
     def test_every_admitted_config_runs(self, p, degree, seed, seq_len):
         # The check admits a (precision, degree) pair only if a token forward
         # fits the lane: x^degree of a bias-shifted payload of p + 1 bits.
