@@ -16,7 +16,7 @@ FP32 = "fp32"
 _LANES = (PAYLOAD, SCALE, FP32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRecord:
     kind: str
     lane: str

@@ -146,9 +146,11 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace) -> Lane:
         ax.astype(dtype, copy=False), bx.astype(dtype, copy=False).T,
         out=ws.take((ax.shape[0], bx.shape[0]), dtype),
     )
-    # (m,1) x (1,n); a scale uniform over its rows stays collapsed there.
-    # Each element is one rounded product, so the bounds multiply.
-    s = np.matmul(sa, sb.T, out=ws.take((sa.shape[0], sb.shape[0])))
+    # The outer product of the per-row scales, (m,1) by (1,n), broadcast; a
+    # scale uniform over its rows stays collapsed there.  Each element is one
+    # rounded product, as a GEMM of inner length 1 gives it, so the bounds
+    # multiply.
+    s = np.multiply(sa, sb.T, out=ws.take((sa.shape[0], sb.shape[0])))
     return Lane(x, s, a.precision, ws, bound, (a_lo * b_lo, a_hi * b_hi))
 
 

@@ -110,7 +110,10 @@ def _records(blob: bytes):
         start = pos
         (name_len,) = struct.unpack_from("<H", mv, skip(2, "a record header"))
         at = skip(name_len, "a tensor name")
-        name = str(mv[at:at + name_len], "utf-8")
+        try:
+            name = str(mv[at:at + name_len], "utf-8")
+        except UnicodeDecodeError:
+            raise ValidationError(f"tensor name at byte {at} is not valid UTF-8") from None
         dtype, rank = struct.unpack_from("<BB", mv, skip(2, f"the header of {name!r}"))
         dims = struct.unpack_from(f"<{rank}I", mv, skip(4 * rank, f"the dims of {name!r}"))
         if dtype not in _ARRAY_DTYPE:
@@ -152,11 +155,14 @@ def _poly_array(pp: PolyParams, degree: int) -> np.ndarray:
     return np.array([pp.bias, float(degree), pp.offset], dtype=np.float64)
 
 
-def _poly_from_array(arr: np.ndarray, degree: int) -> PolyParams:
+def _poly_from_array(arr: np.ndarray, degree: int, name: str) -> PolyParams:
+    """The (bias, degree, offset) record `name` as PolyParams."""
     if arr.shape != (3,):
         raise ValidationError("polynomial parameter record must have 3 entries")
     if arr[1] != degree:
         raise ValidationError(f"polynomial degree {arr[1]} differs from the header's {degree}")
+    if not np.isfinite(arr[[0, 2]]).all():
+        raise ValidationError(f"polynomial record {name!r} holds a non-finite bias or offset")
     return PolyParams(bias=float(arr[0]), offset=float(arr[2]))
 
 
@@ -291,7 +297,8 @@ def _deserialize(blob: bytes, want: bool | None = None):
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
         fields = {field: take(field, pre) for field in LAYER_TENSORS}
-        poly = _poly_from_array(_take(tensors, pre + "poly", DTYPE_F32), cfg.degree)
+        name = pre + "poly"
+        poly = _poly_from_array(_take(tensors, name, DTYPE_F32), cfg.degree, name)
         layers.append(TransformerLayerParams(poly=poly, **fields))
     fields = {field: take(field) for field in MODEL_TENSORS}
     if tensors:

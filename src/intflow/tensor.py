@@ -9,6 +9,7 @@ collapsed dimensions as size 1 and broadcast against their payload.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -101,6 +102,9 @@ def pow_bounds(lo: float, hi: float, n: int) -> tuple[float, float]:
     return (lo_n if lo_n >= POW_FLOOR else 0.0), hi_n
 
 
+# Kernels build tensors of a few shapes many times over.  Bounded, so a
+# long-lived process that meets many sequence lengths does not grow it.
+@functools.lru_cache(maxsize=1024)
 def _broadcast_compatible(scale_shape: tuple[int, ...], data_shape: tuple[int, ...]) -> bool:
     if len(scale_shape) != len(data_shape):
         return False

@@ -18,6 +18,7 @@ from . import kernels as K
 from .audit import PAYLOAD, SCALE
 from .errors import LaneOverflowError, ShapeError, ValidationError
 from .scaling import (
+    MATCH_FLOAT_MAX,
     Lane,
     Precision,
     ScaleGranularity,
@@ -291,6 +292,49 @@ def _slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
     return ScaledTensor(data, s)
 
 
+def _match_heads(t: ScaledTensor, heads: int, axis: int) -> list[ScaledTensor]:
+    """t (T x heads*d_h) as one operand per head, column block h, each
+    matched along `axis` of its block (0 along the sequence, -1 along its
+    own columns) as matmul would match it.  One scale_match_dim runs on t's
+    (T, heads, d_h) view for every head at once; each head gets a view of
+    its block and its own contiguous scale.
+
+    Precondition: t's bound on max|x| is below MATCH_FLOAT_MAX.  match_max
+    then picks _match_payload's float route by that bound, which every
+    block shares, so the result is bit for bit each block's own match.  From
+    MATCH_FLOAT_MAX up the route follows the exact max of the slice matched,
+    which can differ between t and a block, so the blocks are returned
+    unmatched and matmul matches each alone.  A projection sealed by the
+    protocol has a bound of at most 2^p - 1, far below it.
+    """
+    T, d = t.shape
+    d_h = d // heads
+    if t.data.max_bound >= MATCH_FLOAT_MAX:
+        return [_slice_cols(t, slice(h * d_h, (h + 1) * d_h)) for h in range(heads)]
+    s = t.scale
+    a, b = s.shape
+    if b > 1:
+        split = s.values.reshape(a, heads, d_h)
+    else:  # collapsed along the columns, and kept so: one scale for every head
+        split = np.broadcast_to(s.values.reshape(a, 1, 1), (a, heads, 1))
+    m = scale_match_dim(
+        ScaledTensor(
+            t.data.view(t.data.values.reshape(T, heads, d_h), same_max=True),
+            ScaleTensor.derived(split, s.lo, s.hi),
+        ),
+        axis,
+    )
+    x, s = m.data, m.scale
+    # A strided scale would slow matmul's broadcast product of the scales.
+    return [
+        ScaledTensor(
+            x.view(x.values[:, h]),
+            ScaleTensor.derived(np.ascontiguousarray(s.values[:, h]), s.lo, s.hi),
+        )
+        for h in range(heads)
+    ]
+
+
 def _fold_scale(lane: Lane, factor: float, session: Session, module: str) -> None:
     """Divide the de-quantized view by `factor` by growing the scale in place."""
     session.note("scale_fold", SCALE, lane.s.size, module)
@@ -379,7 +423,11 @@ def poly_attention(
 ) -> ScaledTensor:
     """Normalized polynomial attention for one head.
 
-    The T x T weights are built in place on one Lane, from Q.K^T through the
+    Q.K^T matches q and k along their columns, and the value product v along
+    the sequence, each where its scale is not yet collapsed there: attn_core
+    hands in operands already matched for all heads at once, which those
+    matches leave as they are, and any other operands are matched here.  The
+    T x T weights are built in place on one Lane, from Q.K^T through the
     polynomial, and matched along the key axis there.  The weighted value sum
     and the weight sum read them in float64 where they lie and stay in the
     wide lane; only their quotient is projected back to the logical precision.
@@ -451,18 +499,19 @@ def l1_layer_norm(
 
 
 def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, session: Session) -> ScaledTensor:
-    """Multi-head polynomial attention with input/output projections."""
-    d_h = cfg.d_m // cfg.heads
+    """Multi-head polynomial attention with input/output projections.
+
+    Q and K are matched along each head's columns, and V along the
+    sequence, once for all heads (_match_heads): each head's Q.K^T and
+    value product then find their operands collapsed along the contraction.
+    """
     q, k, v = (_matmul(x, w, session, ATTN) for w in (lp.w_q, lp.w_k, lp.w_v))
-    heads = []
-    for h in range(cfg.heads):
-        sl = slice(h * d_h, (h + 1) * d_h)
-        heads.append(
-            poly_attention(
-                _slice_cols(q, sl), _slice_cols(k, sl), _slice_cols(v, sl),
-                lp.poly, cfg.degree, cfg.d_m, session,
-            )
-        )
+    qs, ks = (_match_heads(t, cfg.heads, -1) for t in (q, k))
+    vs = _match_heads(v, cfg.heads, 0)
+    heads = [
+        poly_attention(qh, kh, vh, lp.poly, cfg.degree, cfg.d_m, session)
+        for qh, kh, vh in zip(qs, ks, vs)
+    ]
     cat = session.apply(K.concat, heads, ATTN, axis=1)
     return _matmul(cat, lp.w_o, session, ATTN)
 

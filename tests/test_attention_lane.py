@@ -22,7 +22,7 @@ from intflow import kernels as K
 from intflow import scaling
 from intflow.audit import PAYLOAD, SCALE
 from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError
-from intflow.scaling import Precision, Session, scale_match_dim
+from intflow.scaling import MATCH_FLOAT_MAX, Precision, Session, Workspace, scale_match_dim
 from intflow.tensor import LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import (
     FFN,
@@ -30,6 +30,8 @@ from intflow.transformer import (
     ModelConfig,
     PolyParams,
     _broadcast_to,
+    _match_heads,
+    _slice_cols,
     ffn_core,
     forward,
     poly,
@@ -397,6 +399,79 @@ class TestLaneRoutes:
         got = self.same(lambda s: poly_attention(q, k, v, pp, 3, 16, s),
                         lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s), 7)
         assert got[0] == error.__name__
+
+
+class TestHeadsMatchedOncePerLayer:
+    """attn_core matches Q and K along each head's columns, and V along the
+    sequence, once for all heads (_match_heads).  Each head's attention must
+    be the one it computes on its own plain column block, which its Q.K^T
+    and value product then match themselves."""
+
+    @staticmethod
+    def per_head(q, k, v, heads, pp, degree, p):
+        """Each head's outcome on the per-layer matched operands, and on plain
+        column blocks."""
+        d_m = q.shape[1]
+        d_h = d_m // heads
+        matched = zip(_match_heads(q, heads, -1), _match_heads(k, heads, -1), _match_heads(v, heads, 0))
+        got, want = [], []
+        for h, (qh, kh, vh) in enumerate(matched):
+            assert qh.scale.values.flags.c_contiguous and kh.scale.values.flags.c_contiguous
+            sl = slice(h * d_h, (h + 1) * d_h)
+            plain = [_slice_cols(t, sl) for t in (q, k, v)]
+            got.append(outcome(lambda s: poly_attention(qh, kh, vh, pp, degree, d_m, s), p))
+            want.append(outcome(lambda s: poly_attention(*plain, pp, degree, d_m, s), p))
+        return got, want
+
+    @given(st.data(), st.sampled_from(PRECISIONS), st.sampled_from([1, 2, 8]), poly_params,
+           st.sampled_from(DEGREES))
+    @settings(max_examples=150, deadline=None)
+    def test_each_head_as_on_its_own_block(self, data, p, heads, pp, degree):
+        T, d_h = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        q, k, v = (
+            data.draw(operand((T, heads * d_h), p, data.draw(st.booleans()), False))
+            for _ in range(3)
+        )
+        got, want = self.per_head(q, k, v, heads, pp, degree, p)
+        assert got == want
+
+    def test_bound_from_match_float_max_matches_per_head(self):
+        # Head 0 alone takes the float route, which rounds 1 * (1 - 2^-53)
+        # up to 1; with head 1's 2^23 the whole tensor would take the exact
+        # route, which truncates it to 0.  The helper leaves such blocks to
+        # matmul, which matches each alone.
+        big = 2**23
+        q = scaled([[1, 1, big, 1]], [[1.0, 1 - 2.0**-53, 1.0, 2.0]], 12)
+        assert q.data.max_bound >= MATCH_FLOAT_MAX
+        whole = scale_match_dim(ScaledTensor(q.data.view(q.data.values.reshape(1, 2, 2)),
+                                             ScaleTensor(q.scale.values.reshape(1, 2, 2))), -1)
+        assert whole.data.values[0, 0].tolist() == [0, 1]
+        assert scale_match_dim(_slice_cols(q, slice(0, 2)), -1).data.values.tolist() == [[1, 1]]
+        heads = _match_heads(q, 2, -1)
+        assert [h.scale.values.tolist() for h in heads] == [[[1.0, 1 - 2.0**-53]], [[1.0, 2.0]]]
+        pp = PolyParams(bias=0.5, offset=0.1)
+        got, want = self.per_head(q, q, q, 2, pp, 2, 12)
+        assert got == want
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matmul_scale_is_the_gemm_of_inner_length_one(self, m, n, per_row_a, per_row_b, data):
+        # The scale is formed by a broadcast multiply; a GEMM of inner length
+        # 1 gives the same bits, per-tensor (1, 1) scales included.  Products
+        # reach down into the subnormals and up to 2^1022, never 0 or inf,
+        # which the lane's scale check refuses.
+        scales = st.floats(2.0**-537, 2.0**511) | st.sampled_from([2.0**-537, 1.0, 2.0**511])
+        sa, sb = (
+            np.reshape(data.draw(st.lists(scales, min_size=r, max_size=r)), (r, 1))
+            for r in (m if per_row_a else 1, n if per_row_b else 1)
+        )
+        a = ScaledTensor(IntTensor(np.ones((m, 2), np.int64)), ScaleTensor(sa))
+        b_t = ScaledTensor(IntTensor(np.ones((n, 2), np.int64)), ScaleTensor(sb))
+        lane = K.matmul(a, b_t, Workspace())
+        with np.errstate(under="ignore"):
+            want = np.matmul(sa, sb.T)
+        assert lane.s.shape == want.shape
+        assert lane.s.tobytes() == want.tobytes()
 
 
 def test_every_audited_kernel_runs_through_protocol_apply(monkeypatch):

@@ -201,16 +201,13 @@ def _kind(message: str) -> str:
 # `infer --tokens` on the int8 file, `quantize` on the FP32 file.
 PINNED_CORRUPT_EXITS = {"fp32 0": 187, "fp32 2": 13, "int8 0": 129, "int8 2": 71}
 PINNED_CORRUPT_REFUSALS = {
-    "fp32: # codec can't decode byte # in position #: invalid start byte": 1,
     "fp32: bad magic; not a model file": 1,
     "fp32: file truncated in a tensor name": 1,
     "fp32: file truncated in the data of #": 2,
     "fp32: missing tensor #": 3,
     "fp32: polynomial degree # differs from the header's #": 1,
+    "fp32: tensor name at byte # is not valid UTF#": 1,
     "fp32: unknown dtype tag # for #": 4,
-    "int8: # codec can't decode byte # in position #: invalid continuation byte": 8,
-    "int8: # codec can't decode byte # in position #: invalid start byte": 13,
-    "int8: # codec can't decode byte # in position #: unexpected end of data": 2,
     "int8: file truncated in a tensor name": 2,
     "int8: file truncated in the data of #": 16,
     "int8: header promises # tensors, file holds #": 2,
@@ -218,6 +215,7 @@ PINNED_CORRUPT_REFUSALS = {
     "int8: scale values must be strictly positive": 6,
     "int8: tensor # exceeds the declared precision": 1,
     "int8: tensor # has shape #": 1,
+    "int8: tensor name at byte # is not valid UTF#": 23,
     "int8: unknown dtype tag # for #": 7,
 }
 

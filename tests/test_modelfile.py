@@ -127,6 +127,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             serialize_reference_model(model)
 
+    @pytest.mark.parametrize("record", [0, 3])
+    def test_name_not_utf8(self, pair, record):
+        # The refusal gives the name's byte offset, not Python's codec message.
+        _, model = pair
+        blob = bytearray(serialize_int_model(model))
+        at = HEADER_SIZE + 2
+        for _, _, _, size in list(_records(bytes(blob)))[:record]:
+            at += size
+        blob[at] = 0xFF
+        with pytest.raises(ValidationError, match=rf"^tensor name at byte {at} is not valid UTF-8$"):
+            deserialize_int_model(bytes(blob))
+
     def test_save_refuses_other_objects(self, tmp_path):
         with pytest.raises(ValidationError):
             save_model(str(tmp_path / "x.bin"), object())
@@ -258,6 +270,50 @@ class TestPolyDegree:
         blob = rewrite_records(serialize_reference_model(ref), with_degree(degree), "layers.1.poly")
         with pytest.raises(ValidationError, match="degree"):
             deserialize_reference_model(blob)
+
+
+def with_constant(index: int, value: float):
+    """A cut that writes `value` as a poly record's bias (0) or offset (2)."""
+
+    def cut(arr):
+        out = arr.copy()
+        out[index] = value
+        return out
+
+    return cut
+
+
+class TestPolyConstants:
+    """The polynomial's bias and offset are finite; a record holding NaN or
+    an infinity is rejected at load with its name, not carried into a model
+    that every forward then refuses."""
+
+    CASES = [(i, v) for i in (0, 2) for v in (np.nan, np.inf, -np.inf)]
+
+    @pytest.mark.parametrize("index, value", CASES)
+    def test_int_file(self, pair, index, value):
+        _, model = pair
+        blob = rewrite_records(serialize_int_model(model), with_constant(index, value), "layers.1.poly")
+        with pytest.raises(ValidationError, match="'layers.1.poly'.*finite"):
+            deserialize_int_model(blob)
+
+    @pytest.mark.parametrize("index, value", CASES)
+    def test_fp32_file(self, pair, index, value):
+        ref, _ = pair
+        blob = rewrite_records(serialize_reference_model(ref), with_constant(index, value), "layers.0.poly")
+        with pytest.raises(ValidationError, match="'layers.0.poly'.*finite"):
+            deserialize_reference_model(blob)
+
+    def test_quantize_refuses_a_nan_bias(self, pair, tmp_path, capsys):
+        ref, _ = pair
+        src, dst = tmp_path / "nan.fp32", tmp_path / "nan.int8"
+        src.write_bytes(
+            rewrite_records(serialize_reference_model(ref), with_constant(0, np.nan), "layers.0.poly")
+        )
+        capsys.readouterr()
+        assert main(["quantize", str(src), str(dst)]) == EXIT_VALIDATION
+        assert "'layers.0.poly'" in capsys.readouterr().err
+        assert not dst.exists()
 
 
 @pytest.mark.parametrize("name", [*BAD_SHAPES, "layers.0.poly"])
