@@ -303,14 +303,13 @@ def _match_heads(t: ScaledTensor, heads: int, axis: int) -> list[ScaledTensor]:
     then picks _match_payload's float route by that bound, which every
     block shares, so the result is bit for bit each block's own match.  From
     MATCH_FLOAT_MAX up the route follows the exact max of the slice matched,
-    which can differ between t and a block, so the blocks are returned
-    unmatched and matmul matches each alone.  A projection sealed by the
-    protocol has a bound of at most 2^p - 1, far below it.
+    which can differ between t and a block, so such a t is refused.  A
+    projection sealed by the protocol has a bound of at most 2^p - 1 < 2^15.
     """
+    if t.data.max_bound >= MATCH_FLOAT_MAX:
+        raise ValueError(f"payload bound {t.data.max_bound} is not below {MATCH_FLOAT_MAX}")
     T, d = t.shape
     d_h = d // heads
-    if t.data.max_bound >= MATCH_FLOAT_MAX:
-        return [_slice_cols(t, slice(h * d_h, (h + 1) * d_h)) for h in range(heads)]
     s = t.scale
     a, b = s.shape
     if b > 1:

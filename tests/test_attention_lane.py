@@ -435,11 +435,11 @@ class TestHeadsMatchedOncePerLayer:
         got, want = self.per_head(q, k, v, heads, pp, degree, p)
         assert got == want
 
-    def test_bound_from_match_float_max_matches_per_head(self):
+    def test_bound_from_match_float_max_is_refused(self):
         # Head 0 alone takes the float route, which rounds 1 * (1 - 2^-53)
         # up to 1; with head 1's 2^23 the whole tensor would take the exact
-        # route, which truncates it to 0.  The helper leaves such blocks to
-        # matmul, which matches each alone.
+        # route, which truncates it to 0.  One match for all heads would
+        # then differ from head 0's own, so the helper refuses such a bound.
         big = 2**23
         q = scaled([[1, 1, big, 1]], [[1.0, 1 - 2.0**-53, 1.0, 2.0]], 12)
         assert q.data.max_bound >= MATCH_FLOAT_MAX
@@ -447,11 +447,9 @@ class TestHeadsMatchedOncePerLayer:
                                              ScaleTensor(q.scale.values.reshape(1, 2, 2))), -1)
         assert whole.data.values[0, 0].tolist() == [0, 1]
         assert scale_match_dim(_slice_cols(q, slice(0, 2)), -1).data.values.tolist() == [[1, 1]]
-        heads = _match_heads(q, 2, -1)
-        assert [h.scale.values.tolist() for h in heads] == [[[1.0, 1 - 2.0**-53]], [[1.0, 2.0]]]
-        pp = PolyParams(bias=0.5, offset=0.1)
-        got, want = self.per_head(q, q, q, 2, pp, 2, 12)
-        assert got == want
+        for axis in (0, -1):
+            with pytest.raises(ValueError, match="not below"):
+                _match_heads(q, 2, axis)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.booleans(), st.data())
     @settings(max_examples=100, deadline=None)
