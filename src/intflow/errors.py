@@ -24,3 +24,7 @@ class PrecisionError(IntflowError, ValueError):
 
 class ValidationError(IntflowError, ValueError):
     """Invalid user-facing configuration or file contents."""
+
+
+class WorkspaceError(IntflowError, RuntimeError):
+    """An array handed back to a workspace that cannot reuse it (read-only)."""

@@ -6,44 +6,48 @@ abs, relu, sum over a uniform scale) are exact on the de-quantized view.
 Anything that matches scales or divides payloads (add, matmul, int_div)
 loses at most the stated truncation per element.
 
-Most kernels take ScaledTensors and return a fresh one.  matmul returns a
-scaling.Lane, a result worked in place in arrays from a workspace, which
-protocol_apply shrinks there and a caller that keeps it seals; relu and
-pow_n work on a Lane in place; matmul and sum_reduce also read a Lane
-matched along its last axis.  ADD has three forms: `add` on two
-ScaledTensors, `lane_add_matched` adding a ScaledTensor (a bias) into a
-Lane, and `lane_add` adding a constant already quantized at the Lane's own
-scale.  That constant cannot go through lane_add_matched: wrapping the
-Lane's scale in a ScaleTensor would seal it read-only, and later steps grow
-it in place.
+The lane rule: every arithmetic kernel reads ScaledTensor or Lane operands
+(_operand) and returns a scaling.Lane, which protocol_apply shrinks in place
+and a caller that keeps it seals.  A Lane first operand becomes the result,
+worked in place, except in matmul, whose product takes a new shape while
+the operand is still needed.  For a ScaledTensor first operand the kernel's
+own first pass writes into buffers from `ws` (a fresh workspace when none is
+given); the operand is never copied in first.  relu and pow_n take only a
+Lane, as only lanes reach them; transpose and concat stay on ScaledTensors.
+
+ADD has two forms.  `add` matches both operands to their elementwise minimum
+scale, then adds them.  `lane_add` adds a constant already quantized at the
+Lane's own scale, so nothing is matched; as a ScaledTensor the constant
+would seal that scale read-only, and later steps grow it in place.
 
 An operand may be a parameter held narrow (int8 or int16); every kernel
-computes in int64 or float64 regardless, and every result is int64 (a
-Lane's payload stays float64 while that is exact).
+computes in int64 or float64 regardless.  A float64 first operand stays
+float64 while the result's bound on max|x| is below 2^53, where that is
+exact; everything else runs in int64, and every sealed result is int64.
 """
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
 from .errors import LaneOverflowError, ShapeError
 from .scaling import (
-    FLOAT64_EXACT,
     Lane,
     Workspace,
     _match_payload,
+    _operand,
+    lane_dtype,
     match_max,
-    scale_match,
     scale_match_dim,
     trunc_div,
 )
 from .tensor import (
-    LANE_DTYPE,
     LANE_MAX,
     IntTensor,
     ScaledTensor,
-    ScaleTensor,
+    _broadcast_compatible,
     pow_bounds,
     quiet_overflow,
     scale_bounds,
@@ -84,50 +88,89 @@ def _check_product(a: IntTensor | Lane, b: IntTensor | Lane, terms: int = 1) -> 
     return bound
 
 
+# np.broadcast_shapes costs microseconds a call: memoized for the few shapes kernels meet.
+_joint = functools.lru_cache(maxsize=1024)(np.broadcast_shapes)
+
+
+def _workspace(a: ScaledTensor | Lane, ws: Workspace | None) -> Workspace:
+    """A Lane's own workspace, with the lane's scratch given back to serve
+    the kernel's buffers; else `ws`, else a fresh one."""
+    if isinstance(a, Lane):
+        a.spare()
+        return a.ws
+    return Workspace() if ws is None else ws
+
+
+def _out(a: ScaledTensor | Lane, arr: np.ndarray, shape: tuple[int, ...], dtype, ws: Workspace) -> np.ndarray:
+    """Where a result array of `shape` and `dtype` goes: `arr`, a Lane first
+    operand's own, when it fits; else a buffer from ws."""
+    if isinstance(a, Lane) and arr.shape == shape and arr.dtype == dtype:
+        return arr
+    return ws.take(shape, dtype)
+
+
+def _result(a: ScaledTensor | Lane, x, s, bound: int, scale_range, ws: Workspace) -> Lane:
+    """The Lane holding payload x and scale s: `a` itself when it is a Lane
+    (Lane.put), else a new one, which gets a copy of a's own scale."""
+    if isinstance(a, Lane):
+        a.put(x, s, bound, scale_range)
+        return a
+    return Lane(x, ws.copy(s) if s is a.scale.values else s, a.precision, ws, bound, scale_range)
+
+
 @_kernel(KernelKind.EW_MUL, scale_arith=True)
 @quiet_overflow
-def ew_mul(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
+def ew_mul(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """{x1*x2, s1*s2}: exact on the de-quantized view; operands broadcast."""
-    bound = _check_product(a.data, b.data)
-    x = np.multiply(a.data.values, b.data.values, dtype=LANE_DTYPE)
-    s = a.scale.values * b.scale.values
-    return ScaledTensor(
-        IntTensor.adopt(x, a.precision, bound=bound),
-        ScaleTensor.derived(s, a.scale.lo * b.scale.lo, a.scale.hi * b.scale.hi),
-    )
+    ws = _workspace(a, ws)
+    ax, sa, am, a_lo, a_hi = _operand(a)
+    bx, sb, bm, b_lo, b_hi = _operand(b)
+    bound = _check_product(am, bm)
+    # Operands cast to the result's dtype are exact: in float64 every
+    # nonzero product is at most the bound, below 2^53.
+    x = _out(a, ax, _joint(ax.shape, bx.shape), lane_dtype(bound, ax), ws)
+    np.multiply(ax, bx, out=x, dtype=x.dtype, casting="unsafe")
+    s = np.multiply(sa, sb, out=_out(a, sa, _joint(sa.shape, sb.shape), np.float64, ws))
+    return _result(a, x, s, bound, (a_lo * b_lo, a_hi * b_hi), ws)
 
 
 @_kernel(KernelKind.ADD, scale_arith=True)
-def add(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
-    """Match scales to their minimum, then add payloads."""
-    if a.shape != b.shape:
+def add(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
+    """Match both payloads to the elementwise minimum scale, then add them;
+    b broadcasts to a's shape (a bias, say).  Matching never grows a
+    magnitude, so the operands' bounds carry over."""
+    if not _broadcast_compatible((1,) * (len(a.shape) - len(b.shape)) + b.shape, a.shape):
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    ma, mb = scale_match([a, b])
-    x = np.add(ma.data.values, mb.data.values, dtype=LANE_DTYPE)
-    bound = ma.data.max_bound + mb.data.max_bound
-    return ScaledTensor(IntTensor.adopt(x, a.precision, bound=bound), ma.scale)
-
-
-def _operand(t: ScaledTensor | Lane) -> tuple[np.ndarray, np.ndarray, IntTensor | Lane, float, float]:
-    """(x, s, m, lo, hi) of a ScaledTensor or a Lane: payload, scale, the
-    holder of the payload's bounds (max_bound, max_magnitude) and the
-    scale's bounds."""
-    if isinstance(t, Lane):
-        return t.x, t.s, t, t.lo, t.hi
-    return t.data.values, t.scale.values, t.data, t.scale.lo, t.scale.hi
+    ws = _workspace(a, ws)
+    ax, sa, am, a_lo, a_hi = _operand(a)
+    bx, sb, bm, b_lo, b_hi = _operand(b)
+    s_bar = np.minimum(sa, sb, out=ws.take(_joint(sa.shape, sb.shape)))
+    bound = am.max_bound + bm.max_bound
+    x = _out(a, ax, ax.shape, lane_dtype(bound, ax), ws)
+    if not (sa == s_bar).all():
+        ax = _match_payload(ax, sa, s_bar, match_max(am), ws, out=x)
+    if isinstance(a, Lane) and b is not a:  # its old scale is spent too
+        ws.give(a.s)
+        a.s = s_bar
+    matched = not (sb == s_bar).all()
+    if matched:
+        bx = _match_payload(bx, sb, s_bar, match_max(bm), ws, ws.take(x.shape, lane_dtype(bm.max_bound)))
+    np.add(ax, bx, out=x, dtype=x.dtype, casting="unsafe")
+    if matched:
+        ws.give(bx)
+    return _result(a, x, s_bar, bound, (min(a_lo, b_lo), min(a_hi, b_hi)), ws)
 
 
 @_kernel(KernelKind.MATMUL, scale_arith=True)
 @quiet_overflow
-def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace) -> Lane:
-    """Contract the last dims of a (m x d) and b_t (n x d) into a Lane whose
-    arrays come from `ws`.
+def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = None) -> Lane:
+    """Contract the last dims of a (m x d) and b_t (n x d) into a new Lane.
 
     Scales are first matched along the contraction dim, then multiplied as
     the outer product of the per-row scales.  `a` may be a Lane matched
     along its last axis (Lane.match_last): its payload goes to BLAS where
-    it lies.  The product stays float64 when it is exact there (every value
-    then an integer below 2^53), int64 otherwise.
+    it lies, and the lane stays as it is.  The product stays float64 when it
+    is exact there (every value then an integer below 2^53), int64 otherwise.
     """
     if len(a.shape) != 2 or len(b_t.shape) != 2:
         raise ShapeError("matmul expects rank-2 operands")
@@ -135,13 +178,14 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace) -> Lane:
         raise ShapeError(
             f"contraction dims disagree: {a.shape[-1]} vs {b_t.shape[-1]}"
         )
+    ws = _workspace(a, ws)
     ax, sa, am, a_lo, a_hi = _operand(a if isinstance(a, Lane) else scale_match_dim(a, -1))
     bx, sb, bm, b_lo, b_hi = _operand(scale_match_dim(b_t, -1))
     bound = _check_product(am, bm, a.shape[-1])
     # Below 2^53 each product and partial sum, in any summation order, is an
     # integer no larger than bound, so BLAS returns the int64 result bit for
     # bit (the accumulator-width argument of gemmlowp and I-BERT).
-    dtype = np.float64 if bound < FLOAT64_EXACT else np.int64
+    dtype = lane_dtype(bound)
     x = np.matmul(
         ax.astype(dtype, copy=False), bx.astype(dtype, copy=False).T,
         out=ws.take((ax.shape[0], bx.shape[0]), dtype),
@@ -184,7 +228,7 @@ def pow_n(t: Lane, n: int) -> Lane:
     t.hold(mn)
     x = t.x
     in_float = x.dtype == np.float64
-    out = t.work if in_float else None
+    out = t.scratch() if in_float else None
     xn = np.multiply(x, x, out=out) if n > 1 else np.positive(x, out=out)  # n = 1: a copy
     for _ in range(n - 2):
         xn *= x
@@ -201,10 +245,13 @@ def pow_n(t: Lane, n: int) -> Lane:
 
 
 @_kernel(KernelKind.ABS, scale_arith=False)
-def abs_(t: ScaledTensor) -> ScaledTensor:
+def abs_(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """{|x|, s}: exact since s > 0."""
-    x = np.abs(t.data.values, dtype=LANE_DTYPE)
-    return ScaledTensor(IntTensor.adopt(x, t.precision, bound=t.data.max_bound), t.scale)
+    ws = _workspace(t, ws)
+    x0, s, m, lo, hi = _operand(t)
+    x = _out(t, x0, x0.shape, lane_dtype(m.max_bound, x0), ws)
+    np.abs(x0, out=x, dtype=x.dtype, casting="unsafe")
+    return _result(t, x, s, m.max_bound, (lo, hi), ws)
 
 
 @_kernel(KernelKind.RELU, scale_arith=False)
@@ -217,36 +264,37 @@ def relu(t: Lane) -> Lane:
 
 
 @_kernel(KernelKind.SUM_REDUCE, scale_arith=False)
-def sum_reduce(t: ScaledTensor | Lane) -> ScaledTensor:
+def sum_reduce(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """Sum payloads along the last axis, where the scale is already
-    collapsed (scale_match_dim(t, -1), Lane.match_last); the sum shares that
-    scale.  A Lane's float64 payload is summed where it lies while the sum
-    stays below 2^53."""
-    x, s, m, lo, hi = _operand(t)
-    if not x.ndim or s.shape[-1] != 1:
+    collapsed (scale_match_dim(t, -1), Lane.match_last).  The sum keeps
+    that scale: a Lane operand becomes the sum, its scale untouched and
+    still its own."""
+    ws = _workspace(t, ws)
+    x0, s, m, lo, hi = _operand(t)
+    if not x0.ndim or s.shape[-1] != 1:
         raise ShapeError("sum_reduce needs a scale collapsed along the last axis")
-    bound = m.max_bound * x.shape[-1]
-    acc = np.float64 if x.dtype == np.float64 and bound < FLOAT64_EXACT else np.int64
-    total = np.sum(x, axis=-1, keepdims=True, dtype=acc).astype(np.int64, copy=False)
-    scale = ScaleTensor.derived(s, lo, hi) if isinstance(t, Lane) else t.scale
-    return ScaledTensor(IntTensor.adopt(total, t.precision, bound=bound), scale)
+    bound = m.max_bound * x0.shape[-1]
+    dtype = lane_dtype(bound, x0)
+    x = np.sum(x0, axis=-1, keepdims=True, dtype=dtype, out=ws.take(x0.shape[:-1] + (1,), dtype))
+    return _result(t, x, s, bound, (lo, hi), ws)
 
 
 @_kernel(KernelKind.INT_DIV, scale_arith=True)
 @quiet_overflow
-def int_div(num: ScaledTensor, den: ScaledTensor) -> ScaledTensor:
+def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """Payload division truncating toward zero; scale s_num / s_den; operands broadcast.
 
     Denominator payloads must be strictly positive (trunc_div checks them).
     """
-    bound = num.data.max_bound
-    x = trunc_div(num.data.values, den.data.values, x_max=bound)
-    s = num.scale.values / den.scale.values
+    ws = _workspace(num, ws)
+    nx, sn, nm, n_lo, n_hi = _operand(num)
+    dx, sd, _, d_lo, d_hi = _operand(den)
     # A divisor of at least 1 never grows a magnitude.
-    return ScaledTensor(
-        IntTensor.adopt(x, num.precision, bound=bound),
-        ScaleTensor.derived(s, num.scale.lo / den.scale.hi, num.scale.hi / den.scale.lo),
-    )
+    bound = nm.max_bound
+    x = _out(num, nx, _joint(nx.shape, dx.shape), lane_dtype(bound, nx), ws)
+    trunc_div(nx, dx, x_max=bound, out=x)
+    s = np.divide(sn, sd, out=_out(num, sn, _joint(sn.shape, sd.shape), np.float64, ws))
+    return _result(num, x, s, bound, (n_lo / d_hi, n_hi / d_lo), ws)
 
 
 # Shape ops from the tensor core, tagged so they can run through the protocol.
@@ -259,10 +307,6 @@ def concat(*ts: ScaledTensor, axis: int) -> ScaledTensor:
     return tensor_concat(ts, axis)
 
 
-# The in-place forms of ADD: each works on a scaling.Lane and returns it, with
-# add's arithmetic, and runs through protocol_apply like the kernels above.
-
-
 @_kernel(KernelKind.ADD, scale_arith=True)
 def lane_add(t: Lane, c: np.ndarray, c_max: int) -> Lane:
     """add(t, c) in place, for a payload c already at t's own scale, so
@@ -270,36 +314,6 @@ def lane_add(t: Lane, c: np.ndarray, c_max: int) -> Lane:
     has the scale's shape and is broadcast."""
     t.hold(t.m + c_max)
     t.x += c if t.x.dtype == np.float64 else c.astype(np.int64)
-    t.bound(t.m + c_max)
-    t.check_fit()
-    return t
-
-
-@_kernel(KernelKind.ADD, scale_arith=True)
-def lane_add_matched(t: Lane, b: ScaledTensor) -> Lane:
-    """add(t, b) in place: both payloads matched to the elementwise minimum
-    scale, then added.  b has t's shape, and its scale broadcasts to the
-    lane's scale shape (a bias, say)."""
-    if b.shape != t.shape:
-        raise ShapeError(f"add shapes differ: {t.shape} vs {b.shape}")
-    ws, sb = t.ws, b.scale.values
-    # The scratch buffer goes back to serve the minimum or a ratio; b is
-    # matched into a buffer taken afterwards.
-    ws.give(t.work)
-    s_bar = np.minimum(t.s, sb, out=ws.take(t.s.shape))
-    if not np.array_equal(t.s, s_bar):
-        _match_payload(t.x, t.s, s_bar, match_max(t), ws, out=t.x)
-    ws.give(t.s)
-    t.s = s_bar
-    t.lo, t.hi = min(t.lo, b.scale.lo), min(t.hi, b.scale.hi)
-    t.work = ws.take(t.x.shape)
-    c, c_max = b.data.values, b.data.max_bound
-    if not (sb == s_bar).all():
-        # Matching never grows a magnitude, so c_max stays a bound.
-        out = t.work if c_max < FLOAT64_EXACT else None
-        c = _match_payload(c, sb, s_bar, match_max(b.data), ws, out)
-    t.hold(t.m + c_max)
-    t.x += c if t.x.dtype == np.float64 else c.astype(np.int64, copy=False)
     t.bound(t.m + c_max)
     t.check_fit()
     return t

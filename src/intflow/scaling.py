@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audit import FP32, PAYLOAD, SCALE, AuditRecord, OpAuditLog
-from .errors import LaneOverflowError, ShapeError
+from .errors import LaneOverflowError, ShapeError, WorkspaceError
 from .tensor import (
     DEFAULT_PRECISION,
     LANE_MAX,
@@ -65,7 +65,14 @@ def _round_to_f32(values: np.ndarray) -> np.ndarray:
 FLOAT64_EXACT = 2**53
 
 
-def trunc_div(x: np.ndarray, k: np.ndarray, *, x_max: int | None = None) -> np.ndarray:
+def lane_dtype(bound: int, x: np.ndarray | None = None) -> type:
+    """The dtype of payloads with max|x| <= bound: float64 where that is exact
+    (below 2^53) and x, a payload the result comes from, is float64 too;
+    else int64."""
+    return np.float64 if bound < FLOAT64_EXACT and (x is None or x.dtype == np.float64) else np.int64
+
+
+def trunc_div(x: np.ndarray, k: np.ndarray, *, x_max: int | None = None, out=None) -> np.ndarray:
     """Integer division truncating toward zero; divisor strictly positive.
 
     Below 2^53 this is trunc(float64(x) / k), which is exact: for
@@ -76,7 +83,8 @@ def trunc_div(x: np.ndarray, k: np.ndarray, *, x_max: int | None = None) -> np.n
 
     A caller that knows a bound on max|x| passes it as `x_max`, which
     spares a scan of the numerator: both routes are exact, so a bound
-    chooses between them as well as the exact max does.
+    chooses between them as well as the exact max does.  The quotient goes
+    to `out` (int64, or float64 below 2^53), else to a fresh int64 array.
     """
     x = np.asarray(x)
     k = np.asarray(k, dtype=np.int64)
@@ -86,10 +94,12 @@ def trunc_div(x: np.ndarray, k: np.ndarray, *, x_max: int | None = None) -> np.n
     if x_max is None:
         x_max = max_abs(x)
     if x_max < FLOAT64_EXACT and k_max <= FLOAT64_EXACT:
-        # Written straight to int64: the cast truncates toward zero.
-        out = np.empty(np.broadcast_shapes(x.shape, k.shape), np.int64)
-        return np.true_divide(x, k, out=out, casting="unsafe")
-    return np.sign(x) * (np.abs(x) // k)
+        # Written straight to int64 the cast truncates toward zero; float64 is truncated after.
+        if out is None:
+            out = np.empty(np.broadcast_shapes(x.shape, k.shape), np.int64)
+        q = np.true_divide(x, k, out=out, casting="unsafe")
+        return q if q.dtype == np.int64 else np.trunc(q, out=q)
+    return np.multiply(np.sign(x), np.abs(x) // k, out=out, casting="unsafe")
 
 
 # Largest finite float32: the ceiling of every scale init_scale returns.
@@ -144,9 +154,9 @@ class Workspace:
     """Scratch arrays of one Session, handed out by shape and dtype and taken back.
 
     Only for arrays that never leave a call: a Lane's payload, scale and
-    scratch buffers, and the ratio buffers of the matches it makes.
-    Payloads and scales that leave in an IntTensor or a ScaleTensor are
-    always fresh.  The heads, FFNs and output projection of a forward share
+    scratch buffers, and the ratio buffers of the matches it makes.  A
+    payload or scale that leaves in an IntTensor or a ScaleTensor is never
+    handed out again.  The heads, FFNs and output projection of a forward share
     one set of large buffers: otherwise the allocator trims the heap and
     grows it again around each such temporary, at a page fault per 4 KiB.
     The arrays die with the workspace, and so with its Session.
@@ -168,8 +178,10 @@ class Workspace:
         return out
 
     def give(self, *arrays: np.ndarray) -> None:
-        """Take arrays back; the caller keeps no reference to them."""
+        """Take arrays back, none read-only; the caller keeps no reference to them."""
         for a in arrays:
+            if not a.flags.writeable:
+                raise WorkspaceError("a read-only array cannot go back to the workspace")
             self._free.setdefault((a.shape, a.dtype.type), []).append(a)
 
 
@@ -210,8 +222,8 @@ def _match_payload(
     result is the exact quotient, except that one within about 2e-9 below an
     integer is rounded up to it; from there up it is exact.  x is int64, or
     float64 holding integers; the result goes to `out`, which may be x
-    itself, else to a fresh int64 array.  The ratio buffer comes from `ws`
-    when given.
+    itself or of a shape x broadcasts to, else to a fresh int64 array.  The
+    ratio buffer comes from `ws` when given.
     """
     if x_max >= MATCH_FLOAT_MAX:
         q = _match_exact(x, s, s_bar)
@@ -220,8 +232,12 @@ def _match_payload(
         np.copyto(out, q)
         return out
     # |x| * (s_bar / s), formed as |(s_bar / s) * x|: float rounding is
-    # symmetric in sign, so the bits are the same, with one buffer.
-    q = np.divide(s_bar, s, out=np.empty(x.shape) if ws is None else ws.take(x.shape))
+    # symmetric in sign, so the bits are the same, with one buffer: `out`
+    # itself when it is float64 and not x.
+    shape = x.shape if out is None else out.shape
+    own = out is not None and out is not x and out.dtype == np.float64
+    q = out if own else (np.empty(shape) if ws is None else ws.take(shape))
+    np.divide(s_bar, s, out=q)
     q *= x
     np.abs(q, out=q)
     # Guard against float noise flipping an exactly-integer quotient downward.
@@ -230,7 +246,7 @@ def _match_payload(
     if out is None:
         out = np.empty(x.shape, np.int64)
     np.copysign(q, x, out=out, casting="unsafe")
-    if ws is not None:
+    if ws is not None and q is not out:
         ws.give(q)
     return out
 
@@ -290,10 +306,11 @@ def match_axis(
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """scale_match_dim's arithmetic: the payload matched to the minimum scale
-    along axis d (None when no payload moves), and that minimum, a fresh
-    array.  max|x| is `x_max`; the matched payload goes to `out` as
-    _match_payload says."""
-    s_bar = np.min(s, axis=d, keepdims=True)
+    along axis d (None when no payload moves), and that minimum, taken from
+    `ws` when given, else a fresh array.  max|x| is `x_max`; the matched
+    payload goes to `out` as _match_payload says."""
+    shape = s.shape[:d] + (1,) + s.shape[d + 1:]
+    s_bar = np.min(s, axis=d, keepdims=True, out=None if ws is None else ws.take(shape))
     # Every slice already equals the minimum when the maximum does.
     if np.array_equal(np.max(s, axis=d, keepdims=True), s_bar):
         return None, s_bar
@@ -314,86 +331,42 @@ def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
     return ScaledTensor(data, ScaleTensor.derived(s_bar, t.scale.lo, t.scale.hi))
 
 
-def shrink(
-    x: np.ndarray,
-    s: np.ndarray,
-    limit: int,
-    x_max: int,
-    *,
-    out: np.ndarray | None = None,
-    scale_out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """rescale's arithmetic: divide payload x and scale s by
-    ceil(max|x| / limit), at least 1, per scale group.
-
-    x holds integers, with max|x| <= `x_max`: int64, or float64 when
-    `x_max` < 2^53.  Below 2^53 every step is exact in float64 (see
-    trunc_div; the ceiling holds by the same argument).  The quotient goes
-    to `out`, which may be x itself (a float64 quotient is truncated in
-    place), else to a fresh int64 array; the new scale goes to `scale_out`,
-    which may be s itself, else to the divisor's buffer.  `work`, float64 of
-    x's shape, holds the divisor when every element has its own scale.  From
-    2^53 up the quotient is a fresh int64 array from trunc_div.
-    """
-    # The groups are the axes the scale collapses, so the divisor has the
-    # scale's shape.
-    group_axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
-    if x_max >= FLOAT64_EXACT:
-        m = np.max(np.abs(x), axis=group_axes, keepdims=True)
-        s_hat = np.maximum(-(-m // limit), 1)
-        return trunc_div(x, s_hat), np.divide(s, s_hat, out=scale_out)
-    if group_axes:
-        m = np.maximum(
-            x.max(axis=group_axes, keepdims=True), -x.min(axis=group_axes, keepdims=True)
-        ).astype(np.float64, copy=False)
-    else:
-        # One scale per element: the group max is |x| itself.
-        m = np.abs(x, out=np.empty(x.shape) if work is None else work)
-    m /= limit
-    np.ceil(m, out=m)
-    np.maximum(m, 1.0, out=m)
-    # An int64 quotient is written straight to int64: the cast truncates
-    # toward zero.
-    q = np.divide(x, m, out=np.empty(x.shape, np.int64) if out is None else out, casting="unsafe")
-    if q.dtype != np.int64:
-        np.trunc(q, out=q)
-    return q, np.divide(s, m, out=m if scale_out is None else scale_out)
-
-
 def _shrunk_lo(lo: float, x_max: int, limit: int) -> float:
-    """A lower bound on the scales shrink makes from scales >= lo: no group's
+    """A lower bound on the scales Lane.shrink makes from scales >= lo: no group's
     divisor exceeds ceil(x_max / limit), and float division is monotone."""
     return lo / max(-(-x_max // limit), 1)
 
 
 def rescale(x: IntTensor, s: ScaleTensor, prec: Precision) -> ScaledTensor:
-    """Shrink payload back to p bits: divide payload and scale by
-    ceil(max(|x|) / (2^p - 1)), computed per scale group.
-
-    Every group then has max|x| <= 2^p - 1, which the result carries as
-    its bound; a scale divided by at least 1 keeps its upper bound."""
+    """Shrink payload back to p bits, as Lane.shrink does, on a copy."""
     if x.values.size == 0:
         return ScaledTensor(IntTensor(x.values, prec.p), s)
-    m, limit = x.max_magnitude, prec.max_magnitude
-    x2, s2 = shrink(x.values, s.values, limit, m)
-    return ScaledTensor(
-        IntTensor.adopt(x2, prec.p, bound=limit),
-        ScaleTensor.derived(s2, _shrunk_lo(s.lo, m, limit), s.hi),
-    )
+    lane = Lane.of(ScaledTensor(x, s), Workspace())
+    lane.shrink(prec)
+    return lane.seal()
+
+
+def _operand(t: ScaledTensor | Lane) -> tuple[np.ndarray, np.ndarray, IntTensor | Lane, float, float]:
+    """(x, s, m, lo, hi) of a ScaledTensor or a Lane: payload, scale, the
+    holder of the payload's bounds (max_bound, max_magnitude) and the
+    scale's bounds."""
+    if isinstance(t, Lane):
+        return t.x, t.s, t, t.lo, t.hi
+    return t.data.values, t.scale.values, t.data, t.scale.lo, t.scale.hi
 
 
 class Lane:
     """A kernel result worked in place: one payload buffer and one scale buffer.
 
-    An in-place kernel takes a Lane and returns it; `protocol_apply` shrinks
-    and audits it as it does a fresh ScaledTensor.  The payload x holds exact
-    integers: float64 while a step's bound on max|x| is below 2^53, int64
-    from 2^53 up, the rule of `matmul`, `trunc_div` and `rescale`.  `m`
-    bounds max|x|, and is max|x| itself while `exact` holds; a step that
-    needs the exact max reads `max_magnitude`, which scans once.  `lo` and
-    `hi` bound the scale's values, and each step that makes scales checks
-    them as ScaleTensor.derived does.
+    Every arithmetic kernel returns a Lane; `protocol_apply` shrinks and
+    audits it as it does a fresh ScaledTensor.  The payload x holds exact
+    integers: in float64 only while a step's bound on max|x| is below 2^53
+    (`matmul` and `hold` choose it there, other steps keep it), else in
+    int64, the rule of `trunc_div` too.  `m` bounds max|x|, and is max|x|
+    itself while `exact` holds; a step that needs the exact max reads
+    `max_magnitude`, which scans once.  `lo` and `hi` bound the scale's
+    values, and each step that makes scales checks them as
+    ScaleTensor.derived does.
 
     Its payload, scale and scratch arrays come from the workspace `ws`, and
     go back to it when the lane is sealed or released.
@@ -410,16 +383,18 @@ class Lane:
     ):
         """`m`, when given, is a bound on max|x|, else max|x| is scanned;
         `scale_range` likewise bounds the scale, else it is scanned."""
-        self.x, self.s, self.precision, self.ws = x, s, precision, ws
-        self.exact = m is None
-        self.m = max_abs(x) if m is None else m
-        self.check_fit()
-        self.lo, self.hi = check_scale(s) if scale_range is None else scale_bounds(s, *scale_range)
-        self.work = ws.take(x.shape)  # float64 scratch of the payload's shape
+        self.precision, self.ws, self.x, self.s, self.work = precision, ws, x, s, None
+        self.put(x, s, m, scale_range)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.x.shape
+
+    def scratch(self) -> np.ndarray:
+        """`work`, float64 scratch of the payload's shape, taken on first use."""
+        if self.work is None:
+            self.work = self.ws.take(self.x.shape)
+        return self.work
 
     @property
     def max_bound(self) -> int:
@@ -444,34 +419,67 @@ class Lane:
             check_lane(self.max_magnitude)
 
     @classmethod
-    def of(cls, t: ScaledTensor, ws: Workspace) -> Lane:
-        """A private copy of t's payload and scale."""
-        m = t.data.max_bound
-        x = ws.copy(t.data.values, np.float64 if m < FLOAT64_EXACT else np.int64)
-        return cls(x, ws.copy(t.scale.values), t.precision, ws, m, (t.scale.lo, t.scale.hi))
+    def of(cls, t: ScaledTensor | Lane, ws: Workspace) -> Lane:
+        """A private copy of the payload and scale of t, a ScaledTensor or a Lane."""
+        x, s, m, lo, hi = _operand(t)
+        return cls(ws.copy(x, lane_dtype(m.max_bound)), ws.copy(s), t.precision, ws, m.max_bound, (lo, hi))
+
+    def put(self, x: np.ndarray, s: np.ndarray, m: int | None, scale_range: tuple | None) -> None:
+        """Hold payload x and scale s, bounded as in __init__; the buffers they
+        replace go back to the workspace, and the scratch if its shape does."""
+        for old, new in ((self.x, x), (self.s, s)):
+            if old is not new:
+                self.ws.give(old)
+        if self.work is not None and self.work.shape != x.shape:
+            self.spare()
+        self.x, self.s, self.exact = x, s, m is None
+        self.m = max_abs(x) if m is None else m
+        self.check_fit()
+        self.lo, self.hi = check_scale(s) if scale_range is None else scale_bounds(s, *scale_range)
+
+    def spare(self) -> None:
+        """Give the scratch back, so that a step's own buffers can reuse it."""
+        if self.work is not None:
+            self.ws.give(self.work)
+            self.work = None
 
     def hold(self, bound: int) -> None:
         """Hold x in float64 while `bound` is below 2^53, in int64 from there up."""
-        want = np.float64 if bound < FLOAT64_EXACT else np.int64
+        want = lane_dtype(bound)
         if self.x.dtype != want:
             x = self.x
             self.x = self.ws.copy(x, want)
             self.ws.give(x)
 
     def shrink(self, prec: Precision) -> None:
-        """rescale in place: payload and scale divided by the same per-group factor."""
+        """Shrink the payload to p bits in place: payload and scale divided by
+        ceil(max|x| / (2^p - 1)), at least 1, per scale group; exact in
+        float64 below 2^53 (see trunc_div), in int64 from there up.  A scale
+        divided by at least 1 keeps its upper bound."""
         m, limit = self.max_magnitude, prec.max_magnitude
-        self.hold(m)
-        x = self.x
-        q, s = shrink(
-            x, self.s, limit, m,
-            out=x if x.dtype == np.float64 else None,
-            scale_out=self.s, work=self.work,
-        )
+        x, s = self.x, self.s
+        # The groups are the axes the scale collapses, so the divisor has the
+        # scale's shape.
+        axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
+        if m >= FLOAT64_EXACT:
+            d = np.max(np.abs(x), axis=axes, keepdims=True)
+            d = np.maximum(-(-d // limit), 1)
+            trunc_div(x, d, out=x)
+        else:
+            if axes:
+                d = np.maximum(x.max(axis=axes, keepdims=True), -x.min(axis=axes, keepdims=True))
+                d = d.astype(np.float64, copy=False)
+            else:  # one scale per element: the group max is |x| itself
+                d = np.abs(x, out=self.scratch())
+            d /= limit
+            np.ceil(d, out=d)
+            np.maximum(d, 1.0, out=d)
+            # The quotient stays in x's dtype: the cast to int64 truncates.
+            np.divide(x, d, out=x, casting="unsafe")
+            if x.dtype == np.float64:
+                np.trunc(x, out=x)
+        np.divide(s, d, out=s)
         self.lo, self.hi = scale_bounds(s, _shrunk_lo(self.lo, m, limit), self.hi)
-        if q is not x:  # from 2^53 up the quotient is a fresh int64 array
-            self.x = self.ws.copy(q)
-            self.ws.give(x)
         self.bound(limit)
         self.precision = prec.p
 
@@ -480,12 +488,10 @@ class Lane:
         does, with the payload matched in place.
 
         Matching never grows a magnitude, so the bound carries over, and the
-        payload is held by it.  The collapsed scale is a fresh array, which
-        results computed from the lane share.  The scratch buffer goes back
-        first, to serve as the match's ratio.
+        payload is held by it.  The scratch goes back first, to serve as the
+        match's ratio.
         """
-        self.ws.give(self.work)
-        self.work = None
+        self.spare()
         d = self.x.ndim - 1
         x, s_bar = match_axis(self.x, self.s, d, match_max(self), self.ws, out=self.x)
         self.ws.give(self.s)
@@ -495,20 +501,23 @@ class Lane:
         self.hold(self.m)
 
     def release(self) -> None:
-        """Give the payload back after match_last; the lane is not used again."""
-        self.ws.give(self.x)
+        """Give every buffer back; the lane is not used again."""
+        self.spare()
+        self.ws.give(self.x, self.s)
 
     def seal(self) -> ScaledTensor:
-        """The result as a fresh int64 ScaledTensor; every buffer goes back
-        and the lane is not used again."""
+        """The result as an int64 ScaledTensor, and the lane is not used
+        again: an int64 payload leaves the workspace in the result, a float64
+        one is copied out; every other buffer goes back."""
+        x = self.x if self.x.dtype == np.int64 else self.x.astype(np.int64)
         out = ScaledTensor(
-            IntTensor.adopt(
-                self.x.astype(np.int64), self.precision,
-                self.m if self.exact else None, bound=self.m,
-            ),
+            IntTensor.adopt(x, self.precision, self.m if self.exact else None, bound=self.m),
             ScaleTensor.derived(self.s.copy(), self.lo, self.hi),
         )
-        self.ws.give(self.x, self.s, self.work)
+        self.spare()
+        self.ws.give(self.s)
+        if x is not self.x:
+            self.ws.give(self.x)
         return out
 
 

@@ -252,44 +252,25 @@ def reference_twin(model: IntegerTransformerModel) -> FP32ReferenceModel:
 # integer-path helpers
 
 
-def _broadcast_to(t: ScaledTensor, shape: tuple[int, ...]) -> ScaledTensor:
-    """Broadcast a payload as a read-only view; scale dims keep their
-    collapsed form, and a scale of full rank is shared as it is."""
-    data = t.data.view(np.broadcast_to(t.data.values, shape), same_max=True)
-    s = t.scale
-    pad = (1,) * (len(shape) - len(s.shape))
-    scale = ScaleTensor.derived(s.values.reshape(pad + s.shape), s.lo, s.hi) if pad else s
-    return ScaledTensor(data, scale)
-
-
 @quiet_overflow
 def _grow(s: np.ndarray, factor: float, out: np.ndarray | None = None) -> np.ndarray:
     """s * factor, with float overflow left to the scale check."""
     return np.multiply(s, factor, out=out)
 
 
-def _boost(t: ScaledTensor, session: Session, module: str) -> ScaledTensor:
-    """Exact payload gain {lam*x, lam*s} to keep precision across a division.
-
-    lam is chosen by the exact max|x|, which the result's max is lam times."""
-    m = t.data.max_magnitude
+def _boost(lane: Lane, session: Session, module: str) -> None:
+    """Exact payload gain {lam*x, lam*s} in place, to keep precision across a
+    division; lam is chosen by the exact max|x|, which grows lam times."""
+    m = lane.max_magnitude
     lam = int(max(1, (1 << 60) // (max(m, 1) + 1)))
     if lam == 1:
-        return t
-    session.note("boost", PAYLOAD, t.data.values.size, module)
-    s = t.scale
-    return ScaledTensor(
-        IntTensor.adopt(t.data.values * lam, t.precision, m * lam),
-        ScaleTensor.derived(_grow(s.values, lam), s.lo * lam, s.hi * lam),
-    )
-
-
-def _slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
-    data = t.data.view(t.data.values[:, sl])
-    s = t.scale
-    if s.shape[1] != 1:
-        s = ScaleTensor.derived(s.values[:, sl], s.lo, s.hi)
-    return ScaledTensor(data, s)
+        return
+    session.note("boost", PAYLOAD, lane.x.size, module)
+    lane.hold(m * lam)
+    lane.x *= lam
+    lane.m = m * lam  # still exact
+    _grow(lane.s, lam, out=lane.s)
+    lane.lo, lane.hi = scale_bounds(lane.s, lane.lo * lam, lane.hi * lam)
 
 
 def _match_heads(t: ScaledTensor, heads: int, axis: int) -> list[ScaledTensor]:
@@ -334,13 +315,6 @@ def _match_heads(t: ScaledTensor, heads: int, axis: int) -> list[ScaledTensor]:
     ]
 
 
-def _fold_scale(lane: Lane, factor: float, session: Session, module: str) -> None:
-    """Divide the de-quantized view by `factor` by growing the scale in place."""
-    session.note("scale_fold", SCALE, lane.s.size, module)
-    s = _grow(lane.s, factor, out=lane.s)
-    lane.lo, lane.hi = scale_bounds(s, lane.lo * factor, lane.hi * factor)
-
-
 def _refit_zero_groups(lane: Lane, value: float, c: np.ndarray, limit: int) -> int:
     """Where round(value * s) in `c` leaves the accumulator lane, move the
     scale group to (2^p - 1) / |value|, so the constant fits; returns max|c|.
@@ -366,7 +340,7 @@ def _add_const(
     """Add a constant quantized into the lane's own scale, so no payload is
     matched; the constant is held in the scale's shape and broadcast."""
     RationalTensor(np.float64(value))  # rejects a non-finite constant
-    c = lane.work if lane.s.shape == lane.x.shape else np.empty(lane.s.shape)
+    c = lane.scratch() if lane.s.shape == lane.x.shape else np.empty(lane.s.shape)
     try:
         c_max = quantize_into(np.float64(value), lane.s, c)
     except LaneOverflowError:
@@ -379,12 +353,10 @@ def _add_const(
     return session.apply(K.lane_add, [lane], module, c=c, c_max=c_max)
 
 
-def _matmul(
-    a: ScaledTensor | Lane, b_t: ScaledTensor, session: Session, module: str, **kwargs
-) -> ScaledTensor:
+def _matmul(a: ScaledTensor, b_t: ScaledTensor, session: Session, module: str) -> ScaledTensor:
     """matmul through the protocol, sealed: only the result is fresh, the
     product's buffers go back to the workspace."""
-    return session.apply(K.matmul, [a, b_t], module, ws=session.workspace, **kwargs).seal()
+    return session.apply(K.matmul, [a, b_t], module, ws=session.workspace).seal()
 
 
 def _poly_lane(lane: Lane, pp: PolyParams, degree: int, session: Session, module: str) -> Lane:
@@ -428,21 +400,26 @@ def poly_attention(
     matches leave as they are, and any other operands are matched here.  The
     T x T weights are built in place on one Lane, from Q.K^T through the
     polynomial, and matched along the key axis there.  The weighted value sum
-    and the weight sum read them in float64 where they lie and stay in the
-    wide lane; only their quotient is projected back to the logical precision.
+    reads them in float64 where they lie, then they become the weight sum;
+    the value sum is boosted and divided by it in place, and only that
+    quotient is projected back to the logical precision.
     """
     lane = session.apply(K.matmul, [q, k], module, ws=session.workspace)
-    _fold_scale(lane, math.sqrt(d_m), session, module)
+    session.note("scale_fold", SCALE, lane.s.size, module)
+    fold = math.sqrt(d_m)
+    _grow(lane.s, fold, out=lane.s)
+    lane.lo, lane.hi = scale_bounds(lane.s, lane.lo * fold, lane.hi * fold)
     weights = _poly_lane(lane, pp, degree, session, module)
     # Match the T x T weights once; the value product and the weight sum then
     # find a scale already collapsed along the contraction axis.
     weights.match_last()
     v_t = K.transpose(v, (1, 0))
-    num = _matmul(weights, v_t, session, module, allow_rescale=False)
+    num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False)
     den = session.apply(K.sum_reduce, [weights], module, allow_rescale=False)
-    weights.release()
-    num = _boost(num, session, module)
-    return session.apply(K.int_div, [num, den], module)
+    _boost(num, session, module)
+    out = session.apply(K.int_div, [num, den], module)
+    den.release()
+    return out.seal()
 
 
 def l1_layer_norm(
@@ -455,46 +432,39 @@ def l1_layer_norm(
     """Center, divide by the scaled L1 mean, then apply gain and bias.
 
     The norm width n_h is the hidden width, which gain and bias must match.
-    The norm constant and 1/n_h are folded into the denominator scale; the
-    numerator is boosted exactly before the integer division.
+    The rows are worked in place on one Lane from the centering on, and the
+    L1 sum on a copy.  The norm constant and 1/n_h are folded into the
+    denominator scale; the numerator is boosted exactly before the division.
     """
     n = x.shape[-1]
     if g_q.shape != (n,) or b_q.shape != (n,):
         raise ShapeError("layer norm gain and bias must match the hidden width")
+    ws = session.workspace
     xm = scale_match_dim(x, -1)
-    total = session.apply(K.sum_reduce, [xm], module, allow_rescale=False)
-    # Integer mean, rounded half away from zero, negated.  total shares xm's
-    # scale object, so the add below skips matching.
-    t = total.data.values
-    neg_mu = -np.sign(t) * ((2 * np.abs(t) + n) // (2 * n))
-    # |mu| is |total| / n rounded, so the same rounding bounds it.
-    mu_bound = (2 * total.data.max_bound + n) // (2 * n)
-    neg_mu = _broadcast_to(
-        ScaledTensor(IntTensor.adopt(neg_mu, x.precision, bound=mu_bound), total.scale), xm.shape
-    )
-    centered = session.apply(K.add, [xm, neg_mu], module, allow_rescale=False)
-    l1 = session.apply(
-        K.sum_reduce,
-        [session.apply(K.abs_, [centered], module, allow_rescale=False)],
-        module,
-        allow_rescale=False,
-    )
-    degenerate = l1.data.values == 0
-    fold, ls = n / L1_NORM_CONST, l1.scale
-    den = ScaledTensor(
-        IntTensor.adopt(
-            np.where(degenerate, 1, l1.data.values), x.precision, bound=max(l1.data.max_bound, 1)
-        ),
-        ScaleTensor.derived(
-            np.where(degenerate, 1.0, _grow(ls.values, fold)),
-            min(ls.lo * fold, 1.0), max(ls.hi * fold, 1.0),
-        ),
-    )
-    session.note("scale_fold", SCALE, den.scale.values.size, module)
-    num = _boost(centered, session, module)
-    y = session.apply(K.int_div, [num, den], module)
+    mu = session.apply(K.sum_reduce, [xm], module, allow_rescale=False, ws=ws)
+    # The integer mean, rounded half away from zero and negated, at xm's own
+    # scale: the add matches nothing.  The same rounding bounds |mu|.
+    t = mu.x.astype(np.int64)
+    mu.x[...] = -np.sign(t) * ((2 * np.abs(t) + n) // (2 * n))
+    mu.bound((2 * mu.m + n) // (2 * n))
+    y = session.apply(K.add, [xm, mu], module, allow_rescale=False, ws=ws)
+    mu.release()
+    den = session.apply(K.abs_, [Lane.of(y, ws)], module, allow_rescale=False)
+    den = session.apply(K.sum_reduce, [den], module, allow_rescale=False)
+    # A zero L1 sum (a constant row) divides by 1 at scale 1.
+    degenerate = den.x == 0
+    fold = n / L1_NORM_CONST
+    s = _grow(den.s, fold, out=ws.take(degenerate.shape))
+    s[degenerate] = 1.0
+    den.x[degenerate] = 1
+    den.put(den.x, s, max(den.m, 1), (min(den.lo * fold, 1.0), max(den.hi * fold, 1.0)))
+    session.note("scale_fold", SCALE, s.size, module)
+    _boost(y, session, module)
+    y = session.apply(K.int_div, [y, den], module)
+    den.release()
     y = session.apply(K.ew_mul, [y, g_q], module)
-    return session.apply(K.add, [y, _broadcast_to(b_q, y.shape)], module)
+    y = session.apply(K.add, [y, b_q], module)
+    return y.seal()
 
 
 def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, session: Session) -> ScaledTensor:
@@ -519,19 +489,20 @@ def ffn_core(y: ScaledTensor, lp: TransformerLayerParams, session: Session) -> S
     """ReLU(y W1 + b1) W2 + b2 on the integer lane.
 
     The hidden activations are worked in place on one Lane, from y W1 to the
-    match along the contraction axis of W2.
+    match along the contraction axis of W2, and the W2 product on another.
     """
     h = session.apply(K.matmul, [y, lp.w1], FFN, ws=session.workspace)
-    h = session.apply(K.lane_add_matched, [h, _broadcast_to(lp.b1, h.shape)], FFN)
+    h = session.apply(K.add, [h, lp.b1], FFN)
     h = session.apply(K.relu, [h], FFN)
     h.match_last()
-    out = _matmul(h, lp.w2, session, FFN)
+    out = session.apply(K.matmul, [h, lp.w2], FFN)
     h.release()
-    return session.apply(K.add, [out, _broadcast_to(lp.b2, out.shape)], FFN)
+    out = session.apply(K.add, [out, lp.b2], FFN)
+    return out.seal()
 
 
 def residual_add(a: ScaledTensor, b: ScaledTensor, session: Session) -> ScaledTensor:
-    return session.apply(K.add, [a, b], RES)
+    return session.apply(K.add, [a, b], RES, ws=session.workspace).seal()
 
 
 def _token_ids(tokens, vocab: int) -> np.ndarray:

@@ -95,7 +95,7 @@ def test_02_overflow_safety(capsys):
         a = scaled(xs.ravel(), np.full(xs.size, sa), 4)
         b = scaled(ys.ravel(), np.full(ys.size, sb), 4)
         for kern in (K.add, K.ew_mul):
-            out = protocol_apply(kern, [a, b], p4)
+            out = protocol_apply(kern, [a, b], p4).seal()
             ok &= out.data.max_magnitude <= p4.max_magnitude
         for m in scale_match([a, b]):
             ok &= m.data.max_magnitude <= p4.max_magnitude
@@ -105,7 +105,7 @@ def test_02_overflow_safety(capsys):
         a = scaled(rng.integers(-127, 128, 8), rng.uniform(0.1, 99, 8))
         b = scaled(rng.integers(-127, 128, 8), rng.uniform(0.1, 99, 8))
         kern = (K.add, K.ew_mul)[rng.integers(2)]
-        out = protocol_apply(kern, [a, b], p7)
+        out = protocol_apply(kern, [a, b], p7).seal()
         ok &= out.data.max_magnitude <= p7.max_magnitude
         wide = IntTensor(rng.integers(-(2**31), 2**31, 8))
         ok &= rescale(wide, ScaleTensor(np.full(8, 2.0)), p7).data.in_range()
@@ -141,7 +141,7 @@ def test_03_distribution_law(capsys):
                         lhs = Fraction(int(xo)) / exact_s**n
                         rhs = (Fraction(int(x)) / exact_s) ** n
                         ok &= lhs == rhs
-            out = K.abs_(t)
+            out = K.abs_(t).seal()
             ok &= out.data.values.tolist() == [abs(int(x)) for x in xs]
             ok &= np.all(out.scale.values == t.scale.values)
             out = K.relu(Lane.of(t, Workspace())).seal()

@@ -4,11 +4,11 @@
 `ffn_core` its hidden activations, and the output projection its logits.
 The oracles here build the same stages one `session.apply` per op, from
 kernels that compute every payload in Python ints and every scale with the
-same float operation as the library: a product, a power, a quotient.  Every
-payload, scale, audit record and error type must agree with them, on both
-sides of the float64-exact switch at 2^53.  The buffers come from the
-session's workspace, which must never hand out an array that a result still
-holds.
+same float operation as the library: a product, a power, a quotient, a
+minimum (scale_match).  Every payload, scale, audit record and error type
+must agree with them, on both sides of the float64-exact switch at 2^53.
+The buffers come from the session's workspace, which must never hand out an
+array that a result still holds.
 """
 import math
 from types import SimpleNamespace
@@ -21,17 +21,17 @@ from hypothesis import strategies as st
 from intflow import kernels as K
 from intflow import scaling
 from intflow.audit import PAYLOAD, SCALE
-from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError
-from intflow.scaling import MATCH_FLOAT_MAX, Precision, Session, Workspace, scale_match_dim
+from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError, WorkspaceError
+from intflow.scaling import (
+    MATCH_FLOAT_MAX, Precision, Session, Workspace, scale_match, scale_match_dim,
+)
 from intflow.tensor import LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import (
     FFN,
     PROJ,
     ModelConfig,
     PolyParams,
-    _broadcast_to,
     _match_heads,
-    _slice_cols,
     ffn_core,
     forward,
     poly,
@@ -48,6 +48,23 @@ def scaled(data, scale, precision):
         IntTensor(np.asarray(data, dtype=np.int64), precision),
         ScaleTensor(np.asarray(scale, dtype=np.float64)),
     )
+
+
+def slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
+    """Column block `sl` of t as views, its scale sliced along unless collapsed."""
+    data = t.data.view(t.data.values[:, sl])
+    s = t.scale
+    if s.shape[1] != 1:
+        s = ScaleTensor.derived(s.values[:, sl], s.lo, s.hi)
+    return ScaledTensor(data, s)
+
+
+def widened(t: ScaledTensor, shape) -> ScaledTensor:
+    """t with its payload copied out to `shape`; its scale keeps its
+    collapsed dims, only the rank is padded."""
+    pad = (1,) * (len(shape) - len(t.scale.shape))
+    return ScaledTensor(IntTensor(np.broadcast_to(t.data.values, shape).copy(), t.precision),
+                        ScaleTensor(t.scale.values.reshape(pad + t.scale.shape)))
 
 
 # -- exact kernels: Python-int payloads, tagged for protocol_apply -------------
@@ -85,6 +102,12 @@ def exact_matmul(a, b_t):
     with np.errstate(over="ignore"):
         s = a.scale.values * b_t.scale.values.T  # one rounded product each
     return sealed(ints(a) @ ints(b_t).T, s, a.precision)
+
+
+@exact_kernel("add", True)
+def exact_add(a, b):
+    a, b = scale_match([a, b])
+    return sealed(ints(a) + ints(b), a.scale.values, a.precision)
 
 
 @exact_kernel("relu", False)
@@ -153,13 +176,13 @@ def fit_zero_groups(t, value, limit):
 def oracle_poly(scores, pp, degree, session, module="Attn"):
     limit = session.precision.max_magnitude
     x = fit_zero_groups(scores, pp.bias, limit)
-    x = session.apply(K.add, [x, quantize_const(pp.bias, x, session, module)], module)
+    x = session.apply(exact_add, [x, quantize_const(pp.bias, x, session, module)], module)
     x = session.apply(exact_relu, [x], module)
     x = session.apply(exact_pow_n, [x], module, n=degree)
     x = fit_zero_groups(x, abs(pp.offset), limit)
     min_payload = 1 if pp.offset != 0.0 else 0
     d_q = quantize_const(abs(pp.offset), x, session, module, min_payload)
-    return session.apply(K.add, [x, d_q], module)
+    return session.apply(exact_add, [x, d_q], module)
 
 
 def oracle_poly_attention(q, k, v, pp, degree, d_m, session, module="Attn"):
@@ -182,10 +205,10 @@ def oracle_poly_attention(q, k, v, pp, degree, d_m, session, module="Attn"):
 
 def oracle_ffn(y, lp, session):
     h = session.apply(exact_matmul, [y, lp.w1], FFN)
-    h = session.apply(K.add, [h, _broadcast_to(lp.b1, h.shape)], FFN)
+    h = session.apply(exact_add, [h, widened(lp.b1, h.shape)], FFN)
     h = session.apply(exact_relu, [h], FFN)
     h = session.apply(exact_matmul, [h, lp.w2], FFN)
-    return session.apply(K.add, [h, _broadcast_to(lp.b2, h.shape)], FFN)
+    return session.apply(exact_add, [h, widened(lp.b2, h.shape)], FFN)
 
 
 def outcome(fn, p, session=None):
@@ -418,7 +441,7 @@ class TestHeadsMatchedOncePerLayer:
         for h, (qh, kh, vh) in enumerate(matched):
             assert qh.scale.values.flags.c_contiguous and kh.scale.values.flags.c_contiguous
             sl = slice(h * d_h, (h + 1) * d_h)
-            plain = [_slice_cols(t, sl) for t in (q, k, v)]
+            plain = [slice_cols(t, sl) for t in (q, k, v)]
             got.append(outcome(lambda s: poly_attention(qh, kh, vh, pp, degree, d_m, s), p))
             want.append(outcome(lambda s: poly_attention(*plain, pp, degree, d_m, s), p))
         return got, want
@@ -446,7 +469,7 @@ class TestHeadsMatchedOncePerLayer:
         whole = scale_match_dim(ScaledTensor(q.data.view(q.data.values.reshape(1, 2, 2)),
                                              ScaleTensor(q.scale.values.reshape(1, 2, 2))), -1)
         assert whole.data.values[0, 0].tolist() == [0, 1]
-        assert scale_match_dim(_slice_cols(q, slice(0, 2)), -1).data.values.tolist() == [[1, 1]]
+        assert scale_match_dim(slice_cols(q, slice(0, 2)), -1).data.values.tolist() == [[1, 1]]
         for axis in (0, -1):
             with pytest.raises(ValueError, match="not below"):
                 _match_heads(q, 2, axis)
@@ -597,3 +620,29 @@ class TestWorkspace:
         reference_forward(twin, tokens=tokens)
         forward(model, Session(Precision(cfg.precision)), tokens=tokens,
                 int_modules=frozenset(), ref=twin)
+
+
+class TestWorkspaceOwnership:
+    """A Lane owns its buffers: no step seals one of them read-only while the
+    lane holds it, and the workspace refuses a read-only array."""
+
+    def test_a_read_only_array_is_refused(self):
+        ws = Workspace()
+        out = scaling.Lane.of(scaled([[1, -2]], [[1.0, 2.0]], 7), ws).seal()
+        for arr in (out.data.values, out.scale.values):
+            with pytest.raises(WorkspaceError):
+                ws.give(arr)
+        assert all(a.flags.writeable for stack in ws._free.values() for a in stack)
+
+    def test_a_summed_lane_keeps_its_scale_and_seals(self):
+        # The weight sum becomes the lane it sums, whose scale stays its own
+        # and writable; sealing then hands every buffer back.
+        ws = Workspace()
+        lane = scaling.Lane.of(scaled([[3, -4, 5], [1, 1, 1]], [[2.0, 1.0, 4.0], [1.0, 1.0, 1.0]], 7), ws)
+        lane.match_last()
+        assert K.sum_reduce(lane) is lane
+        assert lane.s.flags.writeable
+        out = lane.seal()
+        assert out.data.values.tolist() == [[1 + -4 + 1], [3]]
+        assert out.scale.values.tolist() == [[1.0], [1.0]]
+        assert all(a.flags.writeable for stack in ws._free.values() for a in stack)

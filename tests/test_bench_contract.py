@@ -43,8 +43,9 @@ def test_tracer_wraps_every_named_function(bench_modules):
     assert (kernels.matmul, kernels.relu, kernels.pow_n, modelfile.load_model) == originals
 
 
-# The in-place forms of ADD, which the tracer does not wrap.
-LANE_ADDS = ("lane_add", "lane_add_matched")
+# The form of ADD for a constant at a Lane's own scale, which the tracer
+# does not wrap.
+LANE_ADDS = ("lane_add",)
 
 
 def test_tracer_kernel_names_are_the_kernels(bench_modules):
@@ -77,7 +78,7 @@ def test_a_forward_runs_only_traced_kernels(bench_modules, monkeypatch):
     model = quantize_model(random_reference_model(cfg, seed=0))
     forward(model, Session(Precision(cfg.precision)), tokens=np.arange(4))
     assert set(seen) <= set(known.values())
-    assert {"matmul", "relu", "pow_n", "sum_reduce"} <= set(seen)
+    assert {"matmul", "relu", "pow_n", "sum_reduce", "add", "abs_", "ew_mul", "int_div"} <= set(seen)
 
 
 def test_traced_forward_records_modules_and_kernels(bench_modules):

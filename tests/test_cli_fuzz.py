@@ -270,3 +270,73 @@ def test_a_signaling_nan_record_is_refused_quietly(models, capsys):
     capsys.readouterr()
     assert main(["quantize", str(src), str(tmp / "snan.int")]) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: rational tensor values must be finite\n"
+
+
+CONFIG_CASES = 40
+
+
+def _configs():
+    """Seeded valid ModelConfigs with tiny dimensions: every precision from 2
+    to 15, each once at the highest polynomial degree it admits
+    (degree * (p + 1) <= 62) and otherwise at a random degree below that."""
+    rng = np.random.default_rng(SEED)
+    for i in range(CONFIG_CASES):
+        p = 2 + i % 14
+        top = 62 // (p + 1)
+        heads = int(rng.integers(1, 4))
+        yield {
+            "precision": p,
+            "degree": top if i < 14 else int(rng.integers(1, top + 1)),
+            "heads": heads,
+            "d-m": heads * int(rng.integers(1, 4)),
+            "d-ff": int(rng.integers(1, 7)),
+            "layers": int(rng.integers(0, 3)),
+            "vocab": int(rng.integers(2, 9)),
+            "granularity": ("row", "b")[int(rng.integers(2))],
+            "seed": int(rng.integers(1000)),
+        }, int(rng.integers(1, 6))
+    # One of two refusals in 400 random configs run through the library.
+    yield {"precision": 2, "degree": 20, "heads": 1, "d-m": 3, "d-ff": 6, "layers": 1,
+           "vocab": 8, "granularity": "b", "seed": 285}, 4
+
+
+# Exit codes of the random-config cases, by the step that ended each run,
+# and the kinds of refusal.  A precision from 8 up has no int8 container, so
+# `quantize` refuses it.  The lane overflow is the last case's: the
+# attention offset, quantized at a scale the power raised to s^20, leaves
+# the accumulator lane in a group that is not all zeros (_refit_zero_groups).
+PINNED_CONFIG_EXITS = {"infer 0": 18, "infer 2": 1, "quantize 2": 22}
+PINNED_CONFIG_REFUSALS = {
+    "infer: quantized payload exceeds accumulator lane": 1,
+    "quantize: int# container requires precision <= #": 22,
+}
+
+
+def test_random_configs_run_or_refuse(tmp_path, capsys):
+    exits, refusals = Counter(), Counter()
+    for i, (cfg, t) in enumerate(_configs()):
+        fp32, q, tokens, out = (tmp_path / f"{i}.{ext}" for ext in ("fp32", "int", "tok.npy", "out.npy"))
+        np.save(tokens, np.arange(t) % cfg["vocab"])
+        flags = [f"--{k}={v}" for k, v in cfg.items() if k not in ("precision", "granularity")]
+        quant = [f"--precision={cfg['precision']}", f"--granularity={cfg['granularity']}"]
+        steps = [
+            ["init", str(fp32), *flags, *quant],
+            ["quantize", str(fp32), str(q), *quant],
+            ["infer", str(q), str(tokens), "--tokens", "--out", str(out)],
+        ]
+        for argv in steps:
+            capsys.readouterr()
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc in (EXIT_OK, EXIT_VALIDATION), (i, argv[0], rc, err)
+            assert err.startswith("error: ") if rc else not err, (i, argv[0], err)
+            if rc:
+                refusals[f"{argv[0]}: {_kind(err[len('error: '):].strip())}"] += 1
+                break
+        exits[f"{argv[0]} {rc}"] += 1
+        if not rc:
+            logits = np.load(out)
+            assert logits.dtype == np.int64 and logits.shape == (t, cfg["vocab"]), i
+            assert np.abs(logits).max() <= (1 << cfg["precision"]) - 1, i
+    assert dict(exits) == PINNED_CONFIG_EXITS
+    assert dict(refusals) == PINNED_CONFIG_REFUSALS

@@ -46,13 +46,13 @@ class TestEwMul:
     def test_distribution_law_exact(self):
         a = scaled([3, -4], [2.0, 4.0])
         b = scaled([5, 6], [8.0, 2.0])
-        out = K.ew_mul(a, b)
+        out = K.ew_mul(a, b).seal()
         assert frac_view(out) == [x * y for x, y in zip(frac_view(a), frac_view(b))]
 
     def test_multiplicative_identity(self):
         a = scaled([7, -9], [3.0])
         one = scaled([1, 1], [1.0])
-        out = K.ew_mul(a, one)
+        out = K.ew_mul(a, one).seal()
         assert np.array_equal(dequantize(out).values, dequantize(a).values)
 
     def test_lane_guard(self):
@@ -65,13 +65,13 @@ class TestAdd:
     def test_additive_identity_same_scale(self):
         a = scaled([5, -6], [4.0])
         zero = scaled([0, 0], [4.0])
-        out = K.add(a, zero)
+        out = K.add(a, zero).seal()
         assert np.array_equal(out.data.values, a.data.values)
 
     def test_worked_example(self):
         a = scaled([100], [100.0])
         b = scaled([50], [50.0])
-        out = K.add(a, b)
+        out = K.add(a, b).seal()
         assert out.data.values.tolist() == [100]
         assert out.scale.values.tolist() == [50.0]
         assert dequantize(out).values.tolist() == [2.0]
@@ -81,7 +81,7 @@ class TestAdd:
         for _ in range(200):
             a = scaled(rng.integers(-127, 128, 6), rng.uniform(0.5, 80, 6))
             b = scaled(rng.integers(-127, 128, 6), rng.uniform(0.5, 80, 6))
-            out = K.add(a, b)
+            out = K.add(a, b).seal()
             want = dequantize(a).values + dequantize(b).values
             err = np.abs(dequantize(out).values - want)
             assert np.all(err <= (2.0 + 1e-6) / out.scale.values)
@@ -217,7 +217,7 @@ class TestPowAbsRelu:
 
     def test_abs_exact(self):
         t = scaled([-5, 3, 0], [2.0])
-        out = K.abs_(t)
+        out = K.abs_(t).seal()
         assert frac_view(out) == [abs(v) for v in frac_view(t)]
 
     def test_relu_exact(self):
@@ -244,7 +244,7 @@ class TestPowAbsRelu:
         t = scaled(xs, [float(s)] * len(xs))
         vals = [Fraction(x) / Fraction(s_num, s_den) for x in xs]
         assert frac_view(on_lane(K.pow_n, t, n=n)) == [v**n for v in vals]
-        assert frac_view(K.abs_(t)) == [abs(v) for v in vals]
+        assert frac_view(K.abs_(t).seal()) == [abs(v) for v in vals]
         assert frac_view(on_lane(K.relu, t)) == [max(v, 0) for v in vals]
 
 
@@ -297,10 +297,11 @@ class TestNativeBroadcast:
         full, small = ops
         shape = full.shape
         for a, b in ((full, small), (small, full)):
-            self.same(K.ew_mul(a, b), K.ew_mul(materialized(a, shape), materialized(b, shape)))
+            self.same(K.ew_mul(a, b).seal(),
+                      K.ew_mul(materialized(a, shape), materialized(b, shape)).seal())
             if b.data.values.min() > 0:
-                self.same(K.int_div(a, b),
-                          K.int_div(materialized(a, shape), materialized(b, shape)))
+                self.same(K.int_div(a, b).seal(),
+                          K.int_div(materialized(a, shape), materialized(b, shape)).seal())
 
 
 class TestScaleRange:
@@ -325,13 +326,13 @@ class TestScaleRange:
 class TestSumReduce:
     def test_uniform_scale_is_exact(self):
         t = scaled([[1, 2, 3]], [[2.0]])
-        out = K.sum_reduce(t)
+        out = K.sum_reduce(t).seal()
         assert out.data.values.tolist() == [[6]]
-        assert out.scale is t.scale
+        assert np.array_equal(out.scale.values, t.scale.values)
 
     def test_varying_scale_matched_first(self):
         t = scale_match_dim(scaled([[100, 50]], [[100.0, 50.0]]), -1)
-        assert dequantize(K.sum_reduce(t)).values.tolist() == [[2.0]]
+        assert dequantize(K.sum_reduce(t).seal()).values.tolist() == [[2.0]]
 
     def test_scale_varying_along_the_axis_is_refused(self):
         with pytest.raises(ShapeError):
@@ -345,7 +346,8 @@ class TestSumReduce:
         # sum's bound stays below 2^53; past it the sum runs in int64.
         t = scale_match_dim(scaled(rows, np.linspace(1.0, 2.0, 3 * len(rows)).reshape(-1, 3)), -1)
         lane = Lane.of(t, Workspace())
-        out = K.sum_reduce(lane)
+        assert K.sum_reduce(lane) is lane
+        out = lane.seal()
         assert out.data.values.tolist() == [[sum(r)] for r in t.data.values.tolist()]
         assert out.data.max_bound >= max(abs(sum(r)) for r in t.data.values.tolist())
         assert np.array_equal(out.scale.values, t.scale.values)
@@ -355,13 +357,13 @@ class TestIntDiv:
     def test_truncates_toward_zero(self):
         num = scaled([7, -7], [1.0])
         den = scaled([2, 2], [1.0])
-        out = K.int_div(num, den)
+        out = K.int_div(num, den).seal()
         assert out.data.values.tolist() == [3, -3]
 
     def test_scale_ratio(self):
         num = scaled([10], [4.0])
         den = scaled([2], [8.0])
-        out = K.int_div(num, den)
+        out = K.int_div(num, den).seal()
         assert out.scale.values.tolist() == [0.5]
         assert dequantize(out).values.tolist() == [10.0]
 
@@ -382,19 +384,19 @@ class TestShapeOpsThroughProtocol:
 # `a`, `b` (T x d), `w` (n x d), `den` (T x d, payloads >= 0) and the
 # exponent `n`.  `ap` runs a kernel through protocol_apply.
 CONTAINER_CALLS = {
-    "add": (("a", "b"), lambda ap, o: ap(K.add, [o["a"], o["b"]])),
-    "ew_mul": (("a", "b"), lambda ap, o: ap(K.ew_mul, [o["a"], o["b"]])),
+    "add": (("a", "b"), lambda ap, o: ap(K.add, [o["a"], o["b"]]).seal()),
+    "ew_mul": (("a", "b"), lambda ap, o: ap(K.ew_mul, [o["a"], o["b"]]).seal()),
     "pow_n": (("a",), lambda ap, o: ap(K.pow_n, [Lane.of(o["a"], Workspace())], n=o["n"]).seal()),
-    "abs_": (("a",), lambda ap, o: ap(K.abs_, [o["a"]])),
+    "abs_": (("a",), lambda ap, o: ap(K.abs_, [o["a"]]).seal()),
     "relu": (("a",), lambda ap, o: ap(K.relu, [Lane.of(o["a"], Workspace())]).seal()),
-    "sum_reduce": (("a",), lambda ap, o: ap(K.sum_reduce, [scale_match_dim(o["a"], -1)])),
-    "int_div": (("a", "den"), lambda ap, o: ap(K.int_div, [o["a"], o["den"]])),
+    "sum_reduce": (("a",), lambda ap, o: ap(K.sum_reduce, [scale_match_dim(o["a"], -1)]).seal()),
+    "int_div": (("a", "den"), lambda ap, o: ap(K.int_div, [o["a"], o["den"]]).seal()),
     "matmul": (("a", "w"), lambda ap, o: ap(K.matmul, [o["a"], o["w"]], ws=Workspace()).seal()),
     "concat": (("a", "b"), lambda ap, o: ap(K.concat, [o["a"], o["b"]], axis=0)),
     "transpose": (("a",), lambda ap, o: ap(K.transpose, [o["a"]], axes=(1, 0))),
-    "lane_add_matched": (
+    "add on a lane": (
         ("a", "b"),
-        lambda ap, o: ap(K.lane_add_matched, [Lane.of(o["a"], Workspace())], b=o["b"]).seal(),
+        lambda ap, o: ap(K.add, [Lane.of(o["a"], Workspace()), o["b"]]).seal(),
     ),
 }
 
@@ -473,7 +475,95 @@ class TestContainerWidthOperands:
         top = (1 << p) - 1
         t = ScaledTensor(IntTensor.param(np.array([top, -top]), p), ScaleTensor(np.ones(1)))
         assert t.data.values.dtype == container_dtype(p)
-        assert K.add(t, t).data.values.tolist() == [2 * top, -2 * top]
-        assert K.ew_mul(t, t).data.values.tolist() == [top * top, top * top]
+        assert K.add(t, t).seal().data.values.tolist() == [2 * top, -2 * top]
+        assert K.ew_mul(t, t).seal().data.values.tolist() == [top * top, top * top]
         assert on_lane(K.pow_n, t, n=3).data.values.tolist() == [top**3, -(top**3)]
-        assert K.sum_reduce(t).data.values.tolist() == [0]
+        assert K.sum_reduce(t).seal().data.values.tolist() == [0]
+
+
+# Scales m / 2^j: exact floats whose ratios keep every non-integer matched
+# quotient at least 2^-20 from an integer, so the float matching route
+# truncates exactly too.
+dyadic_scales = st.builds(lambda m, j: m / 2**j, st.integers(1, 1024), st.integers(0, 10))
+
+
+@st.composite
+def lane_kernel_cases(draw):
+    """A kernel among add, ew_mul, int_div and abs_, with its operands: a
+    T x d or broadcastable payload on either side of 2^53 where the kernel
+    allows it, and a scale of every collapsed shape."""
+    name = draw(st.sampled_from(["add", "ew_mul", "int_div", "abs_"]))
+    T, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    top = {"add": 2**60, "ew_mul": 2**30, "int_div": 2**60, "abs_": 2**61}[name]
+    values = st.integers(-(2**20), 2**20) | st.integers(-top, top) | st.sampled_from([top, -top, 0])
+
+    def operand(shape, ints):
+        n = shape[0] * shape[1]
+        x = np.reshape(draw(st.lists(ints, min_size=n, max_size=n)), shape)
+        s_shape = draw(st.sampled_from([(shape[0], 1), (1, shape[1]), shape, (1, 1)]))
+        s = np.reshape(draw(st.lists(dyadic_scales, min_size=s_shape[0] * s_shape[1],
+                                     max_size=s_shape[0] * s_shape[1])), s_shape)
+        return scaled(x, s, precision=15)
+
+    shapes = [(T, d), (T, 1), (1, d)]
+    a_shape = (T, d) if name == "add" else draw(st.sampled_from(shapes))
+    a = operand(a_shape, values)
+    divisors = st.integers(1, 2**20) | st.integers(1, 2**62 - 1)
+    b = operand(draw(st.sampled_from(shapes)), divisors if name == "int_div" else values)
+    return name, a, b, draw(st.booleans()), draw(st.booleans())
+
+
+def oracle(name, a, b):
+    """Payload as Python ints and scale as floats, element by element, from
+    exact fractions: matching truncates x * s_bar / s toward zero."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    xa, sa = (np.broadcast_to(v, shape) for v in (a.data.values, a.scale.values))
+    xb, sb = (np.broadcast_to(v, shape) for v in (b.data.values, b.scale.values))
+
+    def trunc(q: Fraction) -> int:
+        return int(q)  # int() of a Fraction truncates toward zero
+
+    xs, ss = [], []
+    for i in np.ndindex(shape):
+        x, y, s, t = int(xa[i]), int(xb[i]), float(sa[i]), float(sb[i])
+        if name == "add":
+            m = min(s, t)
+            xs.append(trunc(x * Fraction(m) / Fraction(s)) + trunc(y * Fraction(m) / Fraction(t)))
+            ss.append(m)
+        elif name == "ew_mul":
+            xs.append(x * y)
+            ss.append(float(Fraction(s) * Fraction(t)))
+        elif name == "int_div":
+            xs.append(trunc(Fraction(x, y)))
+            ss.append(float(Fraction(s) / Fraction(t)))
+        else:
+            xs.append(abs(x))
+            ss.append(s)
+    return shape, xs, ss
+
+
+class TestLaneKernels:
+    """add, ew_mul, int_div and abs_ on a ScaledTensor or a Lane as first
+    operand, and either as second, against exact oracles: the same payload
+    and scale bits, a Lane first operand worked in place, and carried
+    bounds that hold."""
+
+    @given(lane_kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_both_forms_match_the_oracle(self, case):
+        name, a, b, a_lane, b_lane = case
+        shape, xs, ss = oracle(name, a, b if name != "abs_" else a)
+        ws = Workspace()
+        first = Lane.of(a, ws) if a_lane else a
+        ins = [first] if name == "abs_" else [first, Lane.of(b, ws) if b_lane else b]
+        out = getattr(K, name)(*ins, ws=ws)
+        assert isinstance(out, Lane) and (out is first) == a_lane
+        assert out.shape == shape
+        assert [int(v) for v in out.x.ravel()] == xs
+        s = np.broadcast_to(out.s, shape)
+        assert s.ravel().tolist() == ss
+        assert out.m >= max(abs(v) for v in xs)
+        assert out.lo <= s.min() and out.hi >= s.max()
+        sealed = out.seal()
+        assert sealed.data.values.ravel().tolist() == xs
+        assert np.broadcast_to(sealed.scale.values, shape).ravel().tolist() == ss

@@ -147,14 +147,14 @@ def operands(draw):
 
 # Each kernel and lane step on the drawn operands; `ap` runs protocol_apply.
 STEPS = {
-    "add": lambda ap, o, n: ap(K.add, [o["a"], o["b"]]),
-    "ew_mul": lambda ap, o, n: ap(K.ew_mul, [o["a"], o["b"]]),
+    "add": lambda ap, o, n: ap(K.add, [o["a"], o["b"]]).seal(),
+    "ew_mul": lambda ap, o, n: ap(K.ew_mul, [o["a"], o["b"]]).seal(),
     "matmul": lambda ap, o, n: ap(K.matmul, [o["a"], o["w"]], ws=Workspace()).seal(),
     "pow_n": lambda ap, o, n: ap(K.pow_n, [Lane.of(o["a"], Workspace())], n=n).seal(),
-    "abs_": lambda ap, o, n: ap(K.abs_, [o["a"]]),
+    "abs_": lambda ap, o, n: ap(K.abs_, [o["a"]]).seal(),
     "relu": lambda ap, o, n: ap(K.relu, [Lane.of(o["a"], Workspace())]).seal(),
-    "sum_reduce": lambda ap, o, n: ap(K.sum_reduce, [scale_match_dim(o["a"], -1)]),
-    "int_div": lambda ap, o, n: ap(K.int_div, [o["a"], o["den"]]),
+    "sum_reduce": lambda ap, o, n: ap(K.sum_reduce, [scale_match_dim(o["a"], -1)]).seal(),
+    "int_div": lambda ap, o, n: ap(K.int_div, [o["a"], o["den"]]).seal(),
     "concat": lambda ap, o, n: ap(K.concat, [o["a"], o["b"]], axis=1),
     "transpose": lambda ap, o, n: ap(K.transpose, [o["a"]], axes=(1, 0)),
     "scale_match_dim": lambda ap, o, n: scale_match_dim(o["a"], 0),
@@ -162,14 +162,18 @@ STEPS = {
 
 
 def lane_steps(ap, o, n):
-    """Every lane step in turn, as attention and the FFN chain them."""
+    """Every lane step in turn, as attention, the FFN and the layer norm
+    chain them."""
     ws = Workspace()
     lane = ap(K.matmul, [o["a"], o["w"]], ws=ws)
     lane = ap(K.relu, [lane])
     lane = ap(K.pow_n, [lane], n=n)
     lane.seal()
-    lane = ap(K.lane_add_matched, [Lane.of(o["a"], ws)], b=o["b"])
+    lane = ap(K.add, [Lane.of(o["a"], ws), o["b"]])
     lane = ap(K.lane_add, [lane], c=np.ones(lane.s.shape), c_max=1)
+    ap(K.sum_reduce, [ap(K.abs_, [Lane.of(lane, ws)])], allow_rescale=False).release()
+    lane = ap(K.int_div, [lane, o["den"]])
+    lane = ap(K.ew_mul, [lane, o["b"]])
     lane.match_last()
     ap(K.matmul, [lane, o["w"]], allow_rescale=False, ws=ws).seal()
     ap(K.sum_reduce, [lane], allow_rescale=False)
@@ -200,7 +204,7 @@ class TestScaleFallback:
         a = scaled([[1, 1]], [[1e-200, 1.0]])
         b = scaled([[1, 1]], [[1.0, 1e-200]])
         assert a.scale.lo * b.scale.lo == 0.0  # the derived bound underflows
-        out = K.ew_mul(a, b)
+        out = K.ew_mul(a, b).seal()
         assert out.scale.values.tolist() == [[1e-200, 1e-200]]
         assert (out.scale.lo, out.scale.hi) == (1e-200, 1e-200)  # scanned
 
@@ -234,7 +238,7 @@ class TestPayloadFallback:
     def test_lane_guards_fall_back_to_the_exact_max(self):
         # Each call gets a fresh tensor: the first exact read is cached.
         t = self.loose([3, -5], 2**40)
-        assert K.ew_mul(t, t).data.values.tolist() == [9, 25]
+        assert K.ew_mul(t, t).seal().data.values.tolist() == [9, 25]
         ws = Workspace()
         lane = Lane.of(self.loose([3, -5], 2**40), ws)
         assert not lane.exact
@@ -257,7 +261,7 @@ class TestPayloadFallback:
 
     def test_bound_past_the_limit_defers_to_the_exact_max(self):
         log = OpAuditLog()
-        out = protocol_apply(K.abs_, [self.loose([3, -5], 1000)], Precision(7), log=log)
+        out = protocol_apply(K.abs_, [self.loose([3, -5], 1000)], Precision(7), log=log).seal()
         assert out.data.values.tolist() == [3, 5]
         assert not any(r.rescaled for r in log.records)
 

@@ -126,14 +126,14 @@ class TestFloat64Boundary:
     def test_int_div_matches_python_ints(self, data, n):
         xs = data.draw(st.lists(lane_ints, min_size=n, max_size=n))
         ks = data.draw(st.lists(divisors, min_size=n, max_size=n))
-        out = K.int_div(scaled(xs, [3.0]), scaled(ks, [0.5]))
+        out = K.int_div(scaled(xs, [3.0]), scaled(ks, [0.5])).seal()
         assert out.data.values.tolist() == [int_trunc_div(x, k) for x, k in zip(xs, ks)]
         assert out.scale.values.tolist() == [6.0]
 
     @pytest.mark.parametrize("x", BOUNDARY)
     @pytest.mark.parametrize("k", DIVISORS)
     def test_int_div_boundary_grid(self, x, k):
-        out = K.int_div(scaled([x, -x], [1.0]), scaled([k], [1.0]))
+        out = K.int_div(scaled([x, -x], [1.0]), scaled([k], [1.0])).seal()
         assert out.data.values.tolist() == [int_trunc_div(x, k), int_trunc_div(-x, k)]
 
     def test_int_div_reuses_the_stored_max(self, monkeypatch):
@@ -142,7 +142,7 @@ class TestFloat64Boundary:
             raise AssertionError("max|x| scanned again")
 
         monkeypatch.setattr(scaling, "max_abs", no_scan)
-        out = K.int_div(scaled([2**53 + 1, -(2**60)], [1.0]), scaled([3, 2**53], [1.0]))
+        out = K.int_div(scaled([2**53 + 1, -(2**60)], [1.0]), scaled([3, 2**53], [1.0])).seal()
         assert out.data.values.tolist() == [int_trunc_div(2**53 + 1, 3), -(2**7)]
 
     @given(
@@ -431,13 +431,13 @@ class TestRescale:
 class TestProtocolApply:
     def test_in_range_result_untouched(self):
         a = scaled([3], [2.0])
-        out = protocol_apply(K.ew_mul, [a, a], Precision(7))
+        out = protocol_apply(K.ew_mul, [a, a], Precision(7)).seal()
         assert out.data.values.tolist() == [9]
 
     def test_overflow_triggers_rescale(self):
         a = scaled([64], [1.0])
         log = OpAuditLog()
-        out = protocol_apply(K.ew_mul, [a, a], Precision(7), log=log)
+        out = protocol_apply(K.ew_mul, [a, a], Precision(7), log=log).seal()
         assert out.data.values.tolist() == [124]
         assert out.data.in_range()
         kinds = [(r.kind, r.lane) for r in log.records]
@@ -447,14 +447,14 @@ class TestProtocolApply:
 
     def test_idempotent_on_in_range(self):
         a = scaled([64], [1.0])
-        out = protocol_apply(K.ew_mul, [a, a], Precision(7))
+        out = protocol_apply(K.ew_mul, [a, a], Precision(7)).seal()
         again = protocol_apply(K.relu, [scaling.Lane.of(out, scaling.Workspace())], Precision(7)).seal()
         assert np.array_equal(again.data.values, out.data.values)
         assert np.array_equal(again.scale.values, out.scale.values)
 
     def test_rescale_can_be_disabled(self):
         a = scaled([64], [1.0])
-        out = protocol_apply(K.ew_mul, [a, a], Precision(7), allow_rescale=False)
+        out = protocol_apply(K.ew_mul, [a, a], Precision(7), allow_rescale=False).seal()
         assert out.data.values.tolist() == [4096]
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intflow.errors import ScaleRangeError, ShapeError, ValidationError
-from intflow.scaling import Precision, Session, dequantize, init_scale, quantize
+from intflow.scaling import Lane, Precision, Session, dequantize, init_scale, quantize
 from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import (
     _boost,
@@ -198,7 +198,9 @@ class TestScaleOverflowOutsideKernels:
         )
 
     def test_boost_overflow(self):
-        self.raises_quietly(lambda: _boost(self.at(1e300), Session(Precision(P)), "Attn"))
+        session = Session(Precision(P))
+        lane = Lane.of(self.at(1e300), session.workspace)
+        self.raises_quietly(lambda: _boost(lane, session, "Attn"))
 
     def test_layer_norm_constant_overflow(self):
         n = 4
