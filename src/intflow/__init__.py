@@ -28,9 +28,9 @@ from .tensor import (
     RationalTensor,
     ScaledTensor,
     ScaleTensor,
-    concat,
     transpose,
 )
+from .kernels import concat
 from .transformer import (
     FP32ReferenceModel,
     IntegerTransformerModel,

@@ -6,14 +6,19 @@ abs, relu, sum over a uniform scale) are exact on the de-quantized view.
 Anything that matches scales or divides payloads (add, matmul, int_div)
 loses at most the stated truncation per element.
 
-The lane rule: every arithmetic kernel reads ScaledTensor or Lane operands
-(_operand) and returns a scaling.Lane, which protocol_apply shrinks in place
-and a caller that keeps it seals.  A Lane first operand becomes the result,
-worked in place, except in matmul, whose product takes a new shape while
-the operand is still needed.  For a ScaledTensor first operand the kernel's
-own first pass writes into buffers from `ws` (a fresh workspace when none is
-given); the operand is never copied in first.  relu and pow_n take only a
-Lane, as only lanes reach them; transpose and concat stay on ScaledTensors.
+The lane rule: every kernel that runs through protocol_apply reads
+ScaledTensor or Lane operands (_operand) and returns a scaling.Lane, which
+protocol_apply shrinks in place and a caller that keeps it seals.  A Lane
+first operand becomes the result, worked in place, except where the result
+takes a new shape: matmul's product, while the operand is still needed,
+and concat, which writes its parts into one new Lane and releases the Lane
+parts.  matmul matches a Lane first operand along its last axis in place
+(Lane.match_last) where its scale is not yet collapsed there.  For a
+ScaledTensor first operand the kernel's own first pass writes into buffers
+from `ws` (a fresh workspace when none is given); the operand is never
+copied in first.  relu and pow_n take only a Lane, as only lanes reach
+them.  transpose is the one shape op outside the protocol: a read-only view
+of a ScaledTensor, which callers use directly.
 
 ADD has two forms.  `add` matches both operands to their elementwise minimum
 scale, then adds them.  `lane_add` adds a constant already quantized at the
@@ -52,7 +57,7 @@ from .tensor import (
     quiet_overflow,
     scale_bounds,
 )
-from .tensor import concat as tensor_concat, transpose as tensor_transpose
+from .tensor import transpose as tensor_transpose
 
 
 class KernelKind(enum.Enum):
@@ -167,10 +172,11 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
     """Contract the last dims of a (m x d) and b_t (n x d) into a new Lane.
 
     Scales are first matched along the contraction dim, then multiplied as
-    the outer product of the per-row scales.  `a` may be a Lane matched
-    along its last axis (Lane.match_last): its payload goes to BLAS where
-    it lies, and the lane stays as it is.  The product stays float64 when it
-    is exact there (every value then an integer below 2^53), int64 otherwise.
+    the outer product of the per-row scales.  A Lane `a` is matched in place
+    (Lane.match_last) unless its scale is already collapsed there; its
+    payload then goes to BLAS where it lies, and the lane stays matched.
+    The product stays float64 when it is exact there (every value then an
+    integer below 2^53), int64 otherwise.
     """
     if len(a.shape) != 2 or len(b_t.shape) != 2:
         raise ShapeError("matmul expects rank-2 operands")
@@ -179,7 +185,11 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
             f"contraction dims disagree: {a.shape[-1]} vs {b_t.shape[-1]}"
         )
     ws = _workspace(a, ws)
-    ax, sa, am, a_lo, a_hi = _operand(a if isinstance(a, Lane) else scale_match_dim(a, -1))
+    if not isinstance(a, Lane):
+        a = scale_match_dim(a, -1)
+    elif a.s.shape[-1] > 1:
+        a.match_last()
+    ax, sa, am, a_lo, a_hi = _operand(a)
     bx, sb, bm, b_lo, b_hi = _operand(scale_match_dim(b_t, -1))
     bound = _check_product(am, bm, a.shape[-1])
     # Below 2^53 each product and partial sum, in any summation order, is an
@@ -297,14 +307,51 @@ def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | 
     return _result(num, x, s, bound, (n_lo / d_hi, n_hi / d_lo), ws)
 
 
-# Shape ops from the tensor core, tagged so they can run through the protocol.
+# The tensor core's transpose, tagged with its kind for the tracer; a view,
+# it runs outside the protocol.
 transpose = _kernel(KernelKind.TRANSPOSE, scale_arith=False)(tensor_transpose)
 
 
 @_kernel(KernelKind.CONCAT, scale_arith=False)
-def concat(*ts: ScaledTensor, axis: int) -> ScaledTensor:
-    """tensor.concat with the operands passed one by one, as the protocol does."""
-    return tensor_concat(ts, axis)
+def concat(*ts: ScaledTensor | Lane, axis: int, ws: Workspace | None = None) -> Lane:
+    """Payloads and scales of the parts, in order along `axis`, in one new
+    Lane; the Lane parts are released.
+
+    The concat axis of the scale is materialized for each part, so that
+    each part keeps its own scale block.  A side dim stays collapsed when
+    every part's scale has size 1 there, and is materialized otherwise.
+    """
+    if not ts:
+        raise ShapeError("concat of empty tensor list")
+    shape, prec = ts[0].shape, ts[0].precision
+    rank = len(shape)
+    if not 0 <= axis < rank:
+        raise ShapeError(f"axis {axis} out of range for rank {rank}")
+    for t in ts:
+        if t.precision != prec:
+            raise ShapeError("mixed precision in concat")
+        if len(t.shape) != rank:
+            raise ShapeError("rank mismatch in concat")
+        if any(t.shape[d] != shape[d] for d in range(rank) if d != axis):
+            raise ShapeError("incompatible shapes in concat")
+    ws = _workspace(ts[0], ws)
+    xs, ss, ms, los, his = zip(*map(_operand, ts))
+    side = tuple(1 if all(s.shape[d] == 1 for s in ss) else shape[d] for d in range(rank))
+
+    def block(n: int) -> tuple[int, ...]:
+        """A scale's shape with n along the concat axis."""
+        return side[:axis] + (n,) + side[axis + 1:]
+
+    n = sum(x.shape[axis] for x in xs)
+    bound = max(m.max_bound for m in ms)
+    x = ws.take(shape[:axis] + (n,) + shape[axis + 1:], lane_dtype(bound))
+    np.concatenate(xs, axis=axis, out=x, casting="unsafe")
+    s = ws.take(block(n))
+    blocks = [np.broadcast_to(s_i, block(x_i.shape[axis])) for x_i, s_i in zip(xs, ss)]
+    np.concatenate(blocks, axis=axis, out=s)
+    for lane in {id(t): t for t in ts if isinstance(t, Lane)}.values():
+        lane.release()
+    return Lane(x, s, prec, ws, bound, (min(los), max(his)))
 
 
 @_kernel(KernelKind.ADD, scale_arith=True)

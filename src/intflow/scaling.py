@@ -1,8 +1,9 @@
 """The quantization calculus: scale init, (de-)quantize, matching, re-scaling.
 
 Every integer op runs through :func:`protocol_apply`, which executes the
-kernel in the wide lane, shrinks the result back to the logical precision
-when it overflows, and appends an audit record.
+kernel in the wide lane, shrinks the Lane it returns back to the logical
+precision in place when it overflows (:func:`rescale`, the one shrink), and
+appends an audit record.
 """
 from __future__ import annotations
 
@@ -332,18 +333,9 @@ def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
 
 
 def _shrunk_lo(lo: float, x_max: int, limit: int) -> float:
-    """A lower bound on the scales Lane.shrink makes from scales >= lo: no group's
+    """A lower bound on the scales rescale makes from scales >= lo: no group's
     divisor exceeds ceil(x_max / limit), and float division is monotone."""
     return lo / max(-(-x_max // limit), 1)
-
-
-def rescale(x: IntTensor, s: ScaleTensor, prec: Precision) -> ScaledTensor:
-    """Shrink payload back to p bits, as Lane.shrink does, on a copy."""
-    if x.values.size == 0:
-        return ScaledTensor(IntTensor(x.values, prec.p), s)
-    lane = Lane.of(ScaledTensor(x, s), Workspace())
-    lane.shrink(prec)
-    return lane.seal()
 
 
 def _operand(t: ScaledTensor | Lane) -> tuple[np.ndarray, np.ndarray, IntTensor | Lane, float, float]:
@@ -358,12 +350,12 @@ def _operand(t: ScaledTensor | Lane) -> tuple[np.ndarray, np.ndarray, IntTensor 
 class Lane:
     """A kernel result worked in place: one payload buffer and one scale buffer.
 
-    Every arithmetic kernel returns a Lane; `protocol_apply` shrinks and
-    audits it as it does a fresh ScaledTensor.  The payload x holds exact
-    integers: in float64 only while a step's bound on max|x| is below 2^53
-    (`matmul` and `hold` choose it there, other steps keep it), else in
-    int64, the rule of `trunc_div` too.  `m` bounds max|x|, and is max|x|
-    itself while `exact` holds; a step that needs the exact max reads
+    Every kernel that runs through `protocol_apply` returns a Lane, which
+    the protocol shrinks in place (`rescale`) and audits.  The payload x
+    holds exact integers: in float64 only while a step's bound on max|x| is
+    below 2^53 (`matmul` and `hold` choose it there, other steps keep it),
+    else in int64, the rule of `trunc_div` too.  `m` bounds max|x|, and is
+    max|x| itself while `exact` holds; a step that needs the exact max reads
     `max_magnitude`, which scans once.  `lo` and `hi` bound the scale's
     values, and each step that makes scales checks them as
     ScaleTensor.derived does.
@@ -451,38 +443,6 @@ class Lane:
             self.x = self.ws.copy(x, want)
             self.ws.give(x)
 
-    def shrink(self, prec: Precision) -> None:
-        """Shrink the payload to p bits in place: payload and scale divided by
-        ceil(max|x| / (2^p - 1)), at least 1, per scale group; exact in
-        float64 below 2^53 (see trunc_div), in int64 from there up.  A scale
-        divided by at least 1 keeps its upper bound."""
-        m, limit = self.max_magnitude, prec.max_magnitude
-        x, s = self.x, self.s
-        # The groups are the axes the scale collapses, so the divisor has the
-        # scale's shape.
-        axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
-        if m >= FLOAT64_EXACT:
-            d = np.max(np.abs(x), axis=axes, keepdims=True)
-            d = np.maximum(-(-d // limit), 1)
-            trunc_div(x, d, out=x)
-        else:
-            if axes:
-                d = np.maximum(x.max(axis=axes, keepdims=True), -x.min(axis=axes, keepdims=True))
-                d = d.astype(np.float64, copy=False)
-            else:  # one scale per element: the group max is |x| itself
-                d = np.abs(x, out=self.scratch())
-            d /= limit
-            np.ceil(d, out=d)
-            np.maximum(d, 1.0, out=d)
-            # The quotient stays in x's dtype: the cast to int64 truncates.
-            np.divide(x, d, out=x, casting="unsafe")
-            if x.dtype == np.float64:
-                np.trunc(x, out=x)
-        np.divide(s, d, out=s)
-        self.lo, self.hi = scale_bounds(s, _shrunk_lo(self.lo, m, limit), self.hi)
-        self.bound(limit)
-        self.precision = prec.p
-
     def match_last(self) -> None:
         """Collapse the scale along the last axis, as scale_match_dim(t, -1)
         does, with the payload matched in place.
@@ -521,6 +481,42 @@ class Lane:
         return out
 
 
+def rescale(lane: Lane, prec: Precision) -> Lane:
+    """Shrink the lane's payload to p bits in place, and return the lane:
+    payload and scale divided by ceil(max|x| / (2^p - 1)), at least 1, per
+    scale group; exact in float64 below 2^53 (see trunc_div), in int64 from
+    there up.  A scale divided by at least 1 keeps its upper bound."""
+    lane.precision = prec.p
+    x, s = lane.x, lane.s
+    if not x.size:
+        return lane
+    m, limit = lane.max_magnitude, prec.max_magnitude
+    # The groups are the axes the scale collapses, so the divisor has the
+    # scale's shape.
+    axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
+    if m >= FLOAT64_EXACT:
+        d = np.max(np.abs(x), axis=axes, keepdims=True)
+        d = np.maximum(-(-d // limit), 1)
+        trunc_div(x, d, out=x)
+    else:
+        if axes:
+            d = np.maximum(x.max(axis=axes, keepdims=True), -x.min(axis=axes, keepdims=True))
+            d = d.astype(np.float64, copy=False)
+        else:  # one scale per element: the group max is |x| itself
+            d = np.abs(x, out=lane.scratch())
+        d /= limit
+        np.ceil(d, out=d)
+        np.maximum(d, 1.0, out=d)
+        # The quotient stays in x's dtype: the cast to int64 truncates.
+        np.divide(x, d, out=x, casting="unsafe")
+        if x.dtype == np.float64:
+            np.trunc(x, out=x)
+    np.divide(s, d, out=s)
+    lane.lo, lane.hi = scale_bounds(s, _shrunk_lo(lane.lo, m, limit), lane.hi)
+    lane.bound(limit)
+    return lane
+
+
 def protocol_apply(
     kernel,
     ins: list[ScaledTensor | Lane],
@@ -530,36 +526,32 @@ def protocol_apply(
     module: str = "",
     allow_rescale: bool = True,
     **kwargs,
-) -> ScaledTensor | Lane:
+) -> Lane:
     """Run an integer kernel in the wide lane, re-scale on overflow, audit it.
 
-    The kernel returns a fresh ScaledTensor, or the Lane it worked in place;
-    both are shrunk by the same rule and audited with the same records.  A
-    bound on max|x| within the precision decides "no rescale" alone; past
-    it, the exact max decides.
+    The kernel returns the Lane it worked in; anything else is refused with
+    a TypeError.  A bound on max|x| within the precision decides "no
+    rescale" alone; past it, the exact max decides, and `rescale` shrinks
+    the lane in place.
     """
-    out = kernel(*ins, **kwargs)
-    lane = out if isinstance(out, Lane) else None
-    data = out.data if lane is None else lane
+    lane = kernel(*ins, **kwargs)
+    if not isinstance(lane, Lane):
+        raise TypeError(f"kernel {kernel.__name__} returned {type(lane).__name__}, not a Lane")
     limit = prec.max_magnitude
-    rescaled = allow_rescale and data.max_bound > limit and data.max_magnitude > limit
+    rescaled = allow_rescale and lane.max_bound > limit and lane.max_magnitude > limit
     if rescaled:
-        if lane is None:
-            out = rescale(out.data, out.scale, prec)
-        else:
-            lane.shrink(prec)
+        rescale(lane, prec)
     if log is not None:
         kind = kernel.kind
-        x, s = (out.data.values, out.scale.values) if lane is None else (lane.x, lane.s)
-        elements = x.size
+        elements = lane.x.size
         if kind == "matmul" and ins:
             elements *= ins[0].shape[-1]  # multiply-add count, not output count
         log.append(AuditRecord(kind, PAYLOAD, elements, rescaled, module))
         if getattr(kernel, "scale_arith", False):
-            log.append(AuditRecord(kind, SCALE, s.size, rescaled, module))
+            log.append(AuditRecord(kind, SCALE, lane.s.size, rescaled, module))
         if rescaled:
-            log.append(AuditRecord("rescale", SCALE, s.size, True, module))
-    return out
+            log.append(AuditRecord("rescale", SCALE, lane.s.size, True, module))
+    return lane
 
 
 @dataclass
@@ -578,7 +570,7 @@ class Session:
             self._workspace = Workspace()
         return self._workspace
 
-    def apply(self, kernel, ins, module: str = "", **kwargs) -> ScaledTensor:
+    def apply(self, kernel, ins, module: str = "", **kwargs) -> Lane:
         return protocol_apply(
             kernel, ins, self.precision, log=self.log, module=module, **kwargs
         )

@@ -330,51 +330,3 @@ def transpose(t: ScaledTensor, axes: Sequence[int]) -> ScaledTensor:
     s = t.scale
     return ScaledTensor(data, ScaleTensor.derived(np.transpose(s.values, axes), s.lo, s.hi))
 
-
-def concat(ts: Sequence[ScaledTensor], axis: int) -> ScaledTensor:
-    """Concatenate payloads and scales along `axis`.
-
-    Scales collapsed along the concat axis (or along mismatched side dims) are
-    replicated first so the parts remain individually de-quantizable.
-    """
-    if not ts:
-        raise ShapeError("concat of empty tensor list")
-    rank = len(ts[0].shape)
-    if not 0 <= axis < rank:
-        raise ShapeError(f"axis {axis} out of range for rank {rank}")
-    prec = ts[0].precision
-    for t in ts:
-        if t.precision != prec:
-            raise ShapeError("mixed precision in concat")
-        if len(t.shape) != rank:
-            raise ShapeError("rank mismatch in concat")
-        for d in range(rank):
-            if d != axis and t.shape[d] != ts[0].shape[d]:
-                raise ShapeError("incompatible shapes in concat")
-    if len(ts) == 1:
-        return ts[0]
-    datas = [t.data.values for t in ts]
-    # Side dims stay collapsed when every input agrees; otherwise they are
-    # materialized to the data extent.  The concat axis is always materialized
-    # per part so each part keeps its own scale block.
-    side_sizes = []
-    for d in range(rank):
-        if d == axis:
-            side_sizes.append(None)
-        else:
-            sizes = {t.scale.shape[d] for t in ts}
-            side_sizes.append(1 if sizes == {1} else ts[0].shape[d])
-    scales = []
-    for t in ts:
-        target = tuple(
-            t.shape[axis] if d == axis else side_sizes[d] for d in range(rank)
-        )
-        scales.append(np.broadcast_to(t.scale.values, target))
-    x = np.concatenate(datas, axis=axis, dtype=LANE_DTYPE)
-    return ScaledTensor(
-        IntTensor.adopt(x, prec, bound=max(t.data.max_bound for t in ts)),
-        ScaleTensor.derived(
-            np.concatenate(scales, axis=axis),
-            min(t.scale.lo for t in ts), max(t.scale.hi for t in ts),
-        ),
-    )

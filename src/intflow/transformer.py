@@ -391,17 +391,17 @@ def poly_attention(
     d_m: int,
     session: Session,
     module: str = ATTN,
-) -> ScaledTensor:
-    """Normalized polynomial attention for one head.
+) -> Lane:
+    """Normalized polynomial attention for one head, as an unsealed Lane.
 
     Q.K^T matches q and k along their columns, and the value product v along
     the sequence, each where its scale is not yet collapsed there: attn_core
     hands in operands already matched for all heads at once, which those
     matches leave as they are, and any other operands are matched here.  The
     T x T weights are built in place on one Lane, from Q.K^T through the
-    polynomial, and matched along the key axis there.  The weighted value sum
-    reads them in float64 where they lie, then they become the weight sum;
-    the value sum is boosted and divided by it in place, and only that
+    polynomial; the value product matches them along the key axis there and
+    reads them in float64 where they lie, then they become the weight sum.
+    The value sum is boosted and divided by it in place, and only that
     quotient is projected back to the logical precision.
     """
     lane = session.apply(K.matmul, [q, k], module, ws=session.workspace)
@@ -410,16 +410,17 @@ def poly_attention(
     _grow(lane.s, fold, out=lane.s)
     lane.lo, lane.hi = scale_bounds(lane.s, lane.lo * fold, lane.hi * fold)
     weights = _poly_lane(lane, pp, degree, session, module)
-    # Match the T x T weights once; the value product and the weight sum then
-    # find a scale already collapsed along the contraction axis.
-    weights.match_last()
     v_t = K.transpose(v, (1, 0))
+    # The value product matches the weights first, so the weight sum finds
+    # their scale collapsed along the key axis.
     num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False)
     den = session.apply(K.sum_reduce, [weights], module, allow_rescale=False)
     _boost(num, session, module)
     out = session.apply(K.int_div, [num, den], module)
     den.release()
-    return out.seal()
+    # The quotient waits for the other heads; its scratch serves them.
+    out.spare()
+    return out
 
 
 def l1_layer_norm(
@@ -473,6 +474,8 @@ def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, ses
     Q and K are matched along each head's columns, and V along the
     sequence, once for all heads (_match_heads): each head's Q.K^T and
     value product then find their operands collapsed along the contraction.
+    The heads' lanes are concatenated into one Lane, which W_o reads in
+    place; only the product is sealed.
     """
     q, k, v = (_matmul(x, w, session, ATTN) for w in (lp.w_q, lp.w_k, lp.w_v))
     qs, ks = (_match_heads(t, cfg.heads, -1) for t in (q, k))
@@ -482,19 +485,21 @@ def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, ses
         for qh, kh, vh in zip(qs, ks, vs)
     ]
     cat = session.apply(K.concat, heads, ATTN, axis=1)
-    return _matmul(cat, lp.w_o, session, ATTN)
+    out = session.apply(K.matmul, [cat, lp.w_o], ATTN)
+    cat.release()
+    return out.seal()
 
 
 def ffn_core(y: ScaledTensor, lp: TransformerLayerParams, session: Session) -> ScaledTensor:
     """ReLU(y W1 + b1) W2 + b2 on the integer lane.
 
     The hidden activations are worked in place on one Lane, from y W1 to the
-    match along the contraction axis of W2, and the W2 product on another.
+    match along the contraction axis of W2 that the W2 product makes, and
+    that product on another.
     """
     h = session.apply(K.matmul, [y, lp.w1], FFN, ws=session.workspace)
     h = session.apply(K.add, [h, lp.b1], FFN)
     h = session.apply(K.relu, [h], FFN)
-    h.match_last()
     out = session.apply(K.matmul, [h, lp.w2], FFN)
     h.release()
     out = session.apply(K.add, [out, lp.b2], FFN)

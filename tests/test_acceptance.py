@@ -107,8 +107,8 @@ def test_02_overflow_safety(capsys):
         kern = (K.add, K.ew_mul)[rng.integers(2)]
         out = protocol_apply(kern, [a, b], p7).seal()
         ok &= out.data.max_magnitude <= p7.max_magnitude
-        wide = IntTensor(rng.integers(-(2**31), 2**31, 8))
-        ok &= rescale(wide, ScaleTensor(np.full(8, 2.0)), p7).data.in_range()
+        wide = ScaledTensor(IntTensor(rng.integers(-(2**31), 2**31, 8)), ScaleTensor(np.full(8, 2.0)))
+        ok &= rescale(Lane.of(wide, Workspace()), p7).seal().data.in_range()
     report(capsys, 2, "overflow safety", ok)
 
 
@@ -241,7 +241,7 @@ def test_08_degenerate_attention(capsys):
     vv[:, 0] = 1.0  # equal row maxima -> identical per-row scales
     v_q = q(vv)
     sess = Session(Precision(p))
-    out = poly_attention(q(qv), q(kv), v_q, pp, 3, 16, sess)
+    out = poly_attention(q(qv), q(kv), v_q, pp, 3, 16, sess).seal()
     got = dequantize(out).values
     want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
     # One truncated integer division plus one re-scaling: two payload units.

@@ -10,6 +10,7 @@ must agree with them, on both sides of the float64-exact switch at 2^53.
 The buffers come from the session's workspace, which must never hand out an
 array that a result still holds.
 """
+import functools
 import math
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from intflow import scaling
 from intflow.audit import PAYLOAD, SCALE
 from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError, WorkspaceError
 from intflow.scaling import (
-    MATCH_FLOAT_MAX, Precision, Session, Workspace, scale_match, scale_match_dim,
+    MATCH_FLOAT_MAX, Lane, Precision, Session, Workspace, scale_match, scale_match_dim,
 )
 from intflow.tensor import LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import (
@@ -71,10 +72,20 @@ def widened(t: ScaledTensor, shape) -> ScaledTensor:
 
 
 def exact_kernel(kind, scale_arith):
+    """Tag fn for protocol_apply, which takes only a Lane: fn's ScaledTensor
+    result is copied into a Lane of its own."""
     def deco(fn):
-        fn.kind, fn.scale_arith = kind, scale_arith
-        return fn
+        @functools.wraps(fn)
+        def kernel(*args, **kwargs):
+            return Lane.of(fn(*args, **kwargs), Workspace())
+        kernel.kind, kernel.scale_arith = kind, scale_arith
+        return kernel
     return deco
+
+
+def step(session, kernel, ins, module, **kwargs) -> ScaledTensor:
+    """One oracle op through the protocol, its lane sealed."""
+    return session.apply(kernel, ins, module, **kwargs).seal()
 
 
 def ints(t: ScaledTensor) -> np.ndarray:
@@ -176,39 +187,39 @@ def fit_zero_groups(t, value, limit):
 def oracle_poly(scores, pp, degree, session, module="Attn"):
     limit = session.precision.max_magnitude
     x = fit_zero_groups(scores, pp.bias, limit)
-    x = session.apply(exact_add, [x, quantize_const(pp.bias, x, session, module)], module)
-    x = session.apply(exact_relu, [x], module)
-    x = session.apply(exact_pow_n, [x], module, n=degree)
+    x = step(session, exact_add, [x, quantize_const(pp.bias, x, session, module)], module)
+    x = step(session, exact_relu, [x], module)
+    x = step(session, exact_pow_n, [x], module, n=degree)
     x = fit_zero_groups(x, abs(pp.offset), limit)
     min_payload = 1 if pp.offset != 0.0 else 0
     d_q = quantize_const(abs(pp.offset), x, session, module, min_payload)
-    return session.apply(exact_add, [x, d_q], module)
+    return step(session, exact_add, [x, d_q], module)
 
 
 def oracle_poly_attention(q, k, v, pp, degree, d_m, session, module="Attn"):
-    scores = session.apply(exact_matmul, [q, k], module)
+    scores = step(session, exact_matmul, [q, k], module)
     session.note("scale_fold", SCALE, scores.scale.values.size, module)
     with np.errstate(over="ignore"):
         folded = scores.scale.values * math.sqrt(d_m)
     scores = ScaledTensor(scores.data, ScaleTensor(folded))
     weights = scale_match_dim(oracle_poly(scores, pp, degree, session, module), -1)
-    num = session.apply(exact_matmul, [weights, K.transpose(v, (1, 0))], module, allow_rescale=False)
-    den = session.apply(exact_sum, [weights], module, allow_rescale=False)
+    num = step(session, exact_matmul, [weights, K.transpose(v, (1, 0))], module, allow_rescale=False)
+    den = step(session, exact_sum, [weights], module, allow_rescale=False)
     lam = max(1, (1 << 60) // (max(num.data.max_magnitude, 1) + 1))
     if lam > 1:
         session.note("boost", PAYLOAD, num.data.values.size, module)
         with np.errstate(over="ignore"):
             boosted = num.scale.values * lam
         num = ScaledTensor(IntTensor(num.data.values * lam, num.precision), ScaleTensor(boosted))
-    return session.apply(exact_int_div, [num, den], module)
+    return step(session, exact_int_div, [num, den], module)
 
 
 def oracle_ffn(y, lp, session):
-    h = session.apply(exact_matmul, [y, lp.w1], FFN)
-    h = session.apply(exact_add, [h, widened(lp.b1, h.shape)], FFN)
-    h = session.apply(exact_relu, [h], FFN)
-    h = session.apply(exact_matmul, [h, lp.w2], FFN)
-    return session.apply(exact_add, [h, widened(lp.b2, h.shape)], FFN)
+    h = step(session, exact_matmul, [y, lp.w1], FFN)
+    h = step(session, exact_add, [h, widened(lp.b1, h.shape)], FFN)
+    h = step(session, exact_relu, [h], FFN)
+    h = step(session, exact_matmul, [h, lp.w2], FFN)
+    return step(session, exact_add, [h, widened(lp.b2, h.shape)], FFN)
 
 
 def outcome(fn, p, session=None):
@@ -294,7 +305,7 @@ class TestLaneMatchesKernels:
         q, k = (data.draw(operand((T, d_h), p_in, per_element, big)) for _ in range(2))
         v = data.draw(operand((T, d_h), p_in, per_element, False))
         d_m = d_h * data.draw(st.sampled_from([1, 2, 8]))
-        got = outcome(lambda sess: poly_attention(q, k, v, pp, degree, d_m, sess), p)
+        got = outcome(lambda sess: poly_attention(q, k, v, pp, degree, d_m, sess).seal(), p)
         assert got == outcome(lambda sess: oracle_poly_attention(q, k, v, pp, degree, d_m, sess), p)
 
 
@@ -322,7 +333,7 @@ class TestLaneMatchesKernels:
         a = data.draw(operand((T, d), p_in, per_element, big))
         w = data.draw(operand((n, d), p_in, False, big))
         got = outcome(lambda s: s.apply(K.matmul, [a, w], PROJ, ws=s.workspace).seal(), p)
-        assert got == outcome(lambda s: s.apply(exact_matmul, [a, w], PROJ), p)
+        assert got == outcome(lambda s: step(s, exact_matmul, [a, w], PROJ), p)
 
 
 class TestLaneRoutes:
@@ -339,7 +350,7 @@ class TestLaneRoutes:
         q, k, v = (scaled(rng.integers(-4095, 4096, (8, 4)), rng.uniform(1, 9, (8, 4)), 12)
                    for _ in range(3))
         pp = PolyParams(bias=0.5, offset=0.1)
-        got = self.same(lambda s: poly_attention(q, k, v, pp, 3, 16, s),
+        got = self.same(lambda s: poly_attention(q, k, v, pp, 3, 16, s).seal(),
                         lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s), 12)
         assert got[0] == "<i8"
         assert "'rescale'" in got[-1]
@@ -350,7 +361,7 @@ class TestLaneRoutes:
         k = scaled([[2**27, -(2**27) + 1], [5, 7]], [[1.0], [1.0]], 12)
         v = scaled([[3], [4]], [[1.0], [1.0]], 12)
         pp = PolyParams(bias=0.5, offset=0.1)
-        self.same(lambda s: poly_attention(q, k, v, pp, 2, 4, s),
+        self.same(lambda s: poly_attention(q, k, v, pp, 2, 4, s).seal(),
                   lambda s: oracle_poly_attention(q, k, v, pp, 2, 4, s), 12)
 
     def test_constant_above_2_53_takes_int64(self):
@@ -419,7 +430,7 @@ class TestLaneRoutes:
         else:  # 1e154 * 1e154 * sqrt(16) overflows
             q = k = scaled([[1]], [[1e154]], 7)
         v = scaled([[1] * q.shape[1]], [[1.0]], 7)
-        got = self.same(lambda s: poly_attention(q, k, v, pp, 3, 16, s),
+        got = self.same(lambda s: poly_attention(q, k, v, pp, 3, 16, s).seal(),
                         lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s), 7)
         assert got[0] == error.__name__
 
@@ -442,8 +453,8 @@ class TestHeadsMatchedOncePerLayer:
             assert qh.scale.values.flags.c_contiguous and kh.scale.values.flags.c_contiguous
             sl = slice(h * d_h, (h + 1) * d_h)
             plain = [slice_cols(t, sl) for t in (q, k, v)]
-            got.append(outcome(lambda s: poly_attention(qh, kh, vh, pp, degree, d_m, s), p))
-            want.append(outcome(lambda s: poly_attention(*plain, pp, degree, d_m, s), p))
+            got.append(outcome(lambda s: poly_attention(qh, kh, vh, pp, degree, d_m, s).seal(), p))
+            want.append(outcome(lambda s: poly_attention(*plain, pp, degree, d_m, s).seal(), p))
         return got, want
 
     @given(st.data(), st.sampled_from(PRECISIONS), st.sampled_from([1, 2, 8]), poly_params,
@@ -526,16 +537,16 @@ class TestWorkspace:
         (ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12), 256),
     ])
     def test_no_result_shares_a_held_buffer(self, monkeypatch, cfg, seq_len):
+        # Every sealed result, and the forwards' and poly's own.
         results = []
-        apply = scaling.protocol_apply
+        seal = scaling.Lane.seal
 
-        def collecting(*args, **kwargs):
-            out = apply(*args, **kwargs)
-            if isinstance(out, ScaledTensor):
-                results.append(out)
+        def collecting(lane):
+            out = seal(lane)
+            results.append(out)
             return out
 
-        monkeypatch.setattr(scaling, "protocol_apply", collecting)
+        monkeypatch.setattr(scaling.Lane, "seal", collecting)
         model = quantize_model(random_reference_model(cfg, seed=1))
         session = Session(Precision(cfg.precision))
         tokens = np.random.default_rng(2).integers(0, cfg.vocab, seq_len)
@@ -580,7 +591,7 @@ class TestWorkspace:
                           d_h * data.draw(st.sampled_from([1, 2, 8]))))
         shared = Session(Precision(p))
         for q, k, v, pp, degree, d_m in heads:
-            fn = lambda s: poly_attention(q, k, v, pp, degree, d_m, s)  # noqa: E731
+            fn = lambda s: poly_attention(q, k, v, pp, degree, d_m, s).seal()  # noqa: E731
             assert outcome(fn, p, shared) == outcome(fn, p)
 
     def test_pinned_heads_back_to_back(self):
@@ -601,7 +612,7 @@ class TestWorkspace:
         shared = Session(Precision(7))
         kinds = []
         for q, k, v in cases:
-            fn = lambda s: poly_attention(q, k, v, pp, 2, 16, s)  # noqa: E731
+            fn = lambda s: poly_attention(q, k, v, pp, 2, 16, s).seal()  # noqa: E731
             got = outcome(fn, 7, shared)
             assert got == outcome(fn, 7)
             kinds.append(got[0])

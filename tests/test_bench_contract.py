@@ -66,19 +66,23 @@ def test_a_forward_runs_only_traced_kernels(bench_modules, monkeypatch):
     # A kernel outside tracer.KERNELS does work the benchmark cannot see.
     _, tracer = bench_modules
     known = {getattr(kernels, n): n for n in (*tracer.KERNELS, *LANE_ADDS)}
-    seen = []
+    seen, results = [], []
     apply = scaling.protocol_apply
 
     def recording(kernel, *args, **kwargs):
         seen.append(known.get(kernel, kernel.__name__))
-        return apply(kernel, *args, **kwargs)
+        out = apply(kernel, *args, **kwargs)
+        results.append(type(out))
+        return out
 
     monkeypatch.setattr(scaling, "protocol_apply", recording)
     cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=8)
     model = quantize_model(random_reference_model(cfg, seed=0))
     forward(model, Session(Precision(cfg.precision)), tokens=np.arange(4))
     assert set(seen) <= set(known.values())
-    assert {"matmul", "relu", "pow_n", "sum_reduce", "add", "abs_", "ew_mul", "int_div"} <= set(seen)
+    assert {"matmul", "relu", "pow_n", "sum_reduce", "add", "abs_", "ew_mul", "int_div", "concat"} <= set(seen)
+    # Every protocol step returns a Lane, so every shrink is one rescale call.
+    assert set(results) == {scaling.Lane}
 
 
 def test_traced_forward_records_modules_and_kernels(bench_modules):
@@ -92,6 +96,21 @@ def test_traced_forward_records_modules_and_kernels(bench_modules):
     assert w.calls["kernels.matmul"] > 0
     assert w.calls["kernels.relu"] > 0 and w.calls["kernels.pow_n"] > 0
     assert w.counts["kernels.matmul.bytes"] > 0
+
+
+def test_every_shrink_is_a_traced_rescale(bench_modules):
+    # protocol_apply shrinks a lane through scaling.rescale, which the tracer
+    # wraps: one call per payload record that was rescaled.
+    _, tracer = bench_modules
+    cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=8)
+    model = quantize_model(random_reference_model(cfg, seed=0))
+    session = Session(Precision(cfg.precision))
+    t = tracer.Tracer(n_layers=cfg.n_layers)
+    with t.installed(), t.window() as w:
+        forward(model, session, tokens=np.arange(4))
+    rescaled = sum(r.rescaled for r in session.log.payload_records())
+    assert rescaled > 0
+    assert w.calls["scaling.rescale"] == rescaled
 
 
 @pytest.mark.parametrize("name", ["toy", "wide", "longctx"])

@@ -173,6 +173,25 @@ class TestMatMulExactness:
         assert got.data.values.tolist() == want.data.values.tolist()
         assert np.array_equal(got.scale.values, want.scale.values)
 
+    @given(gemm_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_an_unmatched_lane_operand_gives_the_same_product(self, ops):
+        # matmul matches a Lane along its last axis itself, in place.
+        a, b_t = ops
+        ws = Workspace()
+        lane = Lane.of(a, ws)
+        got, want = K.matmul(lane, b_t, ws).seal(), matmul(a, b_t)
+        assert got.data.values.tolist() == want.data.values.tolist()
+        assert np.array_equal(got.scale.values, want.scale.values)
+        assert lane.s.shape == (a.shape[0], 1)
+
+    def test_a_lane_with_varying_contraction_scales_is_matched(self):
+        a = scaled([[3, 5], [7, -2]], [[1.0, 2.0], [4.0, 1.0]])
+        b_t = scaled([[1, 2], [3, 4]], [[1.0], [1.0]])
+        got = K.matmul(Lane.of(a, Workspace()), b_t).seal()
+        assert got.data.values.tolist() == [[7, 17], [-3, -5]]
+        assert got.scale.values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
     def test_bound_at_float_mantissa_takes_int64_path(self):
         x = 2**27 + 1
         a = scaled([[x]], [[1.0]])
@@ -392,8 +411,8 @@ CONTAINER_CALLS = {
     "sum_reduce": (("a",), lambda ap, o: ap(K.sum_reduce, [scale_match_dim(o["a"], -1)]).seal()),
     "int_div": (("a", "den"), lambda ap, o: ap(K.int_div, [o["a"], o["den"]]).seal()),
     "matmul": (("a", "w"), lambda ap, o: ap(K.matmul, [o["a"], o["w"]], ws=Workspace()).seal()),
-    "concat": (("a", "b"), lambda ap, o: ap(K.concat, [o["a"], o["b"]], axis=0)),
-    "transpose": (("a",), lambda ap, o: ap(K.transpose, [o["a"]], axes=(1, 0))),
+    "concat": (("a", "b"), lambda ap, o: ap(K.concat, [o["a"], o["b"]], axis=0).seal()),
+    "transpose": (("a",), lambda ap, o: K.transpose(o["a"], (1, 0))),
     "add on a lane": (
         ("a", "b"),
         lambda ap, o: ap(K.add, [Lane.of(o["a"], Workspace()), o["b"]]).seal(),

@@ -155,8 +155,8 @@ STEPS = {
     "relu": lambda ap, o, n: ap(K.relu, [Lane.of(o["a"], Workspace())]).seal(),
     "sum_reduce": lambda ap, o, n: ap(K.sum_reduce, [scale_match_dim(o["a"], -1)]).seal(),
     "int_div": lambda ap, o, n: ap(K.int_div, [o["a"], o["den"]]).seal(),
-    "concat": lambda ap, o, n: ap(K.concat, [o["a"], o["b"]], axis=1),
-    "transpose": lambda ap, o, n: ap(K.transpose, [o["a"]], axes=(1, 0)),
+    "concat": lambda ap, o, n: ap(K.concat, [o["a"], o["b"]], axis=1).seal(),
+    "transpose": lambda ap, o, n: K.transpose(o["a"], (1, 0)),
     "scale_match_dim": lambda ap, o, n: scale_match_dim(o["a"], 0),
 }
 

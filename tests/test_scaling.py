@@ -11,6 +11,7 @@ from intflow import scaling
 from intflow.audit import PAYLOAD, SCALE, OpAuditLog
 from intflow.errors import ShapeError
 from intflow.scaling import (
+    Lane,
     Precision,
     ScaleGranularity,
     Session,
@@ -21,6 +22,7 @@ from intflow.scaling import (
     rescale,
     scale_match,
     scale_match_dim,
+    Workspace,
     trunc_div,
 )
 from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
@@ -155,7 +157,7 @@ class TestFloat64Boundary:
     def test_rescale_matches_python_ints(self, xs, p, per_element, svals):
         x = np.array(xs, dtype=np.int64).reshape(2, 3)
         s = np.array(svals).reshape(2, 3) if per_element else np.array(svals[:2]).reshape(2, 1)
-        out = rescale(IntTensor(x), ScaleTensor(s), Precision(p))
+        out = rescale(Lane.of(ScaledTensor(IntTensor(x), ScaleTensor(s)), Workspace()), Precision(p)).seal()
         limit = (1 << p) - 1
         if per_element:
             groups = [[(i, j)] for i in range(2) for j in range(3)]
@@ -400,35 +402,42 @@ class TestScaleMatchDim:
 
 class TestRescale:
     def test_worked_example(self):
-        out = rescale(
-            IntTensor(np.array([300])), ScaleTensor(np.array([6.0])), Precision(7)
-        )
+        out = rescale(Lane.of(scaled([300], [6.0]), Workspace()), Precision(7)).seal()
         assert out.data.values.tolist() == [100]
         assert out.scale.values.tolist() == [2.0]
 
     def test_in_range_identity(self):
-        out = rescale(
-            IntTensor(np.array([127, -127])), ScaleTensor(np.array([1.0])), Precision(7)
-        )
+        out = rescale(Lane.of(scaled([127, -127], [1.0]), Workspace()), Precision(7)).seal()
         assert out.data.values.tolist() == [127, -127]
 
     def test_random_int32_tensors_land_in_range(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            x = IntTensor(rng.integers(-(2**31), 2**31, 12))
-            out = rescale(x, ScaleTensor(np.full(12, 3.0)), Precision(7))
+            x = ScaledTensor(IntTensor(rng.integers(-(2**31), 2**31, 12)), ScaleTensor(np.full(12, 3.0)))
+            out = rescale(Lane.of(x, Workspace()), Precision(7)).seal()
             assert out.data.in_range()
 
     def test_group_structure_follows_scale(self):
-        x = IntTensor(np.array([[1000, 1], [1, 1]]))
-        s = ScaleTensor(np.array([[2.0], [2.0]]))
-        out = rescale(x, s, Precision(7))
+        x = scaled([[1000, 1], [1, 1]], [[2.0], [2.0]])
+        out = rescale(Lane.of(x, Workspace()), Precision(7)).seal()
         # Only the first row needed shrinking; the second row is untouched.
         assert out.data.values[1].tolist() == [1, 1]
         assert out.scale.values[1] == 2.0
 
 
+    def test_empty_payload_takes_the_precision(self):
+        x = ScaledTensor(IntTensor(np.zeros((2, 0), np.int64), 12), ScaleTensor(np.ones((1, 1))))
+        out = rescale(Lane.of(x, Workspace()), Precision(7)).seal()
+        assert out.shape == (2, 0) and out.precision == 7
+        assert out.scale.values.tolist() == [[1.0]]
+
+
 class TestProtocolApply:
+    def test_a_kernel_must_return_a_lane(self):
+        # transpose is a view outside the protocol: it returns a ScaledTensor.
+        with pytest.raises(TypeError, match="transpose"):
+            protocol_apply(K.transpose, [scaled([[1, 2]], [[1.0]])], Precision(7), axes=(1, 0))
+
     def test_in_range_result_untouched(self):
         a = scaled([3], [2.0])
         out = protocol_apply(K.ew_mul, [a, a], Precision(7)).seal()

@@ -4,14 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from intflow import kernels as K
 from intflow.errors import LaneOverflowError, ShapeError
-from intflow.scaling import dequantize
+from intflow.scaling import Lane, Workspace, dequantize
 from intflow.tensor import (
     IntTensor,
     RationalTensor,
     ScaledTensor,
     ScaleTensor,
-    concat,
     transpose,
 )
 
@@ -141,14 +141,14 @@ class TestTranspose:
 class TestConcat:
     def test_single_input_identity(self):
         t = scaled([[1, 2]], [[5.0]])
-        out = concat([t], 0)
+        out = K.concat(t, axis=0).seal()
         assert np.array_equal(out.data.values, t.data.values)
         assert np.array_equal(out.scale.values, t.scale.values)
 
     def test_two_rows_stack_scales(self):
         a = scaled([[1, 2]], [[10.0]])
         b = scaled([[3, 4]], [[20.0]])
-        out = concat([a, b], 0)
+        out = K.concat(a, b, axis=0).seal()
         assert out.data.values.tolist() == [[1, 2], [3, 4]]
         assert out.scale.values.tolist() == [[10.0], [20.0]]
 
@@ -156,7 +156,7 @@ class TestConcat:
         a = scaled([[1]], [[1.0]], precision=7)
         b = scaled([[1]], [[1.0]], precision=8)
         with pytest.raises(ShapeError):
-            concat([a, b], 0)
+            K.concat(a, b, axis=0)
 
     def test_dequantized_view_commutes(self):
         rng = np.random.default_rng(1)
@@ -166,15 +166,46 @@ class TestConcat:
             )
             for n in (2, 1, 4)
         ]
-        got = dequantize(concat(parts, 0)).values
+        got = dequantize(K.concat(*parts, axis=0).seal()).values
         want = np.concatenate([dequantize(p).values for p in parts], axis=0)
         assert np.array_equal(got, want)
 
     def test_concat_along_hidden_axis(self):
         a = scaled([[1, 2], [3, 4]], [[10.0], [20.0]])
         b = scaled([[5], [6]], [[10.0], [20.0]])
-        out = concat([a, b], 1)
+        out = K.concat(a, b, axis=1).seal()
         assert out.data.values.tolist() == [[1, 2, 5], [3, 4, 6]]
         got = dequantize(out).values
         want = np.concatenate([dequantize(a).values, dequantize(b).values], axis=1)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("parts, axis", [
+        ((), 0),
+        ((scaled([[1]], [[1.0]]), scaled([1], [1.0])), 0),
+        ((scaled([[1, 2]], [[1.0]]), scaled([[1]], [[1.0]])), 0),
+        ((scaled([[1]], [[1.0]]),), 2),
+    ])
+    def test_empty_rank_shape_and_axis_rejected(self, parts, axis):
+        with pytest.raises(ShapeError):
+            K.concat(*parts, axis=axis)
+
+    def test_lane_parts_are_released(self):
+        ws = Workspace()
+        a = Lane.of(scaled([[1, 2], [3, 4]], [[10.0], [20.0]]), ws)
+        b = scaled([[5], [6]], [[10.0], [20.0]])
+        held = (a.x, a.s)
+        out = K.concat(a, b, axis=1)
+        assert out.ws is ws
+        assert all(any(x is f for fs in ws._free.values() for f in fs) for x in held)
+        sealed = out.seal()
+        assert sealed.data.values.tolist() == [[1, 2, 5], [3, 4, 6]]
+        assert sealed.scale.values.tolist() == [[10.0, 10.0, 10.0], [20.0, 20.0, 20.0]]
+
+    def test_a_lane_given_twice_goes_back_once(self):
+        ws = Workspace()
+        a = Lane.of(scaled([[1, 2]], [[3.0]]), ws)
+        out = K.concat(a, a, axis=0).seal()
+        assert out.data.values.tolist() == [[1, 2], [1, 2]]
+        assert out.scale.values.tolist() == [[3.0], [3.0]]
+        held = [id(f) for fs in ws._free.values() for f in fs]
+        assert len(held) == len(set(held))

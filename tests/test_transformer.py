@@ -137,7 +137,7 @@ class TestPolyAttention:
         pp = PolyParams(bias=0.5, offset=0.1)
         qv, kv, vv = (rng.normal(size=(T, dh)) for _ in range(3))
         sess = Session(Precision(P))
-        out = dequantize(poly_attention(q(qv), q(kv), q(vv), pp, 3, dm, sess)).values
+        out = dequantize(poly_attention(q(qv), q(kv), q(vv), pp, 3, dm, sess).seal()).values
         scores = (qv @ kv.T) / math.sqrt(dm)
         w = ref_poly(scores, pp, 3)
         want = (w @ vv) / np.sum(w, axis=-1, keepdims=True)
@@ -149,7 +149,7 @@ class TestPolyAttention:
         out = poly_attention(
             q(rng.normal(size=(5, 4))), q(rng.normal(size=(5, 4))),
             q(rng.normal(size=(5, 4))), PolyParams(), 3, 16, sess,
-        )
+        ).seal()
         assert out.data.in_range()
 
     def test_degenerate_scores_give_row_average(self):
@@ -164,7 +164,7 @@ class TestPolyAttention:
         vv[:, 0] = 1.0  # equal row maxima -> identical per-row scales
         v_q = q(vv)
         sess = Session(Precision(P))
-        out = poly_attention(q(qv), q(kv), v_q, pp, 3, 16, sess)
+        out = poly_attention(q(qv), q(kv), v_q, pp, 3, 16, sess).seal()
         got = dequantize(out).values
         want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
         bound = 2.0 / np.min(out.scale.values)
