@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import statistics
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +109,47 @@ class SpeedupEstimate:
         for kind in sorted(self.op_shares):
             out.append(f"speedup\t{kind}\tshare\t{self.op_shares[kind]:.4f}")
         return out
+
+
+@dataclass(frozen=True)
+class MeasuredTimes:
+    """Median wall-clock milliseconds of whole forwards on the same tokens:
+    the integer model and its FP32 twin."""
+
+    int_ms: float
+    fp32_ms: float
+
+    def lines(self) -> list[str]:
+        return [
+            f"measured\tint_ms\tp50\t{self.int_ms:.3f}",
+            f"measured\tfp32_ms\tp50\t{self.fp32_ms:.3f}",
+            f"measured\tint_vs_fp32\tx\t{self.int_ms / self.fp32_ms:.4f}",
+        ]
+
+
+# Timed forwards of each model per measurement, after one warm-up.
+MEASURED_FORWARDS = 5
+
+
+def measure_forwards(
+    model: IntegerTransformerModel, ref: FP32ReferenceModel, tokens: np.ndarray
+) -> MeasuredTimes:
+    """Time MEASURED_FORWARDS forwards of each model on `tokens`, alternating,
+    after one untimed warm-up of each; each integer forward gets a fresh
+    Session, made outside the timed call."""
+    precision = Precision(model.config.precision)
+    int_s, fp32_s = [], []
+    for i in range(MEASURED_FORWARDS + 1):
+        session = Session(precision)
+        t0 = time.perf_counter()
+        forward(model, session, tokens=tokens)
+        t1 = time.perf_counter()
+        reference_forward(ref, tokens=tokens)
+        t2 = time.perf_counter()
+        if i:
+            int_s.append(t1 - t0)
+            fp32_s.append(t2 - t1)
+    return MeasuredTimes(1e3 * statistics.median(int_s), 1e3 * statistics.median(fp32_s))
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .analysis import (
     bit_sweep,
+    measure_forwards,
     module_ablation,
     precision_loss,
     speedup_estimate,
@@ -219,10 +220,14 @@ def cmd_report(args) -> int:
     for line in storage_report(model).lines():
         print(line)
     session = Session(Precision(model.config.precision))
-    quantize_model(reference_twin(model), session=session)
+    twin = reference_twin(model)
+    quantize_model(twin, session=session)
     tokens = _random_tokens(model.config, args.seq_len, args.seed)
     forward(model, session, tokens=tokens)
     for line in speedup_estimate(session.log, factor=args.factor).lines():
+        print(line)
+    # The estimate is a model; the measured times stand next to it.
+    for line in measure_forwards(model, twin, tokens).lines():
         print(line)
     return EXIT_OK
 

@@ -25,10 +25,15 @@ scale, then adds them.  `lane_add` adds a constant already quantized at the
 Lane's own scale, so nothing is matched; as a ScaledTensor the constant
 would seal that scale read-only, and later steps grow it in place.
 
-An operand may be a parameter held narrow (int8 or int16); every kernel
-computes in int64 or float64 regardless.  A float64 first operand stays
-float64 while the result's bound on max|x| is below 2^53, where that is
-exact; everything else runs in int64, and every sealed result is int64.
+An operand may be a parameter held narrow (int8 or int16); no kernel
+computes at that width.  Lanes hold float64 or int64: a float64 first
+operand stays float64 while the result's bound on max|x| is below 2^53,
+where that is exact; everything else runs in int64, and every sealed result
+is int64.  matmul alone picks a GEMM type of three tiers from its bound
+(scaling.gemm_dtype): float32 below 2^24, float64 below 2^53, int64 from
+there up.  Below 2^24 every partial sum is an integer float32 holds, in any
+summation order and with FMA, so sgemm is exact; its product is copied into
+a float64 lane, and no other kernel sees float32.
 """
 from __future__ import annotations
 
@@ -43,6 +48,7 @@ from .scaling import (
     Workspace,
     _match_payload,
     _operand,
+    gemm_dtype,
     lane_dtype,
     match_max,
     scale_match_dim,
@@ -175,8 +181,11 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
     the outer product of the per-row scales.  A Lane `a` is matched in place
     (Lane.match_last) unless its scale is already collapsed there; its
     payload then goes to BLAS where it lies, and the lane stays matched.
-    The product stays float64 when it is exact there (every value then an
-    integer below 2^53), int64 otherwise.
+
+    The GEMM runs in gemm_dtype(bound), the operands cast straight to it:
+    float32 below 2^24, float64 below 2^53, int64 from there up.  The result
+    is a lane_dtype(bound) lane, float64 below 2^53; a float32 product is
+    fresh and is copied into it.
     """
     if len(a.shape) != 2 or len(b_t.shape) != 2:
         raise ShapeError("matmul expects rank-2 operands")
@@ -192,14 +201,18 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
     ax, sa, am, a_lo, a_hi = _operand(a)
     bx, sb, bm, b_lo, b_hi = _operand(scale_match_dim(b_t, -1))
     bound = _check_product(am, bm, a.shape[-1])
-    # Below 2^53 each product and partial sum, in any summation order, is an
-    # integer no larger than bound, so BLAS returns the int64 result bit for
-    # bit (the accumulator-width argument of gemmlowp and I-BERT).
-    dtype = lane_dtype(bound)
-    x = np.matmul(
-        ax.astype(dtype, copy=False), bx.astype(dtype, copy=False).T,
-        out=ws.take((ax.shape[0], bx.shape[0]), dtype),
+    # Each product and partial sum, in any summation order and with FMA, is
+    # an integer no larger than bound, which the GEMM type holds exactly, so
+    # BLAS returns the int64 result bit for bit (the accumulator-width
+    # argument of gemmlowp and I-BERT); widening float32 to float64 is exact.
+    gemm, dtype = gemm_dtype(bound), lane_dtype(bound)
+    x = ws.take((ax.shape[0], bx.shape[0]), dtype)
+    y = np.matmul(
+        ax.astype(gemm, copy=False), bx.astype(gemm, copy=False).T,
+        out=x if gemm is dtype else None,
     )
+    if y is not x:
+        np.copyto(x, y)
     # The outer product of the per-row scales, (m,1) by (1,n), broadcast; a
     # scale uniform over its rows stays collapsed there.  Each element is one
     # rounded product, as a GEMM of inner length 1 gives it, so the bounds

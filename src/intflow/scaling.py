@@ -62,8 +62,10 @@ def _round_to_f32(values: np.ndarray) -> np.ndarray:
     return values.astype(np.float32).astype(np.float64)
 
 
-# Every integer of magnitude up to 2^53 is exactly a float64.
+# Every integer of magnitude up to 2^53 is exactly a float64, and every one
+# up to 2^24 exactly a float32.
 FLOAT64_EXACT = 2**53
+FLOAT32_EXACT = 2**24
 
 
 def lane_dtype(bound: int, x: np.ndarray | None = None) -> type:
@@ -71,6 +73,14 @@ def lane_dtype(bound: int, x: np.ndarray | None = None) -> type:
     (below 2^53) and x, a payload the result comes from, is float64 too;
     else int64."""
     return np.float64 if bound < FLOAT64_EXACT and (x is None or x.dtype == np.float64) else np.int64
+
+
+def gemm_dtype(bound: int) -> type:
+    """The arithmetic type of a GEMM whose products and partial sums are
+    bounded by `bound`: float32 below 2^24, float64 below 2^53, else int64.
+    Each tier is exact: every partial sum is an integer it holds.  Only the
+    GEMM runs in float32; its product lands in a lane_dtype(bound) lane."""
+    return np.float32 if bound < FLOAT32_EXACT else lane_dtype(bound)
 
 
 def trunc_div(x: np.ndarray, k: np.ndarray, *, x_max: int | None = None, out=None) -> np.ndarray:

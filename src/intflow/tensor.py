@@ -185,8 +185,11 @@ class IntTensor:
         """A model parameter's payload, held at container_dtype(precision),
         not in the wide lane: a weight takes one or two bytes, not eight.
 
-        Kernels compute on such operands in int64 or float64, so no sum or
-        product wraps at the narrow width.  A read-only array already of the
+        No kernel computes at the narrow width, so no sum or product wraps
+        there.  matmul casts the payload straight to its GEMM type, chosen
+        by the product's bound: float32 below 2^24 (every partial sum then
+        an integer float32 holds), float64 below 2^53, else int64; every
+        lane it lands in is float64 or int64.  A read-only array already of the
         container type (a record read from a file, say) is kept as it is;
         anything else is copied.  `known_max` is as in `adopt`.
         """

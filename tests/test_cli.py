@@ -164,6 +164,17 @@ class TestReport:
         out = capsys.readouterr().out
         assert "storage\tratio" in out
         assert "speedup\testimate" in out
+        # The Amdahl estimate stands next to measured times, never alone.
+        measured = {tuple(line.split("\t")[:3]): float(line.split("\t")[3])
+                    for line in out.splitlines() if line.startswith("measured\t")}
+        assert set(measured) == {
+            ("measured", "int_ms", "p50"),
+            ("measured", "fp32_ms", "p50"),
+            ("measured", "int_vs_fp32", "x"),
+        }
+        int_ms, fp32_ms = measured["measured", "int_ms", "p50"], measured["measured", "fp32_ms", "p50"]
+        assert int_ms > 0 and fp32_ms > 0
+        assert measured["measured", "int_vs_fp32", "x"] == pytest.approx(int_ms / fp32_ms, rel=1e-2)
 
     def test_report_needs_quantized_model(self, workspace):
         tmp, fp32, int8 = workspace

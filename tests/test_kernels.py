@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from intflow import kernels as K
 from intflow.audit import OpAuditLog
 from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError, ShapeError
-from intflow.scaling import Lane, Precision, Workspace, dequantize, protocol_apply, scale_match_dim
+from intflow.scaling import (
+    Lane, Precision, Workspace, dequantize, gemm_dtype, protocol_apply, scale_match_dim,
+)
 from intflow.tensor import IntTensor, ScaledTensor, ScaleTensor, container_dtype
 
 
@@ -135,13 +137,16 @@ class TestMatMul:
 @st.composite
 def gemm_operands(draw):
     """(a, b_t) with payload widths putting k * max|a| * max|b| on either
-    side of 2^53; a width of 0 bits gives an all-zero operand."""
+    side of 2^24 and of 2^53; a width of 0 bits gives an all-zero operand.
+    Near-maximal payloads are drawn often, so that sums reach past 2^24,
+    where float32 would round an odd one."""
     m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
 
     def operand(rows):
-        bits = draw(st.one_of(st.integers(0, 12), st.integers(24, 29)))
+        bits = draw(st.one_of(st.integers(0, 12), st.integers(11, 14), st.integers(24, 29)))
         hi = 2**bits - 1
-        xs = draw(st.lists(st.integers(-hi, hi), min_size=rows * k, max_size=rows * k))
+        payload = st.one_of(st.integers(-hi, hi), st.sampled_from([hi, -hi, hi - 1, 1 - hi]))
+        xs = draw(st.lists(payload, min_size=rows * k, max_size=rows * k))
         cols = draw(st.sampled_from([1, k]))
         ss = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0, 40.0]),
                            min_size=rows * cols, max_size=rows * cols))
@@ -198,6 +203,71 @@ class TestMatMulExactness:
         assert float(x) * float(x) != x * x  # 2^54 + 2^28 + 1 rounds in float64
         out = matmul(a, a)
         assert out.data.values.tolist() == [[x * x]]
+
+    @pytest.mark.parametrize("x, k", [(4095, 1), (127, 1024)])
+    def test_bound_just_below_float32_mantissa(self, x, k):
+        # k * x^2 is 16,769,025 and 16,516,096: float32 GEMMs, exact.
+        a = scaled(np.full((2, k), x), [[1.0], [1.0]])
+        b_t = scaled(np.full((3, k), -x), [[1.0], [1.0], [1.0]])
+        assert k * x * x < 2**24
+        out = matmul(a, b_t)
+        assert out.data.values.tolist() == (a.data.values @ b_t.data.values.T).tolist()
+        assert out.data.values[0, 0] == -k * x * x
+
+    def test_odd_sum_past_float32_mantissa(self):
+        # The bound is 3 * 4095^2 >= 2^24, and the sum, 33,538,051, is odd:
+        # float32 cannot hold it, so the GEMM must not run there.
+        a = scaled([[4095, 4095, 1]], [[1.0]])
+        want = 2 * 4095**2 + 1
+        assert int(np.float32(want)) != want
+        assert matmul(a, a).data.values.tolist() == [[want]]
+
+
+class TestGemmRoute:
+    """The bound alone picks the GEMM type; a float32 product never leaves
+    matmul, whose lane stays float64."""
+
+    @pytest.mark.parametrize("bound, dtype", [
+        (2**24 - 1, np.float32), (2**24, np.float64),
+        (2**53 - 1, np.float64), (2**53, np.int64),
+    ])
+    def test_tier_at_each_boundary(self, bound, dtype):
+        assert gemm_dtype(bound) is dtype
+
+    @pytest.fixture
+    def gemm_types(self, monkeypatch):
+        """The operand dtypes of every np.matmul call matmul makes."""
+        seen, real = [], np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            seen.append((a.dtype, b.dtype))
+            return real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(K.np, "matmul", spy)
+        return seen
+
+    def test_wide_w2_product_runs_in_float32(self, gemm_types):
+        # The `wide` FFN's second GEMM: (T, d_ff) by an int8 W2 of (d_m, d_ff),
+        # bound 127^2 * 1024 = 16,516,096.
+        rng = np.random.default_rng(0)
+        h = scaled(np.full((4, 1024), 127), [[1.0]] * 4)
+        w = rng.integers(-127, 128, (256, 1024))
+        w[0] = 127
+        w2 = ScaledTensor(IntTensor.param(w, 7), ScaleTensor(np.ones((256, 1))))
+        assert w2.data.values.dtype == np.int8
+        lane = K.matmul(h, w2, Workspace())
+        assert gemm_types == [(np.float32, np.float32)]
+        assert lane.x.dtype == np.float64
+        assert np.array_equal(lane.seal().data.values, h.data.values @ w.T)
+
+    def test_p12_product_runs_in_float64(self, gemm_types):
+        # A `longctx` (p=12) GEMM over d_m = 64: bound 4095^2 * 64, past 2^24.
+        a = scaled(np.full((3, 64), 4095), [[1.0]] * 3, precision=12)
+        b_t = scaled(np.full((5, 64), -4095), [[1.0]] * 5, precision=12)
+        lane = K.matmul(a, b_t, Workspace())
+        assert gemm_types == [(np.float64, np.float64)]
+        assert lane.x.dtype == np.float64
+        assert lane.seal().data.values.tolist() == [[-64 * 4095**2] * 5] * 3
 
 
 class TestPowAbsRelu:
