@@ -219,11 +219,11 @@ def cmd_report(args) -> int:
     model = _require_int_model(load_model(args.model))
     for line in storage_report(model).lines():
         print(line)
+    # The estimate counts one forward's work: the session logs nothing else.
     session = Session(Precision(model.config.precision))
-    twin = reference_twin(model)
-    quantize_model(twin, session=session)
     tokens = _random_tokens(model.config, args.seq_len, args.seed)
     forward(model, session, tokens=tokens)
+    twin = reference_twin(model)
     for line in speedup_estimate(session.log, factor=args.factor).lines():
         print(line)
     # The estimate is a model; the measured times stand next to it.

@@ -258,8 +258,10 @@ def pow_n(t: Lane, n: int) -> Lane:
     t.x = xn
     if in_float:
         t.work = x
-    # max|x^n| = max|x|^n, so an exact max stays exact.
+    # max|x^n| = max|x|^n, so an exact max stays exact; an even power, or
+    # one of no negative payload, leaves no payload negative.
     t.m = mn
+    t.nonneg = t.nonneg or n % 2 == 0
     t.check_fit()
     # Scales keep **: in float, s*s*s can round differently from s**n.
     t.s **= n
@@ -280,9 +282,9 @@ def abs_(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
 @_kernel(KernelKind.RELU, scale_arith=False)
 def relu(t: Lane) -> Lane:
     """{max(0, x), s} in place: exact since s > 0; t.m stays a bound, no
-    longer exact."""
+    longer exact, and no payload is negative."""
     np.maximum(t.x, 0, out=t.x)
-    t.bound(t.m)
+    t.bound(t.m, nonneg=True)
     return t
 
 

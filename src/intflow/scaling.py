@@ -142,8 +142,14 @@ def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
     """round(s * r), half to even, into the float64 array `out`; returns max|x|."""
     np.multiply(r, s, out=out)
     np.rint(out, out=out)
-    # Every x is now a float64 integer, so this one scan is the payload's exact max|x|.
-    m = int(max(out.max(), -out.min())) if out.size else 0
+    # Every x is now a float64 integer, so these scans give the payload's exact max|x|.
+    if not out.size:
+        m = 0
+    elif np.ndim(r) == 0:
+        # One constant: with s > 0 every x has its sign, or is zero, so one reduction does.
+        m = int(out.max()) if r >= 0 else -int(out.min())
+    else:
+        m = int(max(out.max(), -out.min()))
     if m >= LANE_MAX:
         raise LaneOverflowError("quantized payload exceeds accumulator lane")
     return m
@@ -223,6 +229,7 @@ def _match_payload(
     x_max: int,
     ws: Workspace | None = None,
     out: np.ndarray | None = None,
+    nonneg: bool = False,
 ) -> np.ndarray:
     """Move payload x, with max|x| = `x_max`, from scale s down to
     s_bar <= s, truncating toward zero.  `x_max` may be a bound while it is
@@ -235,6 +242,10 @@ def _match_payload(
     float64 holding integers; the result goes to `out`, which may be x
     itself or of a shape x broadcasts to, else to a fresh int64 array.  The
     ratio buffer comes from `ws` when given.
+
+    `nonneg` says that x has no negative value, so the float route takes
+    neither |x| nor x's sign: the result is the same integers, bit for bit,
+    except that a -0.0 in x comes out as +0.0.
     """
     if x_max >= MATCH_FLOAT_MAX:
         q = _match_exact(x, s, s_bar)
@@ -247,18 +258,26 @@ def _match_payload(
     # itself when it is float64 and not x.
     shape = x.shape if out is None else out.shape
     own = out is not None and out is not x and out.dtype == np.float64
-    q = out if own else (np.empty(shape) if ws is None else ws.take(shape))
-    np.divide(s_bar, s, out=q)
-    q *= x
-    np.abs(q, out=q)
+    ratio = out if own else (np.empty(shape) if ws is None else ws.take(shape))
+    np.divide(s_bar, s, out=ratio)
+    if nonneg and out is not None and out.dtype == np.float64:
+        # No sign to restore from x, so the product may overwrite x itself.
+        q = np.multiply(ratio, x, out=out)
+    else:
+        q = np.multiply(ratio, x, out=ratio)
+        if not nonneg:
+            np.abs(q, out=q)
     # Guard against float noise flipping an exactly-integer quotient downward.
     q += 1e-9
     np.floor(q, out=q)
     if out is None:
         out = np.empty(x.shape, np.int64)
-    np.copysign(q, x, out=out, casting="unsafe")
-    if ws is not None and q is not out:
-        ws.give(q)
+    if not nonneg:
+        np.copysign(q, x, out=out, casting="unsafe")
+    elif q is not out:
+        np.copyto(out, q, casting="unsafe")
+    if ws is not None and ratio is not out:
+        ws.give(ratio)
     return out
 
 
@@ -315,17 +334,17 @@ def match_axis(
     x_max: int,
     ws: Workspace | None = None,
     out: np.ndarray | None = None,
+    nonneg: bool = False,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """scale_match_dim's arithmetic: the payload matched to the minimum scale
     along axis d (None when no payload moves), and that minimum, taken from
     `ws` when given, else a fresh array.  max|x| is `x_max`; the matched
-    payload goes to `out` as _match_payload says."""
+    payload goes to `out` as _match_payload says, `nonneg` too."""
     shape = s.shape[:d] + (1,) + s.shape[d + 1:]
     s_bar = np.min(s, axis=d, keepdims=True, out=None if ws is None else ws.take(shape))
-    # Every slice already equals the minimum when the maximum does.
-    if np.array_equal(np.max(s, axis=d, keepdims=True), s_bar):
+    if (s == s_bar).all():
         return None, s_bar
-    return _match_payload(x, s, s_bar, x_max, ws, out), s_bar
+    return _match_payload(x, s, s_bar, x_max, ws, out, nonneg), s_bar
 
 
 def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
@@ -366,9 +385,10 @@ class Lane:
     below 2^53 (`matmul` and `hold` choose it there, other steps keep it),
     else in int64, the rule of `trunc_div` too.  `m` bounds max|x|, and is
     max|x| itself while `exact` holds; a step that needs the exact max reads
-    `max_magnitude`, which scans once.  `lo` and `hi` bound the scale's
-    values, and each step that makes scales checks them as
-    ScaleTensor.derived does.
+    `max_magnitude`, which scans once.  `nonneg` holds only while no payload
+    is known to be negative (after ReLU, say); each step that may make one
+    negative clears it.  `lo` and `hi` bound the scale's values, and each
+    step that makes scales checks them as ScaleTensor.derived does.
 
     Its payload, scale and scratch arrays come from the workspace `ws`, and
     go back to it when the lane is sealed or released.
@@ -410,10 +430,12 @@ class Lane:
             self.exact = True
         return self.m
 
-    def bound(self, m: int) -> None:
-        """Record a new bound on max|x| after a step that moved the payload."""
+    def bound(self, m: int, nonneg: bool = False) -> None:
+        """Record a new bound on max|x| after a step that moved the payload,
+        and whether that step leaves no payload negative."""
         self.m = m
         self.exact = False
+        self.nonneg = nonneg
 
     def check_fit(self) -> None:
         """check_lane on the bound, deciding by the exact max when the bound trips."""
@@ -434,7 +456,7 @@ class Lane:
                 self.ws.give(old)
         if self.work is not None and self.work.shape != x.shape:
             self.spare()
-        self.x, self.s, self.exact = x, s, m is None
+        self.x, self.s, self.exact, self.nonneg = x, s, m is None, False
         self.m = max_abs(x) if m is None else m
         self.check_fit()
         self.lo, self.hi = check_scale(s) if scale_range is None else scale_bounds(s, *scale_range)
@@ -457,17 +479,17 @@ class Lane:
         """Collapse the scale along the last axis, as scale_match_dim(t, -1)
         does, with the payload matched in place.
 
-        Matching never grows a magnitude, so the bound carries over, and the
-        payload is held by it.  The scratch goes back first, to serve as the
-        match's ratio.
+        Matching never grows a magnitude or flips a sign, so the bound and
+        `nonneg` carry over, and the payload is held by the bound.  The
+        scratch goes back first, to serve as the match's ratio.
         """
         self.spare()
         d = self.x.ndim - 1
-        x, s_bar = match_axis(self.x, self.s, d, match_max(self), self.ws, out=self.x)
+        x, s_bar = match_axis(self.x, self.s, d, match_max(self), self.ws, self.x, self.nonneg)
         self.ws.give(self.s)
         self.s = s_bar
         if x is not None:
-            self.bound(self.m)
+            self.bound(self.m, self.nonneg)
         self.hold(self.m)
 
     def release(self) -> None:
@@ -491,30 +513,58 @@ class Lane:
         return out
 
 
-def rescale(lane: Lane, prec: Precision) -> Lane:
+def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The pass that decides a shrink: (axes, hi, lo), the payload's max and
+    min over each scale group, one reduction each.
+
+    The groups span `axes`, those the scale collapses, so hi and lo have the
+    scale's shape; a per-element scale (no axes) gets the max and min of the
+    whole payload instead.  Records on the lane its exact max|x| (`m`) and
+    whether no payload is negative (`nonneg`).
+    """
+    x, s = lane.x, lane.s
+    axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
+    if not x.size:
+        lane.m, lane.exact = 0, True
+        return axes, x, x
+    if axes:
+        hi, lo = x.max(axis=axes, keepdims=True), x.min(axis=axes, keepdims=True)
+        top, bottom = hi.max(), lo.min()
+    else:
+        hi, lo = top, bottom = x.max(), x.min()
+    lane.m, lane.exact, lane.nonneg = max(int(top), -int(bottom)), True, bool(bottom >= 0)
+    return axes, hi, lo
+
+
+def rescale(lane: Lane, prec: Precision, groups: tuple | None = None) -> Lane:
     """Shrink the lane's payload to p bits in place, and return the lane:
     payload and scale divided by ceil(max|x| / (2^p - 1)), at least 1, per
     scale group; exact in float64 below 2^53 (see trunc_div), in int64 from
-    there up.  A scale divided by at least 1 keeps its upper bound."""
+    there up.  A scale divided by at least 1 keeps its upper bound.
+
+    `groups` is what `extremes` returned for the lane as it stands; without
+    it that pass runs here.  The divisor comes from it: max(hi, -lo) per
+    group, and for a per-element scale |x|, which is x itself when no
+    payload is negative."""
     lane.precision = prec.p
     x, s = lane.x, lane.s
     if not x.size:
         return lane
-    m, limit = lane.max_magnitude, prec.max_magnitude
-    # The groups are the axes the scale collapses, so the divisor has the
-    # scale's shape.
-    axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
+    axes, hi, lo = extremes(lane) if groups is None else groups
+    m, limit = lane.m, prec.max_magnitude
     if m >= FLOAT64_EXACT:
-        d = np.max(np.abs(x), axis=axes, keepdims=True)
+        d = np.maximum(hi, -lo) if axes else np.abs(x)
         d = np.maximum(-(-d // limit), 1)
-        trunc_div(x, d, out=x)
+        trunc_div(x, d, x_max=m, out=x)
     else:
         if axes:
-            d = np.maximum(x.max(axis=axes, keepdims=True), -x.min(axis=axes, keepdims=True))
-            d = d.astype(np.float64, copy=False)
-        else:  # one scale per element: the group max is |x| itself
+            d = np.maximum(hi, -lo).astype(np.float64, copy=False)
+            d /= limit
+        elif lane.nonneg:
+            d = np.divide(x, limit, out=lane.scratch())
+        else:
             d = np.abs(x, out=lane.scratch())
-        d /= limit
+            d /= limit
         np.ceil(d, out=d)
         np.maximum(d, 1.0, out=d)
         # The quotient stays in x's dtype: the cast to int64 truncates.
@@ -523,7 +573,8 @@ def rescale(lane: Lane, prec: Precision) -> Lane:
             np.trunc(x, out=x)
     np.divide(s, d, out=s)
     lane.lo, lane.hi = scale_bounds(s, _shrunk_lo(lane.lo, m, limit), lane.hi)
-    lane.bound(limit)
+    # A positive divisor, truncating toward zero, makes no payload negative.
+    lane.bound(limit, lane.nonneg)
     return lane
 
 
@@ -541,16 +592,20 @@ def protocol_apply(
 
     The kernel returns the Lane it worked in; anything else is refused with
     a TypeError.  A bound on max|x| within the precision decides "no
-    rescale" alone; past it, the exact max decides, and `rescale` shrinks
-    the lane in place.
+    rescale" alone; past it, the exact max decides, read from the group
+    maxima and minima of `extremes`, and `rescale` shrinks the lane in place
+    with its divisor taken from those same reductions.
     """
     lane = kernel(*ins, **kwargs)
     if not isinstance(lane, Lane):
         raise TypeError(f"kernel {kernel.__name__} returned {type(lane).__name__}, not a Lane")
     limit = prec.max_magnitude
-    rescaled = allow_rescale and lane.max_bound > limit and lane.max_magnitude > limit
-    if rescaled:
-        rescale(lane, prec)
+    rescaled = False
+    if allow_rescale and lane.max_bound > limit:
+        groups = extremes(lane)
+        rescaled = lane.m > limit
+        if rescaled:
+            rescale(lane, prec, groups)
     if log is not None:
         kind = kernel.kind
         elements = lane.x.size

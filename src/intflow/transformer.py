@@ -23,8 +23,10 @@ from .scaling import (
     Precision,
     ScaleGranularity,
     Session,
+    _match_payload,
     dequantize,
     init_scale,
+    match_max,
     quantize,
     quantize_into,
     scale_match_dim,
@@ -273,46 +275,63 @@ def _boost(lane: Lane, session: Session, module: str) -> None:
     lane.lo, lane.hi = scale_bounds(lane.s, lane.lo * lam, lane.hi * lam)
 
 
-def _match_heads(t: ScaledTensor, heads: int, axis: int) -> list[ScaledTensor]:
-    """t (T x heads*d_h) as one operand per head, column block h, each
-    matched along `axis` of its block (0 along the sequence, -1 along its
-    own columns) as matmul would match it.  One scale_match_dim runs on t's
-    (T, heads, d_h) view for every head at once; each head gets a view of
+def _match_heads(lane: Lane, heads: int, axis: int) -> list[ScaledTensor]:
+    """The projection in `lane` (T x heads*d_h) as one operand per head,
+    column block h, each matched along `axis` of its block (0 along the
+    sequence, -1 along its own columns) as matmul would match it; the lane
+    is not used again.  One match runs on the lane's (T, heads, d_h) view
+    for every head at once, as scale_match_dim would run it, into the
+    lane's scratch; the payload is sealed once, and each head gets a view of
     its block and its own contiguous scale.
 
-    Precondition: t's bound on max|x| is below MATCH_FLOAT_MAX.  match_max
-    then picks _match_payload's float route by that bound, which every
-    block shares, so the result is bit for bit each block's own match.  From
-    MATCH_FLOAT_MAX up the route follows the exact max of the slice matched,
-    which can differ between t and a block, so such a t is refused.  A
-    projection sealed by the protocol has a bound of at most 2^p - 1 < 2^15.
+    Precondition: the lane's bound on max|x| is below MATCH_FLOAT_MAX.
+    match_max then picks _match_payload's float route by that bound, which
+    every block shares, so the result is bit for bit each block's own
+    match.  From MATCH_FLOAT_MAX up the route follows the exact max of the
+    slice matched, which can differ between the lane and a block, so such a
+    lane is refused.  The protocol leaves a projection a bound of at most
+    2^p - 1 < 2^15.
     """
-    if t.data.max_bound >= MATCH_FLOAT_MAX:
-        raise ValueError(f"payload bound {t.data.max_bound} is not below {MATCH_FLOAT_MAX}")
-    T, d = t.shape
+    if lane.max_bound >= MATCH_FLOAT_MAX:
+        raise ValueError(f"payload bound {lane.max_bound} is not below {MATCH_FLOAT_MAX}")
+    ws = lane.ws
+    T, d = lane.shape
     d_h = d // heads
-    s = t.scale
-    a, b = s.shape
+    a, b = lane.s.shape
+    x = lane.x.reshape(T, heads, d_h)
     if b > 1:
-        split = s.values.reshape(a, heads, d_h)
+        split = lane.s.reshape(a, heads, d_h)
     else:  # collapsed along the columns, and kept so: one scale for every head
-        split = np.broadcast_to(s.values.reshape(a, 1, 1), (a, heads, 1))
-    m = scale_match_dim(
-        ScaledTensor(
-            t.data.view(t.data.values.reshape(T, heads, d_h), same_max=True),
-            ScaleTensor.derived(split, s.lo, s.hi),
-        ),
-        axis,
-    )
-    x, s = m.data, m.scale
-    # A strided scale would slow matmul's broadcast product of the scales.
-    return [
-        ScaledTensor(
-            x.view(x.values[:, h]),
-            ScaleTensor.derived(np.ascontiguousarray(s.values[:, h]), s.lo, s.hi),
-        )
+        split = np.broadcast_to(lane.s.reshape(a, 1, 1), (a, heads, 1))
+    s_bar = None
+    if split.shape[axis] > 1:
+        if axis == 0:
+            s_bar = minima = np.min(split, axis=0, keepdims=True, out=ws.take((1, heads, split.shape[2])))
+        else:
+            # A reduction along the short d_h axis is slow: the minima come
+            # from an axis-first copy, one elementwise pass per column.  The
+            # copy fills the first a*d elements of the scratch.
+            first = lane.scratch().reshape(-1)[: a * d].reshape(d_h, a, heads)
+            np.copyto(first, np.moveaxis(split, -1, 0))
+            minima = np.minimum.reduce(first, axis=0, out=ws.take((a, heads)))
+            s_bar = minima[..., None]
+        if not (split == s_bar).all():
+            x = _match_payload(x, split, s_bar, match_max(lane), ws, lane.scratch().reshape(x.shape))
+    # Matching never grows a magnitude, and each minimum is one of the
+    # values, so the bounds carry over.  Each head's scale is a C-contiguous
+    # copy: a strided scale would slow matmul's broadcast product of the
+    # scales, and the lane's buffers go back to ws.
+    payload = IntTensor.adopt(x.astype(np.int64), lane.precision, bound=lane.m)
+    lo, hi = scale_bounds(lane.s, lane.lo, lane.hi)
+    ss = split if s_bar is None else s_bar
+    out = [
+        ScaledTensor(payload.view(payload.values[:, h]), ScaleTensor.derived(ss[:, h].copy(), lo, hi))
         for h in range(heads)
     ]
+    if s_bar is not None:
+        ws.give(minima)
+    lane.release()
+    return out
 
 
 def _refit_zero_groups(lane: Lane, value: float, c: np.ndarray, limit: int) -> int:
@@ -477,9 +496,10 @@ def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, ses
     The heads' lanes are concatenated into one Lane, which W_o reads in
     place; only the product is sealed.
     """
-    q, k, v = (_matmul(x, w, session, ATTN) for w in (lp.w_q, lp.w_k, lp.w_v))
-    qs, ks = (_match_heads(t, cfg.heads, -1) for t in (q, k))
-    vs = _match_heads(v, cfg.heads, 0)
+    qs, ks, vs = (
+        _match_heads(session.apply(K.matmul, [x, w], ATTN, ws=session.workspace), cfg.heads, axis)
+        for w, axis in ((lp.w_q, -1), (lp.w_k, -1), (lp.w_v, 0))
+    )
     heads = [
         poly_attention(qh, kh, vh, lp.poly, cfg.degree, cfg.d_m, session)
         for qh, kh, vh in zip(qs, ks, vs)

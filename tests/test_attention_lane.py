@@ -447,7 +447,8 @@ class TestHeadsMatchedOncePerLayer:
         column blocks."""
         d_m = q.shape[1]
         d_h = d_m // heads
-        matched = zip(_match_heads(q, heads, -1), _match_heads(k, heads, -1), _match_heads(v, heads, 0))
+        ws = Workspace()
+        matched = zip(*(_match_heads(Lane.of(t, ws), heads, axis) for t, axis in ((q, -1), (k, -1), (v, 0))))
         got, want = [], []
         for h, (qh, kh, vh) in enumerate(matched):
             assert qh.scale.values.flags.c_contiguous and kh.scale.values.flags.c_contiguous
@@ -483,7 +484,7 @@ class TestHeadsMatchedOncePerLayer:
         assert scale_match_dim(slice_cols(q, slice(0, 2)), -1).data.values.tolist() == [[1, 1]]
         for axis in (0, -1):
             with pytest.raises(ValueError, match="not below"):
-                _match_heads(q, 2, axis)
+                _match_heads(Lane.of(q, Workspace()), 2, axis)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.booleans(), st.data())
     @settings(max_examples=100, deadline=None)

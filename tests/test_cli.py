@@ -4,9 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from intflow.analysis import speedup_estimate
 from intflow.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
-from intflow.modelfile import HEADER_DIMS, HEADER_SIZE
-from intflow.transformer import ModelConfig
+from intflow.modelfile import HEADER_DIMS, HEADER_SIZE, load_model
+from intflow.scaling import Precision, Session
+from intflow.transformer import ModelConfig, forward
 
 
 @pytest.fixture()
@@ -175,6 +177,27 @@ class TestReport:
         int_ms, fp32_ms = measured["measured", "int_ms", "p50"], measured["measured", "fp32_ms", "p50"]
         assert int_ms > 0 and fp32_ms > 0
         assert measured["measured", "int_vs_fp32", "x"] == pytest.approx(int_ms / fp32_ms, rel=1e-2)
+
+    def test_report_counts_one_forward(self, workspace, capsys):
+        # The op shares are one forward's: quantizing the parameters is
+        # set-up, which the estimate does not count.
+        tmp, fp32, int8 = workspace
+        capsys.readouterr()
+        assert main(["report", str(int8), "--seq-len", "8"]) == EXIT_OK
+        fields = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        shares = {f[1]: float(f[3]) for f in fields if f[0] == "speedup" and f[2] == "share"}
+        model = load_model(str(int8))
+        session = Session(Precision(model.config.precision))
+        forward(model, session, tokens=np.random.default_rng(0).integers(0, model.config.vocab, 8))
+        estimate = speedup_estimate(session.log)
+        assert shares == {k: round(v, 4) for k, v in estimate.op_shares.items()} | {
+            "accelerable": round(estimate.accelerable_share, 4)}
+        assert shares == {
+            "accelerable": 0.7314, "abs": 0.0110, "add": 0.0852, "boost": 0.0154,
+            "concat": 0.0044, "ew_mul": 0.0117, "gather": 0.0022, "int_div": 0.0205,
+            "matmul": 0.7314, "pow_n": 0.0088, "quantize": 0.0088, "relu": 0.0132,
+            "rescale": 0.0801, "scale_fold": 0.0051, "sum_reduce": 0.0019,
+        }
 
     def test_report_needs_quantized_model(self, workspace):
         tmp, fp32, int8 = workspace

@@ -284,14 +284,19 @@ class TestPayloadFallback:
 # -- the scans left in a forward ---------------------------------------------
 
 
+# Each full scan by the module it lives in: max|x| and the scale check, and
+# the pass that decides a shrink (the payload's max and min per scale group).
+SCANS = {"max_abs": tensor, "check_scale": tensor, "extremes": scaling}
+
+
 @contextlib.contextmanager
 def counted_scans():
-    """Count calls of the two full scans, max|x| and the scale check, in
-    every module that binds them."""
-    counts = {"max_abs": 0, "check_scale": 0}
+    """Count calls of the full scans in SCANS, in every module that binds
+    them."""
+    counts = dict.fromkeys(SCANS, 0)
     patched = []
-    for name in counts:
-        original = getattr(tensor, name)
+    for name, home in SCANS.items():
+        original = getattr(home, name)
 
         def counting(*args, _original=original, _name=name):
             counts[_name] += 1
@@ -314,9 +319,13 @@ LONGCTX = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precisio
 # Full scans per token forward; before ranges were carried they were 391 on
 # `toy` (216 max|x|, 175 scale checks) and 857 on the `longctx` shape.  The
 # count depends on the shape and the op sequence, not on the sequence length.
+# Until the shrink decided from its own reductions, each decision was a
+# max|x| scan (65 on `toy`, 137 on `longctx`), and each rescale then reduced
+# the same groups again; now the decision is `extremes`, whose group maxima
+# and minima the rescale reuses.
 @pytest.mark.parametrize("cfg, t, budget", [
-    (ModelConfig(), 16, {"max_abs": 65, "check_scale": 2}),
-    (LONGCTX, 32, {"max_abs": 137, "check_scale": 8}),
+    (ModelConfig(), 16, {"max_abs": 9, "check_scale": 2, "extremes": 56}),
+    (LONGCTX, 32, {"max_abs": 21, "check_scale": 8, "extremes": 116}),
 ])
 def test_scan_budget(cfg, t, budget):
     model = quantize_model(random_reference_model(cfg, 0))

@@ -1,4 +1,5 @@
 """Scale initialization, (de-)quantization, matching, re-scaling, protocol."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,9 @@ from intflow.scaling import (
     Workspace,
     trunc_div,
 )
-from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
+from intflow.tensor import (
+    LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor, max_abs, scale_bounds,
+)
 
 
 def scaled(data, scale, precision=7):
@@ -430,6 +433,116 @@ class TestRescale:
         out = rescale(Lane.of(x, Workspace()), Precision(7)).seal()
         assert out.shape == (2, 0) and out.precision == 7
         assert out.scale.values.tolist() == [[1.0]]
+
+
+def oracle_shrink(lane: Lane, prec: Precision) -> bool:
+    """The shrink as protocol_apply decided it before `extremes`: a max|x|
+    scan first, then rescale's own reductions of each group.  Returns
+    whether the lane was rescaled."""
+    limit = prec.max_magnitude
+    if not (lane.max_bound > limit and lane.max_magnitude > limit):
+        return False
+    lane.precision = prec.p
+    x, s = lane.x, lane.s
+    m = lane.max_magnitude
+    axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
+    if m >= scaling.FLOAT64_EXACT:
+        d = np.max(np.abs(x), axis=axes, keepdims=True)
+        d = np.maximum(-(-d // limit), 1)
+        trunc_div(x, d, out=x)
+    else:
+        if axes:
+            d = np.maximum(x.max(axis=axes, keepdims=True), -x.min(axis=axes, keepdims=True))
+            d = d.astype(np.float64, copy=False)
+        else:
+            d = np.abs(x, out=lane.scratch())
+        d /= limit
+        np.ceil(d, out=d)
+        np.maximum(d, 1.0, out=d)
+        np.divide(x, d, out=x, casting="unsafe")
+        if x.dtype == np.float64:
+            np.trunc(x, out=x)
+    np.divide(s, d, out=s)
+    lane.lo, lane.hi = scale_bounds(s, scaling._shrunk_lo(lane.lo, m, limit), lane.hi)
+    lane.bound(limit)
+    return True
+
+
+def passthrough(lane: Lane) -> Lane:
+    """A kernel that leaves its Lane as it is, for the protocol's shrink alone."""
+    return lane
+
+
+passthrough.kind = "passthrough"
+
+SCALE_SHAPES = {"row": lambda t, n: (t, 1), "element": lambda t, n: (t, n),
+                "tensor": lambda t, n: (1, 1), "column": lambda t, n: (1, n)}
+
+
+@st.composite
+def shrink_cases(draw):
+    """A lane's inputs: payload (signed or not, int64 or float64 below 2^53),
+    a scale of each granularity, and a bound on max|x| (None: scanned, so
+    exact) on either side of 2^p - 1."""
+    p = draw(st.sampled_from([3, 7, 12]))
+    limit = (1 << p) - 1
+    t, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cap = draw(st.sampled_from([limit // 2, limit, limit + 1, 2**22, 2**40, 2**53 + 5, 2**61]))
+    low = 0 if draw(st.booleans()) else -cap
+    x = np.array(draw(st.lists(st.integers(low, cap), min_size=t * n, max_size=t * n)), np.int64)
+    x = x.reshape(t, n)
+    shape = SCALE_SHAPES[draw(st.sampled_from(sorted(SCALE_SHAPES)))](t, n)
+    s = np.array(draw(st.lists(st.floats(2.0**-20, 2.0**20), min_size=math.prod(shape),
+                               max_size=math.prod(shape)))).reshape(shape)
+    bound = None
+    if draw(st.booleans()):
+        bound = min(max_abs(x) + draw(st.sampled_from([0, 1, limit, 2**30])), LANE_MAX - 1)
+    top = max_abs(x) if bound is None else bound
+    dtype = np.float64 if top < scaling.FLOAT64_EXACT and draw(st.booleans()) else np.int64
+    return Precision(p), x.astype(dtype), s, bound
+
+
+class TestShrinkDecision:
+    """protocol_apply decides a shrink from `extremes`, whose reductions
+    rescale's divisor reuses; the oracle is the decision it replaced."""
+
+    @given(shrink_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_as_the_max_abs_decision(self, case):
+        prec, x, s, bound = case
+        log = OpAuditLog()
+        got = protocol_apply(passthrough, [Lane(x.copy(), s.copy(), 15, Workspace(), bound)], prec, log=log)
+        want = Lane(x.copy(), s.copy(), 15, Workspace(), bound)
+        rescaled = oracle_shrink(want, prec)
+        assert log.records[0].rescaled == rescaled
+        assert (got.x.dtype, got.x.tobytes(), got.s.tobytes()) == (
+            want.x.dtype, want.x.tobytes(), want.s.tobytes())
+        assert (got.lo, got.hi, got.m, got.exact, got.precision) == (
+            want.lo, want.hi, want.m, want.exact, want.precision)
+        if got.nonneg:
+            assert (got.x >= 0).all()
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 5),
+           st.sampled_from([np.int64, np.float64]), st.sampled_from(["none", "self", "float", "int"]))
+    @settings(max_examples=300, deadline=None)
+    def test_nonneg_match_is_the_signed_match(self, data, t, n, dtype, out):
+        # Below MATCH_FLOAT_MAX the float route skips |x| and x's sign for a
+        # payload with no negative value; the bits are those of the signed route.
+        cap = data.draw(st.sampled_from([1, 127, 4095, scaling.MATCH_FLOAT_MAX - 1, 2**40]))
+        x = np.array(data.draw(st.lists(st.integers(0, cap), min_size=t * n, max_size=t * n)))
+        x = x.reshape(t, n).astype(dtype)
+        s = np.array(data.draw(st.lists(st.floats(2.0**-20, 2.0**20), min_size=t * n,
+                                        max_size=t * n))).reshape(t, n)
+        s_bar = np.min(s, axis=data.draw(st.sampled_from([0, 1])), keepdims=True)
+
+        def match(nonneg, ws):
+            xc = x.copy()
+            dest = {"none": None, "self": xc, "float": np.empty(x.shape),
+                    "int": np.empty(x.shape, np.int64)}[out]
+            return scaling._match_payload(xc, s, s_bar, max_abs(x), ws, dest, nonneg)
+
+        got, want = match(True, Workspace()), match(False, None)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
 class TestProtocolApply:
