@@ -525,6 +525,45 @@ def test_every_audited_kernel_runs_through_protocol_apply(monkeypatch):
     assert calls == kinds
 
 
+@pytest.mark.parametrize("precision, degree", [(7, 3), (12, 2), (5, 1)])
+def test_a_nonneg_match_sees_no_negative_payload(monkeypatch, precision, degree):
+    # A lane that holds no negative payload is matched without |x| and x's
+    # sign (the attention weights, the FFN hidden after ReLU): in a forward,
+    # every such match must see one, or its result would be wrong.
+    seen = []
+    match = scaling._match_payload
+
+    def checking(x, s, s_bar, x_max, ws=None, out=None, nonneg=False):
+        if nonneg:
+            seen.append(bool((x >= 0).all()))
+        return match(x, s, s_bar, x_max, ws, out, nonneg)
+
+    monkeypatch.setattr(scaling, "_match_payload", checking)
+    cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=2, vocab=50, precision=precision, degree=degree)
+    model = quantize_model(random_reference_model(cfg, seed=1))
+    forward(model, Session(Precision(cfg.precision)), tokens=np.arange(12) % cfg.vocab)
+    assert seen and all(seen)
+
+
+def test_nonneg_follows_the_steps_that_keep_it():
+    # ReLU and an even power set it, a shrink and a match keep it, and a
+    # step that may make a payload negative clears it: the match after that
+    # step must restore the sign, truncating -1.5 to -1, not flooring it to -2.
+    ws = Workspace()
+    lane = Lane(ws.copy(np.array([[1, 7]])), ws.copy(np.array([[2.0, 1.0]])), 7, ws, 7)
+    assert not lane.nonneg
+    assert K.relu(lane).nonneg
+    K.lane_add(lane, c=np.array([[-4.0, -4.0]]), c_max=4)
+    assert not lane.nonneg and lane.x.tolist() == [[-3.0, 3.0]]
+    lane.match_last()
+    assert lane.x.tolist() == [[-1.0, 3.0]] and not lane.nonneg
+    assert K.pow_n(lane, n=2).nonneg and lane.x.tolist() == [[1.0, 9.0]]
+    lane.match_last()
+    assert lane.nonneg
+    assert scaling.rescale(lane, Precision(2)).nonneg
+    assert not K.pow_n(Lane.of(scaled([[-2, 3]], [[1.0]], 7), ws), n=3).nonneg
+
+
 class TestWorkspace:
     """The session's scratch arrays: reused, never shared with a result."""
 
