@@ -269,12 +269,9 @@ def storage_report(model: IntegerTransformerModel) -> StorageReport:
 DEFAULT_ACCELERABLE = frozenset({"matmul"})
 
 
-def speedup_estimate(
-    log: OpAuditLog,
-    factor: float = 6.0,
-    accelerable: frozenset[str] = DEFAULT_ACCELERABLE,
-) -> SpeedupEstimate:
-    """Amdahl-style estimate with audited element counts as time proxies."""
+def speedup_estimate(log: OpAuditLog, factor: float = 6.0) -> SpeedupEstimate:
+    """Amdahl-style estimate with audited element counts as time proxies; the
+    kinds in DEFAULT_ACCELERABLE run `factor` times faster."""
     if not 0 < factor < math.inf:
         raise ValidationError(f"acceleration factor must be finite and positive, got {factor}")
     if not log.records:
@@ -283,7 +280,7 @@ def speedup_estimate(
     for r in log.records:
         totals[r.kind] = totals.get(r.kind, 0) + r.elements
     grand = sum(totals.values())
-    acc = sum(v for k, v in totals.items() if k in accelerable)
+    acc = sum(v for k, v in totals.items() if k in DEFAULT_ACCELERABLE)
     estimate = grand / (acc / factor + (grand - acc))
     return SpeedupEstimate(
         op_shares={k: v / grand for k, v in totals.items()},

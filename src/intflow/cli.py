@@ -151,14 +151,28 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
+def _load_input(path: str) -> np.ndarray:
+    """The one array of the .npy file at `path`; an empty file or an .npz is refused."""
+    try:
+        data = np.load(path)
+    except EOFError as exc:
+        raise ValidationError(f"input {path} is empty: expected one .npy array") from exc
+    if not isinstance(data, np.ndarray):
+        data.close()
+        raise ValidationError(f"input {path} is an .npz archive: expected one .npy array")
+    return data
+
+
 def cmd_infer(args) -> int:
     model = _require_int_model(load_model(args.model))
     cfg = model.config
-    data = np.load(args.input)
+    data = _load_input(args.input)
     session = Session(Precision(cfg.precision))
     if args.tokens:
         out = forward(model, session, tokens=data)
     else:
+        if data.dtype.kind not in "iuf":
+            raise ValidationError(f"hidden input must be integers or floats, got {data.dtype}")
         if data.ndim != 2 or data.shape[1] != cfg.d_m:
             raise ValidationError(
                 f"input must be T x {cfg.d_m}, got {data.shape}"

@@ -4,7 +4,9 @@ One kernel per KernelKind, under the kind's name, except ADD (below).
 Shape-preserving and element-wise ops (transpose, concat, ew_mul, pow_n,
 abs, relu, sum over a uniform scale) are exact on the de-quantized view.
 Anything that matches scales or divides payloads (add, matmul, int_div)
-loses at most the stated truncation per element.
+loses at most the stated truncation per element: each match moves a
+payload through scaling._match_payload, and int_div divides through
+scaling.trunc_div, the two functions that truncate.
 
 The lane rule: every kernel that runs through protocol_apply reads
 ScaledTensor or Lane operands (_operand) and returns a scaling.Lane, which
@@ -50,7 +52,6 @@ from .scaling import (
     _operand,
     gemm_dtype,
     lane_dtype,
-    match_max,
     scale_match_dim,
     trunc_div,
 )
@@ -159,13 +160,13 @@ def add(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = N
     bound = am.max_bound + bm.max_bound
     x = _out(a, ax, ax.shape, lane_dtype(bound, ax), ws)
     if not (sa == s_bar).all():
-        ax = _match_payload(ax, sa, s_bar, match_max(am), ws, out=x)
+        ax = _match_payload(ax, sa, s_bar, am, ws, out=x)
     if isinstance(a, Lane) and b is not a:  # its old scale is spent too
         ws.give(a.s)
         a.s = s_bar
     matched = not (sb == s_bar).all()
     if matched:
-        bx = _match_payload(bx, sb, s_bar, match_max(bm), ws, ws.take(x.shape, lane_dtype(bm.max_bound)))
+        bx = _match_payload(bx, sb, s_bar, bm, ws, ws.take(x.shape, lane_dtype(bm.max_bound)))
     np.add(ax, bx, out=x, dtype=x.dtype, casting="unsafe")
     if matched:
         ws.give(bx)
@@ -309,11 +310,14 @@ def sum_reduce(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
 def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """Payload division truncating toward zero; scale s_num / s_den; operands broadcast.
 
-    Denominator payloads must be strictly positive (trunc_div checks them).
+    Denominator payloads must be strictly positive, checked here: trunc_div
+    checks no divisor.
     """
     ws = _workspace(num, ws)
     nx, sn, nm, n_lo, n_hi = _operand(num)
     dx, sd, _, d_lo, d_hi = _operand(den)
+    if dx.size and dx.min() <= 0:
+        raise ValueError("divisor must be strictly positive")
     # A divisor of at least 1 never grows a magnitude.
     bound = nm.max_bound
     x = _out(num, nx, _joint(nx.shape, dx.shape), lane_dtype(bound, nx), ws)

@@ -84,13 +84,15 @@ def gemm_dtype(bound: int) -> type:
 
 
 def trunc_div(x: np.ndarray, k: np.ndarray, *, x_max: int | None = None, out=None) -> np.ndarray:
-    """Integer division truncating toward zero; divisor strictly positive.
+    """Integer division truncating toward zero, the one division of payloads;
+    k, int64 or float64, holds integers of at least 1 (kernels.int_div checks).
 
     Below 2^53 this is trunc(float64(x) / k), which is exact: for
     |x| < 2^53 and 0 < k <= 2^53, fl(x/k) is off from x/k by less than
     |x/k| * 2^-53 < 1/k, while x/k lies at least 1/k from every integer it
     is not equal to, so the rounded quotient never reaches the next integer.
-    From 2^53 up the quotient is taken in int64.
+    A k above 2^53 rounds to at least 2^53 > |x|, so the quotient truncates
+    to 0, exactly.  From 2^53 up the quotient is taken in int64.
 
     A caller that knows a bound on max|x| passes it as `x_max`, which
     spares a scan of the numerator: both routes are exact, so a bound
@@ -98,19 +100,17 @@ def trunc_div(x: np.ndarray, k: np.ndarray, *, x_max: int | None = None, out=Non
     to `out` (int64, or float64 below 2^53), else to a fresh int64 array.
     """
     x = np.asarray(x)
-    k = np.asarray(k, dtype=np.int64)
-    if k.size and k.min() <= 0:
-        raise ValueError("divisor must be strictly positive")
-    k_max = int(k.max()) if k.size else 0
     if x_max is None:
         x_max = max_abs(x)
-    if x_max < FLOAT64_EXACT and k_max <= FLOAT64_EXACT:
+    if x_max < FLOAT64_EXACT:
         # Written straight to int64 the cast truncates toward zero; float64 is truncated after.
         if out is None:
-            out = np.empty(np.broadcast_shapes(x.shape, k.shape), np.int64)
+            out = np.empty(np.broadcast_shapes(x.shape, np.shape(k)), np.int64)
         q = np.true_divide(x, k, out=out, casting="unsafe")
         return q if q.dtype == np.int64 else np.trunc(q, out=q)
-    return np.multiply(np.sign(x), np.abs(x) // k, out=out, casting="unsafe")
+    # A float64 k, a lane's payload below 2^53, is read exactly by the int64 loop.
+    floor = np.floor_divide(np.abs(x), k, dtype=np.int64, casting="unsafe")
+    return np.multiply(np.sign(x), floor, out=out, casting="unsafe")
 
 
 # Largest finite float32: the ceiling of every scale init_scale returns.
@@ -226,19 +226,21 @@ def _match_payload(
     x: np.ndarray,
     s: np.ndarray,
     s_bar: np.ndarray,
-    x_max: int,
+    held: IntTensor | Lane,
     ws: Workspace | None = None,
     out: np.ndarray | None = None,
     nonneg: bool = False,
 ) -> np.ndarray:
-    """Move payload x, with max|x| = `x_max`, from scale s down to
-    s_bar <= s, truncating toward zero.  `x_max` may be a bound while it is
-    below MATCH_FLOAT_MAX (see match_max).
+    """Move payload x from scale s down to s_bar <= s, truncating toward
+    zero: the one function that does.  `held`, an IntTensor or a Lane, holds
+    the bounds of x, its payload or a view of it.
 
     |x'| <= |x| always holds, so matching cannot overflow; the de-quantized
     value moves by less than 1/s_bar per element.  Below MATCH_FLOAT_MAX the
     result is the exact quotient, except that one within about 2e-9 below an
-    integer is rounded up to it; from there up it is exact.  x is int64, or
+    integer is rounded up to it; from there up it is exact.  The route is
+    picked by the bound below MATCH_FLOAT_MAX, and by the exact max from
+    there up, where the routes can differ in the last unit.  x is int64, or
     float64 holding integers; the result goes to `out`, which may be x
     itself or of a shape x broadcasts to, else to a fresh int64 array.  The
     ratio buffer comes from `ws` when given.
@@ -247,7 +249,7 @@ def _match_payload(
     neither |x| nor x's sign: the result is the same integers, bit for bit,
     except that a -0.0 in x comes out as +0.0.
     """
-    if x_max >= MATCH_FLOAT_MAX:
+    if held.max_bound >= MATCH_FLOAT_MAX and held.max_magnitude >= MATCH_FLOAT_MAX:
         q = _match_exact(x, s, s_bar)
         if out is None:
             return q
@@ -281,15 +283,6 @@ def _match_payload(
     return out
 
 
-def match_max(t: IntTensor | Lane) -> int:
-    """max|x| as _match_payload's route switch needs it: the bound below
-    MATCH_FLOAT_MAX, where it picks the float route as the exact max does,
-    and the exact max from there up, since the routes can differ in the
-    last unit."""
-    bound = t.max_bound
-    return bound if bound < MATCH_FLOAT_MAX else t.max_magnitude
-
-
 def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
     """Unify inputs to the elementwise minimum scale.
 
@@ -321,30 +314,10 @@ def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
             # Already at the minimum: the payload moves by nothing, exactly.
             out.append(ScaledTensor(t.data, unified))
             continue
-        x = _match_payload(t.data.values, s, s_bar, match_max(t.data))
+        x = _match_payload(t.data.values, s, s_bar, t.data)
         # Matching never grows a magnitude, so the bound carries over.
         out.append(ScaledTensor(IntTensor.adopt(x, prec, bound=t.data.max_bound), unified))
     return out
-
-
-def match_axis(
-    x: np.ndarray,
-    s: np.ndarray,
-    d: int,
-    x_max: int,
-    ws: Workspace | None = None,
-    out: np.ndarray | None = None,
-    nonneg: bool = False,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """scale_match_dim's arithmetic: the payload matched to the minimum scale
-    along axis d (None when no payload moves), and that minimum, taken from
-    `ws` when given, else a fresh array.  max|x| is `x_max`; the matched
-    payload goes to `out` as _match_payload says, `nonneg` too."""
-    shape = s.shape[:d] + (1,) + s.shape[d + 1:]
-    s_bar = np.min(s, axis=d, keepdims=True, out=None if ws is None else ws.take(shape))
-    if (s == s_bar).all():
-        return None, s_bar
-    return _match_payload(x, s, s_bar, x_max, ws, out, nonneg), s_bar
 
 
 def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
@@ -355,9 +328,11 @@ def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
     d = d % rank
     if t.scale.shape[d] == 1:
         return t
-    x, s_bar = match_axis(t.data.values, t.scale.values, d, match_max(t.data))
-    data = t.data if x is None else IntTensor.adopt(x, t.precision, bound=t.data.max_bound)
-    # Each minimum is one of the values, so the bounds carry over.
+    s = t.scale.values
+    s_bar = np.min(s, axis=d, keepdims=True)
+    x = _match_payload(t.data.values, s, s_bar, t.data)
+    # |x'| <= |x|, and each minimum is one of the values: the bounds carry over.
+    data = IntTensor.adopt(x, t.precision, bound=t.data.max_bound)
     return ScaledTensor(data, ScaleTensor.derived(s_bar, t.scale.lo, t.scale.hi))
 
 
@@ -484,12 +459,11 @@ class Lane:
         scratch goes back first, to serve as the match's ratio.
         """
         self.spare()
-        d = self.x.ndim - 1
-        x, s_bar = match_axis(self.x, self.s, d, match_max(self), self.ws, self.x, self.nonneg)
+        s_bar = np.min(self.s, axis=-1, keepdims=True, out=self.ws.take(self.s.shape[:-1] + (1,)))
+        _match_payload(self.x, self.s, s_bar, self, self.ws, self.x, self.nonneg)
         self.ws.give(self.s)
         self.s = s_bar
-        if x is not None:
-            self.bound(self.m, self.nonneg)
+        self.bound(self.m, self.nonneg)
         self.hold(self.m)
 
     def release(self) -> None:
@@ -539,8 +513,9 @@ def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
 def rescale(lane: Lane, prec: Precision, groups: tuple | None = None) -> Lane:
     """Shrink the lane's payload to p bits in place, and return the lane:
     payload and scale divided by ceil(max|x| / (2^p - 1)), at least 1, per
-    scale group; exact in float64 below 2^53 (see trunc_div), in int64 from
-    there up.  A scale divided by at least 1 keeps its upper bound.
+    scale group, formed in float64 below 2^53 and in int64 from there up;
+    the payload divides through trunc_div.  A scale divided by at least 1
+    keeps its upper bound.
 
     `groups` is what `extremes` returned for the lane as it stands; without
     it that pass runs here.  The divisor comes from it: max(hi, -lo) per
@@ -555,7 +530,6 @@ def rescale(lane: Lane, prec: Precision, groups: tuple | None = None) -> Lane:
     if m >= FLOAT64_EXACT:
         d = np.maximum(hi, -lo) if axes else np.abs(x)
         d = np.maximum(-(-d // limit), 1)
-        trunc_div(x, d, x_max=m, out=x)
     else:
         if axes:
             d = np.maximum(hi, -lo).astype(np.float64, copy=False)
@@ -567,10 +541,7 @@ def rescale(lane: Lane, prec: Precision, groups: tuple | None = None) -> Lane:
             d /= limit
         np.ceil(d, out=d)
         np.maximum(d, 1.0, out=d)
-        # The quotient stays in x's dtype: the cast to int64 truncates.
-        np.divide(x, d, out=x, casting="unsafe")
-        if x.dtype == np.float64:
-            np.trunc(x, out=x)
+    trunc_div(x, d, x_max=m, out=x)
     np.divide(s, d, out=s)
     lane.lo, lane.hi = scale_bounds(s, _shrunk_lo(lane.lo, m, limit), lane.hi)
     # A positive divisor, truncating toward zero, makes no payload negative.

@@ -24,9 +24,9 @@ from .scaling import (
     ScaleGranularity,
     Session,
     _match_payload,
+    _round_to_f32,
     dequantize,
     init_scale,
-    match_max,
     quantize,
     quantize_into,
     scale_match_dim,
@@ -160,23 +160,19 @@ class IntegerTransformerModel:
 # model construction
 
 
-def _f32(values: np.ndarray) -> np.ndarray:
-    return values.astype(np.float32).astype(np.float64)
-
-
 def random_reference_model(config: ModelConfig, seed: int) -> FP32ReferenceModel:
     """Random toy model with float32-representable parameters."""
     rng = np.random.default_rng(seed)
     d, f, v = config.d_m, config.d_ff, config.vocab
 
     def mat(out_dim, in_dim):
-        return _f32(rng.normal(0.0, 1.0 / math.sqrt(in_dim), (out_dim, in_dim)))
+        return _round_to_f32(rng.normal(0.0, 1.0 / math.sqrt(in_dim), (out_dim, in_dim)))
 
     def gain(n):
-        return _f32(rng.uniform(0.8, 1.2, n))
+        return _round_to_f32(rng.uniform(0.8, 1.2, n))
 
     def bias(n):
-        return _f32(rng.normal(0.0, 0.05, n))
+        return _round_to_f32(rng.normal(0.0, 0.05, n))
 
     layers = []
     for _ in range(config.n_layers):
@@ -193,7 +189,7 @@ def random_reference_model(config: ModelConfig, seed: int) -> FP32ReferenceModel
         )
     return FP32ReferenceModel(
         config=config,
-        embedding=_f32(rng.normal(0.0, 1.0, (v, d))),
+        embedding=_round_to_f32(rng.normal(0.0, 1.0, (v, d))),
         layers=tuple(layers),
         final_ln_g=gain(d),
         final_ln_b=bias(d),
@@ -279,17 +275,17 @@ def _match_heads(lane: Lane, heads: int, axis: int) -> list[ScaledTensor]:
     """The projection in `lane` (T x heads*d_h) as one operand per head,
     column block h, each matched along `axis` of its block (0 along the
     sequence, -1 along its own columns) as matmul would match it; the lane
-    is not used again.  One match runs on the lane's (T, heads, d_h) view
-    for every head at once, as scale_match_dim would run it, into the
-    lane's scratch; the payload is sealed once, and each head gets a view of
-    its block and its own contiguous scale.
+    is not used again.  The minimum along `axis` is taken on the lane's
+    (T, heads, d_h) view for every head at once, and one _match_payload call
+    moves the payload to it, into the lane's scratch; the payload is sealed
+    once, and each head gets a view of its block and its own contiguous scale.
 
     Precondition: the lane's bound on max|x| is below MATCH_FLOAT_MAX.
-    match_max then picks _match_payload's float route by that bound, which
-    every block shares, so the result is bit for bit each block's own
-    match.  From MATCH_FLOAT_MAX up the route follows the exact max of the
-    slice matched, which can differ between the lane and a block, so such a
-    lane is refused.  The protocol leaves a projection a bound of at most
+    _match_payload then picks its float route by that bound, which every
+    block shares, so the result is bit for bit each block's own match.  From
+    MATCH_FLOAT_MAX up the route follows the exact max of the slice matched,
+    which can differ between the lane and a block, so such a lane is
+    refused.  The protocol leaves a projection a bound of at most
     2^p - 1 < 2^15.
     """
     if lane.max_bound >= MATCH_FLOAT_MAX:
@@ -303,7 +299,7 @@ def _match_heads(lane: Lane, heads: int, axis: int) -> list[ScaledTensor]:
         split = lane.s.reshape(a, heads, d_h)
     else:  # collapsed along the columns, and kept so: one scale for every head
         split = np.broadcast_to(lane.s.reshape(a, 1, 1), (a, heads, 1))
-    s_bar = None
+    s_bar = split
     if split.shape[axis] > 1:
         if axis == 0:
             s_bar = minima = np.min(split, axis=0, keepdims=True, out=ws.take((1, heads, split.shape[2])))
@@ -315,20 +311,18 @@ def _match_heads(lane: Lane, heads: int, axis: int) -> list[ScaledTensor]:
             np.copyto(first, np.moveaxis(split, -1, 0))
             minima = np.minimum.reduce(first, axis=0, out=ws.take((a, heads)))
             s_bar = minima[..., None]
-        if not (split == s_bar).all():
-            x = _match_payload(x, split, s_bar, match_max(lane), ws, lane.scratch().reshape(x.shape))
+        x = _match_payload(x, split, s_bar, lane, ws, lane.scratch().reshape(x.shape))
     # Matching never grows a magnitude, and each minimum is one of the
     # values, so the bounds carry over.  Each head's scale is a C-contiguous
     # copy: a strided scale would slow matmul's broadcast product of the
     # scales, and the lane's buffers go back to ws.
     payload = IntTensor.adopt(x.astype(np.int64), lane.precision, bound=lane.m)
     lo, hi = scale_bounds(lane.s, lane.lo, lane.hi)
-    ss = split if s_bar is None else s_bar
     out = [
-        ScaledTensor(payload.view(payload.values[:, h]), ScaleTensor.derived(ss[:, h].copy(), lo, hi))
+        ScaledTensor(payload.view(payload.values[:, h]), ScaleTensor.derived(s_bar[:, h].copy(), lo, hi))
         for h in range(heads)
     ]
-    if s_bar is not None:
+    if s_bar is not split:
         ws.give(minima)
     lane.release()
     return out

@@ -103,6 +103,24 @@ class TestInfer:
         assert "integers" in capsys.readouterr().err
         assert not (tmp_path / "y.npy").exists()
 
+    @pytest.mark.parametrize("write, message", [
+        (lambda fh: np.savez(fh, x=np.zeros((3, 16))), "is an .npz archive"),
+        (lambda fh: None, "is empty"),
+        # Cast to float64 it would run on its real part alone.
+        (lambda fh: np.save(fh, np.full((3, 16), 1 + 2j)), "integers or floats, got complex128"),
+    ], ids=["npz", "empty", "complex"])
+    def test_input_that_is_not_one_real_array_is_refused(self, workspace, tmp_path, capsys,
+                                                         write, message):
+        tmp, fp32, int8 = workspace
+        x = tmp_path / "in.npy"
+        with open(x, "wb") as fh:  # a file handle: np.savez would add ".npz" to a path
+            write(fh)
+        capsys.readouterr()
+        assert main(["infer", str(int8), str(x), "--out", str(tmp_path / "y.npy")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "y.npy").exists()
+
     def test_missing_model_file(self, workspace, tmp_path):
         tmp, fp32, int8 = workspace
         x = tmp_path / "x.npy"

@@ -57,8 +57,9 @@ class TestTruncDiv:
         assert trunc_div(np.array([x]), np.array([k]))[0] == want
 
     def test_rejects_nonpositive_divisor(self):
-        with pytest.raises(ValueError):
-            trunc_div(np.array([1]), np.array([0]))
+        # trunc_div checks no divisor: int_div, whose divisor is an operand, does.
+        with pytest.raises(ValueError, match="divisor must be strictly positive"):
+            K.int_div(scaled([1], [1.0]), scaled([0], [1.0]))
 
     @given(
         st.integers(-10**6, 10**6),
@@ -125,6 +126,12 @@ class TestFloat64Boundary:
     def test_trunc_div_boundary_grid(self, x, k):
         for v in (x, -x):
             assert trunc_div(np.array([v]), np.array([k])).tolist() == [int_trunc_div(v, k)]
+
+    @pytest.mark.parametrize("k", [k for k in DIVISORS if k < 2**53])
+    def test_trunc_div_takes_a_float64_divisor(self, k):
+        # LN and attention divide an int64 numerator from 2^53 up by a float64 lane.
+        for x in BOUNDARY + [-b for b in BOUNDARY]:
+            assert trunc_div(np.array([x]), np.array([float(k)])).tolist() == [int_trunc_div(x, k)]
 
     @given(st.data(), st.integers(1, 6))
     @settings(max_examples=300)
@@ -402,6 +409,32 @@ class TestScaleMatchDim:
         with pytest.raises(ShapeError):
             scale_match_dim(scaled([1], [1.0]), 3)
 
+    @given(st.data(), st.integers(1, 4), st.integers(1, 5),
+           st.sampled_from([127, 2**22 - 1, 2**22, 2**40, 2**60]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_scale_constant_along_the_axis_moves_no_payload(self, data, t, n, cap, in_float):
+        # No check skips the match of a scale that is already its own
+        # minimum: the ratio is exactly 1, and the float route (max|x| below
+        # 2^22) and the exact one return every payload as it was, bit for bit.
+        x = np.array(data.draw(st.lists(st.integers(-cap, cap), min_size=t * n, max_size=t * n)))
+        x[0] = data.draw(st.sampled_from([cap, -cap]))  # the bound is the exact max
+        x = x.reshape(t, n)
+        rows = np.array(data.draw(st.lists(match_scales, min_size=t, max_size=t))).reshape(t, 1)
+        s = np.repeat(rows, n, axis=1)
+        dtype = scaling.lane_dtype(cap) if in_float else np.int64
+        ws = Workspace()
+        lane = Lane(ws.copy(x, dtype), ws.copy(s), 15, ws, cap)
+        lane.bound(cap, nonneg=bool((x >= 0).all()))
+        lane.match_last()
+        assert lane.x.dtype == scaling.lane_dtype(cap)
+        assert lane.x.tobytes() == x.astype(lane.x.dtype).tobytes()
+        assert lane.s.tobytes() == rows.tobytes()
+        for operand, d in ((ScaledTensor(IntTensor(x), ScaleTensor(s)), -1),
+                           (ScaledTensor(IntTensor(x.T), ScaleTensor(s.T)), 0)):
+            out = scale_match_dim(operand, d)
+            assert out.data.values.tobytes() == operand.data.values.tobytes()
+            assert out.scale.values.tobytes() == np.min(operand.scale.values, axis=d, keepdims=True).tobytes()
+
 
 class TestRescale:
     def test_worked_example(self):
@@ -539,7 +572,7 @@ class TestShrinkDecision:
             xc = x.copy()
             dest = {"none": None, "self": xc, "float": np.empty(x.shape),
                     "int": np.empty(x.shape, np.int64)}[out]
-            return scaling._match_payload(xc, s, s_bar, max_abs(x), ws, dest, nonneg)
+            return scaling._match_payload(xc, s, s_bar, IntTensor(x.astype(np.int64)), ws, dest, nonneg)
 
         got, want = match(True, Workspace()), match(False, None)
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
