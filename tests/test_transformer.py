@@ -467,6 +467,10 @@ def _hash_arrays(h, *arrays) -> None:
         h.update(arr.tobytes())
 
 
+# The benchmark's `longctx` shape at T=64: p=12, eight heads.
+LONGCTX_SHAPED = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12)
+
+
 def _digest(t) -> str:
     """sha256 over the dtypes, shapes and bytes of a payload and its scales."""
     h = hashlib.sha256()
@@ -492,7 +496,7 @@ class TestGoldenLogits:
     def test_longctx_shaped_digest(self):
         # p=12, eight heads and T=64: every attention weight carries its own
         # scale, so this pins the per-element scale calculus on T x T tensors.
-        cfg = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12)
+        cfg = LONGCTX_SHAPED
         model = quantize_model(random_reference_model(cfg, seed=0))
         session = Session(Precision(cfg.precision))
         logits = forward(model, session, tokens=np.arange(64))
@@ -525,7 +529,7 @@ class TestGoldenAuditAndHybrid:
     def test_longctx_shaped_audit_digest(self):
         # The config of TestGoldenLogits.test_longctx_shaped_digest: pins the
         # record order across the per-head attention loop.
-        cfg = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12)
+        cfg = LONGCTX_SHAPED
         model = quantize_model(random_reference_model(cfg, seed=0))
         session = Session(Precision(cfg.precision))
         forward(model, session, tokens=np.arange(64))
@@ -570,6 +574,30 @@ class TestPinnedHybridBehaviour:
         _hash_arrays(h, reference_forward(ref, tokens=self.TOKENS).values)
         assert h.hexdigest() == (
             "764c524e30ebe2ed93bef0bc7a4ce9196b207f722004e58303518fe77abb8e77"
+        )
+
+    def test_longctx_shaped_reference_forward_digest(self):
+        # The config of TestGoldenLogits.test_longctx_shaped_digest: eight
+        # heads over T=64 pin the twin's per-head column blocks.
+        ref = random_reference_model(LONGCTX_SHAPED, seed=0)
+        h = hashlib.sha256()
+        _hash_arrays(h, reference_forward(ref, tokens=np.arange(64)).values)
+        assert h.hexdigest() == (
+            "75cfa17061d9208c0a773ed4f1ba309c5dbb9139d00f8505a577efe1420b87f2"
+        )
+
+    def test_longctx_shaped_ln_res_hybrid_digest(self):
+        # Attention and FFN run in FP32 on the twin of the p=12 model.
+        model = quantize_model(random_reference_model(LONGCTX_SHAPED, seed=0))
+        session = Session(Precision(LONGCTX_SHAPED.precision))
+        out = forward(model, session, tokens=np.arange(64), int_modules=frozenset({LN, RES}))
+        records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
+                   for r in session.log.records]
+        assert len(records) == 103
+        h = hashlib.sha256(repr(records).encode())
+        _hash_arrays(h, out.values)
+        assert h.hexdigest() == (
+            "6f38e222a648e4ca6bbea13bdc302279849cbd3361816a643257bf6af157c7b4"
         )
 
     @pytest.mark.parametrize("modules, want", [
