@@ -566,36 +566,61 @@ def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session
 
 
 def ref_l1ln(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The L1 layer norm in float, worked in place on its centered copy."""
     n = x.shape[-1:]
     if g.shape != n or b.shape != n:
         raise ShapeError("layer norm gain and bias must match the hidden width")
     mu = np.mean(x, axis=-1, keepdims=True)
     c = x - mu
     den = L1_NORM_CONST * np.mean(np.abs(c), axis=-1, keepdims=True)
-    norm = np.where(den > 0, c / np.where(den > 0, den, 1.0), 0.0)
-    return g * norm + b
+    live = den > 0
+    c /= np.where(live, den, 1.0)
+    np.copyto(c, 0.0, where=~live)
+    c *= g
+    c += b
+    return c
 
 
-def ref_poly(x: np.ndarray, pp: PolyParams, degree: int) -> np.ndarray:
-    return np.maximum(x + pp.bias, 0.0) ** degree + abs(pp.offset)
+def ref_poly(
+    x: np.ndarray, pp: PolyParams, degree: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """[ReLU(x + bias)]^degree + |offset|, into `out` if given (which may be x)."""
+    out = np.add(x, pp.bias, out=out)
+    np.maximum(out, 0.0, out=out)
+    out **= degree
+    out += abs(pp.offset)
+    return out
 
 
 def ref_attn_core(x: np.ndarray, lp: TransformerLayerParams, cfg: ModelConfig) -> np.ndarray:
+    """Polynomial attention in float.  Each head works its T x T weights in
+    one score buffer and writes its quotient into its own column block of
+    one output buffer, which W_o reads."""
     d_h = cfg.d_m // cfg.heads
     q = x @ lp.w_q.T
     k = x @ lp.w_k.T
     v = x @ lp.w_v.T
-    outs = []
+    T = q.shape[0]
+    w = np.empty((T, T), q.dtype)
+    out = np.empty_like(q)
     for h in range(cfg.heads):
         sl = slice(h * d_h, (h + 1) * d_h)
-        scores = (q[:, sl] @ k[:, sl].T) / math.sqrt(cfg.d_m)
-        w = ref_poly(scores, lp.poly, cfg.degree)
-        outs.append((w @ v[:, sl]) / np.sum(w, axis=-1, keepdims=True))
-    return np.concatenate(outs, axis=1) @ lp.w_o.T
+        np.matmul(q[:, sl], k[:, sl].T, out=w)
+        w /= math.sqrt(cfg.d_m)
+        ref_poly(w, lp.poly, cfg.degree, out=w)
+        np.matmul(w, v[:, sl], out=out[:, sl])
+        out[:, sl] /= np.sum(w, axis=-1, keepdims=True)
+    return out @ lp.w_o.T
 
 
 def ref_ffn_core(y: np.ndarray, lp: TransformerLayerParams) -> np.ndarray:
-    return np.maximum(y @ lp.w1.T + lp.b1, 0.0) @ lp.w2.T + lp.b2
+    """ReLU(y W1 + b1) W2 + b2 in float, the bias adds and ReLU in place."""
+    h = y @ lp.w1.T
+    h += lp.b1
+    np.maximum(h, 0.0, out=h)
+    out = h @ lp.w2.T
+    out += lp.b2
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from intflow.transformer import (
     ModelConfig,
     quantize_model,
     random_reference_model,
+    ref_attn_core,
     reference_twin,
 )
 
@@ -85,3 +86,22 @@ def test_loading_the_wide_file_holds_it_once(wide, tmp_path):
         tracemalloc.stop()
     assert peak < 1.25 * path.stat().st_size
     assert payload_dtypes(model) == {np.dtype(np.int8)}
+
+
+def test_twin_attention_peaks_below_three_score_buffers():
+    # One FP32 attention call on the benchmark's `longctx` shape at T=256:
+    # Q, K, V and the output (T x d_m each, a quarter of T x T here), one
+    # T x T score buffer and the W_o product.  A fresh T x T array for each
+    # step of the score computation would take it to about five.
+    cfg = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=1, vocab=256, precision=12)
+    lp = random_reference_model(cfg, seed=0).layers[0]
+    T = 256
+    x = np.random.default_rng(0).normal(size=(T, cfg.d_m))
+    ref_attn_core(x, lp, cfg)  # the first BLAS calls may allocate for themselves
+    tracemalloc.start()
+    try:
+        ref_attn_core(x, lp, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * T * T * np.dtype(np.float64).itemsize

@@ -17,6 +17,8 @@ from intflow.transformer import (
     ATTN,
     EMB,
     FFN,
+    L1_NORM_CONST,
+    LAYER_TENSORS,
     LN,
     MODULES,
     PROJ,
@@ -266,6 +268,96 @@ class TestCores:
         out = dequantize(ffn_core(q(x), model.layers[0], sess)).values
         want = ref_ffn_core(x, reference_twin(model).layers[0])
         assert rel_err(out, want) < 2e-2
+
+
+class TestTwinInPlace:
+    """The FP32 twin works in buffers of its own: it writes none of its
+    inputs (forward reads the LN input again as the residual, and the
+    parameters serve every call), and each step stays bit for bit the
+    out-of-place formula."""
+
+    @staticmethod
+    def _writable_layer(lp):
+        return dataclasses.replace(lp, **{f: np.array(getattr(lp, f)) for f in LAYER_TENSORS})
+
+    @pytest.mark.parametrize("step", ["ref_l1ln", "ref_attn_core", "ref_ffn_core", "ref_poly"])
+    def test_inputs_are_not_written(self, toy, step):
+        cfg, ref, _ = toy
+        lp = self._writable_layer(ref.layers[0])
+        x = np.random.default_rng(8).normal(size=(6, cfg.d_m))
+        run, arrays = {
+            "ref_l1ln": (lambda: ref_l1ln(x, lp.ln1_g, lp.ln1_b), [x, lp.ln1_g, lp.ln1_b]),
+            "ref_attn_core": (lambda: ref_attn_core(x, lp, cfg),
+                              [x, lp.w_q, lp.w_k, lp.w_v, lp.w_o]),
+            "ref_ffn_core": (lambda: ref_ffn_core(x, lp), [x, lp.w1, lp.b1, lp.w2, lp.b2]),
+            "ref_poly": (lambda: ref_poly(x, lp.poly, cfg.degree), [x]),
+        }[step]
+        before = [a.tobytes() for a in arrays]
+        out = run()
+        assert not any(np.shares_memory(out, a) for a in arrays)
+        assert [a.tobytes() for a in arrays] == before
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("pp", [PolyParams(), PolyParams(bias=0.37, offset=-0.12)])
+    def test_ref_poly_into_its_input_is_bit_identical(self, degree, pp):
+        # 33 x 33: an odd length exercises the vector loops' tails.
+        x = np.random.default_rng(degree).normal(size=(33, 33))
+        want = ref_poly(x, pp, degree)
+        assert want.tobytes() == (np.maximum(x + pp.bias, 0.0) ** degree + abs(pp.offset)).tobytes()
+        got = x.copy()
+        assert ref_poly(got, pp, degree, out=got) is got
+        assert got.tobytes() == want.tobytes()
+
+    def test_attention_weights_go_through_ref_poly(self, toy, monkeypatch):
+        import intflow.transformer as T
+
+        cfg, ref, _ = toy
+        x = np.random.default_rng(9).normal(size=(6, cfg.d_m))
+        seen = []
+
+        def spy(scores, pp, degree, out=None):
+            seen.append(out is scores and scores.shape == (6, 6))
+            return ref_poly(scores, pp, degree, out=out)
+
+        monkeypatch.setattr(T, "ref_poly", spy)
+        ref_attn_core(x, ref.layers[0], cfg)
+        assert seen == [True] * cfg.heads
+
+    @staticmethod
+    def _out_of_place(step, x, lp, cfg):
+        """Each twin step as plain expressions, one temporary per operation."""
+        if step == "ref_l1ln":
+            c = x - np.mean(x, axis=-1, keepdims=True)
+            den = L1_NORM_CONST * np.mean(np.abs(c), axis=-1, keepdims=True)
+            return lp.ln1_g * np.where(den > 0, c / np.where(den > 0, den, 1.0), 0.0) + lp.ln1_b
+        if step == "ref_ffn_core":
+            return np.maximum(x @ lp.w1.T + lp.b1, 0.0) @ lp.w2.T + lp.b2
+        d_h = cfg.d_m // cfg.heads
+        q, k, v = x @ lp.w_q.T, x @ lp.w_k.T, x @ lp.w_v.T
+        outs = []
+        for h in range(cfg.heads):
+            sl = slice(h * d_h, (h + 1) * d_h)
+            scores = (q[:, sl] @ k[:, sl].T) / math.sqrt(cfg.d_m)
+            w = np.maximum(scores + lp.poly.bias, 0.0) ** cfg.degree + abs(lp.poly.offset)
+            outs.append((w @ v[:, sl]) / np.sum(w, axis=-1, keepdims=True))
+        return np.concatenate(outs, axis=1) @ lp.w_o.T
+
+    @pytest.mark.parametrize("step", ["ref_l1ln", "ref_attn_core", "ref_ffn_core"])
+    @pytest.mark.parametrize("cfg, T", [
+        (ModelConfig(d_m=16, heads=2, d_ff=32, degree=2), 7),
+        (ModelConfig(d_m=12, heads=1, d_ff=20, degree=5), 1),
+        (ModelConfig(d_m=64, heads=8, d_ff=256, precision=12), 256),
+    ])
+    def test_each_step_is_its_out_of_place_formula(self, step, cfg, T):
+        lp = random_reference_model(cfg, seed=3).layers[0]
+        x = np.random.default_rng(T).normal(size=(T, cfg.d_m))
+        x[0] = 2.5  # a constant row: the layer norm's degenerate case
+        got = {
+            "ref_l1ln": lambda: ref_l1ln(x, lp.ln1_g, lp.ln1_b),
+            "ref_attn_core": lambda: ref_attn_core(x, lp, cfg),
+            "ref_ffn_core": lambda: ref_ffn_core(x, lp),
+        }[step]()
+        assert got.tobytes() == self._out_of_place(step, x, lp, cfg).tobytes()
 
 
 class TestEmbedding:
