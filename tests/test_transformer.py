@@ -54,6 +54,10 @@ def rel_err(got, want):
     return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)
 
 
+# The benchmark's `longctx` shape: p=12, eight heads.
+LONGCTX_SHAPED = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12)
+
+
 @pytest.fixture(scope="module")
 def toy():
     cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=2, vocab=24, precision=P)
@@ -346,7 +350,7 @@ class TestTwinInPlace:
     @pytest.mark.parametrize("cfg, T", [
         (ModelConfig(d_m=16, heads=2, d_ff=32, degree=2), 7),
         (ModelConfig(d_m=12, heads=1, d_ff=20, degree=5), 1),
-        (ModelConfig(d_m=64, heads=8, d_ff=256, precision=12), 256),
+        (LONGCTX_SHAPED, 256),
     ])
     def test_each_step_is_its_out_of_place_formula(self, step, cfg, T):
         lp = random_reference_model(cfg, seed=3).layers[0]
@@ -557,10 +561,6 @@ def _hash_arrays(h, *arrays) -> None:
         arr = np.ascontiguousarray(arr)
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(arr.tobytes())
-
-
-# The benchmark's `longctx` shape at T=64: p=12, eight heads.
-LONGCTX_SHAPED = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12)
 
 
 def _digest(t) -> str:
