@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audit import FP32, PAYLOAD, SCALE, AuditRecord, OpAuditLog
-from .errors import LaneOverflowError, ShapeError, WorkspaceError
+from .errors import LaneOverflowError, PrecisionError, ShapeError, WorkspaceError
 from .tensor import (
     DEFAULT_PRECISION,
     LANE_MAX,
@@ -127,15 +127,18 @@ def init_scale(
     Groups so small that the scale would overflow float32 (max|r| below
     (2^p - 1) / SCALE_MAX, about 3.7e-37 at p=7) get SCALE_MAX, and so do
     all-zero groups: their payloads are 0, and the largest scale means that
-    matching never lowers a partner's scale to theirs.  Every scale below
-    SCALE_MAX is unchanged.
+    matching never lowers a partner's scale to theirs.  A subnormal scale
+    (below 2^-126) that rounding raised past the limit steps down one float32.
     """
     axes = g.reduce_axes(len(r.shape))
     m = np.max(np.abs(r.values), axis=axes, keepdims=True) if r.values.size else np.abs(r.values)
     limit = float(prec.max_magnitude)
     with np.errstate(over="ignore"):
         s = limit / np.maximum(m, np.finfo(np.float64).tiny)
-    return ScaleTensor(_round_to_f32(np.minimum(s, SCALE_MAX)))
+    s = _round_to_f32(np.minimum(s, SCALE_MAX))
+    if s.min(initial=SCALE_MAX) < 2.0**-126:
+        s = np.where(np.rint(m * s) > limit, np.nextafter(s.astype(np.float32), np.float32(0)), s)
+    return ScaleTensor(s)
 
 
 def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
@@ -202,24 +205,10 @@ class Workspace:
             self._free.setdefault((a.shape, a.dtype.type), []).append(a)
 
 
-# While max|x| is below 2^22, |x| * fl(s_bar / s) rounded to float64 is off
-# from the exact quotient by less than 2^22 * 2^-52 < 1e-9, so adding 1e-9
-# before the floor recovers every exact integer; from 2^22 up matching runs
-# in exact rational arithmetic.
+# Below 2^22, |x| * fl(s_bar / s) is off from the exact quotient by less than
+# 2^22 * 2^-52 < 1e-9, so adding 1e-9 before the floor recovers every exact
+# integer.  Matching refuses payloads from 2^22 up: a forward's are p-bit.
 MATCH_FLOAT_MAX = 2**22
-
-# Each float scale is an exact binary fraction n / d.
-_integer_ratio = np.frompyfunc(float.as_integer_ratio, 1, 2)
-
-
-def _match_exact(x: np.ndarray, s: np.ndarray, s_bar: np.ndarray) -> np.ndarray:
-    """x * s_bar / s truncated toward zero, exactly, as int64: with s = n / d
-    and s_bar = n' / d', |x| * n' * d // (d' * n) in Python ints, with the
-    sign restored.  x is int64, or float64 holding integers."""
-    n_bar, d_bar = _integer_ratio(s_bar)
-    n, d = _integer_ratio(s)
-    q = np.abs(x).astype(np.int64, copy=False).astype(object) * (n_bar * d) // (d_bar * n)
-    return np.where(x < 0, -q, q).astype(np.int64)
 
 
 def _match_payload(
@@ -236,25 +225,20 @@ def _match_payload(
     the bounds of x, its payload or a view of it.
 
     |x'| <= |x| always holds, so matching cannot overflow; the de-quantized
-    value moves by less than 1/s_bar per element.  Below MATCH_FLOAT_MAX the
-    result is the exact quotient, except that one within about 2e-9 below an
-    integer is rounded up to it; from there up it is exact.  The route is
-    picked by the bound below MATCH_FLOAT_MAX, and by the exact max from
-    there up, where the routes can differ in the last unit.  x is int64, or
+    value moves by less than 1/s_bar per element.  The result is the exact
+    quotient, except that one within about 2e-9 below an integer is rounded
+    up to it.  A payload whose bound and exact max both reach
+    MATCH_FLOAT_MAX is refused with a PrecisionError.  x is int64, or
     float64 holding integers; the result goes to `out`, which may be x
     itself or of a shape x broadcasts to, else to a fresh int64 array.  The
     ratio buffer comes from `ws` when given.
 
-    `nonneg` says that x has no negative value, so the float route takes
-    neither |x| nor x's sign: the result is the same integers, bit for bit,
-    except that a -0.0 in x comes out as +0.0.
+    `nonneg` says that x has no negative value, so the match takes neither
+    |x| nor x's sign: the result is the same integers, bit for bit, except
+    that a -0.0 in x comes out as +0.0.
     """
     if held.max_bound >= MATCH_FLOAT_MAX and held.max_magnitude >= MATCH_FLOAT_MAX:
-        q = _match_exact(x, s, s_bar)
-        if out is None:
-            return q
-        np.copyto(out, q)
-        return out
+        raise PrecisionError(f"payload max {held.max_magnitude} is not below {MATCH_FLOAT_MAX}")
     # |x| * (s_bar / s), formed as |(s_bar / s) * x|: float rounding is
     # symmetric in sign, so the bits are the same, with one buffer: `out`
     # itself when it is float64 and not x.

@@ -18,7 +18,6 @@ from . import kernels as K
 from .audit import PAYLOAD, SCALE
 from .errors import LaneOverflowError, ShapeError, ValidationError
 from .scaling import (
-    MATCH_FLOAT_MAX,
     Lane,
     Precision,
     ScaleGranularity,
@@ -279,17 +278,9 @@ def _match_heads(lane: Lane, heads: int, axis: int) -> list[ScaledTensor]:
     (T, heads, d_h) view for every head at once, and one _match_payload call
     moves the payload to it, into the lane's scratch; the payload is sealed
     once, and each head gets a view of its block and its own contiguous scale.
-
-    Precondition: the lane's bound on max|x| is below MATCH_FLOAT_MAX.
-    _match_payload then picks its float route by that bound, which every
-    block shares, so the result is bit for bit each block's own match.  From
-    MATCH_FLOAT_MAX up the route follows the exact max of the slice matched,
-    which can differ between the lane and a block, so such a lane is
-    refused.  The protocol leaves a projection a bound of at most
-    2^p - 1 < 2^15.
+    The match is elementwise, so each head's block is bit for bit its own
+    match; a lane whose max|x| reaches MATCH_FLOAT_MAX is refused whole.
     """
-    if lane.max_bound >= MATCH_FLOAT_MAX:
-        raise ValueError(f"payload bound {lane.max_bound} is not below {MATCH_FLOAT_MAX}")
     ws = lane.ws
     T, d = lane.shape
     d_h = d // heads

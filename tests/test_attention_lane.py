@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 from intflow import kernels as K
 from intflow import scaling
 from intflow.audit import PAYLOAD, SCALE
-from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError, WorkspaceError
+from intflow.errors import (
+    IntflowError, LaneOverflowError, PrecisionError, ScaleRangeError, WorkspaceError,
+)
 from intflow.scaling import (
     MATCH_FLOAT_MAX, Lane, Precision, Session, Workspace, scale_match, scale_match_dim,
 )
@@ -471,19 +473,18 @@ class TestHeadsMatchedOncePerLayer:
         assert got == want
 
     def test_bound_from_match_float_max_is_refused(self):
-        # Head 0 alone takes the float route, which rounds 1 * (1 - 2^-53)
-        # up to 1; with head 1's 2^23 the whole tensor would take the exact
-        # route, which truncates it to 0.  One match for all heads would
-        # then differ from head 0's own, so the helper refuses such a bound.
+        # Head 0 alone is matched, rounding 1 * (1 - 2^-53) up to 1; head
+        # 1's 2^23 reaches MATCH_FLOAT_MAX, so the match of the whole
+        # tensor, and of all heads at once, refuses it.
         big = 2**23
-        q = scaled([[1, 1, big, 1]], [[1.0, 1 - 2.0**-53, 1.0, 2.0]], 12)
+        q = scaled([[1, 1, big, 1], [1, 1, 1, 1]], [[1.0, 1 - 2.0**-53, 1.0, 2.0], [2.0] * 4], 12)
         assert q.data.max_bound >= MATCH_FLOAT_MAX
-        whole = scale_match_dim(ScaledTensor(q.data.view(q.data.values.reshape(1, 2, 2)),
-                                             ScaleTensor(q.scale.values.reshape(1, 2, 2))), -1)
-        assert whole.data.values[0, 0].tolist() == [0, 1]
-        assert scale_match_dim(slice_cols(q, slice(0, 2)), -1).data.values.tolist() == [[1, 1]]
+        with pytest.raises(PrecisionError, match="not below"):
+            scale_match_dim(ScaledTensor(q.data.view(q.data.values.reshape(2, 2, 2)),
+                                         ScaleTensor(q.scale.values.reshape(2, 2, 2))), -1)
+        assert scale_match_dim(slice_cols(q, slice(0, 2)), -1).data.values.tolist() == [[1, 1], [1, 1]]
         for axis in (0, -1):
-            with pytest.raises(ValueError, match="not below"):
+            with pytest.raises(PrecisionError, match="not below"):
                 _match_heads(Lane.of(q, Workspace()), 2, axis)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.booleans(), st.data())

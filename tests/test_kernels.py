@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from intflow import kernels as K
 from intflow.audit import OpAuditLog
-from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError, ShapeError
+from intflow.errors import IntflowError, LaneOverflowError, PrecisionError, ScaleRangeError, ShapeError
 from intflow.scaling import (
-    Lane, Precision, Workspace, dequantize, gemm_dtype, protocol_apply, scale_match_dim,
+    MATCH_FLOAT_MAX, Lane, Precision, Workspace, dequantize, gemm_dtype, protocol_apply,
+    scale_match_dim,
 )
 from intflow.tensor import IntTensor, ScaledTensor, ScaleTensor, container_dtype
 
@@ -32,6 +33,17 @@ def matmul(a, b_t) -> ScaledTensor:
 def on_lane(kernel, t: ScaledTensor, **kwargs) -> ScaledTensor:
     """An in-place kernel on a Lane holding a copy of t, sealed."""
     return kernel(Lane.of(t, Workspace()), **kwargs).seal()
+
+
+def refuses():
+    """The refusal of a match whose payload reaches MATCH_FLOAT_MAX."""
+    return pytest.raises(PrecisionError, match="not below")
+
+
+def refused(t: ScaledTensor) -> bool:
+    """Whether matching t along its last axis refuses it: its scale is not
+    collapsed there, and its payload reaches MATCH_FLOAT_MAX."""
+    return t.scale.shape[-1] > 1 and t.data.max_magnitude >= MATCH_FLOAT_MAX
 
 
 def frac_view(t: ScaledTensor):
@@ -160,6 +172,10 @@ class TestMatMulExactness:
     @settings(max_examples=300, deadline=None)
     def test_matches_int64_oracle(self, ops):
         a, b_t = ops
+        if refused(a) or refused(b_t):
+            with refuses():
+                matmul(a, b_t)
+            return
         am, bm = scale_match_dim(a, -1), scale_match_dim(b_t, -1)
         out = matmul(a, b_t)
         assert out.data.values.dtype == np.int64
@@ -173,6 +189,11 @@ class TestMatMulExactness:
         a, b_t = ops
         ws = Workspace()
         lane = Lane.of(a, ws)
+        if a.data.max_magnitude >= MATCH_FLOAT_MAX or refused(b_t):
+            with refuses():
+                lane.match_last()
+                K.matmul(lane, b_t, ws)
+            return
         lane.match_last()
         got, want = K.matmul(lane, b_t, ws).seal(), matmul(a, b_t)
         assert got.data.values.tolist() == want.data.values.tolist()
@@ -185,6 +206,10 @@ class TestMatMulExactness:
         a, b_t = ops
         ws = Workspace()
         lane = Lane.of(a, ws)
+        if refused(a) or refused(b_t):
+            with refuses():
+                K.matmul(lane, b_t, ws)
+            return
         got, want = K.matmul(lane, b_t, ws).seal(), matmul(a, b_t)
         assert got.data.values.tolist() == want.data.values.tolist()
         assert np.array_equal(got.scale.values, want.scale.values)
@@ -432,8 +457,15 @@ class TestSumReduce:
     @settings(max_examples=100, deadline=None)
     def test_lane_sum_matches_python_ints(self, rows):
         # A Lane's payload is float64 below 2^53 and summed there while the
-        # sum's bound stays below 2^53; past it the sum runs in int64.
-        t = scale_match_dim(scaled(rows, np.linspace(1.0, 2.0, 3 * len(rows)).reshape(-1, 3)), -1)
+        # sum's bound stays below 2^53; past it the sum runs in int64.  The
+        # match that collapses the scale refuses payloads from 2^22 up, so
+        # those rows are summed under a scale collapsed from the start.
+        t = scaled(rows, np.linspace(1.0, 2.0, 3 * len(rows)).reshape(-1, 3))
+        if refused(t):
+            with refuses():
+                scale_match_dim(t, -1)
+            t = scaled(rows, np.ones((len(rows), 1)))
+        t = scale_match_dim(t, -1)
         lane = Lane.of(t, Workspace())
         assert K.sum_reduce(lane) is lane
         out = lane.seal()
@@ -571,8 +603,7 @@ class TestContainerWidthOperands:
 
 
 # Scales m / 2^j: exact floats whose ratios keep every non-integer matched
-# quotient at least 2^-20 from an integer, so the float matching route
-# truncates exactly too.
+# quotient at least 2^-20 from an integer, so the match truncates exactly.
 dyadic_scales = st.builds(lambda m, j: m / 2**j, st.integers(1, 1024), st.integers(0, 10))
 
 
@@ -641,10 +672,19 @@ class TestLaneKernels:
     @settings(max_examples=300, deadline=None)
     def test_both_forms_match_the_oracle(self, case):
         name, a, b, a_lane, b_lane = case
-        shape, xs, ss = oracle(name, a, b if name != "abs_" else a)
         ws = Workspace()
         first = Lane.of(a, ws) if a_lane else a
         ins = [first] if name == "abs_" else [first, Lane.of(b, ws) if b_lane else b]
+        if name == "add":
+            # add matches each operand whose scale is not the minimum; a
+            # payload from 2^22 up is then refused.
+            s_bar = np.minimum(a.scale.values, b.scale.values)
+            if any(t.data.max_magnitude >= MATCH_FLOAT_MAX and not (t.scale.values == s_bar).all()
+                   for t in (a, b)):
+                with refuses():
+                    K.add(*ins, ws=ws)
+                return
+        shape, xs, ss = oracle(name, a, b if name != "abs_" else a)
         out = getattr(K, name)(*ins, ws=ws)
         assert isinstance(out, Lane) and (out is first) == a_lane
         assert out.shape == shape

@@ -7,7 +7,10 @@ lane step of random forwards, each fallback is shown to run, or to raise
 exactly as a scan does, and the scans left in a forward are counted.
 """
 import contextlib
+import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from intflow import kernels as K
 from intflow import modelfile, scaling, tensor, transformer
 from intflow.audit import OpAuditLog
 from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError
-from intflow.scaling import Lane, Precision, Session, Workspace, protocol_apply, scale_match_dim
+from intflow.scaling import (
+    Lane, Precision, ScaleGranularity, Session, Workspace, protocol_apply, scale_match_dim,
+)
 from intflow.tensor import LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import ModelConfig, forward, quantize_model, random_reference_model
 
@@ -266,8 +271,8 @@ class TestPayloadFallback:
         assert not any(r.rescaled for r in log.records)
 
     def test_the_match_switch_reads_the_exact_max(self):
-        # Only the float route rounds 1 * (1 - 2^-53) up to 1; the exact
-        # route gives 0.  A bound past 2^22 must not change the route.
+        # A bound past 2^22 must not refuse a payload whose exact max is
+        # below it; the match then rounds 1 * (1 - 2^-53) up to 1.
         s = [[1.0, 1.0 - 2.0**-53]]
         data = IntTensor.adopt(np.array([[1, 0]], dtype=np.int64), 7, bound=2**30)
         loose = scale_match_dim(ScaledTensor(data, ScaleTensor(np.array(s))), 1)
@@ -333,3 +338,60 @@ def test_scan_budget(cfg, t, budget):
     with counted_scans() as counts:
         forward(model, Session(Precision(cfg.precision)), tokens=tokens)
     assert counts == budget
+
+
+# Python calls into the intflow package per forward, counted after a
+# warm-up forward has filled the lru_caches (the first forward makes about
+# 28 more).  numpy's own calls are not counted, so the count follows the op
+# sequence only.  Re-pin only downward.
+@pytest.mark.parametrize("cfg, t, budget", [(ModelConfig(), 1, 4087), (LONGCTX, 32, 8211)])
+def test_call_budget(cfg, t, budget):
+    model = quantize_model(random_reference_model(cfg, 0))
+    tokens = np.random.default_rng(1).integers(0, cfg.vocab, t)
+    forward(model, Session(Precision(cfg.precision)), tokens=tokens)
+    home = os.path.dirname(transformer.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(home):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        forward(model, Session(Precision(cfg.precision)), tokens=tokens)
+    finally:
+        sys.setprofile(None)
+    assert calls == budget
+
+
+def test_forward_matches_only_p_bit_payloads(monkeypatch):
+    # A match refuses payloads from 2^22 up; a forward never gets near it:
+    # every operand it matches is sealed at 2^p - 1 or just shrunk to it.
+    # The sweep runs each precision at the lowest and highest degree, both
+    # granularities and W_q, W_k grown six times, from tokens and from a
+    # hidden input, whose scales follow the granularity.
+    seen = []
+    match = scaling._match_payload
+
+    def checking(x, s, s_bar, held, *args, **kwargs):
+        seen.append(held.max_bound)
+        return match(x, s, s_bar, held, *args, **kwargs)
+
+    for module in (scaling, K, transformer):
+        monkeypatch.setattr(module, "_match_payload", checking)
+    rng = np.random.default_rng(0)
+    for p in range(2, 16):
+        for degree in (1, 62 // (p + 1)):
+            for g in ScaleGranularity:
+                cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=16, precision=p,
+                                  granularity=g, degree=degree)
+                ref = random_reference_model(cfg, p)
+                ref = dataclasses.replace(ref, layers=tuple(
+                    dataclasses.replace(lp, w_q=6 * lp.w_q, w_k=6 * lp.w_k) for lp in ref.layers))
+                model = quantize_model(ref)
+                seen.clear()
+                forward(model, Session(Precision(p)), tokens=rng.integers(0, cfg.vocab, 6))
+                hidden = RationalTensor(rng.normal(size=(6, cfg.d_m)))
+                forward(model, Session(Precision(p)), hidden=hidden)
+                assert seen and max(seen) <= (1 << p) - 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from intflow import kernels as K
 from intflow import scaling
 from intflow.audit import PAYLOAD, SCALE, OpAuditLog
-from intflow.errors import ShapeError
+from intflow.errors import PrecisionError, ScaleRangeError, ShapeError
 from intflow.scaling import (
     Lane,
     Precision,
@@ -93,13 +93,16 @@ def exact_match(x: int, s: float, s_bar: float) -> int:
 
 def assert_matched(got: int, x: int, s: float, s_bar: float) -> None:
     want = exact_match(x, s, s_bar)
-    if got != want and abs(x) < scaling.MATCH_FLOAT_MAX:
-        # The float route's guard: a quotient less than 2e-9 below an
-        # integer is rounded up to it, away from zero.
+    if got != want:
+        # The match's guard: a quotient less than 2e-9 below an integer is
+        # rounded up to it, away from zero.
         exact = abs(x) * Fraction(s_bar) / Fraction(s)
         assert abs(got) == abs(want) + 1 and abs(got) - exact < Fraction(2, 10**9)
-    else:
-        assert got == want
+
+
+def refuses():
+    """The refusal of a match whose payload reaches MATCH_FLOAT_MAX."""
+    return pytest.raises(PrecisionError, match="not below")
 
 
 MATCH_BOUNDARY = BOUNDARY + [2**22 - 1, 2**22, 2**45 + 3, 2**52 + 1]
@@ -186,23 +189,34 @@ class TestFloat64Boundary:
     @given(st.data(), st.integers(1, 6), st.booleans())
     @settings(max_examples=300)
     def test_scale_match_matches_fractions(self, data, n, big):
-        # Either side of the float route's limit and of 2^53, up to the lane.
+        # Either side of the match's limit and of 2^53, up to the lane: a
+        # payload that moves is refused from MATCH_FLOAT_MAX up.
         wide = st.sampled_from(MATCH_BOUNDARY) | st.integers(2**40, 2**53) | lane_ints
         ints = wide if big else st.integers(-(2**21), 2**21)
         xs = data.draw(st.lists(ints, min_size=n, max_size=n))
         sa = data.draw(st.lists(match_scales, min_size=n, max_size=n))
         sb = data.draw(st.lists(match_scales, min_size=n, max_size=n))
-        ma, _ = scale_match([scaled(xs, sa), scaled([0] * n, sb)])
+        ts = [scaled(xs, sa), scaled([0] * n, sb)]
+        if max(map(abs, xs)) >= scaling.MATCH_FLOAT_MAX and any(b < a for a, b in zip(sa, sb)):
+            with refuses():
+                scale_match(ts)
+            return
+        ma, _ = scale_match(ts)
         for got, x, s, s_bar in zip(ma.data.values.tolist(), xs, sa, ma.scale.values.tolist()):
             assert_matched(got, x, s, s_bar)
 
     @given(st.data(), st.integers(1, 6))
     @settings(max_examples=200)
     def test_scale_match_dim_wide_payloads_match_fractions(self, data, n):
-        # 2^40 to 2^61 always take the exact route, in Python ints.
+        # 2^40 to 2^61 are refused wherever a match runs: a single slice
+        # has its scale collapsed already, so nothing is matched.
         signed = st.integers(2**40, 2**61).flatmap(lambda v: st.sampled_from([v, -v]))
         xs = data.draw(st.lists(signed, min_size=n, max_size=n))
         ss = data.draw(st.lists(match_scales, min_size=n, max_size=n))
+        if n > 1:
+            with refuses():
+                scale_match_dim(scaled([xs], [ss]), 1)
+            return
         out = scale_match_dim(scaled([xs], [ss]), 1)
         s_bar = min(ss)
         assert out.scale.values.tolist() == [[s_bar]]
@@ -211,21 +225,22 @@ class TestFloat64Boundary:
     @pytest.mark.parametrize("x", MATCH_BOUNDARY)
     @pytest.mark.parametrize("s, s_bar", [(3.0, 1.0), (7.0, 2.0), (2.0**20, 1.0), (1.0000001, 1.0)])
     def test_scale_match_dim_boundary_grid(self, x, s, s_bar):
+        if x >= scaling.MATCH_FLOAT_MAX:
+            with refuses():
+                scale_match_dim(scaled([[x, -x]], [[s, s_bar]]), 1)
+            return
         out = scale_match_dim(scaled([[x, -x]], [[s, s_bar]]), 1)
         assert out.data.values.tolist() == [[exact_match(x, s, s_bar), -x]]
 
     def test_lane_match_is_exact_above_2_53(self):
-        # The lane matches its payload in place on the same routes.
+        # The lane matches its payload in place through the same function,
+        # which refuses it from MATCH_FLOAT_MAX up, past 2^53 too.
         ws = scaling.Workspace()
         x = np.array([[2**60 + 5, -(2**53 + 1)], [2**40 - 1, 3]], dtype=np.int64)
         s = np.array([[3.0, 7.0], [2.0**40, 5.0]])
         lane = scaling.Lane(x.copy(), s.copy(), 12, ws)
-        lane.match_last()
-        s_bar = s.min(axis=1)
-        want = [[exact_match(int(v), float(si), float(s_bar[i])) for v, si in zip(row, srow)]
-                for i, (row, srow) in enumerate(zip(x.tolist(), s.tolist()))]
-        assert lane.x.astype(np.int64).tolist() == want
-        assert lane.s.ravel().tolist() == s_bar.tolist()
+        with refuses():
+            lane.match_last()
 
 
 class TestInitScale:
@@ -281,6 +296,18 @@ class TestQuantize:
             r = RationalTensor(rng.normal(size=(10, 6)) * 100)
             t = quantize(r, init_scale(r, prec=Precision(p)), p)
             assert t.data.max_magnitude <= Precision(p).max_magnitude
+        # Past about (2^p - 1) * 2^126 the scale is a subnormal float32, which
+        # rounding could raise past the limit (128, 168 and 210 at p=7).  A
+        # scale stepped down to 0 is refused.
+        for p in (2, 7, 15):
+            for v in (1e45, 6e46, 1.5e47):
+                r = RationalTensor(np.array([[v, -v / 3]]))
+                try:
+                    s = init_scale(r, prec=Precision(p))
+                except ScaleRangeError:
+                    assert (p, v) in {(2, 6e46), (2, 1.5e47), (7, 1.5e47)}
+                    continue
+                assert quantize(r, s, p).data.max_magnitude <= Precision(p).max_magnitude
 
     def test_quantize_dequantize_quantize_is_idempotent(self):
         rng = np.random.default_rng(2)
@@ -387,10 +414,10 @@ class TestScaleMatchDim:
         assert np.array_equal(out.data.values, t.data.values)
 
     def test_equal_slices_are_identity_above_float_mantissa(self):
+        # Equal slices still run the match, which refuses such a payload.
         t = scaled([[2**60 + 1, -(2**55 + 3)]], [[2.0, 2.0]])
-        out = scale_match_dim(t, 1)
-        assert out.data.values.tolist() == [[2**60 + 1, -(2**55 + 3)]]
-        assert out.scale.values.tolist() == [[2.0]]
+        with refuses():
+            scale_match_dim(t, 1)
 
     def test_two_slices(self):
         t = scaled([[100, 50]], [[100.0, 50.0]])
@@ -414,8 +441,8 @@ class TestScaleMatchDim:
     @settings(max_examples=300, deadline=None)
     def test_scale_constant_along_the_axis_moves_no_payload(self, data, t, n, cap, in_float):
         # No check skips the match of a scale that is already its own
-        # minimum: the ratio is exactly 1, and the float route (max|x| below
-        # 2^22) and the exact one return every payload as it was, bit for bit.
+        # minimum: the ratio is exactly 1, and the match returns every
+        # payload below 2^22 as it was, bit for bit, and refuses one above.
         x = np.array(data.draw(st.lists(st.integers(-cap, cap), min_size=t * n, max_size=t * n)))
         x[0] = data.draw(st.sampled_from([cap, -cap]))  # the bound is the exact max
         x = x.reshape(t, n)
@@ -425,12 +452,21 @@ class TestScaleMatchDim:
         ws = Workspace()
         lane = Lane(ws.copy(x, dtype), ws.copy(s), 15, ws, cap)
         lane.bound(cap, nonneg=bool((x >= 0).all()))
-        lane.match_last()
-        assert lane.x.dtype == scaling.lane_dtype(cap)
-        assert lane.x.tobytes() == x.astype(lane.x.dtype).tobytes()
-        assert lane.s.tobytes() == rows.tobytes()
+        refused = cap >= scaling.MATCH_FLOAT_MAX
+        if refused:
+            with refuses():
+                lane.match_last()
+        else:
+            lane.match_last()
+            assert lane.x.dtype == scaling.lane_dtype(cap)
+            assert lane.x.tobytes() == x.astype(lane.x.dtype).tobytes()
+            assert lane.s.tobytes() == rows.tobytes()
         for operand, d in ((ScaledTensor(IntTensor(x), ScaleTensor(s)), -1),
                            (ScaledTensor(IntTensor(x.T), ScaleTensor(s.T)), 0)):
+            if refused and n > 1:
+                with refuses():
+                    scale_match_dim(operand, d)
+                continue
             out = scale_match_dim(operand, d)
             assert out.data.values.tobytes() == operand.data.values.tobytes()
             assert out.scale.values.tobytes() == np.min(operand.scale.values, axis=d, keepdims=True).tobytes()
@@ -559,8 +595,9 @@ class TestShrinkDecision:
            st.sampled_from([np.int64, np.float64]), st.sampled_from(["none", "self", "float", "int"]))
     @settings(max_examples=300, deadline=None)
     def test_nonneg_match_is_the_signed_match(self, data, t, n, dtype, out):
-        # Below MATCH_FLOAT_MAX the float route skips |x| and x's sign for a
-        # payload with no negative value; the bits are those of the signed route.
+        # The match skips |x| and x's sign for a payload with no negative
+        # value; the bits are those of the signed match, and from
+        # MATCH_FLOAT_MAX up both refuse it.
         cap = data.draw(st.sampled_from([1, 127, 4095, scaling.MATCH_FLOAT_MAX - 1, 2**40]))
         x = np.array(data.draw(st.lists(st.integers(0, cap), min_size=t * n, max_size=t * n)))
         x = x.reshape(t, n).astype(dtype)
@@ -574,6 +611,11 @@ class TestShrinkDecision:
                     "int": np.empty(x.shape, np.int64)}[out]
             return scaling._match_payload(xc, s, s_bar, IntTensor(x.astype(np.int64)), ws, dest, nonneg)
 
+        if x.max() >= scaling.MATCH_FLOAT_MAX:
+            for nonneg in (True, False):
+                with refuses():
+                    match(nonneg, Workspace())
+            return
         got, want = match(True, Workspace()), match(False, None)
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
