@@ -11,6 +11,7 @@ import numpy as np
 from . import kernels as K
 from .audit import OpAuditLog
 from .errors import ValidationError
+from .modelfile import HEADER_SIZE, record_sizes, serialize
 from .scaling import (
     Precision,
     Session,
@@ -241,16 +242,9 @@ def resident_bytes(model: IntegerTransformerModel | FP32ReferenceModel) -> int:
 def storage_report(model: IntegerTransformerModel) -> StorageReport:
     """Byte accounting from the actual serializations of the model pair,
     and from the arrays the model and its FP32 twin hold."""
-    from .modelfile import (
-        HEADER_SIZE,
-        record_sizes,
-        serialize_int_model,
-        serialize_reference_model,
-    )
-
     twin = reference_twin(model)
-    fp32_blob = serialize_reference_model(twin)
-    int_blob = serialize_int_model(model)
+    fp32_blob = serialize(twin)
+    int_blob = serialize(model)
     payload_bytes, scale_bytes = record_sizes(int_blob)
     report = StorageReport(
         fp32_bytes=len(fp32_blob),

@@ -57,7 +57,12 @@ def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
         "--granularity",
         choices=sorted(_GRANULARITIES),
         default=cfg.granularity.value,
-        help="scale grouping for activations: row (one scale per token) or b (one per sequence)",
+        help=(
+            "scale grouping where a float tensor is quantized: the hidden-state input of "
+            "`infer` and the inputs of integer modules in a hybrid forward (`compare "
+            "--ablate`); row (one scale per token) or b (one per sequence). A token "
+            "forward never reads it"
+        ),
     )
 
 

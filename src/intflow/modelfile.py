@@ -1,5 +1,10 @@
 """Binary model container for quantized and FP32 transformer weights.
 
+One writer, `serialize(model)`, and one reader, `deserialize(blob)`, cover
+both flavours: the writer picks the records from the model's type, and the
+reader picks the model class from the header's FLAG_QUANTIZED.  `save_model`
+and `load_model` are their file forms.
+
 Layout (all integers little-endian):
 
     magic   4 bytes  b"SPQ1"
@@ -124,7 +129,6 @@ def _records(blob: bytes):
 
 
 _SCHEMA = LAYER_TENSORS | MODEL_TENSORS
-_MODEL_CLASS = {True: IntegerTransformerModel, False: FP32ReferenceModel}  # by `quantized`
 
 
 def _record_name(field: str) -> str:
@@ -138,23 +142,6 @@ def _record_name(field: str) -> str:
     return field
 
 
-def _header_bytes(cfg: ModelConfig, n_tensors: int, quantized: bool) -> bytes:
-    return HEADER.pack(
-        MAGIC,
-        VERSION,
-        cfg.precision,
-        _GRAN_CODES[cfg.granularity],
-        cfg.degree,
-        FLAG_QUANTIZED if quantized else 0,
-        *(getattr(cfg, dim) for dim in HEADER_DIMS),
-        n_tensors,
-    )
-
-
-def _poly_array(pp: PolyParams, degree: int) -> np.ndarray:
-    return np.array([pp.bias, float(degree), pp.offset], dtype=np.float64)
-
-
 def _poly_from_array(arr: np.ndarray, degree: int, name: str) -> PolyParams:
     """The (bias, degree, offset) record `name` as PolyParams."""
     if arr.shape != (3,):
@@ -166,14 +153,15 @@ def _poly_from_array(arr: np.ndarray, degree: int, name: str) -> PolyParams:
     return PolyParams(bias=float(arr[0]), offset=float(arr[2]))
 
 
-def _serialize(model, quantized: bool) -> bytes:
+def serialize(model: IntegerTransformerModel | FP32ReferenceModel) -> bytes:
     """Every tensor of the schema, in file order: as int8 payload records with
-    sibling `.scale` records when `quantized` (requires p <= 7), else as
-    plain float32 records."""
-    flavour = _MODEL_CLASS[quantized]
-    if not isinstance(model, flavour):
-        raise ValidationError(f"cannot serialize {type(model).__name__} as {flavour.__name__}")
-    if quantized and model.config.precision > 7:
+    sibling `.scale` records for an IntegerTransformerModel (requires
+    p <= 7), as plain float32 records for an FP32ReferenceModel."""
+    quantized = isinstance(model, IntegerTransformerModel)
+    if not quantized and not isinstance(model, FP32ReferenceModel):
+        raise ValidationError(f"cannot serialize {type(model).__name__}: not a model")
+    cfg = model.config
+    if quantized and cfg.precision > 7:
         raise ValidationError("int8 container requires precision <= 7")
     records: list[tuple[str, int, np.ndarray]] = []
 
@@ -190,27 +178,24 @@ def _serialize(model, quantized: bool) -> bytes:
         pre = f"layers.{i}."
         for field in LAYER_TENSORS:
             put(pre + _record_name(field), getattr(lp, field))
-        records.append((pre + "poly", DTYPE_F32, _poly_array(lp.poly, model.config.degree)))
+        poly = (lp.poly.bias, cfg.degree, lp.poly.offset)
+        records.append((pre + "poly", DTYPE_F32, np.array(poly, dtype=np.float64)))
     for field in rest:
         put(_record_name(field), getattr(model, field))
 
-    chunks = [_header_bytes(model.config, len(records), quantized)]
+    chunks = [HEADER.pack(
+        MAGIC, VERSION, cfg.precision, _GRAN_CODES[cfg.granularity], cfg.degree,
+        FLAG_QUANTIZED if quantized else 0,
+        *(getattr(cfg, dim) for dim in HEADER_DIMS), len(records),
+    )]
     for record in records:
         chunks += _encode(*record)
     return b"".join(chunks)
 
 
-def serialize_int_model(model: IntegerTransformerModel) -> bytes:
-    """Int8 payloads with sibling `.scale` records; requires p <= 7."""
-    return _serialize(model, quantized=True)
-
-
-def serialize_reference_model(ref: FP32ReferenceModel) -> bytes:
-    """Plain float32 records, one per parameter tensor."""
-    return _serialize(ref, quantized=False)
-
-
 def _parse(blob: bytes):
+    """The header's ModelConfig and quantized flag, and each record by name
+    as (dtype tag, data, bytes spanned)."""
     if len(blob) < HEADER_SIZE:
         raise ValidationError("file too short for header")
     magic, version, p, gran_code, degree, flags, *dims, n_tensors = HEADER.unpack_from(blob)
@@ -226,11 +211,11 @@ def _parse(blob: bytes):
         degree=degree,
         **dict(zip(HEADER_DIMS, dims)),
     )
-    tensors: dict[str, tuple[int, np.ndarray]] = {}
-    for name, dtype, arr, _ in _records(blob):
+    tensors: dict[str, tuple[int, np.ndarray, int]] = {}
+    for name, dtype, arr, size in _records(blob):
         if name in tensors:
             raise ValidationError(f"duplicate tensor {name!r}")
-        tensors[name] = (dtype, arr)
+        tensors[name] = (dtype, arr, size)
     if len(tensors) != n_tensors:
         raise ValidationError(
             f"header promises {n_tensors} tensors, file holds {len(tensors)}"
@@ -239,10 +224,10 @@ def _parse(blob: bytes):
 
 
 def record_sizes(blob: bytes) -> tuple[int, int]:
-    """(int8 payload record bytes, float32 scale record bytes) of a container."""
-    _parse(blob)  # refuses a file the loader refuses at parse
+    """(int8 payload record bytes, float32 scale record bytes) of a container,
+    from the one parse that refuses what the loader refuses there."""
     payload = scale = 0
-    for name, dtype, _, size in _records(blob):
+    for name, (dtype, _, size) in _parse(blob)[2].items():
         if dtype == DTYPE_F32 and name.endswith(SCALE_SUFFIX):
             scale += size
         else:
@@ -253,7 +238,7 @@ def record_sizes(blob: bytes) -> tuple[int, int]:
 def _take(tensors: dict, name: str, dtype: int) -> np.ndarray:
     if name not in tensors:
         raise ValidationError(f"missing tensor {name!r}")
-    got_dtype, arr = tensors.pop(name)
+    got_dtype, arr, _ = tensors.pop(name)
     if got_dtype != dtype:
         raise ValidationError(f"tensor {name!r} has the wrong dtype")
     return arr
@@ -274,13 +259,10 @@ def _take_scaled(tensors: dict, name: str, precision: int) -> ScaledTensor:
 # A corrupt float32 record can hold a signaling NaN, whose cast to float64
 # would warn; the tensor and scale checks refuse every NaN with exit 2.
 @np.errstate(invalid="ignore")
-def _deserialize(blob: bytes, want: bool | None = None):
-    """The model a container holds, quantized or FP32 as its flags say; a
-    file of the other flavour than `want`, when given, is refused."""
+def deserialize(blob: bytes) -> IntegerTransformerModel | FP32ReferenceModel:
+    """The model a container holds: an IntegerTransformerModel when the
+    header's FLAG_QUANTIZED is set, else an FP32ReferenceModel."""
     cfg, quantized, tensors = _parse(blob)
-    if want is not None and quantized != want:
-        held, wanted = ("a quantized", "an FP32") if quantized else ("an FP32", "a quantized")
-        raise ValidationError(f"file holds {held} model, not {wanted} one")
 
     def take(field: str, prefix: str = ""):
         name = prefix + _record_name(field)
@@ -303,23 +285,18 @@ def _deserialize(blob: bytes, want: bool | None = None):
     fields = {field: take(field) for field in MODEL_TENSORS}
     if tensors:
         raise ValidationError(f"unexpected tensors: {sorted(tensors)}")
-    return _MODEL_CLASS[quantized](config=cfg, layers=tuple(layers), **fields)
+    model_cls = IntegerTransformerModel if quantized else FP32ReferenceModel
+    return model_cls(config=cfg, layers=tuple(layers), **fields)
 
 
-def deserialize_int_model(blob: bytes) -> IntegerTransformerModel:
-    return _deserialize(blob, want=True)
-
-
-def deserialize_reference_model(blob: bytes) -> FP32ReferenceModel:
-    return _deserialize(blob, want=False)
-
-
-def save_model(path: str, model) -> None:
-    blob = _serialize(model, quantized=isinstance(model, IntegerTransformerModel))
+def save_model(path: str, model: IntegerTransformerModel | FP32ReferenceModel) -> None:
+    """serialize(model), written to `path`."""
+    blob = serialize(model)
     with open(path, "wb") as fh:
         fh.write(blob)
 
 
-def load_model(path: str):
+def load_model(path: str) -> IntegerTransformerModel | FP32ReferenceModel:
+    """deserialize() of the file at `path`."""
     with open(path, "rb") as fh:
-        return _deserialize(fh.read())
+        return deserialize(fh.read())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audit import FP32, PAYLOAD, SCALE, AuditRecord, OpAuditLog
-from .errors import LaneOverflowError, PrecisionError, ShapeError, WorkspaceError
+from .errors import LaneOverflowError, PrecisionError, ShapeError, ValidationError, WorkspaceError
 from .tensor import (
     DEFAULT_PRECISION,
     LANE_MAX,
@@ -36,7 +36,7 @@ class Precision:
 
     def __post_init__(self):
         if not 2 <= self.p <= 15:
-            raise ValueError(f"precision {self.p} outside [2, 15]")
+            raise ValidationError(f"precision {self.p} outside [2, 15]")
 
     @property
     def max_magnitude(self) -> int:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LaneOverflowError, PrecisionError, ScaleRangeError, ShapeError
+from .errors import LaneOverflowError, PrecisionError, ScaleRangeError, ShapeError, ValidationError
 
 LANE_DTYPE = np.int64
 # Headroom below int64 so products can be guarded before they wrap.
@@ -31,9 +31,10 @@ def container_dtype(precision: int) -> type:
     return np.int8 if precision <= 7 else np.int16
 
 
-def _as_float_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
+def _float_view(values) -> np.ndarray:
+    """A float64 view of `values`: freezing it leaves the caller's array writable
+    (a later write to that array still reaches the tensor)."""
+    return np.asarray(values, dtype=np.float64).view()
 
 
 def max_abs(arr: np.ndarray) -> int:
@@ -118,7 +119,7 @@ class RationalTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_array(self.values)
+        arr = _float_view(self.values)
         if not np.all(np.isfinite(arr)):
             raise ValueError("rational tensor values must be finite")
         arr.flags.writeable = False
@@ -229,7 +230,7 @@ class IntTensor:
             check_lane(m)
             bound = m
         if not 2 <= self.precision <= 15:
-            raise ValueError(f"precision {self.precision} outside [2, 15]")
+            raise ValidationError(f"precision {self.precision} outside [2, 15]")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_max_abs", m)
@@ -274,7 +275,7 @@ class ScaleTensor:
     hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = _as_float_array(self.values)
+        arr = _float_view(self.values)
         self._seal(arr, *check_scale(arr))
 
     @classmethod

@@ -36,6 +36,8 @@ from intflow.transformer import (
 )
 from intflow.analysis import precision_loss, speedup_estimate, storage_report
 
+from helpers import scaled
+
 # One-sided binomial sign test at 95% confidence for n = 20 trials:
 # P(X >= 15 | p = 0.5) ~ 0.021, P(X >= 14) ~ 0.058, so 15 is the threshold.
 N_SEEDS = 20
@@ -46,13 +48,6 @@ def report(capsys, n, name, ok):
     with capsys.disabled():
         print(f"criterion {n:2d} ({name}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {n} ({name}) failed"
-
-
-def scaled(data, scale, precision=7):
-    return ScaledTensor(
-        IntTensor(np.asarray(data, dtype=np.int64), precision),
-        ScaleTensor(np.asarray(scale, dtype=np.float64)),
-    )
 
 
 def test_01_quantization_bound(capsys):

@@ -45,12 +45,7 @@ from intflow.transformer import (
     reference_twin,
 )
 
-
-def scaled(data, scale, precision):
-    return ScaledTensor(
-        IntTensor(np.asarray(data, dtype=np.int64), precision),
-        ScaleTensor(np.asarray(scale, dtype=np.float64)),
-    )
+from helpers import scaled
 
 
 def slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:

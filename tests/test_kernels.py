@@ -17,12 +17,7 @@ from intflow.scaling import (
 )
 from intflow.tensor import IntTensor, ScaledTensor, ScaleTensor, container_dtype
 
-
-def scaled(data, scale, precision=7):
-    return ScaledTensor(
-        IntTensor(np.asarray(data, dtype=np.int64), precision),
-        ScaleTensor(np.asarray(scale, dtype=np.float64)),
-    )
+from helpers import scaled
 
 
 def matmul(a, b_t) -> ScaledTensor:

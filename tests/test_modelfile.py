@@ -7,17 +7,16 @@ import pytest
 from intflow.cli import EXIT_OK, EXIT_VALIDATION, main
 from intflow.errors import ValidationError
 from intflow.modelfile import (
+    FLAG_QUANTIZED,
     HEADER_SIZE,
     MAGIC,
     _encode,
     _records,
-    deserialize_int_model,
-    deserialize_reference_model,
+    deserialize,
     load_model,
     record_sizes,
     save_model,
-    serialize_int_model,
-    serialize_reference_model,
+    serialize,
 )
 from intflow.scaling import Precision, ScaleGranularity, Session
 from intflow.transformer import (
@@ -32,6 +31,10 @@ from intflow.transformer import (
 )
 
 
+# Header byte 9 holds the flags; bit 0 (FLAG_QUANTIZED) marks int8 payloads.
+FLAG_BYTE = 9
+
+
 @pytest.fixture(scope="module")
 def pair():
     cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=2, vocab=24)
@@ -42,19 +45,19 @@ def pair():
 class TestRoundTrips:
     def test_int_model_write_read_write_is_bit_exact(self, pair):
         ref, model = pair
-        blob = serialize_int_model(model)
-        again = serialize_int_model(deserialize_int_model(blob))
+        blob = serialize(model)
+        again = serialize(deserialize(blob))
         assert blob == again
 
     def test_fp32_model_write_read_write_is_bit_exact(self, pair):
         ref, model = pair
-        blob = serialize_reference_model(ref)
-        again = serialize_reference_model(deserialize_reference_model(blob))
+        blob = serialize(ref)
+        again = serialize(deserialize(blob))
         assert blob == again
 
     def test_reloaded_model_reproduces_outputs_exactly(self, pair):
         ref, model = pair
-        m2 = deserialize_int_model(serialize_int_model(model))
+        m2 = deserialize(serialize(model))
         tok = np.arange(6)
         o1 = forward(model, Session(Precision(7)), tokens=tok)
         o2 = forward(m2, Session(Precision(7)), tokens=tok)
@@ -82,16 +85,16 @@ class TestInPlaceRecords:
 
     def test_int8_payloads_share_the_blob(self, pair):
         _, model = pair
-        blob = serialize_int_model(model)
+        blob = serialize(model)
         raw = np.frombuffer(blob, np.uint8)
-        held = payloads(deserialize_int_model(blob))
+        held = payloads(deserialize(blob))
         assert len(held) == 4 + 12 * model.config.n_layers
         assert all(np.shares_memory(p, raw) for p in held)
 
     def test_writes_to_a_bytearray_after_loading_miss_the_model(self, pair):
         _, model = pair
-        blob = bytearray(serialize_int_model(model))
-        loaded = deserialize_int_model(blob)
+        blob = bytearray(serialize(model))
+        loaded = deserialize(blob)
         before = [p.copy() for p in payloads(loaded)]
         tok = np.arange(6)
         o1 = forward(loaded, Session(Precision(7)), tokens=tok)
@@ -105,39 +108,38 @@ class TestInPlaceRecords:
 class TestValidation:
     def test_bad_magic(self, pair):
         ref, model = pair
-        blob = bytearray(serialize_int_model(model))
+        blob = bytearray(serialize(model))
         blob[:4] = b"NOPE"
         with pytest.raises(ValidationError):
-            deserialize_int_model(bytes(blob))
+            deserialize(bytes(blob))
 
     def test_truncated_file(self, pair):
         ref, model = pair
-        blob = serialize_int_model(model)
+        blob = serialize(model)
         with pytest.raises(ValidationError):
-            deserialize_int_model(blob[: len(blob) // 2])
+            deserialize(blob[: len(blob) // 2])
 
     def test_wrong_container_flavor(self, pair):
+        # The reader takes the flavour from the flag byte; records of the
+        # other flavour than the flag names are refused, not misread.
         ref, model = pair
-        with pytest.raises(ValidationError):
-            deserialize_int_model(serialize_reference_model(ref))
-        with pytest.raises(ValidationError):
-            deserialize_reference_model(serialize_int_model(model))
-        with pytest.raises(ValidationError):
-            serialize_int_model(ref)
-        with pytest.raises(ValidationError):
-            serialize_reference_model(model)
+        for held, flag in ((model, 0), (ref, FLAG_QUANTIZED)):
+            blob = bytearray(serialize(held))
+            blob[FLAG_BYTE] = flag
+            with pytest.raises(ValidationError, match=r"^tensor 'layers.0.w_q' has the wrong dtype$"):
+                deserialize(bytes(blob))
 
     @pytest.mark.parametrize("record", [0, 3])
     def test_name_not_utf8(self, pair, record):
         # The refusal gives the name's byte offset, not Python's codec message.
         _, model = pair
-        blob = bytearray(serialize_int_model(model))
+        blob = bytearray(serialize(model))
         at = HEADER_SIZE + 2
         for _, _, _, size in list(_records(bytes(blob)))[:record]:
             at += size
         blob[at] = 0xFF
         with pytest.raises(ValidationError, match=rf"^tensor name at byte {at} is not valid UTF-8$"):
-            deserialize_int_model(bytes(blob))
+            deserialize(bytes(blob))
 
     def test_save_refuses_other_objects(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -147,16 +149,16 @@ class TestValidation:
         ref, model = pair
         m12 = quantize_model(ref, precision=12)
         with pytest.raises(ValidationError):
-            serialize_int_model(m12)
+            serialize(m12)
 
     def test_payload_must_respect_declared_precision(self, pair):
         ref, model = pair
-        blob = bytearray(serialize_int_model(model))
+        blob = bytearray(serialize(model))
         # Lower the declared precision below the stored payload range.
         assert blob[:4] == MAGIC
         blob[6] = 2
         with pytest.raises(ValidationError):
-            deserialize_int_model(bytes(blob))
+            deserialize(bytes(blob))
 
 
 def rewrite_records(blob: bytes, cut, *names: str) -> bytes:
@@ -184,10 +186,10 @@ class TestLayerNormWidth:
     ])
     def test_int_file(self, pair, names, cut):
         _, model = pair
-        blob = serialize_int_model(model)
+        blob = serialize(model)
         assert rewrite_records(blob, lambda a: a, *names) == blob
         with pytest.raises(ValidationError, match="has shape"):
-            deserialize_int_model(rewrite_records(blob, getattr(self, cut), *names))
+            deserialize(rewrite_records(blob, getattr(self, cut), *names))
 
     @pytest.mark.parametrize("names, cut", [
         (("layers.0.ln1.b",), "width_one"),
@@ -196,16 +198,16 @@ class TestLayerNormWidth:
     ])
     def test_fp32_file(self, pair, names, cut):
         ref, _ = pair
-        blob = serialize_reference_model(ref)
+        blob = serialize(ref)
         with pytest.raises(ValidationError, match="has shape"):
-            deserialize_reference_model(rewrite_records(blob, getattr(self, cut), *names))
+            deserialize(rewrite_records(blob, getattr(self, cut), *names))
 
     def test_cli_exits_with_validation_error(self, pair, tmp_path):
         ref, model = pair
         int8, fp32 = tmp_path / "bad.int8", tmp_path / "bad.fp32"
         names = ("layers.0.ln1.b", "layers.0.ln1.b.scale")
-        int8.write_bytes(rewrite_records(serialize_int_model(model), self.width_one, *names))
-        fp32.write_bytes(rewrite_records(serialize_reference_model(ref), self.width_one, names[0]))
+        int8.write_bytes(rewrite_records(serialize(model), self.width_one, *names))
+        fp32.write_bytes(rewrite_records(serialize(ref), self.width_one, names[0]))
         tokens = tmp_path / "t.npy"
         np.save(tokens, np.arange(6))
         out = str(tmp_path / "o.npy")
@@ -241,16 +243,16 @@ class TestRecordShapes:
     @pytest.mark.parametrize("name", sorted(BAD_SHAPES))
     def test_int_file(self, pair, name):
         _, model = pair
-        blob = rewrite_records(serialize_int_model(model), BAD_SHAPES[name], name, name + ".scale")
+        blob = rewrite_records(serialize(model), BAD_SHAPES[name], name, name + ".scale")
         with pytest.raises(ValidationError, match="has shape"):
-            deserialize_int_model(blob)
+            deserialize(blob)
 
     @pytest.mark.parametrize("name", sorted(BAD_SHAPES))
     def test_fp32_file(self, pair, name):
         ref, _ = pair
-        blob = rewrite_records(serialize_reference_model(ref), BAD_SHAPES[name], name)
+        blob = rewrite_records(serialize(ref), BAD_SHAPES[name], name)
         with pytest.raises(ValidationError, match="has shape"):
-            deserialize_reference_model(blob)
+            deserialize(blob)
 
 
 class TestPolyDegree:
@@ -260,16 +262,16 @@ class TestPolyDegree:
     @pytest.mark.parametrize("degree", [2.0, 2.4])
     def test_int_file(self, pair, degree):
         _, model = pair
-        blob = rewrite_records(serialize_int_model(model), with_degree(degree), "layers.0.poly")
+        blob = rewrite_records(serialize(model), with_degree(degree), "layers.0.poly")
         with pytest.raises(ValidationError, match="degree"):
-            deserialize_int_model(blob)
+            deserialize(blob)
 
     @pytest.mark.parametrize("degree", [2.0, 2.4])
     def test_fp32_file(self, pair, degree):
         ref, _ = pair
-        blob = rewrite_records(serialize_reference_model(ref), with_degree(degree), "layers.1.poly")
+        blob = rewrite_records(serialize(ref), with_degree(degree), "layers.1.poly")
         with pytest.raises(ValidationError, match="degree"):
-            deserialize_reference_model(blob)
+            deserialize(blob)
 
 
 def with_constant(index: int, value: float):
@@ -293,22 +295,22 @@ class TestPolyConstants:
     @pytest.mark.parametrize("index, value", CASES)
     def test_int_file(self, pair, index, value):
         _, model = pair
-        blob = rewrite_records(serialize_int_model(model), with_constant(index, value), "layers.1.poly")
+        blob = rewrite_records(serialize(model), with_constant(index, value), "layers.1.poly")
         with pytest.raises(ValidationError, match="'layers.1.poly'.*finite"):
-            deserialize_int_model(blob)
+            deserialize(blob)
 
     @pytest.mark.parametrize("index, value", CASES)
     def test_fp32_file(self, pair, index, value):
         ref, _ = pair
-        blob = rewrite_records(serialize_reference_model(ref), with_constant(index, value), "layers.0.poly")
+        blob = rewrite_records(serialize(ref), with_constant(index, value), "layers.0.poly")
         with pytest.raises(ValidationError, match="'layers.0.poly'.*finite"):
-            deserialize_reference_model(blob)
+            deserialize(blob)
 
     def test_quantize_refuses_a_nan_bias(self, pair, tmp_path, capsys):
         ref, _ = pair
         src, dst = tmp_path / "nan.fp32", tmp_path / "nan.int8"
         src.write_bytes(
-            rewrite_records(serialize_reference_model(ref), with_constant(0, np.nan), "layers.0.poly")
+            rewrite_records(serialize(ref), with_constant(0, np.nan), "layers.0.poly")
         )
         capsys.readouterr()
         assert main(["quantize", str(src), str(dst)]) == EXIT_VALIDATION
@@ -321,7 +323,7 @@ def test_cli_refuses_corrupt_records(pair, tmp_path, name):
     _, model = pair
     cut = BAD_SHAPES.get(name, with_degree(2.0))
     bad = tmp_path / "bad.int8"
-    bad.write_bytes(rewrite_records(serialize_int_model(model), cut, name, name + ".scale"))
+    bad.write_bytes(rewrite_records(serialize(model), cut, name, name + ".scale"))
     tokens, hidden = tmp_path / "t.npy", tmp_path / "h.npy"
     np.save(tokens, np.arange(model.config.vocab))
     np.save(hidden, np.ones((4, model.config.d_m)))
@@ -350,10 +352,6 @@ class TestGranularityCode:
     @pytest.mark.parametrize("flavor", ["int", "fp32"])
     def test_retired_code_loads_as_row_and_resaves_as_zero(self, pair, flavor):
         ref, model = pair
-        serialize, deserialize = {
-            "int": (serialize_int_model, deserialize_int_model),
-            "fp32": (serialize_reference_model, deserialize_reference_model),
-        }[flavor]
         blob = serialize(model if flavor == "int" else ref)
         loaded = deserialize(self.with_code(blob, 1))
         assert loaded.config.granularity is ScaleGranularity.PER_ROW
@@ -361,21 +359,21 @@ class TestGranularityCode:
 
     def test_per_batch_code_round_trips(self, pair):
         ref, _ = pair
-        blob = serialize_reference_model(ref)
-        loaded = deserialize_reference_model(self.with_code(blob, 2))
+        blob = serialize(ref)
+        loaded = deserialize(self.with_code(blob, 2))
         assert loaded.config.granularity is ScaleGranularity.PER_BATCH
-        assert serialize_reference_model(loaded)[self.GRAN_BYTE] == 2
+        assert serialize(loaded)[self.GRAN_BYTE] == 2
 
     def test_unknown_code_is_rejected(self, pair):
         ref, model = pair
         with pytest.raises(ValidationError):
-            deserialize_int_model(self.with_code(serialize_int_model(model), 3))
+            deserialize(self.with_code(serialize(model), 3))
 
 
 class TestByteAccounting:
     def test_record_sizes_cover_the_file(self, pair):
         ref, model = pair
-        blob = serialize_int_model(model)
+        blob = serialize(model)
         payload, scales = record_sizes(blob)
         assert payload + scales + HEADER_SIZE == len(blob)
 
@@ -383,7 +381,7 @@ class TestByteAccounting:
         # Scale records and per-record overhead weigh more at tiny widths, so
         # this toy (d_m=16) lands below the d_m=32 ratio checked elsewhere.
         ref, model = pair
-        ratio = len(serialize_reference_model(ref)) / len(serialize_int_model(model))
+        ratio = len(serialize(ref)) / len(serialize(model))
         assert 2.5 < ratio < 4.0
 
 
@@ -403,13 +401,13 @@ class TestPinnedSchema:
 
     def test_int_model_bytes(self):
         _, model, _ = self._models()
-        assert self._sha(serialize_int_model(model)) == (
+        assert self._sha(serialize(model)) == (
             "040e8f45794ce485b2bbec86065c5db7d6be89494976e9168554352e1f8e781e"
         )
 
     def test_reference_model_bytes(self):
         ref, _, _ = self._models()
-        assert self._sha(serialize_reference_model(ref)) == (
+        assert self._sha(serialize(ref)) == (
             "612b74a5378db75ce661a149270a93ff509c6a7172060ab5ce6b8d264d1b11dd"
         )
 
@@ -455,7 +453,7 @@ def test_cli_runs_a_per_tensor_embedding_scale(default_int8, tmp_path, capsys):
         runs[label] = np.load(out), [
             line for line in printed if not line.startswith(("storage", "measured"))
         ]
-    assert deserialize_int_model((tmp_path / "one.int8").read_bytes()).embedding.scale.shape == (1, 1)
+    assert deserialize((tmp_path / "one.int8").read_bytes()).embedding.scale.shape == (1, 1)
     assert np.array_equal(runs["one"][0], runs["repeated"][0])
     assert runs["one"][1] == runs["repeated"][1]
 

@@ -27,12 +27,7 @@ from intflow.scaling import (
 from intflow.tensor import LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import ModelConfig, forward, quantize_model, random_reference_model
 
-
-def scaled(data, scale, precision=7):
-    return ScaledTensor(
-        IntTensor(np.asarray(data, dtype=np.int64), precision),
-        ScaleTensor(np.asarray(scale, dtype=np.float64)),
-    )
+from helpers import scaled
 
 
 def peak(x: np.ndarray) -> int:

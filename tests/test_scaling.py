@@ -30,12 +30,7 @@ from intflow.tensor import (
     LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor, max_abs, scale_bounds,
 )
 
-
-def scaled(data, scale, precision=7):
-    return ScaledTensor(
-        IntTensor(np.asarray(data, dtype=np.int64), precision),
-        ScaleTensor(np.asarray(scale, dtype=np.float64)),
-    )
+from helpers import scaled
 
 
 class TestPrecision:
@@ -232,7 +227,7 @@ class TestFloat64Boundary:
         out = scale_match_dim(scaled([[x, -x]], [[s, s_bar]]), 1)
         assert out.data.values.tolist() == [[exact_match(x, s, s_bar), -x]]
 
-    def test_lane_match_is_exact_above_2_53(self):
+    def test_lane_match_refuses_above_2_53(self):
         # The lane matches its payload in place through the same function,
         # which refuses it from MATCH_FLOAT_MAX up, past 2^53 too.
         ws = scaling.Workspace()
@@ -413,7 +408,7 @@ class TestScaleMatchDim:
         out = scale_match_dim(t, 1)
         assert np.array_equal(out.data.values, t.data.values)
 
-    def test_equal_slices_are_identity_above_float_mantissa(self):
+    def test_equal_slices_refuse_above_float_mantissa(self):
         # Equal slices still run the match, which refuses such a payload.
         t = scaled([[2**60 + 1, -(2**55 + 3)]], [[2.0, 2.0]])
         with refuses():

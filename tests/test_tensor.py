@@ -5,22 +5,23 @@ import numpy as np
 import pytest
 
 from intflow import kernels as K
-from intflow.errors import LaneOverflowError, ShapeError
-from intflow.scaling import Lane, Workspace, dequantize
+from intflow.errors import LaneOverflowError, ShapeError, ValidationError
+from intflow.scaling import Lane, Precision, Workspace, dequantize
 from intflow.tensor import (
     IntTensor,
     RationalTensor,
-    ScaledTensor,
     ScaleTensor,
     transpose,
 )
+from intflow.transformer import (
+    LAYER_TENSORS,
+    MODEL_TENSORS,
+    ModelConfig,
+    quantize_model,
+    random_reference_model,
+)
 
-
-def scaled(data, scale, precision=7):
-    return ScaledTensor(
-        IntTensor(np.asarray(data, dtype=np.int64), precision),
-        ScaleTensor(np.asarray(scale, dtype=np.float64)),
-    )
+from helpers import scaled
 
 
 class TestContainers:
@@ -209,3 +210,42 @@ class TestConcat:
         assert out.scale.values.tolist() == [[3.0], [3.0]]
         held = [id(f) for fs in ws._free.values() for f in fs]
         assert len(held) == len(set(held))
+
+
+class TestCallerArrays:
+    """The public float constructors freeze a view, not the caller's array:
+    the caller may still write to it, and the tensor's values are read-only."""
+
+    @pytest.mark.parametrize("cls", [RationalTensor, ScaleTensor])
+    def test_constructor_leaves_the_array_writable(self, cls):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        t = cls(a)
+        assert a.flags.writeable
+        assert not t.values.flags.writeable
+        assert np.shares_memory(t.values, a)  # a view, not a copy
+
+    def test_quantize_model_leaves_the_reference_writable(self):
+        ref = random_reference_model(ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=1, vocab=8), seed=0)
+        model = quantize_model(ref)
+
+        def leaves(m):
+            return [getattr(lp, f) for lp in m.layers for f in LAYER_TENSORS] + [
+                getattr(m, f) for f in MODEL_TENSORS
+            ]
+
+        assert all(a.flags.writeable for a in leaves(ref))
+        assert not any(
+            t.data.values.flags.writeable or t.scale.values.flags.writeable for t in leaves(model)
+        )
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: Precision(p),
+    lambda p: IntTensor(np.zeros(2, np.int64), precision=p),
+    lambda p: ModelConfig(precision=p),
+], ids=["Precision", "IntTensor", "ModelConfig"])
+@pytest.mark.parametrize("p", [1, 16])
+def test_precision_outside_range_is_a_validation_error(build, p):
+    # A ValidationError is a ValueError too, so the CLI still exits 2.
+    with pytest.raises(ValidationError, match=rf"^precision {p} outside \[2, 15\]$"):
+        build(p)
