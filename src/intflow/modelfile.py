@@ -257,7 +257,8 @@ def _take_scaled(tensors: dict, name: str, precision: int) -> ScaledTensor:
 
 
 # A corrupt float32 record can hold a signaling NaN, whose cast to float64
-# would warn; the tensor and scale checks refuse every NaN with exit 2.
+# would warn; the scale and polynomial checks refuse every NaN with exit 2,
+# and quantizing refuses one in an FP32 weight.
 @np.errstate(invalid="ignore")
 def deserialize(blob: bytes) -> IntegerTransformerModel | FP32ReferenceModel:
     """The model a container holds: an IntegerTransformerModel when the
@@ -269,7 +270,8 @@ def deserialize(blob: bytes) -> IntegerTransformerModel | FP32ReferenceModel:
         if quantized:
             value = _take_scaled(tensors, name, cfg.precision)
         else:
-            value = _take(tensors, name, DTYPE_F32).astype(np.float64)
+            # A float32 copy: aligned, and the model's own whatever the blob.
+            value = _take(tensors, name, DTYPE_F32).astype(np.float32)
         shape = tuple(getattr(cfg, dim) for dim in _SCHEMA[field][1])
         if value.shape != shape:
             raise ValidationError(f"tensor {name!r} has shape {value.shape}, not {shape}")

@@ -32,9 +32,18 @@ def container_dtype(precision: int) -> type:
 
 
 def _float_view(values) -> np.ndarray:
-    """A float64 view of `values`: freezing it leaves the caller's array writable
-    (a later write to that array still reaches the tensor)."""
-    return np.asarray(values, dtype=np.float64).view()
+    """A float64 view of `values`, or a float64 copy of another dtype: freezing
+    it leaves the caller's array writable (a later write to a float64 array
+    still reaches the tensor)."""
+    arr = np.asarray(values)
+    return arr.view() if arr.dtype == np.float64 else _widen(arr)
+
+
+# A signaling NaN (a corrupt float32 record, say) would warn in the cast; it
+# casts to a quiet NaN, which the tensor's own check refuses.
+@np.errstate(invalid="ignore")
+def _widen(arr: np.ndarray) -> np.ndarray:
+    return arr.astype(np.float64)
 
 
 def max_abs(arr: np.ndarray) -> int:
@@ -114,7 +123,13 @@ def _broadcast_compatible(scale_shape: tuple[int, ...], data_shape: tuple[int, .
 
 @dataclass(frozen=True)
 class RationalTensor:
-    """FP32-semantics dense tensor; used for references, scales and oracles."""
+    """FP32-semantics dense tensor; used for references, scales and oracles.
+
+    The values are held in float64 and frozen: a float64 array is held as a
+    view of the caller's array, any other dtype as its own float64 copy.  The
+    caller must not write to a float64 array after handing it over, since
+    the write would reach the tensor past its finiteness check.
+    """
 
     values: np.ndarray
 
@@ -267,7 +282,10 @@ class ScaleTensor:
 
     It carries bounds lo <= min and hi >= max of its values: scanned where
     a scale is built from an array, derived by `derived` where a kernel
-    computes one from scales it knows the bounds of.
+    computes one from scales it knows the bounds of.  Like RationalTensor,
+    it holds a view of a float64 array and a float64 copy of any other: the
+    caller must not write to a float64 array after handing it over, since
+    the write would break `lo` and `hi` unseen.
     """
 
     values: np.ndarray

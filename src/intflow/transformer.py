@@ -23,7 +23,6 @@ from .scaling import (
     ScaleGranularity,
     Session,
     _match_payload,
-    _round_to_f32,
     dequantize,
     init_scale,
     quantize,
@@ -93,7 +92,7 @@ class ModelConfig:
 # The parameter set of both models: each tensor field, in file order, with
 # the module its Q() event is tagged with and its dims as ModelConfig
 # attribute names.  A layer norm is its gain `*_g` and bias `*_b`.  Only the
-# leaf type differs between the models: a float64 array in the FP32 twin, a
+# leaf type differs between the models: a float32 array in the FP32 twin, a
 # ScaledTensor in the integer model.
 LAYER_TENSORS = {
     "w_q": (ATTN, ("d_m", "d_m")), "w_k": (ATTN, ("d_m", "d_m")),
@@ -135,7 +134,8 @@ class TransformerLayerParams:
 
 @dataclass(frozen=True)
 class FP32ReferenceModel:
-    """Rational twin of the integer model; oracle for precision loss."""
+    """FP32 twin of the integer model, holding float32 arrays; the oracle for
+    precision loss."""
 
     config: ModelConfig
     embedding: np.ndarray
@@ -160,18 +160,18 @@ class IntegerTransformerModel:
 
 
 def random_reference_model(config: ModelConfig, seed: int) -> FP32ReferenceModel:
-    """Random toy model with float32-representable parameters."""
+    """Random toy model with float32 parameters."""
     rng = np.random.default_rng(seed)
     d, f, v = config.d_m, config.d_ff, config.vocab
 
     def mat(out_dim, in_dim):
-        return _round_to_f32(rng.normal(0.0, 1.0 / math.sqrt(in_dim), (out_dim, in_dim)))
+        return rng.normal(0.0, 1.0 / math.sqrt(in_dim), (out_dim, in_dim)).astype(np.float32)
 
     def gain(n):
-        return _round_to_f32(rng.uniform(0.8, 1.2, n))
+        return rng.uniform(0.8, 1.2, n).astype(np.float32)
 
     def bias(n):
-        return _round_to_f32(rng.normal(0.0, 0.05, n))
+        return rng.normal(0.0, 0.05, n).astype(np.float32)
 
     layers = []
     for _ in range(config.n_layers):
@@ -188,7 +188,7 @@ def random_reference_model(config: ModelConfig, seed: int) -> FP32ReferenceModel
         )
     return FP32ReferenceModel(
         config=config,
-        embedding=_round_to_f32(rng.normal(0.0, 1.0, (v, d))),
+        embedding=rng.normal(0.0, 1.0, (v, d)).astype(np.float32),
         layers=tuple(layers),
         final_ln_g=gain(d),
         final_ln_b=bias(d),
@@ -238,9 +238,10 @@ def quantize_model(
 
 
 def reference_twin(model: IntegerTransformerModel) -> FP32ReferenceModel:
-    """FP32 model whose parameters equal the de-quantized integer ones."""
+    """FP32 model whose parameters are the de-quantized integer ones, each
+    rounded to float32."""
     return _convert(
-        model, lambda t, _: dequantize(t).values,
+        model, lambda t, _: dequantize(t).values.astype(np.float32),
         FP32ReferenceModel, config=model.config,
     )
 
@@ -572,13 +573,39 @@ def ref_l1ln(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
+# Rows per block of ref_poly's power: the block's scratch stays in cache.
+POWER_BLOCK_ROWS = 64
+
+
+def _power(w: np.ndarray, degree: int) -> None:
+    """w**degree in place, as the product w * w * ... * w taken left to right.
+
+    A block of rows is squared into one scratch, which takes the further
+    factors, and the block is multiplied by it last: w * P equals P * w.
+    """
+    if degree == 1:
+        return
+    if degree == 2:
+        np.multiply(w, w, out=w)
+        return
+    rows = np.atleast_2d(w)
+    scratch = np.empty((min(POWER_BLOCK_ROWS, len(rows)),) + rows.shape[1:], rows.dtype)
+    for i in range(0, len(rows), POWER_BLOCK_ROWS):
+        block = rows[i:i + POWER_BLOCK_ROWS]
+        p = np.multiply(block, block, out=scratch[:len(block)])
+        for _ in range(degree - 3):
+            p *= block
+        block *= p
+
+
 def ref_poly(
     x: np.ndarray, pp: PolyParams, degree: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """[ReLU(x + bias)]^degree + |offset|, into `out` if given (which may be x)."""
+    """[ReLU(x + bias)]^degree + |offset|, into `out` if given (which may be x);
+    the power multiplies, as _power does."""
     out = np.add(x, pp.bias, out=out)
     np.maximum(out, 0.0, out=out)
-    out **= degree
+    _power(out, degree)
     out += abs(pp.offset)
     return out
 
@@ -618,6 +645,17 @@ def ref_ffn_core(y: np.ndarray, lp: TransformerLayerParams) -> np.ndarray:
 # the hybrid engine
 
 
+@np.errstate(all="ignore")
+def _twin_step(step) -> np.ndarray:
+    """step(), one FP32 step of a forward, refused unless every value of its
+    result is finite.  A float32 overflow or an invalid operation leaves an
+    inf or a NaN there, so numpy need not warn on the way."""
+    out = step()
+    if not np.isfinite(out).all():
+        raise ValueError("rational tensor values must be finite")
+    return out
+
+
 def forward(
     model: IntegerTransformerModel | None,
     session: Session | None,
@@ -635,7 +673,8 @@ def forward(
     integer modules and de-quantization at exits (both audited).  Passing
     `tokens` runs embedding and output projection; passing `hidden` (a
     RationalTensor or ScaledTensor shaped T x d_m) runs the layer stack and
-    the final norm only.
+    the final norm only.  FP32 steps compute in float32, and the tap sees
+    their float32 arrays; an FP32 result is returned as a RationalTensor.
     """
     unknown = set(int_modules) - set(MODULES)
     if unknown:
@@ -651,13 +690,18 @@ def forward(
     def to_int(state, module):
         if isinstance(state, ScaledTensor):
             return state
-        s = init_scale(state, cfg.granularity, session.precision)
-        return session.quantize(state, s, module)
+        r = state if isinstance(state, RationalTensor) else RationalTensor(state)
+        s = init_scale(r, cfg.granularity, session.precision)
+        return session.quantize(r, s, module)
 
     def to_fp(state, module) -> np.ndarray:
+        """`state` as the twin's float32: cast where it enters the FP path
+        (a hidden input, a de-quantized exit), untouched between FP steps."""
         if isinstance(state, ScaledTensor):
-            return session.dequantize(state, module).values
-        return state.values if isinstance(state, RationalTensor) else state
+            state = session.dequantize(state, module)
+        if isinstance(state, RationalTensor):
+            state = state.values
+        return state.astype(np.float32, copy=False)
 
     def run(tag, layer, int_fn, fp_fn, *inputs):
         """One step on its chosen lane: the only place where states cross
@@ -665,7 +709,7 @@ def forward(
         if tag in int_modules:
             state = int_fn(*[to_int(x, tag) for x in inputs])
         else:
-            state = RationalTensor(fp_fn(*[to_fp(x, tag) for x in inputs]))
+            state = _twin_step(lambda: fp_fn(*[to_fp(x, tag) for x in inputs]))
         if tap is not None:
             tap(tag, layer, state)
         return state
@@ -674,7 +718,7 @@ def forward(
     # the binding the module holds when it runs (tracers wrap them there).
     if tokens is not None:
         state = run(EMB, 0, lambda: gather_embedding(model, tokens, session),
-                    lambda: ref.embedding[_token_ids(tokens, cfg.vocab)])
+                    lambda: to_fp(ref.embedding[_token_ids(tokens, cfg.vocab)], EMB))
     elif hidden is not None:
         _check_hidden(hidden, cfg.d_m)
         state = hidden
@@ -712,7 +756,7 @@ def forward(
         state = run(PROJ, n,
                     lambda x: _matmul(x, model.proj, session, PROJ),
                     lambda x: x @ ref.proj.T, state)
-    return state
+    return state if isinstance(state, ScaledTensor) else RationalTensor(state)
 
 
 def reference_forward(

@@ -97,7 +97,7 @@ class TestStorage:
 
     def test_default_toy_lines(self):
         # The on-disk lines as before; the resident ones count the arrays the
-        # model (int8 payloads, float64 scales) and its float64 twin hold.
+        # model (int8 payloads, float64 scales) and its float32 twin hold.
         model = quantize_model(random_reference_model(ModelConfig(), seed=0))
         rep = storage_report(model)
         assert rep.lines() == [
@@ -107,8 +107,8 @@ class TestStorage:
             "storage\theader\tbytes\t34",
             "storage\tratio\tx\t3.5044",
             "storage\tresident_int\tbytes\t35056",
-            "storage\tresident_fp32\tbytes\t234496",
-            "storage\tresident_ratio\tx\t6.6892",
+            "storage\tresident_fp32\tbytes\t117248",
+            "storage\tresident_ratio\tx\t3.3446",
         ]
         assert rep.resident_int_bytes == resident_bytes(model)
         assert rep.resident_fp32_bytes == resident_bytes(reference_twin(model))

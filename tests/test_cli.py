@@ -1,14 +1,16 @@
 """Command-line interface: every verb, flags, and exit codes."""
+import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from intflow.analysis import speedup_estimate
 from intflow.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
-from intflow.modelfile import HEADER_DIMS, HEADER_SIZE, load_model
+from intflow.modelfile import HEADER_DIMS, HEADER_SIZE, load_model, save_model
 from intflow.scaling import Precision, Session
-from intflow.transformer import ModelConfig, forward
+from intflow.transformer import ModelConfig, forward, random_reference_model
 
 
 @pytest.fixture()
@@ -302,3 +304,29 @@ class TestTruncatedModelFile:
             cut.write_bytes(blob[:n])
             rc = main(["infer", str(cut), str(tokens), "--tokens", "--out", str(tmp_path / "o.npy")])
             assert rc in (EXIT_VALIDATION, EXIT_IO), n
+
+
+class TestFloat32Overflow:
+    """An FP32 file whose twin overflows float32, though not float64: every
+    command that meets it exits 2 with one error line and no warning."""
+
+    def test_refused_with_exit_2(self, tmp_path, capsys):
+        cfg = ModelConfig(d_m=16, heads=2, d_ff=32, vocab=24)
+        ref = random_reference_model(cfg, seed=3)
+        big = dataclasses.replace(ref.layers[0], w_q=ref.layers[0].w_q * np.float32(1e13))
+        fp32, int8 = tmp_path / "big.fp32", tmp_path / "big.int8"
+        save_model(str(fp32), dataclasses.replace(ref, layers=(big,) + ref.layers[1:]))
+        tokens, out = tmp_path / "t.npy", tmp_path / "o.npy"
+        np.save(tokens, np.arange(6))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["infer", str(fp32), str(tokens), "--tokens", "--out", str(out)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == "error: this command needs a quantized model file\n"
+            # The integer path runs it; the twin, which compare and report run, cannot.
+            assert main(["quantize", str(fp32), str(int8)]) == EXIT_OK
+            assert main(["infer", str(int8), str(tokens), "--tokens", "--out", str(out)]) == EXIT_OK
+            for command in ("compare", "report"):
+                capsys.readouterr()
+                assert main([command, str(int8), "--seq-len", "8"]) == EXIT_VALIDATION
+                assert capsys.readouterr().err == "error: rational tensor values must be finite\n"

@@ -53,9 +53,10 @@ def test_loaded_payloads_have_their_container_dtype(tmp_path, precision):
     assert payload_dtypes(load_model(str(path))) == {np.dtype(np.int8)}
 
 
-def test_wide_model_holds_a_sixth_of_its_fp32_twin(wide):
-    # int8 payloads and float64 scales take 2.1 MB; the twin's float64 arrays 16.7 MB.
-    assert 6 * resident_bytes(wide) <= resident_bytes(reference_twin(wide))
+def test_wide_model_holds_a_quarter_of_its_fp32_twin(wide):
+    # int8 payloads and float64 scales take 2.1 MB; the twin's float32 arrays 8.4 MB.
+    assert resident_bytes(wide) == 2_142_960
+    assert resident_bytes(reference_twin(wide)) == 8_359_936
 
 
 def test_loading_the_wide_file_peaks_below_four_times_its_size(wide, tmp_path):
@@ -89,14 +90,15 @@ def test_loading_the_wide_file_holds_it_once(wide, tmp_path):
 
 
 def test_twin_attention_peaks_below_three_score_buffers():
-    # One FP32 attention call on the benchmark's `longctx` shape at T=256:
+    # One float32 attention call on the benchmark's `longctx` shape at T=256:
     # Q, K, V and the output (T x d_m each, a quarter of T x T here), one
-    # T x T score buffer and the W_o product.  A fresh T x T array for each
-    # step of the score computation would take it to about five.
+    # T x T score buffer, and the power's 64-row scratch or the W_o product
+    # (a quarter each): 2.26 float32 T x T buffers.  A fresh T x T array for
+    # each step of the score computation would take it to about five.
     cfg = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=1, vocab=256, precision=12)
     lp = random_reference_model(cfg, seed=0).layers[0]
     T = 256
-    x = np.random.default_rng(0).normal(size=(T, cfg.d_m))
+    x = np.random.default_rng(0).normal(size=(T, cfg.d_m)).astype(np.float32)
     ref_attn_core(x, lp, cfg)  # the first BLAS calls may allocate for themselves
     tracemalloc.start()
     try:
@@ -104,4 +106,4 @@ def test_twin_attention_peaks_below_three_score_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * T * T * np.dtype(np.float64).itemsize
+    assert peak < 3 * T * T * np.dtype(np.float32).itemsize

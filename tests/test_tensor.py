@@ -213,8 +213,9 @@ class TestConcat:
 
 
 class TestCallerArrays:
-    """The public float constructors freeze a view, not the caller's array:
-    the caller may still write to it, and the tensor's values are read-only."""
+    """The public float constructors freeze a view of a float64 array, not the
+    array itself: the caller may still write to it (and must not, once the
+    tensor holds it), and the tensor's values are read-only."""
 
     @pytest.mark.parametrize("cls", [RationalTensor, ScaleTensor])
     def test_constructor_leaves_the_array_writable(self, cls):
@@ -223,6 +224,17 @@ class TestCallerArrays:
         assert a.flags.writeable
         assert not t.values.flags.writeable
         assert np.shares_memory(t.values, a)  # a view, not a copy
+
+    def test_a_float32_array_is_held_as_a_float64_copy(self):
+        # The twin's states are float32; one entering the integer path owns
+        # its float64 values, so a later write to the state cannot reach them.
+        a = np.array([[1.5, -2.25], [3.0, 0.1]], dtype=np.float32)
+        t = RationalTensor(a)
+        assert t.values.dtype == np.float64
+        assert not np.shares_memory(t.values, a)
+        assert np.array_equal(t.values, a)
+        a[0, 0] = np.inf
+        assert t.values[0, 0] == 1.5
 
     def test_quantize_model_leaves_the_reference_writable(self):
         ref = random_reference_model(ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=1, vocab=8), seed=0)
