@@ -7,6 +7,7 @@ quantize/de-quantize baseline produces those).
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 PAYLOAD = "payload"
@@ -16,17 +17,16 @@ FP32 = "fp32"
 _LANES = (PAYLOAD, SCALE, FP32)
 
 
-@dataclass(frozen=True, slots=True)
-class AuditRecord:
-    kind: str
-    lane: str
-    elements: int
-    rescaled: bool = False
-    module: str = ""
+class AuditRecord(namedtuple("AuditRecord", "kind lane elements rescaled module")):
+    """One executed operation: an immutable tuple of its fields, built in one
+    call, as a forward makes hundreds."""
 
-    def __post_init__(self):
-        if self.lane not in _LANES:
-            raise ValueError(f"unknown lane {self.lane!r}")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, lane: str, elements: int, rescaled: bool = False, module: str = ""):
+        if lane not in _LANES:
+            raise ValueError(f"unknown lane {lane!r}")
+        return tuple.__new__(cls, (kind, lane, elements, rescaled, module))
 
 
 @dataclass

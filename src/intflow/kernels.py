@@ -261,7 +261,7 @@ def pow_n(t: Lane, n: int) -> Lane:
         t.work = x
     # max|x^n| = max|x|^n, so an exact max stays exact; an even power, or
     # one of no negative payload, leaves no payload negative.
-    t.m = mn
+    t.max_bound = mn
     t.nonneg = t.nonneg or n % 2 == 0
     t.check_fit()
     # Scales keep **: in float, s*s*s can round differently from s**n.
@@ -282,10 +282,10 @@ def abs_(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
 
 @_kernel(KernelKind.RELU, scale_arith=False)
 def relu(t: Lane) -> Lane:
-    """{max(0, x), s} in place: exact since s > 0; t.m stays a bound, no
-    longer exact, and no payload is negative."""
+    """{max(0, x), s} in place: exact since s > 0; t.max_bound stays a
+    bound, no longer exact, and no payload is negative."""
     np.maximum(t.x, 0, out=t.x)
-    t.bound(t.m, nonneg=True)
+    t.bound(t.max_bound, nonneg=True)
     return t
 
 
@@ -301,7 +301,7 @@ def sum_reduce(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
         raise ShapeError("sum_reduce needs a scale collapsed along the last axis")
     bound = m.max_bound * x0.shape[-1]
     dtype = lane_dtype(bound, x0)
-    x = np.sum(x0, axis=-1, keepdims=True, dtype=dtype, out=ws.take(x0.shape[:-1] + (1,), dtype))
+    x = np.add.reduce(x0, axis=-1, dtype=dtype, out=ws.take(x0.shape[:-1] + (1,), dtype), keepdims=True)
     return _result(t, x, s, bound, (lo, hi), ws)
 
 
@@ -316,7 +316,7 @@ def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | 
     ws = _workspace(num, ws)
     nx, sn, nm, n_lo, n_hi = _operand(num)
     dx, sd, _, d_lo, d_hi = _operand(den)
-    if dx.size and dx.min() <= 0:
+    if dx.size and np.minimum.reduce(dx, None) <= 0:
         raise ValueError("divisor must be strictly positive")
     # A divisor of at least 1 never grows a magnitude.
     bound = nm.max_bound
@@ -378,8 +378,8 @@ def lane_add(t: Lane, c: np.ndarray, c_max: int) -> Lane:
     """add(t, c) in place, for a payload c already at t's own scale, so
     matching moves nothing; c, float64 holding integers with max|c| = c_max,
     has the scale's shape and is broadcast."""
-    t.hold(t.m + c_max)
+    t.hold(t.max_bound + c_max)
     t.x += c if t.x.dtype == np.float64 else c.astype(np.int64)
-    t.bound(t.m + c_max)
+    t.bound(t.max_bound + c_max)
     t.check_fit()
     return t

@@ -33,14 +33,13 @@ class Precision:
     """Logical bit width of payloads; the stored lane is always wider."""
 
     p: int = DEFAULT_PRECISION
+    # 2^p - 1, the largest payload magnitude.
+    max_magnitude: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.p <= 15:
             raise ValidationError(f"precision {self.p} outside [2, 15]")
-
-    @property
-    def max_magnitude(self) -> int:
-        return (1 << self.p) - 1
+        object.__setattr__(self, "max_magnitude", (1 << self.p) - 1)
 
 
 class ScaleGranularity(enum.Enum):
@@ -150,9 +149,9 @@ def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
         m = 0
     elif np.ndim(r) == 0:
         # One constant: with s > 0 every x has its sign, or is zero, so one reduction does.
-        m = int(out.max()) if r >= 0 else -int(out.min())
+        m = int(np.maximum.reduce(out, None)) if r >= 0 else -int(np.minimum.reduce(out, None))
     else:
-        m = int(max(out.max(), -out.min()))
+        m = int(max(np.maximum.reduce(out, None), -np.minimum.reduce(out, None)))
     if m >= LANE_MAX:
         raise LaneOverflowError("quantized payload exceeds accumulator lane")
     return m
@@ -313,7 +312,7 @@ def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
     if t.scale.shape[d] == 1:
         return t
     s = t.scale.values
-    s_bar = np.min(s, axis=d, keepdims=True)
+    s_bar = np.minimum.reduce(s, axis=d, keepdims=True)
     x = _match_payload(t.data.values, s, s_bar, t.data)
     # |x'| <= |x|, and each minimum is one of the values: the bounds carry over.
     data = IntTensor.adopt(x, t.precision, bound=t.data.max_bound)
@@ -342,12 +341,13 @@ class Lane:
     the protocol shrinks in place (`rescale`) and audits.  The payload x
     holds exact integers: in float64 only while a step's bound on max|x| is
     below 2^53 (`matmul` and `hold` choose it there, other steps keep it),
-    else in int64, the rule of `trunc_div` too.  `m` bounds max|x|, and is
-    max|x| itself while `exact` holds; a step that needs the exact max reads
-    `max_magnitude`, which scans once.  `nonneg` holds only while no payload
-    is known to be negative (after ReLU, say); each step that may make one
-    negative clears it.  `lo` and `hi` bound the scale's values, and each
-    step that makes scales checks them as ScaleTensor.derived does.
+    else in int64, the rule of `trunc_div` too.  `max_bound`, a plain
+    attribute, bounds max|x|, and is max|x| itself while `exact` holds; a
+    step that needs the exact max reads `max_magnitude`, which scans once.
+    `nonneg` holds only while no payload is known to be negative (after
+    ReLU, say); each step that may make one negative clears it.  `lo` and
+    `hi` bound the scale's values, and each step that makes scales checks
+    them as ScaleTensor.derived does.
 
     Its payload, scale and scratch arrays come from the workspace `ws`, and
     go back to it when the lane is sealed or released.
@@ -362,8 +362,9 @@ class Lane:
         m: int | None = None,
         scale_range: tuple[float, float] | None = None,
     ):
-        """`m`, when given, is a bound on max|x|, else max|x| is scanned;
-        `scale_range` likewise bounds the scale, else it is scanned."""
+        """`m`, when given, is a bound on max|x| (`max_bound`), else max|x|
+        is scanned; `scale_range` likewise bounds the scale, else it is
+        scanned."""
         self.precision, self.ws, self.x, self.s, self.work = precision, ws, x, s, None
         self.put(x, s, m, scale_range)
 
@@ -378,27 +379,23 @@ class Lane:
         return self.work
 
     @property
-    def max_bound(self) -> int:
-        return self.m
-
-    @property
     def max_magnitude(self) -> int:
         """max|x|, exactly: scanned when only a bound is known."""
         if not self.exact:
-            self.m = max_abs(self.x)
+            self.max_bound = max_abs(self.x)
             self.exact = True
-        return self.m
+        return self.max_bound
 
     def bound(self, m: int, nonneg: bool = False) -> None:
         """Record a new bound on max|x| after a step that moved the payload,
         and whether that step leaves no payload negative."""
-        self.m = m
+        self.max_bound = m
         self.exact = False
         self.nonneg = nonneg
 
     def check_fit(self) -> None:
         """check_lane on the bound, deciding by the exact max when the bound trips."""
-        if self.m >= LANE_MAX:
+        if self.max_bound >= LANE_MAX:
             check_lane(self.max_magnitude)
 
     @classmethod
@@ -416,7 +413,7 @@ class Lane:
         if self.work is not None and self.work.shape != x.shape:
             self.spare()
         self.x, self.s, self.exact, self.nonneg = x, s, m is None, False
-        self.m = max_abs(x) if m is None else m
+        self.max_bound = max_abs(x) if m is None else m
         self.check_fit()
         self.lo, self.hi = check_scale(s) if scale_range is None else scale_bounds(s, *scale_range)
 
@@ -443,12 +440,12 @@ class Lane:
         scratch goes back first, to serve as the match's ratio.
         """
         self.spare()
-        s_bar = np.min(self.s, axis=-1, keepdims=True, out=self.ws.take(self.s.shape[:-1] + (1,)))
+        s_bar = np.minimum.reduce(self.s, axis=-1, keepdims=True, out=self.ws.take(self.s.shape[:-1] + (1,)))
         _match_payload(self.x, self.s, s_bar, self, self.ws, self.x, self.nonneg)
         self.ws.give(self.s)
         self.s = s_bar
-        self.bound(self.m, self.nonneg)
-        self.hold(self.m)
+        self.bound(self.max_bound, self.nonneg)
+        self.hold(self.max_bound)
 
     def release(self) -> None:
         """Give every buffer back; the lane is not used again."""
@@ -461,7 +458,7 @@ class Lane:
         one is copied out; every other buffer goes back."""
         x = self.x if self.x.dtype == np.int64 else self.x.astype(np.int64)
         out = ScaledTensor(
-            IntTensor.adopt(x, self.precision, self.m if self.exact else None, bound=self.m),
+            IntTensor.adopt(x, self.precision, self.max_bound if self.exact else None, bound=self.max_bound),
             ScaleTensor.derived(self.s.copy(), self.lo, self.hi),
         )
         self.spare()
@@ -477,20 +474,22 @@ def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
 
     The groups span `axes`, those the scale collapses, so hi and lo have the
     scale's shape; a per-element scale (no axes) gets the max and min of the
-    whole payload instead.  Records on the lane its exact max|x| (`m`) and
-    whether no payload is negative (`nonneg`).
+    whole payload instead.  Records on the lane its exact max|x|
+    (`max_bound`) and whether no payload is negative (`nonneg`).
     """
     x, s = lane.x, lane.s
     axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
     if not x.size:
-        lane.m, lane.exact = 0, True
+        lane.max_bound, lane.exact = 0, True
         return axes, x, x
     if axes:
-        hi, lo = x.max(axis=axes, keepdims=True), x.min(axis=axes, keepdims=True)
-        top, bottom = hi.max(), lo.min()
+        hi = np.maximum.reduce(x, axis=axes, keepdims=True)
+        lo = np.minimum.reduce(x, axis=axes, keepdims=True)
+        top, bottom = np.maximum.reduce(hi, None), np.minimum.reduce(lo, None)
     else:
-        hi, lo = top, bottom = x.max(), x.min()
-    lane.m, lane.exact, lane.nonneg = max(int(top), -int(bottom)), True, bool(bottom >= 0)
+        hi = top = np.maximum.reduce(x, None)
+        lo = bottom = np.minimum.reduce(x, None)
+    lane.max_bound, lane.exact, lane.nonneg = max(int(top), -int(bottom)), True, bool(bottom >= 0)
     return axes, hi, lo
 
 
@@ -510,7 +509,7 @@ def rescale(lane: Lane, prec: Precision, groups: tuple | None = None) -> Lane:
     if not x.size:
         return lane
     axes, hi, lo = extremes(lane) if groups is None else groups
-    m, limit = lane.m, prec.max_magnitude
+    m, limit = lane.max_bound, prec.max_magnitude
     if m >= FLOAT64_EXACT:
         d = np.maximum(hi, -lo) if axes else np.abs(x)
         d = np.maximum(-(-d // limit), 1)
@@ -558,7 +557,7 @@ def protocol_apply(
     rescaled = False
     if allow_rescale and lane.max_bound > limit:
         groups = extremes(lane)
-        rescaled = lane.m > limit
+        rescaled = lane.max_bound > limit
         if rescaled:
             rescale(lane, prec, groups)
     if log is not None:
@@ -566,11 +565,12 @@ def protocol_apply(
         elements = lane.x.size
         if kind == "matmul" and ins:
             elements *= ins[0].shape[-1]  # multiply-add count, not output count
-        log.append(AuditRecord(kind, PAYLOAD, elements, rescaled, module))
+        records = log.records
+        records.append(AuditRecord(kind, PAYLOAD, elements, rescaled, module))
         if getattr(kernel, "scale_arith", False):
-            log.append(AuditRecord(kind, SCALE, lane.s.size, rescaled, module))
+            records.append(AuditRecord(kind, SCALE, lane.s.size, rescaled, module))
         if rescaled:
-            log.append(AuditRecord("rescale", SCALE, lane.s.size, True, module))
+            records.append(AuditRecord("rescale", SCALE, lane.s.size, True, module))
     return lane
 
 
@@ -596,7 +596,7 @@ class Session:
         )
 
     def note(self, kind: str, lane: str, elements: int, module: str = "") -> None:
-        self.log.append(AuditRecord(kind, lane, elements, False, module))
+        self.log.records.append(AuditRecord(kind, lane, elements, False, module))
 
     def quantize(
         self, r: RationalTensor, s: ScaleTensor, module: str = ""

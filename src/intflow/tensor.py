@@ -49,7 +49,7 @@ def _widen(arr: np.ndarray) -> np.ndarray:
 def max_abs(arr: np.ndarray) -> int:
     """max|x| of an integer array as a Python int (0 when empty)."""
     # Python ints: np.abs would wrap -2^63 back to itself.
-    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+    return max(int(np.maximum.reduce(arr, None)), -int(np.minimum.reduce(arr, None))) if arr.size else 0
 
 
 # Products and quotients of scales can overflow to inf (or underflow to 0);
@@ -71,10 +71,10 @@ def check_scale(arr: np.ndarray) -> tuple[float, float]:
         return 1.0, 1.0
     # Two scans with no temporaries: a NaN fails the first test, and once
     # every value is positive only +inf can fail the second.
-    lo = float(arr.min())
+    lo = float(np.minimum.reduce(arr, None))
     if not lo > 0:
         raise ScaleRangeError("scale values must be strictly positive")
-    hi = float(arr.max())
+    hi = float(np.maximum.reduce(arr, None))
     if not math.isfinite(hi):
         raise ScaleRangeError("scale values must be finite")
     return lo, hi
@@ -152,10 +152,11 @@ class IntTensor:
     Held in the wide int64 lane, except for a model parameter built by
     `param`, which is held at its container width.
 
-    It carries a bound on max|x| (`max_bound`): a kernel derives its
-    result's bound from its operands' bounds.  The exact max|x|
-    (`max_magnitude`) is scanned the first time it is read, unless a caller
-    supplied it; payloads are read-only, so it stays valid.
+    It carries a bound on max|x| (`max_bound`, a plain attribute): a
+    kernel derives its result's bound from its operands' bounds.  The exact
+    max|x| (`max_magnitude`) is scanned the first time it is read, unless a
+    caller supplied it; payloads are read-only, so it stays valid.  `shape`
+    is the payload's, set when it is sealed.
     """
 
     values: np.ndarray
@@ -163,7 +164,8 @@ class IntTensor:
     # max|x| once known; payloads are read-only, so it stays valid.
     _max_abs: int | None = field(init=False, repr=False, compare=False)
     # A bound on max|x|, always below LANE_MAX; max|x| itself once known.
-    _bound: int = field(init=False, repr=False, compare=False)
+    max_bound: int = field(init=False, repr=False, compare=False)
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = np.asarray(self.values)
@@ -233,7 +235,7 @@ class IntTensor:
         """
         t = IntTensor.__new__(IntTensor)
         object.__setattr__(t, "precision", self.precision)
-        t._seal(arr, (self._max_abs if same_max else None) if arr.size else 0, self._bound)
+        t._seal(arr, (self._max_abs if same_max else None) if arr.size else 0, self.max_bound)
         return t
 
     def _seal(self, arr: np.ndarray, m: int | None = None, bound: int | None = None) -> None:
@@ -249,11 +251,8 @@ class IntTensor:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_max_abs", m)
-        object.__setattr__(self, "_bound", bound)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
+        object.__setattr__(self, "max_bound", bound)
+        object.__setattr__(self, "shape", arr.shape)
 
     @property
     def max_magnitude(self) -> int:
@@ -262,13 +261,8 @@ class IntTensor:
         if m is None:
             m = max_abs(self.values)
             object.__setattr__(self, "_max_abs", m)
-            object.__setattr__(self, "_bound", m)
+            object.__setattr__(self, "max_bound", m)
         return m
-
-    @property
-    def max_bound(self) -> int:
-        """A bound on max|x|, with no scan: max|x| itself once that is known."""
-        return self._bound
 
     def in_range(self) -> bool:
         """True when every payload fits the logical precision."""
@@ -291,6 +285,7 @@ class ScaleTensor:
     values: np.ndarray
     lo: float = field(init=False, repr=False, compare=False)
     hi: float = field(init=False, repr=False, compare=False)
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _float_view(self.values)
@@ -310,28 +305,25 @@ class ScaleTensor:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
+        object.__setattr__(self, "shape", arr.shape)
 
 
 @dataclass(frozen=True)
 class ScaledTensor:
-    """An integer payload bound to the scale that maps it back to rationals."""
+    """An integer payload bound to the scale that maps it back to rationals;
+    `shape` is the payload's."""
 
     data: IntTensor
     scale: ScaleTensor
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _broadcast_compatible(self.scale.shape, self.data.shape):
+        shape = self.data.shape
+        if not _broadcast_compatible(self.scale.shape, shape):
             raise ShapeError(
-                f"scale shape {self.scale.shape} does not broadcast to data shape {self.data.shape}"
+                f"scale shape {self.scale.shape} does not broadcast to data shape {shape}"
             )
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        object.__setattr__(self, "shape", shape)
 
     @property
     def precision(self) -> int:

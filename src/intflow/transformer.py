@@ -266,7 +266,7 @@ def _boost(lane: Lane, session: Session, module: str) -> None:
     session.note("boost", PAYLOAD, lane.x.size, module)
     lane.hold(m * lam)
     lane.x *= lam
-    lane.m = m * lam  # still exact
+    lane.max_bound = m * lam  # still exact
     _grow(lane.s, lam, out=lane.s)
     lane.lo, lane.hi = scale_bounds(lane.s, lane.lo * lam, lane.hi * lam)
 
@@ -294,7 +294,8 @@ def _match_heads(lane: Lane, heads: int, axis: int) -> list[ScaledTensor]:
     s_bar = split
     if split.shape[axis] > 1:
         if axis == 0:
-            s_bar = minima = np.min(split, axis=0, keepdims=True, out=ws.take((1, heads, split.shape[2])))
+            minima = ws.take((1, heads, split.shape[2]))
+            s_bar = np.minimum.reduce(split, axis=0, keepdims=True, out=minima)
         else:
             # A reduction along the short d_h axis is slow: the minima come
             # from an axis-first copy, one elementwise pass per column.  The
@@ -308,7 +309,7 @@ def _match_heads(lane: Lane, heads: int, axis: int) -> list[ScaledTensor]:
     # values, so the bounds carry over.  Each head's scale is a C-contiguous
     # copy: a strided scale would slow matmul's broadcast product of the
     # scales, and the lane's buffers go back to ws.
-    payload = IntTensor.adopt(x.astype(np.int64), lane.precision, bound=lane.m)
+    payload = IntTensor.adopt(x.astype(np.int64), lane.precision, bound=lane.max_bound)
     lo, hi = scale_bounds(lane.s, lane.lo, lane.hi)
     out = [
         ScaledTensor(payload.view(payload.values[:, h]), ScaleTensor.derived(s_bar[:, h].copy(), lo, hi))
@@ -344,7 +345,8 @@ def _add_const(
 ) -> Lane:
     """Add a constant quantized into the lane's own scale, so no payload is
     matched; the constant is held in the scale's shape and broadcast."""
-    RationalTensor(np.float64(value))  # rejects a non-finite constant
+    if not math.isfinite(value):
+        raise ValueError("rational tensor values must be finite")
     c = lane.scratch() if lane.s.shape == lane.x.shape else np.empty(lane.s.shape)
     try:
         c_max = quantize_into(np.float64(value), lane.s, c)
@@ -452,7 +454,7 @@ def l1_layer_norm(
     # scale: the add matches nothing.  The same rounding bounds |mu|.
     t = mu.x.astype(np.int64)
     mu.x[...] = -np.sign(t) * ((2 * np.abs(t) + n) // (2 * n))
-    mu.bound((2 * mu.m + n) // (2 * n))
+    mu.bound((2 * mu.max_bound + n) // (2 * n))
     y = session.apply(K.add, [xm, mu], module, allow_rescale=False, ws=ws)
     mu.release()
     den = session.apply(K.abs_, [Lane.of(y, ws)], module, allow_rescale=False)
@@ -463,7 +465,7 @@ def l1_layer_norm(
     s = _grow(den.s, fold, out=ws.take(degenerate.shape))
     s[degenerate] = 1.0
     den.x[degenerate] = 1
-    den.put(den.x, s, max(den.m, 1), (min(den.lo * fold, 1.0), max(den.hi * fold, 1.0)))
+    den.put(den.x, s, max(den.max_bound, 1), (min(den.lo * fold, 1.0), max(den.hi * fold, 1.0)))
     session.note("scale_fold", SCALE, s.size, module)
     _boost(y, session, module)
     y = session.apply(K.int_div, [y, den], module)
@@ -558,13 +560,17 @@ def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session
 
 
 def ref_l1ln(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The L1 layer norm in float, worked in place on its centered copy."""
-    n = x.shape[-1:]
-    if g.shape != n or b.shape != n:
+    """The L1 layer norm in float, worked in place on its centered copy.  A
+    mean is a sum divided in place: np.mean's steps, the same bits."""
+    n = x.shape[-1]
+    if g.shape != (n,) or b.shape != (n,):
         raise ShapeError("layer norm gain and bias must match the hidden width")
-    mu = np.mean(x, axis=-1, keepdims=True)
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
     c = x - mu
-    den = L1_NORM_CONST * np.mean(np.abs(c), axis=-1, keepdims=True)
+    den = np.add.reduce(np.abs(c), axis=-1, keepdims=True)
+    den /= n
+    den *= L1_NORM_CONST
     live = den > 0
     c /= np.where(live, den, 1.0)
     np.copyto(c, 0.0, where=~live)

@@ -686,7 +686,7 @@ class TestLaneKernels:
         assert [int(v) for v in out.x.ravel()] == xs
         s = np.broadcast_to(out.s, shape)
         assert s.ravel().tolist() == ss
-        assert out.m >= max(abs(v) for v in xs)
+        assert out.max_bound >= max(abs(v) for v in xs)
         assert out.lo <= s.min() and out.hi >= s.max()
         sealed = out.seal()
         assert sealed.data.values.ravel().tolist() == xs

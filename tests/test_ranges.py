@@ -6,6 +6,7 @@ operands'.  Here every bound is checked against a scan after each kernel and
 lane step of random forwards, each fallback is shown to run, or to raise
 exactly as a scan does, and the scans left in a forward are counted.
 """
+import collections
 import contextlib
 import dataclasses
 import math
@@ -51,9 +52,9 @@ def assert_tensor_bounds(t: ScaledTensor) -> None:
 
 def assert_lane_bounds(lane: Lane) -> None:
     m = peak(lane.x)
-    assert m <= lane.m
+    assert m <= lane.max_bound
     if lane.exact:
-        assert lane.m == m
+        assert lane.max_bound == m
     assert_scale_range(lane.s, lane.lo, lane.hi)
 
 
@@ -277,7 +278,7 @@ class TestPayloadFallback:
         ws = Workspace()
         lane = Lane.of(scaled([[-9, 4]], [[1.0]]), ws)
         lane = K.relu(Lane(lane.x, lane.s, 7, ws))
-        assert not lane.exact and lane.m == 9
+        assert not lane.exact and lane.max_bound == 9
         assert lane.max_magnitude == 4 and lane.exact
 
 
@@ -335,29 +336,48 @@ def test_scan_budget(cfg, t, budget):
     assert counts == budget
 
 
-# Python calls into the intflow package per forward, counted after a
-# warm-up forward has filled the lru_caches (the first forward makes about
-# 28 more).  numpy's own calls are not counted, so the count follows the op
-# sequence only.  Re-pin only downward.
-@pytest.mark.parametrize("cfg, t, budget", [(ModelConfig(), 1, 4087), (LONGCTX, 32, 8211)])
-def test_call_budget(cfg, t, budget):
-    model = quantize_model(random_reference_model(cfg, 0))
-    tokens = np.random.default_rng(1).integers(0, cfg.vocab, t)
-    forward(model, Session(Precision(cfg.precision)), tokens=tokens)
+def count_calls(run, budget: int) -> None:
+    """Assert that run() makes `budget` Python calls into the intflow
+    package, counted after one warm-up run has filled the lru_caches.  On a
+    mismatch the message names the ten functions called most, with their
+    counts, so a regression points at the function that added calls."""
+    run()
     home = os.path.dirname(transformer.__file__) + os.sep
-    calls = 0
+    calls = collections.Counter()
 
     def profile(frame, event, arg):
-        nonlocal calls
         if event == "call" and frame.f_code.co_filename.startswith(home):
-            calls += 1
+            calls[frame.f_code.co_qualname] += 1
 
     sys.setprofile(profile)
     try:
-        forward(model, Session(Precision(cfg.precision)), tokens=tokens)
+        run()
     finally:
         sys.setprofile(None)
-    assert calls == budget
+    total = sum(calls.values())
+    top = ", ".join(f"{name} {n}" for name, n in calls.most_common(10))
+    assert total == budget, f"{total} calls, not {budget}; most called: {top}"
+
+
+# Python calls into the intflow package per forward (the first forward makes
+# about 28 more).  numpy's own calls are not counted, so the count follows the
+# op sequence only.  Until records were built in one call and shapes and
+# bounds became plain attributes, they were 4,087 and 8,211.  Re-pin only
+# downward.
+@pytest.mark.parametrize("cfg, t, budget", [(ModelConfig(), 1, 2947), (LONGCTX, 32, 5969)])
+def test_call_budget(cfg, t, budget):
+    model = quantize_model(random_reference_model(cfg, 0))
+    tokens = np.random.default_rng(1).integers(0, cfg.vocab, t)
+    count_calls(lambda: forward(model, Session(Precision(cfg.precision)), tokens=tokens), budget)
+
+
+# The same count for the FP32 twin's forward: its steps are a few numpy
+# calls each, so the Python around them is most of a `toy` forward.  Re-pin
+# only downward.
+def test_twin_call_budget():
+    ref = transformer.reference_twin(quantize_model(random_reference_model(ModelConfig(), 0)))
+    tokens = np.random.default_rng(1).integers(0, ModelConfig().vocab, 1)
+    count_calls(lambda: transformer.reference_forward(ref, tokens=tokens), 113)
 
 
 def test_forward_matches_only_p_bit_payloads(monkeypatch):

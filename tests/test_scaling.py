@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from intflow import kernels as K
 from intflow import scaling
-from intflow.audit import PAYLOAD, SCALE, OpAuditLog
+from intflow.audit import PAYLOAD, SCALE, AuditRecord, OpAuditLog
 from intflow.errors import PrecisionError, ScaleRangeError, ShapeError
 from intflow.scaling import (
     Lane,
@@ -37,6 +37,7 @@ class TestPrecision:
     @pytest.mark.parametrize("p,limit", [(2, 3), (7, 127), (15, 32767)])
     def test_max_magnitude(self, p, limit):
         assert Precision(p).max_magnitude == limit
+        assert Precision(p) == Precision(p) and repr(Precision(p)) == f"Precision(p={p})"
 
     @pytest.mark.parametrize("p", [1, 16])
     def test_out_of_range(self, p):
@@ -581,8 +582,8 @@ class TestShrinkDecision:
         assert log.records[0].rescaled == rescaled
         assert (got.x.dtype, got.x.tobytes(), got.s.tobytes()) == (
             want.x.dtype, want.x.tobytes(), want.s.tobytes())
-        assert (got.lo, got.hi, got.m, got.exact, got.precision) == (
-            want.lo, want.hi, want.m, want.exact, want.precision)
+        assert (got.lo, got.hi, got.max_bound, got.exact, got.precision) == (
+            want.lo, want.hi, want.max_bound, want.exact, want.precision)
         if got.nonneg:
             assert (got.x >= 0).all()
 
@@ -648,6 +649,32 @@ class TestProtocolApply:
         a = scaled([64], [1.0])
         out = protocol_apply(K.ew_mul, [a, a], Precision(7), allow_rescale=False).seal()
         assert out.data.values.tolist() == [4096]
+
+
+class TestAuditRecord:
+    """A record is built in one call and is an immutable tuple of its
+    fields, with the repr the records always had."""
+
+    def test_unknown_lane_is_refused(self):
+        with pytest.raises(ValueError, match="unknown lane 'int'"):
+            AuditRecord("add", "int", 4)
+
+    def test_fields_cannot_be_assigned(self):
+        r = AuditRecord("add", PAYLOAD, 4)
+        for name in ("kind", "lane", "elements", "rescaled", "module", "other"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 1)
+        assert r == AuditRecord("add", PAYLOAD, 4)
+
+    def test_repr_and_fields(self):
+        r = AuditRecord("matmul", SCALE, 96, True, "Attn")
+        assert repr(r) == (
+            "AuditRecord(kind='matmul', lane='scale', elements=96, rescaled=True, module='Attn')"
+        )
+        assert (r.kind, r.lane, r.elements, r.rescaled, r.module) == ("matmul", SCALE, 96, True, "Attn")
+        assert r == ("matmul", SCALE, 96, True, "Attn")  # a tuple of its fields
+        d = AuditRecord("gather", PAYLOAD, 8)
+        assert (d.rescaled, d.module) == (False, "")
 
 
 class TestSession:

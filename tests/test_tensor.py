@@ -10,6 +10,7 @@ from intflow.scaling import Lane, Precision, Workspace, dequantize
 from intflow.tensor import (
     IntTensor,
     RationalTensor,
+    ScaledTensor,
     ScaleTensor,
     transpose,
 )
@@ -109,6 +110,39 @@ class TestContainers:
         assert t.max_magnitude == 127
         assert t.in_range()
         assert not IntTensor(np.array([128]), 7).in_range()
+
+
+class TestPlainAttributes:
+    """`shape` and `max_bound` are attributes set when a tensor is sealed,
+    and `max_bound` becomes the exact max once that has been scanned."""
+
+    @staticmethod
+    def check(t: ScaledTensor) -> None:
+        assert t.shape == t.data.shape == t.data.values.shape
+        assert t.scale.shape == t.scale.values.shape
+        exact = int(np.abs(t.data.values.astype(np.int64)).max(initial=0))
+        assert t.data.max_bound >= exact
+        assert t.data.max_magnitude == exact == t.data.max_bound
+
+    def test_every_constructor(self):
+        x = np.array([[3, -9, 2], [7, 1, -4]], dtype=np.int64)
+        s = ScaleTensor(np.array([[2.0], [3.0]]))
+
+        def loose() -> ScaledTensor:  # bound 100, max|x| not yet scanned
+            return ScaledTensor(IntTensor.adopt(x.copy(), 7, bound=100), s)
+
+        t = loose()
+        assert t.data.max_bound == 100 and t.shape == (2, 3)
+        self.check(t)
+        self.check(ScaledTensor(IntTensor.param(x, 7), s))
+        t = loose()
+        self.check(ScaledTensor(t.data.view(t.data.values[:, 1:]), s))
+        self.check(transpose(loose(), (1, 0)))
+        self.check(transpose(ScaledTensor(IntTensor.param(x, 7), s), (1, 0)))
+        lane = Lane.of(loose(), Workspace())
+        assert lane.max_bound == 100 and not lane.exact
+        assert lane.max_magnitude == 9 and lane.max_bound == 9
+        self.check(Lane.of(loose(), Workspace()).seal())
 
 
 class TestTranspose:
