@@ -165,14 +165,6 @@ def _as_float(state) -> np.ndarray:
     return np.asarray(state, dtype=np.float64)
 
 
-class _TapCollector:
-    def __init__(self):
-        self.taps: list[tuple[str, int, np.ndarray]] = []
-
-    def __call__(self, tag, layer, state):
-        self.taps.append((tag, layer, _as_float(state)))
-
-
 def precision_loss(
     model: IntegerTransformerModel,
     ref: FP32ReferenceModel,
@@ -182,16 +174,16 @@ def precision_loss(
     sums: dict[tuple[str, int], list[float]] = {}
     counts: dict[tuple[str, int], int] = {}
     for tokens in inputs:
-        int_tap = _TapCollector()
-        ref_tap = _TapCollector()
+        int_taps, ref_taps = [], []
         session = Session(Precision(model.config.precision))
-        forward(model, session, tokens=tokens, tap=int_tap)
-        reference_forward(ref, tokens=tokens, tap=ref_tap)
-        if len(int_tap.taps) != len(ref_tap.taps):
+        forward(model, session, tokens=tokens, tap=lambda *tap: int_taps.append(tap))
+        reference_forward(ref, tokens=tokens, tap=lambda *tap: ref_taps.append(tap))
+        if len(int_taps) != len(ref_taps):
             raise ValidationError("tap sequences diverged between twins")
-        for (tag_i, li, act_i), (tag_r, lr, act_r) in zip(int_tap.taps, ref_tap.taps):
+        for (tag_i, li, state_i), (tag_r, lr, state_r) in zip(int_taps, ref_taps):
             if tag_i != tag_r or li != lr:
                 raise ValidationError("tap sequences diverged between twins")
+            act_i, act_r = _as_float(state_i), _as_float(state_r)
             if act_i.shape != act_r.shape:
                 raise ValidationError("tap shapes diverged between twins")
             key = (tag_i, li)

@@ -2,8 +2,10 @@
 
 Each record notes which lane did the work: "payload" for integer arithmetic
 on tensor values, "scale" for the cheap FP32 bookkeeping on scales, and
-"fp32" for rational arithmetic on tensor values (only the canonical
-quantize/de-quantize baseline produces those).
+"fp32" for rational arithmetic on tensor values.  Only de-quantizes produce
+those: the canonical quantize/de-quantize baseline's, a hybrid forward's at
+each exit from the integer path, and `intflow infer --dequantize-output`'s
+of its result.
 """
 from __future__ import annotations
 
@@ -32,9 +34,6 @@ class AuditRecord(namedtuple("AuditRecord", "kind lane elements rescaled module"
 @dataclass
 class OpAuditLog:
     records: list[AuditRecord] = field(default_factory=list)
-
-    def append(self, record: AuditRecord) -> None:
-        self.records.append(record)
 
     def __len__(self) -> int:
         return len(self.records)

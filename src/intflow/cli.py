@@ -20,7 +20,7 @@ from .analysis import (
 )
 from .errors import IntflowError, ValidationError
 from .modelfile import load_model, save_model
-from .scaling import Precision, ScaleGranularity, Session, init_scale
+from .scaling import Precision, ScaleGranularity, Session
 from .tensor import RationalTensor
 from .transformer import (
     FP32ReferenceModel,
@@ -50,13 +50,15 @@ def _add_arch_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--degree", type=int, default=cfg.degree, help="attention polynomial degree")
 
 
-def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
-    cfg = ModelConfig()
-    sub.add_argument("--precision", type=int, default=cfg.precision, help="payload bits (2-15)")
+def _add_quant_flags(sub: argparse.ArgumentParser, cfg: ModelConfig | None) -> None:
+    """--precision and --granularity, defaulting to cfg's settings; without
+    cfg a flag not given is None, and the model file's setting stands."""
+    sub.add_argument("--precision", type=int, default=cfg and cfg.precision,
+                     help="payload bits (2-15)")
     sub.add_argument(
         "--granularity",
         choices=sorted(_GRANULARITIES),
-        default=cfg.granularity.value,
+        default=cfg and cfg.granularity.value,
         help=(
             "scale grouping where a float tensor is quantized: the hidden-state input of "
             "`infer` and the inputs of integer modules in a hybrid forward (`compare "
@@ -77,12 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("out", help="output model file")
     p_init.add_argument("--seed", type=int, default=0)
     _add_arch_flags(p_init)
-    _add_quant_flags(p_init)
+    _add_quant_flags(p_init, ModelConfig())
 
-    p_quant = sub.add_parser("quantize", help="quantize an FP32 model file")
+    p_quant = sub.add_parser("quantize", help="quantize an FP32 model file at its own settings")
     p_quant.add_argument("model", help="FP32 model file")
     p_quant.add_argument("out", help="quantized model file")
-    _add_quant_flags(p_quant)
+    _add_quant_flags(p_quant, None)
 
     p_infer = sub.add_parser("infer", help="run the layer stack on a hidden-state input")
     p_infer.add_argument("model", help="quantized model file")
@@ -144,10 +146,11 @@ def cmd_quantize(args) -> int:
     ref = load_model(args.model)
     if not isinstance(ref, FP32ReferenceModel):
         raise ValidationError("quantize needs an FP32 model file")
+    cfg = ref.config  # a flag given overrides the file's setting
     cfg = replace(
-        ref.config,
-        precision=args.precision,
-        granularity=_GRANULARITIES[args.granularity],
+        cfg,
+        precision=cfg.precision if args.precision is None else args.precision,
+        granularity=cfg.granularity if args.granularity is None else _GRANULARITIES[args.granularity],
     )
     model = quantize_model(replace(ref, config=cfg))
     save_model(args.out, model)
@@ -182,11 +185,8 @@ def cmd_infer(args) -> int:
             raise ValidationError(
                 f"input must be T x {cfg.d_m}, got {data.shape}"
             )
-        hidden = RationalTensor(data.astype(np.float64))
-        x = session.quantize(
-            hidden, init_scale(hidden, cfg.granularity, session.precision)
-        )
-        out = forward(model, session, hidden=x)
+        # The forward quantizes it, audited, where integer steps read it.
+        out = forward(model, session, hidden=RationalTensor(data.astype(np.float64)))
     if args.dequantize_output:
         np.save(args.out, session.dequantize(out).values.astype(np.float32))
     else:

@@ -1,6 +1,7 @@
 """Integer arithmetic kernels acting jointly on payloads and scales.
 
-One kernel per KernelKind, under the kind's name, except ADD (below).
+One kernel per kind, under the kind's name, except ADD (below); the kind
+is the string that audit records and the tracer carry.
 Shape-preserving and element-wise ops (transpose, concat, ew_mul, pow_n,
 abs, relu, sum over a uniform scale) are exact on the de-quantized view.
 Anything that matches scales or divides payloads (add, matmul, int_div)
@@ -39,7 +40,6 @@ a float64 lane, and no other kernel sees float32.
 """
 from __future__ import annotations
 
-import enum
 import functools
 
 import numpy as np
@@ -67,22 +67,9 @@ from .tensor import (
 from .tensor import transpose as tensor_transpose
 
 
-class KernelKind(enum.Enum):
-    ADD = "add"
-    EW_MUL = "ew_mul"
-    MATMUL = "matmul"
-    POW_N = "pow_n"
-    ABS = "abs"
-    RELU = "relu"
-    SUM_REDUCE = "sum_reduce"
-    INT_DIV = "int_div"
-    TRANSPOSE = "transpose"
-    CONCAT = "concat"
-
-
-def _kernel(kind: KernelKind, scale_arith: bool):
+def _kernel(kind: str, scale_arith: bool):
     def deco(fn):
-        fn.kind = kind.value
+        fn.kind = kind
         fn.scale_arith = scale_arith
         return fn
     return deco
@@ -130,7 +117,7 @@ def _result(a: ScaledTensor | Lane, x, s, bound: int, scale_range, ws: Workspace
     return Lane(x, ws.copy(s) if s is a.scale.values else s, a.precision, ws, bound, scale_range)
 
 
-@_kernel(KernelKind.EW_MUL, scale_arith=True)
+@_kernel("ew_mul", scale_arith=True)
 @quiet_overflow
 def ew_mul(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """{x1*x2, s1*s2}: exact on the de-quantized view; operands broadcast."""
@@ -146,7 +133,7 @@ def ew_mul(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None 
     return _result(a, x, s, bound, (a_lo * b_lo, a_hi * b_hi), ws)
 
 
-@_kernel(KernelKind.ADD, scale_arith=True)
+@_kernel("add", scale_arith=True)
 def add(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """Match both payloads to the elementwise minimum scale, then add them;
     b broadcasts to a's shape (a bias, say).  Matching never grows a
@@ -173,7 +160,7 @@ def add(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = N
     return _result(a, x, s_bar, bound, (min(a_lo, b_lo), min(a_hi, b_hi)), ws)
 
 
-@_kernel(KernelKind.MATMUL, scale_arith=True)
+@_kernel("matmul", scale_arith=True)
 @quiet_overflow
 def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = None) -> Lane:
     """Contract the last dims of a (m x d) and b_t (n x d) into a new Lane.
@@ -222,55 +209,45 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
     return Lane(x, s, a.precision, ws, bound, (a_lo * b_lo, a_hi * b_hi))
 
 
-def _power_overflows(m: int, n: int) -> bool:
-    return m > 1 and n * np.log2(m) >= 62
-
-
-def _power_max(t: Lane, n: int) -> int:
-    """max|x| as pow_n's lane guard needs it: the bound, or the exact max
-    when the bound trips the guard, so that only the exact max raises."""
-    m = t.max_bound
-    return t.max_magnitude if _power_overflows(m, n) or m**n >= LANE_MAX else m
-
-
-@_kernel(KernelKind.POW_N, scale_arith=True)
+@_kernel("pow_n", scale_arith=True)
 @quiet_overflow
 def pow_n(t: Lane, n: int) -> Lane:
     """{x^n, s^n} in place: exact on the de-quantized view.
 
-    x^n is taken by repeated multiplies, exact on int64 and on float64
-    holding integers while below 2^53, and much faster than integer **.  A
-    float64 power goes to the scratch buffer, which then swaps roles with
-    the payload.
+    The lane guard checks max|x|^n in Python ints: the bound's power, or the
+    exact max's where the bound's reaches the lane.  x^n is then taken in
+    place as x * (x * ... * x), by repeated multiplies: exact on int64 and
+    on float64 holding integers while below 2^53, and much faster than
+    integer **.  The inner product x^(n-1) goes to the lane's scratch, or
+    to a fresh array when x is int64.
     """
     if n < 1:
         raise ValueError("exponent must be >= 1")
-    m = _power_max(t, n)
-    if _power_overflows(m, n):
-        raise LaneOverflowError("power exceeds accumulator lane")
-    mn = m**n
+    mn = t.max_bound**n
+    if mn >= LANE_MAX:
+        mn = t.max_magnitude**n
+        if mn >= LANE_MAX:
+            raise LaneOverflowError("power exceeds accumulator lane")
     t.hold(mn)
     x = t.x
-    in_float = x.dtype == np.float64
-    out = t.scratch() if in_float else None
-    xn = np.multiply(x, x, out=out) if n > 1 else np.positive(x, out=out)  # n = 1: a copy
-    for _ in range(n - 2):
-        xn *= x
-    t.x = xn
-    if in_float:
-        t.work = x
+    if n > 2:
+        rest = np.multiply(x, x, out=t.scratch() if x.dtype == np.float64 else None)
+        for _ in range(n - 3):
+            rest *= x
+        x *= rest
+    elif n == 2:
+        x *= x
     # max|x^n| = max|x|^n, so an exact max stays exact; an even power, or
     # one of no negative payload, leaves no payload negative.
     t.max_bound = mn
     t.nonneg = t.nonneg or n % 2 == 0
-    t.check_fit()
     # Scales keep **: in float, s*s*s can round differently from s**n.
     t.s **= n
     t.lo, t.hi = scale_bounds(t.s, *pow_bounds(t.lo, t.hi, n))
     return t
 
 
-@_kernel(KernelKind.ABS, scale_arith=False)
+@_kernel("abs", scale_arith=False)
 def abs_(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """{|x|, s}: exact since s > 0."""
     ws = _workspace(t, ws)
@@ -280,7 +257,7 @@ def abs_(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     return _result(t, x, s, m.max_bound, (lo, hi), ws)
 
 
-@_kernel(KernelKind.RELU, scale_arith=False)
+@_kernel("relu", scale_arith=False)
 def relu(t: Lane) -> Lane:
     """{max(0, x), s} in place: exact since s > 0; t.max_bound stays a
     bound, no longer exact, and no payload is negative."""
@@ -289,7 +266,7 @@ def relu(t: Lane) -> Lane:
     return t
 
 
-@_kernel(KernelKind.SUM_REDUCE, scale_arith=False)
+@_kernel("sum_reduce", scale_arith=False)
 def sum_reduce(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """Sum payloads along the last axis, where the scale is already
     collapsed (scale_match_dim(t, -1), Lane.match_last).  The sum keeps
@@ -305,7 +282,7 @@ def sum_reduce(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     return _result(t, x, s, bound, (lo, hi), ws)
 
 
-@_kernel(KernelKind.INT_DIV, scale_arith=True)
+@_kernel("int_div", scale_arith=True)
 @quiet_overflow
 def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """Payload division truncating toward zero; scale s_num / s_den; operands broadcast.
@@ -328,10 +305,10 @@ def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | 
 
 # The tensor core's transpose, tagged with its kind for the tracer; a view,
 # it runs outside the protocol.
-transpose = _kernel(KernelKind.TRANSPOSE, scale_arith=False)(tensor_transpose)
+transpose = _kernel("transpose", scale_arith=False)(tensor_transpose)
 
 
-@_kernel(KernelKind.CONCAT, scale_arith=False)
+@_kernel("concat", scale_arith=False)
 def concat(*ts: ScaledTensor | Lane, axis: int, ws: Workspace | None = None) -> Lane:
     """Payloads and scales of the parts, in order along `axis`, in one new
     Lane; the Lane parts are released.
@@ -373,7 +350,7 @@ def concat(*ts: ScaledTensor | Lane, axis: int, ws: Workspace | None = None) -> 
     return Lane(x, s, prec, ws, bound, (min(los), max(his)))
 
 
-@_kernel(KernelKind.ADD, scale_arith=True)
+@_kernel("add", scale_arith=True)
 def lane_add(t: Lane, c: np.ndarray, c_max: int) -> Lane:
     """add(t, c) in place, for a payload c already at t's own scale, so
     matching moves nothing; c, float64 holding integers with max|c| = c_max,

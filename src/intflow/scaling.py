@@ -607,7 +607,8 @@ class Session:
         return out
 
     def dequantize(self, t: ScaledTensor, module: str = "") -> RationalTensor:
-        """De-quantize through the session; only the canonical baseline does this."""
+        """De-quantize through the session, so the exit shows up in the audit
+        log: the canonical baseline's, a hybrid forward's and `infer`'s."""
         out = dequantize(t)
         self.note("dequantize", FP32, t.data.values.size, module)
         return out

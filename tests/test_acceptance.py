@@ -267,9 +267,9 @@ def test_10_speedup_estimator(capsys):
     def fake_log(matmul, other):
         log = OpAuditLog()
         if matmul:
-            log.append(AuditRecord("matmul", PAYLOAD, matmul))
+            log.records.append(AuditRecord("matmul", PAYLOAD, matmul))
         if other:
-            log.append(AuditRecord("add", PAYLOAD, other))
+            log.records.append(AuditRecord("add", PAYLOAD, other))
         return log
 
     ok = speedup_estimate(fake_log(1000, 0)).estimate == pytest.approx(6.0)

@@ -1,8 +1,11 @@
 """Precision-loss reports, ablation, storage accounting, speed-up estimates."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from intflow.audit import PAYLOAD, AuditRecord, OpAuditLog
+from intflow import analysis
 from intflow.errors import ValidationError
 from intflow.analysis import (
     bit_sweep,
@@ -58,6 +61,37 @@ class TestPrecisionLoss:
         rep = precision_loss(model, reference_twin(model), tokens)
         with pytest.raises(KeyError):
             rep.get(ATTN, 99)
+
+    # A twin that does not match the model is refused at the first tap that
+    # tells them apart: by count, by tag and layer, or by shape.
+    def test_twin_with_more_layers_is_refused(self, toy):
+        cfg, ref, model, tokens = toy
+        twin = random_reference_model(dataclasses.replace(cfg, n_layers=cfg.n_layers + 1), seed=2)
+        with pytest.raises(ValidationError, match="tap sequences diverged between twins"):
+            precision_loss(model, twin, tokens)
+
+    def test_twin_with_another_vocab_is_refused(self, toy):
+        # Every tap matches but the logits, T x vocab.
+        cfg, ref, model, tokens = toy
+        twin = random_reference_model(dataclasses.replace(cfg, vocab=cfg.vocab + 1), seed=2)
+        with pytest.raises(ValidationError, match="tap shapes diverged between twins"):
+            precision_loss(model, twin, tokens)
+
+    @pytest.mark.parametrize("relabel", [
+        lambda tag, layer: (tag, layer + 1),
+        lambda tag, layer: (tag.lower(), layer),
+    ], ids=["layer", "tag"])
+    def test_twin_taps_out_of_step_are_refused(self, toy, monkeypatch, relabel):
+        cfg, ref, model, tokens = toy
+        reference_forward = analysis.reference_forward
+
+        def relabelled(twin, *, tokens, tap):
+            return reference_forward(
+                twin, tokens=tokens, tap=lambda tag, layer, state: tap(*relabel(tag, layer), state))
+
+        monkeypatch.setattr(analysis, "reference_forward", relabelled)
+        with pytest.raises(ValidationError, match="tap sequences diverged between twins"):
+            precision_loss(model, reference_twin(model), tokens)
 
 
 class TestModuleAblation:
@@ -116,10 +150,7 @@ class TestStorage:
 
 class TestSpeedup:
     def _log(self, pairs):
-        log = OpAuditLog()
-        for kind, n in pairs:
-            log.append(AuditRecord(kind, PAYLOAD, n))
-        return log
+        return OpAuditLog([AuditRecord(kind, PAYLOAD, n) for kind, n in pairs])
 
     def test_all_accelerable_limit(self):
         est = speedup_estimate(self._log([("matmul", 1000)]), factor=6.0)

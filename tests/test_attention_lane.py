@@ -126,10 +126,8 @@ def exact_relu(t):
 
 @exact_kernel("pow_n", True)
 def exact_pow_n(t, n):
-    # The guard tests n * log2(max|x|) in float, which also refuses powers
-    # within a few ulps below 2^62.
-    m = peak(ints(t))
-    if m**n >= LANE_MAX or (m > 1 and n * np.log2(m) >= 62):
+    # The guard checks max|x|^n against the lane in Python ints.
+    if peak(ints(t)) ** n >= LANE_MAX:
         raise LaneOverflowError("power exceeds accumulator lane")
     with np.errstate(over="ignore", under="ignore"):
         s = t.scale.values ** n

@@ -1,5 +1,6 @@
 """Command-line interface: every verb, flags, and exit codes."""
 import dataclasses
+import hashlib
 import struct
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from intflow.analysis import speedup_estimate
 from intflow.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from intflow.modelfile import HEADER_DIMS, HEADER_SIZE, load_model, save_model
-from intflow.scaling import Precision, Session
+from intflow.scaling import Precision, ScaleGranularity, Session
 from intflow.transformer import ModelConfig, forward, random_reference_model
 
 
@@ -41,6 +42,21 @@ class TestInitAndQuantize:
         assert main(["quantize", str(fp32), str(out),
                      "--precision", "5", "--granularity", "b"]) == EXIT_OK
 
+    @pytest.mark.parametrize("flags, precision, granularity", [
+        ([], 5, ScaleGranularity.PER_BATCH),
+        (["--precision", "6"], 6, ScaleGranularity.PER_BATCH),
+        (["--granularity", "row"], 5, ScaleGranularity.PER_ROW),
+        (["--precision", "6", "--granularity", "row"], 6, ScaleGranularity.PER_ROW),
+    ], ids=["keeps", "precision", "granularity", "both"])
+    def test_quantize_keeps_the_files_settings_unless_a_flag_overrides(
+            self, tmp_path, flags, precision, granularity):
+        fp32, out = tmp_path / "m.fp32", tmp_path / "m.int8"
+        assert main(["init", str(fp32), "--d-m", "16", "--heads", "2", "--d-ff", "32",
+                     "--vocab", "24", "--precision", "5", "--granularity", "b"]) == EXIT_OK
+        assert main(["quantize", str(fp32), str(out), *flags]) == EXIT_OK
+        cfg = load_model(str(out)).config
+        assert (cfg.precision, cfg.granularity) == (precision, granularity)
+
 
 class TestInfer:
     def test_hidden_state_input(self, workspace, tmp_path):
@@ -51,6 +67,27 @@ class TestInfer:
         assert main(["infer", str(int8), str(x), "--out", str(y),
                      "--dequantize-output"]) == EXIT_OK
         assert np.load(y).shape == (5, 16)
+
+    # The forward quantizes a float input where each integer step reads it:
+    # layer 0's LN, and its Res, which reads it as the residual.  Both give
+    # the same payloads and scales, so the output is that of one quantize.
+    @pytest.mark.parametrize("deq, want", [
+        (False, "816fe13e37319b12f0a33761b85aa2af202cc2a9eac5bd01775c59a46cde0a76"),
+        (True, "8e9f21d63e6e55b79028eb81615f65e8914853ca190b25f46ae73e4504d3d86e"),
+    ], ids=["payloads", "dequantized"])
+    def test_hidden_state_output_and_audit_are_pinned(self, workspace, tmp_path, deq, want):
+        tmp, fp32, int8 = workspace
+        x, y, audit = tmp_path / "x.npy", tmp_path / "y.npy", tmp_path / "audit.tsv"
+        np.save(x, np.random.default_rng(0).normal(size=(5, 16)).astype(np.float32))
+        assert main(["infer", str(int8), str(x), "--out", str(y), "--audit", str(audit),
+                     *["--dequantize-output"] * deq]) == EXIT_OK
+        assert hashlib.sha256(np.load(y).tobytes()).hexdigest() == want
+        lines = audit.read_text().splitlines()
+        assert [line for line in lines if line.startswith("quantize\tscale\t80\t")] == [
+            "quantize\tscale\t80\t0\tLN", "quantize\tscale\t80\t0\tRes"]
+        assert len(lines) == 239 + deq
+        assert hashlib.sha256("\n".join(lines[:239]).encode()).hexdigest() == (
+            "d0c2ef4a4b5f81eac98382eebaaf4e41db6b21331d322d5435a53081c2784765")
 
     def test_token_input_and_audit(self, workspace, tmp_path):
         tmp, fp32, int8 = workspace
@@ -278,6 +315,7 @@ class TestHyperParameters:
 
 
 def test_flag_defaults_are_the_model_config_defaults():
+    # quantize's flags default to None: the FP32 file's own settings stand.
     cfg = ModelConfig()
     parser = build_parser()
     init = parser.parse_args(["init", "m.fp32"])
@@ -285,8 +323,8 @@ def test_flag_defaults_are_the_model_config_defaults():
     arch = {"d_m": init.d_m, "heads": init.heads, "d_ff": init.d_ff,
             "n_layers": init.layers, "vocab": init.vocab, "degree": init.degree}
     assert arch == {name: getattr(cfg, name) for name in arch}
-    for args in (init, quant):
-        assert (args.precision, args.granularity) == (cfg.precision, cfg.granularity.value)
+    assert (init.precision, init.granularity) == (cfg.precision, cfg.granularity.value)
+    assert (quant.precision, quant.granularity) == (None, None)
 
 
 class TestTruncatedModelFile:

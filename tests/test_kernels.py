@@ -15,7 +15,7 @@ from intflow.scaling import (
     MATCH_FLOAT_MAX, Lane, Precision, Workspace, dequantize, gemm_dtype, protocol_apply,
     scale_match_dim,
 )
-from intflow.tensor import IntTensor, ScaledTensor, ScaleTensor, container_dtype
+from intflow.tensor import LANE_MAX, IntTensor, ScaledTensor, ScaleTensor, container_dtype
 
 from helpers import scaled
 
@@ -309,10 +309,13 @@ class TestPowAbsRelu:
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=200)
     def test_pow_matches_python_ints_near_lane(self, n, data):
-        # The largest magnitude the lane guard admits for this exponent.
+        # The largest magnitude the lane guard admits for this exponent, in
+        # Python ints: m^n < 2^62 <= (m + 1)^n.
         m = int(2 ** (62 / n))
-        while m > 1 and n * np.log2(m) >= 62:
+        while m**n >= LANE_MAX:
             m -= 1
+        while (m + 1) ** n < LANE_MAX:
+            m += 1
         xs = data.draw(st.lists(
             st.one_of(st.sampled_from([m, -m, m - 1, 0, 1, -1]), st.integers(-m, m)),
             min_size=1, max_size=5,
@@ -321,7 +324,9 @@ class TestPowAbsRelu:
         out = on_lane(K.pow_n, t, n=n)
         assert out.data.values.tolist() == [x**n for x in xs]
         assert out.scale.values.tolist() == [1.5**n] * len(xs)
-        with pytest.raises(LaneOverflowError):
+        # At n = 1, m + 1 = 2^62 is refused as a payload, before any power.
+        refusal = ("power" if n > 1 else "payload") + " exceeds accumulator lane"
+        with pytest.raises(LaneOverflowError, match=refusal):
             on_lane(K.pow_n, scaled([m + 1], [1.0]), n=n)
 
     def test_abs_exact(self):
