@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels as K
 from .audit import OpAuditLog
 from .errors import ValidationError
 from .modelfile import HEADER_SIZE, record_sizes, serialize
@@ -16,7 +15,6 @@ from .scaling import (
     Precision,
     Session,
     dequantize,
-    init_scale,
 )
 from .tensor import RationalTensor, ScaledTensor
 from .transformer import (
@@ -25,7 +23,6 @@ from .transformer import (
     FP32ReferenceModel,
     IntegerTransformerModel,
     MODULES,
-    TransformerLayerParams,
     forward,
     quantize_model,
     reference_forward,
@@ -287,31 +284,3 @@ def bit_sweep(
         for p in p_range
     ]
 
-
-def canonical_ffn_forward(
-    x: ScaledTensor, lp: TransformerLayerParams, session: Session
-) -> ScaledTensor:
-    """The quantize/de-quantize-sandwiched FFN baseline.
-
-    Every FP32 stage de-quantizes its input and the result is re-quantized
-    before the next integer GEMM; this is the comparator the integer
-    pipeline eliminates.
-    """
-    from .transformer import FFN, ref_l1ln
-
-    prec = session.precision
-    g, b = dequantize(lp.ln2_g).values, dequantize(lp.ln2_b).values
-
-    def requantize(values: np.ndarray) -> ScaledTensor:
-        t = RationalTensor(values)
-        return session.quantize(t, init_scale(t, prec=prec), FFN)
-
-    r = ref_l1ln(session.dequantize(x, FFN).values, g, b)
-    h = session.apply(K.matmul, [requantize(r), lp.w1], FFN, ws=session.workspace).seal()
-    r = session.dequantize(h, FFN).values + dequantize(lp.b1).values
-    h = session.apply(
-        K.matmul, [requantize(np.maximum(r, 0.0)), lp.w2], FFN, ws=session.workspace
-    ).seal()
-    r = session.dequantize(h, FFN).values + dequantize(lp.b2).values
-    r = r + session.dequantize(x, FFN).values
-    return requantize(r)

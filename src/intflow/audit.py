@@ -6,6 +6,12 @@ on tensor values, "scale" for the cheap FP32 bookkeeping on scales, and
 those: the canonical quantize/de-quantize baseline's, a hybrid forward's at
 each exit from the integer path, and `intflow infer --dequantize-output`'s
 of its result.
+
+The attention runs a group of heads, stacked along the rows, per step: the
+group makes one record per step, its `rescaled` flag set when any head was
+shrunk, and its `rescale` record counts the scale elements of only the
+heads the shrink moved.  So the elements summed per op are the same for
+any group size, and so are the op shares built from them.
 """
 from __future__ import annotations
 

@@ -23,6 +23,13 @@ copied in first.  relu and pow_n take only a Lane, as only lanes reach
 them.  transpose is the one shape op outside the protocol: a read-only view
 of a ScaledTensor, which callers use directly.
 
+matmul's `groups` runs G products at once: operands stacked as G row
+blocks give the block diagonal of the whole product, one batched GEMM,
+each block's scale its own outer product.  The attention runs a group of
+heads on such stacks, and writes the heads' quotients into one output lane
+itself, so a forward calls neither concat nor transpose; both stay, for
+direct use and for the benchmark's tracer, which binds every kernel name.
+
 ADD has two forms.  `add` matches both operands to their elementwise minimum
 scale, then adds them.  `lane_add` adds a constant already quantized at the
 Lane's own scale, so nothing is matched; as a ScaledTensor the constant
@@ -162,18 +169,24 @@ def add(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = N
 
 @_kernel("matmul", scale_arith=True)
 @quiet_overflow
-def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = None) -> Lane:
-    """Contract the last dims of a (m x d) and b_t (n x d) into a new Lane.
+def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = None, groups: int = 1) -> Lane:
+    """Contract the last dims of a (G*m x d) and b_t (G*n x d) into a new
+    (G*m x n) Lane, G = `groups`: row block g of the result is block g of a
+    times block g of b_t, the block diagonal of the whole product.  G = 1 is
+    the plain product.
 
     Scales are first matched along the contraction dim, then multiplied as
-    the outer product of the per-row scales.  A Lane `a` is matched in place
-    (Lane.match_last) unless its scale is already collapsed there; its
-    payload then goes to BLAS where it lies, and the lane stays matched.
+    each block's outer product of the per-row scales.  A Lane `a` is matched
+    in place (Lane.match_last) unless its scale is already collapsed there;
+    its payload then goes to BLAS where it lies, and the lane stays matched.
+    For G > 1 both scales hold a row per payload row, so that no scale
+    group of the result spans two blocks.
 
     The GEMM runs in gemm_dtype(bound), the operands cast straight to it:
-    float32 below 2^24, float64 below 2^53, int64 from there up.  The result
-    is a lane_dtype(bound) lane, float64 below 2^53; a float32 product is
-    fresh and is copied into it.
+    float32 below 2^24, float64 below 2^53, int64 from there up; the G
+    blocks go to one batched np.matmul.  The result is a lane_dtype(bound)
+    lane of G row blocks (Lane.blocks), float64 below 2^53; a float32
+    product is fresh and is copied into it.
     """
     if len(a.shape) != 2 or len(b_t.shape) != 2:
         raise ShapeError("matmul expects rank-2 operands")
@@ -181,6 +194,8 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
         raise ShapeError(
             f"contraction dims disagree: {a.shape[-1]} vs {b_t.shape[-1]}"
         )
+    if a.shape[0] % groups or b_t.shape[0] % groups:
+        raise ShapeError(f"{a.shape[0]} and {b_t.shape[0]} rows do not split into {groups} groups")
     ws = _workspace(a, ws)
     if not isinstance(a, Lane):
         a = scale_match_dim(a, -1)
@@ -188,25 +203,32 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
         a.match_last()
     ax, sa, am, a_lo, a_hi = _operand(a)
     bx, sb, bm, b_lo, b_hi = _operand(scale_match_dim(b_t, -1))
+    if groups > 1 and (sa.shape[0] != ax.shape[0] or sb.shape[0] != bx.shape[0]):
+        raise ShapeError("a grouped product needs a scale row per payload row")
     bound = _check_product(am, bm, a.shape[-1])
     # Each product and partial sum, in any summation order and with FMA, is
     # an integer no larger than bound, which the GEMM type holds exactly, so
     # BLAS returns the int64 result bit for bit (the accumulator-width
     # argument of gemmlowp and I-BERT); widening float32 to float64 is exact.
     gemm, dtype = gemm_dtype(bound), lane_dtype(bound)
-    x = ws.take((ax.shape[0], bx.shape[0]), dtype)
+    m, n, d = ax.shape[0] // groups, bx.shape[0] // groups, ax.shape[1]
+    x = ws.take((groups * m, n), dtype)
+    blocks = x.reshape(groups, m, n)
     y = np.matmul(
-        ax.astype(gemm, copy=False), bx.astype(gemm, copy=False).T,
-        out=x if gemm is dtype else None,
+        ax.astype(gemm, copy=False).reshape(groups, m, d),
+        bx.astype(gemm, copy=False).reshape(groups, n, d).transpose(0, 2, 1),
+        out=blocks if gemm is dtype else None,
     )
-    if y is not x:
-        np.copyto(x, y)
-    # The outer product of the per-row scales, (m,1) by (1,n), broadcast; a
-    # scale uniform over its rows stays collapsed there.  Each element is one
-    # rounded product, as a GEMM of inner length 1 gives it, so the bounds
-    # multiply.
-    s = np.multiply(sa, sb.T, out=ws.take((sa.shape[0], sb.shape[0])))
-    return Lane(x, s, a.precision, ws, bound, (a_lo * b_lo, a_hi * b_hi))
+    if y is not blocks:
+        np.copyto(blocks, y)
+    # Each block's outer product of the per-row scales, (m,1) by (1,n),
+    # broadcast; a scale uniform over its rows stays collapsed there.  Each
+    # element is one rounded product, as a GEMM of inner length 1 gives it,
+    # so the bounds multiply.
+    ra, rb = sa.shape[0] // groups, sb.shape[0] // groups
+    s = ws.take((groups * ra, rb))
+    np.multiply(sa.reshape(groups, ra, 1), sb.reshape(groups, 1, rb), out=s.reshape(groups, ra, rb))
+    return Lane(x, s, a.precision, ws, bound, (a_lo * b_lo, a_hi * b_hi), groups)
 
 
 @_kernel("pow_n", scale_arith=True)

@@ -117,11 +117,13 @@ SCALE_MAX = float(np.finfo(np.float32).max)
 
 
 def init_scale(
-    r: RationalTensor,
+    r: RationalTensor | np.ndarray,
     g: ScaleGranularity = ScaleGranularity.PER_ROW,
     prec: Precision = Precision(),
 ) -> ScaleTensor:
-    """Per-group scale (2^p - 1) / max(|r|), at most SCALE_MAX.
+    """Per-group scale (2^p - 1) / max(|r|), at most SCALE_MAX.  `r` may also
+    be a float array of finite values (a float32 one, say), whose group
+    maxima widen exactly to float64, so the scale is the same.
 
     Groups so small that the scale would overflow float32 (max|r| below
     (2^p - 1) / SCALE_MAX, about 3.7e-37 at p=7) get SCALE_MAX, and so do
@@ -129,8 +131,10 @@ def init_scale(
     matching never lowers a partner's scale to theirs.  A subnormal scale
     (below 2^-126) that rounding raised past the limit steps down one float32.
     """
-    axes = g.reduce_axes(len(r.shape))
-    m = np.max(np.abs(r.values), axis=axes, keepdims=True) if r.values.size else np.abs(r.values)
+    values = r.values if isinstance(r, RationalTensor) else r
+    axes = g.reduce_axes(values.ndim)
+    m = np.max(np.abs(values), axis=axes, keepdims=True) if values.size else np.abs(values)
+    m = m.astype(np.float64, copy=False)
     limit = float(prec.max_magnitude)
     with np.errstate(over="ignore"):
         s = limit / np.maximum(m, np.finfo(np.float64).tiny)
@@ -157,10 +161,12 @@ def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
     return m
 
 
-def quantize(r: RationalTensor, s: ScaleTensor, precision: int = DEFAULT_PRECISION) -> ScaledTensor:
-    """x = round(s * r), half to even; the result carries s."""
-    x = np.empty(r.shape)
-    m = quantize_into(r.values, s.values, x)
+def quantize(r: RationalTensor | np.ndarray, s: ScaleTensor, precision: int = DEFAULT_PRECISION) -> ScaledTensor:
+    """x = round(s * r), half to even; the result carries s.  As in
+    init_scale, `r` may be a float array of finite values, widened exactly."""
+    values = r.values if isinstance(r, RationalTensor) else r
+    x = np.empty(values.shape)
+    m = quantize_into(values, s.values, x)
     return ScaledTensor(IntTensor.adopt(x.astype(np.int64), precision, known_max=m), s)
 
 
@@ -349,6 +355,10 @@ class Lane:
     `hi` bound the scale's values, and each step that makes scales checks
     them as ScaleTensor.derived does.
 
+    `blocks` is the number of row blocks the lane stacks, each its own
+    head's rows (a grouped matmul's product and what is worked from it in
+    place); the audit counts a shrink per block (`shrunk_elements`).
+
     Its payload, scale and scratch arrays come from the workspace `ws`, and
     go back to it when the lane is sealed or released.
     """
@@ -361,11 +371,13 @@ class Lane:
         ws: Workspace,
         m: int | None = None,
         scale_range: tuple[float, float] | None = None,
+        blocks: int = 1,
     ):
         """`m`, when given, is a bound on max|x| (`max_bound`), else max|x|
         is scanned; `scale_range` likewise bounds the scale, else it is
         scanned."""
         self.precision, self.ws, self.x, self.s, self.work = precision, ws, x, s, None
+        self.blocks = blocks
         self.put(x, s, m, scale_range)
 
     @property
@@ -473,9 +485,10 @@ def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     min over each scale group, one reduction each.
 
     The groups span `axes`, those the scale collapses, so hi and lo have the
-    scale's shape; a per-element scale (no axes) gets the max and min of the
-    whole payload instead.  Records on the lane its exact max|x|
-    (`max_bound`) and whether no payload is negative (`nonneg`).
+    scale's shape; a per-element scale (no axes) gets the max and min of
+    each of the lane's row blocks instead, the whole payload when it has
+    one.  Records on the lane its exact max|x| (`max_bound`) and whether no
+    payload is negative (`nonneg`).
     """
     x, s = lane.x, lane.s
     axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
@@ -486,6 +499,10 @@ def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
         hi = np.maximum.reduce(x, axis=axes, keepdims=True)
         lo = np.minimum.reduce(x, axis=axes, keepdims=True)
         top, bottom = np.maximum.reduce(hi, None), np.minimum.reduce(lo, None)
+    elif lane.blocks > 1:  # Lane buffers are C-contiguous: a block is a row of the view.
+        rows = x.reshape(lane.blocks, -1)
+        hi, lo = np.maximum.reduce(rows, axis=1), np.minimum.reduce(rows, axis=1)
+        top, bottom = max(hi.tolist()), min(lo.tolist())
     else:
         hi = top = np.maximum.reduce(x, None)
         lo = bottom = np.minimum.reduce(x, None)
@@ -532,6 +549,20 @@ def rescale(lane: Lane, prec: Precision, groups: tuple | None = None) -> Lane:
     return lane
 
 
+def shrunk_elements(lane: Lane, groups: tuple, limit: int) -> int:
+    """The scale elements a shrink of `lane` moves, counted per row block
+    (head) as that block's lone run would count them: all of a block whose
+    max|x| passes `limit`, none of one that keeps its bits.  `groups` is
+    what `extremes` returned for the lane before the shrink: a max and min
+    per block, or per scale group, whose rows the blocks split."""
+    _, hi, lo = groups
+    if hi.ndim > 1:
+        hi = np.maximum.reduce(hi.reshape(lane.blocks, -1), axis=1)
+        lo = np.minimum.reduce(lo.reshape(lane.blocks, -1), axis=1)
+    moved = sum([max(a, -b) > limit for a, b in zip(hi.tolist(), lo.tolist())])
+    return lane.s.size // lane.blocks * moved
+
+
 def protocol_apply(
     kernel,
     ins: list[ScaledTensor | Lane],
@@ -559,6 +590,7 @@ def protocol_apply(
         groups = extremes(lane)
         rescaled = lane.max_bound > limit
         if rescaled:
+            shrunk = lane.s.size if lane.blocks == 1 else shrunk_elements(lane, groups, limit)
             rescale(lane, prec, groups)
     if log is not None:
         kind = kernel.kind
@@ -570,7 +602,7 @@ def protocol_apply(
         if getattr(kernel, "scale_arith", False):
             records.append(AuditRecord(kind, SCALE, lane.s.size, rescaled, module))
         if rescaled:
-            records.append(AuditRecord("rescale", SCALE, lane.s.size, True, module))
+            records.append(AuditRecord("rescale", SCALE, shrunk, True, module))
     return lane
 
 
@@ -599,11 +631,11 @@ class Session:
         self.log.records.append(AuditRecord(kind, lane, elements, False, module))
 
     def quantize(
-        self, r: RationalTensor, s: ScaleTensor, module: str = ""
+        self, r: RationalTensor | np.ndarray, s: ScaleTensor, module: str = ""
     ) -> ScaledTensor:
         """Quantize through the session so the Q() shows up in the audit log."""
         out = quantize(r, s, self.precision.p)
-        self.note("quantize", SCALE, r.values.size, module)
+        self.note("quantize", SCALE, out.data.values.size, module)
         return out
 
     def dequantize(self, t: ScaledTensor, module: str = "") -> RationalTensor:

@@ -52,6 +52,16 @@ def max_abs(arr: np.ndarray) -> int:
     return max(int(np.maximum.reduce(arr, None)), -int(np.minimum.reduce(arr, None))) if arr.size else 0
 
 
+def block_max_abs(arr: np.ndarray, blocks: int) -> list[int]:
+    """max|x| of each of `blocks` equal runs of a C-contiguous integer
+    array (each a head's row block, say), as Python ints (0 when empty)."""
+    if not arr.size:
+        return [0] * blocks
+    runs = arr.reshape(blocks, -1)
+    hi, lo = np.maximum.reduce(runs, axis=1).tolist(), np.minimum.reduce(runs, axis=1).tolist()
+    return [max(int(a), -int(b)) for a, b in zip(hi, lo)]
+
+
 # Products and quotients of scales can overflow to inf (or underflow to 0);
 # check_scale rejects either with a ScaleRangeError, so numpy need not warn.
 # Use it as a decorator: one errstate object cannot be entered twice at once.

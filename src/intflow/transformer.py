@@ -10,6 +10,7 @@ sandwiching at the boundaries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from .tensor import (
     RationalTensor,
     ScaledTensor,
     ScaleTensor,
+    block_max_abs,
     max_abs,
     quiet_overflow,
     scale_bounds,
@@ -256,31 +258,51 @@ def _grow(s: np.ndarray, factor: float, out: np.ndarray | None = None) -> np.nda
     return np.multiply(s, factor, out=out)
 
 
-def _boost(lane: Lane, session: Session, module: str) -> None:
+def _boost(lane: Lane, session: Session, module: str, groups: int = 1) -> None:
     """Exact payload gain {lam*x, lam*s} in place, to keep precision across a
-    division; lam is chosen by the exact max|x|, which grows lam times."""
-    m = lane.max_magnitude
-    lam = int(max(1, (1 << 60) // (max(m, 1) + 1)))
-    if lam == 1:
+    division.  Each of the lane's `groups` row blocks (one per head) gets its
+    own lam, chosen by the block's exact max|x|, which grows lam times: the
+    lam, and the multiplies, of a lone run of that block."""
+    peaks = block_max_abs(lane.x, groups)
+    lams = [max(1, (1 << 60) // (max(m, 1) + 1)) for m in peaks]
+    lane.max_bound, lane.exact = max(peaks), True
+    boosted = groups - lams.count(1)
+    if not boosted:
         return
-    session.note("boost", PAYLOAD, lane.x.size, module)
-    lane.hold(m * lam)
-    lane.x *= lam
-    lane.max_bound = m * lam  # still exact
-    _grow(lane.s, lam, out=lane.s)
-    lane.lo, lane.hi = scale_bounds(lane.s, lane.lo * lam, lane.hi * lam)
+    session.note("boost", PAYLOAD, boosted * (lane.x.size // groups), module)
+    grown = max(map(operator.mul, peaks, lams))
+    lane.hold(grown)
+    # The payload is int64 after hold (a boosted peak grows past 2^59), and
+    # the scales' float64 multiply rounds an int64 lam as it rounds a Python
+    # int.  Several blocks multiply by a column of their lams: Lane buffers
+    # are C-contiguous, so each block is a row of these views.
+    x, s, lam = lane.x, lane.s, lams[0]
+    if groups > 1:
+        x, s = x.reshape(groups, -1), s.reshape(groups, -1)
+        lam = np.array(lams, np.int64).reshape(groups, 1)
+    np.multiply(x, lam, out=x)
+    _grow(s, lam, out=s)
+    lane.max_bound = grown  # still exact
+    lane.lo, lane.hi = scale_bounds(lane.s, lane.lo * min(lams), lane.hi * max(lams))
 
 
-def _match_heads(lane: Lane, heads: int, axis: int) -> list[ScaledTensor]:
-    """The projection in `lane` (T x heads*d_h) as one operand per head,
-    column block h, each matched along `axis` of its block (0 along the
-    sequence, -1 along its own columns) as matmul would match it; the lane
-    is not used again.  The minimum along `axis` is taken on the lane's
-    (T, heads, d_h) view for every head at once, and one _match_payload call
-    moves the payload to it, into the lane's scratch; the payload is sealed
-    once, and each head gets a view of its block and its own contiguous scale.
-    The match is elementwise, so each head's block is bit for bit its own
-    match; a lane whose max|x| reaches MATCH_FLOAT_MAX is refused whole.
+def _match_heads(lane: Lane, heads: int, axis: int) -> tuple[IntTensor, ScaleTensor]:
+    """The projection in `lane` (T x heads*d_h), matched along `axis` of
+    each head's column block (0 along the sequence, -1 along its own
+    columns) as matmul would match it, as a payload and a scale whose row
+    blocks are the heads (_head_rows cuts operands from them): head h's
+    (T, d_h) block for axis -1 (Q and K), and its transpose, (d_h, T), for
+    axis 0 (V, which the value product reads transposed).  Each head's
+    scale, a column once matched, stacks the same way; a head's scale keeps
+    one row where the lane's is collapsed along the rows, so the stacked
+    scale need not fit the stacked payload.  The lane is not used again.
+
+    The minimum along `axis` is taken on the lane's (T, heads, d_h) view for
+    every head at once, and one _match_payload call moves the payload to
+    it, into the lane's scratch; one copy then lays the heads out in
+    blocks, and the payload is sealed once.  The match is elementwise, so
+    each head's block is bit for bit its own match; a lane whose max|x|
+    reaches MATCH_FLOAT_MAX is refused whole.
     """
     ws = lane.ws
     T, d = lane.shape
@@ -305,20 +327,37 @@ def _match_heads(lane: Lane, heads: int, axis: int) -> list[ScaledTensor]:
             minima = np.minimum.reduce(first, axis=0, out=ws.take((a, heads)))
             s_bar = minima[..., None]
         x = _match_payload(x, split, s_bar, lane, ws, lane.scratch().reshape(x.shape))
+    # Head first: (heads, T, d_h) for Q and K, (heads, d_h, T) for V; the
+    # scale's blocks follow, each a column.  Fresh C-contiguous arrays: a
+    # strided scale would slow matmul's broadcast product of the scales, and
+    # the lane's buffers go back to ws.
+    order = (1, 0, 2) if axis else (1, 2, 0)
+    x, s_bar_t = x.transpose(order), s_bar.transpose(order)
+    payload = np.empty((heads * x.shape[1], x.shape[2]), np.int64)
+    np.copyto(payload.reshape(x.shape), x, casting="unsafe")
+    scale = np.empty((heads * s_bar_t.shape[1], 1))
+    np.copyto(scale.reshape(s_bar_t.shape), s_bar_t)
     # Matching never grows a magnitude, and each minimum is one of the
-    # values, so the bounds carry over.  Each head's scale is a C-contiguous
-    # copy: a strided scale would slow matmul's broadcast product of the
-    # scales, and the lane's buffers go back to ws.
-    payload = IntTensor.adopt(x.astype(np.int64), lane.precision, bound=lane.max_bound)
-    lo, hi = scale_bounds(lane.s, lane.lo, lane.hi)
-    out = [
-        ScaledTensor(payload.view(payload.values[:, h]), ScaleTensor.derived(s_bar[:, h].copy(), lo, hi))
-        for h in range(heads)
-    ]
+    # values, so the bounds carry over.
+    out = (
+        IntTensor.adopt(payload, lane.precision, bound=lane.max_bound),
+        ScaleTensor.derived(scale, *scale_bounds(lane.s, lane.lo, lane.hi)),
+    )
     if s_bar is not split:
         ws.give(minima)
     lane.release()
     return out
+
+
+def _head_rows(blocks: tuple[IntTensor, ScaleTensor], heads: int, start: int, stop: int) -> ScaledTensor:
+    """Heads start..stop-1 of _match_heads' head blocks, as one operand:
+    views of their payload rows and of their scale rows."""
+    data, s = blocks
+    rows, scale_rows = data.shape[0] // heads, s.shape[0] // heads
+    return ScaledTensor(
+        data.view(data.values[start * rows:stop * rows]),
+        ScaleTensor.derived(s.values[start * scale_rows:stop * scale_rows], s.lo, s.hi),
+    )
 
 
 def _refit_zero_groups(lane: Lane, value: float, c: np.ndarray, limit: int) -> int:
@@ -382,51 +421,51 @@ def _poly_lane(lane: Lane, pp: PolyParams, degree: int, session: Session, module
 # integer-path modules
 
 
-def poly(
-    scores: ScaledTensor, pp: PolyParams, degree: int, session: Session, module: str = ATTN
-) -> ScaledTensor:
-    """[ReLU(x + bias)]^degree + |offset| on the integer lane."""
-    return _poly_lane(Lane.of(scores, session.workspace), pp, degree, session, module).seal()
-
-
 def poly_attention(
     q: ScaledTensor,
     k: ScaledTensor,
-    v: ScaledTensor,
+    v_t: ScaledTensor,
     pp: PolyParams,
     degree: int,
     d_m: int,
     session: Session,
     module: str = ATTN,
+    groups: int = 1,
 ) -> Lane:
-    """Normalized polynomial attention for one head, as an unsealed Lane.
+    """Normalized polynomial attention for `groups` heads at once, as an
+    unsealed Lane: row block g of q, k and v_t (V transposed) is head g,
+    and so is row block g of the result.  Every step is per element or per
+    row of a block, and matmul multiplies block by block, so each head's
+    rows come out bit for bit as a lone run of that head gives them.
 
-    Q.K^T matches q and k along their columns, and the value product v along
-    the sequence, each where its scale is not yet collapsed there: attn_core
-    hands in operands already matched for all heads at once, which those
-    matches leave as they are, and any other operands are matched here.  The
-    T x T weights are built in place on one Lane, from Q.K^T through the
-    polynomial; the value product matches them along the key axis there and
-    reads them in float64 where they lie, then they become the weight sum.
-    The value sum is boosted and divided by it in place, and only that
-    quotient is projected back to the logical precision.
+    Q.K^T matches q and k along their columns, and the value product v_t
+    along the sequence, each where its scale is not yet collapsed there:
+    attn_core hands in operands already matched for all heads at once, which
+    those matches leave as they are, and any other operands are matched
+    here.  The stacked T x T weights are built in place on one Lane, from
+    Q.K^T through the polynomial; the value product matches them along the
+    key axis there and reads them in float64 where they lie, then they
+    become the weight sum.  The value sum is boosted, each head by its own
+    lam, and divided by it in place, and only that quotient is projected
+    back to the logical precision.
+
+    A product's lane guard reads the bounds of the whole stack, so operands
+    far past p bits may be refused in a group where each head alone would
+    run; a forward's operands are p-bit, far below that.
     """
-    lane = session.apply(K.matmul, [q, k], module, ws=session.workspace)
+    lane = session.apply(K.matmul, [q, k], module, ws=session.workspace, groups=groups)
     session.note("scale_fold", SCALE, lane.s.size, module)
     fold = math.sqrt(d_m)
     _grow(lane.s, fold, out=lane.s)
     lane.lo, lane.hi = scale_bounds(lane.s, lane.lo * fold, lane.hi * fold)
     weights = _poly_lane(lane, pp, degree, session, module)
-    v_t = K.transpose(v, (1, 0))
     # The value product matches the weights first, so the weight sum finds
     # their scale collapsed along the key axis.
-    num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False)
+    num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False, groups=groups)
     den = session.apply(K.sum_reduce, [weights], module, allow_rescale=False)
-    _boost(num, session, module)
+    _boost(num, session, module, groups)
     out = session.apply(K.int_div, [num, den], module)
     den.release()
-    # The quotient waits for the other heads; its scratch serves them.
-    out.spare()
     return out
 
 
@@ -475,26 +514,86 @@ def l1_layer_norm(
     return y.seal()
 
 
+# Score elements, G heads of T x T, that one poly_attention call may hold.
+# Each step's fixed cost is paid once per group, not once per head; past
+# this size the stacked buffers fall out of cache and cost more than that.
+ATTN_GROUP_ELEMENTS = 1 << 16
+
+
+def _group_size(heads: int, q, k, v_t) -> int:
+    """Heads per poly_attention call, for _match_heads' head blocks of Q, K
+    and V: max(1, min(heads, N // T^2)), N = ATTN_GROUP_ELEMENTS.  1 where a
+    head's scale is collapsed along its rows: a stack of heads could not
+    keep such scales apart."""
+    if any(data.shape[0] != s.shape[0] for data, s in (q, k, v_t)):
+        return 1
+    scores = (q[0].shape[0] // heads) * (k[0].shape[0] // heads)
+    return max(1, min(heads, ATTN_GROUP_ELEMENTS // scores))
+
+
+def attend_heads(
+    q: tuple[IntTensor, ScaleTensor],
+    k: tuple[IntTensor, ScaleTensor],
+    v_t: tuple[IntTensor, ScaleTensor],
+    heads: int,
+    group: int,
+    pp: PolyParams,
+    degree: int,
+    d_m: int,
+    session: Session,
+    module: str = ATTN,
+) -> Lane:
+    """Every head's attention, from _match_heads' head blocks of Q, K and V,
+    in one (T, heads*d_h) Lane: `group` heads per poly_attention call, and
+    each group's quotients written into its heads' column blocks.
+
+    The lane's scale holds a block per head, as concatenating the heads'
+    lanes along the columns gives it: every column, and every row unless
+    the heads' scales are collapsed along the rows.  Its payload is float64:
+    the division's shrink leaves it at most 2^p - 1.  Each group's own
+    lane goes back to the workspace before the next group runs.
+    """
+    ws = session.workspace
+    T, d_h = q[0].shape[0] // heads, q[0].shape[1]
+    x = s = None
+    bound, lo, hi = 0, math.inf, 0.0
+    for start in range(0, heads, group):
+        stop = min(start + group, heads)
+        g = stop - start
+        quotient = poly_attention(
+            *(_head_rows(t, heads, start, stop) for t in (q, k, v_t)),
+            pp, degree, d_m, session, module, groups=g,
+        )
+        if x is None:
+            rows = quotient.s.shape[0] // g  # T, or 1 where collapsed
+            x, s = ws.take((T, heads * d_h)), ws.take((rows, heads * d_h))
+            x_heads, s_heads = x.reshape(T, heads, d_h), s.reshape(rows, heads, d_h)
+            precision = quotient.precision
+        # (g, T, d_h) blocks into columns; a scale column broadcasts along them.
+        np.copyto(x_heads[:, start:stop], quotient.x.reshape(g, T, d_h).transpose(1, 0, 2), casting="unsafe")
+        np.copyto(s_heads[:, start:stop], quotient.s.reshape(g, rows, -1).transpose(1, 0, 2))
+        bound, lo, hi = max(bound, quotient.max_bound), min(lo, quotient.lo), max(hi, quotient.hi)
+        quotient.release()
+    return Lane(x, s, precision, ws, bound, (lo, hi))
+
+
 def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, session: Session) -> ScaledTensor:
     """Multi-head polynomial attention with input/output projections.
 
     Q and K are matched along each head's columns, and V along the
-    sequence, once for all heads (_match_heads): each head's Q.K^T and
+    sequence, once for all heads (_match_heads): each group's Q.K^T and
     value product then find their operands collapsed along the contraction.
-    The heads' lanes are concatenated into one Lane, which W_o reads in
+    The heads run in groups (attend_heads), into one Lane that W_o reads in
     place; only the product is sealed.
     """
-    qs, ks, vs = (
+    q, k, v_t = (
         _match_heads(session.apply(K.matmul, [x, w], ATTN, ws=session.workspace), cfg.heads, axis)
         for w, axis in ((lp.w_q, -1), (lp.w_k, -1), (lp.w_v, 0))
     )
-    heads = [
-        poly_attention(qh, kh, vh, lp.poly, cfg.degree, cfg.d_m, session)
-        for qh, kh, vh in zip(qs, ks, vs)
-    ]
-    cat = session.apply(K.concat, heads, ATTN, axis=1)
-    out = session.apply(K.matmul, [cat, lp.w_o], ATTN)
-    cat.release()
+    group = _group_size(cfg.heads, q, k, v_t)
+    heads = attend_heads(q, k, v_t, cfg.heads, group, lp.poly, cfg.degree, cfg.d_m, session)
+    out = session.apply(K.matmul, [heads, lp.w_o], ATTN)
+    heads.release()
     return out.seal()
 
 
@@ -531,12 +630,16 @@ def _token_ids(tokens, vocab: int) -> np.ndarray:
     return tokens.astype(np.int64, copy=False)
 
 
-def _check_hidden(hidden, d_m: int) -> None:
+def _check_hidden(hidden, cfg: ModelConfig) -> None:
     shape = hidden.shape
-    if len(shape) != 2 or shape[1] != d_m:
-        raise ValidationError(f"hidden input must be T x {d_m}, got {shape}")
+    if len(shape) != 2 or shape[1] != cfg.d_m:
+        raise ValidationError(f"hidden input must be T x {cfg.d_m}, got {shape}")
     if not shape[0]:
         raise ValidationError("hidden input is empty: a forward needs at least one row")
+    if isinstance(hidden, ScaledTensor) and hidden.precision != cfg.precision:
+        raise ValidationError(
+            f"hidden input precision {hidden.precision} differs from the model's {cfg.precision}"
+        )
 
 
 def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session: Session) -> ScaledTensor:
@@ -692,13 +795,22 @@ def forward(
             raise ValidationError("FP32 modules need a reference model")
         ref = reference_twin(model)
     cfg = (model or ref).config
+    # The precision is the model's: a session at another one would shrink
+    # every step to it.
+    if session is not None and session.precision.p != cfg.precision:
+        raise ValidationError(
+            f"session precision {session.precision.p} differs from the model's {cfg.precision}"
+        )
 
     def to_int(state, module):
+        """`state` quantized where it enters the integer path: a hidden
+        input's float64 values, or an FP step's float32 array as it is (each
+        value widens exactly; _twin_step has checked it finite)."""
         if isinstance(state, ScaledTensor):
             return state
-        r = state if isinstance(state, RationalTensor) else RationalTensor(state)
-        s = init_scale(r, cfg.granularity, session.precision)
-        return session.quantize(r, s, module)
+        values = state.values if isinstance(state, RationalTensor) else state
+        s = init_scale(values, cfg.granularity, session.precision)
+        return session.quantize(values, s, module)
 
     def to_fp(state, module) -> np.ndarray:
         """`state` as the twin's float32: cast where it enters the FP path
@@ -726,8 +838,9 @@ def forward(
         state = run(EMB, 0, lambda: gather_embedding(model, tokens, session),
                     lambda: to_fp(ref.embedding[_token_ids(tokens, cfg.vocab)], EMB))
     elif hidden is not None:
-        _check_hidden(hidden, cfg.d_m)
-        state = hidden
+        _check_hidden(hidden, cfg)
+        # Every array state is then an FP step's result.
+        state = hidden if isinstance(hidden, ScaledTensor | RationalTensor) else RationalTensor(hidden)
     else:
         raise ValidationError("either tokens or hidden input is required")
 

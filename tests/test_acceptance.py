@@ -236,7 +236,7 @@ def test_08_degenerate_attention(capsys):
     vv[:, 0] = 1.0  # equal row maxima -> identical per-row scales
     v_q = q(vv)
     sess = Session(Precision(p))
-    out = poly_attention(q(qv), q(kv), v_q, pp, 3, 16, sess).seal()
+    out = poly_attention(q(qv), q(kv), K.transpose(v_q, (1, 0)), pp, 3, 16, sess).seal()
     got = dequantize(out).values
     want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
     # One truncated integer division plus one re-scaling: two payload units.

@@ -9,7 +9,6 @@ from intflow import analysis
 from intflow.errors import ValidationError
 from intflow.analysis import (
     bit_sweep,
-    canonical_ffn_forward,
     module_ablation,
     precision_loss,
     resident_bytes,
@@ -32,6 +31,8 @@ from intflow.transformer import (
     reference_twin,
     residual_add,
 )
+
+from helpers import canonical_ffn_forward
 
 
 @pytest.fixture(scope="module")

@@ -29,15 +29,18 @@ from intflow.scaling import (
     MATCH_FLOAT_MAX, Lane, Precision, Session, Workspace, scale_match, scale_match_dim,
 )
 from intflow.tensor import LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor
+from intflow import transformer
 from intflow.transformer import (
     FFN,
     PROJ,
     ModelConfig,
     PolyParams,
+    _group_size,
+    _head_rows,
     _match_heads,
+    attend_heads,
     ffn_core,
     forward,
-    poly,
     poly_attention,
     quantize_model,
     random_reference_model,
@@ -45,7 +48,7 @@ from intflow.transformer import (
     reference_twin,
 )
 
-from helpers import scaled
+from helpers import poly, scaled
 
 
 def slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
@@ -239,9 +242,10 @@ DEGREES = [1, 2, 3]
 
 
 @st.composite
-def operand(draw, shape, p, per_element, big):
+def operand(draw, shape, p, per_element, big, tame=False):
     """A payload in the logical range, or (big) one that forces the int64
-    route or the lane guard; a per-row or per-element scale."""
+    route or the lane guard; a per-row or per-element scale, only ordinary
+    ones when `tame`."""
     limit = (1 << p) - 1
     if big:
         ints = st.integers(-limit, limit) | st.integers(2**24, 2**30) | st.integers(-(2**30), -(2**24))
@@ -253,7 +257,7 @@ def operand(draw, shape, p, per_element, big):
     # Mostly ordinary scales; else ones so large that a quantized constant
     # passes 2^53 (int64 route), 2^62 (lane guard) or the float range.
     ordinary = st.floats(2.0**-8, 2.0**12)
-    scales = draw(st.sampled_from(
+    scales = ordinary if tame else draw(st.sampled_from(
         [ordinary] * 4 + [st.floats(1e15, 1e20), st.floats(1e100, 1e160)]
     ))
     m = int(np.prod(scale_shape))
@@ -300,7 +304,7 @@ class TestLaneMatchesKernels:
         q, k = (data.draw(operand((T, d_h), p_in, per_element, big)) for _ in range(2))
         v = data.draw(operand((T, d_h), p_in, per_element, False))
         d_m = d_h * data.draw(st.sampled_from([1, 2, 8]))
-        got = outcome(lambda sess: poly_attention(q, k, v, pp, degree, d_m, sess).seal(), p)
+        got = outcome(lambda sess: poly_attention(q, k, K.transpose(v, (1, 0)), pp, degree, d_m, sess).seal(), p)
         assert got == outcome(lambda sess: oracle_poly_attention(q, k, v, pp, degree, d_m, sess), p)
 
 
@@ -345,7 +349,7 @@ class TestLaneRoutes:
         q, k, v = (scaled(rng.integers(-4095, 4096, (8, 4)), rng.uniform(1, 9, (8, 4)), 12)
                    for _ in range(3))
         pp = PolyParams(bias=0.5, offset=0.1)
-        got = self.same(lambda s: poly_attention(q, k, v, pp, 3, 16, s).seal(),
+        got = self.same(lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 3, 16, s).seal(),
                         lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s), 12)
         assert got[0] == "<i8"
         assert "'rescale'" in got[-1]
@@ -356,7 +360,7 @@ class TestLaneRoutes:
         k = scaled([[2**27, -(2**27) + 1], [5, 7]], [[1.0], [1.0]], 12)
         v = scaled([[3], [4]], [[1.0], [1.0]], 12)
         pp = PolyParams(bias=0.5, offset=0.1)
-        self.same(lambda s: poly_attention(q, k, v, pp, 2, 4, s).seal(),
+        self.same(lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 2, 4, s).seal(),
                   lambda s: oracle_poly_attention(q, k, v, pp, 2, 4, s), 12)
 
     def test_constant_above_2_53_takes_int64(self):
@@ -425,7 +429,7 @@ class TestLaneRoutes:
         else:  # 1e154 * 1e154 * sqrt(16) overflows
             q = k = scaled([[1]], [[1e154]], 7)
         v = scaled([[1] * q.shape[1]], [[1.0]], 7)
-        got = self.same(lambda s: poly_attention(q, k, v, pp, 3, 16, s).seal(),
+        got = self.same(lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 3, 16, s).seal(),
                         lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s), 7)
         assert got[0] == error.__name__
 
@@ -443,14 +447,16 @@ class TestHeadsMatchedOncePerLayer:
         d_m = q.shape[1]
         d_h = d_m // heads
         ws = Workspace()
-        matched = zip(*(_match_heads(Lane.of(t, ws), heads, axis) for t, axis in ((q, -1), (k, -1), (v, 0))))
+        blocks = [_match_heads(Lane.of(t, ws), heads, axis) for t, axis in ((q, -1), (k, -1), (v, 0))]
         got, want = [], []
-        for h, (qh, kh, vh) in enumerate(matched):
+        for h in range(heads):
+            qh, kh, vh_t = (_head_rows(b, heads, h, h + 1) for b in blocks)
             assert qh.scale.values.flags.c_contiguous and kh.scale.values.flags.c_contiguous
             sl = slice(h * d_h, (h + 1) * d_h)
-            plain = [slice_cols(t, sl) for t in (q, k, v)]
-            got.append(outcome(lambda s: poly_attention(qh, kh, vh, pp, degree, d_m, s).seal(), p))
-            want.append(outcome(lambda s: poly_attention(*plain, pp, degree, d_m, s).seal(), p))
+            qp, kp, vp = (slice_cols(t, sl) for t in (q, k, v))
+            got.append(outcome(lambda s: poly_attention(qh, kh, vh_t, pp, degree, d_m, s).seal(), p))
+            want.append(outcome(
+                lambda s: poly_attention(qp, kp, K.transpose(vp, (1, 0)), pp, degree, d_m, s).seal(), p))
         return got, want
 
     @given(st.data(), st.sampled_from(PRECISIONS), st.sampled_from([1, 2, 8]), poly_params,
@@ -558,6 +564,123 @@ def test_nonneg_follows_the_steps_that_keep_it():
     assert not K.pow_n(Lane.of(scaled([[-2, 3]], [[1.0]], 7), ws), n=3).nonneg
 
 
+class TestGroupedHeads:
+    """attend_heads runs `group` heads per poly_attention call, on operands
+    stacked head by head along the rows, and writes each group's quotients
+    into one (T, heads*d_h) lane.  Its payload and scale must be
+    np.concatenate of every head's lone oracle run, bit for bit, and it must
+    refuse exactly where some head's lone run is refused."""
+
+    @staticmethod
+    def stack(parts):
+        """Per-head operands as _match_heads lays them out: payloads and
+        scales stacked along the rows."""
+        return (IntTensor(np.concatenate([t.data.values for t in parts]), parts[0].precision),
+                ScaleTensor(np.concatenate([t.scale.values for t in parts])))
+
+    @staticmethod
+    def grouped(blocks, heads, group, pp, degree, d_m, p):
+        session = Session(Precision(p))
+        try:
+            lane = attend_heads(*blocks, heads, group, pp, degree, d_m, session)
+        except (IntflowError, ValueError):
+            return "refused"
+        out = lane.seal()
+        return out.precision, out.data.values.tolist(), out.scale.shape, out.scale.values.tobytes()
+
+    @staticmethod
+    def lone_heads(blocks, heads, pp, degree, d_m, p):
+        """np.concatenate of each head's oracle run along the columns; each
+        scale is broadcast over its head's block first, as concat does."""
+        outs = []
+        for h in range(heads):
+            qh, kh, v_th = (_head_rows(b, heads, h, h + 1) for b in blocks)
+            try:
+                outs.append(oracle_poly_attention(qh, kh, K.transpose(v_th, (1, 0)), pp, degree, d_m,
+                                                  Session(Precision(p))))
+            except (IntflowError, ValueError):
+                return "refused"
+        rows, d_h = max(o.scale.shape[0] for o in outs), outs[0].shape[1]
+        scale = np.concatenate([np.broadcast_to(o.scale.values, (rows, d_h)) for o in outs], axis=1)
+        payload = np.concatenate([o.data.values for o in outs], axis=1)
+        return outs[0].precision, payload.tolist(), scale.shape, scale.tobytes()
+
+    @given(st.data(), st.sampled_from([(1, 1), (2, 2), (3, 2), (4, 3), (5, 2), (4, 4), (3, 1)]),
+           st.sampled_from(PRECISIONS), poly_params, st.sampled_from(DEGREES))
+    @settings(max_examples=200, deadline=None)
+    def test_output_lane_is_the_heads_concatenated(self, data, heads_group, p, pp, degree):
+        heads, group = heads_group
+        T = data.draw(st.sampled_from([1, 1, 2, 3, 5]))
+        d_h = data.draw(st.integers(1, 3))
+        q_elem, k_elem, v_elem = (data.draw(st.booleans()) for _ in range(3))
+        # Mostly ordinary scales: a wild one in any head refuses the group.
+        tame = data.draw(st.sampled_from([True, True, True, False]))
+        q = [data.draw(operand((T, d_h), p, q_elem, False, tame)) for _ in range(heads)]
+        k = [data.draw(operand((T, d_h), p, k_elem, False, tame)) for _ in range(heads)]
+        v_t = [data.draw(operand((d_h, T), p, v_elem, data.draw(st.booleans()), tame)) for _ in range(heads)]
+        # A head whose value sum may pass 2^59, where its lam is 1; the
+        # product guard, T * (2^p - 1) * max|v|, stays below the lane.
+        huge = data.draw(st.none() | st.integers(0, heads - 1))
+        if huge is not None:
+            top = (LANE_MAX - 1) // (T * ((1 << p) - 1))
+            vs = data.draw(st.lists(st.integers(top // 2, top) | st.integers(-top, -(top // 2)),
+                                    min_size=d_h * T, max_size=d_h * T))
+            v_t[huge] = scaled(np.reshape(vs, (d_h, T)), v_t[huge].scale.values, p)
+        d_m = d_h * heads
+        blocks = [self.stack(parts) for parts in (q, k, v_t)]
+        got = self.grouped(blocks, heads, group, pp, degree, d_m, p)
+        assert got == self.lone_heads(blocks, heads, pp, degree, d_m, p)
+
+    def test_a_head_whose_lam_is_1_keeps_its_bits(self):
+        # Head 0's value sum passes 2^59, so it is not boosted; head 1's is,
+        # in the same group, by its own lam.
+        p, T = 7, 1
+        q = [scaled([[100]], [[1.0]], p), scaled([[3]], [[1.0]], p)]
+        k = [scaled([[90]], [[1.0]], p), scaled([[5]], [[1.0]], p)]
+        v_t = [scaled([[2**55 - 1]], [[1.0]], p), scaled([[7]], [[1.0]], p)]
+        blocks = [self.stack(parts) for parts in (q, k, v_t)]
+        pp = PolyParams(bias=0.5, offset=0.1)
+        session = Session(Precision(p))
+        attend_heads(*blocks, 2, 2, pp, 3, 2, session).release()
+        boosts = [r for r in session.log.records if r.kind == "boost"]
+        assert [r.elements for r in boosts] == [1]  # one of the two heads
+        assert self.grouped(blocks, 2, 2, pp, 3, 2, p) == self.lone_heads(blocks, 2, pp, 3, 2, p)
+
+    def test_a_scale_collapsed_along_a_heads_rows_runs_heads_alone(self):
+        # One scale row per head cannot be told apart in a stack of heads.
+        T, heads, d_h = 4, 2, 2
+        def blocks(rows, cols, scale_rows):
+            return IntTensor(np.ones((heads * rows, cols), np.int64)), ScaleTensor(np.ones((scale_rows, 1)))
+
+        q, v_t = blocks(T, d_h, heads * T), blocks(d_h, T, heads * d_h)
+        assert _group_size(heads, q, q, v_t) == heads
+        assert _group_size(heads, blocks(T, d_h, heads), q, v_t) == 1
+        assert _group_size(heads, q, q, blocks(d_h, T, heads)) == 1
+        assert transformer.ATTN_GROUP_ELEMENTS // (T * T) >= heads
+
+    @pytest.mark.parametrize("cfg, seq_len", [
+        (ModelConfig(), 16),
+        (ModelConfig(d_m=24, heads=3, d_ff=32, precision=12, degree=2), 9),
+        (ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12), 64),
+    ])
+    def test_group_size_changes_no_bit(self, monkeypatch, cfg, seq_len):
+        # Every head alone (N = 0), two at a time, and the budget's own
+        # grouping give the same logits, and the same audited elements per
+        # op, shrinks too: a group's shrink counts only the heads it moved.
+        model = quantize_model(random_reference_model(cfg, seed=4))
+        tokens = np.random.default_rng(5).integers(0, cfg.vocab, seq_len)
+        runs = []
+        for budget in (0, 2 * seq_len * seq_len, transformer.ATTN_GROUP_ELEMENTS):
+            monkeypatch.setattr(transformer, "ATTN_GROUP_ELEMENTS", budget)
+            session = Session(Precision(cfg.precision))
+            out = forward(model, session, tokens=tokens)
+            sums = {}
+            for r in session.log.records:
+                sums[r.kind, r.lane, r.module] = sums.get((r.kind, r.lane, r.module), 0) + r.elements
+            runs.append((out.data.values.tobytes(), out.scale.values.tobytes(), sums))
+        assert runs[0] == runs[1] == runs[2]
+
+
 class TestWorkspace:
     """The session's scratch arrays: reused, never shared with a result."""
 
@@ -594,6 +717,20 @@ class TestWorkspace:
             for arr in (t.data.values, t.scale.values):
                 assert not any(np.shares_memory(arr, buf) for buf in held)
 
+    @pytest.mark.parametrize("seq_len", [64, 256])
+    def test_no_quotient_lane_per_head_is_left(self, seq_len):
+        # Each group's quotients go into the output lane and its buffers back
+        # to the workspace before the next group runs, so a forward ends with
+        # no (T, d_h) payload per head; it once ended with all eight.
+        cfg = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12)
+        model = quantize_model(random_reference_model(cfg, seed=0))
+        session = Session(Precision(cfg.precision))
+        forward(model, session, tokens=np.arange(seq_len) % cfg.vocab)
+        d_h = cfg.d_m // cfg.heads
+        held = {dtype: len(session.workspace._free.get(((seq_len, d_h), dtype), []))
+                for dtype in (np.int64, np.float64)}
+        assert held[np.int64] <= 1 and held[np.float64] <= 2
+
     def test_held_buffers_stay_fixed_across_forwards(self):
         cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=2, vocab=50, precision=12)
         model = quantize_model(random_reference_model(cfg, seed=0))
@@ -625,7 +762,7 @@ class TestWorkspace:
                           d_h * data.draw(st.sampled_from([1, 2, 8]))))
         shared = Session(Precision(p))
         for q, k, v, pp, degree, d_m in heads:
-            fn = lambda s: poly_attention(q, k, v, pp, degree, d_m, s).seal()  # noqa: E731
+            fn = lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, degree, d_m, s).seal()  # noqa: E731
             assert outcome(fn, p, shared) == outcome(fn, p)
 
     def test_pinned_heads_back_to_back(self):
@@ -646,7 +783,7 @@ class TestWorkspace:
         shared = Session(Precision(7))
         kinds = []
         for q, k, v in cases:
-            fn = lambda s: poly_attention(q, k, v, pp, 2, 16, s).seal()  # noqa: E731
+            fn = lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 2, 16, s).seal()  # noqa: E731
             got = outcome(fn, 7, shared)
             assert got == outcome(fn, 7)
             kinds.append(got[0])

@@ -162,6 +162,26 @@ def gemm_operands(draw):
     return operand(m), operand(n)
 
 
+@st.composite
+def grouped_operands(draw):
+    """(a, b_t, G): G row blocks each, block g of a (m x k) against block g
+    of b_t (n x k), payload widths as in gemm_operands, per-row or
+    per-element scales."""
+    groups, m, k, n = draw(st.integers(1, 4)), *(draw(st.integers(1, 5)) for _ in range(3))
+
+    def operand(rows):
+        bits = draw(st.one_of(st.integers(0, 12), st.integers(24, 29)))
+        hi = 2**bits - 1
+        payload = st.one_of(st.integers(-hi, hi), st.sampled_from([hi, -hi]))
+        xs = draw(st.lists(payload, min_size=rows * k, max_size=rows * k))
+        cols = draw(st.sampled_from([1, k]))
+        ss = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0, 40.0]),
+                           min_size=rows * cols, max_size=rows * cols))
+        return scaled(np.reshape(xs, (rows, k)), np.reshape(ss, (rows, cols)))
+
+    return operand(groups * m), operand(groups * n), groups
+
+
 class TestMatMulExactness:
     @given(gemm_operands())
     @settings(max_examples=300, deadline=None)
@@ -209,6 +229,59 @@ class TestMatMulExactness:
         assert got.data.values.tolist() == want.data.values.tolist()
         assert np.array_equal(got.scale.values, want.scale.values)
         assert lane.s.shape == (a.shape[0], 1)
+
+    @given(grouped_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_groups_give_each_block_its_own_product(self, ops):
+        # Row block g of the result is block g of a times block g of b_t,
+        # payload and scale, as a plain product of the two blocks gives it.
+        a, b_t, groups = ops
+        if refused(a) or refused(b_t):
+            with refuses():
+                K.matmul(a, b_t, Workspace(), groups=groups)
+            return
+        got = K.matmul(a, b_t, Workspace(), groups=groups).seal()
+        m, n = a.shape[0] // groups, b_t.shape[0] // groups
+        blocks = [
+            matmul(ScaledTensor(a.data.view(a.data.values[g * m:(g + 1) * m]),
+                                ScaleTensor(a.scale.values[g * m:(g + 1) * m])),
+                   ScaledTensor(b_t.data.view(b_t.data.values[g * n:(g + 1) * n]),
+                                ScaleTensor(b_t.scale.values[g * n:(g + 1) * n])))
+            for g in range(groups)
+        ]
+        assert got.data.values.tolist() == np.concatenate([b.data.values for b in blocks]).tolist()
+        assert got.scale.values.tobytes() == np.concatenate([b.scale.values for b in blocks]).tobytes()
+
+    def test_groups_must_split_the_rows_and_keep_a_scale_row_each(self):
+        a = scaled(np.ones((4, 2)), np.ones((4, 1)))
+        with pytest.raises(ShapeError, match="groups"):
+            K.matmul(a, scaled(np.ones((3, 2)), np.ones((3, 1))), Workspace(), groups=2)
+        # A scale collapsed along the rows would mix the blocks' scales.
+        with pytest.raises(ShapeError, match="scale row per payload row"):
+            K.matmul(a, scaled(np.ones((4, 2)), np.ones((1, 1))), Workspace(), groups=2)
+        assert K.matmul(a, scaled(np.ones((4, 2)), np.ones((1, 1))), Workspace()).s.shape == (4, 1)
+
+    @pytest.mark.parametrize("peaks", [(20, 3), (3, 20), (20, 30), (3, 4)])
+    def test_a_groups_shrink_audits_only_the_blocks_it_moves(self, peaks):
+        # At p = 7 a block shrinks where its peak squared passes 127; the
+        # group's payload, scale and rescale elements are its blocks' alone.
+        def operand(peak):
+            return scaled([[peak], [1]], [[1.0], [2.0]])
+
+        def run(peaks):
+            a = operand(peaks[0]) if len(peaks) == 1 else scaled(
+                np.concatenate([operand(m).data.values for m in peaks]),
+                np.concatenate([operand(m).scale.values for m in peaks]))
+            log = OpAuditLog()
+            lane = protocol_apply(K.matmul, [a, a], Precision(7), log=log, ws=Workspace(), groups=len(peaks))
+            shrunk = sum(r.elements for r in log.records if r.kind == "rescale")
+            return lane.seal(), shrunk
+
+        got, shrunk = run(peaks)
+        alone = [run((m,)) for m in peaks]
+        assert got.data.values.tolist() == np.concatenate([t.data.values for t, _ in alone]).tolist()
+        assert got.scale.values.tobytes() == np.concatenate([t.scale.values for t, _ in alone]).tobytes()
+        assert shrunk == sum(n for _, n in alone) == 4 * sum(m * m > 127 for m in peaks)
 
     def test_a_lane_with_varying_contraction_scales_is_matched(self):
         a = scaled([[3, 5], [7, -2]], [[1.0, 2.0], [4.0, 1.0]])

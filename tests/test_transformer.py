@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from intflow.errors import ScaleRangeError, ShapeError, ValidationError
 from intflow.modelfile import deserialize, serialize
 from intflow.scaling import Lane, Precision, Session, dequantize, init_scale, quantize
-from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
+from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor, transpose
 from intflow.transformer import (
     _boost,
     ATTN,
@@ -33,7 +33,6 @@ from intflow.transformer import (
     forward,
     gather_embedding,
     l1_layer_norm,
-    poly,
     poly_attention,
     quantize_model,
     random_reference_model,
@@ -44,6 +43,8 @@ from intflow.transformer import (
     reference_forward,
     reference_twin,
 )
+
+from helpers import poly
 
 P = 12  # high enough that twin comparisons isolate structural errors
 
@@ -146,7 +147,7 @@ class TestPolyAttention:
         pp = PolyParams(bias=0.5, offset=0.1)
         qv, kv, vv = (rng.normal(size=(T, dh)) for _ in range(3))
         sess = Session(Precision(P))
-        out = dequantize(poly_attention(q(qv), q(kv), q(vv), pp, 3, dm, sess).seal()).values
+        out = dequantize(poly_attention(q(qv), q(kv), transpose(q(vv), (1, 0)), pp, 3, dm, sess).seal()).values
         scores = (qv @ kv.T) / math.sqrt(dm)
         w = ref_poly(scores, pp, 3)
         want = (w @ vv) / np.sum(w, axis=-1, keepdims=True)
@@ -157,7 +158,7 @@ class TestPolyAttention:
         sess = Session(Precision(P))
         out = poly_attention(
             q(rng.normal(size=(5, 4))), q(rng.normal(size=(5, 4))),
-            q(rng.normal(size=(5, 4))), PolyParams(), 3, 16, sess,
+            transpose(q(rng.normal(size=(5, 4))), (1, 0)), PolyParams(), 3, 16, sess,
         ).seal()
         assert out.data.in_range()
 
@@ -173,7 +174,7 @@ class TestPolyAttention:
         vv[:, 0] = 1.0  # equal row maxima -> identical per-row scales
         v_q = q(vv)
         sess = Session(Precision(P))
-        out = poly_attention(q(qv), q(kv), v_q, pp, 3, 16, sess).seal()
+        out = poly_attention(q(qv), q(kv), transpose(v_q, (1, 0)), pp, 3, 16, sess).seal()
         got = dequantize(out).values
         want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
         bound = 2.0 / np.min(out.scale.values)
@@ -203,7 +204,7 @@ class TestScaleOverflowOutsideKernels:
         # 1e154 * 1e154 is finite; the fold by sqrt(16) is not.
         t = self.at(1e154)
         self.raises_quietly(
-            lambda: poly_attention(t, t, t, PolyParams(), 3, 16, Session(Precision(P)))
+            lambda: poly_attention(t, t, transpose(t, (1, 0)), PolyParams(), 3, 16, Session(Precision(P)))
         )
 
     def test_boost_overflow(self):
@@ -490,6 +491,47 @@ class TestHybridEngine:
         with pytest.raises(ValidationError, match=message):
             reference_forward(ref, hidden=x)
 
+    def test_session_at_another_precision_is_refused(self, toy):
+        # A p=12 model under a p=7 session would shrink every step to 7 bits.
+        cfg, ref, model = toy
+        for p in (7, 13):
+            with pytest.raises(ValidationError, match=f"session precision {p} differs"):
+                forward(model, Session(Precision(p)), tokens=np.arange(4))
+            with pytest.raises(ValidationError, match="differs"):
+                forward(model, Session(Precision(p)), tokens=np.arange(4),
+                        int_modules=frozenset({LN, RES}))
+        with pytest.raises(ValidationError, match="differs"):
+            forward(model, Session(), tokens=np.arange(4))
+        assert forward(model, Session(Precision(P)), tokens=np.arange(4)).precision == P
+
+    def test_hidden_input_at_another_precision_is_refused(self, toy):
+        cfg, ref, model = toy
+        x = RationalTensor(np.random.default_rng(4).normal(size=(3, cfg.d_m)))
+        for p in (7, P):
+            h = quantize(x, init_scale(x, prec=Precision(p)), p)
+            run = functools.partial(forward, model, Session(Precision(P)), hidden=h)
+            if p == P:
+                assert run().shape == (3, cfg.d_m)
+            else:
+                with pytest.raises(ValidationError, match="hidden input precision 7 differs"):
+                    run()
+
+    def test_fp_states_enter_the_integer_path_without_a_float64_copy(self, toy, monkeypatch):
+        # An FP step's float32 result is quantized as it is: the only
+        # RationalTensor built from float32 values is the forward's result.
+        cfg, ref, model = toy
+        built = []
+        check = RationalTensor.__post_init__
+
+        def counting(self):
+            built.append(np.asarray(self.values).dtype)
+            check(self)
+
+        monkeypatch.setattr(RationalTensor, "__post_init__", counting)
+        out = forward(model, Session(Precision(P)), tokens=np.arange(6), int_modules=frozenset({LN, RES}))
+        assert isinstance(out, RationalTensor)
+        assert built.count(np.float32) == 1
+
     def test_tap_visits_every_module(self, toy):
         cfg, ref, model = toy
         seen = []
@@ -628,9 +670,11 @@ class TestGoldenAuditAndHybrid:
         forward(model, session, tokens=np.arange(12) % cfg.vocab)
         records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
                    for r in session.log.records]
-        assert len(records) == 240
+        # Both heads of a layer run as one group: 240 records before, with
+        # one per head and a concat per layer.
+        assert len(records) == 192
         assert hashlib.sha256(repr(records).encode()).hexdigest() == (
-            "bb92f8271db558fcabbb04f084bb817c8021eed833e9dae3423897d0518ccdac"
+            "c30ed7062d8742991767f81b937801ca37d98c54ce4082822d609ed827d9bfd3"
         )
 
     def test_longctx_shaped_audit_digest(self):
@@ -642,9 +686,11 @@ class TestGoldenAuditAndHybrid:
         forward(model, session, tokens=np.arange(64))
         records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
                    for r in session.log.records]
-        assert len(records) == 516
+        # All eight heads of a layer run as one group (64 x 64 scores each):
+        # 516 records before, with one per head and a concat per layer.
+        assert len(records) == 192
         assert hashlib.sha256(repr(records).encode()).hexdigest() == (
-            "370ff20fe7b308e85c7ca7183473d64450e1d2a717e18ae47161f8687f318442"
+            "b45352060ac2c44d7b17ad0a5c9f861334f4209ba2d5f290681881551f4347da"
         )
 
     @pytest.mark.parametrize("precision, want", [
@@ -710,8 +756,8 @@ class TestPinnedHybridBehaviour:
     @pytest.mark.parametrize("modules, want", [
         ((EMB,),
          "de46e0ccdb6c1cd8539fea53af19a25be1f2a5c352391e57209aeb742ca80767"),
-        ((ATTN,),
-         "ca4527de06d0827c24d063bc971dbfa9e49050d0b2b17d1371ea11917164655b"),
+        ((ATTN,),  # one attention group per layer: 122 records before, 74 now
+         "6732ec22ede4f2a45c630217e025d746b7019e44a1507eaa2d22d823241ac35b"),
         ((FFN,),
          "d52fa733441c3a94e0dc007a5bea5b33045f70707c99a788e40695285b5d6bfa"),
         ((LN,),
