@@ -35,6 +35,12 @@ scale, then adds them.  `lane_add` adds a constant already quantized at the
 Lane's own scale, so nothing is matched; as a ScaledTensor the constant
 would seal that scale read-only, and later steps grow it in place.
 
+A kernel that multiplies, divides or raises scales derives the result's
+bounds (lo, hi) from its operands' first.  A finite hi proves that no
+value overflows, and the op runs as it is; otherwise it runs with float
+overflow quiet, and the inf it leaves is refused by the scale check
+(tensor.scale_bounds) with a ScaleRangeError, not a numpy warning.
+
 An operand may be a parameter held narrow (int8 or int16); no kernel
 computes at that width.  Lanes hold float64 or int64: a float64 first
 operand stays float64 while the result's bound on max|x| is below 2^53,
@@ -48,6 +54,7 @@ a float64 lane, and no other kernel sees float32.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -68,7 +75,6 @@ from .tensor import (
     ScaledTensor,
     _broadcast_compatible,
     pow_bounds,
-    quiet_overflow,
     scale_bounds,
 )
 from .tensor import transpose as tensor_transpose
@@ -125,7 +131,6 @@ def _result(a: ScaledTensor | Lane, x, s, bound: int, scale_range, ws: Workspace
 
 
 @_kernel("ew_mul", scale_arith=True)
-@quiet_overflow
 def ew_mul(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """{x1*x2, s1*s2}: exact on the de-quantized view; operands broadcast."""
     ws = _workspace(a, ws)
@@ -136,8 +141,14 @@ def ew_mul(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None 
     # nonzero product is at most the bound, below 2^53.
     x = _out(a, ax, _joint(ax.shape, bx.shape), lane_dtype(bound, ax), ws)
     np.multiply(ax, bx, out=x, dtype=x.dtype, casting="unsafe")
-    s = np.multiply(sa, sb, out=_out(a, sa, _joint(sa.shape, sb.shape), np.float64, ws))
-    return _result(a, x, s, bound, (a_lo * b_lo, a_hi * b_hi), ws)
+    s = _out(a, sa, _joint(sa.shape, sb.shape), np.float64, ws)
+    lo, hi = a_lo * b_lo, a_hi * b_hi
+    if hi < math.inf:
+        np.multiply(sa, sb, out=s)
+    else:
+        with np.errstate(over="ignore"):
+            np.multiply(sa, sb, out=s)
+    return _result(a, x, s, bound, (lo, hi), ws)
 
 
 @_kernel("add", scale_arith=True)
@@ -168,7 +179,6 @@ def add(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = N
 
 
 @_kernel("matmul", scale_arith=True)
-@quiet_overflow
 def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = None, groups: int = 1) -> Lane:
     """Contract the last dims of a (G*m x d) and b_t (G*n x d) into a new
     (G*m x n) Lane, G = `groups`: row block g of the result is block g of a
@@ -227,12 +237,17 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
     # so the bounds multiply.
     ra, rb = sa.shape[0] // groups, sb.shape[0] // groups
     s = ws.take((groups * ra, rb))
-    np.multiply(sa.reshape(groups, ra, 1), sb.reshape(groups, 1, rb), out=s.reshape(groups, ra, rb))
-    return Lane(x, s, a.precision, ws, bound, (a_lo * b_lo, a_hi * b_hi), groups)
+    sa, sb, out = sa.reshape(groups, ra, 1), sb.reshape(groups, 1, rb), s.reshape(groups, ra, rb)
+    lo, hi = a_lo * b_lo, a_hi * b_hi
+    if hi < math.inf:
+        np.multiply(sa, sb, out=out)
+    else:
+        with np.errstate(over="ignore"):
+            np.multiply(sa, sb, out=out)
+    return Lane(x, s, a.precision, ws, bound, (lo, hi), groups)
 
 
 @_kernel("pow_n", scale_arith=True)
-@quiet_overflow
 def pow_n(t: Lane, n: int) -> Lane:
     """{x^n, s^n} in place: exact on the de-quantized view.
 
@@ -264,8 +279,13 @@ def pow_n(t: Lane, n: int) -> Lane:
     t.max_bound = mn
     t.nonneg = t.nonneg or n % 2 == 0
     # Scales keep **: in float, s*s*s can round differently from s**n.
-    t.s **= n
-    t.lo, t.hi = scale_bounds(t.s, *pow_bounds(t.lo, t.hi, n))
+    lo, hi = pow_bounds(t.lo, t.hi, n)
+    if hi < math.inf:
+        t.s **= n
+    else:
+        with np.errstate(over="ignore"):
+            t.s **= n
+    t.lo, t.hi = scale_bounds(t.s, lo, hi)
     return t
 
 
@@ -305,7 +325,6 @@ def sum_reduce(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
 
 
 @_kernel("int_div", scale_arith=True)
-@quiet_overflow
 def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """Payload division truncating toward zero; scale s_num / s_den; operands broadcast.
 
@@ -321,8 +340,14 @@ def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | 
     bound = nm.max_bound
     x = _out(num, nx, _joint(nx.shape, dx.shape), lane_dtype(bound, nx), ws)
     trunc_div(nx, dx, x_max=bound, out=x)
-    s = np.divide(sn, sd, out=_out(num, sn, _joint(sn.shape, sd.shape), np.float64, ws))
-    return _result(num, x, s, bound, (n_lo / d_hi, n_hi / d_lo), ws)
+    s = _out(num, sn, _joint(sn.shape, sd.shape), np.float64, ws)
+    lo, hi = n_lo / d_hi, n_hi / d_lo
+    if hi < math.inf:
+        np.divide(sn, sd, out=s)
+    else:
+        with np.errstate(over="ignore"):
+            np.divide(sn, sd, out=s)
+    return _result(num, x, s, bound, (lo, hi), ws)
 
 
 # The tensor core's transpose, tagged with its kind for the tracer; a view,

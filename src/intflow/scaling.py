@@ -510,37 +510,63 @@ def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     return axes, hi, lo
 
 
+# Below 2^50 a shrink forms each divisor with one multiply (see rescale).
+DIVISOR_MUL_MAX = 2**50
+# Per precision p, the double nearest (1 - 2^-51) / (2^p - 1): int / int is
+# correctly rounded.
+DIVISOR_RECIPROCAL = {p: ((1 << 51) - 1) / (((1 << p) - 1) << 51) for p in range(2, 16)}
+
+
 def rescale(lane: Lane, prec: Precision, groups: tuple | None = None) -> Lane:
     """Shrink the lane's payload to p bits in place, and return the lane:
-    payload and scale divided by ceil(max|x| / (2^p - 1)), at least 1, per
-    scale group, formed in float64 below 2^53 and in int64 from there up;
-    the payload divides through trunc_div.  A scale divided by at least 1
-    keeps its upper bound.
+    payload and scale divided by d = max(1, ceil(a / L)) per scale group,
+    L = 2^p - 1; the payload divides through trunc_div.  A scale divided by
+    at least 1 keeps its upper bound.
 
     `groups` is what `extremes` returned for the lane as it stands; without
-    it that pass runs here.  The divisor comes from it: max(hi, -lo) per
-    group, and for a per-element scale |x|, which is x itself when no
-    payload is negative."""
+    it that pass runs here.  a comes from it: max(hi, -lo) per group, and
+    for a per-element scale |x|, which is x itself when no payload is
+    negative.
+
+    The divisor has two routes, chosen by the exact max m that `extremes`
+    read.  From 2^50 up it is the exact floor division -(-a // L), in the
+    payload's dtype.  Below 2^50 it is floor(a * r) + 1 in float64, with r
+    = DIVISOR_RECIPROCAL[p], the double nearest (1/L)(1 - 2^-51): one
+    multiply by a constant, not a division (Granlund and Montgomery,
+    "Division by Invariant Integers using Multiplication", 1994).  It is
+    exact.  r is within half an ulp, 2^-53 relative, of (1/L)(1 - 2^-51),
+    so r = (1/L)(1 - e) with 2^-52 < e < 5 * 2^-53; a < 2^50 is a double.
+    Write a = kL + j, 0 <= j < L.
+    - j = 0: a * r = k(1 - e) lies below k by more than 2k * 2^-53, more
+      than half the spacing of doubles just below k, so fl(a * r) < k; and
+      fl(a * r) >= k - 1, as k * e < 1.  The divisor is k, or 1 for a = 0.
+    - j > 0: a * r > (a/L)(1 - 5 * 2^-53) > a/L - 1/L >= k, as
+      a * 5 * 2^-53 < 1 below 2^50; and a * r < a/L <= k + 1 - 1/L, which
+      lies below k + 1 by more than half the spacing of doubles there, as
+      (k + 1) * L < 2^53.  Rounding is monotone and k and k + 1 are
+      doubles, so k <= fl(a * r) < k + 1, and the divisor is k + 1.
+    """
     lane.precision = prec.p
     x, s = lane.x, lane.s
     if not x.size:
         return lane
     axes, hi, lo = extremes(lane) if groups is None else groups
     m, limit = lane.max_bound, prec.max_magnitude
-    if m >= FLOAT64_EXACT:
+    if m >= DIVISOR_MUL_MAX:
         d = np.maximum(hi, -lo) if axes else np.abs(x)
         d = np.maximum(-(-d // limit), 1)
     else:
+        r = DIVISOR_RECIPROCAL[prec.p]
         if axes:
-            d = np.maximum(hi, -lo).astype(np.float64, copy=False)
-            d /= limit
+            d = np.maximum(hi, -lo, dtype=np.float64)
+            d *= r
         elif lane.nonneg:
-            d = np.divide(x, limit, out=lane.scratch())
+            d = np.multiply(x, r, out=lane.scratch())
         else:
             d = np.abs(x, out=lane.scratch())
-            d /= limit
-        np.ceil(d, out=d)
-        np.maximum(d, 1.0, out=d)
+            d *= r
+        np.floor(d, out=d)
+        d += 1.0
     trunc_div(x, d, x_max=m, out=x)
     np.divide(s, d, out=s)
     lane.lo, lane.hi = scale_bounds(s, _shrunk_lo(lane.lo, m, limit), lane.hi)

@@ -62,12 +62,6 @@ def block_max_abs(arr: np.ndarray, blocks: int) -> list[int]:
     return [max(int(a), -int(b)) for a, b in zip(hi, lo)]
 
 
-# Products and quotients of scales can overflow to inf (or underflow to 0);
-# check_scale rejects either with a ScaleRangeError, so numpy need not warn.
-# Use it as a decorator: one errstate object cannot be entered twice at once.
-quiet_overflow = np.errstate(over="ignore")
-
-
 def check_lane(m: int) -> None:
     """Raise LaneOverflowError unless a payload with max|x| = m fits the lane."""
     if m >= LANE_MAX:

@@ -38,7 +38,6 @@ from .tensor import (
     ScaleTensor,
     block_max_abs,
     max_abs,
-    quiet_overflow,
     scale_bounds,
 )
 
@@ -252,10 +251,13 @@ def reference_twin(model: IntegerTransformerModel) -> FP32ReferenceModel:
 # integer-path helpers
 
 
-@quiet_overflow
-def _grow(s: np.ndarray, factor: float, out: np.ndarray | None = None) -> np.ndarray:
-    """s * factor, with float overflow left to the scale check."""
-    return np.multiply(s, factor, out=out)
+def _grow(s: np.ndarray, factor: float, hi: float, out: np.ndarray | None = None) -> np.ndarray:
+    """s * factor, where hi bounds the product: run as it is when hi is
+    finite, else with float overflow left to the scale check."""
+    if hi < math.inf:
+        return np.multiply(s, factor, out=out)
+    with np.errstate(over="ignore"):
+        return np.multiply(s, factor, out=out)
 
 
 def _boost(lane: Lane, session: Session, module: str, groups: int = 1) -> None:
@@ -281,9 +283,10 @@ def _boost(lane: Lane, session: Session, module: str, groups: int = 1) -> None:
         x, s = x.reshape(groups, -1), s.reshape(groups, -1)
         lam = np.array(lams, np.int64).reshape(groups, 1)
     np.multiply(x, lam, out=x)
-    _grow(s, lam, out=s)
+    lo, hi = lane.lo * min(lams), lane.hi * max(lams)
+    _grow(s, lam, hi, out=s)
     lane.max_bound = grown  # still exact
-    lane.lo, lane.hi = scale_bounds(lane.s, lane.lo * min(lams), lane.hi * max(lams))
+    lane.lo, lane.hi = scale_bounds(lane.s, lo, hi)
 
 
 def _match_heads(lane: Lane, heads: int, axis: int) -> tuple[IntTensor, ScaleTensor]:
@@ -456,8 +459,9 @@ def poly_attention(
     lane = session.apply(K.matmul, [q, k], module, ws=session.workspace, groups=groups)
     session.note("scale_fold", SCALE, lane.s.size, module)
     fold = math.sqrt(d_m)
-    _grow(lane.s, fold, out=lane.s)
-    lane.lo, lane.hi = scale_bounds(lane.s, lane.lo * fold, lane.hi * fold)
+    lo, hi = lane.lo * fold, lane.hi * fold
+    _grow(lane.s, fold, hi, out=lane.s)
+    lane.lo, lane.hi = scale_bounds(lane.s, lo, hi)
     weights = _poly_lane(lane, pp, degree, session, module)
     # The value product matches the weights first, so the weight sum finds
     # their scale collapsed along the key axis.
@@ -501,10 +505,11 @@ def l1_layer_norm(
     # A zero L1 sum (a constant row) divides by 1 at scale 1.
     degenerate = den.x == 0
     fold = n / L1_NORM_CONST
-    s = _grow(den.s, fold, out=ws.take(degenerate.shape))
+    lo, hi = den.lo * fold, den.hi * fold
+    s = _grow(den.s, fold, hi, out=ws.take(degenerate.shape))
     s[degenerate] = 1.0
     den.x[degenerate] = 1
-    den.put(den.x, s, max(den.max_bound, 1), (min(den.lo * fold, 1.0), max(den.hi * fold, 1.0)))
+    den.put(den.x, s, max(den.max_bound, 1), (min(lo, 1.0), max(hi, 1.0)))
     session.note("scale_fold", SCALE, s.size, module)
     _boost(y, session, module)
     y = session.apply(K.int_div, [y, den], module)
@@ -822,8 +827,8 @@ def forward(
         return state.astype(np.float32, copy=False)
 
     def run(tag, layer, int_fn, fp_fn, *inputs):
-        """One step on its chosen lane: the only place where states cross
-        between lanes and where the tap sees them.  Inputs convert in order."""
+        """One step on its chosen lane, and the only place where the tap
+        sees states.  Inputs not yet on that lane convert here, in order."""
         if tag in int_modules:
             state = int_fn(*[to_int(x, tag) for x in inputs])
         else:
@@ -858,12 +863,21 @@ def forward(
          lambda x: ffn_core(x, lp, session),
          lambda x: ref_ffn_core(x, rp)),
     )
+    # A state that reaches a sublayer on the other lane from its LN is
+    # converted once, where the LN reads it; Res reads that conversion when
+    # it runs on the LN's lane, else the state as it came.
+    ln_kind, to_ln = (ScaledTensor, to_int) if LN in int_modules else (np.ndarray, to_fp)
+    res_on_ln_lane = (LN in int_modules) == (RES in int_modules)
     n = cfg.n_layers
     int_layers = model.layers if model is not None else (None,) * n
     fp_layers = ref.layers if ref is not None else (None,) * n
     for li, (lp, rp) in enumerate(zip(int_layers, fp_layers, strict=True)):
         for ln_int, ln_fp, tag, core_int, core_fp in sublayers:
             resid = state
+            if not isinstance(state, ln_kind):
+                state = to_ln(state, LN)
+                if res_on_ln_lane:
+                    resid = state
             state = run(LN, li, ln_int, ln_fp, state)
             state = run(tag, li, core_int, core_fp, state)
             state = run(RES, li, lambda a, b: residual_add(a, b, session), np.add, state, resid)

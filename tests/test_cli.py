@@ -68,9 +68,9 @@ class TestInfer:
                      "--dequantize-output"]) == EXIT_OK
         assert np.load(y).shape == (5, 16)
 
-    # The forward quantizes a float input where each integer step reads it:
-    # layer 0's LN, and its Res, which reads it as the residual.  Both give
-    # the same payloads and scales, so the output is that of one quantize.
+    # The forward quantizes a float input once, at layer 0's LN; its Res
+    # reads that quantization as the residual (before, it quantized the
+    # input again there, to the same payloads and scales).
     @pytest.mark.parametrize("deq, want", [
         (False, "816fe13e37319b12f0a33761b85aa2af202cc2a9eac5bd01775c59a46cde0a76"),
         (True, "8e9f21d63e6e55b79028eb81615f65e8914853ca190b25f46ae73e4504d3d86e"),
@@ -84,12 +84,13 @@ class TestInfer:
         assert hashlib.sha256(np.load(y).tobytes()).hexdigest() == want
         lines = audit.read_text().splitlines()
         assert [line for line in lines if line.startswith("quantize\tscale\t80\t")] == [
-            "quantize\tscale\t80\t0\tLN", "quantize\tscale\t80\t0\tRes"]
+            "quantize\tscale\t80\t0\tLN"]
         # The heads of a layer run as one group: 239 lines before, with a
-        # record per head and a concat per layer.
-        assert len(lines) == 191 + deq
-        assert hashlib.sha256("\n".join(lines[:191]).encode()).hexdigest() == (
-            "510596742b388328cb70143f3006d7a535dd4175f60ccb3fe1e5cb9cfdda8c82")
+        # record per head and a concat per layer, and 191 with the second
+        # quantize of the input.
+        assert len(lines) == 190 + deq
+        assert hashlib.sha256("\n".join(lines[:190]).encode()).hexdigest() == (
+            "abe5146877a441b58cf894543df7603ef1b6ca7b38781ad3d2217ead67e62685")
 
     def test_token_input_and_audit(self, workspace, tmp_path):
         tmp, fp32, int8 = workspace

@@ -492,16 +492,25 @@ class TestNativeBroadcast:
 
 
 class TestScaleRange:
-    """A scale product that leaves the float range raises a typed error
-    (still a ValueError) instead of a numpy warning and a bare ValueError."""
+    """A scale product or quotient that leaves the float range raises a
+    typed error (still a ValueError) instead of a numpy warning and a bare
+    ValueError.  Each kernel that makes scales runs its op quietly only
+    where the bounds it derives do not prove the result finite; the folds
+    outside the kernels are in test_transformer's
+    TestScaleOverflowOutsideKernels."""
 
     @pytest.mark.parametrize("scale, op, match", [
         (1e200, lambda t: on_lane(K.pow_n, t, n=2), "finite"),
         (1e200, lambda t: K.ew_mul(t, t), "finite"),
         (1e-200, lambda t: K.ew_mul(t, t), "positive"),
-    ], ids=["pow_n-overflow", "ew_mul-overflow", "ew_mul-underflow"])
+        (1e200, lambda t: K.matmul(t, t), "finite"),
+        (1e-200, lambda t: K.matmul(t, t), "positive"),
+        (1e200, lambda t: K.int_div(t, scaled([[2, 7]], [[1e-200]])), "finite"),
+        (1e-200, lambda t: K.int_div(t, scaled([[2, 7]], [[1e200]])), "positive"),
+    ], ids=["pow_n-overflow", "ew_mul-overflow", "ew_mul-underflow", "matmul-overflow",
+            "matmul-underflow", "int_div-overflow", "int_div-underflow"])
     def test_overflow_and_underflow_raise_scale_range_error(self, scale, op, match):
-        t = scaled([3, -5], [scale])
+        t = scaled([[3, -5]], [[scale]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ScaleRangeError, match=match) as info:

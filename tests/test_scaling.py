@@ -500,10 +500,82 @@ class TestRescale:
         assert out.scale.values.tolist() == [[1.0]]
 
 
+def mul_divisor(a: np.ndarray, p: int) -> np.ndarray:
+    """rescale's divisor below 2^50: floor(a * r_p) + 1, a float64."""
+    return np.floor(a * scaling.DIVISOR_RECIPROCAL[p]) + 1
+
+
+def int_divisor(a: np.ndarray, p: int) -> np.ndarray:
+    """max(1, ceil(a / (2^p - 1))) in int64, exact for every a >= 0."""
+    return np.maximum(-(-a // ((1 << p) - 1)), 1)
+
+
+R = scaling.DIVISOR_MUL_MAX
+
+
+class TestShrinkDivisor:
+    """rescale's divisor below 2^50, one multiply by r_p, against integer
+    arithmetic; and the shrink across the switch to the exact floor division
+    at 2^50."""
+
+    @pytest.mark.parametrize("p", range(2, 16))
+    def test_every_a_below_limit_times_2_16(self, p):
+        # a * r_p is non-decreasing in a, so kL + 1 and kL + L - 1, the ends
+        # of the run of a between two multiples of L, bound every a * r_p
+        # inside it: with kL and those ends right for every k < 2^16, so is
+        # every a below L * 2^16.  Every a below 2^16 is checked directly too.
+        limit = (1 << p) - 1
+        k = np.arange(1 << 16, dtype=np.int64)[:, None]
+        a = np.concatenate([k * limit + np.array([0, 1, limit - 1]), np.arange(1 << 16)[:, None]], axis=None)
+        assert np.array_equal(mul_divisor(a.astype(np.float64), p), int_divisor(a, p))
+
+    @pytest.mark.parametrize("p", range(2, 16))
+    def test_multiples_of_the_limit_and_their_neighbours(self, p):
+        # kL is where a reciprocal rounded up, or not rounded down by enough,
+        # gives k + 1.
+        limit = (1 << p) - 1
+        top = (R - 2) // limit
+        k = np.unique(np.geomspace(1, top, 20000).astype(np.int64))
+        a = (k[:, None] * limit + np.array([-1, 0, 1])).ravel()
+        assert a.max() < R
+        assert np.array_equal(mul_divisor(a.astype(np.float64), p), int_divisor(a, p))
+
+    @given(st.integers(2, 15), st.lists(st.integers(0, R - 1), min_size=1, max_size=64))
+    @settings(max_examples=300)
+    def test_draws_below_2_50(self, p, a):
+        a = np.array(a, np.int64)
+        assert np.array_equal(mul_divisor(a.astype(np.float64), p), int_divisor(a, p))
+
+    @pytest.mark.parametrize("top", [R - 1, R])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("scale", ["element", "row"])
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("p", [2, 7, 12, 15])
+    def test_lane_at_the_switch_shrinks_as_the_float_divisor(self, top, dtype, scale, signed, p):
+        # max|x| = 2^50 - 1 takes the multiply, 2^50 the floor division; both
+        # give the payload and scale of the float ceil(a / L) they replace
+        # (oracle_shrink).  Each row holds multiples of L and their neighbours.
+        limit = (1 << p) - 1
+        big = (R - 1) // limit * limit
+        x = np.array([[top, big, big - 1, 3 * limit, 3 * limit + 1, 0],
+                      [top - limit, limit, limit + 1, 2**40 + 1, 7, big - limit]], np.int64)
+        if signed:
+            x[:, 1::2] *= -1
+        s = np.linspace(0.5, 600.0, 12).reshape(2, 6)
+        s = s if scale == "element" else s[:, :1].copy()
+        got = rescale(Lane(x.astype(dtype), s.copy(), 15, Workspace()), Precision(p))
+        want = Lane(x.astype(dtype), s.copy(), 15, Workspace())
+        assert oracle_shrink(want, Precision(p))
+        assert (got.x.dtype, got.x.tobytes(), got.s.tobytes()) == (
+            want.x.dtype, want.x.tobytes(), want.s.tobytes())
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
 def oracle_shrink(lane: Lane, prec: Precision) -> bool:
     """The shrink as protocol_apply decided it before `extremes`: a max|x|
-    scan first, then rescale's own reductions of each group.  Returns
-    whether the lane was rescaled."""
+    scan first, then rescale's own reductions of each group, and the divisor
+    ceil(a / L) formed by a float division below 2^53.  Returns whether the
+    lane was rescaled."""
     limit = prec.max_magnitude
     if not (lane.max_bound > limit and lane.max_magnitude > limit):
         return False

@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from intflow.errors import ScaleRangeError, ShapeError, ValidationError
 from intflow.modelfile import deserialize, serialize
-from intflow.scaling import Lane, Precision, Session, dequantize, init_scale, quantize
+from intflow.scaling import Lane, Precision, ScaleGranularity, Session, dequantize, init_scale, quantize
 from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor, transpose
 from intflow.transformer import (
     _boost,
@@ -654,6 +655,50 @@ class TestGoldenLogits:
         )
 
 
+class TestEveryPrecisionDigest:
+    """Payloads, scales and audit records of a small forward from tokens and
+    one from a hidden input, pinned at every precision: each precision forms
+    its shrink divisors with its own constants.  W_q and W_k are grown three
+    times, so that the attention shrinks its T x T lanes hard.  p = 5 and
+    p = 15 also run per batch, which only the hidden input's scale follows:
+    it enters quantized, so that no conversion is in the records."""
+
+    @pytest.mark.parametrize("precision, granularity, want", [
+        (2, "row", "2cb28f05357cb551193d5c1dbf9d44aa403b0515d8522d8dc2f1a6209fd3a81e"),
+        (3, "row", "188737c63c54ae124cddaf7a78bd6673584a8e3b2a8f53e3e518917b1594edf6"),
+        (4, "row", "405c02bbef4411ed0d5b5bf992f86d82e47ff755f584f7a0bfb6d91bf848bb86"),
+        (5, "b", "7be7f6eeecfd5c58ed4f72e3e1101bc3b7e41caa16c0b40ba4061a4b2ca02cf9"),
+        (5, "row", "2022727a959852fd0e6910d9d31801becd863587a6b7e5f330e40462e1d9b10c"),
+        (6, "row", "46cd4ef3105d52b021058586a90cd8a888893e4e480393f001baa7b33e86bb80"),
+        (7, "row", "4f604c000f94b59dd457037ec44350b31446d99e557670212a01c0e3111cd5de"),
+        (8, "row", "ca0659cb5df2537a0d7efb9e21967e7705d09b857c5a76ec152420c6924e49c0"),
+        (9, "row", "d2ce39d1880e430a585e3cd835823e6ea33e03a583c9bfe46e7e790a0a95afa8"),
+        (10, "row", "079f48ff73d529dd19f7e0e6f3c8b51d81adf9557fb4fcdd3599fdc3e824f845"),
+        (11, "row", "b8aa5f5f27e555d77645c7607ff235737f57aef16f09e972ec4c1dab22be5528"),
+        (12, "row", "37a138b7375540d0bfe4dc45df20e7eccccf85ff1a7c00277b155a469a3fd4ec"),
+        (13, "row", "e698a69711b27f2e532cf195728c4887b970c0168f6f56c81626a1d18608a94e"),
+        (14, "row", "6dbc20b77203339e1ff32b804b96ff137f581ad4c702da040ac16123b5ad2f30"),
+        (15, "b", "2403b27e913dc70dc36b417cab543acdbbf82b3f94a9a2406ccc6d5b855666a5"),
+        (15, "row", "57f8cebd00ebaa79c6fa86ed9ecb9b63ffb4cd4028e46c9a9eb4e53c963db6d4"),
+    ])
+    def test_forward_digest(self, precision, granularity, want):
+        cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=2, vocab=32, precision=precision,
+                          granularity=ScaleGranularity(granularity))
+        ref = random_reference_model(cfg, seed=precision)
+        ref = dataclasses.replace(ref, layers=tuple(
+            dataclasses.replace(lp, w_q=3 * lp.w_q, w_k=3 * lp.w_k) for lp in ref.layers))
+        model = quantize_model(ref)
+        r = np.random.default_rng(precision).normal(size=(16, cfg.d_m))
+        hidden = quantize(r, init_scale(r, cfg.granularity, Precision(precision)), precision)
+        h = hashlib.sha256()
+        for inputs in ({"tokens": np.arange(16) % cfg.vocab}, {"hidden": hidden}):
+            session = Session(Precision(precision))
+            out = forward(model, session, **inputs)
+            _hash_arrays(h, out.data.values, out.scale.values)
+            h.update(repr([tuple(r) for r in session.log.records]).encode())
+        assert h.hexdigest() == want
+
+
 class TestGoldenAuditAndHybrid:
     """Pinned audit log and LN+Res hybrid output: removing per-op overhead
     must leave every audited op and every hybrid logit bit-identical."""
@@ -746,16 +791,18 @@ class TestPinnedHybridBehaviour:
         out = forward(model, session, tokens=np.arange(64), int_modules=frozenset({LN, RES}))
         records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
                    for r in session.log.records]
-        assert len(records) == 103
+        # The embedding, quantized at layer 0's LN, is read as the residual
+        # there: 103 records before, with a second quantize at its Res.
+        assert len(records) == 102
         h = hashlib.sha256(repr(records).encode())
         _hash_arrays(h, out.values)
         assert h.hexdigest() == (
-            "016adafa0801e5bb99e1966cc12742e241fa37bd7ea5ff8837ed15a8e1240e7d"
+            "1401bea278d556969026f56996994d933a6d694ca6d699b1a7d4f3a2b60b3751"
         )
 
     @pytest.mark.parametrize("modules, want", [
-        ((EMB,),
-         "de46e0ccdb6c1cd8539fea53af19a25be1f2a5c352391e57209aeb742ca80767"),
+        ((EMB,),  # each residual de-quantized once, not at its LN and again at its Res
+         "001356f5abbce2431b0ca4b753ade42d212fa2571f661cd26396e604d3063e4e"),
         ((ATTN,),  # one attention group per layer: 122 records before, 74 now
          "6732ec22ede4f2a45c630217e025d746b7019e44a1507eaa2d22d823241ac35b"),
         ((FFN,),
@@ -766,8 +813,8 @@ class TestPinnedHybridBehaviour:
          "87f71b4f5779fcb222bbcecb3f1cc7ebc473c208f515cc991d1202c52bcd112c"),
         ((PROJ,),
          "e029a74e094d405b87e93cda716bb6bc1a3038cbeb28283f7b02a947ed731ad6"),
-        ((LN, RES),
-         "755f55d37de20b1612e139fb1fb0759fb7b94a4816960f328a3b3b582d3e3cdf"),
+        ((LN, RES),  # the embedding quantized once, not at LN 0 and again at Res 0
+         "b1a8938f51043abf8041b8cd84b973b198f2f1eb402649a3ff71139538931c98"),
     ])
     def test_hybrid_audit_and_output_digest(self, modules, want):
         cfg, _, model = self._models()
@@ -781,6 +828,48 @@ class TestPinnedHybridBehaviour:
         else:
             _hash_arrays(h, out.values)
         assert h.hexdigest() == want
+
+    @staticmethod
+    def _crossings(modules, tokens: bool, n_layers: int) -> int:
+        """The conversions a forward needs: one per state and per lane other
+        than its own that reads it.  A hidden input is on the FP lane."""
+        on = modules.__contains__
+        lane, count = tokens and on(EMB), 0
+        for _ in range(n_layers):
+            for core in (ATTN, FFN):
+                count += len({on(LN), on(RES)} - {lane})  # the LN and the Res read the state
+                count += on(core) != on(LN)
+                count += on(RES) != on(core)
+                lane = on(RES)
+        count += on(LN) != lane
+        return count + (tokens and on(PROJ) != on(LN))
+
+    def test_each_crossing_state_converts_once(self, monkeypatch):
+        # A residual that crosses lanes feeds its sublayer's LN and its Res:
+        # converted once, not once per step that reads it.  A forward
+        # converts through the session's quantize and dequantize alone.
+        calls = []
+
+        def counted(convert):
+            def counting(self, *args, **kwargs):
+                calls.append(convert.__name__)
+                return convert(self, *args, **kwargs)
+            return counting
+
+        for name in ("quantize", "dequantize"):
+            monkeypatch.setattr(Session, name, counted(getattr(Session, name)))
+        cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=16)
+        ref = random_reference_model(cfg, seed=0)
+        model = quantize_model(ref)
+        hidden = RationalTensor(np.random.default_rng(0).normal(size=(5, cfg.d_m)))
+        for k in range(len(MODULES) + 1):
+            for modules in itertools.combinations(MODULES, k):
+                for inputs in ({"tokens": np.arange(5)}, {"hidden": hidden}):
+                    calls.clear()
+                    forward(model, Session(Precision(cfg.precision)),
+                            int_modules=frozenset(modules), ref=ref, **inputs)
+                    want = self._crossings(modules, "tokens" in inputs, cfg.n_layers)
+                    assert len(calls) == want, (modules, list(inputs))
 
     @pytest.mark.parametrize("modules", [MODULES, (), (LN, RES)])
     def test_tap_sequence(self, modules):
