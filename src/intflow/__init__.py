@@ -22,7 +22,6 @@ from .scaling import (
     scale_match_dim,
 )
 from .tensor import (
-    DEFAULT_PRECISION,
     LANE_MAX,
     IntTensor,
     RationalTensor,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditRecord",
-    "DEFAULT_PRECISION",
     "FP32",
     "FP32ReferenceModel",
     "IntTensor",

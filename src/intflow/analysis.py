@@ -11,11 +11,7 @@ import numpy as np
 from .audit import OpAuditLog
 from .errors import ValidationError
 from .modelfile import HEADER_SIZE, record_sizes, serialize
-from .scaling import (
-    Precision,
-    Session,
-    dequantize,
-)
+from .scaling import Session, dequantize
 from .tensor import RationalTensor, ScaledTensor
 from .transformer import (
     LAYER_TENSORS,
@@ -41,12 +37,6 @@ class PrecisionEntry:
 @dataclass(frozen=True)
 class PrecisionReport:
     entries: tuple[PrecisionEntry, ...]
-
-    def get(self, module: str, layer: int) -> float:
-        for e in self.entries:
-            if e.module == module and e.layer == layer:
-                return e.mse
-        raise KeyError((module, layer))
 
     def lines(self) -> list[str]:
         return [
@@ -135,10 +125,9 @@ def measure_forwards(
     """Time MEASURED_FORWARDS forwards of each model on `tokens`, alternating,
     after one untimed warm-up of each; each integer forward gets a fresh
     Session, made outside the timed call."""
-    precision = Precision(model.config.precision)
     int_s, fp32_s = [], []
     for i in range(MEASURED_FORWARDS + 1):
-        session = Session(precision)
+        session = Session()
         t0 = time.perf_counter()
         forward(model, session, tokens=tokens)
         t1 = time.perf_counter()
@@ -172,7 +161,7 @@ def precision_loss(
     counts: dict[tuple[str, int], int] = {}
     for tokens in inputs:
         int_taps, ref_taps = [], []
-        session = Session(Precision(model.config.precision))
+        session = Session()
         forward(model, session, tokens=tokens, tap=lambda *tap: int_taps.append(tap))
         reference_forward(ref, tokens=tokens, tap=lambda *tap: ref_taps.append(tap))
         if len(int_taps) != len(ref_taps):
@@ -208,10 +197,7 @@ def module_ablation(
     ref = ref or reference_twin(model)
     losses = []
     for tokens in inputs:
-        session = Session(Precision(model.config.precision))
-        out = forward(
-            model, session, tokens=tokens, int_modules=frozenset(module_set), ref=ref
-        )
+        out = forward(model, Session(), tokens=tokens, int_modules=frozenset(module_set), ref=ref)
         oracle = reference_forward(ref, tokens=tokens)
         losses.append(_mse(_as_float(out), oracle.values))
     return float(np.mean(losses))

@@ -20,7 +20,7 @@ from .analysis import (
 )
 from .errors import IntflowError, ValidationError
 from .modelfile import load_model, save_model
-from .scaling import Precision, ScaleGranularity, Session
+from .scaling import ScaleGranularity, Session
 from .tensor import RationalTensor
 from .transformer import (
     FP32ReferenceModel,
@@ -175,7 +175,7 @@ def cmd_infer(args) -> int:
     model = _require_int_model(load_model(args.model))
     cfg = model.config
     data = _load_input(args.input)
-    session = Session(Precision(cfg.precision))
+    session = Session()
     if args.tokens:
         out = forward(model, session, tokens=data)
     else:
@@ -239,7 +239,7 @@ def cmd_report(args) -> int:
     for line in storage_report(model).lines():
         print(line)
     # The estimate counts one forward's work: the session logs nothing else.
-    session = Session(Precision(model.config.precision))
+    session = Session()
     tokens = _random_tokens(model.config, args.seq_len, args.seed)
     forward(model, session, tokens=tokens)
     twin = reference_twin(model)

@@ -58,7 +58,7 @@ import math
 
 import numpy as np
 
-from .errors import LaneOverflowError, ShapeError
+from .errors import LaneOverflowError, PrecisionError, ShapeError
 from .scaling import (
     Lane,
     Workspace,
@@ -329,13 +329,14 @@ def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | 
     """Payload division truncating toward zero; scale s_num / s_den; operands broadcast.
 
     Denominator payloads must be strictly positive, checked here: trunc_div
-    checks no divisor.
+    checks no divisor.  A non-positive one is refused with a PrecisionError:
+    in a forward it is a weight sum that a shrink truncated to 0.
     """
     ws = _workspace(num, ws)
     nx, sn, nm, n_lo, n_hi = _operand(num)
     dx, sd, _, d_lo, d_hi = _operand(den)
     if dx.size and np.minimum.reduce(dx, None) <= 0:
-        raise ValueError("divisor must be strictly positive")
+        raise PrecisionError("divisor must be strictly positive")
     # A divisor of at least 1 never grows a magnitude.
     bound = nm.max_bound
     x = _out(num, nx, _joint(nx.shape, dx.shape), lane_dtype(bound, nx), ws)

@@ -1,9 +1,10 @@
 """The quantization calculus: scale init, (de-)quantize, matching, re-scaling.
 
 Every integer op runs through :func:`protocol_apply`, which executes the
-kernel in the wide lane, shrinks the Lane it returns back to the logical
-precision in place when it overflows (:func:`rescale`, the one shrink), and
-appends an audit record.
+kernel in the wide lane, shrinks the Lane it returns back to the lane's own
+logical precision in place when it overflows (:func:`rescale`, the one
+shrink), and appends an audit record.  The precision travels with the data:
+a kernel's result lane takes it from its first operand.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import numpy as np
 from .audit import FP32, PAYLOAD, SCALE, AuditRecord, OpAuditLog
 from .errors import LaneOverflowError, PrecisionError, ShapeError, ValidationError, WorkspaceError
 from .tensor import (
-    DEFAULT_PRECISION,
     LANE_MAX,
     IntTensor,
     RationalTensor,
@@ -30,16 +30,13 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class Precision:
-    """Logical bit width of payloads; the stored lane is always wider."""
+    """Logical bit width of payloads, as a Session's claim (Session.precision)."""
 
-    p: int = DEFAULT_PRECISION
-    # 2^p - 1, the largest payload magnitude.
-    max_magnitude: int = field(init=False, repr=False, compare=False)
+    p: int
 
     def __post_init__(self):
         if not 2 <= self.p <= 15:
             raise ValidationError(f"precision {self.p} outside [2, 15]")
-        object.__setattr__(self, "max_magnitude", (1 << self.p) - 1)
 
 
 class ScaleGranularity(enum.Enum):
@@ -117,9 +114,7 @@ SCALE_MAX = float(np.finfo(np.float32).max)
 
 
 def init_scale(
-    r: RationalTensor | np.ndarray,
-    g: ScaleGranularity = ScaleGranularity.PER_ROW,
-    prec: Precision = Precision(),
+    r: RationalTensor | np.ndarray, p: int, g: ScaleGranularity = ScaleGranularity.PER_ROW
 ) -> ScaleTensor:
     """Per-group scale (2^p - 1) / max(|r|), at most SCALE_MAX.  `r` may also
     be a float array of finite values (a float32 one, say), whose group
@@ -135,7 +130,7 @@ def init_scale(
     axes = g.reduce_axes(values.ndim)
     m = np.max(np.abs(values), axis=axes, keepdims=True) if values.size else np.abs(values)
     m = m.astype(np.float64, copy=False)
-    limit = float(prec.max_magnitude)
+    limit = float((1 << p) - 1)
     with np.errstate(over="ignore"):
         s = limit / np.maximum(m, np.finfo(np.float64).tiny)
     s = _round_to_f32(np.minimum(s, SCALE_MAX))
@@ -161,7 +156,7 @@ def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
     return m
 
 
-def quantize(r: RationalTensor | np.ndarray, s: ScaleTensor, precision: int = DEFAULT_PRECISION) -> ScaledTensor:
+def quantize(r: RationalTensor | np.ndarray, s: ScaleTensor, precision: int) -> ScaledTensor:
     """x = round(s * r), half to even; the result carries s.  As in
     init_scale, `r` may be a float array of finite values, widened exactly."""
     values = r.values if isinstance(r, RationalTensor) else r
@@ -344,7 +339,9 @@ class Lane:
     """A kernel result worked in place: one payload buffer and one scale buffer.
 
     Every kernel that runs through `protocol_apply` returns a Lane, which
-    the protocol shrinks in place (`rescale`) and audits.  The payload x
+    the protocol shrinks in place (`rescale`) and audits.  `precision` is
+    the lane's own and the shrink's target: a kernel's result lane takes it
+    from its first operand, and the sealed result carries it.  The payload x
     holds exact integers: in float64 only while a step's bound on max|x| is
     below 2^53 (`matmul` and `hold` choose it there, other steps keep it),
     else in int64, the rule of `trunc_div` too.  `max_bound`, a plain
@@ -517,10 +514,11 @@ DIVISOR_MUL_MAX = 2**50
 DIVISOR_RECIPROCAL = {p: ((1 << 51) - 1) / (((1 << p) - 1) << 51) for p in range(2, 16)}
 
 
-def rescale(lane: Lane, prec: Precision, groups: tuple | None = None) -> Lane:
-    """Shrink the lane's payload to p bits in place, and return the lane:
-    payload and scale divided by d = max(1, ceil(a / L)) per scale group,
-    L = 2^p - 1; the payload divides through trunc_div.  A scale divided by
+def rescale(lane: Lane, groups: tuple | None = None) -> Lane:
+    """Shrink the lane's payload to p bits in place, p the lane's own
+    precision, and return the lane: payload and scale divided by
+    d = max(1, ceil(a / L)) per scale group, L = 2^p - 1; the payload
+    divides through trunc_div.  A scale divided by
     at least 1 keeps its upper bound.
 
     `groups` is what `extremes` returned for the lane as it stands; without
@@ -546,17 +544,16 @@ def rescale(lane: Lane, prec: Precision, groups: tuple | None = None) -> Lane:
       (k + 1) * L < 2^53.  Rounding is monotone and k and k + 1 are
       doubles, so k <= fl(a * r) < k + 1, and the divisor is k + 1.
     """
-    lane.precision = prec.p
-    x, s = lane.x, lane.s
+    x, s, p = lane.x, lane.s, lane.precision
     if not x.size:
         return lane
     axes, hi, lo = extremes(lane) if groups is None else groups
-    m, limit = lane.max_bound, prec.max_magnitude
+    m, limit = lane.max_bound, (1 << p) - 1
     if m >= DIVISOR_MUL_MAX:
         d = np.maximum(hi, -lo) if axes else np.abs(x)
         d = np.maximum(-(-d // limit), 1)
     else:
-        r = DIVISOR_RECIPROCAL[prec.p]
+        r = DIVISOR_RECIPROCAL[p]
         if axes:
             d = np.maximum(hi, -lo, dtype=np.float64)
             d *= r
@@ -592,7 +589,6 @@ def shrunk_elements(lane: Lane, groups: tuple, limit: int) -> int:
 def protocol_apply(
     kernel,
     ins: list[ScaledTensor | Lane],
-    prec: Precision,
     *,
     log: OpAuditLog | None = None,
     module: str = "",
@@ -602,22 +598,23 @@ def protocol_apply(
     """Run an integer kernel in the wide lane, re-scale on overflow, audit it.
 
     The kernel returns the Lane it worked in; anything else is refused with
-    a TypeError.  A bound on max|x| within the precision decides "no
-    rescale" alone; past it, the exact max decides, read from the group
+    a TypeError.  The target precision is the lane's own, which it took
+    from the kernel's first operand.  A bound on max|x| within it decides
+    "no rescale" alone; past it, the exact max decides, read from the group
     maxima and minima of `extremes`, and `rescale` shrinks the lane in place
     with its divisor taken from those same reductions.
     """
     lane = kernel(*ins, **kwargs)
     if not isinstance(lane, Lane):
         raise TypeError(f"kernel {kernel.__name__} returned {type(lane).__name__}, not a Lane")
-    limit = prec.max_magnitude
+    limit = (1 << lane.precision) - 1
     rescaled = False
     if allow_rescale and lane.max_bound > limit:
         groups = extremes(lane)
         rescaled = lane.max_bound > limit
         if rescaled:
             shrunk = lane.s.size if lane.blocks == 1 else shrunk_elements(lane, groups, limit)
-            rescale(lane, prec, groups)
+            rescale(lane, groups)
     if log is not None:
         kind = kernel.kind
         elements = lane.x.size
@@ -634,10 +631,16 @@ def protocol_apply(
 
 @dataclass
 class Session:
-    """One inference run: a precision, its single-writer audit log and the
-    workspace its lanes take scratch arrays from."""
+    """One inference run: its single-writer audit log and the workspace its
+    lanes take scratch arrays from.
 
-    precision: Precision = field(default_factory=Precision)
+    A session holds no precision of its own: every step shrinks to its
+    lane's, which comes from the data, so `Session()` runs a model at any
+    precision.  `precision`, when given, is only a claim, which `forward`
+    refuses where it contradicts the model.
+    """
+
+    precision: Precision | None = None
     log: OpAuditLog = field(default_factory=OpAuditLog)
     _workspace: Workspace | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -649,18 +652,16 @@ class Session:
         return self._workspace
 
     def apply(self, kernel, ins, module: str = "", **kwargs) -> Lane:
-        return protocol_apply(
-            kernel, ins, self.precision, log=self.log, module=module, **kwargs
-        )
+        return protocol_apply(kernel, ins, log=self.log, module=module, **kwargs)
 
     def note(self, kind: str, lane: str, elements: int, module: str = "") -> None:
         self.log.records.append(AuditRecord(kind, lane, elements, False, module))
 
     def quantize(
-        self, r: RationalTensor | np.ndarray, s: ScaleTensor, module: str = ""
+        self, r: RationalTensor | np.ndarray, s: ScaleTensor, p: int, module: str = ""
     ) -> ScaledTensor:
-        """Quantize through the session so the Q() shows up in the audit log."""
-        out = quantize(r, s, self.precision.p)
+        """Quantize at p bits through the session so the Q() shows up in the audit log."""
+        out = quantize(r, s, p)
         self.note("quantize", SCALE, out.data.values.size, module)
         return out
 

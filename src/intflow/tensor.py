@@ -22,8 +22,6 @@ LANE_DTYPE = np.int64
 # Headroom below int64 so products can be guarded before they wrap.
 LANE_MAX = 2**62
 
-DEFAULT_PRECISION = 7
-
 
 def container_dtype(precision: int) -> type:
     """The narrowest signed integer type holding every payload of `precision`
@@ -164,7 +162,7 @@ class IntTensor:
     """
 
     values: np.ndarray
-    precision: int = DEFAULT_PRECISION
+    precision: int
     # max|x| once known; payloads are read-only, so it stays valid.
     _max_abs: int | None = field(init=False, repr=False, compare=False)
     # A bound on max|x|, always below LANE_MAX; max|x| itself once known.
@@ -182,7 +180,7 @@ class IntTensor:
     def adopt(
         cls,
         arr: np.ndarray,
-        precision: int = DEFAULT_PRECISION,
+        precision: int,
         known_max: int | None = None,
         *,
         bound: int | None = None,

@@ -20,7 +20,6 @@ from .audit import PAYLOAD, SCALE
 from .errors import LaneOverflowError, ShapeError, ValidationError
 from .scaling import (
     Lane,
-    Precision,
     ScaleGranularity,
     Session,
     _match_payload,
@@ -210,15 +209,13 @@ def _convert(model, fn, model_cls, **fields):
     return model_cls(layers=layers, **convert(model, MODEL_TENSORS), **fields)
 
 
-def _quantize_param(
-    values: np.ndarray, prec: Precision, session: Session | None, module: str
-) -> ScaledTensor:
+def _quantize_param(values: np.ndarray, p: int, session: Session | None, module: str) -> ScaledTensor:
     r = RationalTensor(values)
-    s = init_scale(r, ScaleGranularity.PER_ROW, prec)
-    t = quantize(r, s, prec.p).data
+    s = init_scale(r, p)
+    t = quantize(r, s, p).data
     if session is not None:
         session.note("quantize", SCALE, values.size, module)
-    return ScaledTensor(IntTensor.param(t.values, prec.p, t.max_magnitude), s)
+    return ScaledTensor(IntTensor.param(t.values, p, t.max_magnitude), s)
 
 
 def quantize_model(
@@ -231,9 +228,8 @@ def quantize_model(
     cfg = ref.config
     if precision is not None and precision != cfg.precision:
         cfg = replace(cfg, precision=precision)
-    prec = Precision(cfg.precision)
     return _convert(
-        ref, lambda values, module: _quantize_param(values, prec, session, module),
+        ref, lambda values, module: _quantize_param(values, cfg.precision, session, module),
         IntegerTransformerModel, config=cfg,
     )
 
@@ -386,14 +382,15 @@ def _add_const(
     lane: Lane, value: float, session: Session, module: str, min_payload: int = 0
 ) -> Lane:
     """Add a constant quantized into the lane's own scale, so no payload is
-    matched; the constant is held in the scale's shape and broadcast."""
+    matched; the constant is held in the scale's shape and broadcast, and
+    refit (_refit_zero_groups) at the lane's own precision."""
     if not math.isfinite(value):
         raise ValueError("rational tensor values must be finite")
     c = lane.scratch() if lane.s.shape == lane.x.shape else np.empty(lane.s.shape)
     try:
         c_max = quantize_into(np.float64(value), lane.s, c)
     except LaneOverflowError:
-        c_max = _refit_zero_groups(lane, value, c, session.precision.max_magnitude)
+        c_max = _refit_zero_groups(lane, value, c, (1 << lane.precision) - 1)
     session.note("quantize", SCALE, lane.x.size, module)
     if min_payload:
         # |max(c, min_payload)| <= max(|c|, min_payload): still a bound.
@@ -800,12 +797,11 @@ def forward(
             raise ValidationError("FP32 modules need a reference model")
         ref = reference_twin(model)
     cfg = (model or ref).config
-    # The precision is the model's: a session at another one would shrink
-    # every step to it.
-    if session is not None and session.precision.p != cfg.precision:
-        raise ValidationError(
-            f"session precision {session.precision.p} differs from the model's {cfg.precision}"
-        )
+    # The precision is the model's, carried by its payloads; a session that
+    # claims another one is refused.
+    claim = session and session.precision
+    if claim and claim.p != cfg.precision:
+        raise ValidationError(f"session precision {claim.p} differs from the model's {cfg.precision}")
 
     def to_int(state, module):
         """`state` quantized where it enters the integer path: a hidden
@@ -814,8 +810,8 @@ def forward(
         if isinstance(state, ScaledTensor):
             return state
         values = state.values if isinstance(state, RationalTensor) else state
-        s = init_scale(values, cfg.granularity, session.precision)
-        return session.quantize(values, s, module)
+        s = init_scale(values, cfg.precision, cfg.granularity)
+        return session.quantize(values, s, cfg.precision, module)
 
     def to_fp(state, module) -> np.ndarray:
         """`state` as the twin's float32: cast where it enters the FP path

@@ -2,11 +2,13 @@
 
 `poly` runs the attention polynomial alone, outside `poly_attention`, and
 `canonical_ffn_forward` is the de-quantizing FFN baseline that the purity
-proof must catch; no forward calls either.
+proof must catch; no forward calls either.  `report_mse` looks one entry up
+in a precision-loss report.
 """
 import numpy as np
 
 from intflow import kernels as K
+from intflow.analysis import PrecisionReport
 from intflow.scaling import Lane, Session, dequantize, init_scale
 from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow.transformer import (
@@ -27,6 +29,14 @@ def scaled(data, scale, precision=7):
     )
 
 
+def report_mse(report: PrecisionReport, module: str, layer: int) -> float:
+    """The MSE of `module` at `layer` in `report`; KeyError when it has none."""
+    for e in report.entries:
+        if e.module == module and e.layer == layer:
+            return e.mse
+    raise KeyError((module, layer))
+
+
 def poly(
     scores: ScaledTensor, pp: PolyParams, degree: int, session: Session, module: str = ATTN
 ) -> ScaledTensor:
@@ -43,12 +53,12 @@ def canonical_ffn_forward(
     before the next integer GEMM; this is the comparator the integer
     pipeline eliminates.
     """
-    prec = session.precision
+    p = x.precision
     g, b = dequantize(lp.ln2_g).values, dequantize(lp.ln2_b).values
 
     def requantize(values: np.ndarray) -> ScaledTensor:
         t = RationalTensor(values)
-        return session.quantize(t, init_scale(t, prec=prec), FFN)
+        return session.quantize(t, init_scale(t, p), p, FFN)
 
     r = ref_l1ln(session.dequantize(x, FFN).values, g, b)
     h = session.apply(K.matmul, [requantize(r), lp.w1], FFN, ws=session.workspace).seal()

@@ -13,7 +13,6 @@ from intflow import kernels as K
 from intflow.audit import PAYLOAD, SCALE, AuditRecord, OpAuditLog
 from intflow.scaling import (
     Lane,
-    Precision,
     Session,
     Workspace,
     dequantize,
@@ -36,7 +35,7 @@ from intflow.transformer import (
 )
 from intflow.analysis import precision_loss, speedup_estimate, storage_report
 
-from helpers import scaled
+from helpers import report_mse, scaled
 
 # One-sided binomial sign test at 95% confidence for n = 20 trials:
 # P(X >= 15 | p = 0.5) ~ 0.021, P(X >= 14) ~ 0.058, so 15 is the threshold.
@@ -64,7 +63,7 @@ def test_01_quantization_bound(capsys):
             np.float32
         ).astype(np.float64)
         r = RationalTensor(r_vals)
-        s = init_scale(r, prec=Precision(p))
+        s = init_scale(r, p)
         t = quantize(r, s, p)
         s_full = np.broadcast_to(s.values, r.shape)
         for x, rv, sv in zip(
@@ -83,27 +82,27 @@ def test_02_overflow_safety(capsys):
     (plus matching and re-scaling), then 10^5 fuzz cases at p=7.
     """
     ok = True
-    p4 = Precision(4)
+    limit4 = (1 << 4) - 1
     vals = np.arange(-15, 16)
     xs, ys = np.meshgrid(vals, vals)
     for sa, sb in ((1.0, 1.0), (3.0, 7.0), (0.5, 12.0)):
         a = scaled(xs.ravel(), np.full(xs.size, sa), 4)
         b = scaled(ys.ravel(), np.full(ys.size, sb), 4)
         for kern in (K.add, K.ew_mul):
-            out = protocol_apply(kern, [a, b], p4).seal()
-            ok &= out.data.max_magnitude <= p4.max_magnitude
+            out = protocol_apply(kern, [a, b]).seal()
+            ok &= out.data.max_magnitude <= limit4
         for m in scale_match([a, b]):
-            ok &= m.data.max_magnitude <= p4.max_magnitude
+            ok &= m.data.max_magnitude <= limit4
     rng = np.random.default_rng(7)
-    p7 = Precision(7)
+    limit7 = (1 << 7) - 1
     for _ in range(100_000 // 8):
         a = scaled(rng.integers(-127, 128, 8), rng.uniform(0.1, 99, 8))
         b = scaled(rng.integers(-127, 128, 8), rng.uniform(0.1, 99, 8))
         kern = (K.add, K.ew_mul)[rng.integers(2)]
-        out = protocol_apply(kern, [a, b], p7).seal()
-        ok &= out.data.max_magnitude <= p7.max_magnitude
-        wide = ScaledTensor(IntTensor(rng.integers(-(2**31), 2**31, 8)), ScaleTensor(np.full(8, 2.0)))
-        ok &= rescale(Lane.of(wide, Workspace()), p7).seal().data.in_range()
+        out = protocol_apply(kern, [a, b]).seal()
+        ok &= out.data.max_magnitude <= limit7
+        wide = ScaledTensor(IntTensor(rng.integers(-(2**31), 2**31, 8), 7), ScaleTensor(np.full(8, 2.0)))
+        ok &= rescale(Lane.of(wide, Workspace())).seal().data.in_range()
     report(capsys, 2, "overflow safety", ok)
 
 
@@ -176,7 +175,7 @@ def test_05_integer_path_purity(capsys):
     """A full 2-layer forward never de-quantizes and never does FP32 value math."""
     cfg = ModelConfig()
     model = quantize_model(random_reference_model(cfg, seed=0))
-    sess = Session(Precision(cfg.precision))
+    sess = Session()
     forward(model, sess, tokens=np.arange(12) % cfg.vocab)
     ok = (
         sess.log.integer_pure()
@@ -208,7 +207,7 @@ def test_07_bit_sweep_trend(capsys):
         mses = []
         for p in (6, 7, 8, 9, 10, 15):
             model = quantize_model(ref, precision=p)
-            out = forward(model, Session(Precision(p)), tokens=tok)
+            out = forward(model, Session(), tokens=tok)
             diff = dequantize(out).values - oracle
             mses.append(float(np.mean(diff**2)))
         for k in range(4):
@@ -227,7 +226,7 @@ def test_08_degenerate_attention(capsys):
 
     def q(vals):
         r = RationalTensor(np.asarray(vals, dtype=np.float64))
-        return quantize(r, init_scale(r, prec=Precision(p)), p)
+        return quantize(r, init_scale(r, p), p)
 
     qv = np.tile([[2.0, 0.0, 1.0, 0.5]], (T, 1))
     kv = np.tile([[-2.0, 0.0, -1.0, -0.5]], (T, 1))
@@ -235,7 +234,7 @@ def test_08_degenerate_attention(capsys):
     vv = rng.normal(size=(T, dh))
     vv[:, 0] = 1.0  # equal row maxima -> identical per-row scales
     v_q = q(vv)
-    sess = Session(Precision(p))
+    sess = Session()
     out = poly_attention(q(qv), q(kv), K.transpose(v_q, (1, 0)), pp, 3, 16, sess).seal()
     got = dequantize(out).values
     want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
@@ -255,7 +254,7 @@ def test_09_last_layer_loss_concentration(capsys):
         model = quantize_model(ref)
         tok = np.random.default_rng(2000 + seed).integers(0, cfg.vocab, 12)
         rep = precision_loss(model, reference_twin(model), [tok])
-        wins += rep.get("Res", cfg.n_layers - 1) > rep.get("Res", 0)
+        wins += report_mse(rep, "Res", cfg.n_layers - 1) > report_mse(rep, "Res", 0)
     ok = wins >= SIGN_TEST_MIN
     report(capsys, 9, f"last-layer loss concentration ({wins}/{N_SEEDS})", ok)
 
@@ -286,7 +285,7 @@ def test_10_speedup_estimator(capsys):
         ref = random_reference_model(cfg, seed=300 + seed)
         ests = []
         for t_len in (4, 16):
-            sess = Session(Precision(cfg.precision))
+            sess = Session()
             model = quantize_model(ref, session=sess)
             forward(model, sess, tokens=np.arange(t_len) % cfg.vocab)
             ests.append(speedup_estimate(sess.log).estimate)

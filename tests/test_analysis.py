@@ -15,7 +15,7 @@ from intflow.analysis import (
     speedup_estimate,
     storage_report,
 )
-from intflow.scaling import Precision, Session, dequantize, init_scale
+from intflow.scaling import Session, dequantize, init_scale
 from intflow.tensor import RationalTensor
 from intflow.transformer import (
     ALL_MODULES,
@@ -32,7 +32,7 @@ from intflow.transformer import (
     residual_add,
 )
 
-from helpers import canonical_ffn_forward
+from helpers import canonical_ffn_forward, report_mse
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +48,9 @@ class TestPrecisionLoss:
     def test_report_covers_modules_and_layers(self, toy):
         cfg, ref, model, tokens = toy
         rep = precision_loss(model, reference_twin(model), tokens)
-        assert rep.get(ATTN, 0) >= 0
-        assert rep.get(RES, cfg.n_layers - 1) > 0
-        assert rep.get(LN, cfg.n_layers) > 0  # final norm
+        assert report_mse(rep, ATTN, 0) >= 0
+        assert report_mse(rep, RES, cfg.n_layers - 1) > 0
+        assert report_mse(rep, LN, cfg.n_layers) > 0  # final norm
 
     def test_lines_are_tab_separated(self, toy):
         cfg, ref, model, tokens = toy
@@ -61,7 +61,7 @@ class TestPrecisionLoss:
         cfg, ref, model, tokens = toy
         rep = precision_loss(model, reference_twin(model), tokens)
         with pytest.raises(KeyError):
-            rep.get(ATTN, 99)
+            report_mse(rep, ATTN, 99)
 
     # A twin that does not match the model is refused at the first tap that
     # tells them apart: by count, by tag and layer, or by shape.
@@ -175,7 +175,7 @@ class TestSpeedup:
         cfg, ref, model, tokens = toy
         ests = []
         for T in (4, 16):
-            sess = Session(Precision(cfg.precision))
+            sess = Session()
             quantize_model(ref, session=sess)  # fixed conversion cost
             forward(model, sess, tokens=np.arange(T) % cfg.vocab)
             ests.append(speedup_estimate(sess.log).estimate)
@@ -201,8 +201,8 @@ class TestCanonicalBaseline:
         cfg, ref, model, tokens = toy
         rng = np.random.default_rng(0)
         r = RationalTensor(rng.normal(size=(5, cfg.d_m)))
-        sess = Session(Precision(cfg.precision))
-        x = sess.quantize(r, init_scale(r, prec=sess.precision))
+        sess = Session()
+        x = sess.quantize(r, init_scale(r, cfg.precision), cfg.precision)
         sess.log.records.clear()
         canonical_ffn_forward(x, model.layers[0], sess)
         assert len(sess.log.dequantize_records()) == 4
@@ -212,10 +212,10 @@ class TestCanonicalBaseline:
         cfg, ref, model, tokens = toy
         rng = np.random.default_rng(1)
         r = RationalTensor(rng.normal(size=(5, cfg.d_m)))
-        sess_a = Session(Precision(cfg.precision))
-        x = sess_a.quantize(r, init_scale(r, prec=sess_a.precision))
+        sess_a = Session()
+        x = sess_a.quantize(r, init_scale(r, cfg.precision), cfg.precision)
         base = dequantize(canonical_ffn_forward(x, model.layers[0], sess_a)).values
-        sess_b = Session(Precision(cfg.precision))
+        sess_b = Session()
         lp = model.layers[0]
         y = ffn_core(l1_layer_norm(x, lp.ln2_g, lp.ln2_b, sess_b), lp, sess_b)
         pure = dequantize(residual_add(y, x, sess_b)).values

@@ -26,7 +26,7 @@ from intflow.errors import (
     IntflowError, LaneOverflowError, PrecisionError, ScaleRangeError, WorkspaceError,
 )
 from intflow.scaling import (
-    MATCH_FLOAT_MAX, Lane, Precision, Session, Workspace, scale_match, scale_match_dim,
+    MATCH_FLOAT_MAX, Lane, Session, Workspace, scale_match, scale_match_dim,
 )
 from intflow.tensor import LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor
 from intflow import transformer
@@ -148,7 +148,7 @@ def exact_sum(t):
 def exact_int_div(num, den):
     n, d = ints(num), ints(den)
     if (d <= 0).any():
-        raise ValueError("divisor must be strictly positive")
+        raise PrecisionError("divisor must be strictly positive")
     q = np.where(n < 0, -(-n // d), n // d)  # truncated toward zero
     with np.errstate(over="ignore", under="ignore"):
         s = num.scale.values / den.scale.values
@@ -160,7 +160,7 @@ def exact_int_div(num, den):
 
 def quantize_const(value, like, session, module, min_payload=0):
     r = RationalTensor(np.broadcast_to(np.float64(value), like.shape))
-    t = session.quantize(r, like.scale, module)
+    t = session.quantize(r, like.scale, like.precision, module)
     if min_payload and np.any(t.data.values < min_payload):
         t = ScaledTensor(IntTensor(np.maximum(t.data.values, min_payload), t.precision), t.scale)
     return t
@@ -183,7 +183,7 @@ def fit_zero_groups(t, value, limit):
 
 
 def oracle_poly(scores, pp, degree, session, module="Attn"):
-    limit = session.precision.max_magnitude
+    limit = (1 << scores.precision) - 1
     x = fit_zero_groups(scores, pp.bias, limit)
     x = step(session, exact_add, [x, quantize_const(pp.bias, x, session, module)], module)
     x = step(session, exact_relu, [x], module)
@@ -220,10 +220,10 @@ def oracle_ffn(y, lp, session):
     return step(session, exact_add, [h, widened(lp.b2, h.shape)], FFN)
 
 
-def outcome(fn, p, session=None):
+def outcome(fn, session=None):
     """Everything observable about one run: the result or the error type,
     and the audit records it appended."""
-    session = Session(Precision(p)) if session is None else session
+    session = Session() if session is None else session
     start = len(session.log.records)
     try:
         out = fn(session)
@@ -283,65 +283,60 @@ poly_params = st.builds(
 
 
 class TestLaneMatchesKernels:
-    # The operands' precision is drawn apart from the session's: a shrink
-    # moves a payload to the session's precision.
+    # A shrink moves a payload to its lane's precision, the operands' p.
     @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans(), poly_params,
            st.sampled_from(DEGREES))
     @settings(max_examples=300, deadline=None)
     def test_poly(self, data, p, per_element, big, pp, degree):
         T, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-        p_in = data.draw(st.sampled_from(PRECISIONS))
-        scores = data.draw(operand((T, n), p_in, per_element, big))
-        got = outcome(lambda sess: poly(scores, pp, degree, sess), p)
-        assert got == outcome(lambda sess: oracle_poly(scores, pp, degree, sess), p)
+        scores = data.draw(operand((T, n), p, per_element, big))
+        got = outcome(lambda sess: poly(scores, pp, degree, sess))
+        assert got == outcome(lambda sess: oracle_poly(scores, pp, degree, sess))
 
     @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans(), poly_params,
            st.sampled_from(DEGREES))
     @settings(max_examples=300, deadline=None)
     def test_poly_attention(self, data, p, per_element, big, pp, degree):
         T, d_h = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
-        p_in = data.draw(st.sampled_from(PRECISIONS))
-        q, k = (data.draw(operand((T, d_h), p_in, per_element, big)) for _ in range(2))
-        v = data.draw(operand((T, d_h), p_in, per_element, False))
+        q, k = (data.draw(operand((T, d_h), p, per_element, big)) for _ in range(2))
+        v = data.draw(operand((T, d_h), p, per_element, False))
         d_m = d_h * data.draw(st.sampled_from([1, 2, 8]))
-        got = outcome(lambda sess: poly_attention(q, k, K.transpose(v, (1, 0)), pp, degree, d_m, sess).seal(), p)
-        assert got == outcome(lambda sess: oracle_poly_attention(q, k, v, pp, degree, d_m, sess), p)
+        got = outcome(lambda sess: poly_attention(q, k, K.transpose(v, (1, 0)), pp, degree, d_m, sess).seal())
+        assert got == outcome(lambda sess: oracle_poly_attention(q, k, v, pp, degree, d_m, sess))
 
 
     @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_ffn_core(self, data, p, per_element, big):
         T, d, f = (data.draw(st.integers(1, 5)) for _ in range(3))
-        p_in = data.draw(st.sampled_from(PRECISIONS))
-        y = data.draw(operand((T, d), p_in, per_element, big))
+        y = data.draw(operand((T, d), p, per_element, big))
         lp = SimpleNamespace(
-            w1=data.draw(operand((f, d), p_in, data.draw(st.booleans()), big)),
-            b1=data.draw(bias(f, p_in, big)),
-            w2=data.draw(operand((d, f), p_in, data.draw(st.booleans()), False)),
-            b2=data.draw(bias(d, p_in, False)),
+            w1=data.draw(operand((f, d), p, data.draw(st.booleans()), big)),
+            b1=data.draw(bias(f, p, big)),
+            w2=data.draw(operand((d, f), p, data.draw(st.booleans()), False)),
+            b2=data.draw(bias(d, p, False)),
         )
-        got = outcome(lambda sess: ffn_core(y, lp, sess), p)
-        assert got == outcome(lambda sess: oracle_ffn(y, lp, sess), p)
+        got = outcome(lambda sess: ffn_core(y, lp, sess))
+        assert got == outcome(lambda sess: oracle_ffn(y, lp, sess))
 
     @given(st.data(), st.sampled_from(PRECISIONS), st.booleans(), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_sealed_projection(self, data, p, per_element, big):
         # The output projection: a lane shrunk in place and sealed, as matmul.
         T, d, n = (data.draw(st.integers(1, 5)) for _ in range(3))
-        p_in = data.draw(st.sampled_from(PRECISIONS))
-        a = data.draw(operand((T, d), p_in, per_element, big))
-        w = data.draw(operand((n, d), p_in, False, big))
-        got = outcome(lambda s: s.apply(K.matmul, [a, w], PROJ, ws=s.workspace).seal(), p)
-        assert got == outcome(lambda s: step(s, exact_matmul, [a, w], PROJ), p)
+        a = data.draw(operand((T, d), p, per_element, big))
+        w = data.draw(operand((n, d), p, False, big))
+        got = outcome(lambda s: s.apply(K.matmul, [a, w], PROJ, ws=s.workspace).seal())
+        assert got == outcome(lambda s: step(s, exact_matmul, [a, w], PROJ))
 
 
 class TestLaneRoutes:
     """Pinned cases: each route and each error the property test draws."""
 
     @staticmethod
-    def same(fn, oracle, p):
-        got = outcome(fn, p)
-        assert got == outcome(oracle, p)
+    def same(fn, oracle):
+        got = outcome(fn)
+        assert got == outcome(oracle)
         return got
 
     def test_per_element_weights_take_the_float_lane(self):
@@ -350,7 +345,7 @@ class TestLaneRoutes:
                    for _ in range(3))
         pp = PolyParams(bias=0.5, offset=0.1)
         got = self.same(lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 3, 16, s).seal(),
-                        lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s), 12)
+                        lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s))
         assert got[0] == "<i8"
         assert "'rescale'" in got[-1]
 
@@ -361,39 +356,39 @@ class TestLaneRoutes:
         v = scaled([[3], [4]], [[1.0], [1.0]], 12)
         pp = PolyParams(bias=0.5, offset=0.1)
         self.same(lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 2, 4, s).seal(),
-                  lambda s: oracle_poly_attention(q, k, v, pp, 2, 4, s), 12)
+                  lambda s: oracle_poly_attention(q, k, v, pp, 2, 4, s))
 
     def test_constant_above_2_53_takes_int64(self):
         # bias * s = 1e17 > 2^53: the first add runs in int64.
         scores = scaled([[100, -7], [3, 0]], [[1e17], [2e17]], 7)
         pp = PolyParams(bias=1.0, offset=0.25)
-        self.same(lambda s: poly(scores, pp, 3, s), lambda s: oracle_poly(scores, pp, 3, s), 7)
+        self.same(lambda s: poly(scores, pp, 3, s), lambda s: oracle_poly(scores, pp, 3, s))
 
     def test_constant_sum_above_2_53_is_exact(self):
         # -1 + 2^56 = 127 * j shrinks to exactly 127 at p=7; float64 would
         # round the sum up to 2^56 and shrink it to 126.
         scores = scaled([[-1]], [[2.0**56]], 7)
         pp = PolyParams(bias=1.0, offset=0.0)
-        got = self.same(lambda s: poly(scores, pp, 1, s), lambda s: oracle_poly(scores, pp, 1, s), 7)
+        got = self.same(lambda s: poly(scores, pp, 1, s), lambda s: oracle_poly(scores, pp, 1, s))
         assert got[1] == [[127]]
 
     def test_power_above_2_53_takes_int64(self):
         # 32767^4 > 2^53, and float64 would round it: x^4 runs in int64.
         scores = scaled([[32767, -32767, 32766], [12345, 0, -1]], [[1.0], [0.5]], 15)
         pp = PolyParams(bias=0.0, offset=0.1)
-        self.same(lambda s: poly(scores, pp, 4, s), lambda s: oracle_poly(scores, pp, 4, s), 15)
+        self.same(lambda s: poly(scores, pp, 4, s), lambda s: oracle_poly(scores, pp, 4, s))
 
     def test_scores_above_2_53_take_int64(self):
         scores = scaled([[2**60, -(2**55) - 3], [2**53 + 1, 1]], [[1.0, 2.0], [3.0, 4.0]], 12)
         pp = PolyParams(bias=0.5, offset=0.0)
-        self.same(lambda s: poly(scores, pp, 1, s), lambda s: oracle_poly(scores, pp, 1, s), 12)
+        self.same(lambda s: poly(scores, pp, 1, s), lambda s: oracle_poly(scores, pp, 1, s))
 
     def test_constant_refits_an_all_zero_group(self):
         # 1.0 * 1e19 leaves the lane, but only at a zero payload, whose scale
         # drops to 127 / 1.0; a nonzero payload there would raise.
         scores = scaled([[0, 5], [-3, 0]], [[1e19, 2.0], [3.0, 4.0]], 7)
         pp = PolyParams(bias=1.0, offset=0.25)
-        got = self.same(lambda s: poly(scores, pp, 3, s), lambda s: oracle_poly(scores, pp, 3, s), 7)
+        got = self.same(lambda s: poly(scores, pp, 3, s), lambda s: oracle_poly(scores, pp, 3, s))
         assert got[0] == "<i8"
         weights = np.frombuffer(got[4]).reshape(2, 2) ** -1 * np.array(got[1])
         assert weights[0, 0] == pytest.approx(1.25, rel=0.02)
@@ -402,14 +397,14 @@ class TestLaneRoutes:
         # 2^61 + 1.0 * 2^61 = 2^62 leaves the accumulator lane.
         scores = scaled([[2**61]], [[2.0**61]], 7)
         pp = PolyParams(bias=1.0)
-        got = self.same(lambda s: poly(scores, pp, 3, s), lambda s: oracle_poly(scores, pp, 3, s), 7)
+        got = self.same(lambda s: poly(scores, pp, 3, s), lambda s: oracle_poly(scores, pp, 3, s))
         assert got[0] == LaneOverflowError.__name__
 
     def test_shrink_underflow_raises(self):
         # The smallest subnormal scale, divided by ceil(4095 / 127) = 33, is 0.
-        scores = scaled([[4095]], [[5e-324]], 12)
+        scores = scaled([[4095]], [[5e-324]], 7)
         got = self.same(lambda s: poly(scores, PolyParams(), 3, s),
-                        lambda s: oracle_poly(scores, PolyParams(), 3, s), 7)
+                        lambda s: oracle_poly(scores, PolyParams(), 3, s))
         assert got[0] == ScaleRangeError.__name__
 
     @pytest.mark.parametrize("case, error", [
@@ -430,7 +425,7 @@ class TestLaneRoutes:
             q = k = scaled([[1]], [[1e154]], 7)
         v = scaled([[1] * q.shape[1]], [[1.0]], 7)
         got = self.same(lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 3, 16, s).seal(),
-                        lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s), 7)
+                        lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s))
         assert got[0] == error.__name__
 
 
@@ -441,7 +436,7 @@ class TestHeadsMatchedOncePerLayer:
     and value product then match themselves."""
 
     @staticmethod
-    def per_head(q, k, v, heads, pp, degree, p):
+    def per_head(q, k, v, heads, pp, degree):
         """Each head's outcome on the per-layer matched operands, and on plain
         column blocks."""
         d_m = q.shape[1]
@@ -454,9 +449,9 @@ class TestHeadsMatchedOncePerLayer:
             assert qh.scale.values.flags.c_contiguous and kh.scale.values.flags.c_contiguous
             sl = slice(h * d_h, (h + 1) * d_h)
             qp, kp, vp = (slice_cols(t, sl) for t in (q, k, v))
-            got.append(outcome(lambda s: poly_attention(qh, kh, vh_t, pp, degree, d_m, s).seal(), p))
+            got.append(outcome(lambda s: poly_attention(qh, kh, vh_t, pp, degree, d_m, s).seal()))
             want.append(outcome(
-                lambda s: poly_attention(qp, kp, K.transpose(vp, (1, 0)), pp, degree, d_m, s).seal(), p))
+                lambda s: poly_attention(qp, kp, K.transpose(vp, (1, 0)), pp, degree, d_m, s).seal()))
         return got, want
 
     @given(st.data(), st.sampled_from(PRECISIONS), st.sampled_from([1, 2, 8]), poly_params,
@@ -468,7 +463,7 @@ class TestHeadsMatchedOncePerLayer:
             data.draw(operand((T, heads * d_h), p, data.draw(st.booleans()), False))
             for _ in range(3)
         )
-        got, want = self.per_head(q, k, v, heads, pp, degree, p)
+        got, want = self.per_head(q, k, v, heads, pp, degree)
         assert got == want
 
     def test_bound_from_match_float_max_is_refused(self):
@@ -498,8 +493,8 @@ class TestHeadsMatchedOncePerLayer:
             np.reshape(data.draw(st.lists(scales, min_size=r, max_size=r)), (r, 1))
             for r in (m if per_row_a else 1, n if per_row_b else 1)
         )
-        a = ScaledTensor(IntTensor(np.ones((m, 2), np.int64)), ScaleTensor(sa))
-        b_t = ScaledTensor(IntTensor(np.ones((n, 2), np.int64)), ScaleTensor(sb))
+        a = ScaledTensor(IntTensor(np.ones((m, 2), np.int64), 7), ScaleTensor(sa))
+        b_t = ScaledTensor(IntTensor(np.ones((n, 2), np.int64), 7), ScaleTensor(sb))
         lane = K.matmul(a, b_t, Workspace())
         with np.errstate(under="ignore"):
             want = np.matmul(sa, sb.T)
@@ -519,7 +514,7 @@ def test_every_audited_kernel_runs_through_protocol_apply(monkeypatch):
 
     monkeypatch.setattr(scaling, "protocol_apply", counting)
     cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=1, vocab=50, precision=7)
-    session = Session(Precision(cfg.precision))
+    session = Session()
     forward(quantize_model(random_reference_model(cfg, seed=0)), session, tokens=np.arange(9))
     kinds = [r.kind for r in session.log.payload_records() if r.kind not in ("gather", "boost")]
     assert calls == kinds
@@ -541,7 +536,7 @@ def test_a_nonneg_match_sees_no_negative_payload(monkeypatch, precision, degree)
     monkeypatch.setattr(scaling, "_match_payload", checking)
     cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=2, vocab=50, precision=precision, degree=degree)
     model = quantize_model(random_reference_model(cfg, seed=1))
-    forward(model, Session(Precision(cfg.precision)), tokens=np.arange(12) % cfg.vocab)
+    forward(model, Session(), tokens=np.arange(12) % cfg.vocab)
     assert seen and all(seen)
 
 
@@ -549,8 +544,9 @@ def test_nonneg_follows_the_steps_that_keep_it():
     # ReLU and an even power set it, a shrink and a match keep it, and a
     # step that may make a payload negative clears it: the match after that
     # step must restore the sign, truncating -1.5 to -1, not flooring it to -2.
+    # The lane is at 2 bits, so the shrink moves its payload.
     ws = Workspace()
-    lane = Lane(ws.copy(np.array([[1, 7]])), ws.copy(np.array([[2.0, 1.0]])), 7, ws, 7)
+    lane = Lane(ws.copy(np.array([[1, 7]])), ws.copy(np.array([[2.0, 1.0]])), 2, ws, 7)
     assert not lane.nonneg
     assert K.relu(lane).nonneg
     K.lane_add(lane, c=np.array([[-4.0, -4.0]]), c_max=4)
@@ -560,7 +556,7 @@ def test_nonneg_follows_the_steps_that_keep_it():
     assert K.pow_n(lane, n=2).nonneg and lane.x.tolist() == [[1.0, 9.0]]
     lane.match_last()
     assert lane.nonneg
-    assert scaling.rescale(lane, Precision(2)).nonneg
+    assert scaling.rescale(lane).nonneg
     assert not K.pow_n(Lane.of(scaled([[-2, 3]], [[1.0]], 7), ws), n=3).nonneg
 
 
@@ -579,8 +575,8 @@ class TestGroupedHeads:
                 ScaleTensor(np.concatenate([t.scale.values for t in parts])))
 
     @staticmethod
-    def grouped(blocks, heads, group, pp, degree, d_m, p):
-        session = Session(Precision(p))
+    def grouped(blocks, heads, group, pp, degree, d_m):
+        session = Session()
         try:
             lane = attend_heads(*blocks, heads, group, pp, degree, d_m, session)
         except (IntflowError, ValueError):
@@ -589,7 +585,7 @@ class TestGroupedHeads:
         return out.precision, out.data.values.tolist(), out.scale.shape, out.scale.values.tobytes()
 
     @staticmethod
-    def lone_heads(blocks, heads, pp, degree, d_m, p):
+    def lone_heads(blocks, heads, pp, degree, d_m):
         """np.concatenate of each head's oracle run along the columns; each
         scale is broadcast over its head's block first, as concat does."""
         outs = []
@@ -597,7 +593,7 @@ class TestGroupedHeads:
             qh, kh, v_th = (_head_rows(b, heads, h, h + 1) for b in blocks)
             try:
                 outs.append(oracle_poly_attention(qh, kh, K.transpose(v_th, (1, 0)), pp, degree, d_m,
-                                                  Session(Precision(p))))
+                                                  Session()))
             except (IntflowError, ValueError):
                 return "refused"
         rows, d_h = max(o.scale.shape[0] for o in outs), outs[0].shape[1]
@@ -628,8 +624,8 @@ class TestGroupedHeads:
             v_t[huge] = scaled(np.reshape(vs, (d_h, T)), v_t[huge].scale.values, p)
         d_m = d_h * heads
         blocks = [self.stack(parts) for parts in (q, k, v_t)]
-        got = self.grouped(blocks, heads, group, pp, degree, d_m, p)
-        assert got == self.lone_heads(blocks, heads, pp, degree, d_m, p)
+        got = self.grouped(blocks, heads, group, pp, degree, d_m)
+        assert got == self.lone_heads(blocks, heads, pp, degree, d_m)
 
     def test_a_head_whose_lam_is_1_keeps_its_bits(self):
         # Head 0's value sum passes 2^59, so it is not boosted; head 1's is,
@@ -640,17 +636,17 @@ class TestGroupedHeads:
         v_t = [scaled([[2**55 - 1]], [[1.0]], p), scaled([[7]], [[1.0]], p)]
         blocks = [self.stack(parts) for parts in (q, k, v_t)]
         pp = PolyParams(bias=0.5, offset=0.1)
-        session = Session(Precision(p))
+        session = Session()
         attend_heads(*blocks, 2, 2, pp, 3, 2, session).release()
         boosts = [r for r in session.log.records if r.kind == "boost"]
         assert [r.elements for r in boosts] == [1]  # one of the two heads
-        assert self.grouped(blocks, 2, 2, pp, 3, 2, p) == self.lone_heads(blocks, 2, pp, 3, 2, p)
+        assert self.grouped(blocks, 2, 2, pp, 3, 2) == self.lone_heads(blocks, 2, pp, 3, 2)
 
     def test_a_scale_collapsed_along_a_heads_rows_runs_heads_alone(self):
         # One scale row per head cannot be told apart in a stack of heads.
         T, heads, d_h = 4, 2, 2
         def blocks(rows, cols, scale_rows):
-            return IntTensor(np.ones((heads * rows, cols), np.int64)), ScaleTensor(np.ones((scale_rows, 1)))
+            return IntTensor(np.ones((heads * rows, cols), np.int64), 7), ScaleTensor(np.ones((scale_rows, 1)))
 
         q, v_t = blocks(T, d_h, heads * T), blocks(d_h, T, heads * d_h)
         assert _group_size(heads, q, q, v_t) == heads
@@ -672,7 +668,7 @@ class TestGroupedHeads:
         runs = []
         for budget in (0, 2 * seq_len * seq_len, transformer.ATTN_GROUP_ELEMENTS):
             monkeypatch.setattr(transformer, "ATTN_GROUP_ELEMENTS", budget)
-            session = Session(Precision(cfg.precision))
+            session = Session()
             out = forward(model, session, tokens=tokens)
             sums = {}
             for r in session.log.records:
@@ -705,7 +701,7 @@ class TestWorkspace:
 
         monkeypatch.setattr(scaling.Lane, "seal", collecting)
         model = quantize_model(random_reference_model(cfg, seed=1))
-        session = Session(Precision(cfg.precision))
+        session = Session()
         tokens = np.random.default_rng(2).integers(0, cfg.vocab, seq_len)
         for _ in range(2):
             results.append(forward(model, session, tokens=tokens))
@@ -724,7 +720,7 @@ class TestWorkspace:
         # no (T, d_h) payload per head; it once ended with all eight.
         cfg = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=2, vocab=256, precision=12)
         model = quantize_model(random_reference_model(cfg, seed=0))
-        session = Session(Precision(cfg.precision))
+        session = Session()
         forward(model, session, tokens=np.arange(seq_len) % cfg.vocab)
         d_h = cfg.d_m // cfg.heads
         held = {dtype: len(session.workspace._free.get(((seq_len, d_h), dtype), []))
@@ -734,7 +730,7 @@ class TestWorkspace:
     def test_held_buffers_stay_fixed_across_forwards(self):
         cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=2, vocab=50, precision=12)
         model = quantize_model(random_reference_model(cfg, seed=0))
-        session = Session(Precision(cfg.precision))
+        session = Session()
         tokens = np.arange(12)
 
         def census():
@@ -746,11 +742,12 @@ class TestWorkspace:
             forward(model, session, tokens=tokens)
         assert census() == first
 
-    @given(st.data(), st.sampled_from(PRECISIONS))
+    @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_heads_back_to_back_match_fresh_sessions(self, data, p):
+    def test_heads_back_to_back_match_fresh_sessions(self, data):
         # One session's workspace carries buffers from head to head, also
-        # past a head that raised; each head must see what a fresh one sees.
+        # past a head that raised, and heads at different precisions; each
+        # head must see what a fresh one sees.
         heads = []
         for _ in range(data.draw(st.integers(2, 4))):
             T, d_h = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
@@ -760,10 +757,10 @@ class TestWorkspace:
             v = data.draw(operand((T, d_h), p_in, per_element, False))
             heads.append((q, k, v, data.draw(poly_params), data.draw(st.sampled_from(DEGREES)),
                           d_h * data.draw(st.sampled_from([1, 2, 8]))))
-        shared = Session(Precision(p))
+        shared = Session()
         for q, k, v, pp, degree, d_m in heads:
             fn = lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, degree, d_m, s).seal()  # noqa: E731
-            assert outcome(fn, p, shared) == outcome(fn, p)
+            assert outcome(fn, shared) == outcome(fn)
 
     def test_pinned_heads_back_to_back(self):
         # Every route and error of TestLaneRoutes, in turn on one session.
@@ -780,12 +777,12 @@ class TestWorkspace:
                   for _ in range(3)),
         ]
         pp = PolyParams(bias=0.5, offset=0.1)
-        shared = Session(Precision(7))
+        shared = Session()
         kinds = []
         for q, k, v in cases:
             fn = lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 2, 16, s).seal()  # noqa: E731
-            got = outcome(fn, 7, shared)
-            assert got == outcome(fn, 7)
+            got = outcome(fn, shared)
+            assert got == outcome(fn)
             kinds.append(got[0])
         assert LaneOverflowError.__name__ in kinds and ScaleRangeError.__name__ in kinds
 
@@ -800,7 +797,7 @@ class TestWorkspace:
         monkeypatch.setattr(scaling.Workspace, "__init__", refuse)
         tokens = np.arange(9)
         reference_forward(twin, tokens=tokens)
-        forward(model, Session(Precision(cfg.precision)), tokens=tokens,
+        forward(model, Session(), tokens=tokens,
                 int_modules=frozenset(), ref=twin)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from intflow import kernels, modelfile, scaling
-from intflow.scaling import Precision, Session
+from intflow.scaling import Session
 from intflow.transformer import ModelConfig, forward, quantize_model, random_reference_model
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -79,7 +79,7 @@ def test_a_forward_runs_only_traced_kernels(bench_modules, monkeypatch):
     monkeypatch.setattr(scaling, "protocol_apply", recording)
     cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=8)
     model = quantize_model(random_reference_model(cfg, seed=0))
-    forward(model, Session(Precision(cfg.precision)), tokens=np.arange(4))
+    forward(model, Session(), tokens=np.arange(4))
     assert set(seen) <= set(known.values())
     assert {"matmul", "relu", "pow_n", "sum_reduce", "add", "abs_", "ew_mul", "int_div"} <= set(seen)
     # The heads write into one output lane: concat stays traced, but no
@@ -95,7 +95,7 @@ def test_traced_forward_records_modules_and_kernels(bench_modules):
     model = quantize_model(random_reference_model(cfg, seed=0))
     t = tracer.Tracer(n_layers=cfg.n_layers)
     with t.installed(), t.window() as w:
-        forward(model, Session(Precision(cfg.precision)), tokens=np.arange(4))
+        forward(model, Session(), tokens=np.arange(4))
     assert w.calls["transformer.Attn"] == cfg.n_layers
     assert w.calls["kernels.matmul"] > 0
     assert w.calls["kernels.relu"] > 0 and w.calls["kernels.pow_n"] > 0
@@ -108,7 +108,7 @@ def test_every_shrink_is_a_traced_rescale(bench_modules):
     _, tracer = bench_modules
     cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=8)
     model = quantize_model(random_reference_model(cfg, seed=0))
-    session = Session(Precision(cfg.precision))
+    session = Session()
     t = tracer.Tracer(n_layers=cfg.n_layers)
     with t.installed(), t.window() as w:
         forward(model, session, tokens=np.arange(4))

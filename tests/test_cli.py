@@ -10,7 +10,7 @@ import pytest
 from intflow.analysis import speedup_estimate
 from intflow.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from intflow.modelfile import HEADER_DIMS, HEADER_SIZE, load_model, save_model
-from intflow.scaling import Precision, ScaleGranularity, Session
+from intflow.scaling import ScaleGranularity, Session
 from intflow.transformer import ModelConfig, forward, random_reference_model
 
 
@@ -247,7 +247,7 @@ class TestReport:
         fields = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
         shares = {f[1]: float(f[3]) for f in fields if f[0] == "speedup" and f[2] == "share"}
         model = load_model(str(int8))
-        session = Session(Precision(model.config.precision))
+        session = Session()
         forward(model, session, tokens=np.random.default_rng(0).integers(0, model.config.vocab, 8))
         estimate = speedup_estimate(session.log)
         assert shares == {k: round(v, 4) for k, v in estimate.op_shares.items()} | {

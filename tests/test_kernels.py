@@ -12,7 +12,7 @@ from intflow import kernels as K
 from intflow.audit import OpAuditLog
 from intflow.errors import IntflowError, LaneOverflowError, PrecisionError, ScaleRangeError, ShapeError
 from intflow.scaling import (
-    MATCH_FLOAT_MAX, Lane, Precision, Workspace, dequantize, gemm_dtype, protocol_apply,
+    MATCH_FLOAT_MAX, Lane, Workspace, dequantize, gemm_dtype, protocol_apply,
     scale_match_dim,
 )
 from intflow.tensor import LANE_MAX, IntTensor, ScaledTensor, ScaleTensor, container_dtype
@@ -273,7 +273,7 @@ class TestMatMulExactness:
                 np.concatenate([operand(m).data.values for m in peaks]),
                 np.concatenate([operand(m).scale.values for m in peaks]))
             log = OpAuditLog()
-            lane = protocol_apply(K.matmul, [a, a], Precision(7), log=log, ws=Workspace(), groups=len(peaks))
+            lane = protocol_apply(K.matmul, [a, a], log=log, ws=Workspace(), groups=len(peaks))
             shrunk = sum(r.elements for r in log.records if r.kind == "rescale")
             return lane.seal(), shrunk
 
@@ -571,8 +571,10 @@ class TestIntDiv:
         assert dequantize(out).values.tolist() == [10.0]
 
     def test_rejects_nonpositive_denominator(self):
-        with pytest.raises(ValueError):
+        # A typed refusal, still a ValueError: the CLI exits 2 on it.
+        with pytest.raises(PrecisionError, match="divisor must be strictly positive") as info:
             K.int_div(scaled([1], [1.0]), scaled([0], [1.0]))
+        assert isinstance(info.value, IntflowError) and isinstance(info.value, ValueError)
 
 
 class TestShapeOpsThroughProtocol:
@@ -630,13 +632,13 @@ def container_operands(draw):
     return p, ops, draw(st.integers(1, 5))
 
 
-def _outcome(p: int, call, ops: dict):
+def _outcome(call, ops: dict):
     """What a kernel call gives: payload dtype and values, scale and audit
     records, or the type of the error it raises."""
     log = OpAuditLog()
 
     def ap(kernel, ins, **kwargs):
-        return protocol_apply(kernel, ins, Precision(p), log=log, module="X", **kwargs)
+        return protocol_apply(kernel, ins, log=log, module="X", **kwargs)
 
     try:
         out = call(ap, ops)
@@ -663,14 +665,14 @@ class TestContainerWidthOperands:
             return ops
 
         for kernel, (names, call) in CONTAINER_CALLS.items():
-            want = _outcome(p, call, held(()))
+            want = _outcome(call, held(()))
             if not isinstance(want, type):
                 assert want[0] == np.int64, kernel
             for k in range(1, len(names) + 1):
                 for narrow in combinations(names, k):
                     ops = held(narrow)
                     assert all(ops[x].data.values.dtype == container_dtype(p) for x in narrow)
-                    assert _outcome(p, call, ops) == want, (kernel, narrow)
+                    assert _outcome(call, ops) == want, (kernel, narrow)
 
     @pytest.mark.parametrize("p", [7, 15])
     def test_extremes_do_not_wrap(self, p):

@@ -18,7 +18,7 @@ from intflow.modelfile import (
     save_model,
     serialize,
 )
-from intflow.scaling import Precision, ScaleGranularity, Session
+from intflow.scaling import ScaleGranularity, Session
 from intflow.transformer import (
     LAYER_TENSORS,
     MODEL_TENSORS,
@@ -59,8 +59,8 @@ class TestRoundTrips:
         ref, model = pair
         m2 = deserialize(serialize(model))
         tok = np.arange(6)
-        o1 = forward(model, Session(Precision(7)), tokens=tok)
-        o2 = forward(m2, Session(Precision(7)), tokens=tok)
+        o1 = forward(model, Session(), tokens=tok)
+        o2 = forward(m2, Session(), tokens=tok)
         assert np.array_equal(o1.data.values, o2.data.values)
         assert np.array_equal(o1.scale.values, o2.scale.values)
 
@@ -97,10 +97,10 @@ class TestInPlaceRecords:
         loaded = deserialize(blob)
         before = [p.copy() for p in payloads(loaded)]
         tok = np.arange(6)
-        o1 = forward(loaded, Session(Precision(7)), tokens=tok)
+        o1 = forward(loaded, Session(), tokens=tok)
         blob[HEADER_SIZE:] = bytes(len(blob) - HEADER_SIZE)
         assert all(np.array_equal(p, q) for p, q in zip(payloads(loaded), before))
-        o2 = forward(loaded, Session(Precision(7)), tokens=tok)
+        o2 = forward(loaded, Session(), tokens=tok)
         assert np.array_equal(o1.data.values, o2.data.values)
         assert np.array_equal(o1.scale.values, o2.scale.values)
 
@@ -392,7 +392,7 @@ class TestPinnedSchema:
     @staticmethod
     def _models():
         ref = random_reference_model(ModelConfig(), seed=0)
-        session = Session(Precision(7))
+        session = Session()
         return ref, quantize_model(ref, session=session), session
 
     @staticmethod

@@ -36,7 +36,9 @@ from helpers import scaled
 class TestPrecision:
     @pytest.mark.parametrize("p,limit", [(2, 3), (7, 127), (15, 32767)])
     def test_max_magnitude(self, p, limit):
-        assert Precision(p).max_magnitude == limit
+        # 2^p - 1 is where a shrink of a lane at precision p lands.
+        out = rescale(Lane.of(scaled([1000 * limit], [1.0], p), Workspace())).seal()
+        assert out.data.max_magnitude == limit and out.precision == p
         assert Precision(p) == Precision(p) and repr(Precision(p)) == f"Precision(p={p})"
 
     @pytest.mark.parametrize("p", [1, 16])
@@ -54,7 +56,7 @@ class TestTruncDiv:
 
     def test_rejects_nonpositive_divisor(self):
         # trunc_div checks no divisor: int_div, whose divisor is an operand, does.
-        with pytest.raises(ValueError, match="divisor must be strictly positive"):
+        with pytest.raises(PrecisionError, match="divisor must be strictly positive"):
             K.int_div(scaled([1], [1.0]), scaled([0], [1.0]))
 
     @given(
@@ -166,7 +168,7 @@ class TestFloat64Boundary:
     def test_rescale_matches_python_ints(self, xs, p, per_element, svals):
         x = np.array(xs, dtype=np.int64).reshape(2, 3)
         s = np.array(svals).reshape(2, 3) if per_element else np.array(svals[:2]).reshape(2, 1)
-        out = rescale(Lane.of(ScaledTensor(IntTensor(x), ScaleTensor(s)), Workspace()), Precision(p)).seal()
+        out = rescale(Lane.of(ScaledTensor(IntTensor(x, p), ScaleTensor(s)), Workspace())).seal()
         limit = (1 << p) - 1
         if per_element:
             groups = [[(i, j)] for i in range(2) for j in range(3)]
@@ -241,57 +243,57 @@ class TestFloat64Boundary:
 
 class TestInitScale:
     def test_worked_example(self):
-        s = init_scale(RationalTensor(np.array([1.0, -2.0, 0.5])))
+        s = init_scale(RationalTensor(np.array([1.0, -2.0, 0.5])), 7)
         assert s.values.tolist() == [63.5]
 
     def test_all_zero_group_gets_largest_scale(self):
         # The largest scale keeps matching from lowering a partner's scale.
-        s = init_scale(RationalTensor(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]])))
+        s = init_scale(RationalTensor(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]])), 7)
         assert s.values.tolist() == [[float(np.finfo(np.float32).max)], [127.0]]
 
     def test_per_row_collapses_hidden_dim(self):
         r = RationalTensor(np.arange(12, dtype=np.float64).reshape(3, 4) + 1)
-        s = init_scale(r, ScaleGranularity.PER_ROW)
+        s = init_scale(r, 7, ScaleGranularity.PER_ROW)
         assert s.shape == (3, 1)
 
     def test_per_batch_collapses_two_dims(self):
         r = RationalTensor(np.ones((2, 3, 4)))
-        assert init_scale(r, ScaleGranularity.PER_BATCH).shape == (2, 1, 1)
+        assert init_scale(r, 7, ScaleGranularity.PER_BATCH).shape == (2, 1, 1)
 
     def test_tiny_group_clamps_to_largest_float32(self):
         r = RationalTensor(np.array([[1e-300, -1e-300], [1.0, 0.5]]))
-        s = init_scale(r)
+        s = init_scale(r, 7)
         assert s.values.tolist() == [[float(np.finfo(np.float32).max)], [127.0]]
 
     @pytest.mark.parametrize("shrink", [1.5, 1.0 + 1e-9])
     def test_finite_scales_are_untouched_by_the_clamp(self, shrink):
         m = 127.0 / (float(np.finfo(np.float32).max) / shrink)
-        s = init_scale(RationalTensor(np.array([m])))
+        s = init_scale(RationalTensor(np.array([m])), 7)
         assert s.values.tolist() == [float(np.float32(127.0 / m))]
 
     def test_scales_are_float32_representable(self):
         rng = np.random.default_rng(0)
-        s = init_scale(RationalTensor(rng.normal(size=(50, 8))))
+        s = init_scale(RationalTensor(rng.normal(size=(50, 8))), 7)
         assert np.array_equal(s.values, s.values.astype(np.float32).astype(np.float64))
 
 
 class TestQuantize:
     def test_worked_example(self):
         r = RationalTensor(np.array([1.0, -2.0, 0.5]))
-        t = quantize(r, init_scale(r))
+        t = quantize(r, init_scale(r, 7), 7)
         assert t.data.values.tolist() == [64, -127, 32]
 
     def test_round_half_to_even(self):
         r = RationalTensor(np.array([0.5, 1.5, 2.5, -0.5]))
-        t = quantize(r, ScaleTensor(np.array([1.0])))
+        t = quantize(r, ScaleTensor(np.array([1.0])), 7)
         assert t.data.values.tolist() == [0, 2, 2, 0]
 
     def test_payloads_fit_precision_after_init_scale(self):
         rng = np.random.default_rng(1)
         for p in (2, 7, 15):
             r = RationalTensor(rng.normal(size=(10, 6)) * 100)
-            t = quantize(r, init_scale(r, prec=Precision(p)), p)
-            assert t.data.max_magnitude <= Precision(p).max_magnitude
+            t = quantize(r, init_scale(r, p), p)
+            assert t.data.max_magnitude <= (1 << p) - 1
         # Past about (2^p - 1) * 2^126 the scale is a subnormal float32, which
         # rounding could raise past the limit (128, 168 and 210 at p=7).  A
         # scale stepped down to 0 is refused.
@@ -299,20 +301,20 @@ class TestQuantize:
             for v in (1e45, 6e46, 1.5e47):
                 r = RationalTensor(np.array([[v, -v / 3]]))
                 try:
-                    s = init_scale(r, prec=Precision(p))
+                    s = init_scale(r, p)
                 except ScaleRangeError:
                     assert (p, v) in {(2, 6e46), (2, 1.5e47), (7, 1.5e47)}
                     continue
-                assert quantize(r, s, p).data.max_magnitude <= Precision(p).max_magnitude
+                assert quantize(r, s, p).data.max_magnitude <= (1 << p) - 1
 
     def test_quantize_dequantize_quantize_is_idempotent(self):
         rng = np.random.default_rng(2)
         r = RationalTensor(rng.normal(size=(20, 8)))
-        s = init_scale(r)
-        t1 = quantize(r, s)
+        s = init_scale(r, 7)
+        t1 = quantize(r, s, 7)
         r2 = dequantize(t1)
-        s2 = init_scale(r2)
-        t2 = quantize(r2, s2)
+        s2 = init_scale(r2, 7)
+        t2 = quantize(r2, s2, 7)
         assert np.array_equal(t1.data.values, t2.data.values)
         assert np.array_equal(s.values, s2.values)
 
@@ -320,7 +322,7 @@ class TestQuantize:
         # quantize hands its own scan to the payload; a negative extreme and
         # a value near 2^53 must both come through exactly.
         for values in ([1.0, -300.0, 2.0], [2.0**53 + 2, -3.0], [0.0, 0.0]):
-            t = quantize(RationalTensor(np.array(values)), ScaleTensor(np.array([1.0])))
+            t = quantize(RationalTensor(np.array(values)), ScaleTensor(np.array([1.0])), 7)
             assert t.data.max_magnitude == max(abs(int(v)) for v in t.data.values)
 
     @given(st.integers(0, 2**32))
@@ -328,8 +330,8 @@ class TestQuantize:
     def test_quantization_bound_exact(self, seed):
         rng = np.random.default_rng(seed)
         r = RationalTensor(rng.normal(size=(4, 5)) * rng.uniform(0.01, 100))
-        s = init_scale(r)
-        t = quantize(r, s)
+        s = init_scale(r, 7)
+        t = quantize(r, s, 7)
         err = np.abs(dequantize(t).values - r.values)
         assert np.all(err <= 0.5 / np.broadcast_to(s.values, r.shape))
 
@@ -457,8 +459,8 @@ class TestScaleMatchDim:
             assert lane.x.dtype == scaling.lane_dtype(cap)
             assert lane.x.tobytes() == x.astype(lane.x.dtype).tobytes()
             assert lane.s.tobytes() == rows.tobytes()
-        for operand, d in ((ScaledTensor(IntTensor(x), ScaleTensor(s)), -1),
-                           (ScaledTensor(IntTensor(x.T), ScaleTensor(s.T)), 0)):
+        for operand, d in ((ScaledTensor(IntTensor(x, 7), ScaleTensor(s)), -1),
+                           (ScaledTensor(IntTensor(x.T, 7), ScaleTensor(s.T)), 0)):
             if refused and n > 1:
                 with refuses():
                     scale_match_dim(operand, d)
@@ -470,33 +472,34 @@ class TestScaleMatchDim:
 
 class TestRescale:
     def test_worked_example(self):
-        out = rescale(Lane.of(scaled([300], [6.0]), Workspace()), Precision(7)).seal()
+        out = rescale(Lane.of(scaled([300], [6.0]), Workspace())).seal()
         assert out.data.values.tolist() == [100]
         assert out.scale.values.tolist() == [2.0]
 
     def test_in_range_identity(self):
-        out = rescale(Lane.of(scaled([127, -127], [1.0]), Workspace()), Precision(7)).seal()
+        out = rescale(Lane.of(scaled([127, -127], [1.0]), Workspace())).seal()
         assert out.data.values.tolist() == [127, -127]
 
     def test_random_int32_tensors_land_in_range(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            x = ScaledTensor(IntTensor(rng.integers(-(2**31), 2**31, 12)), ScaleTensor(np.full(12, 3.0)))
-            out = rescale(Lane.of(x, Workspace()), Precision(7)).seal()
+            x = ScaledTensor(IntTensor(rng.integers(-(2**31), 2**31, 12), 7), ScaleTensor(np.full(12, 3.0)))
+            out = rescale(Lane.of(x, Workspace())).seal()
             assert out.data.in_range()
 
     def test_group_structure_follows_scale(self):
         x = scaled([[1000, 1], [1, 1]], [[2.0], [2.0]])
-        out = rescale(Lane.of(x, Workspace()), Precision(7)).seal()
+        out = rescale(Lane.of(x, Workspace())).seal()
         # Only the first row needed shrinking; the second row is untouched.
         assert out.data.values[1].tolist() == [1, 1]
         assert out.scale.values[1] == 2.0
 
 
     def test_empty_payload_takes_the_precision(self):
+        # The lane's own precision: an empty one keeps it, and its scale.
         x = ScaledTensor(IntTensor(np.zeros((2, 0), np.int64), 12), ScaleTensor(np.ones((1, 1))))
-        out = rescale(Lane.of(x, Workspace()), Precision(7)).seal()
-        assert out.shape == (2, 0) and out.precision == 7
+        out = rescale(Lane.of(x, Workspace())).seal()
+        assert out.shape == (2, 0) and out.precision == 12
         assert out.scale.values.tolist() == [[1.0]]
 
 
@@ -563,23 +566,22 @@ class TestShrinkDivisor:
             x[:, 1::2] *= -1
         s = np.linspace(0.5, 600.0, 12).reshape(2, 6)
         s = s if scale == "element" else s[:, :1].copy()
-        got = rescale(Lane(x.astype(dtype), s.copy(), 15, Workspace()), Precision(p))
-        want = Lane(x.astype(dtype), s.copy(), 15, Workspace())
-        assert oracle_shrink(want, Precision(p))
+        got = rescale(Lane(x.astype(dtype), s.copy(), p, Workspace()))
+        want = Lane(x.astype(dtype), s.copy(), p, Workspace())
+        assert oracle_shrink(want)
         assert (got.x.dtype, got.x.tobytes(), got.s.tobytes()) == (
             want.x.dtype, want.x.tobytes(), want.s.tobytes())
         assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
-def oracle_shrink(lane: Lane, prec: Precision) -> bool:
-    """The shrink as protocol_apply decided it before `extremes`: a max|x|
-    scan first, then rescale's own reductions of each group, and the divisor
-    ceil(a / L) formed by a float division below 2^53.  Returns whether the
-    lane was rescaled."""
-    limit = prec.max_magnitude
+def oracle_shrink(lane: Lane) -> bool:
+    """The shrink to the lane's own precision as protocol_apply decided it
+    before `extremes`: a max|x| scan first, then rescale's own reductions of
+    each group, and the divisor ceil(a / L) formed by a float division below
+    2^53.  Returns whether the lane was rescaled."""
+    limit = (1 << lane.precision) - 1
     if not (lane.max_bound > limit and lane.max_magnitude > limit):
         return False
-    lane.precision = prec.p
     x, s = lane.x, lane.s
     m = lane.max_magnitude
     axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
@@ -636,7 +638,7 @@ def shrink_cases(draw):
         bound = min(max_abs(x) + draw(st.sampled_from([0, 1, limit, 2**30])), LANE_MAX - 1)
     top = max_abs(x) if bound is None else bound
     dtype = np.float64 if top < scaling.FLOAT64_EXACT and draw(st.booleans()) else np.int64
-    return Precision(p), x.astype(dtype), s, bound
+    return p, x.astype(dtype), s, bound
 
 
 class TestShrinkDecision:
@@ -646,11 +648,11 @@ class TestShrinkDecision:
     @given(shrink_cases())
     @settings(max_examples=400, deadline=None)
     def test_as_the_max_abs_decision(self, case):
-        prec, x, s, bound = case
+        p, x, s, bound = case
         log = OpAuditLog()
-        got = protocol_apply(passthrough, [Lane(x.copy(), s.copy(), 15, Workspace(), bound)], prec, log=log)
-        want = Lane(x.copy(), s.copy(), 15, Workspace(), bound)
-        rescaled = oracle_shrink(want, prec)
+        got = protocol_apply(passthrough, [Lane(x.copy(), s.copy(), p, Workspace(), bound)], log=log)
+        want = Lane(x.copy(), s.copy(), p, Workspace(), bound)
+        rescaled = oracle_shrink(want)
         assert log.records[0].rescaled == rescaled
         assert (got.x.dtype, got.x.tobytes(), got.s.tobytes()) == (
             want.x.dtype, want.x.tobytes(), want.s.tobytes())
@@ -677,7 +679,7 @@ class TestShrinkDecision:
             xc = x.copy()
             dest = {"none": None, "self": xc, "float": np.empty(x.shape),
                     "int": np.empty(x.shape, np.int64)}[out]
-            return scaling._match_payload(xc, s, s_bar, IntTensor(x.astype(np.int64)), ws, dest, nonneg)
+            return scaling._match_payload(xc, s, s_bar, IntTensor(x.astype(np.int64), 7), ws, dest, nonneg)
 
         if x.max() >= scaling.MATCH_FLOAT_MAX:
             for nonneg in (True, False):
@@ -692,17 +694,17 @@ class TestProtocolApply:
     def test_a_kernel_must_return_a_lane(self):
         # transpose is a view outside the protocol: it returns a ScaledTensor.
         with pytest.raises(TypeError, match="transpose"):
-            protocol_apply(K.transpose, [scaled([[1, 2]], [[1.0]])], Precision(7), axes=(1, 0))
+            protocol_apply(K.transpose, [scaled([[1, 2]], [[1.0]])], axes=(1, 0))
 
     def test_in_range_result_untouched(self):
         a = scaled([3], [2.0])
-        out = protocol_apply(K.ew_mul, [a, a], Precision(7)).seal()
+        out = protocol_apply(K.ew_mul, [a, a]).seal()
         assert out.data.values.tolist() == [9]
 
     def test_overflow_triggers_rescale(self):
         a = scaled([64], [1.0])
         log = OpAuditLog()
-        out = protocol_apply(K.ew_mul, [a, a], Precision(7), log=log).seal()
+        out = protocol_apply(K.ew_mul, [a, a], log=log).seal()
         assert out.data.values.tolist() == [124]
         assert out.data.in_range()
         kinds = [(r.kind, r.lane) for r in log.records]
@@ -712,14 +714,14 @@ class TestProtocolApply:
 
     def test_idempotent_on_in_range(self):
         a = scaled([64], [1.0])
-        out = protocol_apply(K.ew_mul, [a, a], Precision(7)).seal()
-        again = protocol_apply(K.relu, [scaling.Lane.of(out, scaling.Workspace())], Precision(7)).seal()
+        out = protocol_apply(K.ew_mul, [a, a]).seal()
+        again = protocol_apply(K.relu, [scaling.Lane.of(out, scaling.Workspace())]).seal()
         assert np.array_equal(again.data.values, out.data.values)
         assert np.array_equal(again.scale.values, out.scale.values)
 
     def test_rescale_can_be_disabled(self):
         a = scaled([64], [1.0])
-        out = protocol_apply(K.ew_mul, [a, a], Precision(7), allow_rescale=False).seal()
+        out = protocol_apply(K.ew_mul, [a, a], allow_rescale=False).seal()
         assert out.data.values.tolist() == [4096]
 
 
@@ -751,15 +753,15 @@ class TestAuditRecord:
 
 class TestSession:
     def test_quantize_and_dequantize_are_logged(self):
-        sess = Session(Precision(7))
+        sess = Session()
         r = RationalTensor(np.array([1.0, 2.0]))
-        t = sess.quantize(r, init_scale(r))
+        t = sess.quantize(r, init_scale(r, 7), 7)
         sess.dequantize(t)
         assert len(sess.log.dequantize_records()) == 1
         assert not sess.log.integer_pure()
 
     def test_pure_integer_session(self):
-        sess = Session(Precision(7))
+        sess = Session()
         a = scaled([3, 4], [2.0])
         sess.apply(K.add, [a, a])
         assert sess.log.integer_pure()
@@ -771,6 +773,6 @@ class TestMonotonePrecision:
         r = RationalTensor(rng.normal(size=(50, 16)))
         errors = []
         for p in range(6, 11):
-            t = quantize(r, init_scale(r, prec=Precision(p)), p)
+            t = quantize(r, init_scale(r, p), p)
             errors.append(float(np.mean(np.abs(dequantize(t).values - r.values))))
         assert all(a >= b for a, b in zip(errors, errors[1:]))

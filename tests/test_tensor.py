@@ -30,7 +30,7 @@ class TestContainers:
         a = IntTensor(np.array([[3, -2**40], [0, 7]]), 7)
         assert a.max_magnitude == 2**40
         assert not a.in_range()
-        assert IntTensor(np.array([], dtype=np.int64)).max_magnitude == 0
+        assert IntTensor(np.array([], dtype=np.int64), 7).max_magnitude == 0
         stored = {f.name: f for f in dataclasses.fields(IntTensor)}["_max_abs"]
         assert not stored.compare and not stored.repr and not stored.init
 

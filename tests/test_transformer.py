@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from intflow.errors import ScaleRangeError, ShapeError, ValidationError
+from intflow.errors import PrecisionError, ScaleRangeError, ShapeError, ValidationError
 from intflow.modelfile import deserialize, serialize
 from intflow.scaling import Lane, Precision, ScaleGranularity, Session, dequantize, init_scale, quantize
 from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor, transpose
@@ -52,7 +52,7 @@ P = 12  # high enough that twin comparisons isolate structural errors
 
 def q(values, p=P):
     r = RationalTensor(np.asarray(values, dtype=np.float64))
-    return quantize(r, init_scale(r, prec=Precision(p)), p)
+    return quantize(r, init_scale(r, p), p)
 
 
 def rel_err(got, want):
@@ -97,7 +97,7 @@ class TestConfig:
             assume(False)
         model = quantize_model(random_reference_model(cfg, seed))
         tokens = np.random.default_rng(seed).integers(0, cfg.vocab, seq_len)
-        out = forward(model, Session(Precision(p)), tokens=tokens)
+        out = forward(model, Session(), tokens=tokens)
         assert out.data.in_range()
 
     @pytest.mark.parametrize("field, value", [
@@ -124,19 +124,19 @@ class TestPoly:
         rng = np.random.default_rng(0)
         pp = PolyParams(bias=0.5, offset=0.1)
         scores = rng.normal(size=(5, 5))
-        sess = Session(Precision(P))
+        sess = Session()
         out = dequantize(poly(q(scores), pp, 3, sess)).values
         assert rel_err(out, ref_poly(scores, pp, 3)) < 1e-2
 
     def test_all_below_threshold_keeps_offset(self):
         pp = PolyParams(bias=0.5, offset=0.1)
         scores = np.full((4, 4), -3.0)
-        sess = Session(Precision(P))
+        sess = Session()
         out = dequantize(poly(q(scores), pp, 3, sess)).values
         assert np.all(out > 0)
 
     def test_stays_on_integer_lane(self):
-        sess = Session(Precision(P))
+        sess = Session()
         poly(q(np.ones((3, 3))), PolyParams(), 3, sess)
         assert sess.log.integer_pure()
 
@@ -147,7 +147,7 @@ class TestPolyAttention:
         T, dh, dm = 6, 8, 16
         pp = PolyParams(bias=0.5, offset=0.1)
         qv, kv, vv = (rng.normal(size=(T, dh)) for _ in range(3))
-        sess = Session(Precision(P))
+        sess = Session()
         out = dequantize(poly_attention(q(qv), q(kv), transpose(q(vv), (1, 0)), pp, 3, dm, sess).seal()).values
         scores = (qv @ kv.T) / math.sqrt(dm)
         w = ref_poly(scores, pp, 3)
@@ -156,7 +156,7 @@ class TestPolyAttention:
 
     def test_output_in_logical_range(self):
         rng = np.random.default_rng(2)
-        sess = Session(Precision(P))
+        sess = Session()
         out = poly_attention(
             q(rng.normal(size=(5, 4))), q(rng.normal(size=(5, 4))),
             transpose(q(rng.normal(size=(5, 4))), (1, 0)), PolyParams(), 3, 16, sess,
@@ -174,7 +174,7 @@ class TestPolyAttention:
         vv = rng.normal(size=(T, dh))
         vv[:, 0] = 1.0  # equal row maxima -> identical per-row scales
         v_q = q(vv)
-        sess = Session(Precision(P))
+        sess = Session()
         out = poly_attention(q(qv), q(kv), transpose(v_q, (1, 0)), pp, 3, 16, sess).seal()
         got = dequantize(out).values
         want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
@@ -205,11 +205,11 @@ class TestScaleOverflowOutsideKernels:
         # 1e154 * 1e154 is finite; the fold by sqrt(16) is not.
         t = self.at(1e154)
         self.raises_quietly(
-            lambda: poly_attention(t, t, transpose(t, (1, 0)), PolyParams(), 3, 16, Session(Precision(P)))
+            lambda: poly_attention(t, t, transpose(t, (1, 0)), PolyParams(), 3, 16, Session())
         )
 
     def test_boost_overflow(self):
-        session = Session(Precision(P))
+        session = Session()
         lane = Lane.of(self.at(1e300), session.workspace)
         self.raises_quietly(lambda: _boost(lane, session, "Attn"))
 
@@ -217,7 +217,7 @@ class TestScaleOverflowOutsideKernels:
         n = 4
         x = self.at(1e308, [[1, -2, 3, 5]])
         self.raises_quietly(
-            lambda: l1_layer_norm(x, q(np.ones(n)), q(np.zeros(n)), Session(Precision(P)))
+            lambda: l1_layer_norm(x, q(np.ones(n)), q(np.zeros(n)), Session())
         )
 
 
@@ -227,20 +227,20 @@ class TestL1LayerNorm:
         n = 16
         g, b = rng.uniform(0.8, 1.2, n), rng.normal(0, 0.05, n)
         x = rng.normal(size=(5, n))
-        sess = Session(Precision(P))
+        sess = Session()
         out = dequantize(l1_layer_norm(q(x), q(g), q(b), sess)).values
         assert rel_err(out, ref_l1ln(x, g, b)) < 1e-2
 
     def test_constant_rows_degenerate_to_bias(self):
         n = 8
         x = np.full((3, n), 5.0)
-        sess = Session(Precision(P))
+        sess = Session()
         out = dequantize(l1_layer_norm(q(x), q(np.ones(n)), q(np.full(n, 0.25)), sess)).values
         assert np.allclose(out, 0.25, atol=1e-3)
 
     def test_width_mismatch(self):
         g, b = np.ones(4), np.zeros(4)
-        sess = Session(Precision(P))
+        sess = Session()
         with pytest.raises(ShapeError):
             l1_layer_norm(q(np.ones((2, 6))), q(g), q(b), sess)
         # A bias of the wrong width would broadcast silently; it is refused.
@@ -254,7 +254,7 @@ class TestL1LayerNorm:
     def test_stays_on_integer_lane(self):
         rng = np.random.default_rng(5)
         n = 8
-        sess = Session(Precision(P))
+        sess = Session()
         l1_layer_norm(q(rng.normal(size=(3, n))), q(np.ones(n)), q(np.zeros(n)), sess)
         assert sess.log.integer_pure()
 
@@ -264,7 +264,7 @@ class TestCores:
         cfg, ref, model = toy
         rng = np.random.default_rng(6)
         x = rng.normal(size=(6, cfg.d_m))
-        sess = Session(Precision(P))
+        sess = Session()
         out = dequantize(attn_core(q(x), model.layers[0], cfg, sess)).values
         want = ref_attn_core(x, reference_twin(model).layers[0], cfg)
         assert rel_err(out, want) < 2e-2
@@ -273,7 +273,7 @@ class TestCores:
         cfg, ref, model = toy
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, cfg.d_m))
-        sess = Session(Precision(P))
+        sess = Session()
         out = dequantize(ffn_core(q(x), model.layers[0], sess)).values
         want = ref_ffn_core(x, reference_twin(model).layers[0])
         assert rel_err(out, want) < 2e-2
@@ -381,14 +381,14 @@ class TestTwinInPlace:
 class TestEmbedding:
     def test_gather_rows(self, toy):
         cfg, ref, model = toy
-        sess = Session(Precision(P))
+        sess = Session()
         out = gather_embedding(model, np.array([0, 3, 0]), sess)
         want = dequantize(model.embedding).values[[0, 3, 0]]
         assert np.array_equal(dequantize(out).values, want)
 
     def test_rejects_out_of_vocab(self, toy):
         cfg, ref, model = toy
-        sess = Session(Precision(P))
+        sess = Session()
         with pytest.raises(ValidationError):
             gather_embedding(model, np.array([cfg.vocab]), sess)
 
@@ -396,7 +396,7 @@ class TestEmbedding:
     def test_rejects_non_integer_ids(self, toy, tokens):
         cfg, ref, model = toy
         with pytest.raises(ValidationError, match="integers"):
-            gather_embedding(model, tokens, Session(Precision(P)))
+            gather_embedding(model, tokens, Session())
         with pytest.raises(ValidationError, match="integers"):
             reference_forward(ref, tokens=tokens)
 
@@ -404,7 +404,7 @@ class TestEmbedding:
 class TestHybridEngine:
     def test_full_integer_run_is_pure(self, toy):
         cfg, ref, model = toy
-        sess = Session(Precision(P))
+        sess = Session()
         out = forward(model, sess, tokens=np.arange(8) % cfg.vocab)
         assert out.shape == (8, cfg.vocab)
         assert sess.log.integer_pure()
@@ -412,7 +412,7 @@ class TestHybridEngine:
     def test_empty_module_set_equals_reference_exactly(self, toy):
         cfg, ref, model = toy
         tok = np.arange(8) % cfg.vocab
-        sess = Session(Precision(P))
+        sess = Session()
         out = forward(model, sess, tokens=tok, int_modules=frozenset(), ref=ref)
         want = reference_forward(ref, tokens=tok)
         assert np.array_equal(out.values, want.values)
@@ -421,7 +421,7 @@ class TestHybridEngine:
     def test_single_module_runs_close_to_reference(self, toy, module):
         cfg, ref, model = toy
         tok = np.arange(8) % cfg.vocab
-        sess = Session(Precision(P))
+        sess = Session()
         out = forward(model, sess, tokens=tok, int_modules=frozenset({module}))
         got = out.values if isinstance(out, RationalTensor) else dequantize(out).values
         want = reference_forward(reference_twin(model), tokens=tok).values
@@ -431,8 +431,8 @@ class TestHybridEngine:
         cfg, ref, model = toy
         rng = np.random.default_rng(9)
         x = RationalTensor(rng.normal(size=(5, cfg.d_m)))
-        sess = Session(Precision(P))
-        h = sess.quantize(x, init_scale(x, prec=sess.precision))
+        sess = Session()
+        h = sess.quantize(x, init_scale(x, P), P)
         out = forward(model, sess, hidden=h)
         assert out.shape == (5, cfg.d_m)
 
@@ -441,14 +441,14 @@ class TestHybridEngine:
         cfg, ref, model = toy
         x = np.random.default_rng(3).normal(size=(4, cfg.d_m))
         x[1] = 1e-300
-        out = forward(model, Session(Precision(P)), hidden=RationalTensor(x))
+        out = forward(model, Session(), hidden=RationalTensor(x))
         assert out.shape == (4, cfg.d_m)
         assert np.all(np.isfinite(out.scale.values))
 
     def test_unknown_module_tag(self, toy):
         cfg, ref, model = toy
         with pytest.raises(ValidationError):
-            forward(model, Session(Precision(P)), tokens=np.array([0]),
+            forward(model, Session(), tokens=np.array([0]),
                     int_modules=frozenset({"Bogus"}))
 
     @pytest.mark.parametrize("int_modules", [frozenset(), frozenset({LN, RES})])
@@ -456,13 +456,13 @@ class TestHybridEngine:
         cfg, ref, model = toy
         short = dataclasses.replace(ref, layers=ref.layers[:-1])
         with pytest.raises(ValueError):
-            forward(model, Session(Precision(P)), tokens=np.arange(4),
+            forward(model, Session(), tokens=np.arange(4),
                     int_modules=int_modules, ref=short)
 
     def test_requires_some_input(self, toy):
         cfg, ref, model = toy
         with pytest.raises(ValidationError):
-            forward(model, Session(Precision(P)))
+            forward(model, Session())
 
     @pytest.mark.parametrize("tokens, message", [
         (np.zeros(0, dtype=np.int64), "token ids are empty"),
@@ -473,7 +473,7 @@ class TestHybridEngine:
     def test_refuses_empty_or_wrong_rank_tokens(self, toy, tokens, message):
         cfg, ref, model = toy
         with pytest.raises(ValidationError, match=message):
-            forward(model, Session(Precision(P)), tokens=tokens)
+            forward(model, Session(), tokens=tokens)
         with pytest.raises(ValidationError, match=message):
             reference_forward(ref, tokens=tokens)
 
@@ -488,12 +488,13 @@ class TestHybridEngine:
         assert cfg.d_m == 16
         x = RationalTensor(np.ones(shape))
         with pytest.raises(ValidationError, match=message):
-            forward(model, Session(Precision(P)), hidden=x)
+            forward(model, Session(), hidden=x)
         with pytest.raises(ValidationError, match=message):
             reference_forward(ref, hidden=x)
 
     def test_session_at_another_precision_is_refused(self, toy):
-        # A p=12 model under a p=7 session would shrink every step to 7 bits.
+        # A session that claims p=7 for a p=12 model is refused; one that
+        # claims nothing runs at the model's precision, as one claiming it does.
         cfg, ref, model = toy
         for p in (7, 13):
             with pytest.raises(ValidationError, match=f"session precision {p} differs"):
@@ -501,16 +502,18 @@ class TestHybridEngine:
             with pytest.raises(ValidationError, match="differs"):
                 forward(model, Session(Precision(p)), tokens=np.arange(4),
                         int_modules=frozenset({LN, RES}))
-        with pytest.raises(ValidationError, match="differs"):
-            forward(model, Session(), tokens=np.arange(4))
-        assert forward(model, Session(Precision(P)), tokens=np.arange(4)).precision == P
+        claimed = forward(model, Session(Precision(P)), tokens=np.arange(4))
+        out = forward(model, Session(), tokens=np.arange(4))
+        assert out.precision == claimed.precision == P
+        assert out.data.values.tobytes() == claimed.data.values.tobytes()
+        assert out.scale.values.tobytes() == claimed.scale.values.tobytes()
 
     def test_hidden_input_at_another_precision_is_refused(self, toy):
         cfg, ref, model = toy
         x = RationalTensor(np.random.default_rng(4).normal(size=(3, cfg.d_m)))
         for p in (7, P):
-            h = quantize(x, init_scale(x, prec=Precision(p)), p)
-            run = functools.partial(forward, model, Session(Precision(P)), hidden=h)
+            h = quantize(x, init_scale(x, p), p)
+            run = functools.partial(forward, model, Session(), hidden=h)
             if p == P:
                 assert run().shape == (3, cfg.d_m)
             else:
@@ -529,14 +532,14 @@ class TestHybridEngine:
             check(self)
 
         monkeypatch.setattr(RationalTensor, "__post_init__", counting)
-        out = forward(model, Session(Precision(P)), tokens=np.arange(6), int_modules=frozenset({LN, RES}))
+        out = forward(model, Session(), tokens=np.arange(6), int_modules=frozenset({LN, RES}))
         assert isinstance(out, RationalTensor)
         assert built.count(np.float32) == 1
 
     def test_tap_visits_every_module(self, toy):
         cfg, ref, model = toy
         seen = []
-        sess = Session(Precision(P))
+        sess = Session()
         forward(model, sess, tokens=np.arange(4), tap=lambda t, l, s: seen.append((t, l)))
         tags = {t for t, _ in seen}
         assert tags == set(MODULES)
@@ -554,7 +557,7 @@ class TestHybridEngine:
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(T, name, counted)
-        forward(model, Session(Precision(P)), tokens=np.arange(4))
+        forward(model, Session(), tokens=np.arange(4))
         n = cfg.n_layers
         assert calls == {"gather_embedding": 1, "l1_layer_norm": 2 * n + 1,
                          "attn_core": n, "ffn_core": n, "residual_add": 2 * n}
@@ -571,7 +574,7 @@ class TestZeroOperandAbsorption:
 
     @staticmethod
     def _max_err(model, **inputs):
-        out = forward(model, Session(Precision(model.config.precision)), **inputs)
+        out = forward(model, Session(), **inputs)
         want = reference_forward(reference_twin(model), **inputs).values
         return np.max(np.abs(dequantize(out).values - want))
 
@@ -639,7 +642,7 @@ class TestGoldenLogits:
     def test_forward_digest(self, precision, want):
         cfg = ModelConfig(precision=precision)
         model = quantize_model(random_reference_model(cfg, seed=0))
-        session = Session(Precision(cfg.precision))
+        session = Session()
         logits = forward(model, session, tokens=np.arange(12) % cfg.vocab)
         assert _digest(logits) == want
 
@@ -648,11 +651,42 @@ class TestGoldenLogits:
         # scale, so this pins the per-element scale calculus on T x T tensors.
         cfg = LONGCTX_SHAPED
         model = quantize_model(random_reference_model(cfg, seed=0))
-        session = Session(Precision(cfg.precision))
+        session = Session()
         logits = forward(model, session, tokens=np.arange(64))
         assert _digest(logits) == (
             "4e388b3b621508b3e42852e9ca10bb9334397ef0ae015c7e6f278fb21418ad33"
         )
+
+
+def test_default_session_runs_the_longctx_shaped_model():
+    # Session() holds no precision: every step shrinks to its lane's, the
+    # model's p=12, bit for bit as under a session that claims it; a claim
+    # of p=7 is refused.
+    model = quantize_model(random_reference_model(LONGCTX_SHAPED, seed=0))
+    tokens = np.arange(32)
+
+    def run(session):
+        out = forward(model, session, tokens=tokens)
+        return out.data.values.tobytes(), out.scale.values.tobytes(), repr(session.log.records)
+
+    assert run(Session()) == run(Session(Precision(12)))
+    with pytest.raises(ValidationError, match="session precision 7 differs"):
+        forward(model, Session(Precision(7)), tokens=tokens)
+
+
+@pytest.mark.parametrize("precision, degree, seed", [(3, 2, 1), (2, 3, 2)])
+def test_zero_weight_sum_is_a_precision_error(precision, degree, seed):
+    # An integer attention inside a float hybrid, at one scale per
+    # sequence: the T x T weights share one scale, the shrink after the
+    # offset add divides them all by one divisor, and a row of small weights
+    # truncates to a zero sum.  int_div refuses it as a PrecisionError, a
+    # ValueError too, so the CLI exits 2.
+    cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=2, vocab=16, precision=precision,
+                      degree=degree, granularity=ScaleGranularity.PER_BATCH)
+    model = quantize_model(random_reference_model(cfg, seed))
+    tokens = np.random.default_rng(1).integers(0, 16, 10)
+    with pytest.raises(PrecisionError, match="divisor must be strictly positive"):
+        forward(model, Session(), tokens=tokens, int_modules=frozenset({ATTN}))
 
 
 class TestEveryPrecisionDigest:
@@ -689,10 +723,10 @@ class TestEveryPrecisionDigest:
             dataclasses.replace(lp, w_q=3 * lp.w_q, w_k=3 * lp.w_k) for lp in ref.layers))
         model = quantize_model(ref)
         r = np.random.default_rng(precision).normal(size=(16, cfg.d_m))
-        hidden = quantize(r, init_scale(r, cfg.granularity, Precision(precision)), precision)
+        hidden = quantize(r, init_scale(r, precision, cfg.granularity), precision)
         h = hashlib.sha256()
         for inputs in ({"tokens": np.arange(16) % cfg.vocab}, {"hidden": hidden}):
-            session = Session(Precision(precision))
+            session = Session()
             out = forward(model, session, **inputs)
             _hash_arrays(h, out.data.values, out.scale.values)
             h.update(repr([tuple(r) for r in session.log.records]).encode())
@@ -711,7 +745,7 @@ class TestGoldenAuditAndHybrid:
     @pytest.mark.parametrize("precision", [7, 12])
     def test_audit_log_digest(self, precision):
         cfg, model = self._model(precision)
-        session = Session(Precision(cfg.precision))
+        session = Session()
         forward(model, session, tokens=np.arange(12) % cfg.vocab)
         records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
                    for r in session.log.records]
@@ -727,7 +761,7 @@ class TestGoldenAuditAndHybrid:
         # record order across the per-head attention loop.
         cfg = LONGCTX_SHAPED
         model = quantize_model(random_reference_model(cfg, seed=0))
-        session = Session(Precision(cfg.precision))
+        session = Session()
         forward(model, session, tokens=np.arange(64))
         records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
                    for r in session.log.records]
@@ -744,7 +778,7 @@ class TestGoldenAuditAndHybrid:
     ])
     def test_hybrid_ln_res_digest(self, precision, want):
         cfg, model = self._model(precision)
-        session = Session(Precision(cfg.precision))
+        session = Session()
         out = forward(model, session, tokens=np.arange(12) % cfg.vocab,
                       int_modules=frozenset({LN, RES}))
         logits = np.ascontiguousarray(out.values)
@@ -787,7 +821,7 @@ class TestPinnedHybridBehaviour:
     def test_longctx_shaped_ln_res_hybrid_digest(self):
         # Attention and FFN run in FP32 on the twin of the p=12 model.
         model = quantize_model(random_reference_model(LONGCTX_SHAPED, seed=0))
-        session = Session(Precision(LONGCTX_SHAPED.precision))
+        session = Session()
         out = forward(model, session, tokens=np.arange(64), int_modules=frozenset({LN, RES}))
         records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
                    for r in session.log.records]
@@ -818,7 +852,7 @@ class TestPinnedHybridBehaviour:
     ])
     def test_hybrid_audit_and_output_digest(self, modules, want):
         cfg, _, model = self._models()
-        session = Session(Precision(cfg.precision))
+        session = Session()
         out = forward(model, session, tokens=self.TOKENS, int_modules=frozenset(modules))
         records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
                    for r in session.log.records]
@@ -866,7 +900,7 @@ class TestPinnedHybridBehaviour:
             for modules in itertools.combinations(MODULES, k):
                 for inputs in ({"tokens": np.arange(5)}, {"hidden": hidden}):
                     calls.clear()
-                    forward(model, Session(Precision(cfg.precision)),
+                    forward(model, Session(),
                             int_modules=frozenset(modules), ref=ref, **inputs)
                     want = self._crossings(modules, "tokens" in inputs, cfg.n_layers)
                     assert len(calls) == want, (modules, list(inputs))
@@ -875,7 +909,7 @@ class TestPinnedHybridBehaviour:
     def test_tap_sequence(self, modules):
         cfg, ref, model = self._models()
         seen = []
-        forward(model, Session(Precision(cfg.precision)), tokens=self.TOKENS,
+        forward(model, Session(), tokens=self.TOKENS,
                 int_modules=frozenset(modules), ref=ref,
                 tap=lambda tag, layer, state: seen.append((tag, layer, type(state).__name__)))
         order = [(EMB, 0)]
@@ -935,7 +969,7 @@ class TestFloat32Twin:
     def test_every_fp_tap_state_is_float32(self, toy, modules):
         cfg, ref, model = toy
         seen = []
-        out = forward(model, Session(Precision(cfg.precision)), tokens=np.arange(9),
+        out = forward(model, Session(), tokens=np.arange(9),
                       int_modules=frozenset(modules), ref=reference_twin(model),
                       tap=lambda tag, layer, state: seen.append((tag, state)))
         fp = [state for tag, state in seen if tag not in modules]
@@ -967,13 +1001,13 @@ class TestFloat32Twin:
         tokens = np.arange(12) % cfg.vocab
         assert np.isfinite(_float64_chain(ref, tokens)).all()
         model = quantize_model(ref)
-        forward(model, Session(Precision(cfg.precision)), tokens=tokens)  # the integer path runs
+        forward(model, Session(), tokens=tokens)  # the integer path runs
         for modules in ((), (LN, RES)):
             seen = []
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="^rational tensor values must be finite$"):
-                    forward(model, Session(Precision(cfg.precision)), tokens=tokens,
+                    forward(model, Session(), tokens=tokens,
                             int_modules=frozenset(modules), ref=ref,
                             tap=lambda tag, layer, state: seen.append((tag, layer)))
             assert seen == [(EMB, 0), (LN, 0)]
