@@ -23,10 +23,8 @@ from .scaling import (
 )
 from .tensor import (
     LANE_MAX,
-    IntTensor,
     RationalTensor,
     ScaledTensor,
-    ScaleTensor,
     transpose,
 )
 from .kernels import concat
@@ -49,7 +47,6 @@ __all__ = [
     "AuditRecord",
     "FP32",
     "FP32ReferenceModel",
-    "IntTensor",
     "IntegerTransformerModel",
     "IntflowError",
     "LANE_MAX",
@@ -64,7 +61,6 @@ __all__ = [
     "SCALE",
     "ScaleGranularity",
     "ScaleRangeError",
-    "ScaleTensor",
     "ScaledTensor",
     "Session",
     "ShapeError",

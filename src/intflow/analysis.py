@@ -209,7 +209,7 @@ def resident_bytes(model: IntegerTransformerModel | FP32ReferenceModel) -> int:
     leaves = [getattr(lp, f) for lp in model.layers for f in LAYER_TENSORS]
     leaves += [getattr(model, f) for f in MODEL_TENSORS]
     return sum(
-        t.data.values.nbytes + t.scale.values.nbytes if isinstance(t, ScaledTensor) else t.nbytes
+        t.x.nbytes + t.s.nbytes if isinstance(t, ScaledTensor) else t.nbytes
         for t in leaves
     )
 

@@ -47,12 +47,6 @@ class OpAuditLog:
     def payload_records(self) -> list[AuditRecord]:
         return [r for r in self.records if r.lane == PAYLOAD]
 
-    def fp32_records(self) -> list[AuditRecord]:
-        return [r for r in self.records if r.lane == FP32]
-
-    def dequantize_records(self) -> list[AuditRecord]:
-        return [r for r in self.records if r.kind == "dequantize"]
-
     def integer_pure(self) -> bool:
         """True when no de-quantize and no FP32 work on tensor values occurred."""
-        return not self.dequantize_records() and not self.fp32_records()
+        return not any(r.kind == "dequantize" or r.lane == FP32 for r in self.records)

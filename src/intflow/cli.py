@@ -190,7 +190,7 @@ def cmd_infer(args) -> int:
     if args.dequantize_output:
         np.save(args.out, session.dequantize(out).values.astype(np.float32))
     else:
-        np.save(args.out, out.data.values)
+        np.save(args.out, out.x)
     if args.audit:
         with open(args.audit, "w") as fh:
             fh.write("kind\tlane\telements\trescaled\tmodule\n")

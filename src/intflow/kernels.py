@@ -10,12 +10,13 @@ payload through scaling._match_payload, and int_div divides through
 scaling.trunc_div, the two functions that truncate.
 
 The lane rule: every kernel that runs through protocol_apply reads
-ScaledTensor or Lane operands (_operand) and returns a scaling.Lane, which
-protocol_apply shrinks in place and a caller that keeps it seals.  A Lane
-first operand becomes the result, worked in place, except where the result
-takes a new shape: matmul's product, while the operand is still needed,
-and concat, which writes its parts into one new Lane and releases the Lane
-parts.  matmul matches a Lane first operand along its last axis in place
+ScaledTensor and Lane operands alike, by the fields both carry (x, s,
+precision, max_bound, max_magnitude, lo, hi, shape), and returns a
+scaling.Lane, which protocol_apply shrinks in place and a caller that
+keeps it seals.  A Lane first operand becomes the result, worked in place,
+except where the result takes a new shape: matmul's product, while the
+operand is still needed, and concat, which writes its parts into one new
+Lane and releases the Lane parts.  matmul matches a Lane first operand along its last axis in place
 (Lane.match_last) where its scale is not yet collapsed there.  For a
 ScaledTensor first operand the kernel's own first pass writes into buffers
 from `ws` (a fresh workspace when none is given); the operand is never
@@ -36,10 +37,11 @@ Lane's own scale, so nothing is matched; as a ScaledTensor the constant
 would seal that scale read-only, and later steps grow it in place.
 
 A kernel that multiplies, divides or raises scales derives the result's
-bounds (lo, hi) from its operands' first.  A finite hi proves that no
-value overflows, and the op runs as it is; otherwise it runs with float
-overflow quiet, and the inf it leaves is refused by the scale check
-(tensor.scale_bounds) with a ScaleRangeError, not a numpy warning.
+bounds (lo, hi) from its operands' first, and runs the op through
+tensor.scale_op: as it is when hi is finite, which proves that no value
+overflows; otherwise with float overflow quiet, and the inf it leaves is
+refused by the scale check (tensor.scale_bounds) with a ScaleRangeError,
+not a numpy warning.
 
 An operand may be a parameter held narrow (int8 or int16); no kernel
 computes at that width.  Lanes hold float64 or int64: a float64 first
@@ -54,7 +56,7 @@ a float64 lane, and no other kernel sees float32.
 from __future__ import annotations
 
 import functools
-import math
+import operator
 
 import numpy as np
 
@@ -63,7 +65,6 @@ from .scaling import (
     Lane,
     Workspace,
     _match_payload,
-    _operand,
     gemm_dtype,
     lane_dtype,
     scale_match_dim,
@@ -71,11 +72,11 @@ from .scaling import (
 )
 from .tensor import (
     LANE_MAX,
-    IntTensor,
     ScaledTensor,
     _broadcast_compatible,
     pow_bounds,
     scale_bounds,
+    scale_op,
 )
 from .tensor import transpose as tensor_transpose
 
@@ -88,7 +89,7 @@ def _kernel(kind: str, scale_arith: bool):
     return deco
 
 
-def _check_product(a: IntTensor | Lane, b: IntTensor | Lane, terms: int = 1) -> int:
+def _check_product(a: ScaledTensor | Lane, b: ScaledTensor | Lane, terms: int = 1) -> int:
     """Bound terms * max|a| * max|b| on |sum of products|, from the
     operands' bounds; raise at the lane only when their exact maxima reach
     it too."""
@@ -127,27 +128,22 @@ def _result(a: ScaledTensor | Lane, x, s, bound: int, scale_range, ws: Workspace
     if isinstance(a, Lane):
         a.put(x, s, bound, scale_range)
         return a
-    return Lane(x, ws.copy(s) if s is a.scale.values else s, a.precision, ws, bound, scale_range)
+    return Lane(x, ws.copy(s) if s is a.s else s, a.precision, ws, bound, scale_range)
 
 
 @_kernel("ew_mul", scale_arith=True)
 def ew_mul(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """{x1*x2, s1*s2}: exact on the de-quantized view; operands broadcast."""
     ws = _workspace(a, ws)
-    ax, sa, am, a_lo, a_hi = _operand(a)
-    bx, sb, bm, b_lo, b_hi = _operand(b)
-    bound = _check_product(am, bm)
+    ax, sa, bx, sb = a.x, a.s, b.x, b.s
+    bound = _check_product(a, b)
     # Operands cast to the result's dtype are exact: in float64 every
     # nonzero product is at most the bound, below 2^53.
     x = _out(a, ax, _joint(ax.shape, bx.shape), lane_dtype(bound, ax), ws)
     np.multiply(ax, bx, out=x, dtype=x.dtype, casting="unsafe")
     s = _out(a, sa, _joint(sa.shape, sb.shape), np.float64, ws)
-    lo, hi = a_lo * b_lo, a_hi * b_hi
-    if hi < math.inf:
-        np.multiply(sa, sb, out=s)
-    else:
-        with np.errstate(over="ignore"):
-            np.multiply(sa, sb, out=s)
+    lo, hi = a.lo * b.lo, a.hi * b.hi
+    scale_op(np.multiply, sa, sb, hi, out=s)
     return _result(a, x, s, bound, (lo, hi), ws)
 
 
@@ -159,23 +155,23 @@ def add(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None = N
     if not _broadcast_compatible((1,) * (len(a.shape) - len(b.shape)) + b.shape, a.shape):
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     ws = _workspace(a, ws)
-    ax, sa, am, a_lo, a_hi = _operand(a)
-    bx, sb, bm, b_lo, b_hi = _operand(b)
+    ax, sa, bx, sb = a.x, a.s, b.x, b.s
+    scale_range = (min(a.lo, b.lo), min(a.hi, b.hi))
     s_bar = np.minimum(sa, sb, out=ws.take(_joint(sa.shape, sb.shape)))
-    bound = am.max_bound + bm.max_bound
+    bound = a.max_bound + b.max_bound
     x = _out(a, ax, ax.shape, lane_dtype(bound, ax), ws)
     if not (sa == s_bar).all():
-        ax = _match_payload(ax, sa, s_bar, am, ws, out=x)
+        ax = _match_payload(ax, sa, s_bar, a, ws, out=x)
     if isinstance(a, Lane) and b is not a:  # its old scale is spent too
         ws.give(a.s)
         a.s = s_bar
     matched = not (sb == s_bar).all()
     if matched:
-        bx = _match_payload(bx, sb, s_bar, bm, ws, ws.take(x.shape, lane_dtype(bm.max_bound)))
+        bx = _match_payload(bx, sb, s_bar, b, ws, ws.take(x.shape, lane_dtype(b.max_bound)))
     np.add(ax, bx, out=x, dtype=x.dtype, casting="unsafe")
     if matched:
         ws.give(bx)
-    return _result(a, x, s_bar, bound, (min(a_lo, b_lo), min(a_hi, b_hi)), ws)
+    return _result(a, x, s_bar, bound, scale_range, ws)
 
 
 @_kernel("matmul", scale_arith=True)
@@ -211,11 +207,11 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
         a = scale_match_dim(a, -1)
     elif a.s.shape[-1] > 1:
         a.match_last()
-    ax, sa, am, a_lo, a_hi = _operand(a)
-    bx, sb, bm, b_lo, b_hi = _operand(scale_match_dim(b_t, -1))
+    b_t = scale_match_dim(b_t, -1)
+    ax, sa, bx, sb = a.x, a.s, b_t.x, b_t.s
     if groups > 1 and (sa.shape[0] != ax.shape[0] or sb.shape[0] != bx.shape[0]):
         raise ShapeError("a grouped product needs a scale row per payload row")
-    bound = _check_product(am, bm, a.shape[-1])
+    bound = _check_product(a, b_t, a.shape[-1])
     # Each product and partial sum, in any summation order and with FMA, is
     # an integer no larger than bound, which the GEMM type holds exactly, so
     # BLAS returns the int64 result bit for bit (the accumulator-width
@@ -238,12 +234,8 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
     ra, rb = sa.shape[0] // groups, sb.shape[0] // groups
     s = ws.take((groups * ra, rb))
     sa, sb, out = sa.reshape(groups, ra, 1), sb.reshape(groups, 1, rb), s.reshape(groups, ra, rb)
-    lo, hi = a_lo * b_lo, a_hi * b_hi
-    if hi < math.inf:
-        np.multiply(sa, sb, out=out)
-    else:
-        with np.errstate(over="ignore"):
-            np.multiply(sa, sb, out=out)
+    lo, hi = a.lo * b_t.lo, a.hi * b_t.hi
+    scale_op(np.multiply, sa, sb, hi, out=out)
     return Lane(x, s, a.precision, ws, bound, (lo, hi), groups)
 
 
@@ -278,13 +270,10 @@ def pow_n(t: Lane, n: int) -> Lane:
     # one of no negative payload, leaves no payload negative.
     t.max_bound = mn
     t.nonneg = t.nonneg or n % 2 == 0
-    # Scales keep **: in float, s*s*s can round differently from s**n.
+    # Scales keep t.s **= n (operator.ipow, in place): in float, s*s*s can
+    # round differently from s**n.
     lo, hi = pow_bounds(t.lo, t.hi, n)
-    if hi < math.inf:
-        t.s **= n
-    else:
-        with np.errstate(over="ignore"):
-            t.s **= n
+    scale_op(operator.ipow, t.s, n, hi)
     t.lo, t.hi = scale_bounds(t.s, lo, hi)
     return t
 
@@ -293,10 +282,10 @@ def pow_n(t: Lane, n: int) -> Lane:
 def abs_(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     """{|x|, s}: exact since s > 0."""
     ws = _workspace(t, ws)
-    x0, s, m, lo, hi = _operand(t)
-    x = _out(t, x0, x0.shape, lane_dtype(m.max_bound, x0), ws)
+    x0, m = t.x, t.max_bound
+    x = _out(t, x0, x0.shape, lane_dtype(m, x0), ws)
     np.abs(x0, out=x, dtype=x.dtype, casting="unsafe")
-    return _result(t, x, s, m.max_bound, (lo, hi), ws)
+    return _result(t, x, t.s, m, (t.lo, t.hi), ws)
 
 
 @_kernel("relu", scale_arith=False)
@@ -315,13 +304,13 @@ def sum_reduce(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
     that scale: a Lane operand becomes the sum, its scale untouched and
     still its own."""
     ws = _workspace(t, ws)
-    x0, s, m, lo, hi = _operand(t)
-    if not x0.ndim or s.shape[-1] != 1:
+    x0 = t.x
+    if not x0.ndim or t.s.shape[-1] != 1:
         raise ShapeError("sum_reduce needs a scale collapsed along the last axis")
-    bound = m.max_bound * x0.shape[-1]
+    bound = t.max_bound * x0.shape[-1]
     dtype = lane_dtype(bound, x0)
     x = np.add.reduce(x0, axis=-1, dtype=dtype, out=ws.take(x0.shape[:-1] + (1,), dtype), keepdims=True)
-    return _result(t, x, s, bound, (lo, hi), ws)
+    return _result(t, x, t.s, bound, (t.lo, t.hi), ws)
 
 
 @_kernel("int_div", scale_arith=True)
@@ -333,21 +322,16 @@ def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | 
     in a forward it is a weight sum that a shrink truncated to 0.
     """
     ws = _workspace(num, ws)
-    nx, sn, nm, n_lo, n_hi = _operand(num)
-    dx, sd, _, d_lo, d_hi = _operand(den)
+    nx, sn, dx, sd = num.x, num.s, den.x, den.s
     if dx.size and np.minimum.reduce(dx, None) <= 0:
         raise PrecisionError("divisor must be strictly positive")
     # A divisor of at least 1 never grows a magnitude.
-    bound = nm.max_bound
+    bound = num.max_bound
     x = _out(num, nx, _joint(nx.shape, dx.shape), lane_dtype(bound, nx), ws)
     trunc_div(nx, dx, x_max=bound, out=x)
     s = _out(num, sn, _joint(sn.shape, sd.shape), np.float64, ws)
-    lo, hi = n_lo / d_hi, n_hi / d_lo
-    if hi < math.inf:
-        np.divide(sn, sd, out=s)
-    else:
-        with np.errstate(over="ignore"):
-            np.divide(sn, sd, out=s)
+    lo, hi = num.lo / den.hi, num.hi / den.lo
+    scale_op(np.divide, sn, sd, hi, out=s)
     return _result(num, x, s, bound, (lo, hi), ws)
 
 
@@ -379,7 +363,7 @@ def concat(*ts: ScaledTensor | Lane, axis: int, ws: Workspace | None = None) -> 
         if any(t.shape[d] != shape[d] for d in range(rank) if d != axis):
             raise ShapeError("incompatible shapes in concat")
     ws = _workspace(ts[0], ws)
-    xs, ss, ms, los, his = zip(*map(_operand, ts))
+    xs, ss = [t.x for t in ts], [t.s for t in ts]
     side = tuple(1 if all(s.shape[d] == 1 for s in ss) else shape[d] for d in range(rank))
 
     def block(n: int) -> tuple[int, ...]:
@@ -387,7 +371,8 @@ def concat(*ts: ScaledTensor | Lane, axis: int, ws: Workspace | None = None) -> 
         return side[:axis] + (n,) + side[axis + 1:]
 
     n = sum(x.shape[axis] for x in xs)
-    bound = max(m.max_bound for m in ms)
+    bound = max(t.max_bound for t in ts)
+    scale_range = (min(t.lo for t in ts), max(t.hi for t in ts))
     x = ws.take(shape[:axis] + (n,) + shape[axis + 1:], lane_dtype(bound))
     np.concatenate(xs, axis=axis, out=x, casting="unsafe")
     s = ws.take(block(n))
@@ -395,7 +380,7 @@ def concat(*ts: ScaledTensor | Lane, axis: int, ws: Workspace | None = None) -> 
     np.concatenate(blocks, axis=axis, out=s)
     for lane in {id(t): t for t in ts if isinstance(t, Lane)}.values():
         lane.release()
-    return Lane(x, s, prec, ws, bound, (min(los), max(his)))
+    return Lane(x, s, prec, ws, bound, scale_range)
 
 
 @_kernel("add", scale_arith=True)

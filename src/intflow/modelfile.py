@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .scaling import ScaleGranularity
-from .tensor import IntTensor, ScaledTensor, ScaleTensor, max_abs
+from .tensor import ScaledTensor, max_abs
 from .transformer import (
     LAYER_TENSORS,
     LN,
@@ -167,8 +167,8 @@ def serialize(model: IntegerTransformerModel | FP32ReferenceModel) -> bytes:
 
     def put(name: str, value) -> None:
         if quantized:
-            records.append((name, DTYPE_I8, value.data.values))
-            records.append((name + SCALE_SUFFIX, DTYPE_F32, value.scale.values))
+            records.append((name, DTYPE_I8, value.x))
+            records.append((name + SCALE_SUFFIX, DTYPE_F32, value.s))
         else:
             records.append((name, DTYPE_F32, value))
 
@@ -253,7 +253,7 @@ def _take_scaled(tensors: dict, name: str, precision: int) -> ScaledTensor:
     m = max_abs(payload)
     if m > (1 << precision) - 1:
         raise ValidationError(f"tensor {name!r} exceeds the declared precision")
-    return ScaledTensor(IntTensor.param(payload, precision, m), ScaleTensor(scale))
+    return ScaledTensor.param(payload, scale, precision, m)
 
 
 # A corrupt float32 record can hold a signaling NaN, whose cast to float64

@@ -17,10 +17,9 @@ from .audit import FP32, PAYLOAD, SCALE, AuditRecord, OpAuditLog
 from .errors import LaneOverflowError, PrecisionError, ShapeError, ValidationError, WorkspaceError
 from .tensor import (
     LANE_MAX,
-    IntTensor,
     RationalTensor,
     ScaledTensor,
-    ScaleTensor,
+    _float_view,
     check_lane,
     check_scale,
     max_abs,
@@ -115,10 +114,11 @@ SCALE_MAX = float(np.finfo(np.float32).max)
 
 def init_scale(
     r: RationalTensor | np.ndarray, p: int, g: ScaleGranularity = ScaleGranularity.PER_ROW
-) -> ScaleTensor:
-    """Per-group scale (2^p - 1) / max(|r|), at most SCALE_MAX.  `r` may also
-    be a float array of finite values (a float32 one, say), whose group
-    maxima widen exactly to float64, so the scale is the same.
+) -> np.ndarray:
+    """Per-group scale (2^p - 1) / max(|r|), at most SCALE_MAX, as a float64
+    array that check_scale has passed.  `r` may also be a float array of
+    finite values (a float32 one, say), whose group maxima widen exactly to
+    float64, so the scale is the same.
 
     Groups so small that the scale would overflow float32 (max|r| below
     (2^p - 1) / SCALE_MAX, about 3.7e-37 at p=7) get SCALE_MAX, and so do
@@ -136,7 +136,8 @@ def init_scale(
     s = _round_to_f32(np.minimum(s, SCALE_MAX))
     if s.min(initial=SCALE_MAX) < 2.0**-126:
         s = np.where(np.rint(m * s) > limit, np.nextafter(s.astype(np.float32), np.float32(0)), s)
-    return ScaleTensor(s)
+    check_scale(s)
+    return s
 
 
 def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
@@ -156,18 +157,20 @@ def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
     return m
 
 
-def quantize(r: RationalTensor | np.ndarray, s: ScaleTensor, precision: int) -> ScaledTensor:
-    """x = round(s * r), half to even; the result carries s.  As in
-    init_scale, `r` may be a float array of finite values, widened exactly."""
+def quantize(r: RationalTensor | np.ndarray, s: np.ndarray, precision: int) -> ScaledTensor:
+    """x = round(s * r), half to even; the result carries a read-only view
+    of s (a float64 copy of another dtype), checked as every new scale is.
+    As in init_scale, `r` may be a float array of finite values, widened
+    exactly."""
     values = r.values if isinstance(r, RationalTensor) else r
     x = np.empty(values.shape)
-    m = quantize_into(values, s.values, x)
-    return ScaledTensor(IntTensor.adopt(x.astype(np.int64), precision, known_max=m), s)
+    m = quantize_into(values, s, x)
+    return ScaledTensor(x.astype(np.int64), _float_view(s), precision, m, exact=True)
 
 
 def dequantize(t: ScaledTensor) -> RationalTensor:
     """r' = x / s elementwise."""
-    return RationalTensor(t.data.values / t.scale.values)
+    return RationalTensor(t.x / t.s)
 
 
 class Workspace:
@@ -175,8 +178,8 @@ class Workspace:
 
     Only for arrays that never leave a call: a Lane's payload, scale and
     scratch buffers, and the ratio buffers of the matches it makes.  A
-    payload or scale that leaves in an IntTensor or a ScaleTensor is never
-    handed out again.  The heads, FFNs and output projection of a forward share
+    payload or scale that leaves sealed in a ScaledTensor is never handed
+    out again.  The heads, FFNs and output projection of a forward share
     one set of large buffers: otherwise the allocator trims the heap and
     grows it again around each such temporary, at a page fault per 4 KiB.
     The arrays die with the workspace, and so with its Session.
@@ -215,14 +218,14 @@ def _match_payload(
     x: np.ndarray,
     s: np.ndarray,
     s_bar: np.ndarray,
-    held: IntTensor | Lane,
+    held: ScaledTensor | Lane,
     ws: Workspace | None = None,
     out: np.ndarray | None = None,
     nonneg: bool = False,
 ) -> np.ndarray:
     """Move payload x from scale s down to s_bar <= s, truncating toward
-    zero: the one function that does.  `held`, an IntTensor or a Lane, holds
-    the bounds of x, its payload or a view of it.
+    zero: the one function that does.  `held`, a ScaledTensor or a Lane,
+    holds the bounds of x, its payload or a view of it.
 
     |x'| <= |x| always holds, so matching cannot overflow; the de-quantized
     value moves by less than 1/s_bar per element.  The result is the exact
@@ -280,27 +283,21 @@ def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
     for t in ts:
         if t.shape != shape:
             raise ShapeError("scale_match inputs must share shape")
-    if all(t.scale is ts[0].scale for t in ts):
+    if all(t.s is ts[0].s for t in ts):
         # One shared scale is its own minimum: no payload moves.
         return list(ts)
     # Scales broadcast against each other, and np.minimum allocates the
     # minimum in their common shape.
-    scales = [t.scale.values for t in ts]
-    s_bar = np.minimum(scales[0], scales[1])
-    for s in scales[2:]:
-        s_bar = np.minimum(s_bar, s)
+    s_bar = np.minimum(ts[0].s, ts[1].s)
+    for t in ts[2:]:
+        s_bar = np.minimum(s_bar, t.s)
+    unified = (min(t.lo for t in ts), min(t.hi for t in ts))
     out = []
-    unified = ScaleTensor.derived(
-        s_bar, min(t.scale.lo for t in ts), min(t.scale.hi for t in ts)
-    )
-    for t, s in zip(ts, scales):
-        if (s == s_bar).all():
-            # Already at the minimum: the payload moves by nothing, exactly.
-            out.append(ScaledTensor(t.data, unified))
-            continue
-        x = _match_payload(t.data.values, s, s_bar, t.data)
+    for t in ts:
+        # Already at the minimum, the payload moves by nothing, exactly.
         # Matching never grows a magnitude, so the bound carries over.
-        out.append(ScaledTensor(IntTensor.adopt(x, prec, bound=t.data.max_bound), unified))
+        x = t.x if (t.s == s_bar).all() else _match_payload(t.x, t.s, s_bar, t)
+        out.append(ScaledTensor(x, s_bar, prec, t.max_bound, unified, exact=t.exact and x is t.x))
     return out
 
 
@@ -310,29 +307,18 @@ def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
     if not -rank <= d < rank:
         raise ShapeError(f"axis {d} out of range for rank {rank}")
     d = d % rank
-    if t.scale.shape[d] == 1:
+    if t.s.shape[d] == 1:
         return t
-    s = t.scale.values
-    s_bar = np.minimum.reduce(s, axis=d, keepdims=True)
-    x = _match_payload(t.data.values, s, s_bar, t.data)
+    s_bar = np.minimum.reduce(t.s, axis=d, keepdims=True)
+    x = _match_payload(t.x, t.s, s_bar, t)
     # |x'| <= |x|, and each minimum is one of the values: the bounds carry over.
-    data = IntTensor.adopt(x, t.precision, bound=t.data.max_bound)
-    return ScaledTensor(data, ScaleTensor.derived(s_bar, t.scale.lo, t.scale.hi))
+    return ScaledTensor(x, s_bar, t.precision, t.max_bound, (t.lo, t.hi))
 
 
 def _shrunk_lo(lo: float, x_max: int, limit: int) -> float:
     """A lower bound on the scales rescale makes from scales >= lo: no group's
     divisor exceeds ceil(x_max / limit), and float division is monotone."""
     return lo / max(-(-x_max // limit), 1)
-
-
-def _operand(t: ScaledTensor | Lane) -> tuple[np.ndarray, np.ndarray, IntTensor | Lane, float, float]:
-    """(x, s, m, lo, hi) of a ScaledTensor or a Lane: payload, scale, the
-    holder of the payload's bounds (max_bound, max_magnitude) and the
-    scale's bounds."""
-    if isinstance(t, Lane):
-        return t.x, t.s, t, t.lo, t.hi
-    return t.data.values, t.scale.values, t.data, t.scale.lo, t.scale.hi
 
 
 class Lane:
@@ -350,7 +336,8 @@ class Lane:
     `nonneg` holds only while no payload is known to be negative (after
     ReLU, say); each step that may make one negative clears it.  `lo` and
     `hi` bound the scale's values, and each step that makes scales checks
-    them as ScaleTensor.derived does.
+    them with scale_bounds, as a sealed result's are checked.  A sealed
+    ScaledTensor carries the same fields, so kernels read either alike.
 
     `blocks` is the number of row blocks the lane stacks, each its own
     head's rows (a grouped matmul's product and what is worked from it in
@@ -410,8 +397,8 @@ class Lane:
     @classmethod
     def of(cls, t: ScaledTensor | Lane, ws: Workspace) -> Lane:
         """A private copy of the payload and scale of t, a ScaledTensor or a Lane."""
-        x, s, m, lo, hi = _operand(t)
-        return cls(ws.copy(x, lane_dtype(m.max_bound)), ws.copy(s), t.precision, ws, m.max_bound, (lo, hi))
+        m = t.max_bound
+        return cls(ws.copy(t.x, lane_dtype(m)), ws.copy(t.s), t.precision, ws, m, (t.lo, t.hi))
 
     def put(self, x: np.ndarray, s: np.ndarray, m: int | None, scale_range: tuple | None) -> None:
         """Hold payload x and scale s, bounded as in __init__; the buffers they
@@ -466,10 +453,7 @@ class Lane:
         again: an int64 payload leaves the workspace in the result, a float64
         one is copied out; every other buffer goes back."""
         x = self.x if self.x.dtype == np.int64 else self.x.astype(np.int64)
-        out = ScaledTensor(
-            IntTensor.adopt(x, self.precision, self.max_bound if self.exact else None, bound=self.max_bound),
-            ScaleTensor.derived(self.s.copy(), self.lo, self.hi),
-        )
+        out = ScaledTensor(x, self.s.copy(), self.precision, self.max_bound, (self.lo, self.hi), self.exact)
         self.spare()
         self.ws.give(self.s)
         if x is not self.x:
@@ -658,16 +642,16 @@ class Session:
         self.log.records.append(AuditRecord(kind, lane, elements, False, module))
 
     def quantize(
-        self, r: RationalTensor | np.ndarray, s: ScaleTensor, p: int, module: str = ""
+        self, r: RationalTensor | np.ndarray, s: np.ndarray, p: int, module: str = ""
     ) -> ScaledTensor:
         """Quantize at p bits through the session so the Q() shows up in the audit log."""
         out = quantize(r, s, p)
-        self.note("quantize", SCALE, out.data.values.size, module)
+        self.note("quantize", SCALE, out.x.size, module)
         return out
 
     def dequantize(self, t: ScaledTensor, module: str = "") -> RationalTensor:
         """De-quantize through the session, so the exit shows up in the audit
         log: the canonical baseline's, a hybrid forward's and `infer`'s."""
         out = dequantize(t)
-        self.note("dequantize", FP32, t.data.values.size, module)
+        self.note("dequantize", FP32, t.x.size, module)
         return out

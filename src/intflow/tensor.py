@@ -1,17 +1,19 @@
 """Dense tensor containers: integer payloads paired with positive rational scales.
 
-Activations and kernel results live in a wide int64 lane regardless of their
-logical bit-precision; the precision is metadata enforced at protocol
-boundaries.  A model's parameters are held at their container width instead,
-the narrowest signed integer type their precision admits (int8 for p <= 7,
-int16 for p <= 15), and kernels widen them before they compute.  Scales keep
-collapsed dimensions as size 1 and broadcast against their payload.
+A ScaledTensor is a sealed payload and scale, read by kernels under the
+same names as a scaling.Lane, the buffers a kernel works in.  Activations
+and kernel results live in a wide int64 lane regardless of their logical
+bit-precision; the precision is metadata enforced at protocol boundaries.
+A model's parameters are held at their container width instead, the
+narrowest signed integer type their precision admits (int8 for p <= 7,
+int16 for p <= 15), and kernels widen them before they compute.  Scales
+keep collapsed dimensions as size 1 and broadcast against their payload.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -98,6 +100,18 @@ def scale_bounds(arr: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     return check_scale(arr)
 
 
+def scale_op(op, a, b, hi: float, **out):
+    """op(a, b, **out), an op that makes scales, where hi is the bound on
+    its results that the caller derived: run as it is when hi is finite,
+    which proves that no value overflows; else with float overflow quiet,
+    so that the inf it leaves is refused by scale_bounds with a
+    ScaleRangeError, not a numpy warning."""
+    if hi < math.inf:
+        return op(a, b, **out)
+    with np.errstate(over="ignore"):
+        return op(a, b, **out)
+
+
 # libm pow is not guaranteed to be correctly rounded; this margin covers its
 # error many times over, as long as the powers stay clear of subnormals.
 POW_MARGIN = 2.0**-40
@@ -125,7 +139,7 @@ def _broadcast_compatible(scale_shape: tuple[int, ...], data_shape: tuple[int, .
 
 @dataclass(frozen=True)
 class RationalTensor:
-    """FP32-semantics dense tensor; used for references, scales and oracles.
+    """FP32-semantics dense tensor; used for references and oracles.
 
     The values are held in float64 and frozen: a float64 array is held as a
     view of the caller's array, any other dtype as its own float64 copy.  The
@@ -147,189 +161,168 @@ class RationalTensor:
         return self.values.shape
 
 
-@dataclass(frozen=True)
-class IntTensor:
-    """Signed integer payload with a logical precision.
+@dataclass(frozen=True, eq=False, init=False)
+class ScaledTensor:
+    """An integer payload `x` bound to the strictly positive scale `s` that
+    maps it back to rationals (x / s), both sealed read-only.
 
-    Held in the wide int64 lane, except for a model parameter built by
-    `param`, which is held at its container width.
+    It carries what a scaling.Lane carries, under the same names, so that a
+    kernel reads a sealed operand as it reads a lane: `precision`, the
+    payload's logical bit width; `max_bound`, a bound on max|x| below
+    LANE_MAX, and max|x| itself while `exact` holds; `max_magnitude`, the
+    exact max|x|, scanned on the first read when only the bound is known
+    (payloads are read-only, so it stays valid); `lo` <= min(s) and
+    `hi` >= max(s); and `shape`, the payload's.  The scale keeps collapsed
+    dims as size 1 and broadcasts against the payload.
 
-    It carries a bound on max|x| (`max_bound`, a plain attribute): a
-    kernel derives its result's bound from its operands' bounds.  The exact
-    max|x| (`max_magnitude`) is scanned the first time it is read, unless a
-    caller supplied it; payloads are read-only, so it stays valid.  `shape`
-    is the payload's, set when it is sealed.
+    The payload is int64, the wide lane, except for a model parameter
+    (`param`), held at its container width.  A tensor is built sealed, in
+    one of three ways:
+    - `ScaledTensor(x, s, precision, bound, scale_range)`, a result: an
+      int64 payload and a float64 scale, frozen in place;
+    - `ScaledTensor.param`, a model parameter at its container width;
+    - `t.view(x, s)`, views of t's payload and scale.
     """
 
-    values: np.ndarray
+    x: np.ndarray
+    s: np.ndarray
     precision: int
-    # max|x| once known; payloads are read-only, so it stays valid.
-    _max_abs: int | None = field(init=False, repr=False, compare=False)
-    # A bound on max|x|, always below LANE_MAX; max|x| itself once known.
-    max_bound: int = field(init=False, repr=False, compare=False)
-    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    max_bound: int
+    exact: bool
+    lo: float
+    hi: float
+    shape: tuple[int, ...]
 
-    def __post_init__(self):
-        raw = np.asarray(self.values)
-        if raw.dtype.kind not in "iu":
-            raise TypeError(f"payload must be integer-typed, got {raw.dtype}")
-        # A defensive copy: the caller may still write to its array.
-        self._seal(raw.astype(LANE_DTYPE))
-
-    @classmethod
-    def adopt(
-        cls,
-        arr: np.ndarray,
+    def __init__(
+        self,
+        x: np.ndarray,
+        s: np.ndarray,
         precision: int,
-        known_max: int | None = None,
-        *,
         bound: int | None = None,
-    ) -> IntTensor:
-        """Wrap an int64 array that a kernel has just allocated, without a copy.
+        scale_range: tuple[float, float] | None = None,
+        exact: bool = False,
+    ):
+        """Seal a result: x, int64 (a parameter's container type when
+        `param` calls), and s, float64, are frozen in place, so they must be
+        arrays nothing else writes to (a kernel's fresh arrays, or views of
+        a sealed tensor's).
 
-        Only for arrays nothing else refers to: the array is frozen in place.
-        A view, or an array of another dtype, goes through the copying
-        constructor instead.  `known_max`, when the caller has already
-        scanned max|x| exactly, spares the scan; `bound`, a bound on max|x|
-        the caller derived, defers it until max|x| is read.
+        `bound`, a bound on max|x| the caller derived, defers the scan of
+        max|x| until it is read, and is max|x| itself when `exact`; without
+        it, or when it reaches the lane, max|x| is scanned.  `scale_range`,
+        bounds (lo, hi) derived from the operands', spares the scan of the
+        scale unless they do not prove it valid (scale_bounds); without it
+        the scale is checked (check_scale).
         """
-        if not isinstance(arr, np.ndarray) or arr.dtype != LANE_DTYPE or arr.base is not None:
-            return cls(arr, precision)
-        t = cls.__new__(cls)
-        object.__setattr__(t, "precision", precision)
-        t._seal(arr, known_max, bound)
-        return t
+        if not 2 <= precision <= 15:
+            raise ValidationError(f"precision {precision} outside [2, 15]")
+        # A bound that reaches the lane proves nothing: scan, and let the
+        # exact max decide.
+        if bound is None or bound >= LANE_MAX:
+            bound, exact = max_abs(x), True
+        if exact:
+            check_lane(bound)
+        lo, hi = check_scale(s) if scale_range is None else scale_bounds(s, *scale_range)
+        if not _broadcast_compatible(s.shape, x.shape):
+            raise ShapeError(f"scale shape {s.shape} does not broadcast to data shape {x.shape}")
+        x.flags.writeable = False
+        s.flags.writeable = False
+        vars(self).update(x=x, s=s, precision=precision, max_bound=bound, exact=exact, lo=lo, hi=hi,
+                          shape=x.shape)
 
     @classmethod
-    def param(cls, arr: np.ndarray, precision: int, known_max: int | None = None) -> IntTensor:
-        """A model parameter's payload, held at container_dtype(precision),
+    def param(
+        cls,
+        x: np.ndarray,
+        s: np.ndarray,
+        precision: int,
+        m: int | None = None,
+        scale_range: tuple[float, float] | None = None,
+    ) -> ScaledTensor:
+        """A model parameter, its payload held at container_dtype(precision),
         not in the wide lane: a weight takes one or two bytes, not eight.
 
         No kernel computes at the narrow width, so no sum or product wraps
         there.  matmul casts the payload straight to its GEMM type, chosen
         by the product's bound: float32 below 2^24 (every partial sum then
         an integer float32 holds), float64 below 2^53, else int64; every
-        lane it lands in is float64 or int64.  A read-only array already of the
-        container type (a record read from a file, say) is kept as it is;
-        anything else is copied.  `known_max` is as in `adopt`.
+        lane it lands in is float64 or int64.  A read-only integer array
+        already of the container type (a record read from a file, say) is
+        kept as it is; anything else is copied, and so is the scale, unless
+        it is float64, which is held as a view (as RationalTensor holds it).
+        `m`, max|x| when the caller has scanned it, spares the scan;
+        `scale_range` is as in the constructor.
         """
-        raw = np.asarray(arr)
+        raw = np.asarray(x)
         if raw.dtype.kind not in "iu":
             raise TypeError(f"payload must be integer-typed, got {raw.dtype}")
-        m = max_abs(raw) if known_max is None else known_max
+        if m is None:
+            m = max_abs(raw)
         if m > (1 << precision) - 1:
             raise PrecisionError(f"parameter payload exceeds {precision} bits")
         dtype = container_dtype(precision)
         if raw.dtype != dtype or raw.flags.writeable:
             raw = raw.astype(dtype)
-        t = cls.__new__(cls)
-        object.__setattr__(t, "precision", precision)
-        t._seal(raw, m)
-        return t
+        return cls(raw, _float_view(s), precision, m, scale_range, exact=True)
 
-    def view(self, arr: np.ndarray, same_max: bool = False) -> IntTensor:
-        """Wrap `arr`, a view of this payload, without a copy: the payload is
-        sealed, so nothing writes through the view.
+    def view(self, x: np.ndarray, s: np.ndarray, same_max: bool = False) -> ScaledTensor:
+        """A tensor of x and s, views of this payload and scale that
+        broadcast against each other, without a copy: both are sealed, so
+        nothing writes through the views.
 
-        The view keeps this payload's bound.  A view holding every element
-        (a transpose, a broadcast) passes `same_max` and keeps the exact
+        The view keeps this tensor's precision and bounds.  A view holding
+        every element (a transpose) passes `same_max` and keeps the exact
         max|x| too, when it is known; a slice scans its own when read.
         """
-        t = IntTensor.__new__(IntTensor)
-        object.__setattr__(t, "precision", self.precision)
-        t._seal(arr, (self._max_abs if same_max else None) if arr.size else 0, self.max_bound)
+        t = object.__new__(ScaledTensor)
+        vars(t).update(vars(self), x=x, s=s, shape=x.shape, max_bound=self.max_bound if x.size else 0,
+                       exact=not x.size or (same_max and self.exact))
         return t
-
-    def _seal(self, arr: np.ndarray, m: int | None = None, bound: int | None = None) -> None:
-        # A bound that reaches the lane proves nothing: scan, and let the
-        # exact max decide, as it always has.
-        if m is None and (bound is None or bound >= LANE_MAX):
-            m = max_abs(arr)
-        if m is not None:
-            check_lane(m)
-            bound = m
-        if not 2 <= self.precision <= 15:
-            raise ValidationError(f"precision {self.precision} outside [2, 15]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_max_abs", m)
-        object.__setattr__(self, "max_bound", bound)
-        object.__setattr__(self, "shape", arr.shape)
 
     @property
     def max_magnitude(self) -> int:
         """max|x|, exactly; scanned on the first read when only a bound is known."""
-        m = self._max_abs
-        if m is None:
-            m = max_abs(self.values)
-            object.__setattr__(self, "_max_abs", m)
-            object.__setattr__(self, "max_bound", m)
-        return m
+        if not self.exact:
+            vars(self).update(max_bound=max_abs(self.x), exact=True)
+        return self.max_bound
+
+    @property
+    def data(self) -> IntTensor:
+        """The payload as the benchmark reads it, a read-only IntTensor view."""
+        return IntTensor(self)
+
+    @property
+    def scale(self) -> ScaleTensor:
+        """The scale as the benchmark reads it, a read-only ScaleTensor view."""
+        return ScaleTensor(self)
+
+
+class IntTensor:
+    """A read-only view of a ScaledTensor's payload (`ScaledTensor.data`):
+    `values`, `precision`, `max_magnitude` and `in_range`.  Only the
+    benchmark reads a tensor through it, and its tracer times its
+    constructor and `max_magnitude` by name."""
+
+    def __init__(self, t: ScaledTensor):
+        self.values, self.precision, self._t = t.x, t.precision, t
+
+    @property
+    def max_magnitude(self) -> int:
+        return self._t.max_magnitude
 
     def in_range(self) -> bool:
         """True when every payload fits the logical precision."""
         limit = (1 << self.precision) - 1
-        return self.max_bound <= limit or self.max_magnitude <= limit
+        return self._t.max_bound <= limit or self.max_magnitude <= limit
 
 
-@dataclass(frozen=True)
 class ScaleTensor:
-    """Strictly positive rational multipliers; collapsed dims have size 1.
+    """A read-only view of a ScaledTensor's scale (`ScaledTensor.scale`):
+    `values`, `lo` and `hi`.  Only the benchmark reads a tensor through it,
+    and its tracer times its constructor by name."""
 
-    It carries bounds lo <= min and hi >= max of its values: scanned where
-    a scale is built from an array, derived by `derived` where a kernel
-    computes one from scales it knows the bounds of.  Like RationalTensor,
-    it holds a view of a float64 array and a float64 copy of any other: the
-    caller must not write to a float64 array after handing it over, since
-    the write would break `lo` and `hi` unseen.
-    """
-
-    values: np.ndarray
-    lo: float = field(init=False, repr=False, compare=False)
-    hi: float = field(init=False, repr=False, compare=False)
-    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arr = _float_view(self.values)
-        self._seal(arr, *check_scale(arr))
-
-    @classmethod
-    def derived(cls, arr: np.ndarray, lo: float, hi: float) -> ScaleTensor:
-        """Wrap a float64 scale a kernel computed, with bounds (lo, hi) it
-        derived from its operands' bounds; the array is scanned only when
-        the bounds do not prove it valid (scale_bounds)."""
-        t = cls.__new__(cls)
-        t._seal(arr, *scale_bounds(arr, lo, hi))
-        return t
-
-    def _seal(self, arr: np.ndarray, lo: float, hi: float) -> None:
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "shape", arr.shape)
-
-
-@dataclass(frozen=True)
-class ScaledTensor:
-    """An integer payload bound to the scale that maps it back to rationals;
-    `shape` is the payload's."""
-
-    data: IntTensor
-    scale: ScaleTensor
-    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        shape = self.data.shape
-        if not _broadcast_compatible(self.scale.shape, shape):
-            raise ShapeError(
-                f"scale shape {self.scale.shape} does not broadcast to data shape {shape}"
-            )
-        object.__setattr__(self, "shape", shape)
-
-    @property
-    def precision(self) -> int:
-        return self.data.precision
+    def __init__(self, t: ScaledTensor):
+        self.values, self.lo, self.hi = t.s, t.lo, t.hi
 
 
 def transpose(t: ScaledTensor, axes: Sequence[int]) -> ScaledTensor:
@@ -338,11 +331,8 @@ def transpose(t: ScaledTensor, axes: Sequence[int]) -> ScaledTensor:
     rank = len(t.shape)
     if sorted(axes) != list(range(rank)):
         raise ShapeError(f"axes {axes} is not a permutation of rank {rank}")
-    x = np.transpose(t.data.values, axes)
+    x, s = np.transpose(t.x, axes), np.transpose(t.s, axes)
     if x.dtype == LANE_DTYPE:
-        data = t.data.view(x, same_max=True)
-    else:  # a parameter held narrow: the result is widened, as every kernel's is
-        data = IntTensor.adopt(x.astype(LANE_DTYPE), t.precision, t.data.max_magnitude)
-    s = t.scale
-    return ScaledTensor(data, ScaleTensor.derived(np.transpose(s.values, axes), s.lo, s.hi))
-
+        return t.view(x, s, same_max=True)
+    # A parameter held narrow: the result is widened, as every kernel's is.
+    return ScaledTensor(x.astype(LANE_DTYPE), s, t.precision, t.max_magnitude, (t.lo, t.hi), exact=True)

@@ -31,13 +31,12 @@ from .scaling import (
 )
 from .tensor import (
     LANE_MAX,
-    IntTensor,
     RationalTensor,
     ScaledTensor,
-    ScaleTensor,
     block_max_abs,
     max_abs,
     scale_bounds,
+    scale_op,
 )
 
 EMB = "Emb"
@@ -211,11 +210,10 @@ def _convert(model, fn, model_cls, **fields):
 
 def _quantize_param(values: np.ndarray, p: int, session: Session | None, module: str) -> ScaledTensor:
     r = RationalTensor(values)
-    s = init_scale(r, p)
-    t = quantize(r, s, p).data
+    t = quantize(r, init_scale(r, p), p)
     if session is not None:
         session.note("quantize", SCALE, values.size, module)
-    return ScaledTensor(IntTensor.param(t.values, p, t.max_magnitude), s)
+    return ScaledTensor.param(t.x, t.s, p, t.max_bound, (t.lo, t.hi))
 
 
 def quantize_model(
@@ -224,7 +222,7 @@ def quantize_model(
     session: Session | None = None,
 ) -> IntegerTransformerModel:
     """Quantize every weight per-row, each payload held at its container
-    width (IntTensor.param); Q() events land in the session log."""
+    width (ScaledTensor.param); Q() events land in the session log."""
     cfg = ref.config
     if precision is not None and precision != cfg.precision:
         cfg = replace(cfg, precision=precision)
@@ -245,15 +243,6 @@ def reference_twin(model: IntegerTransformerModel) -> FP32ReferenceModel:
 
 # ---------------------------------------------------------------------------
 # integer-path helpers
-
-
-def _grow(s: np.ndarray, factor: float, hi: float, out: np.ndarray | None = None) -> np.ndarray:
-    """s * factor, where hi bounds the product: run as it is when hi is
-    finite, else with float overflow left to the scale check."""
-    if hi < math.inf:
-        return np.multiply(s, factor, out=out)
-    with np.errstate(over="ignore"):
-        return np.multiply(s, factor, out=out)
 
 
 def _boost(lane: Lane, session: Session, module: str, groups: int = 1) -> None:
@@ -280,21 +269,20 @@ def _boost(lane: Lane, session: Session, module: str, groups: int = 1) -> None:
         lam = np.array(lams, np.int64).reshape(groups, 1)
     np.multiply(x, lam, out=x)
     lo, hi = lane.lo * min(lams), lane.hi * max(lams)
-    _grow(s, lam, hi, out=s)
+    scale_op(np.multiply, s, lam, hi, out=s)
     lane.max_bound = grown  # still exact
     lane.lo, lane.hi = scale_bounds(lane.s, lo, hi)
 
 
-def _match_heads(lane: Lane, heads: int, axis: int) -> tuple[IntTensor, ScaleTensor]:
+def _match_heads(lane: Lane, heads: int, axis: int) -> ScaledTensor:
     """The projection in `lane` (T x heads*d_h), matched along `axis` of
     each head's column block (0 along the sequence, -1 along its own
-    columns) as matmul would match it, as a payload and a scale whose row
-    blocks are the heads (_head_rows cuts operands from them): head h's
-    (T, d_h) block for axis -1 (Q and K), and its transpose, (d_h, T), for
-    axis 0 (V, which the value product reads transposed).  Each head's
-    scale, a column once matched, stacks the same way; a head's scale keeps
-    one row where the lane's is collapsed along the rows, so the stacked
-    scale need not fit the stacked payload.  The lane is not used again.
+    columns) as matmul would match it, as a rank-3 tensor whose first axis
+    is the heads (_head_rows cuts operands from it): head h's (T, d_h) block
+    for axis -1 (Q and K), and its transpose, (d_h, T), for axis 0 (V,
+    which the value product reads transposed).  Each head's scale, a column
+    once matched, stacks the same way, with one row where the lane's is
+    collapsed along the rows.  The lane is not used again.
 
     The minimum along `axis` is taken on the lane's (T, heads, d_h) view for
     every head at once, and one _match_payload call moves the payload to
@@ -332,31 +320,23 @@ def _match_heads(lane: Lane, heads: int, axis: int) -> tuple[IntTensor, ScaleTen
     # the lane's buffers go back to ws.
     order = (1, 0, 2) if axis else (1, 2, 0)
     x, s_bar_t = x.transpose(order), s_bar.transpose(order)
-    payload = np.empty((heads * x.shape[1], x.shape[2]), np.int64)
-    np.copyto(payload.reshape(x.shape), x, casting="unsafe")
-    scale = np.empty((heads * s_bar_t.shape[1], 1))
-    np.copyto(scale.reshape(s_bar_t.shape), s_bar_t)
+    payload, scale = np.empty(x.shape, np.int64), np.empty(s_bar_t.shape)
+    np.copyto(payload, x, casting="unsafe")
+    np.copyto(scale, s_bar_t)
     # Matching never grows a magnitude, and each minimum is one of the
     # values, so the bounds carry over.
-    out = (
-        IntTensor.adopt(payload, lane.precision, bound=lane.max_bound),
-        ScaleTensor.derived(scale, *scale_bounds(lane.s, lane.lo, lane.hi)),
-    )
+    out = ScaledTensor(payload, scale, lane.precision, lane.max_bound, (lane.lo, lane.hi))
     if s_bar is not split:
         ws.give(minima)
     lane.release()
     return out
 
 
-def _head_rows(blocks: tuple[IntTensor, ScaleTensor], heads: int, start: int, stop: int) -> ScaledTensor:
-    """Heads start..stop-1 of _match_heads' head blocks, as one operand:
-    views of their payload rows and of their scale rows."""
-    data, s = blocks
-    rows, scale_rows = data.shape[0] // heads, s.shape[0] // heads
-    return ScaledTensor(
-        data.view(data.values[start * rows:stop * rows]),
-        ScaleTensor.derived(s.values[start * scale_rows:stop * scale_rows], s.lo, s.hi),
-    )
+def _head_rows(t: ScaledTensor, start: int, stop: int) -> ScaledTensor:
+    """Heads start..stop-1 of _match_heads' stacked heads, as one rank-2
+    operand of their row blocks: views of their payloads and scales."""
+    x, s = t.x[start:stop], t.s[start:stop]
+    return t.view(x.reshape(-1, x.shape[2]), s.reshape(-1, s.shape[2]))
 
 
 def _refit_zero_groups(lane: Lane, value: float, c: np.ndarray, limit: int) -> int:
@@ -457,7 +437,7 @@ def poly_attention(
     session.note("scale_fold", SCALE, lane.s.size, module)
     fold = math.sqrt(d_m)
     lo, hi = lane.lo * fold, lane.hi * fold
-    _grow(lane.s, fold, hi, out=lane.s)
+    scale_op(np.multiply, lane.s, fold, hi, out=lane.s)
     lane.lo, lane.hi = scale_bounds(lane.s, lo, hi)
     weights = _poly_lane(lane, pp, degree, session, module)
     # The value product matches the weights first, so the weight sum finds
@@ -503,7 +483,7 @@ def l1_layer_norm(
     degenerate = den.x == 0
     fold = n / L1_NORM_CONST
     lo, hi = den.lo * fold, den.hi * fold
-    s = _grow(den.s, fold, hi, out=ws.take(degenerate.shape))
+    s = scale_op(np.multiply, den.s, fold, hi, out=ws.take(degenerate.shape))
     s[degenerate] = 1.0
     den.x[degenerate] = 1
     den.put(den.x, s, max(den.max_bound, 1), (min(lo, 1.0), max(hi, 1.0)))
@@ -522,22 +502,20 @@ def l1_layer_norm(
 ATTN_GROUP_ELEMENTS = 1 << 16
 
 
-def _group_size(heads: int, q, k, v_t) -> int:
-    """Heads per poly_attention call, for _match_heads' head blocks of Q, K
-    and V: max(1, min(heads, N // T^2)), N = ATTN_GROUP_ELEMENTS.  1 where a
-    head's scale is collapsed along its rows: a stack of heads could not
-    keep such scales apart."""
-    if any(data.shape[0] != s.shape[0] for data, s in (q, k, v_t)):
+def _group_size(q: ScaledTensor, k: ScaledTensor, v_t: ScaledTensor) -> int:
+    """Heads per poly_attention call, for _match_heads' stacked heads of Q,
+    K and V: max(1, min(heads, N // T^2)), N = ATTN_GROUP_ELEMENTS.  1 where
+    a head's scale is collapsed along its rows: a stack of heads along the
+    rows could not keep such scales apart."""
+    if any(t.s.shape[1] != t.shape[1] for t in (q, k, v_t)):
         return 1
-    scores = (q[0].shape[0] // heads) * (k[0].shape[0] // heads)
-    return max(1, min(heads, ATTN_GROUP_ELEMENTS // scores))
+    return max(1, min(q.shape[0], ATTN_GROUP_ELEMENTS // (q.shape[1] * k.shape[1])))
 
 
 def attend_heads(
-    q: tuple[IntTensor, ScaleTensor],
-    k: tuple[IntTensor, ScaleTensor],
-    v_t: tuple[IntTensor, ScaleTensor],
-    heads: int,
+    q: ScaledTensor,
+    k: ScaledTensor,
+    v_t: ScaledTensor,
     group: int,
     pp: PolyParams,
     degree: int,
@@ -545,8 +523,8 @@ def attend_heads(
     session: Session,
     module: str = ATTN,
 ) -> Lane:
-    """Every head's attention, from _match_heads' head blocks of Q, K and V,
-    in one (T, heads*d_h) Lane: `group` heads per poly_attention call, and
+    """Every head's attention, from _match_heads' stacked heads of Q, K and
+    V, in one (T, heads*d_h) Lane: `group` heads per poly_attention call, and
     each group's quotients written into its heads' column blocks.
 
     The lane's scale holds a block per head, as concatenating the heads'
@@ -556,14 +534,14 @@ def attend_heads(
     lane goes back to the workspace before the next group runs.
     """
     ws = session.workspace
-    T, d_h = q[0].shape[0] // heads, q[0].shape[1]
+    heads, T, d_h = q.shape
     x = s = None
     bound, lo, hi = 0, math.inf, 0.0
     for start in range(0, heads, group):
         stop = min(start + group, heads)
         g = stop - start
         quotient = poly_attention(
-            *(_head_rows(t, heads, start, stop) for t in (q, k, v_t)),
+            *(_head_rows(t, start, stop) for t in (q, k, v_t)),
             pp, degree, d_m, session, module, groups=g,
         )
         if x is None:
@@ -592,8 +570,7 @@ def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, ses
         _match_heads(session.apply(K.matmul, [x, w], ATTN, ws=session.workspace), cfg.heads, axis)
         for w, axis in ((lp.w_q, -1), (lp.w_k, -1), (lp.w_v, 0))
     )
-    group = _group_size(cfg.heads, q, k, v_t)
-    heads = attend_heads(q, k, v_t, cfg.heads, group, lp.poly, cfg.degree, cfg.d_m, session)
+    heads = attend_heads(q, k, v_t, _group_size(q, k, v_t), lp.poly, cfg.degree, cfg.d_m, session)
     out = session.apply(K.matmul, [heads, lp.w_o], ATTN)
     heads.release()
     return out.seal()
@@ -649,15 +626,9 @@ def gather_embedding(model: IntegerTransformerModel, tokens: np.ndarray, session
     emb = model.embedding
     session.note("gather", PAYLOAD, tokens.size * model.config.d_m, EMB)
     # The scale's row axis is broadcast first: a per-tensor scale has one row.
-    s = emb.scale
-    rows = np.broadcast_to(s.values, (model.config.vocab, s.shape[1]))[tokens]
-    return ScaledTensor(
-        IntTensor.adopt(
-            emb.data.values[tokens].astype(np.int64, copy=False), emb.precision,
-            bound=emb.data.max_bound,
-        ),
-        ScaleTensor.derived(rows, s.lo, s.hi),
-    )
+    rows = np.broadcast_to(emb.s, (model.config.vocab, emb.s.shape[1]))[tokens]
+    x = emb.x[tokens].astype(np.int64, copy=False)
+    return ScaledTensor(x, rows, emb.precision, emb.max_bound, (emb.lo, emb.hi))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Builders shared by the test modules, and the library code only tests run.
 
-`poly` runs the attention polynomial alone, outside `poly_attention`, and
-`canonical_ffn_forward` is the de-quantizing FFN baseline that the purity
-proof must catch; no forward calls either.  `report_mse` looks one entry up
-in a precision-loss report.
+`scaled` builds a tensor from arrays, checked; `in_range` and
+`count_records` read a tensor and an audit log as the benchmark's gate
+does.  `poly` runs the attention polynomial alone, outside
+`poly_attention`, and `canonical_ffn_forward` is the de-quantizing FFN
+baseline that the purity proof must catch; no forward calls either.
+`report_mse` looks one entry up in a precision-loss report.
 """
 import numpy as np
 
 from intflow import kernels as K
 from intflow.analysis import PrecisionReport
+from intflow.audit import OpAuditLog
 from intflow.scaling import Lane, Session, dequantize, init_scale
-from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
+from intflow.tensor import RationalTensor, ScaledTensor
 from intflow.transformer import (
     ATTN,
     FFN,
@@ -22,11 +25,25 @@ from intflow.transformer import (
 
 
 def scaled(data, scale, precision=7):
-    """A ScaledTensor of int64 payload `data` and float64 scale `scale`."""
-    return ScaledTensor(
-        IntTensor(np.asarray(data, dtype=np.int64), precision),
-        ScaleTensor(np.asarray(scale, dtype=np.float64)),
-    )
+    """A ScaledTensor of copies of payload `data`, widened to int64, and of
+    scale `scale`, in float64: the checked from-arrays constructor.  The
+    payload must be integer-typed (a list of ints is); the tensor's own
+    constructor then scans both and checks the lane, the precision, the
+    scale's values and its broadcast against the payload."""
+    x = np.asarray(data)
+    if x.dtype.kind not in "iu":
+        raise TypeError(f"payload must be integer-typed, got {x.dtype}")
+    return ScaledTensor(x.astype(np.int64), np.array(scale, dtype=np.float64), precision)
+
+
+def in_range(t: ScaledTensor) -> bool:
+    """True when every payload of t fits its logical precision."""
+    return t.max_magnitude <= (1 << t.precision) - 1
+
+
+def count_records(log: OpAuditLog, kind: str | None = None, lane: str | None = None) -> int:
+    """The records of `log` of that kind, or on that lane."""
+    return sum(r.kind == kind or r.lane == lane for r in log.records)
 
 
 def report_mse(report: PrecisionReport, module: str, layer: int) -> float:

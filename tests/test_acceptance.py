@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from intflow import kernels as K
-from intflow.audit import PAYLOAD, SCALE, AuditRecord, OpAuditLog
+from intflow.audit import FP32, PAYLOAD, SCALE, AuditRecord, OpAuditLog
 from intflow.scaling import (
     Lane,
     Session,
@@ -22,7 +22,7 @@ from intflow.scaling import (
     rescale,
     scale_match,
 )
-from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor
+from intflow.tensor import RationalTensor
 from intflow.transformer import (
     ModelConfig,
     PolyParams,
@@ -35,7 +35,7 @@ from intflow.transformer import (
 )
 from intflow.analysis import precision_loss, speedup_estimate, storage_report
 
-from helpers import report_mse, scaled
+from helpers import count_records, in_range, report_mse, scaled
 
 # One-sided binomial sign test at 95% confidence for n = 20 trials:
 # P(X >= 15 | p = 0.5) ~ 0.021, P(X >= 14) ~ 0.058, so 15 is the threshold.
@@ -65,9 +65,9 @@ def test_01_quantization_bound(capsys):
         r = RationalTensor(r_vals)
         s = init_scale(r, p)
         t = quantize(r, s, p)
-        s_full = np.broadcast_to(s.values, r.shape)
+        s_full = np.broadcast_to(s, r.shape)
         for x, rv, sv in zip(
-            t.data.values.ravel(), r_vals.ravel(), s_full.ravel()
+            t.x.ravel(), r_vals.ravel(), s_full.ravel()
         ):
             # |x - r*s| <= 1/2  <=>  |x/s - r| <= 0.5/s
             if abs(Fraction(int(x)) - Fraction(rv) * Fraction(sv)) > Fraction(1, 2):
@@ -90,9 +90,9 @@ def test_02_overflow_safety(capsys):
         b = scaled(ys.ravel(), np.full(ys.size, sb), 4)
         for kern in (K.add, K.ew_mul):
             out = protocol_apply(kern, [a, b]).seal()
-            ok &= out.data.max_magnitude <= limit4
+            ok &= out.max_magnitude <= limit4
         for m in scale_match([a, b]):
-            ok &= m.data.max_magnitude <= limit4
+            ok &= m.max_magnitude <= limit4
     rng = np.random.default_rng(7)
     limit7 = (1 << 7) - 1
     for _ in range(100_000 // 8):
@@ -100,9 +100,9 @@ def test_02_overflow_safety(capsys):
         b = scaled(rng.integers(-127, 128, 8), rng.uniform(0.1, 99, 8))
         kern = (K.add, K.ew_mul)[rng.integers(2)]
         out = protocol_apply(kern, [a, b]).seal()
-        ok &= out.data.max_magnitude <= limit7
-        wide = ScaledTensor(IntTensor(rng.integers(-(2**31), 2**31, 8), 7), ScaleTensor(np.full(8, 2.0)))
-        ok &= rescale(Lane.of(wide, Workspace())).seal().data.in_range()
+        ok &= out.max_magnitude <= limit7
+        wide = scaled(rng.integers(-(2**31), 2**31, 8), np.full(8, 2.0))
+        ok &= in_range(rescale(Lane.of(wide, Workspace())).seal())
     report(capsys, 2, "overflow safety", ok)
 
 
@@ -123,24 +123,24 @@ def test_03_distribution_law(capsys):
             t = scaled(xs, np.full(xs.size, s), 7)
             for n in range(1, 5):
                 out = K.pow_n(Lane.of(t, Workspace()), n).seal()
-                ok &= out.data.values.tolist() == [int(x) ** n for x in xs]
+                ok &= out.x.tolist() == [int(x) ** n for x in xs]
                 # The scale lane is floating point: correct to the last ulps.
                 want_s = float(Fraction(np.float64(s)) ** n)
                 ok &= bool(
-                    np.all(np.abs(out.scale.values - want_s) <= 4 * np.spacing(want_s))
+                    np.all(np.abs(out.s - want_s) <= 4 * np.spacing(want_s))
                 )
                 exact_s = Fraction(np.float64(s))
-                if Fraction(float(out.scale.values[0])) == exact_s**n:
-                    for x, xo in zip(xs, out.data.values):
+                if Fraction(float(out.s[0])) == exact_s**n:
+                    for x, xo in zip(xs, out.x):
                         lhs = Fraction(int(xo)) / exact_s**n
                         rhs = (Fraction(int(x)) / exact_s) ** n
                         ok &= lhs == rhs
             out = K.abs_(t).seal()
-            ok &= out.data.values.tolist() == [abs(int(x)) for x in xs]
-            ok &= np.all(out.scale.values == t.scale.values)
+            ok &= out.x.tolist() == [abs(int(x)) for x in xs]
+            ok &= np.all(out.s == t.s)
             out = K.relu(Lane.of(t, Workspace())).seal()
-            ok &= out.data.values.tolist() == [max(int(x), 0) for x in xs]
-            ok &= np.all(out.scale.values == t.scale.values)
+            ok &= out.x.tolist() == [max(int(x), 0) for x in xs]
+            ok &= np.all(out.s == t.s)
     report(capsys, 3, "distribution-law exactness", ok)
 
 
@@ -158,8 +158,8 @@ def test_04_matmul_oracle(capsys):
         out = K.matmul(a, b, Workspace()).seal()
         da, db = dequantize(a).values, dequantize(b).values
         want = da @ db.T
-        ea = (1.0 + 1e-9) / np.min(a.scale.values, axis=1, keepdims=True)
-        eb = (1.0 + 1e-9) / np.min(b.scale.values, axis=1, keepdims=True)
+        ea = (1.0 + 1e-9) / np.min(a.s, axis=1, keepdims=True)
+        eb = (1.0 + 1e-9) / np.min(b.s, axis=1, keepdims=True)
         ones = np.ones((8, 8))
         bound = (
             np.abs(da) @ (ones * eb).T
@@ -179,8 +179,8 @@ def test_05_integer_path_purity(capsys):
     forward(model, sess, tokens=np.arange(12) % cfg.vocab)
     ok = (
         sess.log.integer_pure()
-        and len(sess.log.dequantize_records()) == 0
-        and len(sess.log.fp32_records()) == 0
+        and count_records(sess.log, kind="dequantize") == 0
+        and count_records(sess.log, lane=FP32) == 0
         and all(r.lane in (PAYLOAD, SCALE) for r in sess.log.records)
     )
     report(capsys, 5, "integer-path purity", ok)
@@ -239,7 +239,7 @@ def test_08_degenerate_attention(capsys):
     got = dequantize(out).values
     want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
     # One truncated integer division plus one re-scaling: two payload units.
-    bound = 2.0 / np.min(out.scale.values)
+    bound = 2.0 / np.min(out.s)
     ok = bool(np.max(np.abs(got - want)) <= bound)
     report(capsys, 8, "degenerate attention", ok)
 

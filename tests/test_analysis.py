@@ -32,7 +32,7 @@ from intflow.transformer import (
     residual_add,
 )
 
-from helpers import canonical_ffn_forward, report_mse
+from helpers import canonical_ffn_forward, count_records, report_mse
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +205,7 @@ class TestCanonicalBaseline:
         x = sess.quantize(r, init_scale(r, cfg.precision), cfg.precision)
         sess.log.records.clear()
         canonical_ffn_forward(x, model.layers[0], sess)
-        assert len(sess.log.dequantize_records()) == 4
+        assert count_records(sess.log, kind="dequantize") == 4
         assert not sess.log.integer_pure()
 
     def test_integer_block_avoids_dequantize_and_stays_close(self, toy):

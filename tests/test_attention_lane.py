@@ -28,7 +28,7 @@ from intflow.errors import (
 from intflow.scaling import (
     MATCH_FLOAT_MAX, Lane, Session, Workspace, scale_match, scale_match_dim,
 )
-from intflow.tensor import LANE_MAX, IntTensor, RationalTensor, ScaledTensor, ScaleTensor
+from intflow.tensor import LANE_MAX, RationalTensor, ScaledTensor
 from intflow import transformer
 from intflow.transformer import (
     FFN,
@@ -53,19 +53,14 @@ from helpers import poly, scaled
 
 def slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
     """Column block `sl` of t as views, its scale sliced along unless collapsed."""
-    data = t.data.view(t.data.values[:, sl])
-    s = t.scale
-    if s.shape[1] != 1:
-        s = ScaleTensor.derived(s.values[:, sl], s.lo, s.hi)
-    return ScaledTensor(data, s)
+    return t.view(t.x[:, sl], t.s if t.s.shape[1] == 1 else t.s[:, sl])
 
 
 def widened(t: ScaledTensor, shape) -> ScaledTensor:
     """t with its payload copied out to `shape`; its scale keeps its
     collapsed dims, only the rank is padded."""
-    pad = (1,) * (len(shape) - len(t.scale.shape))
-    return ScaledTensor(IntTensor(np.broadcast_to(t.data.values, shape).copy(), t.precision),
-                        ScaleTensor(t.scale.values.reshape(pad + t.scale.shape)))
+    pad = (1,) * (len(shape) - len(t.s.shape))
+    return scaled(np.broadcast_to(t.x, shape).copy(), t.s.reshape(pad + t.s.shape), t.precision)
 
 
 # -- exact kernels: Python-int payloads, tagged for protocol_apply -------------
@@ -90,7 +85,7 @@ def step(session, kernel, ins, module, **kwargs) -> ScaledTensor:
 
 def ints(t: ScaledTensor) -> np.ndarray:
     """The payload as an object array of Python ints."""
-    return t.data.values.astype(object)
+    return t.x.astype(object)
 
 
 def peak(x: np.ndarray) -> int:
@@ -102,7 +97,7 @@ def sealed(x: np.ndarray, s: np.ndarray, precision: int) -> ScaledTensor:
     as every new scale is."""
     if peak(x) >= LANE_MAX:
         raise LaneOverflowError("payload exceeds accumulator lane")
-    return ScaledTensor(IntTensor(x.astype(np.int64), precision), ScaleTensor(s))
+    return scaled(x.astype(np.int64), s, precision)
 
 
 @exact_kernel("matmul", True)
@@ -111,20 +106,20 @@ def exact_matmul(a, b_t):
     if a.shape[-1] * peak(ints(a)) * peak(ints(b_t)) >= LANE_MAX:
         raise LaneOverflowError("product exceeds accumulator lane")
     with np.errstate(over="ignore"):
-        s = a.scale.values * b_t.scale.values.T  # one rounded product each
+        s = a.s * b_t.s.T  # one rounded product each
     return sealed(ints(a) @ ints(b_t).T, s, a.precision)
 
 
 @exact_kernel("add", True)
 def exact_add(a, b):
     a, b = scale_match([a, b])
-    return sealed(ints(a) + ints(b), a.scale.values, a.precision)
+    return sealed(ints(a) + ints(b), a.s, a.precision)
 
 
 @exact_kernel("relu", False)
 def exact_relu(t):
     x = ints(t)
-    return ScaledTensor(IntTensor(np.where(x > 0, x, 0).astype(np.int64), t.precision), t.scale)
+    return scaled(np.where(x > 0, x, 0).astype(np.int64), t.s, t.precision)
 
 
 @exact_kernel("pow_n", True)
@@ -133,15 +128,15 @@ def exact_pow_n(t, n):
     if peak(ints(t)) ** n >= LANE_MAX:
         raise LaneOverflowError("power exceeds accumulator lane")
     with np.errstate(over="ignore", under="ignore"):
-        s = t.scale.values ** n
+        s = t.s ** n
     return sealed(ints(t) ** n, s, t.precision)
 
 
 @exact_kernel("sum_reduce", False)
 def exact_sum(t):
-    assert t.scale.shape[-1] == 1
+    assert t.s.shape[-1] == 1
     x = ints(t).sum(axis=-1, keepdims=True)
-    return ScaledTensor(sealed(x, t.scale.values, t.precision).data, t.scale)
+    return sealed(x, t.s, t.precision)
 
 
 @exact_kernel("int_div", True)
@@ -151,7 +146,7 @@ def exact_int_div(num, den):
         raise PrecisionError("divisor must be strictly positive")
     q = np.where(n < 0, -(-n // d), n // d)  # truncated toward zero
     with np.errstate(over="ignore", under="ignore"):
-        s = num.scale.values / den.scale.values
+        s = num.s / den.s
     return sealed(q, s, num.precision)
 
 
@@ -160,26 +155,26 @@ def exact_int_div(num, den):
 
 def quantize_const(value, like, session, module, min_payload=0):
     r = RationalTensor(np.broadcast_to(np.float64(value), like.shape))
-    t = session.quantize(r, like.scale, like.precision, module)
-    if min_payload and np.any(t.data.values < min_payload):
-        t = ScaledTensor(IntTensor(np.maximum(t.data.values, min_payload), t.precision), t.scale)
+    t = session.quantize(r, like.s, like.precision, module)
+    if min_payload and np.any(t.x < min_payload):
+        t = scaled(np.maximum(t.x, min_payload), t.s, t.precision)
     return t
 
 
 def fit_zero_groups(t, value, limit):
     """t with the scale of each all-zero group whose constant round(value * s)
     would leave the lane set to limit / |value|; zeros are exact at any scale."""
-    s = t.scale.values.copy()
+    s = t.s.copy()
     with np.errstate(over="ignore"):
         over = np.abs(np.rint(np.float64(value) * s)) >= LANE_MAX
     nonzero = np.zeros(s.shape, bool)
-    for idx, x in np.ndenumerate(t.data.values):
+    for idx, x in np.ndenumerate(t.x):
         nonzero[tuple(i if n > 1 else 0 for i, n in zip(idx, s.shape))] |= x != 0
     refit = over & ~nonzero
     if not refit.any():
         return t
     s[refit] = limit / abs(value)
-    return ScaledTensor(t.data, ScaleTensor(s))
+    return scaled(t.x, s, t.precision)
 
 
 def oracle_poly(scores, pp, degree, session, module="Attn"):
@@ -196,19 +191,19 @@ def oracle_poly(scores, pp, degree, session, module="Attn"):
 
 def oracle_poly_attention(q, k, v, pp, degree, d_m, session, module="Attn"):
     scores = step(session, exact_matmul, [q, k], module)
-    session.note("scale_fold", SCALE, scores.scale.values.size, module)
+    session.note("scale_fold", SCALE, scores.s.size, module)
     with np.errstate(over="ignore"):
-        folded = scores.scale.values * math.sqrt(d_m)
-    scores = ScaledTensor(scores.data, ScaleTensor(folded))
+        folded = scores.s * math.sqrt(d_m)
+    scores = scaled(scores.x, folded, scores.precision)
     weights = scale_match_dim(oracle_poly(scores, pp, degree, session, module), -1)
     num = step(session, exact_matmul, [weights, K.transpose(v, (1, 0))], module, allow_rescale=False)
     den = step(session, exact_sum, [weights], module, allow_rescale=False)
-    lam = max(1, (1 << 60) // (max(num.data.max_magnitude, 1) + 1))
+    lam = max(1, (1 << 60) // (max(num.max_magnitude, 1) + 1))
     if lam > 1:
-        session.note("boost", PAYLOAD, num.data.values.size, module)
+        session.note("boost", PAYLOAD, num.x.size, module)
         with np.errstate(over="ignore"):
-            boosted = num.scale.values * lam
-        num = ScaledTensor(IntTensor(num.data.values * lam, num.precision), ScaleTensor(boosted))
+            boosted = num.s * lam
+        num = scaled(num.x * lam, boosted, num.precision)
     return step(session, exact_int_div, [num, den], module)
 
 
@@ -230,8 +225,8 @@ def outcome(fn, session=None):
     except (IntflowError, ValueError) as e:
         return type(e).__name__, repr(session.log.records[start:])
     return (
-        out.data.values.dtype.str, out.data.values.tolist(), out.precision,
-        out.scale.values.shape, out.scale.values.tobytes(), repr(session.log.records[start:]),
+        out.x.dtype.str, out.x.tolist(), out.precision,
+        out.s.shape, out.s.tobytes(), repr(session.log.records[start:]),
     )
 
 
@@ -445,8 +440,8 @@ class TestHeadsMatchedOncePerLayer:
         blocks = [_match_heads(Lane.of(t, ws), heads, axis) for t, axis in ((q, -1), (k, -1), (v, 0))]
         got, want = [], []
         for h in range(heads):
-            qh, kh, vh_t = (_head_rows(b, heads, h, h + 1) for b in blocks)
-            assert qh.scale.values.flags.c_contiguous and kh.scale.values.flags.c_contiguous
+            qh, kh, vh_t = (_head_rows(b, h, h + 1) for b in blocks)
+            assert qh.s.flags.c_contiguous and kh.s.flags.c_contiguous
             sl = slice(h * d_h, (h + 1) * d_h)
             qp, kp, vp = (slice_cols(t, sl) for t in (q, k, v))
             got.append(outcome(lambda s: poly_attention(qh, kh, vh_t, pp, degree, d_m, s).seal()))
@@ -472,11 +467,10 @@ class TestHeadsMatchedOncePerLayer:
         # tensor, and of all heads at once, refuses it.
         big = 2**23
         q = scaled([[1, 1, big, 1], [1, 1, 1, 1]], [[1.0, 1 - 2.0**-53, 1.0, 2.0], [2.0] * 4], 12)
-        assert q.data.max_bound >= MATCH_FLOAT_MAX
+        assert q.max_bound >= MATCH_FLOAT_MAX
         with pytest.raises(PrecisionError, match="not below"):
-            scale_match_dim(ScaledTensor(q.data.view(q.data.values.reshape(2, 2, 2)),
-                                         ScaleTensor(q.scale.values.reshape(2, 2, 2))), -1)
-        assert scale_match_dim(slice_cols(q, slice(0, 2)), -1).data.values.tolist() == [[1, 1], [1, 1]]
+            scale_match_dim(q.view(q.x.reshape(2, 2, 2), q.s.reshape(2, 2, 2)), -1)
+        assert scale_match_dim(slice_cols(q, slice(0, 2)), -1).x.tolist() == [[1, 1], [1, 1]]
         for axis in (0, -1):
             with pytest.raises(PrecisionError, match="not below"):
                 _match_heads(Lane.of(q, Workspace()), 2, axis)
@@ -493,8 +487,8 @@ class TestHeadsMatchedOncePerLayer:
             np.reshape(data.draw(st.lists(scales, min_size=r, max_size=r)), (r, 1))
             for r in (m if per_row_a else 1, n if per_row_b else 1)
         )
-        a = ScaledTensor(IntTensor(np.ones((m, 2), np.int64), 7), ScaleTensor(sa))
-        b_t = ScaledTensor(IntTensor(np.ones((n, 2), np.int64), 7), ScaleTensor(sb))
+        a = scaled(np.ones((m, 2), np.int64), sa, 7)
+        b_t = scaled(np.ones((n, 2), np.int64), sb, 7)
         lane = K.matmul(a, b_t, Workspace())
         with np.errstate(under="ignore"):
             want = np.matmul(sa, sb.T)
@@ -570,19 +564,18 @@ class TestGroupedHeads:
     @staticmethod
     def stack(parts):
         """Per-head operands as _match_heads lays them out: payloads and
-        scales stacked along the rows."""
-        return (IntTensor(np.concatenate([t.data.values for t in parts]), parts[0].precision),
-                ScaleTensor(np.concatenate([t.scale.values for t in parts])))
+        scales stacked head first."""
+        return scaled(np.stack([t.x for t in parts]), np.stack([t.s for t in parts]), parts[0].precision)
 
     @staticmethod
     def grouped(blocks, heads, group, pp, degree, d_m):
         session = Session()
         try:
-            lane = attend_heads(*blocks, heads, group, pp, degree, d_m, session)
+            lane = attend_heads(*blocks, group, pp, degree, d_m, session)
         except (IntflowError, ValueError):
             return "refused"
         out = lane.seal()
-        return out.precision, out.data.values.tolist(), out.scale.shape, out.scale.values.tobytes()
+        return out.precision, out.x.tolist(), out.s.shape, out.s.tobytes()
 
     @staticmethod
     def lone_heads(blocks, heads, pp, degree, d_m):
@@ -590,15 +583,15 @@ class TestGroupedHeads:
         scale is broadcast over its head's block first, as concat does."""
         outs = []
         for h in range(heads):
-            qh, kh, v_th = (_head_rows(b, heads, h, h + 1) for b in blocks)
+            qh, kh, v_th = (_head_rows(b, h, h + 1) for b in blocks)
             try:
                 outs.append(oracle_poly_attention(qh, kh, K.transpose(v_th, (1, 0)), pp, degree, d_m,
                                                   Session()))
             except (IntflowError, ValueError):
                 return "refused"
-        rows, d_h = max(o.scale.shape[0] for o in outs), outs[0].shape[1]
-        scale = np.concatenate([np.broadcast_to(o.scale.values, (rows, d_h)) for o in outs], axis=1)
-        payload = np.concatenate([o.data.values for o in outs], axis=1)
+        rows, d_h = max(o.s.shape[0] for o in outs), outs[0].shape[1]
+        scale = np.concatenate([np.broadcast_to(o.s, (rows, d_h)) for o in outs], axis=1)
+        payload = np.concatenate([o.x for o in outs], axis=1)
         return outs[0].precision, payload.tolist(), scale.shape, scale.tobytes()
 
     @given(st.data(), st.sampled_from([(1, 1), (2, 2), (3, 2), (4, 3), (5, 2), (4, 4), (3, 1)]),
@@ -621,7 +614,7 @@ class TestGroupedHeads:
             top = (LANE_MAX - 1) // (T * ((1 << p) - 1))
             vs = data.draw(st.lists(st.integers(top // 2, top) | st.integers(-top, -(top // 2)),
                                     min_size=d_h * T, max_size=d_h * T))
-            v_t[huge] = scaled(np.reshape(vs, (d_h, T)), v_t[huge].scale.values, p)
+            v_t[huge] = scaled(np.reshape(vs, (d_h, T)), v_t[huge].s, p)
         d_m = d_h * heads
         blocks = [self.stack(parts) for parts in (q, k, v_t)]
         got = self.grouped(blocks, heads, group, pp, degree, d_m)
@@ -637,7 +630,7 @@ class TestGroupedHeads:
         blocks = [self.stack(parts) for parts in (q, k, v_t)]
         pp = PolyParams(bias=0.5, offset=0.1)
         session = Session()
-        attend_heads(*blocks, 2, 2, pp, 3, 2, session).release()
+        attend_heads(*blocks, 2, pp, 3, 2, session).release()
         boosts = [r for r in session.log.records if r.kind == "boost"]
         assert [r.elements for r in boosts] == [1]  # one of the two heads
         assert self.grouped(blocks, 2, 2, pp, 3, 2) == self.lone_heads(blocks, 2, pp, 3, 2)
@@ -646,12 +639,12 @@ class TestGroupedHeads:
         # One scale row per head cannot be told apart in a stack of heads.
         T, heads, d_h = 4, 2, 2
         def blocks(rows, cols, scale_rows):
-            return IntTensor(np.ones((heads * rows, cols), np.int64), 7), ScaleTensor(np.ones((scale_rows, 1)))
+            return scaled(np.ones((heads, rows, cols), np.int64), np.ones((heads, scale_rows, 1)))
 
-        q, v_t = blocks(T, d_h, heads * T), blocks(d_h, T, heads * d_h)
-        assert _group_size(heads, q, q, v_t) == heads
-        assert _group_size(heads, blocks(T, d_h, heads), q, v_t) == 1
-        assert _group_size(heads, q, q, blocks(d_h, T, heads)) == 1
+        q, v_t = blocks(T, d_h, T), blocks(d_h, T, d_h)
+        assert _group_size(q, q, v_t) == heads
+        assert _group_size(blocks(T, d_h, 1), q, v_t) == 1
+        assert _group_size(q, q, blocks(d_h, T, 1)) == 1
         assert transformer.ATTN_GROUP_ELEMENTS // (T * T) >= heads
 
     @pytest.mark.parametrize("cfg, seq_len", [
@@ -673,7 +666,7 @@ class TestGroupedHeads:
             sums = {}
             for r in session.log.records:
                 sums[r.kind, r.lane, r.module] = sums.get((r.kind, r.lane, r.module), 0) + r.elements
-            runs.append((out.data.values.tobytes(), out.scale.values.tobytes(), sums))
+            runs.append((out.x.tobytes(), out.s.tobytes(), sums))
         assert runs[0] == runs[1] == runs[2]
 
 
@@ -710,7 +703,7 @@ class TestWorkspace:
         held = self.held(session)
         assert held
         for t in results:
-            for arr in (t.data.values, t.scale.values):
+            for arr in (t.x, t.s):
                 assert not any(np.shares_memory(arr, buf) for buf in held)
 
     @pytest.mark.parametrize("seq_len", [64, 256])
@@ -808,7 +801,7 @@ class TestWorkspaceOwnership:
     def test_a_read_only_array_is_refused(self):
         ws = Workspace()
         out = scaling.Lane.of(scaled([[1, -2]], [[1.0, 2.0]], 7), ws).seal()
-        for arr in (out.data.values, out.scale.values):
+        for arr in (out.x, out.s):
             with pytest.raises(WorkspaceError):
                 ws.give(arr)
         assert all(a.flags.writeable for stack in ws._free.values() for a in stack)
@@ -822,6 +815,6 @@ class TestWorkspaceOwnership:
         assert K.sum_reduce(lane) is lane
         assert lane.s.flags.writeable
         out = lane.seal()
-        assert out.data.values.tolist() == [[1 + -4 + 1], [3]]
-        assert out.scale.values.tolist() == [[1.0], [1.0]]
+        assert out.x.tolist() == [[1 + -4 + 1], [3]]
+        assert out.s.tolist() == [[1.0], [1.0]]
         assert all(a.flags.writeable for stack in ws._free.values() for a in stack)

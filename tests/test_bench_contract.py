@@ -1,9 +1,11 @@
 """The library names the benchmark imports and wraps, and its golden gate.
 
 bench/harness.py imports names from intflow, and bench/tracer.py wraps
-kernels, scaling functions and model-file functions by name.  A rename or a
-removal there, or a change to the logits of a workload's golden input, would
-otherwise surface only when the benchmark runs.
+kernels, scaling functions and model-file functions by name.  Both read a
+tensor through its payload and scale views (`ScaledTensor.data` and
+`.scale`), whose constructors and `max_magnitude` the tracer times.  A
+rename or a removal there, or a change to the logits of a workload's golden
+input, would otherwise surface only when the benchmark runs.
 """
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intflow import kernels, modelfile, scaling
+from intflow import kernels, modelfile, scaling, tensor
 from intflow.scaling import Session
 from intflow.transformer import ModelConfig, forward, quantize_model, random_reference_model
 
@@ -126,3 +128,45 @@ def test_golden_digest(bench_modules, tmp_path, name):
     model, _ = harness.set_up(wl, tmp_path / "model.bin")
     out, _, _ = harness.int_forward(model, harness.draw_inputs(wl, harness.DEFAULT_SEED)[0])
     assert harness.digest(out) == harness.golden_digests()[name]
+
+
+def golden_toy(harness, tmp_path):
+    """The `toy` workload's model and twin, and its golden input."""
+    wl = harness.WORKLOADS["toy"]
+    model, twin = harness.set_up(wl, tmp_path / "model.bin")
+    return wl, model, twin, harness.draw_inputs(wl, harness.DEFAULT_SEED)[0]
+
+
+def test_the_gate_passes_the_golden_forward(bench_modules, tmp_path):
+    # check_int reads the logits' payload through out.data.in_range().
+    harness, _ = bench_modules
+    wl, model, twin, toks = golden_toy(harness, tmp_path)
+    out, log, _ = harness.int_forward(model, toks)
+    ref_logits, _ = harness.fp32_forward(twin, toks)
+    problems, mse = harness.check_int(wl, out, log, ref_logits)
+    assert problems == [] and 0 < mse <= wl.mse_bound
+
+
+def test_a_traced_forward_gives_the_untraced_digest(bench_modules, tmp_path):
+    # With the view constructors and max_magnitude wrapped, a traced forward
+    # and the benchmark's reads of its logits give the untraced bytes.  The
+    # views are built only where the benchmark reads them: the digest and
+    # the peak here, and the tracer's scale_match_dim probe, which reads
+    # each operand's scale.
+    harness, tracer = bench_modules
+    wl, model, _, toks = golden_toy(harness, tmp_path)
+    out_u, _, _ = harness.int_forward(model, toks)
+    originals = (tensor.IntTensor.__init__, tensor.ScaleTensor.__init__, tensor.IntTensor.max_magnitude)
+    t = tracer.Tracer(wl.config.n_layers)
+    with t.installed(), t.window() as w:
+        assert tensor.IntTensor.__init__ is not originals[0]
+        assert tensor.ScaleTensor.__init__ is not originals[1]
+        out_t, _, _ = harness.int_forward(model, toks)
+        traced = harness.digest(out_t)
+        peak = out_t.data.max_magnitude
+    assert traced == harness.digest(out_u) == harness.golden_digests()["toy"]
+    assert peak == int(np.abs(out_u.x).max())
+    assert w.calls["tensor.IntTensor"] == 2
+    assert w.calls["tensor.ScaleTensor"] == 1 + w.calls["scaling.scale_match_dim"]
+    assert w.calls["tensor.IntTensor.max_magnitude"] == 1
+    assert (tensor.IntTensor.__init__, tensor.ScaleTensor.__init__, tensor.IntTensor.max_magnitude) == originals

@@ -15,7 +15,7 @@ from intflow.scaling import (
     MATCH_FLOAT_MAX, Lane, Workspace, dequantize, gemm_dtype, protocol_apply,
     scale_match_dim,
 )
-from intflow.tensor import LANE_MAX, IntTensor, ScaledTensor, ScaleTensor, container_dtype
+from intflow.tensor import LANE_MAX, ScaledTensor, container_dtype
 
 from helpers import scaled
 
@@ -38,13 +38,13 @@ def refuses():
 def refused(t: ScaledTensor) -> bool:
     """Whether matching t along its last axis refuses it: its scale is not
     collapsed there, and its payload reaches MATCH_FLOAT_MAX."""
-    return t.scale.shape[-1] > 1 and t.data.max_magnitude >= MATCH_FLOAT_MAX
+    return t.s.shape[-1] > 1 and t.max_magnitude >= MATCH_FLOAT_MAX
 
 
 def frac_view(t: ScaledTensor):
     """De-quantized view as exact fractions (scales are small rationals here)."""
-    data = t.data.values
-    scale = np.broadcast_to(t.scale.values, t.shape)
+    data = t.x
+    scale = np.broadcast_to(t.s, t.shape)
     return [
         Fraction(int(x)) / Fraction(s).limit_denominator(10**6)
         for x, s in zip(data.ravel(), scale.ravel())
@@ -75,14 +75,14 @@ class TestAdd:
         a = scaled([5, -6], [4.0])
         zero = scaled([0, 0], [4.0])
         out = K.add(a, zero).seal()
-        assert np.array_equal(out.data.values, a.data.values)
+        assert np.array_equal(out.x, a.x)
 
     def test_worked_example(self):
         a = scaled([100], [100.0])
         b = scaled([50], [50.0])
         out = K.add(a, b).seal()
-        assert out.data.values.tolist() == [100]
-        assert out.scale.values.tolist() == [50.0]
+        assert out.x.tolist() == [100]
+        assert out.s.tolist() == [50.0]
         assert dequantize(out).values.tolist() == [2.0]
 
     def test_error_within_two_units_of_matched_scale(self):
@@ -93,7 +93,7 @@ class TestAdd:
             out = K.add(a, b).seal()
             want = dequantize(a).values + dequantize(b).values
             err = np.abs(dequantize(out).values - want)
-            assert np.all(err <= (2.0 + 1e-6) / out.scale.values)
+            assert np.all(err <= (2.0 + 1e-6) / out.s)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -113,7 +113,7 @@ class TestMatMul:
         a = scaled([[1, 1]], [[5.0]])
         b = scaled([[1, 1], [2, 2]], [[3.0], [7.0]])
         out = matmul(a, b)
-        assert out.scale.values.tolist() == [[15.0, 35.0]]
+        assert out.s.tolist() == [[15.0, 35.0]]
 
     def test_contraction_mismatch(self):
         with pytest.raises(ShapeError):
@@ -131,8 +131,8 @@ class TestMatMul:
             out = matmul(a, b)
             da, db = dequantize(a).values, dequantize(b).values
             want = da @ db.T
-            ea = (1.0 + 1e-6) / np.min(a.scale.values, axis=1, keepdims=True)
-            eb = (1.0 + 1e-6) / np.min(b.scale.values, axis=1, keepdims=True)
+            ea = (1.0 + 1e-6) / np.min(a.s, axis=1, keepdims=True)
+            eb = (1.0 + 1e-6) / np.min(b.s, axis=1, keepdims=True)
             bound = (
                 np.abs(da) @ (np.full_like(db, 1.0) * eb).T
                 + (np.full_like(da, 1.0) * ea) @ np.abs(db).T
@@ -193,9 +193,9 @@ class TestMatMulExactness:
             return
         am, bm = scale_match_dim(a, -1), scale_match_dim(b_t, -1)
         out = matmul(a, b_t)
-        assert out.data.values.dtype == np.int64
-        assert np.array_equal(out.data.values, am.data.values @ bm.data.values.T)
-        assert np.array_equal(out.scale.values, am.scale.values @ bm.scale.values.T)
+        assert out.x.dtype == np.int64
+        assert np.array_equal(out.x, am.x @ bm.x.T)
+        assert np.array_equal(out.s, am.s @ bm.s.T)
 
     @given(gemm_operands())
     @settings(max_examples=100, deadline=None)
@@ -204,15 +204,15 @@ class TestMatMulExactness:
         a, b_t = ops
         ws = Workspace()
         lane = Lane.of(a, ws)
-        if a.data.max_magnitude >= MATCH_FLOAT_MAX or refused(b_t):
+        if a.max_magnitude >= MATCH_FLOAT_MAX or refused(b_t):
             with refuses():
                 lane.match_last()
                 K.matmul(lane, b_t, ws)
             return
         lane.match_last()
         got, want = K.matmul(lane, b_t, ws).seal(), matmul(a, b_t)
-        assert got.data.values.tolist() == want.data.values.tolist()
-        assert np.array_equal(got.scale.values, want.scale.values)
+        assert got.x.tolist() == want.x.tolist()
+        assert np.array_equal(got.s, want.s)
 
     @given(gemm_operands())
     @settings(max_examples=100, deadline=None)
@@ -226,8 +226,8 @@ class TestMatMulExactness:
                 K.matmul(lane, b_t, ws)
             return
         got, want = K.matmul(lane, b_t, ws).seal(), matmul(a, b_t)
-        assert got.data.values.tolist() == want.data.values.tolist()
-        assert np.array_equal(got.scale.values, want.scale.values)
+        assert got.x.tolist() == want.x.tolist()
+        assert np.array_equal(got.s, want.s)
         assert lane.s.shape == (a.shape[0], 1)
 
     @given(grouped_operands())
@@ -243,23 +243,21 @@ class TestMatMulExactness:
         got = K.matmul(a, b_t, Workspace(), groups=groups).seal()
         m, n = a.shape[0] // groups, b_t.shape[0] // groups
         blocks = [
-            matmul(ScaledTensor(a.data.view(a.data.values[g * m:(g + 1) * m]),
-                                ScaleTensor(a.scale.values[g * m:(g + 1) * m])),
-                   ScaledTensor(b_t.data.view(b_t.data.values[g * n:(g + 1) * n]),
-                                ScaleTensor(b_t.scale.values[g * n:(g + 1) * n])))
+            matmul(a.view(a.x[g * m:(g + 1) * m], a.s[g * m:(g + 1) * m]),
+                   b_t.view(b_t.x[g * n:(g + 1) * n], b_t.s[g * n:(g + 1) * n]))
             for g in range(groups)
         ]
-        assert got.data.values.tolist() == np.concatenate([b.data.values for b in blocks]).tolist()
-        assert got.scale.values.tobytes() == np.concatenate([b.scale.values for b in blocks]).tobytes()
+        assert got.x.tolist() == np.concatenate([b.x for b in blocks]).tolist()
+        assert got.s.tobytes() == np.concatenate([b.s for b in blocks]).tobytes()
 
     def test_groups_must_split_the_rows_and_keep_a_scale_row_each(self):
-        a = scaled(np.ones((4, 2)), np.ones((4, 1)))
+        a = scaled(np.ones((4, 2), np.int64), np.ones((4, 1)))
         with pytest.raises(ShapeError, match="groups"):
-            K.matmul(a, scaled(np.ones((3, 2)), np.ones((3, 1))), Workspace(), groups=2)
+            K.matmul(a, scaled(np.ones((3, 2), np.int64), np.ones((3, 1))), Workspace(), groups=2)
         # A scale collapsed along the rows would mix the blocks' scales.
         with pytest.raises(ShapeError, match="scale row per payload row"):
-            K.matmul(a, scaled(np.ones((4, 2)), np.ones((1, 1))), Workspace(), groups=2)
-        assert K.matmul(a, scaled(np.ones((4, 2)), np.ones((1, 1))), Workspace()).s.shape == (4, 1)
+            K.matmul(a, scaled(np.ones((4, 2), np.int64), np.ones((1, 1))), Workspace(), groups=2)
+        assert K.matmul(a, scaled(np.ones((4, 2), np.int64), np.ones((1, 1))), Workspace()).s.shape == (4, 1)
 
     @pytest.mark.parametrize("peaks", [(20, 3), (3, 20), (20, 30), (3, 4)])
     def test_a_groups_shrink_audits_only_the_blocks_it_moves(self, peaks):
@@ -270,8 +268,8 @@ class TestMatMulExactness:
 
         def run(peaks):
             a = operand(peaks[0]) if len(peaks) == 1 else scaled(
-                np.concatenate([operand(m).data.values for m in peaks]),
-                np.concatenate([operand(m).scale.values for m in peaks]))
+                np.concatenate([operand(m).x for m in peaks]),
+                np.concatenate([operand(m).s for m in peaks]))
             log = OpAuditLog()
             lane = protocol_apply(K.matmul, [a, a], log=log, ws=Workspace(), groups=len(peaks))
             shrunk = sum(r.elements for r in log.records if r.kind == "rescale")
@@ -279,23 +277,23 @@ class TestMatMulExactness:
 
         got, shrunk = run(peaks)
         alone = [run((m,)) for m in peaks]
-        assert got.data.values.tolist() == np.concatenate([t.data.values for t, _ in alone]).tolist()
-        assert got.scale.values.tobytes() == np.concatenate([t.scale.values for t, _ in alone]).tobytes()
+        assert got.x.tolist() == np.concatenate([t.x for t, _ in alone]).tolist()
+        assert got.s.tobytes() == np.concatenate([t.s for t, _ in alone]).tobytes()
         assert shrunk == sum(n for _, n in alone) == 4 * sum(m * m > 127 for m in peaks)
 
     def test_a_lane_with_varying_contraction_scales_is_matched(self):
         a = scaled([[3, 5], [7, -2]], [[1.0, 2.0], [4.0, 1.0]])
         b_t = scaled([[1, 2], [3, 4]], [[1.0], [1.0]])
         got = K.matmul(Lane.of(a, Workspace()), b_t).seal()
-        assert got.data.values.tolist() == [[7, 17], [-3, -5]]
-        assert got.scale.values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert got.x.tolist() == [[7, 17], [-3, -5]]
+        assert got.s.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_bound_at_float_mantissa_takes_int64_path(self):
         x = 2**27 + 1
         a = scaled([[x]], [[1.0]])
         assert float(x) * float(x) != x * x  # 2^54 + 2^28 + 1 rounds in float64
         out = matmul(a, a)
-        assert out.data.values.tolist() == [[x * x]]
+        assert out.x.tolist() == [[x * x]]
 
     @pytest.mark.parametrize("x, k", [(4095, 1), (127, 1024)])
     def test_bound_just_below_float32_mantissa(self, x, k):
@@ -304,8 +302,8 @@ class TestMatMulExactness:
         b_t = scaled(np.full((3, k), -x), [[1.0], [1.0], [1.0]])
         assert k * x * x < 2**24
         out = matmul(a, b_t)
-        assert out.data.values.tolist() == (a.data.values @ b_t.data.values.T).tolist()
-        assert out.data.values[0, 0] == -k * x * x
+        assert out.x.tolist() == (a.x @ b_t.x.T).tolist()
+        assert out.x[0, 0] == -k * x * x
 
     def test_odd_sum_past_float32_mantissa(self):
         # The bound is 3 * 4095^2 >= 2^24, and the sum, 33,538,051, is odd:
@@ -313,7 +311,7 @@ class TestMatMulExactness:
         a = scaled([[4095, 4095, 1]], [[1.0]])
         want = 2 * 4095**2 + 1
         assert int(np.float32(want)) != want
-        assert matmul(a, a).data.values.tolist() == [[want]]
+        assert matmul(a, a).x.tolist() == [[want]]
 
 
 class TestGemmRoute:
@@ -346,12 +344,12 @@ class TestGemmRoute:
         h = scaled(np.full((4, 1024), 127), [[1.0]] * 4)
         w = rng.integers(-127, 128, (256, 1024))
         w[0] = 127
-        w2 = ScaledTensor(IntTensor.param(w, 7), ScaleTensor(np.ones((256, 1))))
-        assert w2.data.values.dtype == np.int8
+        w2 = ScaledTensor.param(w, np.ones((256, 1)), 7)
+        assert w2.x.dtype == np.int8
         lane = K.matmul(h, w2, Workspace())
         assert gemm_types == [(np.float32, np.float32)]
         assert lane.x.dtype == np.float64
-        assert np.array_equal(lane.seal().data.values, h.data.values @ w.T)
+        assert np.array_equal(lane.seal().x, h.x @ w.T)
 
     def test_p12_product_runs_in_float64(self, gemm_types):
         # A `longctx` (p=12) GEMM over d_m = 64: bound 4095^2 * 64, past 2^24.
@@ -360,7 +358,7 @@ class TestGemmRoute:
         lane = K.matmul(a, b_t, Workspace())
         assert gemm_types == [(np.float64, np.float64)]
         assert lane.x.dtype == np.float64
-        assert lane.seal().data.values.tolist() == [[-64 * 4095**2] * 5] * 3
+        assert lane.seal().x.tolist() == [[-64 * 4095**2] * 5] * 3
 
 
 class TestPowAbsRelu:
@@ -395,8 +393,8 @@ class TestPowAbsRelu:
         ))
         t = scaled(xs, [1.5] * len(xs), precision=15)
         out = on_lane(K.pow_n, t, n=n)
-        assert out.data.values.tolist() == [x**n for x in xs]
-        assert out.scale.values.tolist() == [1.5**n] * len(xs)
+        assert out.x.tolist() == [x**n for x in xs]
+        assert out.s.tolist() == [1.5**n] * len(xs)
         # At n = 1, m + 1 = 2^62 is refused as a payload, before any power.
         refusal = ("power" if n > 1 else "payload") + " exceeds accumulator lane"
         with pytest.raises(LaneOverflowError, match=refusal):
@@ -417,7 +415,7 @@ class TestPowAbsRelu:
     def test_relu_matches_python_ints(self, xs):
         # Both lane dtypes: float64 below 2^53, int64 from there up.
         out = on_lane(K.relu, scaled(xs, [1.0]))
-        assert out.data.values.tolist() == [max(x, 0) for x in xs]
+        assert out.x.tolist() == [max(x, 0) for x in xs]
 
     @given(
         st.lists(st.integers(-20, 20), min_size=1, max_size=6),
@@ -438,11 +436,8 @@ class TestPowAbsRelu:
 def materialized(t: ScaledTensor, shape) -> ScaledTensor:
     """t with its payload copied out to `shape`; scale dims stay collapsed,
     only the rank is padded."""
-    pad = (1,) * (len(shape) - len(t.scale.shape))
-    return ScaledTensor(
-        IntTensor(np.broadcast_to(t.data.values, shape).copy(), t.precision),
-        ScaleTensor(t.scale.values.reshape(pad + t.scale.shape)),
-    )
+    pad = (1,) * (len(shape) - len(t.s.shape))
+    return scaled(np.broadcast_to(t.x, shape), t.s.reshape(pad + t.s.shape), t.precision)
 
 
 @st.composite
@@ -474,9 +469,9 @@ class TestNativeBroadcast:
 
     @staticmethod
     def same(got: ScaledTensor, want: ScaledTensor) -> None:
-        assert got.data.values.tolist() == want.data.values.tolist()
-        assert got.scale.shape == want.scale.shape
-        assert np.array_equal(got.scale.values, want.scale.values)
+        assert got.x.tolist() == want.x.tolist()
+        assert got.s.shape == want.s.shape
+        assert np.array_equal(got.s, want.s)
 
     @given(broadcast_operands())
     @settings(max_examples=300, deadline=None)
@@ -486,7 +481,7 @@ class TestNativeBroadcast:
         for a, b in ((full, small), (small, full)):
             self.same(K.ew_mul(a, b).seal(),
                       K.ew_mul(materialized(a, shape), materialized(b, shape)).seal())
-            if b.data.values.min() > 0:
+            if b.x.min() > 0:
                 self.same(K.int_div(a, b).seal(),
                           K.int_div(materialized(a, shape), materialized(b, shape)).seal())
 
@@ -523,8 +518,8 @@ class TestSumReduce:
     def test_uniform_scale_is_exact(self):
         t = scaled([[1, 2, 3]], [[2.0]])
         out = K.sum_reduce(t).seal()
-        assert out.data.values.tolist() == [[6]]
-        assert np.array_equal(out.scale.values, t.scale.values)
+        assert out.x.tolist() == [[6]]
+        assert np.array_equal(out.s, t.s)
 
     def test_varying_scale_matched_first(self):
         t = scale_match_dim(scaled([[100, 50]], [[100.0, 50.0]]), -1)
@@ -551,9 +546,9 @@ class TestSumReduce:
         lane = Lane.of(t, Workspace())
         assert K.sum_reduce(lane) is lane
         out = lane.seal()
-        assert out.data.values.tolist() == [[sum(r)] for r in t.data.values.tolist()]
-        assert out.data.max_bound >= max(abs(sum(r)) for r in t.data.values.tolist())
-        assert np.array_equal(out.scale.values, t.scale.values)
+        assert out.x.tolist() == [[sum(r)] for r in t.x.tolist()]
+        assert out.max_bound >= max(abs(sum(r)) for r in t.x.tolist())
+        assert np.array_equal(out.s, t.s)
 
 
 class TestIntDiv:
@@ -561,13 +556,13 @@ class TestIntDiv:
         num = scaled([7, -7], [1.0])
         den = scaled([2, 2], [1.0])
         out = K.int_div(num, den).seal()
-        assert out.data.values.tolist() == [3, -3]
+        assert out.x.tolist() == [3, -3]
 
     def test_scale_ratio(self):
         num = scaled([10], [4.0])
         den = scaled([2], [8.0])
         out = K.int_div(num, den).seal()
-        assert out.scale.values.tolist() == [0.5]
+        assert out.s.tolist() == [0.5]
         assert dequantize(out).values.tolist() == [10.0]
 
     def test_rejects_nonpositive_denominator(self):
@@ -644,7 +639,7 @@ def _outcome(call, ops: dict):
         out = call(ap, ops)
     except (IntflowError, ValueError) as exc:
         return type(exc)
-    return out.data.values.dtype, out.data.values.tolist(), out.scale.values.tolist(), log.records
+    return out.x.dtype, out.x.tolist(), out.s.tolist(), log.records
 
 
 class TestContainerWidthOperands:
@@ -660,8 +655,7 @@ class TestContainerWidthOperands:
         def held(narrow_names):
             ops = {"n": n}
             for name, (x, s) in arrays.items():
-                data = IntTensor.param(x, p) if name in narrow_names else IntTensor(x, p)
-                ops[name] = ScaledTensor(data, ScaleTensor(s))
+                ops[name] = ScaledTensor.param(x, s, p) if name in narrow_names else scaled(x, s, p)
             return ops
 
         for kernel, (names, call) in CONTAINER_CALLS.items():
@@ -671,19 +665,19 @@ class TestContainerWidthOperands:
             for k in range(1, len(names) + 1):
                 for narrow in combinations(names, k):
                     ops = held(narrow)
-                    assert all(ops[x].data.values.dtype == container_dtype(p) for x in narrow)
+                    assert all(ops[x].x.dtype == container_dtype(p) for x in narrow)
                     assert _outcome(call, ops) == want, (kernel, narrow)
 
     @pytest.mark.parametrize("p", [7, 15])
     def test_extremes_do_not_wrap(self, p):
         # At p = 7: 127 + 127, 127 * 127 and 127^3 all leave int8.
         top = (1 << p) - 1
-        t = ScaledTensor(IntTensor.param(np.array([top, -top]), p), ScaleTensor(np.ones(1)))
-        assert t.data.values.dtype == container_dtype(p)
-        assert K.add(t, t).seal().data.values.tolist() == [2 * top, -2 * top]
-        assert K.ew_mul(t, t).seal().data.values.tolist() == [top * top, top * top]
-        assert on_lane(K.pow_n, t, n=3).data.values.tolist() == [top**3, -(top**3)]
-        assert K.sum_reduce(t).seal().data.values.tolist() == [0]
+        t = ScaledTensor.param(np.array([top, -top]), np.ones(1), p)
+        assert t.x.dtype == container_dtype(p)
+        assert K.add(t, t).seal().x.tolist() == [2 * top, -2 * top]
+        assert K.ew_mul(t, t).seal().x.tolist() == [top * top, top * top]
+        assert on_lane(K.pow_n, t, n=3).x.tolist() == [top**3, -(top**3)]
+        assert K.sum_reduce(t).seal().x.tolist() == [0]
 
 
 # Scales m / 2^j: exact floats whose ratios keep every non-integer matched
@@ -721,8 +715,8 @@ def oracle(name, a, b):
     """Payload as Python ints and scale as floats, element by element, from
     exact fractions: matching truncates x * s_bar / s toward zero."""
     shape = np.broadcast_shapes(a.shape, b.shape)
-    xa, sa = (np.broadcast_to(v, shape) for v in (a.data.values, a.scale.values))
-    xb, sb = (np.broadcast_to(v, shape) for v in (b.data.values, b.scale.values))
+    xa, sa = (np.broadcast_to(v, shape) for v in (a.x, a.s))
+    xb, sb = (np.broadcast_to(v, shape) for v in (b.x, b.s))
 
     def trunc(q: Fraction) -> int:
         return int(q)  # int() of a Fraction truncates toward zero
@@ -762,8 +756,8 @@ class TestLaneKernels:
         if name == "add":
             # add matches each operand whose scale is not the minimum; a
             # payload from 2^22 up is then refused.
-            s_bar = np.minimum(a.scale.values, b.scale.values)
-            if any(t.data.max_magnitude >= MATCH_FLOAT_MAX and not (t.scale.values == s_bar).all()
+            s_bar = np.minimum(a.s, b.s)
+            if any(t.max_magnitude >= MATCH_FLOAT_MAX and not (t.s == s_bar).all()
                    for t in (a, b)):
                 with refuses():
                     K.add(*ins, ws=ws)
@@ -778,5 +772,5 @@ class TestLaneKernels:
         assert out.max_bound >= max(abs(v) for v in xs)
         assert out.lo <= s.min() and out.hi >= s.max()
         sealed = out.seal()
-        assert sealed.data.values.ravel().tolist() == xs
-        assert np.broadcast_to(sealed.scale.values, shape).ravel().tolist() == ss
+        assert sealed.x.ravel().tolist() == xs
+        assert np.broadcast_to(sealed.s, shape).ravel().tolist() == ss

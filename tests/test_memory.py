@@ -24,7 +24,7 @@ WIDE = ModelConfig(d_m=256, heads=4, d_ff=1024, n_layers=2, vocab=1000)
 def payload_dtypes(model) -> set:
     leaves = [getattr(lp, f) for lp in model.layers for f in LAYER_TENSORS]
     leaves += [getattr(model, f) for f in MODEL_TENSORS]
-    return {t.data.values.dtype for t in leaves}
+    return {t.x.dtype for t in leaves}
 
 
 @pytest.fixture(scope="module")

@@ -61,8 +61,8 @@ class TestRoundTrips:
         tok = np.arange(6)
         o1 = forward(model, Session(), tokens=tok)
         o2 = forward(m2, Session(), tokens=tok)
-        assert np.array_equal(o1.data.values, o2.data.values)
-        assert np.array_equal(o1.scale.values, o2.scale.values)
+        assert np.array_equal(o1.x, o2.x)
+        assert np.array_equal(o1.s, o2.s)
 
     def test_save_load_files(self, pair, tmp_path):
         ref, model = pair
@@ -76,7 +76,7 @@ class TestRoundTrips:
 
 def payloads(model):
     leaves = [getattr(lp, f) for lp in model.layers for f in LAYER_TENSORS]
-    return [t.data.values for t in leaves] + [getattr(model, f).data.values for f in MODEL_TENSORS]
+    return [t.x for t in leaves] + [getattr(model, f).x for f in MODEL_TENSORS]
 
 
 class TestInPlaceRecords:
@@ -101,8 +101,8 @@ class TestInPlaceRecords:
         blob[HEADER_SIZE:] = bytes(len(blob) - HEADER_SIZE)
         assert all(np.array_equal(p, q) for p, q in zip(payloads(loaded), before))
         o2 = forward(loaded, Session(), tokens=tok)
-        assert np.array_equal(o1.data.values, o2.data.values)
-        assert np.array_equal(o1.scale.values, o2.scale.values)
+        assert np.array_equal(o1.x, o2.x)
+        assert np.array_equal(o1.s, o2.s)
 
 
 class TestValidation:
@@ -453,7 +453,7 @@ def test_cli_runs_a_per_tensor_embedding_scale(default_int8, tmp_path, capsys):
         runs[label] = np.load(out), [
             line for line in printed if not line.startswith(("storage", "measured"))
         ]
-    assert deserialize((tmp_path / "one.int8").read_bytes()).embedding.scale.shape == (1, 1)
+    assert deserialize((tmp_path / "one.int8").read_bytes()).embedding.s.shape == (1, 1)
     assert np.array_equal(runs["one"][0], runs["repeated"][0])
     assert runs["one"][1] == runs["repeated"][1]
 

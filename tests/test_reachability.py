@@ -31,14 +31,19 @@ ALLOWED = {
     "intflow.scaling.scale_match": "bound by bench/tracer.py",
     "intflow.kernels.concat": "bound by bench/tracer.py",
     "intflow.tensor.transpose": "bound by bench/tracer.py as kernels.transpose",
+    "intflow.tensor.ScaledTensor.data": "the payload view bench/harness.py and bench/tracer.py read",
+    "intflow.tensor.ScaledTensor.scale": "the scale view bench/harness.py and bench/tracer.py read",
     "intflow.tensor.IntTensor.in_range": "called by bench/harness.py",
+    "intflow.tensor.IntTensor.max_magnitude": "wrapped by bench/tracer.py; read by in_range",
     "intflow.audit.OpAuditLog.integer_pure": "called by bench/harness.py",
     "intflow.audit.OpAuditLog.payload_records": "called by bench/harness.py",
-    "intflow.audit.OpAuditLog.fp32_records": "called by integer_pure, which bench/harness.py calls",
-    "intflow.audit.OpAuditLog.dequantize_records": "called by integer_pure, which bench/harness.py calls",
     "intflow.scaling.Lane.max_magnitude": (
         "the exact-max fallback where a lane's bound reaches LANE_MAX, MATCH_FLOAT_MAX or a "
         "product guard; a forward's p-bit bounds stay below them"
+    ),
+    "intflow.tensor.ScaledTensor.max_magnitude": (
+        "the same fallback for a sealed operand, and the max that bench/harness.py's "
+        "in_range reads past the bound"
     ),
 }
 

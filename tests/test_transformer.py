@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from intflow.errors import PrecisionError, ScaleRangeError, ShapeError, ValidationError
 from intflow.modelfile import deserialize, serialize
 from intflow.scaling import Lane, Precision, ScaleGranularity, Session, dequantize, init_scale, quantize
-from intflow.tensor import IntTensor, RationalTensor, ScaledTensor, ScaleTensor, transpose
+from intflow.tensor import RationalTensor, ScaledTensor, transpose
 from intflow.transformer import (
     _boost,
     ATTN,
@@ -45,7 +45,7 @@ from intflow.transformer import (
     reference_twin,
 )
 
-from helpers import poly
+from helpers import in_range, poly, scaled
 
 P = 12  # high enough that twin comparisons isolate structural errors
 
@@ -98,7 +98,7 @@ class TestConfig:
         model = quantize_model(random_reference_model(cfg, seed))
         tokens = np.random.default_rng(seed).integers(0, cfg.vocab, seq_len)
         out = forward(model, Session(), tokens=tokens)
-        assert out.data.in_range()
+        assert in_range(out)
 
     @pytest.mark.parametrize("field, value", [
         ("d_m", 0), ("heads", 0), ("heads", -2), ("d_ff", 0), ("vocab", 0),
@@ -161,7 +161,7 @@ class TestPolyAttention:
             q(rng.normal(size=(5, 4))), q(rng.normal(size=(5, 4))),
             transpose(q(rng.normal(size=(5, 4))), (1, 0)), PolyParams(), 3, 16, sess,
         ).seal()
-        assert out.data.in_range()
+        assert in_range(out)
 
     def test_degenerate_scores_give_row_average(self):
         # Every score lands far below -bias, so the polynomial part dies and
@@ -178,7 +178,7 @@ class TestPolyAttention:
         out = poly_attention(q(qv), q(kv), transpose(v_q, (1, 0)), pp, 3, 16, sess).seal()
         got = dequantize(out).values
         want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
-        bound = 2.0 / np.min(out.scale.values)
+        bound = 2.0 / np.min(out.s)
         assert np.max(np.abs(got - want)) <= bound
 
 
@@ -196,10 +196,7 @@ class TestScaleOverflowOutsideKernels:
 
     @staticmethod
     def at(scale, data=((1,),)):
-        return ScaledTensor(
-            IntTensor(np.asarray(data, dtype=np.int64), P),
-            ScaleTensor(np.full((len(data), 1), scale)),
-        )
+        return scaled(data, np.full((len(data), 1), scale), P)
 
     def test_fold_overflow(self):
         # 1e154 * 1e154 is finite; the fold by sqrt(16) is not.
@@ -443,7 +440,7 @@ class TestHybridEngine:
         x[1] = 1e-300
         out = forward(model, Session(), hidden=RationalTensor(x))
         assert out.shape == (4, cfg.d_m)
-        assert np.all(np.isfinite(out.scale.values))
+        assert np.all(np.isfinite(out.s))
 
     def test_unknown_module_tag(self, toy):
         cfg, ref, model = toy
@@ -505,8 +502,8 @@ class TestHybridEngine:
         claimed = forward(model, Session(Precision(P)), tokens=np.arange(4))
         out = forward(model, Session(), tokens=np.arange(4))
         assert out.precision == claimed.precision == P
-        assert out.data.values.tobytes() == claimed.data.values.tobytes()
-        assert out.scale.values.tobytes() == claimed.scale.values.tobytes()
+        assert out.x.tobytes() == claimed.x.tobytes()
+        assert out.s.tobytes() == claimed.s.tobytes()
 
     def test_hidden_input_at_another_precision_is_refused(self, toy):
         cfg, ref, model = toy
@@ -613,7 +610,7 @@ class TestModelRoundTrips:
         cfg, ref, model = toy
         m5 = quantize_model(ref, precision=5)
         assert m5.config.precision == 5
-        assert m5.embedding.data.max_magnitude <= 31
+        assert m5.embedding.max_magnitude <= 31
 
 
 def _hash_arrays(h, *arrays) -> None:
@@ -627,7 +624,7 @@ def _hash_arrays(h, *arrays) -> None:
 def _digest(t) -> str:
     """sha256 over the dtypes, shapes and bytes of a payload and its scales."""
     h = hashlib.sha256()
-    _hash_arrays(h, t.data.values, t.scale.values)
+    _hash_arrays(h, t.x, t.s)
     return h.hexdigest()
 
 
@@ -667,7 +664,7 @@ def test_default_session_runs_the_longctx_shaped_model():
 
     def run(session):
         out = forward(model, session, tokens=tokens)
-        return out.data.values.tobytes(), out.scale.values.tobytes(), repr(session.log.records)
+        return out.x.tobytes(), out.s.tobytes(), repr(session.log.records)
 
     assert run(Session()) == run(Session(Precision(12)))
     with pytest.raises(ValidationError, match="session precision 7 differs"):
@@ -728,7 +725,7 @@ class TestEveryPrecisionDigest:
         for inputs in ({"tokens": np.arange(16) % cfg.vocab}, {"hidden": hidden}):
             session = Session()
             out = forward(model, session, **inputs)
-            _hash_arrays(h, out.data.values, out.scale.values)
+            _hash_arrays(h, out.x, out.s)
             h.update(repr([tuple(r) for r in session.log.records]).encode())
         assert h.hexdigest() == want
 
@@ -858,7 +855,7 @@ class TestPinnedHybridBehaviour:
                    for r in session.log.records]
         h = hashlib.sha256(repr(records).encode())
         if isinstance(out, ScaledTensor):
-            _hash_arrays(h, out.data.values, out.scale.values)
+            _hash_arrays(h, out.x, out.s)
         else:
             _hash_arrays(h, out.values)
         assert h.hexdigest() == want
