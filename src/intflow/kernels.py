@@ -109,7 +109,8 @@ def _workspace(a: ScaledTensor | Lane, ws: Workspace | None) -> Workspace:
     """A Lane's own workspace, with the lane's scratch given back to serve
     the kernel's buffers; else `ws`, else a fresh one."""
     if isinstance(a, Lane):
-        a.spare()
+        if a.work is not None:
+            a.spare()
         return a.ws
     return Workspace() if ws is None else ws
 

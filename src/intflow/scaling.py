@@ -9,6 +9,8 @@ a kernel's result lane takes it from its first operand.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,6 @@ from .tensor import (
     check_lane,
     check_scale,
     max_abs,
-    scale_bounds,
 )
 
 
@@ -114,11 +115,13 @@ SCALE_MAX = float(np.finfo(np.float32).max)
 
 def init_scale(
     r: RationalTensor | np.ndarray, p: int, g: ScaleGranularity = ScaleGranularity.PER_ROW
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[float, float]]:
     """Per-group scale (2^p - 1) / max(|r|), at most SCALE_MAX, as a float64
-    array that check_scale has passed.  `r` may also be a float array of
-    finite values (a float32 one, say), whose group maxima widen exactly to
-    float64, so the scale is the same.
+    array that check_scale has passed, with the (min, max) that check
+    found: quantize takes them as its `scale_range`, so that a new scale is
+    scanned once.  `r` may also be a float array of finite values (a
+    float32 one, say), whose group maxima widen exactly to float64, so the
+    scale is the same.
 
     Groups so small that the scale would overflow float32 (max|r| below
     (2^p - 1) / SCALE_MAX, about 3.7e-37 at p=7) get SCALE_MAX, and so do
@@ -136,8 +139,7 @@ def init_scale(
     s = _round_to_f32(np.minimum(s, SCALE_MAX))
     if s.min(initial=SCALE_MAX) < 2.0**-126:
         s = np.where(np.rint(m * s) > limit, np.nextafter(s.astype(np.float32), np.float32(0)), s)
-    check_scale(s)
-    return s
+    return s, check_scale(s)
 
 
 def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
@@ -157,15 +159,21 @@ def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
     return m
 
 
-def quantize(r: RationalTensor | np.ndarray, s: np.ndarray, precision: int) -> ScaledTensor:
+def quantize(
+    r: RationalTensor | np.ndarray,
+    s: np.ndarray,
+    precision: int,
+    scale_range: tuple[float, float] | None = None,
+) -> ScaledTensor:
     """x = round(s * r), half to even; the result carries a read-only view
-    of s (a float64 copy of another dtype), checked as every new scale is.
-    As in init_scale, `r` may be a float array of finite values, widened
-    exactly."""
+    of s (a float64 copy of another dtype), checked as every new scale is,
+    unless `scale_range`, bounds on it such as init_scale returns, proves it
+    (scale_bounds).  As in init_scale, `r` may be a float array
+    of finite values, widened exactly."""
     values = r.values if isinstance(r, RationalTensor) else r
     x = np.empty(values.shape)
     m = quantize_into(values, s, x)
-    return ScaledTensor(x.astype(np.int64), _float_view(s), precision, m, exact=True)
+    return ScaledTensor(x.astype(np.int64), _float_view(s), precision, m, scale_range, exact=True)
 
 
 def dequantize(t: ScaledTensor) -> RationalTensor:
@@ -202,10 +210,16 @@ class Workspace:
 
     def give(self, *arrays: np.ndarray) -> None:
         """Take arrays back, none read-only; the caller keeps no reference to them."""
+        free = self._free
         for a in arrays:
             if not a.flags.writeable:
                 raise WorkspaceError("a read-only array cannot go back to the workspace")
-            self._free.setdefault((a.shape, a.dtype.type), []).append(a)
+            key = (a.shape, a.dtype.type)
+            stack = free.get(key)
+            if stack is None:
+                free[key] = [a]
+            else:
+                stack.append(a)
 
 
 # Below 2^22, |x| * fl(s_bar / s) is off from the exact quotient by less than
@@ -315,12 +329,6 @@ def scale_match_dim(t: ScaledTensor, d: int) -> ScaledTensor:
     return ScaledTensor(x, s_bar, t.precision, t.max_bound, (t.lo, t.hi))
 
 
-def _shrunk_lo(lo: float, x_max: int, limit: int) -> float:
-    """A lower bound on the scales rescale makes from scales >= lo: no group's
-    divisor exceeds ceil(x_max / limit), and float division is monotone."""
-    return lo / max(-(-x_max // limit), 1)
-
-
 class Lane:
     """A kernel result worked in place: one payload buffer and one scale buffer.
 
@@ -347,6 +355,9 @@ class Lane:
     go back to it when the lane is sealed or released.
     """
 
+    __slots__ = ("x", "s", "shape", "precision", "ws", "work", "blocks", "max_bound", "exact", "nonneg",
+                 "lo", "hi")
+
     def __init__(
         self,
         x: np.ndarray,
@@ -364,14 +375,10 @@ class Lane:
         self.blocks = blocks
         self.put(x, s, m, scale_range)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.x.shape
-
     def scratch(self) -> np.ndarray:
         """`work`, float64 scratch of the payload's shape, taken on first use."""
         if self.work is None:
-            self.work = self.ws.take(self.x.shape)
+            self.work = self.ws.take(self.shape)
         return self.work
 
     @property
@@ -402,16 +409,26 @@ class Lane:
 
     def put(self, x: np.ndarray, s: np.ndarray, m: int | None, scale_range: tuple | None) -> None:
         """Hold payload x and scale s, bounded as in __init__; the buffers they
-        replace go back to the workspace, and the scratch if its shape does."""
-        for old, new in ((self.x, x), (self.s, s)):
-            if old is not new:
-                self.ws.give(old)
-        if self.work is not None and self.work.shape != x.shape:
-            self.spare()
-        self.x, self.s, self.exact, self.nonneg = x, s, m is None, False
-        self.max_bound = max_abs(x) if m is None else m
-        self.check_fit()
-        self.lo, self.hi = check_scale(s) if scale_range is None else scale_bounds(s, *scale_range)
+        replace go back to the workspace, and the scratch if its shape does.
+        check_fit and scale_bounds run inline: a step makes one put."""
+        ws, work = self.ws, self.work
+        if self.x is not x:
+            ws.give(self.x)
+        if self.s is not s:
+            ws.give(self.s)
+        if work is not None and work.shape != x.shape:
+            ws.give(work)
+            self.work = None
+        exact = m is None
+        if exact:
+            m = max_abs(x)
+        self.x, self.s, self.shape, self.max_bound, self.exact, self.nonneg = x, s, x.shape, m, exact, False
+        if m >= LANE_MAX:
+            check_lane(self.max_magnitude)
+        lo, hi = scale_range or (0.0, math.inf)  # no range proves nothing
+        if not (lo > 0 and hi < math.inf):
+            lo, hi = check_scale(s)
+        self.lo, self.hi = lo, hi
 
     def spare(self) -> None:
         """Give the scratch back, so that a step's own buffers can reuse it."""
@@ -440,25 +457,39 @@ class Lane:
         _match_payload(self.x, self.s, s_bar, self, self.ws, self.x, self.nonneg)
         self.ws.give(self.s)
         self.s = s_bar
-        self.bound(self.max_bound, self.nonneg)
+        self.exact = False
         self.hold(self.max_bound)
 
     def release(self) -> None:
         """Give every buffer back; the lane is not used again."""
-        self.spare()
-        self.ws.give(self.x, self.s)
+        if self.work is None:
+            self.ws.give(self.x, self.s)
+        else:
+            self.ws.give(self.x, self.s, self.work)
+            self.work = None
 
     def seal(self) -> ScaledTensor:
         """The result as an int64 ScaledTensor, and the lane is not used
         again: an int64 payload leaves the workspace in the result, a float64
         one is copied out; every other buffer goes back."""
-        x = self.x if self.x.dtype == np.int64 else self.x.astype(np.int64)
+        x = self.x
+        if x.dtype != np.int64:
+            x = x.astype(np.int64)
         out = ScaledTensor(x, self.s.copy(), self.precision, self.max_bound, (self.lo, self.hi), self.exact)
-        self.spare()
-        self.ws.give(self.s)
-        if x is not self.x:
-            self.ws.give(self.x)
+        spent = [self.s] if x is self.x else [self.s, self.x]
+        if self.work is not None:
+            spent.append(self.work)
+            self.work = None
+        self.ws.give(*spent)
         return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _collapsed(x_shape: tuple[int, ...], s_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The axes a scale of s_shape collapses on a payload of x_shape (size 1
+    there, not in the payload): memoized for the few shapes a forward meets,
+    as kernels._joint is."""
+    return tuple(a for a in range(len(x_shape)) if s_shape[a] == 1 and x_shape[a] > 1)
 
 
 def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -471,8 +502,8 @@ def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     one.  Records on the lane its exact max|x| (`max_bound`) and whether no
     payload is negative (`nonneg`).
     """
-    x, s = lane.x, lane.s
-    axes = tuple(a for a in range(x.ndim) if s.shape[a] == 1 and x.shape[a] > 1)
+    x = lane.x
+    axes = _collapsed(x.shape, lane.s.shape)
     if not x.size:
         lane.max_bound, lane.exact = 0, True
         return axes, x, x
@@ -550,9 +581,15 @@ def rescale(lane: Lane, groups: tuple | None = None) -> Lane:
         d += 1.0
     trunc_div(x, d, x_max=m, out=x)
     np.divide(s, d, out=s)
-    lane.lo, lane.hi = scale_bounds(s, _shrunk_lo(lane.lo, m, limit), lane.hi)
+    # No group's divisor exceeds ceil(m / L), and float division is monotone,
+    # so lo / that bounds the new scales from below; a divisor of at least 1
+    # keeps hi.  scale_bounds, inline: a forward makes dozens of shrinks.
+    lo, hi = lane.lo / max(-(-m // limit), 1), lane.hi
+    if not (lo > 0 and hi < math.inf):
+        lo, hi = check_scale(s)
+    lane.lo, lane.hi = lo, hi
     # A positive divisor, truncating toward zero, makes no payload negative.
-    lane.bound(limit, lane.nonneg)
+    lane.max_bound, lane.exact = limit, False
     return lane
 
 
@@ -604,12 +641,14 @@ def protocol_apply(
         elements = lane.x.size
         if kind == "matmul" and ins:
             elements *= ins[0].shape[-1]  # multiply-add count, not output count
+        # Built as tuples, past AuditRecord's check of the lane: each lane
+        # here is one of the module constants it admits.
         records = log.records
-        records.append(AuditRecord(kind, PAYLOAD, elements, rescaled, module))
+        records.append(tuple.__new__(AuditRecord, (kind, PAYLOAD, elements, rescaled, module)))
         if getattr(kernel, "scale_arith", False):
-            records.append(AuditRecord(kind, SCALE, lane.s.size, rescaled, module))
+            records.append(tuple.__new__(AuditRecord, (kind, SCALE, lane.s.size, rescaled, module)))
         if rescaled:
-            records.append(AuditRecord("rescale", SCALE, shrunk, True, module))
+            records.append(tuple.__new__(AuditRecord, ("rescale", SCALE, shrunk, True, module)))
     return lane
 
 
@@ -642,10 +681,16 @@ class Session:
         self.log.records.append(AuditRecord(kind, lane, elements, False, module))
 
     def quantize(
-        self, r: RationalTensor | np.ndarray, s: np.ndarray, p: int, module: str = ""
+        self,
+        r: RationalTensor | np.ndarray,
+        s: np.ndarray,
+        p: int,
+        module: str = "",
+        scale_range: tuple[float, float] | None = None,
     ) -> ScaledTensor:
-        """Quantize at p bits through the session so the Q() shows up in the audit log."""
-        out = quantize(r, s, p)
+        """Quantize at p bits through the session so the Q() shows up in the
+        audit log; `scale_range` is as in quantize."""
+        out = quantize(r, s, p, scale_range)
         self.note("quantize", SCALE, out.x.size, module)
         return out
 

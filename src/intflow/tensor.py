@@ -222,7 +222,10 @@ class ScaledTensor:
             bound, exact = max_abs(x), True
         if exact:
             check_lane(bound)
-        lo, hi = check_scale(s) if scale_range is None else scale_bounds(s, *scale_range)
+        # scale_bounds, inline: a forward seals dozens of results.
+        lo, hi = scale_range or (0.0, math.inf)  # no range proves nothing
+        if not (lo > 0 and hi < math.inf):
+            lo, hi = check_scale(s)
         if not _broadcast_compatible(s.shape, x.shape):
             raise ShapeError(f"scale shape {s.shape} does not broadcast to data shape {x.shape}")
         x.flags.writeable = False

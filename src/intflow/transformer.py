@@ -210,7 +210,8 @@ def _convert(model, fn, model_cls, **fields):
 
 def _quantize_param(values: np.ndarray, p: int, session: Session | None, module: str) -> ScaledTensor:
     r = RationalTensor(values)
-    t = quantize(r, init_scale(r, p), p)
+    s, scale_range = init_scale(r, p)
+    t = quantize(r, s, p, scale_range)
     if session is not None:
         session.note("quantize", SCALE, values.size, module)
     return ScaledTensor.param(t.x, t.s, p, t.max_bound, (t.lo, t.hi))
@@ -310,7 +311,7 @@ def _match_heads(lane: Lane, heads: int, axis: int) -> ScaledTensor:
             # from an axis-first copy, one elementwise pass per column.  The
             # copy fills the first a*d elements of the scratch.
             first = lane.scratch().reshape(-1)[: a * d].reshape(d_h, a, heads)
-            np.copyto(first, np.moveaxis(split, -1, 0))
+            np.copyto(first, split.transpose(2, 0, 1))
             minima = np.minimum.reduce(first, axis=0, out=ws.take((a, heads)))
             s_bar = minima[..., None]
         x = _match_payload(x, split, s_bar, lane, ws, lane.scratch().reshape(x.shape))
@@ -471,9 +472,16 @@ def l1_layer_norm(
     xm = scale_match_dim(x, -1)
     mu = session.apply(K.sum_reduce, [xm], module, allow_rescale=False, ws=ws)
     # The integer mean, rounded half away from zero and negated, at xm's own
-    # scale: the add matches nothing.  The same rounding bounds |mu|.
-    t = mu.x.astype(np.int64)
-    mu.x[...] = -np.sign(t) * ((2 * np.abs(t) + n) // (2 * n))
+    # scale: the add matches nothing.  In place on the row sums t (int64, as
+    # xm's payload is): (2|t| + n) // 2n, negated where t > 0; a zero sum
+    # gives 0 either way.  The same rounding bounds |mu|.
+    t = mu.x
+    up = t > 0
+    np.abs(t, out=t)
+    t *= 2
+    t += n
+    t //= 2 * n
+    np.negative(t, out=t, where=up)
     mu.bound((2 * mu.max_bound + n) // (2 * n))
     y = session.apply(K.add, [xm, mu], module, allow_rescale=False, ws=ws)
     mu.release()
@@ -781,8 +789,8 @@ def forward(
         if isinstance(state, ScaledTensor):
             return state
         values = state.values if isinstance(state, RationalTensor) else state
-        s = init_scale(values, cfg.precision, cfg.granularity)
-        return session.quantize(values, s, cfg.precision, module)
+        s, scale_range = init_scale(values, cfg.precision, cfg.granularity)
+        return session.quantize(values, s, cfg.precision, module, scale_range)
 
     def to_fp(state, module) -> np.ndarray:
         """`state` as the twin's float32: cast where it enters the FP path

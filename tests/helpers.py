@@ -75,7 +75,7 @@ def canonical_ffn_forward(
 
     def requantize(values: np.ndarray) -> ScaledTensor:
         t = RationalTensor(values)
-        return session.quantize(t, init_scale(t, p), p, FFN)
+        return session.quantize(t, init_scale(t, p)[0], p, FFN)
 
     r = ref_l1ln(session.dequantize(x, FFN).values, g, b)
     h = session.apply(K.matmul, [requantize(r), lp.w1], FFN, ws=session.workspace).seal()

@@ -202,7 +202,7 @@ class TestCanonicalBaseline:
         rng = np.random.default_rng(0)
         r = RationalTensor(rng.normal(size=(5, cfg.d_m)))
         sess = Session()
-        x = sess.quantize(r, init_scale(r, cfg.precision), cfg.precision)
+        x = sess.quantize(r, init_scale(r, cfg.precision)[0], cfg.precision)
         sess.log.records.clear()
         canonical_ffn_forward(x, model.layers[0], sess)
         assert count_records(sess.log, kind="dequantize") == 4
@@ -213,7 +213,7 @@ class TestCanonicalBaseline:
         rng = np.random.default_rng(1)
         r = RationalTensor(rng.normal(size=(5, cfg.d_m)))
         sess_a = Session()
-        x = sess_a.quantize(r, init_scale(r, cfg.precision), cfg.precision)
+        x = sess_a.quantize(r, init_scale(r, cfg.precision)[0], cfg.precision)
         base = dequantize(canonical_ffn_forward(x, model.layers[0], sess_a)).values
         sess_b = Session()
         lp = model.layers[0]

@@ -104,6 +104,25 @@ def test_traced_forward_records_modules_and_kernels(bench_modules):
     assert w.counts["kernels.matmul.bytes"] > 0
 
 
+def test_a_traced_forward_shows_every_module_and_step(bench_modules):
+    # The module spans follow the forward's structure, and every protocol
+    # step runs through scaling.protocol_apply where the tracer wraps it:
+    # one span per step, so a shorter call path cannot hide a step.
+    _, tracer = bench_modules
+    cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=8)
+    model = quantize_model(random_reference_model(cfg, seed=0))
+    session = Session()
+    t = tracer.Tracer(n_layers=cfg.n_layers)
+    with t.installed(), t.window() as w:
+        forward(model, session, tokens=np.arange(4))
+    want = {"Emb": 1, "LN": 5, "Attn": 2, "FFN": 2, "Res": 4, "Proj": 1}
+    assert {tag: w.calls["transformer." + tag] for tag in want} == want
+    # A step makes one payload record of its kernel's kind; notes make the others.
+    kinds = {fn.kind for fn in vars(kernels).values() if hasattr(fn, "kind")}
+    steps = sum(r.lane == "payload" and r.kind in kinds for r in session.log.records)
+    assert steps > 0 and w.calls["scaling.protocol_apply"] == steps
+
+
 def test_every_shrink_is_a_traced_rescale(bench_modules):
     # protocol_apply shrinks a lane through scaling.rescale, which the tracer
     # wraps: one call per payload record that was rescaled.

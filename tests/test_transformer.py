@@ -1,4 +1,5 @@
 """Transformer blocks: integer modules vs their FP32 twins, hybrid engine."""
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -11,7 +12,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from intflow.errors import PrecisionError, ScaleRangeError, ShapeError, ValidationError
+from intflow import scaling as scaling_module
+from intflow import tensor as tensor_module
+from intflow import transformer as transformer_module
+from intflow.audit import FP32, PAYLOAD, SCALE, AuditRecord
+from intflow.errors import IntflowError, PrecisionError, ScaleRangeError, ShapeError, ValidationError
 from intflow.modelfile import deserialize, serialize
 from intflow.scaling import Lane, Precision, ScaleGranularity, Session, dequantize, init_scale, quantize
 from intflow.tensor import RationalTensor, ScaledTensor, transpose
@@ -52,7 +57,7 @@ P = 12  # high enough that twin comparisons isolate structural errors
 
 def q(values, p=P):
     r = RationalTensor(np.asarray(values, dtype=np.float64))
-    return quantize(r, init_scale(r, p), p)
+    return quantize(r, init_scale(r, p)[0], p)
 
 
 def rel_err(got, want):
@@ -429,7 +434,7 @@ class TestHybridEngine:
         rng = np.random.default_rng(9)
         x = RationalTensor(rng.normal(size=(5, cfg.d_m)))
         sess = Session()
-        h = sess.quantize(x, init_scale(x, P), P)
+        h = sess.quantize(x, init_scale(x, P)[0], P)
         out = forward(model, sess, hidden=h)
         assert out.shape == (5, cfg.d_m)
 
@@ -509,7 +514,7 @@ class TestHybridEngine:
         cfg, ref, model = toy
         x = RationalTensor(np.random.default_rng(4).normal(size=(3, cfg.d_m)))
         for p in (7, P):
-            h = quantize(x, init_scale(x, p), p)
+            h = quantize(x, init_scale(x, p)[0], p)
             run = functools.partial(forward, model, Session(), hidden=h)
             if p == P:
                 assert run().shape == (3, cfg.d_m)
@@ -720,7 +725,7 @@ class TestEveryPrecisionDigest:
             dataclasses.replace(lp, w_q=3 * lp.w_q, w_k=3 * lp.w_k) for lp in ref.layers))
         model = quantize_model(ref)
         r = np.random.default_rng(precision).normal(size=(16, cfg.d_m))
-        hidden = quantize(r, init_scale(r, precision, cfg.granularity), precision)
+        hidden = quantize(r, init_scale(r, precision, cfg.granularity)[0], precision)
         h = hashlib.sha256()
         for inputs in ({"tokens": np.arange(16) % cfg.vocab}, {"hidden": hidden}):
             session = Session()
@@ -902,6 +907,63 @@ class TestPinnedHybridBehaviour:
                     want = self._crossings(modules, "tokens" in inputs, cfg.n_layers)
                     assert len(calls) == want, (modules, list(inputs))
 
+    def test_each_crossing_scans_its_new_scale_once(self, monkeypatch):
+        # init_scale checks the scale it makes and hands its bounds to the
+        # session's quantize, which then need not scan it again: one
+        # check_scale per state that enters the integer path, and one per
+        # parameter when a model is quantized.
+        scans, crossings, depth = [], [], [0]
+        check = tensor_module.check_scale
+
+        def counting_check(arr):
+            if depth[0]:
+                scans.append(arr.shape)
+            return check(arr)
+
+        def inside(fn, note=None):
+            def wrapped(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+                    if note is not None:
+                        note.append(1)
+            return wrapped
+
+        for module in (tensor_module, scaling_module):
+            monkeypatch.setattr(module, "check_scale", counting_check)
+        monkeypatch.setattr(transformer_module, "init_scale", inside(transformer_module.init_scale))
+        monkeypatch.setattr(Session, "quantize", inside(Session.quantize, crossings))
+        cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=16)
+        ref = random_reference_model(cfg, seed=0)
+        model = quantize_model(ref)
+        hidden = RationalTensor(np.random.default_rng(0).normal(size=(5, cfg.d_m)))
+        for k in range(len(MODULES) + 1):
+            for modules in itertools.combinations(MODULES, k):
+                for inputs in ({"tokens": np.arange(5)}, {"hidden": hidden}):
+                    scans.clear()
+                    crossings.clear()
+                    forward(model, Session(), int_modules=frozenset(modules), ref=ref, **inputs)
+                    assert len(scans) == len(crossings), (modules, list(inputs))
+        scans.clear()
+        inside(quantize_model)(ref)
+        assert len(scans) == cfg.n_layers * len(LAYER_TENSORS) + len(MODEL_TENSORS)
+
+    def test_every_record_is_an_audit_record(self):
+        # protocol_apply builds its records past AuditRecord's lane check;
+        # each must still be one, on a lane the log knows.
+        cfg, ref, model = self._models()
+        for modules in (MODULES, (LN, RES), (ATTN,)):
+            for inputs in ({"tokens": self.TOKENS}, {"hidden": RationalTensor(
+                    np.random.default_rng(2).normal(size=(len(self.TOKENS), cfg.d_m)))}):
+                session = Session()
+                forward(model, session, int_modules=frozenset(modules), ref=ref, **inputs)
+                assert session.log.records
+                for r in session.log.records:
+                    assert type(r) is AuditRecord and r.lane in (PAYLOAD, SCALE, FP32), r
+                    assert AuditRecord(*r) == r
+
     @pytest.mark.parametrize("modules", [MODULES, (), (LN, RES)])
     def test_tap_sequence(self, modules):
         cfg, ref, model = self._models()
@@ -1008,3 +1070,27 @@ class TestFloat32Twin:
                             int_modules=frozenset(modules), ref=ref,
                             tap=lambda tag, layer, state: seen.append((tag, layer)))
             assert seen == [(EMB, 0), (LN, 0)]
+
+
+def test_attention_only_hybrids_per_batch_run_or_refuse():
+    # An ATTN-only hybrid at per-batch granularity quantizes the FP32 LN
+    # output with one scale per sequence.  Some such forwards are refused:
+    # a weight sum that divides the value product is 0 in some rows
+    # (ROADMAP item 2).  Each must run or raise a typed IntflowError; the
+    # refusals are pinned, so a fix re-pins them downward.
+    refused = collections.Counter()
+    for p, degree, w, seed in itertools.product(range(2, 8), (1, 2, 3), (1, 3), range(6)):
+        cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=1, vocab=32, precision=p, degree=degree,
+                          granularity=ScaleGranularity.PER_BATCH)
+        ref = random_reference_model(cfg, seed)
+        ref = dataclasses.replace(ref, layers=tuple(
+            dataclasses.replace(lp, w_q=w * lp.w_q, w_k=w * lp.w_k) for lp in ref.layers))
+        tokens = np.random.default_rng(seed).integers(0, cfg.vocab, 10)
+        try:
+            out = forward(quantize_model(ref), Session(), tokens=tokens,
+                          int_modules=frozenset({ATTN}), ref=ref)
+        except IntflowError as e:
+            refused[f"{type(e).__name__}: {e}"] += 1
+        else:
+            assert np.isfinite(out.values).all()
+    assert refused == {"PrecisionError: divisor must be strictly positive": 36}
