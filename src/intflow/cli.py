@@ -21,7 +21,7 @@ from .analysis import (
 from .errors import IntflowError, ValidationError
 from .modelfile import load_model, save_model
 from .scaling import ScaleGranularity, Session
-from .tensor import RationalTensor
+from .tensor import PRECISIONS
 from .transformer import (
     FP32ReferenceModel,
     IntegerTransformerModel,
@@ -54,7 +54,7 @@ def _add_quant_flags(sub: argparse.ArgumentParser, cfg: ModelConfig | None) -> N
     """--precision and --granularity, defaulting to cfg's settings; without
     cfg a flag not given is None, and the model file's setting stands."""
     sub.add_argument("--precision", type=int, default=cfg and cfg.precision,
-                     help="payload bits (2-15)")
+                     help=f"payload bits ({PRECISIONS[0]}-{PRECISIONS[-1]})")
     sub.add_argument(
         "--granularity",
         choices=sorted(_GRANULARITIES),
@@ -185,8 +185,9 @@ def cmd_infer(args) -> int:
             raise ValidationError(
                 f"input must be T x {cfg.d_m}, got {data.shape}"
             )
-        # The forward quantizes it, audited, where integer steps read it.
-        out = forward(model, session, hidden=RationalTensor(data.astype(np.float64)))
+        # The forward reads it as float64 and quantizes it, audited, where
+        # integer steps read it.
+        out = forward(model, session, hidden=data)
     if args.dequantize_output:
         np.save(args.out, session.dequantize(out).values.astype(np.float32))
     else:

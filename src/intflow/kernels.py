@@ -292,9 +292,9 @@ def abs_(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
 @_kernel("relu", scale_arith=False)
 def relu(t: Lane) -> Lane:
     """{max(0, x), s} in place: exact since s > 0; t.max_bound stays a
-    bound, no longer exact, and no payload is negative."""
+    bound, and no payload is negative."""
     np.maximum(t.x, 0, out=t.x)
-    t.bound(t.max_bound, nonneg=True)
+    t.nonneg = True
     return t
 
 
@@ -391,6 +391,7 @@ def lane_add(t: Lane, c: np.ndarray, c_max: int) -> Lane:
     has the scale's shape and is broadcast."""
     t.hold(t.max_bound + c_max)
     t.x += c if t.x.dtype == np.float64 else c.astype(np.int64)
-    t.bound(t.max_bound + c_max)
+    t.max_bound += c_max
+    t.nonneg = False
     t.check_fit()
     return t

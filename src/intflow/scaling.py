@@ -19,6 +19,7 @@ from .audit import FP32, PAYLOAD, SCALE, AuditRecord, OpAuditLog
 from .errors import LaneOverflowError, PrecisionError, ShapeError, ValidationError, WorkspaceError
 from .tensor import (
     LANE_MAX,
+    PRECISIONS,
     RationalTensor,
     ScaledTensor,
     _float_view,
@@ -35,8 +36,8 @@ class Precision:
     p: int
 
     def __post_init__(self):
-        if not 2 <= self.p <= 15:
-            raise ValidationError(f"precision {self.p} outside [2, 15]")
+        if self.p not in PRECISIONS:
+            raise ValidationError(f"precision {self.p} outside [{PRECISIONS[0]}, {PRECISIONS[-1]}]")
 
 
 class ScaleGranularity(enum.Enum):
@@ -114,14 +115,15 @@ SCALE_MAX = float(np.finfo(np.float32).max)
 
 
 def init_scale(
-    r: RationalTensor | np.ndarray, p: int, g: ScaleGranularity = ScaleGranularity.PER_ROW
+    r: np.ndarray, p: int, g: ScaleGranularity = ScaleGranularity.PER_ROW
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """Per-group scale (2^p - 1) / max(|r|), at most SCALE_MAX, as a float64
     array that check_scale has passed, with the (min, max) that check
     found: quantize takes them as its `scale_range`, so that a new scale is
-    scanned once.  `r` may also be a float array of finite values (a
-    float32 one, say), whose group maxima widen exactly to float64, so the
-    scale is the same.
+    scanned once.  `r` is a float array, never written; its group maxima
+    widen exactly to float64, so a float32 array gets the scale of its
+    float64 copy.  A group whose max is not finite, so an r holding a NaN
+    or an infinity, is refused with a ValueError.
 
     Groups so small that the scale would overflow float32 (max|r| below
     (2^p - 1) / SCALE_MAX, about 3.7e-37 at p=7) get SCALE_MAX, and so do
@@ -129,12 +131,15 @@ def init_scale(
     matching never lowers a partner's scale to theirs.  A subnormal scale
     (below 2^-126) that rounding raised past the limit steps down one float32.
     """
-    values = r.values if isinstance(r, RationalTensor) else r
-    axes = g.reduce_axes(values.ndim)
-    m = np.max(np.abs(values), axis=axes, keepdims=True) if values.size else np.abs(values)
-    m = m.astype(np.float64, copy=False)
+    axes = g.reduce_axes(r.ndim)
     limit = float((1 << p) - 1)
-    with np.errstate(over="ignore"):
+    # A signaling NaN (a corrupt float32 record, say) would warn in the cast;
+    # it is refused with every other NaN, which propagates through the max.
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = np.max(np.abs(r), axis=axes, keepdims=True) if r.size else np.abs(r)
+        m = m.astype(np.float64, copy=False)
+        if not math.isfinite(m.max(initial=0.0)):
+            raise ValueError("rational tensor values must be finite")
         s = limit / np.maximum(m, np.finfo(np.float64).tiny)
     s = _round_to_f32(np.minimum(s, SCALE_MAX))
     if s.min(initial=SCALE_MAX) < 2.0**-126:
@@ -160,24 +165,23 @@ def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
 
 
 def quantize(
-    r: RationalTensor | np.ndarray,
+    r: np.ndarray,
     s: np.ndarray,
     precision: int,
     scale_range: tuple[float, float] | None = None,
 ) -> ScaledTensor:
-    """x = round(s * r), half to even; the result carries a read-only view
-    of s (a float64 copy of another dtype), checked as every new scale is,
-    unless `scale_range`, bounds on it such as init_scale returns, proves it
-    (scale_bounds).  As in init_scale, `r` may be a float array
-    of finite values, widened exactly."""
-    values = r.values if isinstance(r, RationalTensor) else r
-    x = np.empty(values.shape)
-    m = quantize_into(values, s, x)
-    return ScaledTensor(x.astype(np.int64), _float_view(s), precision, m, scale_range, exact=True)
+    """x = round(s * r), half to even, for r a float array of finite values
+    (as init_scale reads them, widened exactly); the result carries
+    a read-only view of s (a float64 copy of another dtype), checked as
+    every new scale is, unless `scale_range`, bounds on it such as
+    init_scale returns, proves it (scale_bounds)."""
+    x = np.empty(r.shape)
+    m = quantize_into(r, s, x)
+    return ScaledTensor(x.astype(np.int64), _float_view(s), precision, m, scale_range)
 
 
 def dequantize(t: ScaledTensor) -> RationalTensor:
-    """r' = x / s elementwise."""
+    """r' = x / s elementwise, the float result (a RationalTensor)."""
     return RationalTensor(t.x / t.s)
 
 
@@ -254,8 +258,8 @@ def _match_payload(
     |x| nor x's sign: the result is the same integers, bit for bit, except
     that a -0.0 in x comes out as +0.0.
     """
-    if held.max_bound >= MATCH_FLOAT_MAX and held.max_magnitude >= MATCH_FLOAT_MAX:
-        raise PrecisionError(f"payload max {held.max_magnitude} is not below {MATCH_FLOAT_MAX}")
+    if held.max_bound >= MATCH_FLOAT_MAX and (m := held.max_magnitude) >= MATCH_FLOAT_MAX:
+        raise PrecisionError(f"payload max {m} is not below {MATCH_FLOAT_MAX}")
     # |x| * (s_bar / s), formed as |(s_bar / s) * x|: float rounding is
     # symmetric in sign, so the bits are the same, with one buffer: `out`
     # itself when it is float64 and not x.
@@ -311,7 +315,7 @@ def scale_match(ts: list[ScaledTensor]) -> list[ScaledTensor]:
         # Already at the minimum, the payload moves by nothing, exactly.
         # Matching never grows a magnitude, so the bound carries over.
         x = t.x if (t.s == s_bar).all() else _match_payload(t.x, t.s, s_bar, t)
-        out.append(ScaledTensor(x, s_bar, prec, t.max_bound, unified, exact=t.exact and x is t.x))
+        out.append(ScaledTensor(x, s_bar, prec, t.max_bound, unified))
     return out
 
 
@@ -339,8 +343,8 @@ class Lane:
     holds exact integers: in float64 only while a step's bound on max|x| is
     below 2^53 (`matmul` and `hold` choose it there, other steps keep it),
     else in int64, the rule of `trunc_div` too.  `max_bound`, a plain
-    attribute, bounds max|x|, and is max|x| itself while `exact` holds; a
-    step that needs the exact max reads `max_magnitude`, which scans once.
+    attribute, bounds max|x|; a step that needs the exact max reads
+    `max_magnitude`, which scans.
     `nonneg` holds only while no payload is known to be negative (after
     ReLU, say); each step that may make one negative clears it.  `lo` and
     `hi` bound the scale's values, and each step that makes scales checks
@@ -349,14 +353,14 @@ class Lane:
 
     `blocks` is the number of row blocks the lane stacks, each its own
     head's rows (a grouped matmul's product and what is worked from it in
-    place); the audit counts a shrink per block (`shrunk_elements`).
+    place); the audit counts a shrink per block (`shrunk_elements`), and
+    the boost before a division takes a gain per block.
 
     Its payload, scale and scratch arrays come from the workspace `ws`, and
     go back to it when the lane is sealed or released.
     """
 
-    __slots__ = ("x", "s", "shape", "precision", "ws", "work", "blocks", "max_bound", "exact", "nonneg",
-                 "lo", "hi")
+    __slots__ = ("x", "s", "shape", "precision", "ws", "work", "blocks", "max_bound", "nonneg", "lo", "hi")
 
     def __init__(
         self,
@@ -383,18 +387,8 @@ class Lane:
 
     @property
     def max_magnitude(self) -> int:
-        """max|x|, exactly: scanned when only a bound is known."""
-        if not self.exact:
-            self.max_bound = max_abs(self.x)
-            self.exact = True
-        return self.max_bound
-
-    def bound(self, m: int, nonneg: bool = False) -> None:
-        """Record a new bound on max|x| after a step that moved the payload,
-        and whether that step leaves no payload negative."""
-        self.max_bound = m
-        self.exact = False
-        self.nonneg = nonneg
+        """max|x|, exactly: scanned on each read."""
+        return max_abs(self.x)
 
     def check_fit(self) -> None:
         """check_lane on the bound, deciding by the exact max when the bound trips."""
@@ -419,10 +413,9 @@ class Lane:
         if work is not None and work.shape != x.shape:
             ws.give(work)
             self.work = None
-        exact = m is None
-        if exact:
+        if m is None:
             m = max_abs(x)
-        self.x, self.s, self.shape, self.max_bound, self.exact, self.nonneg = x, s, x.shape, m, exact, False
+        self.x, self.s, self.shape, self.max_bound, self.nonneg = x, s, x.shape, m, False
         if m >= LANE_MAX:
             check_lane(self.max_magnitude)
         lo, hi = scale_range or (0.0, math.inf)  # no range proves nothing
@@ -457,7 +450,6 @@ class Lane:
         _match_payload(self.x, self.s, s_bar, self, self.ws, self.x, self.nonneg)
         self.ws.give(self.s)
         self.s = s_bar
-        self.exact = False
         self.hold(self.max_bound)
 
     def release(self) -> None:
@@ -475,7 +467,7 @@ class Lane:
         x = self.x
         if x.dtype != np.int64:
             x = x.astype(np.int64)
-        out = ScaledTensor(x, self.s.copy(), self.precision, self.max_bound, (self.lo, self.hi), self.exact)
+        out = ScaledTensor(x, self.s.copy(), self.precision, self.max_bound, (self.lo, self.hi))
         spent = [self.s] if x is self.x else [self.s, self.x]
         if self.work is not None:
             spent.append(self.work)
@@ -505,7 +497,7 @@ def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     x = lane.x
     axes = _collapsed(x.shape, lane.s.shape)
     if not x.size:
-        lane.max_bound, lane.exact = 0, True
+        lane.max_bound = 0
         return axes, x, x
     if axes:
         hi = np.maximum.reduce(x, axis=axes, keepdims=True)
@@ -518,7 +510,7 @@ def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     else:
         hi = top = np.maximum.reduce(x, None)
         lo = bottom = np.minimum.reduce(x, None)
-    lane.max_bound, lane.exact, lane.nonneg = max(int(top), -int(bottom)), True, bool(bottom >= 0)
+    lane.max_bound, lane.nonneg = max(int(top), -int(bottom)), bool(bottom >= 0)
     return axes, hi, lo
 
 
@@ -526,7 +518,7 @@ def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
 DIVISOR_MUL_MAX = 2**50
 # Per precision p, the double nearest (1 - 2^-51) / (2^p - 1): int / int is
 # correctly rounded.
-DIVISOR_RECIPROCAL = {p: ((1 << 51) - 1) / (((1 << p) - 1) << 51) for p in range(2, 16)}
+DIVISOR_RECIPROCAL = {p: ((1 << 51) - 1) / (((1 << p) - 1) << 51) for p in PRECISIONS}
 
 
 def rescale(lane: Lane, groups: tuple | None = None) -> Lane:
@@ -589,7 +581,7 @@ def rescale(lane: Lane, groups: tuple | None = None) -> Lane:
         lo, hi = check_scale(s)
     lane.lo, lane.hi = lo, hi
     # A positive divisor, truncating toward zero, makes no payload negative.
-    lane.max_bound, lane.exact = limit, False
+    lane.max_bound = limit
     return lane
 
 
@@ -682,7 +674,7 @@ class Session:
 
     def quantize(
         self,
-        r: RationalTensor | np.ndarray,
+        r: np.ndarray,
         s: np.ndarray,
         p: int,
         module: str = "",

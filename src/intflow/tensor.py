@@ -23,6 +23,8 @@ from .errors import LaneOverflowError, PrecisionError, ScaleRangeError, ShapeErr
 LANE_DTYPE = np.int64
 # Headroom below int64 so products can be guarded before they wrap.
 LANE_MAX = 2**62
+# The logical bit widths a payload may have: int16 holds every 15-bit one.
+PRECISIONS = range(2, 16)
 
 
 def container_dtype(precision: int) -> type:
@@ -139,12 +141,9 @@ def _broadcast_compatible(scale_shape: tuple[int, ...], data_shape: tuple[int, .
 
 @dataclass(frozen=True)
 class RationalTensor:
-    """FP32-semantics dense tensor; used for references and oracles.
-
-    The values are held in float64 and frozen: a float64 array is held as a
-    view of the caller's array, any other dtype as its own float64 copy.  The
-    caller must not write to a float64 array after handing it over, since
-    the write would reach the tensor past its finiteness check.
+    """The float result of `dequantize` and of an FP forward, in float64 and
+    frozen: a float64 array is held as a view, any other dtype as its own
+    float64 copy.  A float input is a plain array, never one of these.
     """
 
     values: np.ndarray
@@ -156,10 +155,6 @@ class RationalTensor:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class ScaledTensor:
@@ -169,11 +164,10 @@ class ScaledTensor:
     It carries what a scaling.Lane carries, under the same names, so that a
     kernel reads a sealed operand as it reads a lane: `precision`, the
     payload's logical bit width; `max_bound`, a bound on max|x| below
-    LANE_MAX, and max|x| itself while `exact` holds; `max_magnitude`, the
-    exact max|x|, scanned on the first read when only the bound is known
-    (payloads are read-only, so it stays valid); `lo` <= min(s) and
-    `hi` >= max(s); and `shape`, the payload's.  The scale keeps collapsed
-    dims as size 1 and broadcasts against the payload.
+    LANE_MAX; `max_magnitude`, the exact max|x|, scanned on each read;
+    `lo` <= min(s) and `hi` >= max(s); and `shape`, the payload's.  The
+    scale keeps collapsed dims as size 1 and broadcasts against the
+    payload.
 
     The payload is int64, the wide lane, except for a model parameter
     (`param`), held at its container width.  A tensor is built sealed, in
@@ -188,7 +182,6 @@ class ScaledTensor:
     s: np.ndarray
     precision: int
     max_bound: int
-    exact: bool
     lo: float
     hi: float
     shape: tuple[int, ...]
@@ -200,27 +193,25 @@ class ScaledTensor:
         precision: int,
         bound: int | None = None,
         scale_range: tuple[float, float] | None = None,
-        exact: bool = False,
     ):
         """Seal a result: x, int64 (a parameter's container type when
         `param` calls), and s, float64, are frozen in place, so they must be
         arrays nothing else writes to (a kernel's fresh arrays, or views of
         a sealed tensor's).
 
-        `bound`, a bound on max|x| the caller derived, defers the scan of
-        max|x| until it is read, and is max|x| itself when `exact`; without
-        it, or when it reaches the lane, max|x| is scanned.  `scale_range`,
+        `bound`, a bound on max|x| the caller derived, spares the scan of
+        max|x|; without it, or when it reaches the lane, max|x| is scanned
+        and checked against the lane.  `scale_range`,
         bounds (lo, hi) derived from the operands', spares the scan of the
         scale unless they do not prove it valid (scale_bounds); without it
         the scale is checked (check_scale).
         """
-        if not 2 <= precision <= 15:
-            raise ValidationError(f"precision {precision} outside [2, 15]")
+        if precision not in PRECISIONS:
+            raise ValidationError(f"precision {precision} outside [{PRECISIONS[0]}, {PRECISIONS[-1]}]")
         # A bound that reaches the lane proves nothing: scan, and let the
         # exact max decide.
         if bound is None or bound >= LANE_MAX:
-            bound, exact = max_abs(x), True
-        if exact:
+            bound = max_abs(x)
             check_lane(bound)
         # scale_bounds, inline: a forward seals dozens of results.
         lo, hi = scale_range or (0.0, math.inf)  # no range proves nothing
@@ -230,8 +221,7 @@ class ScaledTensor:
             raise ShapeError(f"scale shape {s.shape} does not broadcast to data shape {x.shape}")
         x.flags.writeable = False
         s.flags.writeable = False
-        vars(self).update(x=x, s=s, precision=precision, max_bound=bound, exact=exact, lo=lo, hi=hi,
-                          shape=x.shape)
+        vars(self).update(x=x, s=s, precision=precision, max_bound=bound, lo=lo, hi=hi, shape=x.shape)
 
     @classmethod
     def param(
@@ -266,28 +256,21 @@ class ScaledTensor:
         dtype = container_dtype(precision)
         if raw.dtype != dtype or raw.flags.writeable:
             raw = raw.astype(dtype)
-        return cls(raw, _float_view(s), precision, m, scale_range, exact=True)
+        return cls(raw, _float_view(s), precision, m, scale_range)
 
-    def view(self, x: np.ndarray, s: np.ndarray, same_max: bool = False) -> ScaledTensor:
+    def view(self, x: np.ndarray, s: np.ndarray) -> ScaledTensor:
         """A tensor of x and s, views of this payload and scale that
         broadcast against each other, without a copy: both are sealed, so
-        nothing writes through the views.
-
-        The view keeps this tensor's precision and bounds.  A view holding
-        every element (a transpose) passes `same_max` and keeps the exact
-        max|x| too, when it is known; a slice scans its own when read.
-        """
+        nothing writes through the views.  The view keeps this tensor's
+        precision and bounds."""
         t = object.__new__(ScaledTensor)
-        vars(t).update(vars(self), x=x, s=s, shape=x.shape, max_bound=self.max_bound if x.size else 0,
-                       exact=not x.size or (same_max and self.exact))
+        vars(t).update(vars(self), x=x, s=s, shape=x.shape, max_bound=self.max_bound if x.size else 0)
         return t
 
     @property
     def max_magnitude(self) -> int:
-        """max|x|, exactly; scanned on the first read when only a bound is known."""
-        if not self.exact:
-            vars(self).update(max_bound=max_abs(self.x), exact=True)
-        return self.max_bound
+        """max|x|, exactly: scanned on each read."""
+        return max_abs(self.x)
 
     @property
     def data(self) -> IntTensor:
@@ -336,6 +319,6 @@ def transpose(t: ScaledTensor, axes: Sequence[int]) -> ScaledTensor:
         raise ShapeError(f"axes {axes} is not a permutation of rank {rank}")
     x, s = np.transpose(t.x, axes), np.transpose(t.s, axes)
     if x.dtype == LANE_DTYPE:
-        return t.view(x, s, same_max=True)
+        return t.view(x, s)
     # A parameter held narrow: the result is widened, as every kernel's is.
-    return ScaledTensor(x.astype(LANE_DTYPE), s, t.precision, t.max_magnitude, (t.lo, t.hi), exact=True)
+    return ScaledTensor(x.astype(LANE_DTYPE), s, t.precision, t.max_bound, (t.lo, t.hi))

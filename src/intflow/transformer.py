@@ -22,6 +22,7 @@ from .scaling import (
     Lane,
     ScaleGranularity,
     Session,
+    _collapsed,
     _match_payload,
     dequantize,
     init_scale,
@@ -31,8 +32,10 @@ from .scaling import (
 )
 from .tensor import (
     LANE_MAX,
+    PRECISIONS,
     RationalTensor,
     ScaledTensor,
+    _float_view,
     block_max_abs,
     max_abs,
     scale_bounds,
@@ -76,8 +79,8 @@ class ModelConfig:
         for dim, least in (("d_m", 1), ("heads", 1), ("d_ff", 1), ("vocab", 1), ("n_layers", 0)):
             if getattr(self, dim) < least:
                 raise ValidationError(f"{dim} must be >= {least}, got {getattr(self, dim)}")
-        if not 2 <= self.precision <= 15:
-            raise ValidationError(f"precision {self.precision} outside [2, 15]")
+        if self.precision not in PRECISIONS:
+            raise ValidationError(f"precision {self.precision} outside [{PRECISIONS[0]}, {PRECISIONS[-1]}]")
         if self.d_m % self.heads:
             raise ValidationError("model width must divide evenly across heads")
         if self.degree < 1:
@@ -209,9 +212,8 @@ def _convert(model, fn, model_cls, **fields):
 
 
 def _quantize_param(values: np.ndarray, p: int, session: Session | None, module: str) -> ScaledTensor:
-    r = RationalTensor(values)
-    s, scale_range = init_scale(r, p)
-    t = quantize(r, s, p, scale_range)
+    s, scale_range = init_scale(values, p)
+    t = quantize(values, s, p, scale_range)
     if session is not None:
         session.note("quantize", SCALE, values.size, module)
     return ScaledTensor.param(t.x, t.s, p, t.max_bound, (t.lo, t.hi))
@@ -246,14 +248,15 @@ def reference_twin(model: IntegerTransformerModel) -> FP32ReferenceModel:
 # integer-path helpers
 
 
-def _boost(lane: Lane, session: Session, module: str, groups: int = 1) -> None:
+def _boost(lane: Lane, session: Session, module: str) -> None:
     """Exact payload gain {lam*x, lam*s} in place, to keep precision across a
-    division.  Each of the lane's `groups` row blocks (one per head) gets its
-    own lam, chosen by the block's exact max|x|, which grows lam times: the
-    lam, and the multiplies, of a lone run of that block."""
+    division.  Each of the lane's row blocks (`blocks`, one per head) gets
+    its own lam, chosen by the block's exact max|x|, which grows lam times:
+    the lam, and the multiplies, of a lone run of that block."""
+    groups = lane.blocks
     peaks = block_max_abs(lane.x, groups)
     lams = [max(1, (1 << 60) // (max(m, 1) + 1)) for m in peaks]
-    lane.max_bound, lane.exact = max(peaks), True
+    lane.max_bound = max(peaks)
     boosted = groups - lams.count(1)
     if not boosted:
         return
@@ -271,7 +274,7 @@ def _boost(lane: Lane, session: Session, module: str, groups: int = 1) -> None:
     np.multiply(x, lam, out=x)
     lo, hi = lane.lo * min(lams), lane.hi * max(lams)
     scale_op(np.multiply, s, lam, hi, out=s)
-    lane.max_bound = grown  # still exact
+    lane.max_bound = grown
     lane.lo, lane.hi = scale_bounds(lane.s, lo, hi)
 
 
@@ -349,8 +352,7 @@ def _refit_zero_groups(lane: Lane, value: float, c: np.ndarray, limit: int) -> i
     raises as quantize_into does.
     """
     over = np.abs(c) >= LANE_MAX
-    axes = tuple(a for a in range(c.ndim) if c.shape[a] == 1 and lane.x.shape[a] > 1)
-    if np.any(lane.x, axis=axes, keepdims=True)[over].any():
+    if np.any(lane.x, axis=_collapsed(lane.x.shape, c.shape), keepdims=True)[over].any():
         raise LaneOverflowError("quantized payload exceeds accumulator lane")
     s = limit / abs(value)
     lane.s[over] = s
@@ -445,7 +447,7 @@ def poly_attention(
     # their scale collapsed along the key axis.
     num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False, groups=groups)
     den = session.apply(K.sum_reduce, [weights], module, allow_rescale=False)
-    _boost(num, session, module, groups)
+    _boost(num, session, module)
     out = session.apply(K.int_div, [num, den], module)
     den.release()
     return out
@@ -482,7 +484,7 @@ def l1_layer_norm(
     t += n
     t //= 2 * n
     np.negative(t, out=t, where=up)
-    mu.bound((2 * mu.max_bound + n) // (2 * n))
+    mu.max_bound = (2 * mu.max_bound + n) // (2 * n)
     y = session.apply(K.add, [xm, mu], module, allow_rescale=False, ws=ws)
     mu.release()
     den = session.apply(K.abs_, [Lane.of(y, ws)], module, allow_rescale=False)
@@ -761,10 +763,14 @@ def forward(
     Modules named in `int_modules` run on the integer path; the rest run in
     FP32 on the reference twin's parameters, with quantization at entries to
     integer modules and de-quantization at exits (both audited).  Passing
-    `tokens` runs embedding and output projection; passing `hidden` (a
-    RationalTensor or ScaledTensor shaped T x d_m) runs the layer stack and
-    the final norm only.  FP32 steps compute in float32, and the tap sees
-    their float32 arrays; an FP32 result is returned as a RationalTensor.
+    `tokens` runs embedding and output projection; passing `hidden` (T x
+    d_m: a float or integer array, or a ScaledTensor at the model's
+    precision) runs the layer stack and the final norm only.  An array is
+    never written; it is read as float64, a float64 one as it is, and
+    converted once, where the first LN reads it; one that holds a NaN or
+    an infinity is refused with a ValueError there.  FP32 steps compute in
+    float32, and the tap sees their float32 arrays; an FP32 result is
+    returned as a RationalTensor.
     """
     unknown = set(int_modules) - set(MODULES)
     if unknown:
@@ -785,20 +791,20 @@ def forward(
     def to_int(state, module):
         """`state` quantized where it enters the integer path: a hidden
         input's float64 values, or an FP step's float32 array as it is (each
-        value widens exactly; _twin_step has checked it finite)."""
+        value widens exactly; init_scale refuses a value that is not finite)."""
         if isinstance(state, ScaledTensor):
             return state
-        values = state.values if isinstance(state, RationalTensor) else state
-        s, scale_range = init_scale(values, cfg.precision, cfg.granularity)
-        return session.quantize(values, s, cfg.precision, module, scale_range)
+        s, scale_range = init_scale(state, cfg.precision, cfg.granularity)
+        return session.quantize(state, s, cfg.precision, module, scale_range)
 
     def to_fp(state, module) -> np.ndarray:
         """`state` as the twin's float32: cast where it enters the FP path
-        (a hidden input, a de-quantized exit), untouched between FP steps."""
+        (a de-quantized exit, or a hidden input, refused unless finite),
+        untouched between FP steps."""
         if isinstance(state, ScaledTensor):
-            state = session.dequantize(state, module)
-        if isinstance(state, RationalTensor):
-            state = state.values
+            state = session.dequantize(state, module).values
+        elif state is hidden and not np.isfinite(state).all():
+            raise ValueError("rational tensor values must be finite")
         return state.astype(np.float32, copy=False)
 
     def run(tag, layer, int_fn, fp_fn, *inputs):
@@ -819,8 +825,7 @@ def forward(
                     lambda: to_fp(ref.embedding[_token_ids(tokens, cfg.vocab)], EMB))
     elif hidden is not None:
         _check_hidden(hidden, cfg)
-        # Every array state is then an FP step's result.
-        state = hidden if isinstance(hidden, ScaledTensor | RationalTensor) else RationalTensor(hidden)
+        state = hidden = hidden if isinstance(hidden, ScaledTensor) else _float_view(hidden)
     else:
         raise ValidationError("either tokens or hidden input is required")
 
@@ -840,16 +845,18 @@ def forward(
     )
     # A state that reaches a sublayer on the other lane from its LN is
     # converted once, where the LN reads it; Res reads that conversion when
-    # it runs on the LN's lane, else the state as it came.
-    ln_kind, to_ln = (ScaledTensor, to_int) if LN in int_modules else (np.ndarray, to_fp)
-    res_on_ln_lane = (LN in int_modules) == (RES in int_modules)
+    # it runs on the LN's lane, else the state as it came.  A hidden input
+    # array is on neither lane until then.
+    int_ln = LN in int_modules
+    to_ln = to_int if int_ln else to_fp
+    res_on_ln_lane = int_ln == (RES in int_modules)
     n = cfg.n_layers
     int_layers = model.layers if model is not None else (None,) * n
     fp_layers = ref.layers if ref is not None else (None,) * n
     for li, (lp, rp) in enumerate(zip(int_layers, fp_layers, strict=True)):
         for ln_int, ln_fp, tag, core_int, core_fp in sublayers:
             resid = state
-            if not isinstance(state, ln_kind):
+            if isinstance(state, ScaledTensor) != int_ln or state is hidden:
                 state = to_ln(state, LN)
                 if res_on_ln_lane:
                     resid = state
@@ -871,7 +878,7 @@ def reference_forward(
     ref: FP32ReferenceModel,
     *,
     tokens: np.ndarray | None = None,
-    hidden: RationalTensor | None = None,
+    hidden: np.ndarray | None = None,
     tap=None,
 ) -> RationalTensor:
     """Pure FP32 forward pass; the oracle for all precision measurements."""

@@ -13,7 +13,7 @@ from intflow import kernels as K
 from intflow.analysis import PrecisionReport
 from intflow.audit import OpAuditLog
 from intflow.scaling import Lane, Session, dequantize, init_scale
-from intflow.tensor import RationalTensor, ScaledTensor
+from intflow.tensor import ScaledTensor
 from intflow.transformer import (
     ATTN,
     FFN,
@@ -74,8 +74,7 @@ def canonical_ffn_forward(
     g, b = dequantize(lp.ln2_g).values, dequantize(lp.ln2_b).values
 
     def requantize(values: np.ndarray) -> ScaledTensor:
-        t = RationalTensor(values)
-        return session.quantize(t, init_scale(t, p)[0], p, FFN)
+        return session.quantize(values, init_scale(values, p)[0], p, FFN)
 
     r = ref_l1ln(session.dequantize(x, FFN).values, g, b)
     h = session.apply(K.matmul, [requantize(r), lp.w1], FFN, ws=session.workspace).seal()

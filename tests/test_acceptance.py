@@ -22,7 +22,6 @@ from intflow.scaling import (
     rescale,
     scale_match,
 )
-from intflow.tensor import RationalTensor
 from intflow.transformer import (
     ModelConfig,
     PolyParams,
@@ -62,10 +61,9 @@ def test_01_quantization_bound(capsys):
         r_vals = (rng.normal(size=(8, 8)) * rng.uniform(0.01, 100)).astype(
             np.float32
         ).astype(np.float64)
-        r = RationalTensor(r_vals)
-        s = init_scale(r, p)[0]
-        t = quantize(r, s, p)
-        s_full = np.broadcast_to(s, r.shape)
+        s = init_scale(r_vals, p)[0]
+        t = quantize(r_vals, s, p)
+        s_full = np.broadcast_to(s, r_vals.shape)
         for x, rv, sv in zip(
             t.x.ravel(), r_vals.ravel(), s_full.ravel()
         ):
@@ -225,7 +223,7 @@ def test_08_degenerate_attention(capsys):
     T, dh = 5, 4
 
     def q(vals):
-        r = RationalTensor(np.asarray(vals, dtype=np.float64))
+        r = np.asarray(vals, dtype=np.float64)
         return quantize(r, init_scale(r, p)[0], p)
 
     qv = np.tile([[2.0, 0.0, 1.0, 0.5]], (T, 1))

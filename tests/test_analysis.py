@@ -16,7 +16,6 @@ from intflow.analysis import (
     storage_report,
 )
 from intflow.scaling import Session, dequantize, init_scale
-from intflow.tensor import RationalTensor
 from intflow.transformer import (
     ALL_MODULES,
     ATTN,
@@ -200,7 +199,7 @@ class TestCanonicalBaseline:
     def test_dequantizes_four_times_per_block(self, toy):
         cfg, ref, model, tokens = toy
         rng = np.random.default_rng(0)
-        r = RationalTensor(rng.normal(size=(5, cfg.d_m)))
+        r = rng.normal(size=(5, cfg.d_m))
         sess = Session()
         x = sess.quantize(r, init_scale(r, cfg.precision)[0], cfg.precision)
         sess.log.records.clear()
@@ -211,7 +210,7 @@ class TestCanonicalBaseline:
     def test_integer_block_avoids_dequantize_and_stays_close(self, toy):
         cfg, ref, model, tokens = toy
         rng = np.random.default_rng(1)
-        r = RationalTensor(rng.normal(size=(5, cfg.d_m)))
+        r = rng.normal(size=(5, cfg.d_m))
         sess_a = Session()
         x = sess_a.quantize(r, init_scale(r, cfg.precision)[0], cfg.precision)
         base = dequantize(canonical_ffn_forward(x, model.layers[0], sess_a)).values

@@ -28,7 +28,7 @@ from intflow.errors import (
 from intflow.scaling import (
     MATCH_FLOAT_MAX, Lane, Session, Workspace, scale_match, scale_match_dim,
 )
-from intflow.tensor import LANE_MAX, RationalTensor, ScaledTensor
+from intflow.tensor import LANE_MAX, ScaledTensor
 from intflow import transformer
 from intflow.transformer import (
     FFN,
@@ -154,7 +154,7 @@ def exact_int_div(num, den):
 
 
 def quantize_const(value, like, session, module, min_payload=0):
-    r = RationalTensor(np.broadcast_to(np.float64(value), like.shape))
+    r = np.broadcast_to(np.float64(value), like.shape)
     t = session.quantize(r, like.s, like.precision, module)
     if min_payload and np.any(t.x < min_payload):
         t = scaled(np.maximum(t.x, min_payload), t.s, t.precision)

@@ -25,7 +25,7 @@ from intflow.errors import IntflowError, LaneOverflowError, ScaleRangeError
 from intflow.scaling import (
     Lane, ScaleGranularity, Session, Workspace, protocol_apply, scale_match_dim,
 )
-from intflow.tensor import LANE_MAX, RationalTensor, ScaledTensor
+from intflow.tensor import LANE_MAX, ScaledTensor
 from intflow.transformer import ModelConfig, forward, quantize_model, random_reference_model
 
 from helpers import scaled
@@ -45,16 +45,14 @@ def assert_scale_range(values: np.ndarray, lo: float, hi: float) -> None:
 def assert_tensor_bounds(t: ScaledTensor) -> None:
     m = peak(t.x)
     assert m <= t.max_bound < LANE_MAX
-    if t.exact:
-        assert t.max_bound == m
+    assert t.max_magnitude == m
     assert_scale_range(t.s, t.lo, t.hi)
 
 
 def assert_lane_bounds(lane: Lane) -> None:
     m = peak(lane.x)
     assert m <= lane.max_bound
-    if lane.exact:
-        assert lane.max_bound == m
+    assert lane.max_magnitude == m
     assert_scale_range(lane.s, lane.lo, lane.hi)
 
 
@@ -121,8 +119,8 @@ def test_forward_bounds_bracket(p, degree, seed, t, entry):
                 x *= 10.0 ** rng.uniform(-4, 4, x.shape)
                 s = ((1 << p) - 1) / np.abs(x)
             else:
-                s = scaling.init_scale(RationalTensor(x), p)[0]
-            forward(model, session, hidden=session.quantize(RationalTensor(x), s, p))
+                s = scaling.init_scale(x, p)[0]
+            forward(model, session, hidden=session.quantize(x, s, p))
     assert seen["tensors"] and seen["lanes"]
 
 
@@ -242,16 +240,16 @@ class TestPayloadFallback:
         """A tensor that carries only a loose bound on max|x|."""
         x = np.array(values, dtype=np.int64)
         t = ScaledTensor(x, np.ones((1,) * x.ndim), precision, bound)
-        assert not t.exact
+        assert t.max_bound == bound
         return t
 
     def test_lane_guards_fall_back_to_the_exact_max(self):
-        # Each call gets a fresh tensor: the first exact read is cached.
+        # Each call gets a fresh tensor, whose bound alone would trip the guard.
         t = self.loose([3, -5], 2**40)
         assert K.ew_mul(t, t).seal().x.tolist() == [9, 25]
         ws = Workspace()
         lane = Lane.of(self.loose([3, -5], 2**40), ws)
-        assert not lane.exact
+        assert lane.max_bound == 2**40
         assert K.pow_n(lane, 3).x.tolist() == [27, -125]
         w = self.loose([[3, -5]], 2**40)
         assert K.matmul(w, w, ws).seal().x.tolist() == [[34]]
@@ -267,7 +265,7 @@ class TestPayloadFallback:
 
     def test_a_bound_at_the_lane_is_scanned(self):
         t = ScaledTensor(np.array([3, -5], dtype=np.int64), np.ones(1), 7, LANE_MAX)
-        assert t.exact and t.max_bound == 5
+        assert t.max_bound == 5
 
     def test_bound_past_the_limit_defers_to_the_exact_max(self):
         log = OpAuditLog()
@@ -286,8 +284,8 @@ class TestPayloadFallback:
         ws = Workspace()
         lane = Lane.of(scaled([[-9, 4]], [[1.0]]), ws)
         lane = K.relu(Lane(lane.x, lane.s, 7, ws))
-        assert not lane.exact and lane.max_bound == 9
-        assert lane.max_magnitude == 4 and lane.exact
+        assert lane.max_bound == 9 and lane.nonneg
+        assert lane.max_magnitude == 4 and lane.max_bound == 9
 
 
 # -- the scans left in a forward ---------------------------------------------
@@ -384,8 +382,10 @@ def count_calls(run, budget: int) -> None:
 # under the same names as a lane, they were 2,503 and 2,578.  Until audit
 # records were built as tuples, shapes memoized in `extremes`, and
 # `Lane.put`, `rescale` and `ScaledTensor` checked proven bounds inline,
-# they were 2,258 and 2,333.  Re-pin only downward.
-@pytest.mark.parametrize("cfg, t, budget", [(ModelConfig(), 1, 1568), (LONGCTX, 32, 1623)])
+# they were 2,258 and 2,333.  Until `max_bound` was only a bound, with no
+# `exact` flag whose sealed results called check_lane, they were 1,568 and
+# 1,623.  Re-pin only downward.
+@pytest.mark.parametrize("cfg, t, budget", [(ModelConfig(), 1, 1551), (LONGCTX, 32, 1610)])
 def test_call_budget(cfg, t, budget):
     model = quantize_model(random_reference_model(cfg, 0))
     tokens = np.random.default_rng(1).integers(0, cfg.vocab, t)
@@ -428,6 +428,6 @@ def test_forward_matches_only_p_bit_payloads(monkeypatch):
                 model = quantize_model(ref)
                 seen.clear()
                 forward(model, Session(), tokens=rng.integers(0, cfg.vocab, 6))
-                hidden = RationalTensor(rng.normal(size=(6, cfg.d_m)))
+                hidden = rng.normal(size=(6, cfg.d_m))
                 forward(model, Session(), hidden=hidden)
                 assert seen and max(seen) <= (1 << p) - 1

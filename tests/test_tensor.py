@@ -61,11 +61,11 @@ class TestContainers:
         assert cols.max_magnitude == 9 and not cols.x.flags.writeable
         right = t.view(t.x[:, :1], t.s)
         assert right.max_magnitude == 7  # a slice is scanned
-        wide = t.view(np.broadcast_to(t.x, (3, 2, 2)), t.s[None], same_max=True)
-        assert wide.max_magnitude == 9 and wide.shape == (3, 2, 2) and wide.exact
-        flat = t.view(np.broadcast_to(t.x[:1], (0, 2)), t.s[:1], same_max=True)
-        assert flat.max_magnitude == 0  # an empty view holds no element
-        assert t.view(t.x.T, t.s.T, same_max=True).x.tolist() == [[3, 7], [-9, 1]]
+        wide = t.view(np.broadcast_to(t.x, (3, 2, 2)), t.s[None])
+        assert wide.max_magnitude == 9 and wide.shape == (3, 2, 2) and wide.max_bound == t.max_bound
+        flat = t.view(np.broadcast_to(t.x[:1], (0, 2)), t.s[:1])
+        assert flat.max_magnitude == flat.max_bound == 0  # an empty view holds no element
+        assert t.view(t.x.T, t.s.T).x.tolist() == [[3, 7], [-9, 1]]
 
     def test_constructor_freezes_a_fresh_array(self):
         t = ScaledTensor(np.arange(4, dtype=np.int64) - 2, np.ones(1), 7)
@@ -111,15 +111,16 @@ class TestContainers:
 
 
 class TestPlainAttributes:
-    """`shape` and `max_bound` are attributes set when a tensor is sealed,
-    and `max_bound` becomes the exact max once that has been scanned."""
+    """`shape` and `max_bound` are attributes set when a tensor is sealed;
+    `max_magnitude` scans the exact max and leaves the bound as it is."""
 
     @staticmethod
     def check(t: ScaledTensor) -> None:
         assert t.shape == t.x.shape
         exact = int(np.abs(t.x.astype(np.int64)).max(initial=0))
-        assert t.max_bound >= exact
-        assert t.max_magnitude == exact == t.max_bound and t.exact
+        bound = t.max_bound
+        assert bound >= exact
+        assert t.max_magnitude == exact and t.max_bound == bound
 
     def test_every_constructor(self):
         x = np.array([[3, -9, 2], [7, 1, -4]], dtype=np.int64)
@@ -129,7 +130,7 @@ class TestPlainAttributes:
             return ScaledTensor(x.copy(), s.copy(), 7, 100, (2.0, 3.0))
 
         t = loose()
-        assert t.max_bound == 100 and not t.exact and t.shape == (2, 3)
+        assert t.max_bound == 100 and t.shape == (2, 3)
         assert (t.lo, t.hi) == (2.0, 3.0)
         self.check(t)
         self.check(ScaledTensor.param(x, s, 7))
@@ -138,8 +139,8 @@ class TestPlainAttributes:
         self.check(transpose(loose(), (1, 0)))
         self.check(transpose(ScaledTensor.param(x, s, 7), (1, 0)))
         lane = Lane.of(loose(), Workspace())
-        assert lane.max_bound == 100 and not lane.exact
-        assert lane.max_magnitude == 9 and lane.max_bound == 9
+        assert lane.max_bound == 100
+        assert lane.max_magnitude == 9 and lane.max_bound == 100
         self.check(Lane.of(loose(), Workspace()).seal())
 
 

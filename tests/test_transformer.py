@@ -12,12 +12,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from intflow import cli
 from intflow import scaling as scaling_module
 from intflow import tensor as tensor_module
 from intflow import transformer as transformer_module
 from intflow.audit import FP32, PAYLOAD, SCALE, AuditRecord
 from intflow.errors import IntflowError, PrecisionError, ScaleRangeError, ShapeError, ValidationError
-from intflow.modelfile import deserialize, serialize
+from intflow.modelfile import deserialize, save_model, serialize
 from intflow.scaling import Lane, Precision, ScaleGranularity, Session, dequantize, init_scale, quantize
 from intflow.tensor import RationalTensor, ScaledTensor, transpose
 from intflow.transformer import (
@@ -56,7 +57,7 @@ P = 12  # high enough that twin comparisons isolate structural errors
 
 
 def q(values, p=P):
-    r = RationalTensor(np.asarray(values, dtype=np.float64))
+    r = np.asarray(values, dtype=np.float64)
     return quantize(r, init_scale(r, p)[0], p)
 
 
@@ -432,7 +433,7 @@ class TestHybridEngine:
     def test_hidden_input_skips_embedding_and_projection(self, toy):
         cfg, ref, model = toy
         rng = np.random.default_rng(9)
-        x = RationalTensor(rng.normal(size=(5, cfg.d_m)))
+        x = rng.normal(size=(5, cfg.d_m))
         sess = Session()
         h = sess.quantize(x, init_scale(x, P)[0], P)
         out = forward(model, sess, hidden=h)
@@ -443,7 +444,7 @@ class TestHybridEngine:
         cfg, ref, model = toy
         x = np.random.default_rng(3).normal(size=(4, cfg.d_m))
         x[1] = 1e-300
-        out = forward(model, Session(), hidden=RationalTensor(x))
+        out = forward(model, Session(), hidden=x)
         assert out.shape == (4, cfg.d_m)
         assert np.all(np.isfinite(out.s))
 
@@ -488,7 +489,7 @@ class TestHybridEngine:
     def test_refuses_empty_or_misshapen_hidden(self, toy, shape, message):
         cfg, ref, model = toy
         assert cfg.d_m == 16
-        x = RationalTensor(np.ones(shape))
+        x = np.ones(shape)
         with pytest.raises(ValidationError, match=message):
             forward(model, Session(), hidden=x)
         with pytest.raises(ValidationError, match=message):
@@ -512,7 +513,7 @@ class TestHybridEngine:
 
     def test_hidden_input_at_another_precision_is_refused(self, toy):
         cfg, ref, model = toy
-        x = RationalTensor(np.random.default_rng(4).normal(size=(3, cfg.d_m)))
+        x = np.random.default_rng(4).normal(size=(3, cfg.d_m))
         for p in (7, P):
             h = quantize(x, init_scale(x, p)[0], p)
             run = functools.partial(forward, model, Session(), hidden=h)
@@ -592,11 +593,11 @@ class TestZeroOperandAbsorption:
         model = quantize_model(random_reference_model(ModelConfig(), seed=0))
         x = np.random.default_rng(seed).normal(size=(4, model.config.d_m))
         x[1] = 0.0
-        assert self._max_err(model, hidden=RationalTensor(x)) < self.BOUND
+        assert self._max_err(model, hidden=x) < self.BOUND
 
     def test_all_zero_hidden_input(self):
         model = quantize_model(random_reference_model(ModelConfig(), seed=0))
-        x = RationalTensor(np.zeros((4, model.config.d_m)))
+        x = np.zeros((4, model.config.d_m))
         assert self._max_err(model, hidden=x) < self.BOUND
 
 class TestModelRoundTrips:
@@ -897,7 +898,7 @@ class TestPinnedHybridBehaviour:
         cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=16)
         ref = random_reference_model(cfg, seed=0)
         model = quantize_model(ref)
-        hidden = RationalTensor(np.random.default_rng(0).normal(size=(5, cfg.d_m)))
+        hidden = np.random.default_rng(0).normal(size=(5, cfg.d_m))
         for k in range(len(MODULES) + 1):
             for modules in itertools.combinations(MODULES, k):
                 for inputs in ({"tokens": np.arange(5)}, {"hidden": hidden}):
@@ -938,7 +939,7 @@ class TestPinnedHybridBehaviour:
         cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=2, vocab=16)
         ref = random_reference_model(cfg, seed=0)
         model = quantize_model(ref)
-        hidden = RationalTensor(np.random.default_rng(0).normal(size=(5, cfg.d_m)))
+        hidden = np.random.default_rng(0).normal(size=(5, cfg.d_m))
         for k in range(len(MODULES) + 1):
             for modules in itertools.combinations(MODULES, k):
                 for inputs in ({"tokens": np.arange(5)}, {"hidden": hidden}):
@@ -955,8 +956,8 @@ class TestPinnedHybridBehaviour:
         # each must still be one, on a lane the log knows.
         cfg, ref, model = self._models()
         for modules in (MODULES, (LN, RES), (ATTN,)):
-            for inputs in ({"tokens": self.TOKENS}, {"hidden": RationalTensor(
-                    np.random.default_rng(2).normal(size=(len(self.TOKENS), cfg.d_m)))}):
+            hidden = np.random.default_rng(2).normal(size=(len(self.TOKENS), cfg.d_m))
+            for inputs in ({"tokens": self.TOKENS}, {"hidden": hidden}):
                 session = Session()
                 forward(model, session, int_modules=frozenset(modules), ref=ref, **inputs)
                 assert session.log.records
@@ -1094,3 +1095,107 @@ def test_attention_only_hybrids_per_batch_run_or_refuse():
         else:
             assert np.isfinite(out.values).all()
     assert refused == {"PrecisionError: divisor must be strictly positive": 36}
+
+
+class TestHiddenInputArrays:
+    """A float hidden input is a plain array of any float or integer dtype."""
+
+    CFG = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=2, vocab=32)
+
+    @classmethod
+    def _model(cls):
+        return quantize_model(random_reference_model(cls.CFG, seed=3))
+
+    @classmethod
+    def _hidden(cls, dtype):
+        rng = np.random.default_rng(4)
+        if dtype == "int64":
+            return rng.integers(-40, 41, (7, cls.CFG.d_m))
+        return rng.normal(size=(7, cls.CFG.d_m)).astype(dtype)
+
+    # Pinned when a hidden input was wrapped in a RationalTensor, a float64
+    # view or copy of it, before the forward quantized it.
+    @pytest.mark.parametrize("dtype, want", [
+        ("float64", "970ee609b3b05a5a6d333a07e01401da99cbedcf5ed8ccd33a2b50aa8d5bb48f"),
+        ("float32", "a1da4c5fa1b9bb31e35d0d671a65173398d3d5905d0c90cd4d3aad50f07f1e63"),
+        ("int64", "26a8bb7cfd6d5016c12c20c09842d1568810ebe6f27f9183141c714c10177bd4"),
+    ])
+    def test_digest(self, dtype, want):
+        # Payloads, scales (or FP values) and audit records of the integer
+        # forward, the LN+Res hybrid and the ATTN-only hybrid.  An int64
+        # input is cast to float64 as `intflow infer` casts it, and runs
+        # as that cast does when handed over as it is.
+        model = self._model()
+
+        def digest(hidden):
+            h = hashlib.sha256()
+            for modules in (MODULES, (LN, RES), (ATTN,)):
+                session = Session()
+                out = forward(model, session, hidden=hidden, int_modules=frozenset(modules))
+                _hash_arrays(h, *((out.x, out.s) if isinstance(out, ScaledTensor) else (out.values,)))
+                h.update(repr(session.log.records).encode())
+            return h.hexdigest()
+
+        hidden = self._hidden(dtype)
+        if dtype == "int64":
+            assert digest(hidden) == digest(hidden.astype(np.float64)) == want
+        else:
+            assert digest(hidden) == want
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_read_only_caller_array_runs_and_is_never_written(self, dtype):
+        model = self._model()
+        hidden = self._hidden(dtype)
+        hidden.flags.writeable = False
+        before = hidden.tobytes()
+        for modules in (MODULES, (LN, RES), (ATTN,), ()):
+            forward(model, Session(), hidden=hidden, int_modules=frozenset(modules))
+        s, scale_range = init_scale(hidden, 7)
+        quantize(hidden, s, 7, scale_range)
+        assert hidden.tobytes() == before and not hidden.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("route", [
+        "init_scale", "quantize_model", "forward", "forward_fp_ln", "reference_forward",
+        "reference_forward_no_layers", "infer",
+    ])
+    def test_non_finite_input_is_refused(self, route, bad, tmp_path, capsys):
+        # One bad value in one row of several, refused as a ValueError: by
+        # init_scale, which reads each group's max; by quantize_model for a
+        # weight; by a forward whose LN runs on the integer path or in FP
+        # (an ATTN-only hybrid), and by the FP32 twin, before any step runs
+        # (the FP32 layer norm would map the row to its bias); and by
+        # `intflow infer`, which exits 2.
+        hidden = self._hidden("float64")
+        hidden[3, 5] = bad
+        message = "^rational tensor values must be finite$"
+        if route == "infer":
+            model, x = str(tmp_path / "m.int8"), str(tmp_path / "x.npy")
+            save_model(model, self._model())
+            np.save(x, hidden)
+            capsys.readouterr()
+            assert cli.main(["infer", model, x, "--out", str(tmp_path / "y.npy")]) == cli.EXIT_VALIDATION
+            assert capsys.readouterr().err == "error: rational tensor values must be finite\n"
+            return
+        seen, session = [], Session()
+
+        def tap(*state):
+            seen.append(state)
+
+        with pytest.raises(ValueError, match=message):
+            if route == "init_scale":
+                init_scale(hidden, 7)
+            elif route == "quantize_model":
+                ref = random_reference_model(self.CFG, seed=3)
+                w1 = ref.layers[0].w1.copy()
+                w1[3, 5] = bad
+                quantize_model(dataclasses.replace(
+                    ref, layers=(dataclasses.replace(ref.layers[0], w1=w1),) + ref.layers[1:]))
+            elif route == "forward":
+                forward(self._model(), session, hidden=hidden, tap=tap)
+            elif route == "forward_fp_ln":
+                forward(self._model(), session, hidden=hidden, int_modules=frozenset({ATTN}), tap=tap)
+            else:
+                cfg = dataclasses.replace(self.CFG, n_layers=0) if route.endswith("no_layers") else self.CFG
+                reference_forward(random_reference_model(cfg, seed=3), hidden=hidden, tap=tap)
+        assert not seen and not session.log.records
