@@ -22,7 +22,6 @@ from .transformer import (
     forward,
     quantize_model,
     reference_forward,
-    reference_twin,
 )
 
 
@@ -188,13 +187,10 @@ def module_ablation(
     model: IntegerTransformerModel,
     inputs: list[np.ndarray],
     module_set: frozenset[str],
-    ref: FP32ReferenceModel | None = None,
+    ref: FP32ReferenceModel,
 ) -> float:
-    """Output MSE vs the full-FP32 reference when only `module_set` runs INT8."""
-    unknown = set(module_set) - set(MODULES)
-    if unknown:
-        raise ValidationError(f"unknown module tags: {sorted(unknown)}")
-    ref = ref or reference_twin(model)
+    """Output MSE vs the full-FP32 reference `ref`, the model's twin, when
+    only `module_set` runs INT8; forward refuses an unknown tag."""
     losses = []
     for tokens in inputs:
         out = forward(model, Session(), tokens=tokens, int_modules=frozenset(module_set), ref=ref)
@@ -214,10 +210,10 @@ def resident_bytes(model: IntegerTransformerModel | FP32ReferenceModel) -> int:
     )
 
 
-def storage_report(model: IntegerTransformerModel) -> StorageReport:
+def storage_report(model: IntegerTransformerModel, twin: FP32ReferenceModel) -> StorageReport:
     """Byte accounting from the actual serializations of the model pair,
-    and from the arrays the model and its FP32 twin hold."""
-    twin = reference_twin(model)
+    and from the arrays the model and its FP32 twin `twin`
+    (reference_twin(model)) hold."""
     fp32_blob = serialize(twin)
     int_blob = serialize(model)
     payload_bytes, scale_bytes = record_sizes(int_blob)
@@ -233,12 +229,13 @@ def storage_report(model: IntegerTransformerModel) -> StorageReport:
     return report
 
 
-# Modern CPUs accelerate the integer GEMM lane; everything else is taken at
-# its FP32 cost.
+# Modern CPUs accelerate the integer GEMM lane, DEFAULT_FACTOR times by
+# default; everything else is taken at its FP32 cost.
 DEFAULT_ACCELERABLE = frozenset({"matmul"})
+DEFAULT_FACTOR = 6.0
 
 
-def speedup_estimate(log: OpAuditLog, factor: float = 6.0) -> SpeedupEstimate:
+def speedup_estimate(log: OpAuditLog, factor: float = DEFAULT_FACTOR) -> SpeedupEstimate:
     """Amdahl-style estimate with audited element counts as time proxies; the
     kinds in DEFAULT_ACCELERABLE run `factor` times faster."""
     if not 0 < factor < math.inf:

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import (
+    DEFAULT_FACTOR,
     bit_sweep,
     measure_forwards,
     module_ablation,
@@ -100,16 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("model", help="quantized model file")
     p_cmp.add_argument("--seq-len", type=int, default=16)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--sweep-bits", metavar="A..B",
-                       help="re-quantize at each precision in the range, e.g. 6..10")
-    p_cmp.add_argument("--ablate", metavar="MODULES",
-                       help=f"comma-separated subset of {','.join(MODULES)}, or 'none'")
+    mode = p_cmp.add_mutually_exclusive_group()
+    mode.add_argument("--sweep-bits", metavar="A..B",
+                      help="re-quantize at each precision in the range, e.g. 6..10")
+    mode.add_argument("--ablate", metavar="MODULES",
+                      help=f"comma-separated subset of {','.join(MODULES)}, or 'none'")
 
     p_rep = sub.add_parser("report", help="storage and speed-up summary")
     p_rep.add_argument("model", help="quantized model file")
     p_rep.add_argument("--seq-len", type=int, default=16)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--factor", type=float, default=6.0,
+    p_rep.add_argument("--factor", type=float, default=DEFAULT_FACTOR,
                        help="assumed acceleration of integer GEMMs")
     return parser
 
@@ -154,7 +156,7 @@ def cmd_quantize(args) -> int:
     )
     model = quantize_model(replace(ref, config=cfg))
     save_model(args.out, model)
-    for line in storage_report(model).lines():
+    for line in storage_report(model, reference_twin(model)).lines():
         print(line)
     return EXIT_OK
 
@@ -173,20 +175,13 @@ def _load_input(path: str) -> np.ndarray:
 
 def cmd_infer(args) -> int:
     model = _require_int_model(load_model(args.model))
-    cfg = model.config
     data = _load_input(args.input)
     session = Session()
     if args.tokens:
         out = forward(model, session, tokens=data)
     else:
-        if data.dtype.kind not in "iuf":
-            raise ValidationError(f"hidden input must be integers or floats, got {data.dtype}")
-        if data.ndim != 2 or data.shape[1] != cfg.d_m:
-            raise ValidationError(
-                f"input must be T x {cfg.d_m}, got {data.shape}"
-            )
-        # The forward reads it as float64 and quantizes it, audited, where
-        # integer steps read it.
+        # The forward checks the array, reads it as float64 and quantizes
+        # it, audited, where integer steps read it.
         out = forward(model, session, hidden=data)
     if args.dequantize_output:
         np.save(args.out, session.dequantize(out).values.astype(np.float32))
@@ -237,13 +232,13 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     model = _require_int_model(load_model(args.model))
-    for line in storage_report(model).lines():
+    twin = reference_twin(model)
+    for line in storage_report(model, twin).lines():
         print(line)
     # The estimate counts one forward's work: the session logs nothing else.
     session = Session()
     tokens = _random_tokens(model.config, args.seq_len, args.seed)
     forward(model, session, tokens=tokens)
-    twin = reference_twin(model)
     for line in speedup_estimate(session.log, factor=args.factor).lines():
         print(line)
     # The estimate is a model; the measured times stand next to it.

@@ -603,12 +603,13 @@ def protocol_apply(
     kernel,
     ins: list[ScaledTensor | Lane],
     *,
-    log: OpAuditLog | None = None,
+    log: OpAuditLog,
     module: str = "",
     allow_rescale: bool = True,
     **kwargs,
 ) -> Lane:
-    """Run an integer kernel in the wide lane, re-scale on overflow, audit it.
+    """Run an integer kernel in the wide lane, re-scale on overflow, audit it
+    in `log`: every integer step is audited.
 
     The kernel returns the Lane it worked in; anything else is refused with
     a TypeError.  The target precision is the lane's own, which it took
@@ -628,26 +629,27 @@ def protocol_apply(
         if rescaled:
             shrunk = lane.s.size if lane.blocks == 1 else shrunk_elements(lane, groups, limit)
             rescale(lane, groups)
-    if log is not None:
-        kind = kernel.kind
-        elements = lane.x.size
-        if kind == "matmul" and ins:
-            elements *= ins[0].shape[-1]  # multiply-add count, not output count
-        # Built as tuples, past AuditRecord's check of the lane: each lane
-        # here is one of the module constants it admits.
-        records = log.records
-        records.append(tuple.__new__(AuditRecord, (kind, PAYLOAD, elements, rescaled, module)))
-        if getattr(kernel, "scale_arith", False):
-            records.append(tuple.__new__(AuditRecord, (kind, SCALE, lane.s.size, rescaled, module)))
-        if rescaled:
-            records.append(tuple.__new__(AuditRecord, ("rescale", SCALE, shrunk, True, module)))
+    kind = kernel.kind
+    elements = lane.x.size
+    if kind == "matmul" and ins:
+        elements *= ins[0].shape[-1]  # multiply-add count, not output count
+    # Built as tuples, past AuditRecord's check of the lane: each lane here
+    # is one of the module constants it admits.
+    records = log.records
+    records.append(tuple.__new__(AuditRecord, (kind, PAYLOAD, elements, rescaled, module)))
+    if getattr(kernel, "scale_arith", False):
+        records.append(tuple.__new__(AuditRecord, (kind, SCALE, lane.s.size, rescaled, module)))
+    if rescaled:
+        records.append(tuple.__new__(AuditRecord, ("rescale", SCALE, shrunk, True, module)))
     return lane
 
 
 @dataclass
 class Session:
     """One inference run: its single-writer audit log and the workspace its
-    lanes take scratch arrays from.
+    lanes take scratch arrays from, both made with the session.  An FP32
+    step takes nothing from the workspace, so it stays empty on a run with
+    no integer kernel.
 
     A session holds no precision of its own: every step shrinks to its
     lane's, which comes from the data, so `Session()` runs a model at any
@@ -657,14 +659,7 @@ class Session:
 
     precision: Precision | None = None
     log: OpAuditLog = field(default_factory=OpAuditLog)
-    _workspace: Workspace | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def workspace(self) -> Workspace:
-        """Made on first use, so a run with no integer kernel makes none."""
-        if self._workspace is None:
-            self._workspace = Workspace()
-        return self._workspace
+    workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     def apply(self, kernel, ins, module: str = "", **kwargs) -> Lane:
         return protocol_apply(kernel, ins, log=self.log, module=module, **kwargs)

@@ -92,10 +92,10 @@ class ModelConfig:
 
 
 # The parameter set of both models: each tensor field, in file order, with
-# the module its Q() event is tagged with and its dims as ModelConfig
-# attribute names.  A layer norm is its gain `*_g` and bias `*_b`.  Only the
-# leaf type differs between the models: a float32 array in the FP32 twin, a
-# ScaledTensor in the integer model.
+# the module it belongs to and its dims as ModelConfig attribute names.  A
+# layer norm is its gain `*_g` and bias `*_b`.  Only the leaf type differs
+# between the models: a float32 array in the FP32 twin, a ScaledTensor in
+# the integer model.
 LAYER_TENSORS = {
     "w_q": (ATTN, ("d_m", "d_m")), "w_k": (ATTN, ("d_m", "d_m")),
     "w_v": (ATTN, ("d_m", "d_m")), "w_o": (ATTN, ("d_m", "d_m")),
@@ -199,11 +199,11 @@ def random_reference_model(config: ModelConfig, seed: int) -> FP32ReferenceModel
 
 
 def _convert(model, fn, model_cls, **fields):
-    """A `model_cls` holding fn(tensor, module tag) for every schema tensor of
-    `model`, each layer's first, then the model's; `fields` gives the rest."""
+    """A `model_cls` holding fn(tensor) for every schema tensor of `model`,
+    each layer's first, then the model's; `fields` gives the rest."""
 
     def convert(owner, schema):
-        return {name: fn(getattr(owner, name), tag) for name, (tag, _) in schema.items()}
+        return {name: fn(getattr(owner, name)) for name in schema}
 
     layers = tuple(
         TransformerLayerParams(poly=lp.poly, **convert(lp, LAYER_TENSORS)) for lp in model.layers
@@ -211,27 +211,21 @@ def _convert(model, fn, model_cls, **fields):
     return model_cls(layers=layers, **convert(model, MODEL_TENSORS), **fields)
 
 
-def _quantize_param(values: np.ndarray, p: int, session: Session | None, module: str) -> ScaledTensor:
+def _quantize_param(values: np.ndarray, p: int) -> ScaledTensor:
     s, scale_range = init_scale(values, p)
     t = quantize(values, s, p, scale_range)
-    if session is not None:
-        session.note("quantize", SCALE, values.size, module)
     return ScaledTensor.param(t.x, t.s, p, t.max_bound, (t.lo, t.hi))
 
 
-def quantize_model(
-    ref: FP32ReferenceModel,
-    precision: int | None = None,
-    session: Session | None = None,
-) -> IntegerTransformerModel:
+def quantize_model(ref: FP32ReferenceModel, precision: int | None = None) -> IntegerTransformerModel:
     """Quantize every weight per-row, each payload held at its container
-    width (ScaledTensor.param); Q() events land in the session log."""
+    width (ScaledTensor.param).  Set-up, not inference: no audit log sees
+    it."""
     cfg = ref.config
     if precision is not None and precision != cfg.precision:
         cfg = replace(cfg, precision=precision)
     return _convert(
-        ref, lambda values, module: _quantize_param(values, cfg.precision, session, module),
-        IntegerTransformerModel, config=cfg,
+        ref, lambda values: _quantize_param(values, cfg.precision), IntegerTransformerModel, config=cfg
     )
 
 
@@ -239,8 +233,7 @@ def reference_twin(model: IntegerTransformerModel) -> FP32ReferenceModel:
     """FP32 model whose parameters are the de-quantized integer ones, each
     rounded to float32."""
     return _convert(
-        model, lambda t, _: dequantize(t).values.astype(np.float32),
-        FP32ReferenceModel, config=model.config,
+        model, lambda t: dequantize(t).values.astype(np.float32), FP32ReferenceModel, config=model.config
     )
 
 
@@ -361,12 +354,11 @@ def _refit_zero_groups(lane: Lane, value: float, c: np.ndarray, limit: int) -> i
     return max_abs(c)
 
 
-def _add_const(
-    lane: Lane, value: float, session: Session, module: str, min_payload: int = 0
-) -> Lane:
+def _add_const(lane: Lane, value: float, session: Session, min_payload: int = 0) -> Lane:
     """Add a constant quantized into the lane's own scale, so no payload is
     matched; the constant is held in the scale's shape and broadcast, and
-    refit (_refit_zero_groups) at the lane's own precision."""
+    refit (_refit_zero_groups) at the lane's own precision.  Only attention's
+    polynomial adds constants, so every step is tagged Attn."""
     if not math.isfinite(value):
         raise ValueError("rational tensor values must be finite")
     c = lane.scratch() if lane.s.shape == lane.x.shape else np.empty(lane.s.shape)
@@ -374,30 +366,28 @@ def _add_const(
         c_max = quantize_into(np.float64(value), lane.s, c)
     except LaneOverflowError:
         c_max = _refit_zero_groups(lane, value, c, (1 << lane.precision) - 1)
-    session.note("quantize", SCALE, lane.x.size, module)
+    session.note("quantize", SCALE, lane.x.size, ATTN)
     if min_payload:
         # |max(c, min_payload)| <= max(|c|, min_payload): still a bound.
         np.maximum(c, min_payload, out=c)
         c_max = max(c_max, min_payload)
-    return session.apply(K.lane_add, [lane], module, c=c, c_max=c_max)
+    return session.apply(K.lane_add, [lane], ATTN, c=c, c_max=c_max)
 
 
-def _matmul(a: ScaledTensor, b_t: ScaledTensor, session: Session, module: str) -> ScaledTensor:
-    """matmul through the protocol, sealed: only the result is fresh, the
-    product's buffers go back to the workspace."""
-    return session.apply(K.matmul, [a, b_t], module, ws=session.workspace).seal()
+def _matmul(a: ScaledTensor, b_t: ScaledTensor, session: Session) -> ScaledTensor:
+    """The output projection's matmul through the protocol, sealed: only the
+    result is fresh, the product's buffers go back to the workspace."""
+    return session.apply(K.matmul, [a, b_t], PROJ, ws=session.workspace).seal()
 
 
-def _poly_lane(lane: Lane, pp: PolyParams, degree: int, session: Session, module: str) -> Lane:
-    """[ReLU(x + bias)]^degree + |offset|, in place."""
-    lane = _add_const(lane, pp.bias, session, module)
-    lane = session.apply(K.relu, [lane], module)
-    lane = session.apply(K.pow_n, [lane], module, n=degree)
+def _poly_lane(lane: Lane, pp: PolyParams, degree: int, session: Session) -> Lane:
+    """[ReLU(x + bias)]^degree + |offset|, in place, tagged Attn."""
+    lane = _add_const(lane, pp.bias, session)
+    lane = session.apply(K.relu, [lane], ATTN)
+    lane = session.apply(K.pow_n, [lane], ATTN, n=degree)
     # A zero offset payload would break the degenerate all-below-threshold
     # case, so a nonzero offset always contributes at least one level.
-    return _add_const(
-        lane, abs(pp.offset), session, module, min_payload=1 if pp.offset != 0.0 else 0
-    )
+    return _add_const(lane, abs(pp.offset), session, min_payload=1 if pp.offset != 0.0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +402,6 @@ def poly_attention(
     degree: int,
     d_m: int,
     session: Session,
-    module: str = ATTN,
     groups: int = 1,
 ) -> Lane:
     """Normalized polynomial attention for `groups` heads at once, as an
@@ -434,21 +423,22 @@ def poly_attention(
 
     A product's lane guard reads the bounds of the whole stack, so operands
     far past p bits may be refused in a group where each head alone would
-    run; a forward's operands are p-bit, far below that.
+    run; a forward's operands are p-bit, far below that.  Every step is
+    tagged Attn.
     """
-    lane = session.apply(K.matmul, [q, k], module, ws=session.workspace, groups=groups)
-    session.note("scale_fold", SCALE, lane.s.size, module)
+    lane = session.apply(K.matmul, [q, k], ATTN, ws=session.workspace, groups=groups)
+    session.note("scale_fold", SCALE, lane.s.size, ATTN)
     fold = math.sqrt(d_m)
     lo, hi = lane.lo * fold, lane.hi * fold
     scale_op(np.multiply, lane.s, fold, hi, out=lane.s)
     lane.lo, lane.hi = scale_bounds(lane.s, lo, hi)
-    weights = _poly_lane(lane, pp, degree, session, module)
+    weights = _poly_lane(lane, pp, degree, session)
     # The value product matches the weights first, so the weight sum finds
     # their scale collapsed along the key axis.
-    num = session.apply(K.matmul, [weights, v_t], module, allow_rescale=False, groups=groups)
-    den = session.apply(K.sum_reduce, [weights], module, allow_rescale=False)
-    _boost(num, session, module)
-    out = session.apply(K.int_div, [num, den], module)
+    num = session.apply(K.matmul, [weights, v_t], ATTN, allow_rescale=False, groups=groups)
+    den = session.apply(K.sum_reduce, [weights], ATTN, allow_rescale=False)
+    _boost(num, session, ATTN)
+    out = session.apply(K.int_div, [num, den], ATTN)
     den.release()
     return out
 
@@ -458,9 +448,9 @@ def l1_layer_norm(
     g_q: ScaledTensor,
     b_q: ScaledTensor,
     session: Session,
-    module: str = LN,
 ) -> ScaledTensor:
-    """Center, divide by the scaled L1 mean, then apply gain and bias.
+    """Center, divide by the scaled L1 mean, then apply gain and bias; every
+    step is tagged LN.
 
     The norm width n_h is the hidden width, which gain and bias must match.
     The rows are worked in place on one Lane from the centering on, and the
@@ -472,7 +462,7 @@ def l1_layer_norm(
         raise ShapeError("layer norm gain and bias must match the hidden width")
     ws = session.workspace
     xm = scale_match_dim(x, -1)
-    mu = session.apply(K.sum_reduce, [xm], module, allow_rescale=False, ws=ws)
+    mu = session.apply(K.sum_reduce, [xm], LN, allow_rescale=False, ws=ws)
     # The integer mean, rounded half away from zero and negated, at xm's own
     # scale: the add matches nothing.  In place on the row sums t (int64, as
     # xm's payload is): (2|t| + n) // 2n, negated where t > 0; a zero sum
@@ -485,10 +475,10 @@ def l1_layer_norm(
     t //= 2 * n
     np.negative(t, out=t, where=up)
     mu.max_bound = (2 * mu.max_bound + n) // (2 * n)
-    y = session.apply(K.add, [xm, mu], module, allow_rescale=False, ws=ws)
+    y = session.apply(K.add, [xm, mu], LN, allow_rescale=False, ws=ws)
     mu.release()
-    den = session.apply(K.abs_, [Lane.of(y, ws)], module, allow_rescale=False)
-    den = session.apply(K.sum_reduce, [den], module, allow_rescale=False)
+    den = session.apply(K.abs_, [Lane.of(y, ws)], LN, allow_rescale=False)
+    den = session.apply(K.sum_reduce, [den], LN, allow_rescale=False)
     # A zero L1 sum (a constant row) divides by 1 at scale 1.
     degenerate = den.x == 0
     fold = n / L1_NORM_CONST
@@ -497,12 +487,12 @@ def l1_layer_norm(
     s[degenerate] = 1.0
     den.x[degenerate] = 1
     den.put(den.x, s, max(den.max_bound, 1), (min(lo, 1.0), max(hi, 1.0)))
-    session.note("scale_fold", SCALE, s.size, module)
-    _boost(y, session, module)
-    y = session.apply(K.int_div, [y, den], module)
+    session.note("scale_fold", SCALE, s.size, LN)
+    _boost(y, session, LN)
+    y = session.apply(K.int_div, [y, den], LN)
     den.release()
-    y = session.apply(K.ew_mul, [y, g_q], module)
-    y = session.apply(K.add, [y, b_q], module)
+    y = session.apply(K.ew_mul, [y, g_q], LN)
+    y = session.apply(K.add, [y, b_q], LN)
     return y.seal()
 
 
@@ -531,7 +521,6 @@ def attend_heads(
     degree: int,
     d_m: int,
     session: Session,
-    module: str = ATTN,
 ) -> Lane:
     """Every head's attention, from _match_heads' stacked heads of Q, K and
     V, in one (T, heads*d_h) Lane: `group` heads per poly_attention call, and
@@ -552,7 +541,7 @@ def attend_heads(
         g = stop - start
         quotient = poly_attention(
             *(_head_rows(t, start, stop) for t in (q, k, v_t)),
-            pp, degree, d_m, session, module, groups=g,
+            pp, degree, d_m, session, groups=g,
         )
         if x is None:
             rows = quotient.s.shape[0] // g  # T, or 1 where collapsed
@@ -620,6 +609,10 @@ def _token_ids(tokens, vocab: int) -> np.ndarray:
 
 
 def _check_hidden(hidden, cfg: ModelConfig) -> None:
+    """The one check of a hidden input: an array of integers or floats (a
+    ScaledTensor at the model's precision), T x d_m, T >= 1."""
+    if not isinstance(hidden, ScaledTensor) and hidden.dtype.kind not in "iuf":
+        raise ValidationError(f"hidden input must be integers or floats, got {hidden.dtype}")
     shape = hidden.shape
     if len(shape) != 2 or shape[1] != cfg.d_m:
         raise ValidationError(f"hidden input must be T x {cfg.d_m}, got {shape}")
@@ -657,7 +650,9 @@ def ref_l1ln(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     den = np.add.reduce(np.abs(c), axis=-1, keepdims=True)
     den /= n
     den *= L1_NORM_CONST
-    live = den > 0
+    # A row holding a NaN or an infinity has a non-finite den, and stays
+    # non-finite; only a constant row (den 0) comes out as its bias.
+    live = den != 0
     c /= np.where(live, den, 1.0)
     np.copyto(c, 0.0, where=~live)
     c *= g
@@ -765,10 +760,14 @@ def forward(
     integer modules and de-quantization at exits (both audited).  Passing
     `tokens` runs embedding and output projection; passing `hidden` (T x
     d_m: a float or integer array, or a ScaledTensor at the model's
-    precision) runs the layer stack and the final norm only.  An array is
-    never written; it is read as float64, a float64 one as it is, and
-    converted once, where the first LN reads it; one that holds a NaN or
-    an infinity is refused with a ValueError there.  FP32 steps compute in
+    precision) runs the layer stack and the final norm only.  Any other
+    hidden input (complex, bool, str, object or datetime64 values, another
+    shape, no rows) is refused with a ValidationError here, the one home of
+    that check.  An array is never written; it is read as float64, a
+    float64 one as it is, and converted once, where the first LN reads it;
+    one that holds a NaN or an infinity is refused with a ValueError there.
+    A forward with any FP32 module is given its twin as `ref`
+    (reference_twin(model) for the model's own).  FP32 steps compute in
     float32, and the tap sees their float32 arrays; an FP32 result is
     returned as a RationalTensor.
     """
@@ -778,9 +777,7 @@ def forward(
     if int_modules and model is None:
         raise ValidationError("integer modules need a quantized model")
     if int_modules != ALL_MODULES and ref is None:
-        if model is None:
-            raise ValidationError("FP32 modules need a reference model")
-        ref = reference_twin(model)
+        raise ValidationError("FP32 modules need a reference model")
     cfg = (model or ref).config
     # The precision is the model's, carried by its payloads; a session that
     # claims another one is refused.
@@ -869,7 +866,7 @@ def forward(
     if tokens is not None:
         # The T x vocab logits are shrunk in workspace buffers; only the sealed result is fresh.
         state = run(PROJ, n,
-                    lambda x: _matmul(x, model.proj, session, PROJ),
+                    lambda x: _matmul(x, model.proj, session),
                     lambda x: x @ ref.proj.T, state)
     return state if isinstance(state, ScaledTensor) else RationalTensor(state)
 

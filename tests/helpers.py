@@ -2,8 +2,8 @@
 
 `scaled` builds a tensor from arrays, checked; `in_range` and
 `count_records` read a tensor and an audit log as the benchmark's gate
-does.  `poly` runs the attention polynomial alone, outside
-`poly_attention`, and `canonical_ffn_forward` is the de-quantizing FFN
+does, and `note_setup` logs a model's set-up cost.  `poly` runs the
+attention polynomial alone, outside `poly_attention`, and `canonical_ffn_forward` is the de-quantizing FFN
 baseline that the purity proof must catch; no forward calls either.
 `report_mse` looks one entry up in a precision-loss report.
 """
@@ -11,12 +11,14 @@ import numpy as np
 
 from intflow import kernels as K
 from intflow.analysis import PrecisionReport
-from intflow.audit import OpAuditLog
+from intflow.audit import SCALE, OpAuditLog
 from intflow.scaling import Lane, Session, dequantize, init_scale
 from intflow.tensor import ScaledTensor
 from intflow.transformer import (
-    ATTN,
     FFN,
+    LAYER_TENSORS,
+    MODEL_TENSORS,
+    FP32ReferenceModel,
     PolyParams,
     TransformerLayerParams,
     _poly_lane,
@@ -46,6 +48,14 @@ def count_records(log: OpAuditLog, kind: str | None = None, lane: str | None = N
     return sum(r.kind == kind or r.lane == lane for r in log.records)
 
 
+def note_setup(session: Session, ref: FP32ReferenceModel) -> None:
+    """Log the fixed cost of quantizing `ref` in `session`: a Q() record per
+    parameter tensor, tagged with its module, each layer's first."""
+    for owner, schema in [(lp, LAYER_TENSORS) for lp in ref.layers] + [(ref, MODEL_TENSORS)]:
+        for name, (module, _) in schema.items():
+            session.note("quantize", SCALE, getattr(owner, name).size, module)
+
+
 def report_mse(report: PrecisionReport, module: str, layer: int) -> float:
     """The MSE of `module` at `layer` in `report`; KeyError when it has none."""
     for e in report.entries:
@@ -54,11 +64,9 @@ def report_mse(report: PrecisionReport, module: str, layer: int) -> float:
     raise KeyError((module, layer))
 
 
-def poly(
-    scores: ScaledTensor, pp: PolyParams, degree: int, session: Session, module: str = ATTN
-) -> ScaledTensor:
-    """[ReLU(x + bias)]^degree + |offset| on the integer lane."""
-    return _poly_lane(Lane.of(scores, session.workspace), pp, degree, session, module).seal()
+def poly(scores: ScaledTensor, pp: PolyParams, degree: int, session: Session) -> ScaledTensor:
+    """[ReLU(x + bias)]^degree + |offset| on the integer lane, tagged Attn."""
+    return _poly_lane(Lane.of(scores, session.workspace), pp, degree, session).seal()
 
 
 def canonical_ffn_forward(

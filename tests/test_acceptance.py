@@ -34,7 +34,7 @@ from intflow.transformer import (
 )
 from intflow.analysis import precision_loss, speedup_estimate, storage_report
 
-from helpers import count_records, in_range, report_mse, scaled
+from helpers import count_records, in_range, note_setup, report_mse, scaled
 
 # One-sided binomial sign test at 95% confidence for n = 20 trials:
 # P(X >= 15 | p = 0.5) ~ 0.021, P(X >= 14) ~ 0.058, so 15 is the threshold.
@@ -87,7 +87,7 @@ def test_02_overflow_safety(capsys):
         a = scaled(xs.ravel(), np.full(xs.size, sa), 4)
         b = scaled(ys.ravel(), np.full(ys.size, sb), 4)
         for kern in (K.add, K.ew_mul):
-            out = protocol_apply(kern, [a, b]).seal()
+            out = protocol_apply(kern, [a, b], log=OpAuditLog()).seal()
             ok &= out.max_magnitude <= limit4
         for m in scale_match([a, b]):
             ok &= m.max_magnitude <= limit4
@@ -97,7 +97,7 @@ def test_02_overflow_safety(capsys):
         a = scaled(rng.integers(-127, 128, 8), rng.uniform(0.1, 99, 8))
         b = scaled(rng.integers(-127, 128, 8), rng.uniform(0.1, 99, 8))
         kern = (K.add, K.ew_mul)[rng.integers(2)]
-        out = protocol_apply(kern, [a, b]).seal()
+        out = protocol_apply(kern, [a, b], log=OpAuditLog()).seal()
         ok &= out.max_magnitude <= limit7
         wide = scaled(rng.integers(-(2**31), 2**31, 8), np.full(8, 2.0))
         ok &= in_range(rescale(Lane.of(wide, Workspace())).seal())
@@ -187,7 +187,7 @@ def test_05_integer_path_purity(capsys):
 def test_06_storage_ratio(capsys):
     """Serialized FP32/INT8 byte ratio of the default toy sits in [3.4, 4.0)."""
     model = quantize_model(random_reference_model(ModelConfig(), seed=0))
-    rep = storage_report(model)
+    rep = storage_report(model, reference_twin(model))
     ok = 3.4 <= rep.ratio < 4.0
     report(capsys, 6, f"storage ratio {rep.ratio:.3f}", ok)
 
@@ -284,7 +284,8 @@ def test_10_speedup_estimator(capsys):
         ests = []
         for t_len in (4, 16):
             sess = Session()
-            model = quantize_model(ref, session=sess)
+            model = quantize_model(ref)
+            note_setup(sess, ref)  # the fixed conversion cost
             forward(model, sess, tokens=np.arange(t_len) % cfg.vocab)
             ests.append(speedup_estimate(sess.log).estimate)
         wins += ests[1] > ests[0]

@@ -31,7 +31,7 @@ from intflow.transformer import (
     residual_add,
 )
 
-from helpers import canonical_ffn_forward, count_records, report_mse
+from helpers import canonical_ffn_forward, count_records, note_setup, report_mse
 
 
 @pytest.fixture(scope="module")
@@ -97,28 +97,29 @@ class TestPrecisionLoss:
 class TestModuleAblation:
     def test_empty_set_is_lossless(self, toy):
         cfg, ref, model, tokens = toy
-        assert module_ablation(model, tokens, frozenset()) == 0.0
+        assert module_ablation(model, tokens, frozenset(), reference_twin(model)) == 0.0
 
     def test_full_set_matches_pure_integer_run(self, toy):
         cfg, ref, model, tokens = toy
-        full = module_ablation(model, tokens, ALL_MODULES)
+        full = module_ablation(model, tokens, ALL_MODULES, reference_twin(model))
         assert full > 0
 
     def test_larger_sets_accumulate_loss(self, toy):
         cfg, ref, model, tokens = toy
-        only_attn = module_ablation(model, tokens, frozenset({ATTN}))
+        only_attn = module_ablation(model, tokens, frozenset({ATTN}), reference_twin(model))
         assert 0 < only_attn < 1.0
 
     def test_unknown_tag(self, toy):
         cfg, ref, model, tokens = toy
-        with pytest.raises(ValidationError):
-            module_ablation(model, tokens, frozenset({"Nope"}))
+        # forward refuses the tag, with the message it gives every caller.
+        with pytest.raises(ValidationError, match=r"unknown module tags: \['Nope'\]"):
+            module_ablation(model, tokens, frozenset({"Nope"}), reference_twin(model))
 
 
 class TestStorage:
     def test_byte_identity(self, toy):
         cfg, ref, model, tokens = toy
-        rep = storage_report(model)
+        rep = storage_report(model, reference_twin(model))
         assert rep.int8_total_bytes == (
             rep.int8_payload_bytes + rep.scale_bytes + rep.header_bytes
         )
@@ -127,13 +128,13 @@ class TestStorage:
     def test_default_toy_hits_target_band(self):
         cfg = ModelConfig()  # d_m=32, 2 layers
         model = quantize_model(random_reference_model(cfg, seed=0))
-        assert 3.4 <= storage_report(model).ratio < 4.0
+        assert 3.4 <= storage_report(model, reference_twin(model)).ratio < 4.0
 
     def test_default_toy_lines(self):
         # The on-disk lines as before; the resident ones count the arrays the
         # model (int8 payloads, float64 scales) and its float32 twin hold.
         model = quantize_model(random_reference_model(ModelConfig(), seed=0))
-        rep = storage_report(model)
+        rep = storage_report(model, reference_twin(model))
         assert rep.lines() == [
             "storage\tfp32\tbytes\t117951",
             "storage\tint8_payload\tbytes\t29981",
@@ -175,7 +176,7 @@ class TestSpeedup:
         ests = []
         for T in (4, 16):
             sess = Session()
-            quantize_model(ref, session=sess)  # fixed conversion cost
+            note_setup(sess, ref)  # fixed conversion cost
             forward(model, sess, tokens=np.arange(T) % cfg.vocab)
             ests.append(speedup_estimate(sess.log).estimate)
         assert ests[1] > ests[0]

@@ -780,18 +780,22 @@ class TestWorkspace:
         assert LaneOverflowError.__name__ in kinds and ScaleRangeError.__name__ in kinds
 
     def test_fp32_paths_make_no_workspace(self, monkeypatch):
+        # The session's workspace is made with it; an FP32 path takes no
+        # buffer from it and gives none back.
         cfg = ModelConfig(d_m=16, heads=2, d_ff=32, n_layers=1, vocab=50)
         model = quantize_model(random_reference_model(cfg, seed=0))
         twin = reference_twin(model)
 
-        def refuse(self):
-            raise AssertionError("a workspace was made")
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a workspace buffer was taken")
 
-        monkeypatch.setattr(scaling.Workspace, "__init__", refuse)
+        for method in ("take", "copy", "give"):
+            monkeypatch.setattr(scaling.Workspace, method, refuse)
         tokens = np.arange(9)
         reference_forward(twin, tokens=tokens)
-        forward(model, Session(), tokens=tokens,
-                int_modules=frozenset(), ref=twin)
+        session = Session()
+        forward(model, session, tokens=tokens, int_modules=frozenset(), ref=twin)
+        assert session.workspace._free == {}
 
 
 class TestWorkspaceOwnership:

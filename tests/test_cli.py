@@ -213,9 +213,22 @@ class TestCompare:
         line = capsys.readouterr().out.strip()
         assert float(line.split("\t")[-1]) == 0.0
 
-    def test_ablate_unknown_module(self, workspace):
+    def test_ablate_unknown_module(self, workspace, capsys):
         tmp, fp32, int8 = workspace
+        capsys.readouterr()
         assert main(["compare", str(int8), "--ablate", "Bogus"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: unknown module tags: ['Bogus']\n"
+
+    def test_sweep_and_ablate_exclude_each_other(self, workspace, capsys):
+        # The sweep once ran and --ablate was ignored, with exit 0.
+        tmp, fp32, int8 = workspace
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(int8), "--seq-len", "6", "--sweep-bits", "6..7", "--ablate", "LN"])
+        assert exc.value.code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "argument --ablate: not allowed with argument --sweep-bits" in err
 
 
 class TestReport:

@@ -117,21 +117,23 @@ def _cases():
 # hidden inputs were checked for rank and emptiness, the same cases gave
 # the same messages, except that numpy's "zero-size array to reduction
 # operation minimum which has no identity" (11) stood for the empty ones and
-# "token ids out of range" (14) covered the rank-0 and rank-2 ids.
+# "token ids out of range" (14) covered the rank-0 and rank-2 ids.  Until
+# forward owned the hidden input's checks, each shape message read "input
+# must be T x 16, got (...)", with the same counts.
 PINNED_REFUSALS = {
     "hidden input is empty: a forward needs at least one row": 4,
-    "input must be T x 16, got ()": 5,
-    "input must be T x 16, got (0, 0)": 3,
-    "input must be T x 16, got (0,)": 8,
-    "input must be T x 16, got (1, 0)": 2,
-    "input must be T x 16, got (1, 1, 16)": 2,
-    "input must be T x 16, got (1, 2, 16)": 1,
-    "input must be T x 16, got (1, 3, 16)": 1,
-    "input must be T x 16, got (16,)": 3,
-    "input must be T x 16, got (2, 0)": 2,
-    "input must be T x 16, got (2, 17)": 1,
-    "input must be T x 16, got (3, 0)": 2,
-    "input must be T x 16, got (3, 17)": 2,
+    "hidden input must be T x 16, got ()": 5,
+    "hidden input must be T x 16, got (0, 0)": 3,
+    "hidden input must be T x 16, got (0,)": 8,
+    "hidden input must be T x 16, got (1, 0)": 2,
+    "hidden input must be T x 16, got (1, 1, 16)": 2,
+    "hidden input must be T x 16, got (1, 2, 16)": 1,
+    "hidden input must be T x 16, got (1, 3, 16)": 1,
+    "hidden input must be T x 16, got (16,)": 3,
+    "hidden input must be T x 16, got (2, 0)": 2,
+    "hidden input must be T x 16, got (2, 17)": 1,
+    "hidden input must be T x 16, got (3, 0)": 2,
+    "hidden input must be T x 16, got (3, 17)": 2,
     "scale values must be strictly positive": 17,
     "token ids are empty: a forward needs at least one token": 7,
     "token ids must be a 1-D array, got shape ()": 4,

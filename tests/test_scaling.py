@@ -695,11 +695,11 @@ class TestProtocolApply:
     def test_a_kernel_must_return_a_lane(self):
         # transpose is a view outside the protocol: it returns a ScaledTensor.
         with pytest.raises(TypeError, match="transpose"):
-            protocol_apply(K.transpose, [scaled([[1, 2]], [[1.0]])], axes=(1, 0))
+            protocol_apply(K.transpose, [scaled([[1, 2]], [[1.0]])], log=OpAuditLog(), axes=(1, 0))
 
     def test_in_range_result_untouched(self):
         a = scaled([3], [2.0])
-        out = protocol_apply(K.ew_mul, [a, a]).seal()
+        out = protocol_apply(K.ew_mul, [a, a], log=OpAuditLog()).seal()
         assert out.x.tolist() == [9]
 
     def test_overflow_triggers_rescale(self):
@@ -715,14 +715,15 @@ class TestProtocolApply:
 
     def test_idempotent_on_in_range(self):
         a = scaled([64], [1.0])
-        out = protocol_apply(K.ew_mul, [a, a]).seal()
-        again = protocol_apply(K.relu, [scaling.Lane.of(out, scaling.Workspace())]).seal()
+        log = OpAuditLog()
+        out = protocol_apply(K.ew_mul, [a, a], log=log).seal()
+        again = protocol_apply(K.relu, [scaling.Lane.of(out, scaling.Workspace())], log=log).seal()
         assert np.array_equal(again.x, out.x)
         assert np.array_equal(again.s, out.s)
 
     def test_rescale_can_be_disabled(self):
         a = scaled([64], [1.0])
-        out = protocol_apply(K.ew_mul, [a, a], allow_rescale=False).seal()
+        out = protocol_apply(K.ew_mul, [a, a], log=OpAuditLog(), allow_rescale=False).seal()
         assert out.x.tolist() == [4096]
 
 

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -240,6 +241,19 @@ class TestL1LayerNorm:
         sess = Session()
         out = dequantize(l1_layer_norm(q(x), q(np.ones(n)), q(np.full(n, 0.25)), sess)).values
         assert np.allclose(out, 0.25, atol=1e-3)
+        # The FP32 twin maps a constant row to its bias exactly.
+        assert np.array_equal(ref_l1ln(x, np.ones(n), np.full(n, 0.25)), np.full((3, n), 0.25))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_twin_row_with_a_non_finite_value_stays_non_finite(self, bad):
+        # Such a row once came out as its bias, [0.5] * 4, as a constant
+        # row does; only the row that holds the value is touched.
+        x = np.arange(12, dtype=np.float64).reshape(3, 4)
+        x[1, 2] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf while centering
+            out = ref_l1ln(x, np.ones(4), np.full(4, 0.5))
+        assert not np.isfinite(out[1]).any()
+        assert np.array_equal(out[[0, 2]], ref_l1ln(x[[0, 2]], np.ones(4), np.full(4, 0.5)))
 
     def test_width_mismatch(self):
         g, b = np.ones(4), np.zeros(4)
@@ -425,7 +439,7 @@ class TestHybridEngine:
         cfg, ref, model = toy
         tok = np.arange(8) % cfg.vocab
         sess = Session()
-        out = forward(model, sess, tokens=tok, int_modules=frozenset({module}))
+        out = forward(model, sess, tokens=tok, int_modules=frozenset({module}), ref=reference_twin(model))
         got = out.values if isinstance(out, RationalTensor) else dequantize(out).values
         want = reference_forward(reference_twin(model), tokens=tok).values
         assert rel_err(got, want) < 5e-2
@@ -453,6 +467,15 @@ class TestHybridEngine:
         with pytest.raises(ValidationError):
             forward(model, Session(), tokens=np.array([0]),
                     int_modules=frozenset({"Bogus"}))
+
+    @pytest.mark.parametrize("int_modules", [frozenset(), frozenset({LN, RES}), frozenset({ATTN})])
+    def test_fp32_modules_need_the_twin_from_the_caller(self, toy, int_modules):
+        # forward builds no twin of its own: the caller passes it as `ref`.
+        cfg, ref, model = toy
+        session = Session()
+        with pytest.raises(ValidationError, match="^FP32 modules need a reference model$"):
+            forward(model, session, tokens=np.arange(4), int_modules=int_modules)
+        assert not session.log.records
 
     @pytest.mark.parametrize("int_modules", [frozenset(), frozenset({LN, RES})])
     def test_reference_must_cover_every_layer(self, toy, int_modules):
@@ -504,7 +527,7 @@ class TestHybridEngine:
                 forward(model, Session(Precision(p)), tokens=np.arange(4))
             with pytest.raises(ValidationError, match="differs"):
                 forward(model, Session(Precision(p)), tokens=np.arange(4),
-                        int_modules=frozenset({LN, RES}))
+                        int_modules=frozenset({LN, RES}), ref=ref)
         claimed = forward(model, Session(Precision(P)), tokens=np.arange(4))
         out = forward(model, Session(), tokens=np.arange(4))
         assert out.precision == claimed.precision == P
@@ -535,7 +558,8 @@ class TestHybridEngine:
             check(self)
 
         monkeypatch.setattr(RationalTensor, "__post_init__", counting)
-        out = forward(model, Session(), tokens=np.arange(6), int_modules=frozenset({LN, RES}))
+        out = forward(model, Session(), tokens=np.arange(6), int_modules=frozenset({LN, RES}),
+                      ref=reference_twin(model))
         assert isinstance(out, RationalTensor)
         assert built.count(np.float32) == 1
 
@@ -689,7 +713,7 @@ def test_zero_weight_sum_is_a_precision_error(precision, degree, seed):
     model = quantize_model(random_reference_model(cfg, seed))
     tokens = np.random.default_rng(1).integers(0, 16, 10)
     with pytest.raises(PrecisionError, match="divisor must be strictly positive"):
-        forward(model, Session(), tokens=tokens, int_modules=frozenset({ATTN}))
+        forward(model, Session(), tokens=tokens, int_modules=frozenset({ATTN}), ref=reference_twin(model))
 
 
 class TestEveryPrecisionDigest:
@@ -783,7 +807,7 @@ class TestGoldenAuditAndHybrid:
         cfg, model = self._model(precision)
         session = Session()
         out = forward(model, session, tokens=np.arange(12) % cfg.vocab,
-                      int_modules=frozenset({LN, RES}))
+                      int_modules=frozenset({LN, RES}), ref=reference_twin(model))
         logits = np.ascontiguousarray(out.values)
         h = hashlib.sha256()
         h.update(f"{logits.dtype.str}{logits.shape}".encode())
@@ -825,7 +849,8 @@ class TestPinnedHybridBehaviour:
         # Attention and FFN run in FP32 on the twin of the p=12 model.
         model = quantize_model(random_reference_model(LONGCTX_SHAPED, seed=0))
         session = Session()
-        out = forward(model, session, tokens=np.arange(64), int_modules=frozenset({LN, RES}))
+        out = forward(model, session, tokens=np.arange(64), int_modules=frozenset({LN, RES}),
+                      ref=reference_twin(model))
         records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
                    for r in session.log.records]
         # The embedding, quantized at layer 0's LN, is read as the residual
@@ -856,7 +881,8 @@ class TestPinnedHybridBehaviour:
     def test_hybrid_audit_and_output_digest(self, modules, want):
         cfg, _, model = self._models()
         session = Session()
-        out = forward(model, session, tokens=self.TOKENS, int_modules=frozenset(modules))
+        out = forward(model, session, tokens=self.TOKENS, int_modules=frozenset(modules),
+                      ref=reference_twin(model))
         records = [(r.kind, r.lane, r.elements, r.rescaled, r.module)
                    for r in session.log.records]
         h = hashlib.sha256(repr(records).encode())
@@ -1126,12 +1152,13 @@ class TestHiddenInputArrays:
         # input is cast to float64 as `intflow infer` casts it, and runs
         # as that cast does when handed over as it is.
         model = self._model()
+        twin = reference_twin(model)
 
         def digest(hidden):
             h = hashlib.sha256()
             for modules in (MODULES, (LN, RES), (ATTN,)):
                 session = Session()
-                out = forward(model, session, hidden=hidden, int_modules=frozenset(modules))
+                out = forward(model, session, hidden=hidden, int_modules=frozenset(modules), ref=twin)
                 _hash_arrays(h, *((out.x, out.s) if isinstance(out, ScaledTensor) else (out.values,)))
                 h.update(repr(session.log.records).encode())
             return h.hexdigest()
@@ -1148,11 +1175,66 @@ class TestHiddenInputArrays:
         hidden = self._hidden(dtype)
         hidden.flags.writeable = False
         before = hidden.tobytes()
+        twin = reference_twin(model)
         for modules in (MODULES, (LN, RES), (ATTN,), ()):
-            forward(model, Session(), hidden=hidden, int_modules=frozenset(modules))
+            forward(model, Session(), hidden=hidden, int_modules=frozenset(modules), ref=twin)
         s, scale_range = init_scale(hidden, 7)
         quantize(hidden, s, 7, scale_range)
         assert hidden.tobytes() == before and not hidden.flags.writeable
+
+    NON_NUMERIC = {
+        "complex128": lambda h: h + 1j,
+        "bool": lambda h: h > 0,
+        "str": lambda h: h.astype(str),
+        "object": lambda h: h.astype(object),
+        "datetime64": lambda h: h.astype(np.int64).astype("datetime64[s]"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NON_NUMERIC))
+    @pytest.mark.parametrize("route", ["forward", "forward_attn", "reference_forward", "infer"])
+    def test_non_numeric_input_is_refused(self, route, kind, tmp_path, capsys):
+        # Cast to float64 each of these once ran: a complex input on its
+        # real part alone, a bool or datetime64 one as 0/1 or seconds, a str
+        # or object one parsed.  forward refuses them, before any step, on
+        # every route, and `intflow infer` exits 2 (an object array is
+        # refused when it is loaded, as numpy will not unpickle it).
+        hidden = self.NON_NUMERIC[kind](self._hidden("float64"))
+        model = self._model()
+        if route == "infer":
+            path, x = str(tmp_path / "m.int8"), str(tmp_path / "x.npy")
+            save_model(path, model)
+            np.save(x, hidden)
+            capsys.readouterr()
+            assert cli.main(["infer", path, x, "--out", str(tmp_path / "y.npy")]) == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            if kind != "object":
+                assert err == f"error: hidden input must be integers or floats, got {hidden.dtype}\n"
+            assert not (tmp_path / "y.npy").exists()
+            return
+        session = Session()
+        message = f"^hidden input must be integers or floats, got {re.escape(str(hidden.dtype))}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(ValidationError, match=message):
+                if route == "forward":
+                    forward(model, session, hidden=hidden)
+                elif route == "forward_attn":
+                    forward(model, session, hidden=hidden, int_modules=frozenset({ATTN}),
+                            ref=reference_twin(model))
+                else:
+                    reference_forward(reference_twin(model), hidden=hidden)
+        assert not session.log.records
+
+    @pytest.mark.parametrize("dtype", ["int64", "float32", "float64"])
+    def test_numeric_input_runs_on_every_route(self, dtype):
+        model = self._model()
+        twin = reference_twin(model)
+        hidden = self._hidden(dtype)
+        assert forward(model, Session(), hidden=hidden).shape == hidden.shape
+        assert forward(model, Session(), hidden=hidden, int_modules=frozenset({ATTN}),
+                       ref=twin).values.shape == hidden.shape
+        assert reference_forward(twin, hidden=hidden).values.shape == hidden.shape
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("route", [
@@ -1163,9 +1245,8 @@ class TestHiddenInputArrays:
         # One bad value in one row of several, refused as a ValueError: by
         # init_scale, which reads each group's max; by quantize_model for a
         # weight; by a forward whose LN runs on the integer path or in FP
-        # (an ATTN-only hybrid), and by the FP32 twin, before any step runs
-        # (the FP32 layer norm would map the row to its bias); and by
-        # `intflow infer`, which exits 2.
+        # (an ATTN-only hybrid), and by the FP32 twin, before any step runs;
+        # and by `intflow infer`, which exits 2.
         hidden = self._hidden("float64")
         hidden[3, 5] = bad
         message = "^rational tensor values must be finite$"
@@ -1194,7 +1275,9 @@ class TestHiddenInputArrays:
             elif route == "forward":
                 forward(self._model(), session, hidden=hidden, tap=tap)
             elif route == "forward_fp_ln":
-                forward(self._model(), session, hidden=hidden, int_modules=frozenset({ATTN}), tap=tap)
+                model = self._model()
+                forward(model, session, hidden=hidden, int_modules=frozenset({ATTN}),
+                        ref=reference_twin(model), tap=tap)
             else:
                 cfg = dataclasses.replace(self.CFG, n_layers=0) if route.endswith("no_layers") else self.CFG
                 reference_forward(random_reference_model(cfg, seed=3), hidden=hidden, tap=tap)
