@@ -189,8 +189,11 @@ def module_ablation(
     module_set: frozenset[str],
     ref: FP32ReferenceModel,
 ) -> float:
-    """Output MSE vs the full-FP32 reference `ref`, the model's twin, when
-    only `module_set` runs INT8; forward refuses an unknown tag."""
+    """Output MSE, over `inputs`, vs the FP32 reference `ref` that it is
+    measured against (the model's twin, or the model it was quantized from)
+    when only `module_set` runs INT8; forward refuses an unknown tag."""
+    if not inputs:
+        raise ValidationError("module ablation needs at least one input")
     losses = []
     for tokens in inputs:
         out = forward(model, Session(), tokens=tokens, int_modules=frozenset(module_set), ref=ref)
@@ -213,7 +216,9 @@ def resident_bytes(model: IntegerTransformerModel | FP32ReferenceModel) -> int:
 def storage_report(model: IntegerTransformerModel, twin: FP32ReferenceModel) -> StorageReport:
     """Byte accounting from the actual serializations of the model pair,
     and from the arrays the model and its FP32 twin `twin`
-    (reference_twin(model)) hold."""
+    (reference_twin(model)) hold; a twin of another config is refused."""
+    if twin.config != model.config:
+        raise ValidationError("storage report needs the model's twin: the configs differ")
     fp32_blob = serialize(twin)
     int_blob = serialize(model)
     payload_bytes, scale_bytes = record_sizes(int_blob)

@@ -659,7 +659,7 @@ class Session:
 
     precision: Precision | None = None
     log: OpAuditLog = field(default_factory=OpAuditLog)
-    workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)
+    workspace: Workspace = field(default_factory=Workspace, init=False, repr=False, compare=False)
 
     def apply(self, kernel, ins, module: str = "", **kwargs) -> Lane:
         return protocol_apply(kernel, ins, log=self.log, module=module, **kwargs)

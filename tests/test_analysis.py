@@ -115,6 +115,12 @@ class TestModuleAblation:
         with pytest.raises(ValidationError, match=r"unknown module tags: \['Nope'\]"):
             module_ablation(model, tokens, frozenset({"Nope"}), reference_twin(model))
 
+    def test_no_inputs_refused(self, toy):
+        # An empty list has no MSE to average; it is refused, not NaN.
+        cfg, ref, model, tokens = toy
+        with pytest.raises(ValidationError, match="module ablation needs at least one input"):
+            module_ablation(model, [], ALL_MODULES, reference_twin(model))
+
 
 class TestStorage:
     def test_byte_identity(self, toy):
@@ -124,6 +130,13 @@ class TestStorage:
             rep.int8_payload_bytes + rep.scale_bytes + rep.header_bytes
         )
         assert rep.fp32_bytes > rep.int8_total_bytes
+
+    def test_twin_of_another_model_refused(self, toy):
+        # A twin of another config would count another model's bytes.
+        cfg, ref, model, tokens = toy
+        other = quantize_model(random_reference_model(dataclasses.replace(cfg, n_layers=cfg.n_layers + 1), seed=0))
+        with pytest.raises(ValidationError, match="storage report needs the model's twin"):
+            storage_report(model, reference_twin(other))
 
     def test_default_toy_hits_target_band(self):
         cfg = ModelConfig()  # d_m=32, 2 layers

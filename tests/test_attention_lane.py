@@ -797,6 +797,12 @@ class TestWorkspace:
         forward(model, session, tokens=tokens, int_modules=frozenset(), ref=twin)
         assert session.workspace._free == {}
 
+    def test_workspace_is_made_with_its_session(self):
+        # The workspace is no constructor argument, so no two sessions share one.
+        with pytest.raises(TypeError):
+            Session(workspace=scaling.Workspace())
+        assert Session().workspace is not Session().workspace
+
 
 class TestWorkspaceOwnership:
     """A Lane owns its buffers: no step seals one of them read-only while the
