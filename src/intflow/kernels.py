@@ -14,9 +14,11 @@ ScaledTensor and Lane operands alike, by the fields both carry (x, s,
 precision, max_bound, max_magnitude, lo, hi, shape), and returns a
 scaling.Lane, which protocol_apply shrinks in place and a caller that
 keeps it seals.  A Lane first operand becomes the result, worked in place,
-except where the result takes a new shape: matmul's product, while the
+except where the result takes a new shape (matmul's product, while the
 operand is still needed, and concat, which writes its parts into one new
-Lane and releases the Lane parts.  matmul matches a Lane first operand along its last axis in place
+Lane and releases the Lane parts) and in abs_, the one kernel whose operand
+a later step reads again: |x| goes to a new Lane, the operand left as it
+is.  matmul matches a Lane first operand along its last axis in place
 (Lane.match_last) where its scale is not yet collapsed there.  For a
 ScaledTensor first operand the kernel's own first pass writes into buffers
 from `ws` (a fresh workspace when none is given); the operand is never
@@ -281,12 +283,14 @@ def pow_n(t: Lane, n: int) -> Lane:
 
 @_kernel("abs", scale_arith=False)
 def abs_(t: ScaledTensor | Lane, ws: Workspace | None = None) -> Lane:
-    """{|x|, s}: exact since s > 0."""
-    ws = _workspace(t, ws)
+    """{|x|, s} in a new lane_dtype(max|x|) Lane from t's own workspace, or
+    `ws`: exact since s > 0.  t's payload, scale, bounds and scratch are
+    left as they are, for the layer norm divides the rows it sums."""
+    ws = t.ws if isinstance(t, Lane) else Workspace() if ws is None else ws
     x0, m = t.x, t.max_bound
-    x = _out(t, x0, x0.shape, lane_dtype(m, x0), ws)
+    x = ws.take(x0.shape, lane_dtype(m))
     np.abs(x0, out=x, dtype=x.dtype, casting="unsafe")
-    return _result(t, x, t.s, m, (t.lo, t.hi), ws)
+    return Lane(x, ws.copy(t.s), t.precision, ws, m, (t.lo, t.hi))
 
 
 @_kernel("relu", scale_arith=False)
@@ -389,9 +393,8 @@ def lane_add(t: Lane, c: np.ndarray, c_max: int) -> Lane:
     """add(t, c) in place, for a payload c already at t's own scale, so
     matching moves nothing; c, float64 holding integers with max|c| = c_max,
     has the scale's shape and is broadcast."""
-    t.hold(t.max_bound + c_max)
+    bound = t.max_bound + c_max
+    t.hold(bound)
     t.x += c if t.x.dtype == np.float64 else c.astype(np.int64)
-    t.max_bound += c_max
-    t.nonneg = False
-    t.check_fit()
+    t.put(t.x, t.s, bound, (t.lo, t.hi))
     return t

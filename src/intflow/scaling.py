@@ -54,11 +54,6 @@ class ScaleGranularity(enum.Enum):
         return (rank - 1,)
 
 
-def _round_to_f32(values: np.ndarray) -> np.ndarray:
-    """Snap to the nearest float32 value (scales have FP32 semantics)."""
-    return values.astype(np.float32).astype(np.float64)
-
-
 # Every integer of magnitude up to 2^53 is exactly a float64, and every one
 # up to 2^24 exactly a float32.
 FLOAT64_EXACT = 2**53
@@ -141,27 +136,31 @@ def init_scale(
         if not math.isfinite(m.max(initial=0.0)):
             raise ValueError("rational tensor values must be finite")
         s = limit / np.maximum(m, np.finfo(np.float64).tiny)
-    s = _round_to_f32(np.minimum(s, SCALE_MAX))
+    # Snap to the nearest float32 value (scales have FP32 semantics).
+    s = np.minimum(s, SCALE_MAX).astype(np.float32).astype(np.float64)
     if s.min(initial=SCALE_MAX) < 2.0**-126:
         s = np.where(np.rint(m * s) > limit, np.nextafter(s.astype(np.float32), np.float32(0)), s)
     return s, check_scale(s)
 
 
 def quantize_into(r: np.ndarray, s: np.ndarray, out: np.ndarray) -> int:
-    """round(s * r), half to even, into the float64 array `out`; returns max|x|."""
-    np.multiply(r, s, out=out)
+    """round(s * r), half to even, into the float64 array `out`; returns max|x|.
+    A payload from LANE_MAX up, an inf from a product of finite r and s
+    among them, is refused with a LaneOverflowError, not a numpy warning."""
+    with np.errstate(over="ignore"):
+        np.multiply(r, s, out=out)
     np.rint(out, out=out)
-    # Every x is now a float64 integer, so these scans give the payload's exact max|x|.
+    # Every x is now a float64 integer or inf, so these scans give the payload's exact max|x|.
     if not out.size:
-        m = 0
+        m = 0.0
     elif np.ndim(r) == 0:
         # One constant: with s > 0 every x has its sign, or is zero, so one reduction does.
-        m = int(np.maximum.reduce(out, None)) if r >= 0 else -int(np.minimum.reduce(out, None))
+        m = np.maximum.reduce(out, None) if r >= 0 else -np.minimum.reduce(out, None)
     else:
-        m = int(max(np.maximum.reduce(out, None), -np.minimum.reduce(out, None)))
+        m = max(np.maximum.reduce(out, None), -np.minimum.reduce(out, None))
     if m >= LANE_MAX:
         raise LaneOverflowError("quantized payload exceeds accumulator lane")
-    return m
+    return int(m)
 
 
 def quantize(
@@ -341,8 +340,8 @@ class Lane:
     the lane's own and the shrink's target: a kernel's result lane takes it
     from its first operand, and the sealed result carries it.  The payload x
     holds exact integers: in float64 only while a step's bound on max|x| is
-    below 2^53 (`matmul` and `hold` choose it there, other steps keep it),
-    else in int64, the rule of `trunc_div` too.  `max_bound`, a plain
+    below 2^53 (`matmul`, `abs_` and `hold` choose it there, other steps keep
+    it), else in int64, the rule of `trunc_div` too.  `max_bound`, a plain
     attribute, bounds max|x|; a step that needs the exact max reads
     `max_magnitude`, which scans.
     `nonneg` holds only while no payload is known to be negative (after
@@ -390,21 +389,11 @@ class Lane:
         """max|x|, exactly: scanned on each read."""
         return max_abs(self.x)
 
-    def check_fit(self) -> None:
-        """check_lane on the bound, deciding by the exact max when the bound trips."""
-        if self.max_bound >= LANE_MAX:
-            check_lane(self.max_magnitude)
-
-    @classmethod
-    def of(cls, t: ScaledTensor | Lane, ws: Workspace) -> Lane:
-        """A private copy of the payload and scale of t, a ScaledTensor or a Lane."""
-        m = t.max_bound
-        return cls(ws.copy(t.x, lane_dtype(m)), ws.copy(t.s), t.precision, ws, m, (t.lo, t.hi))
-
     def put(self, x: np.ndarray, s: np.ndarray, m: int | None, scale_range: tuple | None) -> None:
         """Hold payload x and scale s, bounded as in __init__; the buffers they
         replace go back to the workspace, and the scratch if its shape does.
-        check_fit and scale_bounds run inline: a step makes one put."""
+        `nonneg` is cleared.  The lane guard (check_lane, on the exact max only
+        where the bound reaches LANE_MAX) and scale_bounds run inline."""
         ws, work = self.ws, self.work
         if self.x is not x:
             ws.give(self.x)
@@ -647,9 +636,9 @@ def protocol_apply(
 @dataclass
 class Session:
     """One inference run: its single-writer audit log and the workspace its
-    lanes take scratch arrays from, both made with the session.  An FP32
-    step takes nothing from the workspace, so it stays empty on a run with
-    no integer kernel.
+    lanes take scratch arrays from, both made with the session, not passed
+    to it.  An FP32 step takes nothing from the workspace, so it stays empty
+    on a run with no integer kernel.
 
     A session holds no precision of its own: every step shrinks to its
     lane's, which comes from the data, so `Session()` runs a model at any
@@ -658,7 +647,7 @@ class Session:
     """
 
     precision: Precision | None = None
-    log: OpAuditLog = field(default_factory=OpAuditLog)
+    log: OpAuditLog = field(default_factory=OpAuditLog, init=False)
     workspace: Workspace = field(default_factory=Workspace, init=False, repr=False, compare=False)
 
     def apply(self, kernel, ins, module: str = "", **kwargs) -> Lane:

@@ -374,12 +374,6 @@ def _add_const(lane: Lane, value: float, session: Session, min_payload: int = 0)
     return session.apply(K.lane_add, [lane], ATTN, c=c, c_max=c_max)
 
 
-def _matmul(a: ScaledTensor, b_t: ScaledTensor, session: Session) -> ScaledTensor:
-    """The output projection's matmul through the protocol, sealed: only the
-    result is fresh, the product's buffers go back to the workspace."""
-    return session.apply(K.matmul, [a, b_t], PROJ, ws=session.workspace).seal()
-
-
 def _poly_lane(lane: Lane, pp: PolyParams, degree: int, session: Session) -> Lane:
     """[ReLU(x + bias)]^degree + |offset|, in place, tagged Attn."""
     lane = _add_const(lane, pp.bias, session)
@@ -453,9 +447,11 @@ def l1_layer_norm(
     step is tagged LN.
 
     The norm width n_h is the hidden width, which gain and bias must match.
-    The rows are worked in place on one Lane from the centering on, and the
-    L1 sum on a copy.  The norm constant and 1/n_h are folded into the
-    denominator scale; the numerator is boosted exactly before the division.
+    The rows are worked in place on one Lane from the centering on.  The L1
+    sum is taken on a second Lane, which abs_ fills from the centered rows
+    without touching them, and sum_reduce then works in place.  The norm
+    constant and 1/n_h are folded into the denominator scale; the numerator
+    is boosted exactly before the division.
     """
     n = x.shape[-1]
     if g_q.shape != (n,) or b_q.shape != (n,):
@@ -477,7 +473,8 @@ def l1_layer_norm(
     mu.max_bound = (2 * mu.max_bound + n) // (2 * n)
     y = session.apply(K.add, [xm, mu], LN, allow_rescale=False, ws=ws)
     mu.release()
-    den = session.apply(K.abs_, [Lane.of(y, ws)], LN, allow_rescale=False)
+    # abs_ writes |y| into a lane of its own, and leaves y to be divided.
+    den = session.apply(K.abs_, [y], LN, allow_rescale=False)
     den = session.apply(K.sum_reduce, [den], LN, allow_rescale=False)
     # A zero L1 sum (a constant row) divides by 1 at scale 1.
     degenerate = den.x == 0
@@ -866,7 +863,7 @@ def forward(
     if tokens is not None:
         # The T x vocab logits are shrunk in workspace buffers; only the sealed result is fresh.
         state = run(PROJ, n,
-                    lambda x: _matmul(x, model.proj, session),
+                    lambda x: session.apply(K.matmul, [x, model.proj], PROJ, ws=session.workspace).seal(),
                     lambda x: x @ ref.proj.T, state)
     return state if isinstance(state, ScaledTensor) else RationalTensor(state)
 

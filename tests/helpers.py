@@ -1,10 +1,11 @@
 """Builders shared by the test modules, and the library code only tests run.
 
-`scaled` builds a tensor from arrays, checked; `in_range` and
-`count_records` read a tensor and an audit log as the benchmark's gate
-does, and `note_setup` logs a model's set-up cost.  `poly` runs the
-attention polynomial alone, outside `poly_attention`, and `canonical_ffn_forward` is the de-quantizing FFN
-baseline that the purity proof must catch; no forward calls either.
+`scaled` builds a tensor from arrays, checked, and `lane_of` a Lane that
+copies one; `in_range` and `count_records` read a tensor and an audit log
+as the benchmark's gate does, and `note_setup` logs a model's set-up cost.
+`poly` runs the attention polynomial alone, outside `poly_attention`, and
+`canonical_ffn_forward` is the de-quantizing FFN baseline that the purity
+proof must catch; no forward calls either.
 `report_mse` looks one entry up in a precision-loss report.
 """
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from intflow import kernels as K
 from intflow.analysis import PrecisionReport
 from intflow.audit import SCALE, OpAuditLog
-from intflow.scaling import Lane, Session, dequantize, init_scale
+from intflow.scaling import Lane, Session, Workspace, dequantize, init_scale, lane_dtype
 from intflow.tensor import ScaledTensor
 from intflow.transformer import (
     FFN,
@@ -36,6 +37,14 @@ def scaled(data, scale, precision=7):
     if x.dtype.kind not in "iu":
         raise TypeError(f"payload must be integer-typed, got {x.dtype}")
     return ScaledTensor(x.astype(np.int64), np.array(scale, dtype=np.float64), precision)
+
+
+def lane_of(t: ScaledTensor | Lane, ws: Workspace) -> Lane:
+    """A Lane holding private copies of the payload and scale of t, a
+    ScaledTensor or a Lane, in `ws`: the payload in lane_dtype of t's bound,
+    the bounds carried over."""
+    m = t.max_bound
+    return Lane(ws.copy(t.x, lane_dtype(m)), ws.copy(t.s), t.precision, ws, m, (t.lo, t.hi))
 
 
 def in_range(t: ScaledTensor) -> bool:
@@ -66,7 +75,7 @@ def report_mse(report: PrecisionReport, module: str, layer: int) -> float:
 
 def poly(scores: ScaledTensor, pp: PolyParams, degree: int, session: Session) -> ScaledTensor:
     """[ReLU(x + bias)]^degree + |offset| on the integer lane, tagged Attn."""
-    return _poly_lane(Lane.of(scores, session.workspace), pp, degree, session).seal()
+    return _poly_lane(lane_of(scores, session.workspace), pp, degree, session).seal()
 
 
 def canonical_ffn_forward(

@@ -12,7 +12,6 @@ import pytest
 from intflow import kernels as K
 from intflow.audit import FP32, PAYLOAD, SCALE, AuditRecord, OpAuditLog
 from intflow.scaling import (
-    Lane,
     Session,
     Workspace,
     dequantize,
@@ -34,7 +33,7 @@ from intflow.transformer import (
 )
 from intflow.analysis import precision_loss, speedup_estimate, storage_report
 
-from helpers import count_records, in_range, note_setup, report_mse, scaled
+from helpers import count_records, in_range, lane_of, note_setup, report_mse, scaled
 
 # One-sided binomial sign test at 95% confidence for n = 20 trials:
 # P(X >= 15 | p = 0.5) ~ 0.021, P(X >= 14) ~ 0.058, so 15 is the threshold.
@@ -100,7 +99,7 @@ def test_02_overflow_safety(capsys):
         out = protocol_apply(kern, [a, b], log=OpAuditLog()).seal()
         ok &= out.max_magnitude <= limit7
         wide = scaled(rng.integers(-(2**31), 2**31, 8), np.full(8, 2.0))
-        ok &= in_range(rescale(Lane.of(wide, Workspace())).seal())
+        ok &= in_range(rescale(lane_of(wide, Workspace())).seal())
     report(capsys, 2, "overflow safety", ok)
 
 
@@ -120,7 +119,7 @@ def test_03_distribution_law(capsys):
             s = i / j
             t = scaled(xs, np.full(xs.size, s), 7)
             for n in range(1, 5):
-                out = K.pow_n(Lane.of(t, Workspace()), n).seal()
+                out = K.pow_n(lane_of(t, Workspace()), n).seal()
                 ok &= out.x.tolist() == [int(x) ** n for x in xs]
                 # The scale lane is floating point: correct to the last ulps.
                 want_s = float(Fraction(np.float64(s)) ** n)
@@ -136,7 +135,7 @@ def test_03_distribution_law(capsys):
             out = K.abs_(t).seal()
             ok &= out.x.tolist() == [abs(int(x)) for x in xs]
             ok &= np.all(out.s == t.s)
-            out = K.relu(Lane.of(t, Workspace())).seal()
+            out = K.relu(lane_of(t, Workspace())).seal()
             ok &= out.x.tolist() == [max(int(x), 0) for x in xs]
             ok &= np.all(out.s == t.s)
     report(capsys, 3, "distribution-law exactness", ok)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from intflow import kernels as K
 from intflow import scaling
-from intflow.audit import PAYLOAD, SCALE
+from intflow.audit import PAYLOAD, SCALE, OpAuditLog
 from intflow.errors import (
     IntflowError, LaneOverflowError, PrecisionError, ScaleRangeError, WorkspaceError,
 )
@@ -48,7 +48,7 @@ from intflow.transformer import (
     reference_twin,
 )
 
-from helpers import poly, scaled
+from helpers import lane_of, poly, scaled
 
 
 def slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
@@ -72,7 +72,7 @@ def exact_kernel(kind, scale_arith):
     def deco(fn):
         @functools.wraps(fn)
         def kernel(*args, **kwargs):
-            return Lane.of(fn(*args, **kwargs), Workspace())
+            return lane_of(fn(*args, **kwargs), Workspace())
         kernel.kind, kernel.scale_arith = kind, scale_arith
         return kernel
     return deco
@@ -437,7 +437,7 @@ class TestHeadsMatchedOncePerLayer:
         d_m = q.shape[1]
         d_h = d_m // heads
         ws = Workspace()
-        blocks = [_match_heads(Lane.of(t, ws), heads, axis) for t, axis in ((q, -1), (k, -1), (v, 0))]
+        blocks = [_match_heads(lane_of(t, ws), heads, axis) for t, axis in ((q, -1), (k, -1), (v, 0))]
         got, want = [], []
         for h in range(heads):
             qh, kh, vh_t = (_head_rows(b, h, h + 1) for b in blocks)
@@ -473,7 +473,7 @@ class TestHeadsMatchedOncePerLayer:
         assert scale_match_dim(slice_cols(q, slice(0, 2)), -1).x.tolist() == [[1, 1], [1, 1]]
         for axis in (0, -1):
             with pytest.raises(PrecisionError, match="not below"):
-                _match_heads(Lane.of(q, Workspace()), 2, axis)
+                _match_heads(lane_of(q, Workspace()), 2, axis)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.booleans(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -551,7 +551,7 @@ def test_nonneg_follows_the_steps_that_keep_it():
     lane.match_last()
     assert lane.nonneg
     assert scaling.rescale(lane).nonneg
-    assert not K.pow_n(Lane.of(scaled([[-2, 3]], [[1.0]], 7), ws), n=3).nonneg
+    assert not K.pow_n(lane_of(scaled([[-2, 3]], [[1.0]], 7), ws), n=3).nonneg
 
 
 class TestGroupedHeads:
@@ -798,10 +798,14 @@ class TestWorkspace:
         assert session.workspace._free == {}
 
     def test_workspace_is_made_with_its_session(self):
-        # The workspace is no constructor argument, so no two sessions share one.
+        # Neither the workspace nor the audit log is a constructor argument,
+        # so no two sessions share either.
         with pytest.raises(TypeError):
             Session(workspace=scaling.Workspace())
+        with pytest.raises(TypeError):
+            Session(log=OpAuditLog())
         assert Session().workspace is not Session().workspace
+        assert Session().log is not Session().log
 
 
 class TestWorkspaceOwnership:
@@ -810,7 +814,7 @@ class TestWorkspaceOwnership:
 
     def test_a_read_only_array_is_refused(self):
         ws = Workspace()
-        out = scaling.Lane.of(scaled([[1, -2]], [[1.0, 2.0]], 7), ws).seal()
+        out = lane_of(scaled([[1, -2]], [[1.0, 2.0]], 7), ws).seal()
         for arr in (out.x, out.s):
             with pytest.raises(WorkspaceError):
                 ws.give(arr)
@@ -820,7 +824,7 @@ class TestWorkspaceOwnership:
         # The weight sum becomes the lane it sums, whose scale stays its own
         # and writable; sealing then hands every buffer back.
         ws = Workspace()
-        lane = scaling.Lane.of(scaled([[3, -4, 5], [1, 1, 1]], [[2.0, 1.0, 4.0], [1.0, 1.0, 1.0]], 7), ws)
+        lane = lane_of(scaled([[3, -4, 5], [1, 1, 1]], [[2.0, 1.0, 4.0], [1.0, 1.0, 1.0]], 7), ws)
         lane.match_last()
         assert K.sum_reduce(lane) is lane
         assert lane.s.flags.writeable

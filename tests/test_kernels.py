@@ -17,7 +17,7 @@ from intflow.scaling import (
 )
 from intflow.tensor import LANE_MAX, ScaledTensor, container_dtype
 
-from helpers import scaled
+from helpers import lane_of, scaled
 
 
 def matmul(a, b_t) -> ScaledTensor:
@@ -27,7 +27,7 @@ def matmul(a, b_t) -> ScaledTensor:
 
 def on_lane(kernel, t: ScaledTensor, **kwargs) -> ScaledTensor:
     """An in-place kernel on a Lane holding a copy of t, sealed."""
-    return kernel(Lane.of(t, Workspace()), **kwargs).seal()
+    return kernel(lane_of(t, Workspace()), **kwargs).seal()
 
 
 def refuses():
@@ -203,7 +203,7 @@ class TestMatMulExactness:
         # The value product and W2 read a Lane matched along its last axis.
         a, b_t = ops
         ws = Workspace()
-        lane = Lane.of(a, ws)
+        lane = lane_of(a, ws)
         if a.max_magnitude >= MATCH_FLOAT_MAX or refused(b_t):
             with refuses():
                 lane.match_last()
@@ -220,7 +220,7 @@ class TestMatMulExactness:
         # matmul matches a Lane along its last axis itself, in place.
         a, b_t = ops
         ws = Workspace()
-        lane = Lane.of(a, ws)
+        lane = lane_of(a, ws)
         if refused(a) or refused(b_t):
             with refuses():
                 K.matmul(lane, b_t, ws)
@@ -284,7 +284,7 @@ class TestMatMulExactness:
     def test_a_lane_with_varying_contraction_scales_is_matched(self):
         a = scaled([[3, 5], [7, -2]], [[1.0, 2.0], [4.0, 1.0]])
         b_t = scaled([[1, 2], [3, 4]], [[1.0], [1.0]])
-        got = K.matmul(Lane.of(a, Workspace()), b_t).seal()
+        got = K.matmul(lane_of(a, Workspace()), b_t).seal()
         assert got.x.tolist() == [[7, 17], [-3, -5]]
         assert got.s.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
@@ -543,7 +543,7 @@ class TestSumReduce:
                 scale_match_dim(t, -1)
             t = scaled(rows, np.ones((len(rows), 1)))
         t = scale_match_dim(t, -1)
-        lane = Lane.of(t, Workspace())
+        lane = lane_of(t, Workspace())
         assert K.sum_reduce(lane) is lane
         out = lane.seal()
         assert out.x.tolist() == [[sum(r)] for r in t.x.tolist()]
@@ -586,9 +586,9 @@ class TestShapeOpsThroughProtocol:
 CONTAINER_CALLS = {
     "add": (("a", "b"), lambda ap, o: ap(K.add, [o["a"], o["b"]]).seal()),
     "ew_mul": (("a", "b"), lambda ap, o: ap(K.ew_mul, [o["a"], o["b"]]).seal()),
-    "pow_n": (("a",), lambda ap, o: ap(K.pow_n, [Lane.of(o["a"], Workspace())], n=o["n"]).seal()),
+    "pow_n": (("a",), lambda ap, o: ap(K.pow_n, [lane_of(o["a"], Workspace())], n=o["n"]).seal()),
     "abs_": (("a",), lambda ap, o: ap(K.abs_, [o["a"]]).seal()),
-    "relu": (("a",), lambda ap, o: ap(K.relu, [Lane.of(o["a"], Workspace())]).seal()),
+    "relu": (("a",), lambda ap, o: ap(K.relu, [lane_of(o["a"], Workspace())]).seal()),
     "sum_reduce": (("a",), lambda ap, o: ap(K.sum_reduce, [scale_match_dim(o["a"], -1)]).seal()),
     "int_div": (("a", "den"), lambda ap, o: ap(K.int_div, [o["a"], o["den"]]).seal()),
     "matmul": (("a", "w"), lambda ap, o: ap(K.matmul, [o["a"], o["w"]], ws=Workspace()).seal()),
@@ -596,7 +596,7 @@ CONTAINER_CALLS = {
     "transpose": (("a",), lambda ap, o: K.transpose(o["a"], (1, 0))),
     "add on a lane": (
         ("a", "b"),
-        lambda ap, o: ap(K.add, [Lane.of(o["a"], Workspace()), o["b"]]).seal(),
+        lambda ap, o: ap(K.add, [lane_of(o["a"], Workspace()), o["b"]]).seal(),
     ),
 }
 
@@ -740,19 +740,57 @@ def oracle(name, a, b):
     return shape, xs, ss
 
 
+def lane_state(lane: Lane) -> tuple:
+    """What a step could change on `lane`: payload and scale bits with
+    their dtypes and shapes, bounds, `nonneg` and the scratch buffer."""
+    return (lane.x.dtype, lane.x.shape, lane.x.tobytes(), lane.s.shape, lane.s.tobytes(),
+            lane.max_bound, lane.nonneg, lane.lo, lane.hi, id(lane.work))
+
+
 class TestLaneKernels:
     """add, ew_mul, int_div and abs_ on a ScaledTensor or a Lane as first
     operand, and either as second, against exact oracles: the same payload
-    and scale bits, a Lane first operand worked in place, and carried
-    bounds that hold."""
+    and scale bits, a Lane first operand worked in place (abs_ excepted,
+    which leaves it as it is), and carried bounds that hold."""
+
+    @pytest.mark.parametrize("payload", [[[-3, 4], [0, -7]], [[-(2**60), 5], [0, 2**59]]])
+    def test_abs_leaves_its_lane_operand_as_it_is(self, payload):
+        # Scratch taken and `nonneg` set, so that a step that spared the
+        # scratch or cleared the bit would show; a payload from 2^53 up
+        # runs in int64.
+        ws = Workspace()
+        lane = lane_of(scaled(payload, [[2.0], [0.5]]), ws)
+        lane.scratch()
+        lane.nonneg = True
+        before = lane_state(lane)
+        out = protocol_apply(K.abs_, [lane], log=OpAuditLog(), allow_rescale=False)
+        assert out is not lane and out.ws is ws
+        assert lane_state(lane) == before
+        assert out.x.tolist() == [[abs(v) for v in row] for row in payload]
+        assert out.x.dtype == (np.float64 if out.max_bound < 2**53 else np.int64)
+        assert out.s is not lane.s and out.s.tolist() == [[2.0], [0.5]]
+        assert (out.max_bound, out.lo, out.hi) == (lane.max_bound, lane.lo, lane.hi)
+
+    def test_lane_add_refuses_only_an_exact_max_at_the_lane(self):
+        # A bound that reaches LANE_MAX is not refused while the exact max
+        # stays below it; the step clears `nonneg`.
+        ws = Workspace()
+        lane = lane_of(scaled([[2**61, -5]], [[1.0]]), ws)
+        lane.max_bound, lane.nonneg = LANE_MAX - 1, True
+        assert K.lane_add(lane, np.array([[1.0]]), c_max=1) is lane
+        assert lane.x.tolist() == [[2**61 + 1, -4]]
+        assert (lane.max_bound, lane.nonneg) == (LANE_MAX, False)
+        lane = lane_of(scaled([[LANE_MAX - 1, 0]], [[1.0]]), ws)
+        with pytest.raises(LaneOverflowError, match="payload exceeds accumulator lane"):
+            K.lane_add(lane, np.array([[1.0]]), c_max=1)
 
     @given(lane_kernel_cases())
     @settings(max_examples=300, deadline=None)
     def test_both_forms_match_the_oracle(self, case):
         name, a, b, a_lane, b_lane = case
         ws = Workspace()
-        first = Lane.of(a, ws) if a_lane else a
-        ins = [first] if name == "abs_" else [first, Lane.of(b, ws) if b_lane else b]
+        first = lane_of(a, ws) if a_lane else a
+        ins = [first] if name == "abs_" else [first, lane_of(b, ws) if b_lane else b]
         if name == "add":
             # add matches each operand whose scale is not the minimum; a
             # payload from 2^22 up is then refused.
@@ -763,8 +801,15 @@ class TestLaneKernels:
                     K.add(*ins, ws=ws)
                 return
         shape, xs, ss = oracle(name, a, b if name != "abs_" else a)
+        before = lane_state(first) if a_lane else None
         out = getattr(K, name)(*ins, ws=ws)
-        assert isinstance(out, Lane) and (out is first) == a_lane
+        if name == "abs_":
+            # |x| goes to a new lane; the operand stays as it was.
+            assert isinstance(out, Lane) and out is not first
+            if a_lane:
+                assert lane_state(first) == before
+        else:
+            assert isinstance(out, Lane) and (out is first) == a_lane
         assert out.shape == shape
         assert [int(v) for v in out.x.ravel()] == xs
         s = np.broadcast_to(out.s, shape)

@@ -1,5 +1,6 @@
 """Scale initialization, (de-)quantization, matching, re-scaling, protocol."""
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from intflow import kernels as K
 from intflow import scaling
 from intflow.audit import PAYLOAD, SCALE, AuditRecord, OpAuditLog
-from intflow.errors import PrecisionError, ScaleRangeError, ShapeError
+from intflow.errors import LaneOverflowError, PrecisionError, ScaleRangeError, ShapeError
 from intflow.scaling import (
     Lane,
     Precision,
@@ -28,14 +29,14 @@ from intflow.scaling import (
 )
 from intflow.tensor import LANE_MAX, max_abs, scale_bounds
 
-from helpers import count_records, in_range, scaled
+from helpers import count_records, in_range, lane_of, scaled
 
 
 class TestPrecision:
     @pytest.mark.parametrize("p,limit", [(2, 3), (7, 127), (15, 32767)])
     def test_max_magnitude(self, p, limit):
         # 2^p - 1 is where a shrink of a lane at precision p lands.
-        out = rescale(Lane.of(scaled([1000 * limit], [1.0], p), Workspace())).seal()
+        out = rescale(lane_of(scaled([1000 * limit], [1.0], p), Workspace())).seal()
         assert out.max_magnitude == limit and out.precision == p
         assert Precision(p) == Precision(p) and repr(Precision(p)) == f"Precision(p={p})"
 
@@ -166,7 +167,7 @@ class TestFloat64Boundary:
     def test_rescale_matches_python_ints(self, xs, p, per_element, svals):
         x = np.array(xs, dtype=np.int64).reshape(2, 3)
         s = np.array(svals).reshape(2, 3) if per_element else np.array(svals[:2]).reshape(2, 1)
-        out = rescale(Lane.of(scaled(x, s, p), Workspace())).seal()
+        out = rescale(lane_of(scaled(x, s, p), Workspace())).seal()
         limit = (1 << p) - 1
         if per_element:
             groups = [[(i, j)] for i in range(2) for j in range(3)]
@@ -304,6 +305,18 @@ class TestQuantize:
                     assert (p, v) in {(2, 6e46), (2, 1.5e47), (7, 1.5e47)}
                     continue
                 assert quantize(r, s, p).max_magnitude <= (1 << p) - 1
+
+    @pytest.mark.parametrize("r, s", [
+        (1e306, [1e3]), (-1e308, [2.0]), ([1.0, -1e300], [1e10, 1e10]),
+    ])
+    def test_a_product_past_float64_is_a_lane_overflow(self, r, s):
+        # Finite values and scales whose product overflows float64 are
+        # refused as a payload past the lane is, with no numpy warning.
+        r = np.float64(r) if np.ndim(r) == 0 else np.array(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LaneOverflowError, match="quantized payload exceeds accumulator lane"):
+                scaling.quantize_into(r, np.array(s), np.empty(np.shape(s)))
 
     def test_quantize_dequantize_quantize_is_idempotent(self):
         rng = np.random.default_rng(2)
@@ -470,24 +483,24 @@ class TestScaleMatchDim:
 
 class TestRescale:
     def test_worked_example(self):
-        out = rescale(Lane.of(scaled([300], [6.0]), Workspace())).seal()
+        out = rescale(lane_of(scaled([300], [6.0]), Workspace())).seal()
         assert out.x.tolist() == [100]
         assert out.s.tolist() == [2.0]
 
     def test_in_range_identity(self):
-        out = rescale(Lane.of(scaled([127, -127], [1.0]), Workspace())).seal()
+        out = rescale(lane_of(scaled([127, -127], [1.0]), Workspace())).seal()
         assert out.x.tolist() == [127, -127]
 
     def test_random_int32_tensors_land_in_range(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             x = scaled(rng.integers(-(2**31), 2**31, 12), np.full(12, 3.0), 7)
-            out = rescale(Lane.of(x, Workspace())).seal()
+            out = rescale(lane_of(x, Workspace())).seal()
             assert in_range(out)
 
     def test_group_structure_follows_scale(self):
         x = scaled([[1000, 1], [1, 1]], [[2.0], [2.0]])
-        out = rescale(Lane.of(x, Workspace())).seal()
+        out = rescale(lane_of(x, Workspace())).seal()
         # Only the first row needed shrinking; the second row is untouched.
         assert out.x[1].tolist() == [1, 1]
         assert out.s[1] == 2.0
@@ -496,7 +509,7 @@ class TestRescale:
     def test_empty_payload_takes_the_precision(self):
         # The lane's own precision: an empty one keeps it, and its scale.
         x = scaled(np.zeros((2, 0), np.int64), np.ones((1, 1)), 12)
-        out = rescale(Lane.of(x, Workspace())).seal()
+        out = rescale(lane_of(x, Workspace())).seal()
         assert out.shape == (2, 0) and out.precision == 12
         assert out.s.tolist() == [[1.0]]
 
@@ -717,7 +730,7 @@ class TestProtocolApply:
         a = scaled([64], [1.0])
         log = OpAuditLog()
         out = protocol_apply(K.ew_mul, [a, a], log=log).seal()
-        again = protocol_apply(K.relu, [scaling.Lane.of(out, scaling.Workspace())], log=log).seal()
+        again = protocol_apply(K.relu, [lane_of(out, scaling.Workspace())], log=log).seal()
         assert np.array_equal(again.x, out.x)
         assert np.array_equal(again.s, out.s)
 

@@ -6,7 +6,7 @@ import pytest
 
 from intflow import kernels as K
 from intflow.errors import LaneOverflowError, ShapeError, ValidationError
-from intflow.scaling import Lane, Precision, Workspace, dequantize, quantize
+from intflow.scaling import Precision, Workspace, dequantize, quantize
 from intflow.tensor import RationalTensor, ScaledTensor, transpose
 from intflow.transformer import (
     LAYER_TENSORS,
@@ -16,7 +16,7 @@ from intflow.transformer import (
     random_reference_model,
 )
 
-from helpers import in_range, scaled
+from helpers import in_range, lane_of, scaled
 
 
 class TestContainers:
@@ -138,10 +138,10 @@ class TestPlainAttributes:
         self.check(t.view(t.x[:, 1:], t.s))
         self.check(transpose(loose(), (1, 0)))
         self.check(transpose(ScaledTensor.param(x, s, 7), (1, 0)))
-        lane = Lane.of(loose(), Workspace())
+        lane = lane_of(loose(), Workspace())
         assert lane.max_bound == 100
         assert lane.max_magnitude == 9 and lane.max_bound == 100
-        self.check(Lane.of(loose(), Workspace()).seal())
+        self.check(lane_of(loose(), Workspace()).seal())
 
 
 class TestTranspose:
@@ -225,7 +225,7 @@ class TestConcat:
 
     def test_lane_parts_are_released(self):
         ws = Workspace()
-        a = Lane.of(scaled([[1, 2], [3, 4]], [[10.0], [20.0]]), ws)
+        a = lane_of(scaled([[1, 2], [3, 4]], [[10.0], [20.0]]), ws)
         b = scaled([[5], [6]], [[10.0], [20.0]])
         held = (a.x, a.s)
         out = K.concat(a, b, axis=1)
@@ -237,7 +237,7 @@ class TestConcat:
 
     def test_a_lane_given_twice_goes_back_once(self):
         ws = Workspace()
-        a = Lane.of(scaled([[1, 2]], [[3.0]]), ws)
+        a = lane_of(scaled([[1, 2]], [[3.0]]), ws)
         out = K.concat(a, a, axis=0).seal()
         assert out.x.tolist() == [[1, 2], [1, 2]]
         assert out.s.tolist() == [[3.0], [3.0]]

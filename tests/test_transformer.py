@@ -18,11 +18,19 @@ from intflow import scaling as scaling_module
 from intflow import tensor as tensor_module
 from intflow import transformer as transformer_module
 from intflow.audit import FP32, PAYLOAD, SCALE, AuditRecord
-from intflow.errors import IntflowError, PrecisionError, ScaleRangeError, ShapeError, ValidationError
+from intflow.errors import (
+    IntflowError,
+    LaneOverflowError,
+    PrecisionError,
+    ScaleRangeError,
+    ShapeError,
+    ValidationError,
+)
 from intflow.modelfile import deserialize, save_model, serialize
-from intflow.scaling import Lane, Precision, ScaleGranularity, Session, dequantize, init_scale, quantize
+from intflow.scaling import Precision, ScaleGranularity, Session, dequantize, init_scale, quantize
 from intflow.tensor import RationalTensor, ScaledTensor, transpose
 from intflow.transformer import (
+    _add_const,
     _boost,
     ATTN,
     EMB,
@@ -52,7 +60,7 @@ from intflow.transformer import (
     reference_twin,
 )
 
-from helpers import in_range, poly, scaled
+from helpers import in_range, lane_of, poly, scaled
 
 P = 12  # high enough that twin comparisons isolate structural errors
 
@@ -214,7 +222,7 @@ class TestScaleOverflowOutsideKernels:
 
     def test_boost_overflow(self):
         session = Session()
-        lane = Lane.of(self.at(1e300), session.workspace)
+        lane = lane_of(self.at(1e300), session.workspace)
         self.raises_quietly(lambda: _boost(lane, session, "Attn"))
 
     def test_layer_norm_constant_overflow(self):
@@ -223,6 +231,37 @@ class TestScaleOverflowOutsideKernels:
         self.raises_quietly(
             lambda: l1_layer_norm(x, q(np.ones(n)), q(np.zeros(n)), Session())
         )
+
+
+class TestPolynomialConstantOverflow:
+    """A finite polynomial constant whose quantized payload passes float64
+    is refused as one that only leaves the lane is, with a
+    LaneOverflowError and no numpy warning; all-zero groups are refit."""
+
+    @pytest.mark.parametrize("field", ["bias", "offset"])
+    @pytest.mark.parametrize("value", [1e300, 1e306, 1e308, -1e308])
+    def test_forward_refuses_it_typed_and_quietly(self, field, value):
+        cfg = ModelConfig(d_m=8, heads=2, d_ff=16, n_layers=1, vocab=16)
+        ref = random_reference_model(cfg, seed=0)
+        ref = dataclasses.replace(ref, layers=tuple(
+            dataclasses.replace(lp, poly=dataclasses.replace(lp.poly, **{field: value}))
+            for lp in ref.layers))
+        model = quantize_model(ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LaneOverflowError, match="quantized payload exceeds accumulator lane"):
+                forward(model, Session(), tokens=np.arange(6))
+
+    def test_an_all_zero_group_is_refit(self):
+        # Row 0 is all zero at a scale where 1e306 passes float64: it moves
+        # to 127 / 1e306, where the constant is 127.  Row 1 keeps its scale.
+        session = Session()
+        lane = lane_of(scaled([[0, 0], [3, 4]], [[1e3], [1e-300]]), session.workspace)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _add_const(lane, 1e306, session).seal()
+        assert out.s[0, 0] == 127 / 1e306 and out.s[1, 0] < 1e-300
+        assert out.x[0].tolist() == [127, 127]
 
 
 class TestL1LayerNorm:
@@ -758,6 +797,53 @@ class TestEveryPrecisionDigest:
             _hash_arrays(h, out.x, out.s)
             h.update(repr([tuple(r) for r in session.log.records]).encode())
         assert h.hexdigest() == want
+
+
+class TestPerTensorProjections:
+    """Projection weights held per tensor, each with one (1, 1) scale, as an
+    SPQ1 file may store them: Q and K then reach _match_heads collapsed
+    along the columns, and V, collapsed along its rows once transposed,
+    runs the heads one at a time (_group_size).  Pinned at b537edd."""
+
+    CFG = ModelConfig(d_m=16, heads=4, d_ff=32, n_layers=2, vocab=32, precision=7)
+    MATRICES = ("w_q", "w_k", "w_v", "w_o", "w1", "w2")
+
+    @classmethod
+    def _model(cls):
+        p = cls.CFG.precision
+
+        def per_tensor(t):
+            values = dequantize(t).values
+            s, scale_range = init_scale(values, p, ScaleGranularity.PER_BATCH)
+            u = quantize(values, s, p, scale_range)
+            return ScaledTensor.param(u.x, u.s, p, u.max_bound, (u.lo, u.hi))
+
+        model = quantize_model(random_reference_model(cls.CFG, seed=5))
+        model = dataclasses.replace(model, proj=per_tensor(model.proj), layers=tuple(
+            dataclasses.replace(lp, **{name: per_tensor(getattr(lp, name)) for name in cls.MATRICES})
+            for lp in model.layers))
+        # Through the file: the loader keeps each (1, 1) scale record.
+        return deserialize(serialize(model))
+
+    def test_digest(self, monkeypatch):
+        model = self._model()
+        assert model.proj.s.shape == (1, 1)
+        assert all(getattr(lp, name).s.shape == (1, 1) for lp in model.layers for name in self.MATRICES)
+        calls = []
+        attend = transformer_module.poly_attention
+        monkeypatch.setattr(transformer_module, "poly_attention",
+                            lambda *args, **kwargs: calls.append(kwargs["groups"]) or attend(*args, **kwargs))
+        r = np.random.default_rng(6).normal(size=(9, self.CFG.d_m))
+        h = hashlib.sha256()
+        for inputs in ({"tokens": np.arange(9) % self.CFG.vocab}, {"hidden": r}):
+            session = Session()
+            out = forward(model, session, **inputs)
+            _hash_arrays(h, out.x, out.s)
+            h.update(repr(session.log.records).encode())
+        assert calls == [1] * (2 * self.CFG.heads * self.CFG.n_layers)
+        assert h.hexdigest() == (
+            "81eb69614ae7ffbf10dc7c1ab1060a1fa0fbe5da2643ac7e26ccfb4e21e84d2a"
+        )
 
 
 class TestGoldenAuditAndHybrid:
