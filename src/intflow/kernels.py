@@ -23,8 +23,8 @@ is.  matmul matches a Lane first operand along its last axis in place
 ScaledTensor first operand the kernel's own first pass writes into buffers
 from `ws` (a fresh workspace when none is given); the operand is never
 copied in first.  relu and pow_n take only a Lane, as only lanes reach
-them.  transpose is the one shape op outside the protocol: a read-only view
-of a ScaledTensor, which callers use directly.
+them.  transpose is the one shape op outside the protocol: a ScaledTensor
+over read-only views of its operand's arrays, which callers use directly.
 
 matmul's `groups` runs G products at once: operands stacked as G row
 blocks give the block diagonal of the whole product, one batched GEMM,
@@ -39,11 +39,11 @@ Lane's own scale, so nothing is matched; as a ScaledTensor the constant
 would seal that scale read-only, and later steps grow it in place.
 
 A kernel that multiplies, divides or raises scales derives the result's
-bounds (lo, hi) from its operands' first, and runs the op through
-tensor.scale_op: as it is when hi is finite, which proves that no value
-overflows; otherwise with float overflow quiet, and the inf it leaves is
-refused by the scale check (tensor.scale_bounds) with a ScaleRangeError,
-not a numpy warning.
+bounds (lo, hi) from its operands' first, and makes the scales in one call,
+tensor.scale_op, which returns bounds that hold for them: the derived ones
+where they prove every value finite and positive, else the exact ones its
+scan finds.  The op runs with float overflow quiet only then, and the scan
+refuses the inf it leaves with a ScaleRangeError, not a numpy warning.
 
 An operand may be a parameter held narrow (int8 or int16); no kernel
 computes at that width.  Lanes hold float64 or int64: a float64 first
@@ -77,7 +77,6 @@ from .tensor import (
     ScaledTensor,
     _broadcast_compatible,
     pow_bounds,
-    scale_bounds,
     scale_op,
 )
 from .tensor import transpose as tensor_transpose
@@ -145,9 +144,8 @@ def ew_mul(a: ScaledTensor | Lane, b: ScaledTensor | Lane, ws: Workspace | None 
     x = _out(a, ax, _joint(ax.shape, bx.shape), lane_dtype(bound, ax), ws)
     np.multiply(ax, bx, out=x, dtype=x.dtype, casting="unsafe")
     s = _out(a, sa, _joint(sa.shape, sb.shape), np.float64, ws)
-    lo, hi = a.lo * b.lo, a.hi * b.hi
-    scale_op(np.multiply, sa, sb, hi, out=s)
-    return _result(a, x, s, bound, (lo, hi), ws)
+    scale_range = scale_op(np.multiply, sa, sb, a.lo * b.lo, a.hi * b.hi, out=s)
+    return _result(a, x, s, bound, scale_range, ws)
 
 
 @_kernel("add", scale_arith=True)
@@ -237,9 +235,8 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
     ra, rb = sa.shape[0] // groups, sb.shape[0] // groups
     s = ws.take((groups * ra, rb))
     sa, sb, out = sa.reshape(groups, ra, 1), sb.reshape(groups, 1, rb), s.reshape(groups, ra, rb)
-    lo, hi = a.lo * b_t.lo, a.hi * b_t.hi
-    scale_op(np.multiply, sa, sb, hi, out=out)
-    return Lane(x, s, a.precision, ws, bound, (lo, hi), groups)
+    scale_range = scale_op(np.multiply, sa, sb, a.lo * b_t.lo, a.hi * b_t.hi, out=out)
+    return Lane(x, s, a.precision, ws, bound, scale_range, groups)
 
 
 @_kernel("pow_n", scale_arith=True)
@@ -275,9 +272,7 @@ def pow_n(t: Lane, n: int) -> Lane:
     t.nonneg = t.nonneg or n % 2 == 0
     # Scales keep t.s **= n (operator.ipow, in place): in float, s*s*s can
     # round differently from s**n.
-    lo, hi = pow_bounds(t.lo, t.hi, n)
-    scale_op(operator.ipow, t.s, n, hi)
-    t.lo, t.hi = scale_bounds(t.s, lo, hi)
+    t.lo, t.hi = scale_op(operator.ipow, t.s, n, *pow_bounds(t.lo, t.hi, n))
     return t
 
 
@@ -335,9 +330,8 @@ def int_div(num: ScaledTensor | Lane, den: ScaledTensor | Lane, ws: Workspace | 
     x = _out(num, nx, _joint(nx.shape, dx.shape), lane_dtype(bound, nx), ws)
     trunc_div(nx, dx, x_max=bound, out=x)
     s = _out(num, sn, _joint(sn.shape, sd.shape), np.float64, ws)
-    lo, hi = num.lo / den.hi, num.hi / den.lo
-    scale_op(np.divide, sn, sd, hi, out=s)
-    return _result(num, x, s, bound, (lo, hi), ws)
+    scale_range = scale_op(np.divide, sn, sd, num.lo / den.hi, num.hi / den.lo, out=s)
+    return _result(num, x, s, bound, scale_range, ws)
 
 
 # The tensor core's transpose, tagged with its kind for the tracer; a view,

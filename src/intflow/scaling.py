@@ -173,7 +173,7 @@ def quantize(
     (as init_scale reads them, widened exactly); the result carries
     a read-only view of s (a float64 copy of another dtype), checked as
     every new scale is, unless `scale_range`, bounds on it such as
-    init_scale returns, proves it (scale_bounds)."""
+    init_scale returns, proves it finite and strictly positive."""
     x = np.empty(r.shape)
     m = quantize_into(r, s, x)
     return ScaledTensor(x.astype(np.int64), _float_view(s), precision, m, scale_range)
@@ -346,9 +346,10 @@ class Lane:
     `max_magnitude`, which scans.
     `nonneg` holds only while no payload is known to be negative (after
     ReLU, say); each step that may make one negative clears it.  `lo` and
-    `hi` bound the scale's values, and each step that makes scales checks
-    them with scale_bounds, as a sealed result's are checked.  A sealed
-    ScaledTensor carries the same fields, so kernels read either alike.
+    `hi` bound the scale's values: each step that makes scales takes them
+    from tensor.scale_op, or has `put` check them, as a sealed result's are
+    checked.  A sealed ScaledTensor carries the same fields, so kernels read
+    either alike.
 
     `blocks` is the number of row blocks the lane stacks, each its own
     head's rows (a grouped matmul's product and what is worked from it in
@@ -393,7 +394,8 @@ class Lane:
         """Hold payload x and scale s, bounded as in __init__; the buffers they
         replace go back to the workspace, and the scratch if its shape does.
         `nonneg` is cleared.  The lane guard (check_lane, on the exact max only
-        where the bound reaches LANE_MAX) and scale_bounds run inline."""
+        where the bound reaches LANE_MAX) and the scale check (check_scale,
+        where `scale_range` does not prove the scale) run inline."""
         ws, work = self.ws, self.work
         if self.x is not x:
             ws.give(self.x)
@@ -564,7 +566,7 @@ def rescale(lane: Lane, groups: tuple | None = None) -> Lane:
     np.divide(s, d, out=s)
     # No group's divisor exceeds ceil(m / L), and float division is monotone,
     # so lo / that bounds the new scales from below; a divisor of at least 1
-    # keeps hi.  scale_bounds, inline: a forward makes dozens of shrinks.
+    # keeps hi.  scale_op's test, inline: a forward makes dozens of shrinks.
     lo, hi = lane.lo / max(-(-m // limit), 1), lane.hi
     if not (lo > 0 and hi < math.inf):
         lo, hi = check_scale(s)

@@ -8,6 +8,8 @@ A model's parameters are held at their container width instead, the
 narrowest signed integer type their precision admits (int8 for p <= 7,
 int16 for p <= 15), and kernels widen them before they compute.  Scales
 keep collapsed dimensions as size 1 and broadcast against their payload.
+Each op that makes scales runs through scale_op, which returns bounds that
+hold for them, proven or scanned (check_scale, which refuses a bad scale).
 """
 from __future__ import annotations
 
@@ -86,32 +88,25 @@ def check_scale(arr: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-def scale_bounds(arr: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
-    """(lo, hi), derived bounds on arr's values, when they prove every value
-    finite and strictly positive; otherwise arr's exact (min, max) from
-    check_scale, which raises as it does for any new scale.
+def scale_op(op, a, b, lo: float, hi: float, **out) -> tuple[float, float]:
+    """Run op(a, b, **out), an op that makes scales, and return bounds
+    (lo, hi) that hold for its result: the ones the caller derived, when
+    they prove every value finite and strictly positive; otherwise the
+    result's exact (min, max) from check_scale, which raises as it does for
+    any new scale.
 
     A kernel derives the bounds from its operands' bounds: rounded multiply,
     divide and minimum are monotone on positive floats, so fl(lo_a * lo_b)
     <= fl(a_i * b_j) <= fl(hi_a * hi_b) for every element.  A bound that
     under- or overflows (lo = 0, hi = inf) proves nothing, and the scan
-    decides.
+    decides.  The op runs with float overflow quiet then, so that the inf
+    it leaves is a ScaleRangeError, not a numpy warning.
     """
     if lo > 0 and hi < math.inf:  # a NaN fails both tests
+        op(a, b, **out)
         return lo, hi
-    return check_scale(arr)
-
-
-def scale_op(op, a, b, hi: float, **out):
-    """op(a, b, **out), an op that makes scales, where hi is the bound on
-    its results that the caller derived: run as it is when hi is finite,
-    which proves that no value overflows; else with float overflow quiet,
-    so that the inf it leaves is refused by scale_bounds with a
-    ScaleRangeError, not a numpy warning."""
-    if hi < math.inf:
-        return op(a, b, **out)
     with np.errstate(over="ignore"):
-        return op(a, b, **out)
+        return check_scale(op(a, b, **out))
 
 
 # libm pow is not guaranteed to be correctly rounded; this margin covers its
@@ -122,7 +117,7 @@ POW_FLOOR = 2.0**-1000
 
 def pow_bounds(lo: float, hi: float, n: int) -> tuple[float, float]:
     """Bounds on s**n for every s in [lo, hi] as numpy computes it; (0, inf),
-    which makes scale_bounds scan, when a power leaves the normal range."""
+    which makes scale_op scan, when a power leaves the normal range."""
     try:
         lo_n, hi_n = lo**n * (1 - POW_MARGIN), hi**n * (1 + POW_MARGIN)
     except OverflowError:
@@ -171,11 +166,12 @@ class ScaledTensor:
 
     The payload is int64, the wide lane, except for a model parameter
     (`param`), held at its container width.  A tensor is built sealed, in
-    one of three ways:
+    one of two ways, and both check that the scale broadcasts against the
+    payload:
     - `ScaledTensor(x, s, precision, bound, scale_range)`, a result: an
-      int64 payload and a float64 scale, frozen in place;
-    - `ScaledTensor.param`, a model parameter at its container width;
-    - `t.view(x, s)`, views of t's payload and scale.
+      int64 payload and a float64 scale (fresh arrays, or views of a sealed
+      tensor's), frozen in place;
+    - `ScaledTensor.param`, a model parameter at its container width.
     """
 
     x: np.ndarray
@@ -201,10 +197,11 @@ class ScaledTensor:
 
         `bound`, a bound on max|x| the caller derived, spares the scan of
         max|x|; without it, or when it reaches the lane, max|x| is scanned
-        and checked against the lane.  `scale_range`,
-        bounds (lo, hi) derived from the operands', spares the scan of the
-        scale unless they do not prove it valid (scale_bounds); without it
-        the scale is checked (check_scale).
+        and checked against the lane.  `scale_range`, bounds (lo, hi)
+        derived from the operands' (or returned by scale_op), spares the
+        scan of the scale unless they do not prove every value finite and
+        strictly positive; then, or without it, the scale is checked
+        (check_scale).
         """
         if precision not in PRECISIONS:
             raise ValidationError(f"precision {precision} outside [{PRECISIONS[0]}, {PRECISIONS[-1]}]")
@@ -213,7 +210,7 @@ class ScaledTensor:
         if bound is None or bound >= LANE_MAX:
             bound = max_abs(x)
             check_lane(bound)
-        # scale_bounds, inline: a forward seals dozens of results.
+        # scale_op's test, inline: a forward seals dozens of results.
         lo, hi = scale_range or (0.0, math.inf)  # no range proves nothing
         if not (lo > 0 and hi < math.inf):
             lo, hi = check_scale(s)
@@ -257,15 +254,6 @@ class ScaledTensor:
         if raw.dtype != dtype or raw.flags.writeable:
             raw = raw.astype(dtype)
         return cls(raw, _float_view(s), precision, m, scale_range)
-
-    def view(self, x: np.ndarray, s: np.ndarray) -> ScaledTensor:
-        """A tensor of x and s, views of this payload and scale that
-        broadcast against each other, without a copy: both are sealed, so
-        nothing writes through the views.  The view keeps this tensor's
-        precision and bounds."""
-        t = object.__new__(ScaledTensor)
-        vars(t).update(vars(self), x=x, s=s, shape=x.shape, max_bound=self.max_bound if x.size else 0)
-        return t
 
     @property
     def max_magnitude(self) -> int:
@@ -318,7 +306,5 @@ def transpose(t: ScaledTensor, axes: Sequence[int]) -> ScaledTensor:
     if sorted(axes) != list(range(rank)):
         raise ShapeError(f"axes {axes} is not a permutation of rank {rank}")
     x, s = np.transpose(t.x, axes), np.transpose(t.s, axes)
-    if x.dtype == LANE_DTYPE:
-        return t.view(x, s)
-    # A parameter held narrow: the result is widened, as every kernel's is.
-    return ScaledTensor(x.astype(LANE_DTYPE), s, t.precision, t.max_bound, (t.lo, t.hi))
+    # A parameter held narrow is widened, as every kernel's result is.
+    return ScaledTensor(x.astype(LANE_DTYPE, copy=False), s, t.precision, t.max_bound, (t.lo, t.hi))

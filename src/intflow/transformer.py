@@ -38,7 +38,6 @@ from .tensor import (
     _float_view,
     block_max_abs,
     max_abs,
-    scale_bounds,
     scale_op,
 )
 
@@ -265,10 +264,8 @@ def _boost(lane: Lane, session: Session, module: str) -> None:
         x, s = x.reshape(groups, -1), s.reshape(groups, -1)
         lam = np.array(lams, np.int64).reshape(groups, 1)
     np.multiply(x, lam, out=x)
-    lo, hi = lane.lo * min(lams), lane.hi * max(lams)
-    scale_op(np.multiply, s, lam, hi, out=s)
     lane.max_bound = grown
-    lane.lo, lane.hi = scale_bounds(lane.s, lo, hi)
+    lane.lo, lane.hi = scale_op(np.multiply, s, lam, lane.lo * min(lams), lane.hi * max(lams), out=s)
 
 
 def _match_heads(lane: Lane, heads: int, axis: int) -> ScaledTensor:
@@ -331,9 +328,11 @@ def _match_heads(lane: Lane, heads: int, axis: int) -> ScaledTensor:
 
 def _head_rows(t: ScaledTensor, start: int, stop: int) -> ScaledTensor:
     """Heads start..stop-1 of _match_heads' stacked heads, as one rank-2
-    operand of their row blocks: views of their payloads and scales."""
+    operand of their row blocks, sealed over views of their payloads and
+    scales."""
     x, s = t.x[start:stop], t.s[start:stop]
-    return t.view(x.reshape(-1, x.shape[2]), s.reshape(-1, s.shape[2]))
+    x, s = x.reshape(-1, x.shape[2]), s.reshape(-1, s.shape[2])
+    return ScaledTensor(x, s, t.precision, t.max_bound, (t.lo, t.hi))
 
 
 def _refit_zero_groups(lane: Lane, value: float, c: np.ndarray, limit: int) -> int:
@@ -423,9 +422,7 @@ def poly_attention(
     lane = session.apply(K.matmul, [q, k], ATTN, ws=session.workspace, groups=groups)
     session.note("scale_fold", SCALE, lane.s.size, ATTN)
     fold = math.sqrt(d_m)
-    lo, hi = lane.lo * fold, lane.hi * fold
-    scale_op(np.multiply, lane.s, fold, hi, out=lane.s)
-    lane.lo, lane.hi = scale_bounds(lane.s, lo, hi)
+    lane.lo, lane.hi = scale_op(np.multiply, lane.s, fold, lane.lo * fold, lane.hi * fold, out=lane.s)
     weights = _poly_lane(lane, pp, degree, session)
     # The value product matches the weights first, so the weight sum finds
     # their scale collapsed along the key axis.
@@ -476,11 +473,13 @@ def l1_layer_norm(
     # abs_ writes |y| into a lane of its own, and leaves y to be divided.
     den = session.apply(K.abs_, [y], LN, allow_rescale=False)
     den = session.apply(K.sum_reduce, [den], LN, allow_rescale=False)
-    # A zero L1 sum (a constant row) divides by 1 at scale 1.
+    # A zero L1 sum (a constant row) divides by 1 at scale 1, set before
+    # put checks the folded scales: an overflow stays an inf until then.
     degenerate = den.x == 0
     fold = n / L1_NORM_CONST
     lo, hi = den.lo * fold, den.hi * fold
-    s = scale_op(np.multiply, den.s, fold, hi, out=ws.take(degenerate.shape))
+    with np.errstate(over="ignore"):
+        s = np.multiply(den.s, fold, out=ws.take(degenerate.shape))
     s[degenerate] = 1.0
     den.x[degenerate] = 1
     den.put(den.x, s, max(den.max_bound, 1), (min(lo, 1.0), max(hi, 1.0)))
@@ -531,7 +530,9 @@ def attend_heads(
     """
     ws = session.workspace
     heads, T, d_h = q.shape
-    x = s = None
+    rows = q.s.shape[1]  # T, or 1 where collapsed
+    x, s = ws.take((T, heads * d_h)), ws.take((rows, heads * d_h))
+    x_heads, s_heads = x.reshape(T, heads, d_h), s.reshape(rows, heads, d_h)
     bound, lo, hi = 0, math.inf, 0.0
     for start in range(0, heads, group):
         stop = min(start + group, heads)
@@ -540,17 +541,12 @@ def attend_heads(
             *(_head_rows(t, start, stop) for t in (q, k, v_t)),
             pp, degree, d_m, session, groups=g,
         )
-        if x is None:
-            rows = quotient.s.shape[0] // g  # T, or 1 where collapsed
-            x, s = ws.take((T, heads * d_h)), ws.take((rows, heads * d_h))
-            x_heads, s_heads = x.reshape(T, heads, d_h), s.reshape(rows, heads, d_h)
-            precision = quotient.precision
         # (g, T, d_h) blocks into columns; a scale column broadcasts along them.
         np.copyto(x_heads[:, start:stop], quotient.x.reshape(g, T, d_h).transpose(1, 0, 2), casting="unsafe")
         np.copyto(s_heads[:, start:stop], quotient.s.reshape(g, rows, -1).transpose(1, 0, 2))
         bound, lo, hi = max(bound, quotient.max_bound), min(lo, quotient.lo), max(hi, quotient.hi)
         quotient.release()
-    return Lane(x, s, precision, ws, bound, (lo, hi))
+    return Lane(x, s, q.precision, ws, bound, (lo, hi))
 
 
 def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, session: Session) -> ScaledTensor:
@@ -764,7 +760,9 @@ def forward(
     float64 one as it is, and converted once, where the first LN reads it;
     one that holds a NaN or an infinity is refused with a ValueError there.
     A forward with any FP32 module is given its twin as `ref`
-    (reference_twin(model) for the model's own).  FP32 steps compute in
+    (reference_twin(model) for the model's own), and a forward with any
+    integer module, or with a ScaledTensor hidden input, a `session`; tokens
+    and hidden input together are refused.  FP32 steps compute in
     float32, and the tap sees their float32 arrays; an FP32 result is
     returned as a RationalTensor.
     """
@@ -775,6 +773,11 @@ def forward(
         raise ValidationError("integer modules need a quantized model")
     if int_modules != ALL_MODULES and ref is None:
         raise ValidationError("FP32 modules need a reference model")
+    if (tokens is None) == (hidden is None):
+        raise ValidationError("either tokens or hidden input is required, not both")
+    # The session audits every integer step, and de-quantizes a sealed hidden input.
+    if session is None and (int_modules or isinstance(hidden, ScaledTensor)):
+        raise ValidationError("integer modules and a quantized hidden input need a session")
     cfg = (model or ref).config
     # The precision is the model's, carried by its payloads; a session that
     # claims another one is refused.
@@ -817,11 +820,9 @@ def forward(
     if tokens is not None:
         state = run(EMB, 0, lambda: gather_embedding(model, tokens, session),
                     lambda: to_fp(ref.embedding[_token_ids(tokens, cfg.vocab)], EMB))
-    elif hidden is not None:
+    else:
         _check_hidden(hidden, cfg)
         state = hidden = hidden if isinstance(hidden, ScaledTensor) else _float_view(hidden)
-    else:
-        raise ValidationError("either tokens or hidden input is required")
 
     # Each pre-norm sublayer: LN, its core, then Res onto the LN's input.  The
     # closures read lp and rp, which the layer loop below rebinds.

@@ -1,8 +1,9 @@
 """Builders shared by the test modules, and the library code only tests run.
 
-`scaled` builds a tensor from arrays, checked, and `lane_of` a Lane that
-copies one; `in_range` and `count_records` read a tensor and an audit log
-as the benchmark's gate does, and `note_setup` logs a model's set-up cost.
+`scaled` builds a tensor from arrays, checked, `viewed` one over views of
+another's arrays, and `lane_of` a Lane that copies one; `in_range` and
+`count_records` read a tensor and an audit log as the benchmark's gate
+does, and `note_setup` logs a model's set-up cost.
 `poly` runs the attention polynomial alone, outside `poly_attention`, and
 `canonical_ffn_forward` is the de-quantizing FFN baseline that the purity
 proof must catch; no forward calls either.
@@ -37,6 +38,13 @@ def scaled(data, scale, precision=7):
     if x.dtype.kind not in "iu":
         raise TypeError(f"payload must be integer-typed, got {x.dtype}")
     return ScaledTensor(x.astype(np.int64), np.array(scale, dtype=np.float64), precision)
+
+
+def viewed(t: ScaledTensor, x: np.ndarray, s: np.ndarray) -> ScaledTensor:
+    """A tensor of x and s, views of t's payload and scale, with t's
+    precision and bounds, sealed by the result constructor, which checks
+    that s broadcasts against x; nothing is copied."""
+    return ScaledTensor(x, s, t.precision, t.max_bound, (t.lo, t.hi))
 
 
 def lane_of(t: ScaledTensor | Lane, ws: Workspace) -> Lane:

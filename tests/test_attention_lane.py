@@ -48,12 +48,12 @@ from intflow.transformer import (
     reference_twin,
 )
 
-from helpers import lane_of, poly, scaled
+from helpers import lane_of, poly, scaled, viewed
 
 
 def slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
     """Column block `sl` of t as views, its scale sliced along unless collapsed."""
-    return t.view(t.x[:, sl], t.s if t.s.shape[1] == 1 else t.s[:, sl])
+    return viewed(t, t.x[:, sl], t.s if t.s.shape[1] == 1 else t.s[:, sl])
 
 
 def widened(t: ScaledTensor, shape) -> ScaledTensor:
@@ -469,7 +469,7 @@ class TestHeadsMatchedOncePerLayer:
         q = scaled([[1, 1, big, 1], [1, 1, 1, 1]], [[1.0, 1 - 2.0**-53, 1.0, 2.0], [2.0] * 4], 12)
         assert q.max_bound >= MATCH_FLOAT_MAX
         with pytest.raises(PrecisionError, match="not below"):
-            scale_match_dim(q.view(q.x.reshape(2, 2, 2), q.s.reshape(2, 2, 2)), -1)
+            scale_match_dim(viewed(q, q.x.reshape(2, 2, 2), q.s.reshape(2, 2, 2)), -1)
         assert scale_match_dim(slice_cols(q, slice(0, 2)), -1).x.tolist() == [[1, 1], [1, 1]]
         for axis in (0, -1):
             with pytest.raises(PrecisionError, match="not below"):

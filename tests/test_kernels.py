@@ -17,7 +17,7 @@ from intflow.scaling import (
 )
 from intflow.tensor import LANE_MAX, ScaledTensor, container_dtype
 
-from helpers import lane_of, scaled
+from helpers import lane_of, scaled, viewed
 
 
 def matmul(a, b_t) -> ScaledTensor:
@@ -243,8 +243,8 @@ class TestMatMulExactness:
         got = K.matmul(a, b_t, Workspace(), groups=groups).seal()
         m, n = a.shape[0] // groups, b_t.shape[0] // groups
         blocks = [
-            matmul(a.view(a.x[g * m:(g + 1) * m], a.s[g * m:(g + 1) * m]),
-                   b_t.view(b_t.x[g * n:(g + 1) * n], b_t.s[g * n:(g + 1) * n]))
+            matmul(viewed(a, a.x[g * m:(g + 1) * m], a.s[g * m:(g + 1) * m]),
+                   viewed(b_t, b_t.x[g * n:(g + 1) * n], b_t.s[g * n:(g + 1) * n]))
             for g in range(groups)
         ]
         assert got.x.tolist() == np.concatenate([b.x for b in blocks]).tolist()

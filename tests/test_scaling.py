@@ -27,7 +27,7 @@ from intflow.scaling import (
     Workspace,
     trunc_div,
 )
-from intflow.tensor import LANE_MAX, max_abs, scale_bounds
+from intflow.tensor import LANE_MAX, max_abs, scale_op
 
 from helpers import count_records, in_range, lane_of, scaled
 
@@ -614,9 +614,8 @@ def oracle_shrink(lane: Lane) -> bool:
         np.divide(x, d, out=x, casting="unsafe")
         if x.dtype == np.float64:
             np.trunc(x, out=x)
-    np.divide(s, d, out=s)
     # No divisor exceeds ceil(m / L): lo over it bounds the new scales.
-    lane.lo, lane.hi = scale_bounds(s, lane.lo / max(-(-m // limit), 1), lane.hi)
+    lane.lo, lane.hi = scale_op(np.divide, s, d, lane.lo / max(-(-m // limit), 1), lane.hi, out=s)
     lane.max_bound = limit
     return True
 

@@ -16,7 +16,7 @@ from intflow.transformer import (
     random_reference_model,
 )
 
-from helpers import in_range, lane_of, scaled
+from helpers import in_range, lane_of, scaled, viewed
 
 
 class TestContainers:
@@ -56,16 +56,20 @@ class TestContainers:
 
     def test_view_wraps_without_copy(self):
         t = scaled([[3, -9], [7, 1]], [[1.0], [2.0]])
-        cols = t.view(t.x[:, 1:], t.s)
+        # Views of a sealed tensor's arrays are sealed by the constructor,
+        # with no copy; the source's bound stays a bound.
+        cols = viewed(t, t.x[:, 1:], t.s)
         assert np.shares_memory(cols.x, t.x) and cols.s is t.s
         assert cols.max_magnitude == 9 and not cols.x.flags.writeable
-        right = t.view(t.x[:, :1], t.s)
+        right = viewed(t, t.x[:, :1], t.s)
         assert right.max_magnitude == 7  # a slice is scanned
-        wide = t.view(np.broadcast_to(t.x, (3, 2, 2)), t.s[None])
+        wide = viewed(t, np.broadcast_to(t.x, (3, 2, 2)), t.s[None])
         assert wide.max_magnitude == 9 and wide.shape == (3, 2, 2) and wide.max_bound == t.max_bound
-        flat = t.view(np.broadcast_to(t.x[:1], (0, 2)), t.s[:1])
-        assert flat.max_magnitude == flat.max_bound == 0  # an empty view holds no element
-        assert t.view(t.x.T, t.s.T).x.tolist() == [[3, 7], [-9, 1]]
+        flat = viewed(t, np.broadcast_to(t.x[:1], (0, 2)), t.s[:1])
+        assert flat.max_magnitude == 0 and flat.shape == (0, 2)
+        assert viewed(t, t.x.T, t.s.T).x.tolist() == [[3, 7], [-9, 1]]
+        with pytest.raises(ShapeError, match="does not broadcast"):
+            viewed(t, t.x[:1], t.s)
 
     def test_constructor_freezes_a_fresh_array(self):
         t = ScaledTensor(np.arange(4, dtype=np.int64) - 2, np.ones(1), 7)
@@ -135,7 +139,7 @@ class TestPlainAttributes:
         self.check(t)
         self.check(ScaledTensor.param(x, s, 7))
         t = loose()
-        self.check(t.view(t.x[:, 1:], t.s))
+        self.check(viewed(t, t.x[:, 1:], t.s))
         self.check(transpose(loose(), (1, 0)))
         self.check(transpose(ScaledTensor.param(x, s, 7), (1, 0)))
         lane = lane_of(loose(), Workspace())

@@ -232,6 +232,18 @@ class TestScaleOverflowOutsideKernels:
             lambda: l1_layer_norm(x, q(np.ones(n)), q(np.zeros(n)), Session())
         )
 
+    def test_layer_norm_folds_before_it_checks(self):
+        # The fold overflows the constant row's scale, 1e308; that row takes
+        # scale 1 before the fold's scales are checked, so the norm runs on
+        # and records its fold.  The boost then overflows the row's centered
+        # zeros at 1e308, and refuses there.
+        n = 8
+        x = scaled([[5] * n, [1, -2, 3, 5, -7, 2, 0, 4]], [[1e308], [1.0]], P)
+        session = Session()
+        self.raises_quietly(lambda: l1_layer_norm(x, q(np.ones(n)), q(np.zeros(n)), session))
+        kinds = [r.kind for r in session.log.records]
+        assert kinds[-3:] == ["sum_reduce", "scale_fold", "boost"]
+
 
 class TestPolynomialConstantOverflow:
     """A finite polynomial constant whose quantized payload passes float64
@@ -528,6 +540,40 @@ class TestHybridEngine:
         cfg, ref, model = toy
         with pytest.raises(ValidationError):
             forward(model, Session())
+
+    def test_refuses_tokens_with_hidden_input(self, toy):
+        # The hidden input was once ignored, and logits came back.
+        cfg, ref, model = toy
+        x, seen, session = np.ones((4, cfg.d_m)), [], Session()
+        with pytest.raises(ValidationError, match="not both"):
+            forward(model, session, tokens=np.arange(4), hidden=x, tap=lambda *a: seen.append(a))
+        with pytest.raises(ValidationError, match="not both"):
+            reference_forward(ref, tokens=np.arange(4), hidden=x, tap=lambda *a: seen.append(a))
+        assert not session.log.records and not seen
+
+    @pytest.mark.parametrize("int_modules", [frozenset(MODULES), frozenset({ATTN})])
+    def test_integer_modules_need_a_session(self, toy, int_modules):
+        # Once an AttributeError from the first integer step: a token
+        # forward's gather, or a hybrid's first quantize.  No step runs now.
+        cfg, ref, model = toy
+        seen = []
+        with pytest.raises(ValidationError, match="need a session"):
+            forward(model, None, tokens=np.arange(4), int_modules=int_modules, ref=ref,
+                    tap=lambda *a: seen.append(a))
+        assert not seen
+
+    def test_reference_forward_refuses_a_quantized_hidden_input(self, toy):
+        # Once an AttributeError: no session de-quantizes it in an FP32 forward.
+        cfg, ref, model = toy
+        h, seen = q(np.ones((4, cfg.d_m))), []
+        with pytest.raises(ValidationError, match="quantized hidden input need a session"):
+            reference_forward(ref, hidden=h, tap=lambda *a: seen.append(a))
+        assert not seen
+        # With a session it is de-quantized, and audited there.
+        session = Session()
+        out = forward(model, session, hidden=h, int_modules=frozenset(), ref=ref)
+        assert out.values.shape == (4, cfg.d_m)
+        assert [r.kind for r in session.log.records] == ["dequantize"]
 
     @pytest.mark.parametrize("tokens, message", [
         (np.zeros(0, dtype=np.int64), "token ids are empty"),
