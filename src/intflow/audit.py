@@ -10,8 +10,12 @@ of its result.
 The attention runs a group of heads, stacked along the rows, per step: the
 group makes one record per step, its `rescaled` flag set when any head was
 shrunk, and its `rescale` record counts the scale elements of only the
-heads the shrink moved.  So the elements summed per op are the same for
-any group size, and so are the op shares built from them.
+heads the shrink moved.  Where a layer runs its heads in several groups,
+the boost, the division and its shrink run once for every head of the
+layer, on the groups' sums stacked, and make one record each after the
+groups' own.  So the elements summed per op are the same for any group
+size, and so are the op shares built from them; only the order and the
+number of records follow the grouping.
 """
 from __future__ import annotations
 

@@ -228,14 +228,16 @@ def matmul(a: ScaledTensor | Lane, b_t: ScaledTensor, ws: Workspace | None = Non
     )
     if y is not blocks:
         np.copyto(blocks, y)
-    # Each block's outer product of the per-row scales, (m,1) by (1,n),
-    # broadcast; a scale uniform over its rows stays collapsed there.  Each
-    # element is one rounded product, as a GEMM of inner length 1 gives it,
-    # so the bounds multiply.
+    # Each block's outer product of the per-row scales, (m,1) by (1,n): b's
+    # row laid out along every row, then multiplied in place by a's column;
+    # a scale uniform over its rows stays collapsed there.  Each element is
+    # one rounded product, and multiplication commutes, so it is the one a
+    # GEMM of inner length 1 gives, and the bounds multiply.
     ra, rb = sa.shape[0] // groups, sb.shape[0] // groups
     s = ws.take((groups * ra, rb))
-    sa, sb, out = sa.reshape(groups, ra, 1), sb.reshape(groups, 1, rb), s.reshape(groups, ra, rb)
-    scale_range = scale_op(np.multiply, sa, sb, a.lo * b_t.lo, a.hi * b_t.hi, out=out)
+    out = s.reshape(groups, ra, rb)
+    np.copyto(out, sb.reshape(groups, 1, rb))
+    scale_range = scale_op(np.multiply, out, sa.reshape(groups, ra, 1), a.lo * b_t.lo, a.hi * b_t.hi, out=out)
     return Lane(x, s, a.precision, ws, bound, scale_range, groups)
 
 
@@ -270,8 +272,10 @@ def pow_n(t: Lane, n: int) -> Lane:
     # one of no negative payload, leaves no payload negative.
     t.max_bound = mn
     t.nonneg = t.nonneg or n % 2 == 0
-    # Scales keep t.s **= n (operator.ipow, in place): in float, s*s*s can
-    # round differently from s**n.
+    # Scales keep t.s **= n (operator.ipow, in place), numpy's float64
+    # power: s*s*s can round differently from s**n.  Which routine numpy
+    # runs follows the CPU (tensor.POW_MARGIN), so these scale bits, and
+    # through them a payload now and then, do too.
     t.lo, t.hi = scale_op(operator.ipow, t.s, n, *pow_bounds(t.lo, t.hi, n))
     return t
 
@@ -386,9 +390,13 @@ def concat(*ts: ScaledTensor | Lane, axis: int, ws: Workspace | None = None) -> 
 def lane_add(t: Lane, c: np.ndarray, c_max: int) -> Lane:
     """add(t, c) in place, for a payload c already at t's own scale, so
     matching moves nothing; c, float64 holding integers with max|c| = c_max,
-    has the scale's shape and is broadcast."""
+    has the scale's shape and is broadcast.  A `nonneg` lane stays so when
+    no value of c is negative (the attention's offset after ReLU and the
+    power), which one reduction of c decides; any other add clears it."""
     bound = t.max_bound + c_max
+    nonneg = t.nonneg and bool(np.minimum.reduce(c, None, initial=0.0) >= 0)
     t.hold(bound)
     t.x += c if t.x.dtype == np.float64 else c.astype(np.int64)
     t.put(t.x, t.s, bound, (t.lo, t.hi))
+    t.nonneg = nonneg
     return t

@@ -353,8 +353,10 @@ class Lane:
 
     `blocks` is the number of row blocks the lane stacks, each its own
     head's rows (a grouped matmul's product and what is worked from it in
-    place); the audit counts a shrink per block (`shrunk_elements`), and
-    the boost before a division takes a gain per block.
+    place, or the attention's value and weight sums of every head of a
+    layer, stacked for one division); the audit counts a shrink per block
+    (`shrunk_elements`), and the boost before a division takes a gain per
+    block.
 
     Its payload, scale and scratch arrays come from the workspace `ws`, and
     go back to it when the lane is sealed or released.
@@ -421,8 +423,10 @@ class Lane:
             self.work = None
 
     def hold(self, bound: int) -> None:
-        """Hold x in float64 while `bound` is below 2^53, in int64 from there up."""
-        want = lane_dtype(bound)
+        """Hold x in lane_dtype(bound, x), as the kernels hold their results:
+        a float64 payload stays float64 while `bound` is below 2^53 and moves
+        to int64 from there up; an int64 one stays int64."""
+        want = lane_dtype(bound, self.x)
         if self.x.dtype != want:
             x = self.x
             self.x = self.ws.copy(x, want)
@@ -475,26 +479,47 @@ def _collapsed(x_shape: tuple[int, ...], s_shape: tuple[int, ...]) -> tuple[int,
     return tuple(a for a in range(len(x_shape)) if s_shape[a] == 1 and x_shape[a] > 1)
 
 
-def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The pass that decides a shrink: (axes, hi, lo), the payload's max and
-    min over each scale group, one reduction each.
+def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray | None]:
+    """The pass that decides a shrink: (axes, peak, mag), peak the payload's
+    max|x| over each scale group, in the payload's dtype.
 
-    The groups span `axes`, those the scale collapses, so hi and lo have the
-    scale's shape; a per-element scale (no axes) gets the max and min of
-    each of the lane's row blocks instead, the whole payload when it has
-    one.  Records on the lane its exact max|x| (`max_bound`) and whether no
-    payload is negative (`nonneg`).
+    The groups span `axes`, those the scale collapses, so peak has the
+    scale's shape, from the max and min of each group, or from the max
+    alone when the lane is `nonneg`.  A per-element scale (no axes) gets the
+    peak of each of the lane's row blocks instead, the whole payload's when
+    it has one, taken from mag = |x|: x itself when the lane is `nonneg`,
+    else, for a float64 payload, |x| written into the lane's scratch, one
+    pass, which `rescale` then turns into its divisor in place.  A signed
+    int64 payload, whose |x| float64 may not hold, takes its max and min,
+    and mag is None.  So a per-element float64 payload, or a `nonneg` one,
+    is read by one reduction.
+
+    Records on the lane its exact max|x| (`max_bound`) and, where it read
+    the min, whether no payload is negative (`nonneg`).
     """
     x = lane.x
     axes = _collapsed(x.shape, lane.s.shape)
     if not x.size:
         lane.max_bound = 0
         return axes, x, x
+    nonneg, mag = lane.nonneg, None
+    if not axes and (nonneg or x.dtype == np.float64):
+        mag = x if nonneg else np.abs(x, out=lane.scratch())
+        if lane.blocks > 1:  # Lane buffers are C-contiguous: a block is a row of the view.
+            peak = np.maximum.reduce(mag.reshape(lane.blocks, -1), axis=1)
+            top = max(peak.tolist())
+        else:
+            peak = top = np.maximum.reduce(mag, None)
+        lane.max_bound = int(top)
+        return axes, peak, mag
     if axes:
         hi = np.maximum.reduce(x, axis=axes, keepdims=True)
+        if nonneg:
+            lane.max_bound = int(np.maximum.reduce(hi, None))
+            return axes, hi, None
         lo = np.minimum.reduce(x, axis=axes, keepdims=True)
         top, bottom = np.maximum.reduce(hi, None), np.minimum.reduce(lo, None)
-    elif lane.blocks > 1:  # Lane buffers are C-contiguous: a block is a row of the view.
+    elif lane.blocks > 1:
         rows = x.reshape(lane.blocks, -1)
         hi, lo = np.maximum.reduce(rows, axis=1), np.minimum.reduce(rows, axis=1)
         top, bottom = max(hi.tolist()), min(lo.tolist())
@@ -502,7 +527,7 @@ def extremes(lane: Lane) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
         hi = top = np.maximum.reduce(x, None)
         lo = bottom = np.minimum.reduce(x, None)
     lane.max_bound, lane.nonneg = max(int(top), -int(bottom)), bool(bottom >= 0)
-    return axes, hi, lo
+    return axes, np.maximum(hi, -lo), None
 
 
 # Below 2^50 a shrink forms each divisor with one multiply (see rescale).
@@ -520,9 +545,10 @@ def rescale(lane: Lane, groups: tuple | None = None) -> Lane:
     at least 1 keeps its upper bound.
 
     `groups` is what `extremes` returned for the lane as it stands; without
-    it that pass runs here.  a comes from it: max(hi, -lo) per group, and
+    it that pass runs here.  a comes from it: the peak of each group, and
     for a per-element scale |x|, which is x itself when no payload is
-    negative.
+    negative, and which the divisor overwrites in the lane's scratch where
+    `extremes` wrote it there; a signed int64 payload takes |x| here.
 
     The divisor has two routes, chosen by the exact max m that `extremes`
     read.  From 2^50 up it is the exact floor division -(-a // L), in the
@@ -545,21 +571,20 @@ def rescale(lane: Lane, groups: tuple | None = None) -> Lane:
     x, s, p = lane.x, lane.s, lane.precision
     if not x.size:
         return lane
-    axes, hi, lo = extremes(lane) if groups is None else groups
+    axes, peak, mag = extremes(lane) if groups is None else groups
     m, limit = lane.max_bound, (1 << p) - 1
     if m >= DIVISOR_MUL_MAX:
-        d = np.maximum(hi, -lo) if axes else np.abs(x)
+        d = peak if axes else np.abs(x) if mag is None else mag
         d = np.maximum(-(-d // limit), 1)
     else:
         r = DIVISOR_RECIPROCAL[p]
         if axes:
-            d = np.maximum(hi, -lo, dtype=np.float64)
-            d *= r
-        elif lane.nonneg:
-            d = np.multiply(x, r, out=lane.scratch())
-        else:
+            d = np.multiply(peak, r, dtype=np.float64)
+        elif mag is None:
             d = np.abs(x, out=lane.scratch())
             d *= r
+        else:
+            d = np.multiply(mag, r, out=lane.scratch() if mag is x else mag)
         np.floor(d, out=d)
         d += 1.0
     trunc_div(x, d, x_max=m, out=x)
@@ -580,13 +605,12 @@ def shrunk_elements(lane: Lane, groups: tuple, limit: int) -> int:
     """The scale elements a shrink of `lane` moves, counted per row block
     (head) as that block's lone run would count them: all of a block whose
     max|x| passes `limit`, none of one that keeps its bits.  `groups` is
-    what `extremes` returned for the lane before the shrink: a max and min
-    per block, or per scale group, whose rows the blocks split."""
-    _, hi, lo = groups
-    if hi.ndim > 1:
-        hi = np.maximum.reduce(hi.reshape(lane.blocks, -1), axis=1)
-        lo = np.minimum.reduce(lo.reshape(lane.blocks, -1), axis=1)
-    moved = sum([max(a, -b) > limit for a, b in zip(hi.tolist(), lo.tolist())])
+    what `extremes` returned for the lane before the shrink: a peak per
+    block, or per scale group, whose rows the blocks split."""
+    peak = groups[1]
+    if peak.ndim > 1:
+        peak = np.maximum.reduce(peak.reshape(lane.blocks, -1), axis=1)
+    moved = sum([a > limit for a in peak.tolist()])
     return lane.s.size // lane.blocks * moved
 
 

@@ -396,12 +396,13 @@ def poly_attention(
     d_m: int,
     session: Session,
     groups: int = 1,
-) -> Lane:
-    """Normalized polynomial attention for `groups` heads at once, as an
-    unsealed Lane: row block g of q, k and v_t (V transposed) is head g,
-    and so is row block g of the result.  Every step is per element or per
-    row of a block, and matmul multiplies block by block, so each head's
-    rows come out bit for bit as a lone run of that head gives them.
+) -> tuple[Lane, Lane]:
+    """The value sum and the weight sum of polynomial attention for `groups`
+    heads at once, as unsealed Lanes, which divide_heads divides: row block
+    g of q, k and v_t (V transposed) is head g, and so is row block g of
+    each sum.  Every step is per element or per row of a block, and matmul
+    multiplies block by block, so each head's rows come out bit for bit as
+    a lone run of that head gives them.
 
     Q.K^T matches q and k along their columns, and the value product v_t
     along the sequence, each where its scale is not yet collapsed there:
@@ -410,9 +411,7 @@ def poly_attention(
     here.  The stacked T x T weights are built in place on one Lane, from
     Q.K^T through the polynomial; the value product matches them along the
     key axis there and reads them in float64 where they lie, then they
-    become the weight sum.  The value sum is boosted, each head by its own
-    lam, and divided by it in place, and only that quotient is projected
-    back to the logical precision.
+    become the weight sum.  Neither sum is shrunk.
 
     A product's lane guard reads the bounds of the whole stack, so operands
     far past p bits may be refused in a group where each head alone would
@@ -427,7 +426,16 @@ def poly_attention(
     # The value product matches the weights first, so the weight sum finds
     # their scale collapsed along the key axis.
     num = session.apply(K.matmul, [weights, v_t], ATTN, allow_rescale=False, groups=groups)
-    den = session.apply(K.sum_reduce, [weights], ATTN, allow_rescale=False)
+    return num, session.apply(K.sum_reduce, [weights], ATTN, allow_rescale=False)
+
+
+def divide_heads(num: Lane, den: Lane, session: Session) -> Lane:
+    """The attention quotient num / den, in place on num, from
+    poly_attention's sums of any number of heads (num's row blocks): the
+    value sum is boosted, each head by its own lam (_boost), and divided by
+    the weight sum, and only that quotient is projected back to the logical
+    precision, each head's rows as a lone run of that head projects them.
+    den's buffers go back to the workspace.  Tagged Attn."""
     _boost(num, session, ATTN)
     out = session.apply(K.int_div, [num, den], ATTN)
     den.release()
@@ -498,14 +506,43 @@ def l1_layer_norm(
 ATTN_GROUP_ELEMENTS = 1 << 16
 
 
+def _stacks(q: ScaledTensor, k: ScaledTensor, v_t: ScaledTensor) -> bool:
+    """Whether _match_heads' stacked heads of Q, K and V can be stacked
+    along the rows: every head's scale holds a row per payload row.  A
+    stack could not keep apart the scales of heads collapsed along their
+    rows."""
+    return q.s.shape[1] == q.shape[1] and k.s.shape[1] == k.shape[1] and v_t.s.shape[1] == v_t.shape[1]
+
+
 def _group_size(q: ScaledTensor, k: ScaledTensor, v_t: ScaledTensor) -> int:
     """Heads per poly_attention call, for _match_heads' stacked heads of Q,
-    K and V: max(1, min(heads, N // T^2)), N = ATTN_GROUP_ELEMENTS.  1 where
-    a head's scale is collapsed along its rows: a stack of heads along the
-    rows could not keep such scales apart."""
-    if any(t.s.shape[1] != t.shape[1] for t in (q, k, v_t)):
+    K and V: max(1, min(heads, N // T^2)), N = ATTN_GROUP_ELEMENTS; 1 where
+    the heads do not stack (_stacks)."""
+    if not _stacks(q, k, v_t):
         return 1
     return max(1, min(q.shape[0], ATTN_GROUP_ELEMENTS // (q.shape[1] * k.shape[1])))
+
+
+def _stack(stack: Lane | None, part: Lane, start: int, heads: int) -> Lane:
+    """`part`, a group's value or weight sums from head `start` on, written
+    into the rows of those heads in `stack`, a lane of all `heads` heads'
+    row blocks, taken on the first group in part's dtype; the stack's
+    bounds cover every part written, and its payload is held by them.  The
+    part's buffers go back to the workspace."""
+    x, s = part.x, part.s
+    rows = len(x) // part.blocks  # per head
+    if stack is None:  # bounded as empty, so that nothing scans the unwritten payload
+        ws = part.ws
+        stack = Lane(ws.take((heads * rows, x.shape[1]), x.dtype), ws.take((heads * rows, s.shape[1])),
+                     part.precision, ws, 0, (part.lo, part.hi), heads)
+    stack.lo, stack.hi = min(stack.lo, part.lo), max(stack.hi, part.hi)
+    stack.max_bound = max(stack.max_bound, part.max_bound)
+    stack.hold(stack.max_bound)
+    span = slice(start * rows, start * rows + len(x))
+    np.copyto(stack.x[span], x, casting="unsafe")
+    np.copyto(stack.s[span], s)
+    part.release()
+    return stack
 
 
 def attend_heads(
@@ -519,31 +556,47 @@ def attend_heads(
     session: Session,
 ) -> Lane:
     """Every head's attention, from _match_heads' stacked heads of Q, K and
-    V, in one (T, heads*d_h) Lane: `group` heads per poly_attention call, and
-    each group's quotients written into its heads' column blocks.
+    V, in one (T, heads*d_h) Lane: `group` heads per poly_attention call,
+    and the quotients written into the heads' column blocks.
+
+    Where the heads stack (_stacks), the division runs once for all of
+    them: each group's value and weight sums are written into one stacked
+    pair of lanes as the group finishes (_stack), which one divide_heads
+    call then divides, as it divides a single group's pair, and one copy
+    lays out in columns.  Every step of the division is per element or per
+    row of a head, so each head comes out bit for bit as in its own group.
+    Where they do not, each head is divided alone.  Either way each group's
+    own lanes go back to the workspace before the next group runs.
 
     The lane's scale holds a block per head, as concatenating the heads'
     lanes along the columns gives it: every column, and every row unless
     the heads' scales are collapsed along the rows.  Its payload is float64:
-    the division's shrink leaves it at most 2^p - 1.  Each group's own
-    lane goes back to the workspace before the next group runs.
+    the division's shrink leaves it at most 2^p - 1.
     """
     ws = session.workspace
     heads, T, d_h = q.shape
     rows = q.s.shape[1]  # T, or 1 where collapsed
     x, s = ws.take((T, heads * d_h)), ws.take((rows, heads * d_h))
     x_heads, s_heads = x.reshape(T, heads, d_h), s.reshape(rows, heads, d_h)
+    stacked = group < heads and _stacks(q, k, v_t)
     bound, lo, hi = 0, math.inf, 0.0
+    num = den = None
     for start in range(0, heads, group):
         stop = min(start + group, heads)
-        g = stop - start
-        quotient = poly_attention(
+        pair = poly_attention(
             *(_head_rows(t, start, stop) for t in (q, k, v_t)),
-            pp, degree, d_m, session, groups=g,
+            pp, degree, d_m, session, groups=stop - start,
         )
+        if stacked:
+            num, den = _stack(num, pair[0], start, heads), _stack(den, pair[1], start, heads)
+            if stop < heads:
+                continue
+            pair, start = (num, den), 0
+        quotient = divide_heads(*pair, session)
         # (g, T, d_h) blocks into columns; a scale column broadcasts along them.
-        np.copyto(x_heads[:, start:stop], quotient.x.reshape(g, T, d_h).transpose(1, 0, 2), casting="unsafe")
-        np.copyto(s_heads[:, start:stop], quotient.s.reshape(g, rows, -1).transpose(1, 0, 2))
+        g = quotient.blocks
+        np.copyto(x_heads[:, start:start + g], quotient.x.reshape(g, T, d_h).transpose(1, 0, 2), casting="unsafe")
+        np.copyto(s_heads[:, start:start + g], quotient.s.reshape(g, rows, -1).transpose(1, 0, 2))
         bound, lo, hi = max(bound, quotient.max_bound), min(lo, quotient.lo), max(hi, quotient.hi)
         quotient.release()
     return Lane(x, s, q.precision, ws, bound, (lo, hi))
@@ -552,12 +605,15 @@ def attend_heads(
 def attn_core(x: ScaledTensor, lp: TransformerLayerParams, cfg: ModelConfig, session: Session) -> ScaledTensor:
     """Multi-head polynomial attention with input/output projections.
 
-    Q and K are matched along each head's columns, and V along the
-    sequence, once for all heads (_match_heads): each group's Q.K^T and
-    value product then find their operands collapsed along the contraction.
-    The heads run in groups (attend_heads), into one Lane that W_o reads in
-    place; only the product is sealed.
+    The input is matched along its columns once for the three projections,
+    whose matmuls then find it collapsed there.  Q and K are matched along
+    each head's columns, and V along the sequence, once for all heads
+    (_match_heads): each group's Q.K^T and value product then find their
+    operands collapsed along the contraction.  The heads run in groups
+    (attend_heads), into one Lane that W_o reads in place; only the product
+    is sealed.
     """
+    x = scale_match_dim(x, -1)
     q, k, v_t = (
         _match_heads(session.apply(K.matmul, [x, w], ATTN, ws=session.workspace), cfg.heads, axis)
         for w, axis in ((lp.w_q, -1), (lp.w_k, -1), (lp.w_v, 0))

@@ -4,7 +4,8 @@
 another's arrays, and `lane_of` a Lane that copies one; `in_range` and
 `count_records` read a tensor and an audit log as the benchmark's gate
 does, and `note_setup` logs a model's set-up cost.
-`poly` runs the attention polynomial alone, outside `poly_attention`, and
+`poly` runs the attention polynomial alone, outside `poly_attention`,
+`attention` one group of heads' attention as a forward divides it, and
 `canonical_ffn_forward` is the de-quantizing FFN baseline that the purity
 proof must catch; no forward calls either.
 `report_mse` looks one entry up in a precision-loss report.
@@ -24,6 +25,8 @@ from intflow.transformer import (
     PolyParams,
     TransformerLayerParams,
     _poly_lane,
+    divide_heads,
+    poly_attention,
     ref_l1ln,
 )
 
@@ -84,6 +87,12 @@ def report_mse(report: PrecisionReport, module: str, layer: int) -> float:
 def poly(scores: ScaledTensor, pp: PolyParams, degree: int, session: Session) -> ScaledTensor:
     """[ReLU(x + bias)]^degree + |offset| on the integer lane, tagged Attn."""
     return _poly_lane(lane_of(scores, session.workspace), pp, degree, session).seal()
+
+
+def attention(q, k, v_t, pp: PolyParams, degree: int, d_m: int, session: Session) -> ScaledTensor:
+    """poly_attention's value and weight sums of q, k and v_t (V
+    transposed), divided (divide_heads) and sealed."""
+    return divide_heads(*poly_attention(q, k, v_t, pp, degree, d_m, session), session).seal()
 
 
 def canonical_ffn_forward(

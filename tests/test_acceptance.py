@@ -25,7 +25,6 @@ from intflow.transformer import (
     ModelConfig,
     PolyParams,
     forward,
-    poly_attention,
     quantize_model,
     random_reference_model,
     reference_forward,
@@ -33,7 +32,7 @@ from intflow.transformer import (
 )
 from intflow.analysis import precision_loss, speedup_estimate, storage_report
 
-from helpers import count_records, in_range, lane_of, note_setup, report_mse, scaled
+from helpers import attention, count_records, in_range, lane_of, note_setup, report_mse, scaled
 
 # One-sided binomial sign test at 95% confidence for n = 20 trials:
 # P(X >= 15 | p = 0.5) ~ 0.021, P(X >= 14) ~ 0.058, so 15 is the threshold.
@@ -232,7 +231,7 @@ def test_08_degenerate_attention(capsys):
     vv[:, 0] = 1.0  # equal row maxima -> identical per-row scales
     v_q = q(vv)
     sess = Session()
-    out = poly_attention(q(qv), q(kv), K.transpose(v_q, (1, 0)), pp, 3, 16, sess).seal()
+    out = attention(q(qv), q(kv), K.transpose(v_q, (1, 0)), pp, 3, 16, sess)
     got = dequantize(out).values
     want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
     # One truncated integer division plus one re-scaling: two payload units.

@@ -38,17 +38,17 @@ from intflow.transformer import (
     _group_size,
     _head_rows,
     _match_heads,
+    _stacks,
     attend_heads,
     ffn_core,
     forward,
-    poly_attention,
     quantize_model,
     random_reference_model,
     reference_forward,
     reference_twin,
 )
 
-from helpers import lane_of, poly, scaled, viewed
+from helpers import attention, lane_of, poly, scaled, viewed
 
 
 def slice_cols(t: ScaledTensor, sl: slice) -> ScaledTensor:
@@ -296,7 +296,7 @@ class TestLaneMatchesKernels:
         q, k = (data.draw(operand((T, d_h), p, per_element, big)) for _ in range(2))
         v = data.draw(operand((T, d_h), p, per_element, False))
         d_m = d_h * data.draw(st.sampled_from([1, 2, 8]))
-        got = outcome(lambda sess: poly_attention(q, k, K.transpose(v, (1, 0)), pp, degree, d_m, sess).seal())
+        got = outcome(lambda sess: attention(q, k, K.transpose(v, (1, 0)), pp, degree, d_m, sess))
         assert got == outcome(lambda sess: oracle_poly_attention(q, k, v, pp, degree, d_m, sess))
 
 
@@ -339,7 +339,7 @@ class TestLaneRoutes:
         q, k, v = (scaled(rng.integers(-4095, 4096, (8, 4)), rng.uniform(1, 9, (8, 4)), 12)
                    for _ in range(3))
         pp = PolyParams(bias=0.5, offset=0.1)
-        got = self.same(lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 3, 16, s).seal(),
+        got = self.same(lambda s: attention(q, k, K.transpose(v, (1, 0)), pp, 3, 16, s),
                         lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s))
         assert got[0] == "<i8"
         assert "'rescale'" in got[-1]
@@ -350,7 +350,7 @@ class TestLaneRoutes:
         k = scaled([[2**27, -(2**27) + 1], [5, 7]], [[1.0], [1.0]], 12)
         v = scaled([[3], [4]], [[1.0], [1.0]], 12)
         pp = PolyParams(bias=0.5, offset=0.1)
-        self.same(lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 2, 4, s).seal(),
+        self.same(lambda s: attention(q, k, K.transpose(v, (1, 0)), pp, 2, 4, s),
                   lambda s: oracle_poly_attention(q, k, v, pp, 2, 4, s))
 
     def test_constant_above_2_53_takes_int64(self):
@@ -419,7 +419,7 @@ class TestLaneRoutes:
         else:  # 1e154 * 1e154 * sqrt(16) overflows
             q = k = scaled([[1]], [[1e154]], 7)
         v = scaled([[1] * q.shape[1]], [[1.0]], 7)
-        got = self.same(lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 3, 16, s).seal(),
+        got = self.same(lambda s: attention(q, k, K.transpose(v, (1, 0)), pp, 3, 16, s),
                         lambda s: oracle_poly_attention(q, k, v, pp, 3, 16, s))
         assert got[0] == error.__name__
 
@@ -444,9 +444,9 @@ class TestHeadsMatchedOncePerLayer:
             assert qh.s.flags.c_contiguous and kh.s.flags.c_contiguous
             sl = slice(h * d_h, (h + 1) * d_h)
             qp, kp, vp = (slice_cols(t, sl) for t in (q, k, v))
-            got.append(outcome(lambda s: poly_attention(qh, kh, vh_t, pp, degree, d_m, s).seal()))
+            got.append(outcome(lambda s: attention(qh, kh, vh_t, pp, degree, d_m, s)))
             want.append(outcome(
-                lambda s: poly_attention(qp, kp, K.transpose(vp, (1, 0)), pp, degree, d_m, s).seal()))
+                lambda s: attention(qp, kp, K.transpose(vp, (1, 0)), pp, degree, d_m, s)))
         return got, want
 
     @given(st.data(), st.sampled_from(PRECISIONS), st.sampled_from([1, 2, 8]), poly_params,
@@ -550,8 +550,19 @@ def test_nonneg_follows_the_steps_that_keep_it():
     assert K.pow_n(lane, n=2).nonneg and lane.x.tolist() == [[1.0, 9.0]]
     lane.match_last()
     assert lane.nonneg
+    # A nonnegative constant keeps it, as the attention's offset after the
+    # power does; one negative value of the constant clears it.
+    K.lane_add(lane, c=np.array([[2.0]]), c_max=2)
+    assert lane.nonneg and lane.x.tolist() == [[3.0, 11.0]]
     assert scaling.rescale(lane).nonneg
+    K.lane_add(lane, c=np.array([[0.0, -1.0]]), c_max=1)
+    assert not lane.nonneg
     assert not K.pow_n(lane_of(scaled([[-2, 3]], [[1.0]], 7), ws), n=3).nonneg
+    # A nonnegative constant on a lane that may hold a negative payload
+    # leaves it cleared.
+    signed = lane_of(scaled([[-2, 3]], [[1.0]], 7), ws)
+    K.lane_add(signed, c=np.array([[1.0]]), c_max=1)
+    assert not signed.nonneg and signed.x.tolist() == [[-1.0, 4.0]]
 
 
 class TestGroupedHeads:
@@ -646,6 +657,82 @@ class TestGroupedHeads:
         assert _group_size(blocks(T, d_h, 1), q, v_t) == 1
         assert _group_size(q, q, blocks(d_h, T, 1)) == 1
         assert transformer.ATTN_GROUP_ELEMENTS // (T * T) >= heads
+
+    # A scale layout of a (T, heads*d_h) projection: per element and per row
+    # the heads stack; per column and per tensor they are collapsed along
+    # their rows (Q and K) or, for V, along the sequence.
+    LAYOUTS = {"element": lambda T, n: (T, n), "row": lambda T, n: (T, 1),
+               "column": lambda T, n: (1, n), "tensor": lambda T, n: (1, 1)}
+
+    @staticmethod
+    def outcome_and_sums(fn):
+        """fn(session)'s lane sealed, or its error type, with the audit
+        elements summed per (kind, lane, module)."""
+        session = Session()
+        try:
+            out = fn(session)
+        except (IntflowError, ValueError) as e:
+            return type(e).__name__, None
+        if isinstance(out, list):  # lone heads: their columns side by side
+            rows, d_h = max(o.s.shape[0] for o in out), out[0].shape[1]
+            x = np.concatenate([o.x for o in out], axis=1)
+            s = np.concatenate([np.broadcast_to(o.s, (rows, d_h)) for o in out], axis=1)
+        else:
+            out = out.seal()
+            x, s = out.x, out.s
+        sums = {}
+        for r in session.log.records:
+            sums[r.kind, r.lane, r.module] = sums.get((r.kind, r.lane, r.module), 0) + r.elements
+        return (x.dtype.str, x.tobytes(), s.shape, s.tobytes()), sums
+
+    @given(st.data(), st.sampled_from([2, 4, 8]), st.sampled_from(PRECISIONS), poly_params,
+           st.sampled_from(DEGREES))
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_division_is_each_head_alone(self, data, heads, p, pp, degree):
+        # With the group budget cut so that G < H, each group's sums are
+        # stacked and divided once; every head must come out as in the G = H
+        # run and as in its own run, and every op's audited elements must
+        # sum the same.  Heads collapsed along their rows divide alone.
+        T, d_h = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+        n = heads * d_h
+        operands = []
+        for _ in range(3):
+            shape = self.LAYOUTS[data.draw(st.sampled_from(sorted(self.LAYOUTS)))](T, n)
+            x = np.reshape(data.draw(st.lists(st.integers(-(1 << p) + 1, (1 << p) - 1),
+                                              min_size=T * n, max_size=T * n)), (T, n))
+            s = np.reshape(data.draw(st.lists(st.floats(2.0**-8, 2.0**12), min_size=math.prod(shape),
+                                              max_size=math.prod(shape))), shape)
+            operands.append(scaled(x, s, p))
+        ws = Workspace()
+        blocks = [_match_heads(lane_of(t, ws), heads, axis) for t, axis in zip(operands, (-1, -1, 0))]
+        d_m = n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transformer, "ATTN_GROUP_ELEMENTS", data.draw(st.integers(1, heads - 1)) * T * T)
+            group = _group_size(*blocks)
+        assert group < heads
+        got = self.outcome_and_sums(lambda s: attend_heads(*blocks, group, pp, degree, d_m, s))
+        lone = self.outcome_and_sums(lambda s: [
+            attention(*(_head_rows(b, h, h + 1) for b in blocks), pp, degree, d_m, s) for h in range(heads)])
+        assert got == lone
+        if _stacks(*blocks):
+            assert got == self.outcome_and_sums(lambda s: attend_heads(*blocks, heads, pp, degree, d_m, s))
+        else:
+            assert group == 1
+
+    def test_no_division_per_group_where_the_heads_stack(self, monkeypatch):
+        # longctx's shape, one head per group: 8 poly_attention calls and one
+        # division per layer, whose records each cover all eight heads.
+        cfg = ModelConfig(d_m=64, heads=8, d_ff=256, n_layers=1, vocab=256, precision=12)
+        model = quantize_model(random_reference_model(cfg, seed=0))
+        calls = []
+        attend = transformer.poly_attention
+        monkeypatch.setattr(transformer, "poly_attention",
+                            lambda *args, **kwargs: calls.append(kwargs["groups"]) or attend(*args, **kwargs))
+        session = Session()
+        forward(model, session, tokens=np.arange(256) % cfg.vocab)
+        assert calls == [1] * cfg.heads
+        divisions = [r for r in session.log.records if r.kind == "int_div" and r.module == "Attn"]
+        assert [r.elements for r in divisions] == [256 * cfg.d_m] * 2  # payload and scale
 
     @pytest.mark.parametrize("cfg, seq_len", [
         (ModelConfig(), 16),
@@ -752,7 +839,7 @@ class TestWorkspace:
                           d_h * data.draw(st.sampled_from([1, 2, 8]))))
         shared = Session()
         for q, k, v, pp, degree, d_m in heads:
-            fn = lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, degree, d_m, s).seal()  # noqa: E731
+            fn = lambda s: attention(q, k, K.transpose(v, (1, 0)), pp, degree, d_m, s)  # noqa: E731
             assert outcome(fn, shared) == outcome(fn)
 
     def test_pinned_heads_back_to_back(self):
@@ -773,7 +860,7 @@ class TestWorkspace:
         shared = Session()
         kinds = []
         for q, k, v in cases:
-            fn = lambda s: poly_attention(q, k, K.transpose(v, (1, 0)), pp, 2, 16, s).seal()  # noqa: E731
+            fn = lambda s: attention(q, k, K.transpose(v, (1, 0)), pp, 2, 16, s)  # noqa: E731
             got = outcome(fn, shared)
             assert got == outcome(fn)
             kinds.append(got[0])

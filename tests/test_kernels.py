@@ -771,14 +771,34 @@ class TestLaneKernels:
         assert out.s is not lane.s and out.s.tolist() == [[2.0], [0.5]]
         assert (out.max_bound, out.lo, out.hi) == (lane.max_bound, lane.lo, lane.hi)
 
+    @pytest.mark.parametrize("step", ["pow_n", "lane_add", "match_last"])
+    def test_an_int64_lane_below_2_53_stays_int64(self, step):
+        # Lane.hold picks lane_dtype(bound, x), as the kernels do: a step on
+        # an int64 lane whose bound is below 2^53 keeps it int64, and its
+        # payload and scale are those of the same step on a float64 lane.
+        x, s = np.array([[3, -5, 7], [0, 2, -1]]), np.array([[1.0, 2.0, 4.0], [0.5, 0.25, 3.0]])
+        outs = []
+        for dtype in (np.int64, np.float64):
+            ws = Workspace()
+            lane = Lane(ws.copy(x, dtype), ws.copy(s), 12, ws, 7)
+            if step == "pow_n":
+                K.pow_n(lane, n=3)
+            elif step == "lane_add":
+                K.lane_add(lane, c=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), c_max=6)
+            else:
+                lane.match_last()
+            assert lane.x.dtype == dtype and lane.max_bound < 2**53
+            outs.append((lane.x.astype(np.int64).tobytes(), lane.s.tobytes()))
+        assert outs[0] == outs[1]
+
     def test_lane_add_refuses_only_an_exact_max_at_the_lane(self):
         # A bound that reaches LANE_MAX is not refused while the exact max
-        # stays below it; the step clears `nonneg`.
+        # stays below it; a negative constant clears `nonneg`.
         ws = Workspace()
-        lane = lane_of(scaled([[2**61, -5]], [[1.0]]), ws)
+        lane = lane_of(scaled([[2**61, 5]], [[1.0]]), ws)
         lane.max_bound, lane.nonneg = LANE_MAX - 1, True
-        assert K.lane_add(lane, np.array([[1.0]]), c_max=1) is lane
-        assert lane.x.tolist() == [[2**61 + 1, -4]]
+        assert K.lane_add(lane, np.array([[-1.0]]), c_max=1) is lane
+        assert lane.x.tolist() == [[2**61 - 1, 4]]
         assert (lane.max_bound, lane.nonneg) == (LANE_MAX, False)
         lane = lane_of(scaled([[LANE_MAX - 1, 0]], [[1.0]]), ws)
         with pytest.raises(LaneOverflowError, match="payload exceeds accumulator lane"):

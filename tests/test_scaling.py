@@ -467,7 +467,8 @@ class TestScaleMatchDim:
                 lane.match_last()
         else:
             lane.match_last()
-            assert lane.x.dtype == scaling.lane_dtype(cap)
+            # Held by the bound as the kernels hold it: an int64 lane stays int64.
+            assert lane.x.dtype == scaling.lane_dtype(cap, np.empty(0, dtype)) == dtype
             assert lane.x.tobytes() == x.astype(lane.x.dtype).tobytes()
             assert lane.s.tobytes() == rows.tobytes()
         for operand, d in ((scaled(x, s, 7), -1),
@@ -505,6 +506,56 @@ class TestRescale:
         assert out.x[1].tolist() == [1, 1]
         assert out.s[1] == 2.0
 
+
+    @given(st.data(), st.sampled_from([2, 7, 12, 15]), st.sampled_from([1, 2, 3]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_per_element_float_shrink_reads_the_payload_once(self, data, p, blocks, nonneg):
+        # A float64 payload with a scale per element: extremes takes one
+        # reduction, over x when no payload is negative, else over the |x| it
+        # writes into the scratch, and the divisor is formed from that |x|.
+        # Each element divides by max(1, ceil(|x| / L)), exactly.
+        limit = (1 << p) - 1
+        rows, n = blocks * data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        cap = data.draw(st.sampled_from([limit + 1, 2**30, 2**50 - 1, 2**52]))
+        ints_ = st.integers(0 if nonneg else -cap, cap)
+        xs = data.draw(st.lists(ints_, min_size=rows * n, max_size=rows * n))
+        xs[0] = cap if nonneg or data.draw(st.booleans()) else -cap  # the shrink moves something
+        svals = data.draw(st.lists(st.floats(2.0**-20, 2.0**20), min_size=rows * n, max_size=rows * n))
+        s = np.array(svals).reshape(rows, n)
+        lane = Lane(np.array(xs, np.float64).reshape(rows, n), s.copy(), p, Workspace(), cap,
+                    blocks=blocks)
+        lane.nonneg = nonneg
+        reductions = []
+
+        class Counted:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __call__(self, *args, **kwargs):
+                return self.ufunc(*args, **kwargs)
+
+            def reduce(self, *args, **kwargs):
+                reductions.append(self.ufunc.__name__)
+                return self.ufunc.reduce(*args, **kwargs)
+
+        class CountedNumpy:
+            maximum, minimum = Counted(np.maximum), Counted(np.minimum)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scaling, "np", CountedNumpy())
+            log = OpAuditLog()
+            out = protocol_apply(passthrough, [lane], log=log).seal()
+        assert reductions == ["maximum"] and log.records[0].rescaled
+        for i, (x, s_i) in enumerate(zip(xs, svals)):
+            d = max(1, math.ceil(Fraction(abs(x), limit)))
+            assert out.x.flat[i] == int(Fraction(x, d))  # int() truncates toward zero
+            assert out.s.flat[i] == s_i / d
+        assert in_range(out)
+        if nonneg:
+            assert (out.x >= 0).all()
 
     def test_empty_payload_takes_the_precision(self):
         # The lane's own precision: an empty one keeps it, and its scale.

@@ -60,7 +60,7 @@ from intflow.transformer import (
     reference_twin,
 )
 
-from helpers import in_range, lane_of, poly, scaled
+from helpers import attention, in_range, lane_of, poly, scaled
 
 P = 12  # high enough that twin comparisons isolate structural errors
 
@@ -163,7 +163,7 @@ class TestPolyAttention:
         pp = PolyParams(bias=0.5, offset=0.1)
         qv, kv, vv = (rng.normal(size=(T, dh)) for _ in range(3))
         sess = Session()
-        out = dequantize(poly_attention(q(qv), q(kv), transpose(q(vv), (1, 0)), pp, 3, dm, sess).seal()).values
+        out = dequantize(attention(q(qv), q(kv), transpose(q(vv), (1, 0)), pp, 3, dm, sess)).values
         scores = (qv @ kv.T) / math.sqrt(dm)
         w = ref_poly(scores, pp, 3)
         want = (w @ vv) / np.sum(w, axis=-1, keepdims=True)
@@ -172,10 +172,10 @@ class TestPolyAttention:
     def test_output_in_logical_range(self):
         rng = np.random.default_rng(2)
         sess = Session()
-        out = poly_attention(
+        out = attention(
             q(rng.normal(size=(5, 4))), q(rng.normal(size=(5, 4))),
             transpose(q(rng.normal(size=(5, 4))), (1, 0)), PolyParams(), 3, 16, sess,
-        ).seal()
+        )
         assert in_range(out)
 
     def test_degenerate_scores_give_row_average(self):
@@ -190,7 +190,7 @@ class TestPolyAttention:
         vv[:, 0] = 1.0  # equal row maxima -> identical per-row scales
         v_q = q(vv)
         sess = Session()
-        out = poly_attention(q(qv), q(kv), transpose(v_q, (1, 0)), pp, 3, 16, sess).seal()
+        out = attention(q(qv), q(kv), transpose(v_q, (1, 0)), pp, 3, 16, sess)
         got = dequantize(out).values
         want = np.tile(np.mean(dequantize(v_q).values, axis=0), (T, 1))
         bound = 2.0 / np.min(out.s)
