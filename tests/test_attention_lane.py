@@ -694,18 +694,17 @@ class TestGroupedHeads:
         # run and as in its own run, and every op's audited elements must
         # sum the same.  Heads collapsed along their rows divide alone.
         T, d_h = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
-        n = heads * d_h
+        d_m = heads * d_h
         operands = []
         for _ in range(3):
-            shape = self.LAYOUTS[data.draw(st.sampled_from(sorted(self.LAYOUTS)))](T, n)
+            shape = self.LAYOUTS[data.draw(st.sampled_from(sorted(self.LAYOUTS)))](T, d_m)
             x = np.reshape(data.draw(st.lists(st.integers(-(1 << p) + 1, (1 << p) - 1),
-                                              min_size=T * n, max_size=T * n)), (T, n))
+                                              min_size=T * d_m, max_size=T * d_m)), (T, d_m))
             s = np.reshape(data.draw(st.lists(st.floats(2.0**-8, 2.0**12), min_size=math.prod(shape),
                                               max_size=math.prod(shape))), shape)
             operands.append(scaled(x, s, p))
         ws = Workspace()
         blocks = [_match_heads(lane_of(t, ws), heads, axis) for t, axis in zip(operands, (-1, -1, 0))]
-        d_m = n
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transformer, "ATTN_GROUP_ELEMENTS", data.draw(st.integers(1, heads - 1)) * T * T)
             group = _group_size(*blocks)
@@ -718,6 +717,21 @@ class TestGroupedHeads:
             assert got == self.outcome_and_sums(lambda s: attend_heads(*blocks, heads, pp, degree, d_m, s))
         else:
             assert group == 1
+
+    def test_a_stack_is_held_by_every_part_written(self):
+        # A float64 group first, then one whose value sum passes 2^53: the
+        # stack moves to int64 before the second is written, so it holds
+        # 2^53 + 1 exactly; a float64 stack would round it to 2^53.
+        ws = Workspace()
+        small = Lane(ws.copy(np.array([[3, -4]])), ws.copy(np.array([[1.0, 2.0]])), 7, ws, 4)
+        big = Lane(ws.copy(np.array([[2**53 + 1, 5]]), np.int64), ws.copy(np.array([[4.0, 8.0]])), 7, ws,
+                   2**53 + 1)
+        stack = transformer._stack(None, small, 0, 2)
+        assert stack.x.dtype == np.float64
+        stack = transformer._stack(stack, big, 1, 2)
+        assert stack.x.dtype == np.int64 and stack.x.tolist() == [[3, -4], [2**53 + 1, 5]]
+        assert stack.s.tolist() == [[1.0, 2.0], [4.0, 8.0]]
+        assert (stack.max_bound, stack.lo, stack.hi, stack.blocks) == (2**53 + 1, 1.0, 8.0, 2)
 
     def test_no_division_per_group_where_the_heads_stack(self, monkeypatch):
         # longctx's shape, one head per group: 8 poly_attention calls and one
